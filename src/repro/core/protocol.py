@@ -44,7 +44,7 @@ Our ``Rollback`` notification therefore carries both values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import HydEEConfig
 from repro.core.phase import INITIAL_PHASE
@@ -107,6 +107,8 @@ class HydEEProtocol(ClusteredProtocolBase):
         #: sizes, memory usage and garbage-collection accounting so the
         #: counters stay identical to exact execution.
         self._ff_phantom_log: Dict[int, Dict[int, int]] = {}
+        #: message size -> :meth:`_price_send` result.
+        self._send_costs: Dict[int, Tuple[int, SendDecision, SendDecision]] = {}
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, sim: "Simulation") -> None:
@@ -133,69 +135,99 @@ class HydEEProtocol(ClusteredProtocolBase):
         # line 8, Algorithm 3 line 18).  The date and phase are nevertheless
         # assigned *now*, at the application's program-order send point, so
         # that re-executed sends keep the dates of the original execution.
-        already_stamped = "date" in message.piggyback
-        if not already_stamped:
-            date, phase = state.clock.on_send()
-            message.piggyback["date"] = date
-            message.piggyback["phase"] = phase
-            message.inter_cluster = self.is_inter_cluster(rank, message.dest)
-        date = message.piggyback["date"]
-        phase = message.piggyback["phase"]
-        inter = bool(message.inter_cluster)
+        piggyback = message.piggyback
+        if "date" in piggyback:
+            # Second attempt of a deferred send: stamped the first time.
+            date = piggyback["date"]
+            phase = piggyback["phase"]
+            inter = bool(message.inter_cluster)
+        else:
+            # PhaseClock.on_send and is_inter_cluster, inline.
+            clock = state.clock
+            date = clock.date + 1
+            phase = clock.phase
+            clock.date = piggyback["date"] = date
+            piggyback["phase"] = phase
+            cluster_of = self._cluster_of
+            message.inter_cluster = inter = cluster_of[rank] != cluster_of[message.dest]
 
-        if recovery is not None and not recovery.gate_open():
-            if recovery.send_gate is None or recovery.send_gate.fired:
-                recovery.send_gate = Condition(name=f"hydee-send-gate-{rank}")
-            return SendDecision.defer(recovery.send_gate)
+        if recovery is not None:
+            if not recovery.gate_open():
+                if recovery.send_gate is None or recovery.send_gate.fired:
+                    recovery.send_gate = Condition(name=f"hydee-send-gate-{rank}")
+                return SendDecision.defer(recovery.send_gate)
 
-        # Orphan suppression (Algorithm 2 lines 13-15): a rolled back process
-        # regenerating a message its receiver already delivered notifies the
-        # recovery process instead of sending it again.
-        if recovery is not None and recovery.rolled_back and inter:
-            orphan_limit = recovery.orphan_date.get(message.dest, 0)
-            if date <= orphan_limit:
-                self.pstats.suppressed_orphans += 1
-                self._send_control(
-                    rank, RECOVERY_PROCESS, "orphan_notification", {"phase": phase}
-                )
-                return SendDecision.suppress()
+            # Orphan suppression (Algorithm 2 lines 13-15): a rolled back
+            # process regenerating a message its receiver already delivered
+            # notifies the recovery process instead of sending it again.
+            if recovery.rolled_back and inter:
+                orphan_limit = recovery.orphan_date.get(message.dest, 0)
+                if date <= orphan_limit:
+                    self.pstats.suppressed_orphans += 1
+                    self._send_control(
+                        rank, RECOVERY_PROCESS, "orphan_notification", {"phase": phase}
+                    )
+                    return SendDecision.suppress()
 
-        extra_cpu = 0.0
-
-        # Piggyback the (date, phase) pair following the prototype's policy:
-        # inline for small messages, separate control message above 1 KiB.
-        extra_bytes, extra_latency = self.sim.network.piggyback_cost(
-            message.size_bytes, self.config.piggyback_bytes, self.config.piggyback_policy
-        )
-        message.piggyback_bytes = extra_bytes
-        extra_cpu += extra_latency
-        self.pstats.piggyback_bytes += self.config.piggyback_bytes
+        size = message.size_bytes
+        costs = self._send_costs.get(size)
+        if costs is None:
+            costs = self._send_costs[size] = self._price_send(size)
+        message.piggyback_bytes, unlogged, logged = costs
+        pstats = self.pstats
+        pstats.piggyback_bytes += self.config.piggyback_bytes
 
         # Sender-based payload logging of inter-cluster messages (line 7-8 of
         # Algorithm 1).  ``log_all_messages`` is the "Message Logging"
         # configuration of Figure 6.
         if inter or self.config.log_all_messages:
             state.log.add(message.dest, date, phase, message)
-            extra_cpu += self.sim.network.memcpy_time(message.size_bytes)
-            self.pstats.logged_messages += 1
-            self.pstats.logged_bytes += message.size_bytes
-            self.sim.stats.logged_messages += 1
-            self.sim.stats.logged_bytes += message.size_bytes
+            pstats.logged_messages += 1
+            pstats.logged_bytes += size
+            stats = self.sim.stats
+            stats.logged_messages += 1
+            stats.logged_bytes += size
+            return logged
+        return unlogged
 
-        return SendDecision.send(extra_cpu)
+    def _price_send(self, size_bytes: int) -> Tuple[int, SendDecision, SendDecision]:
+        """``(piggyback wire bytes, decision, decision when logged)`` of a size.
+
+        Both costs are pure functions of the message size, and a run has a
+        handful of sizes: priced once, the decisions are shared by every
+        message of that size.
+        """
+        network = self.sim.network
+        # Piggyback the (date, phase) pair following the prototype's policy:
+        # inline for small messages, separate control message above 1 KiB.
+        extra_bytes, extra_latency = network.piggyback_cost(
+            size_bytes, self.config.piggyback_bytes, self.config.piggyback_policy
+        )
+        return (
+            extra_bytes,
+            SendDecision.send(extra_latency),
+            SendDecision.send(extra_latency + network.memcpy_time(size_bytes)),
+        )
 
     # =============================================================== delivery
     def on_app_deliver(self, rank: int, message: Message) -> float:
         state = self.states[rank]
-        phase_in = int(message.piggyback.get("phase", INITIAL_PHASE))
-        date_in = int(message.piggyback.get("date", 0))
-        if message.inter_cluster is None:
-            message.inter_cluster = self.is_inter_cluster(message.source, rank)
-        if message.inter_cluster:
-            state.clock.on_deliver_inter(phase_in)
+        piggyback = message.piggyback
+        phase_in = int(piggyback.get("phase", INITIAL_PHASE))
+        date_in = int(piggyback.get("date", 0))
+        inter = message.inter_cluster
+        if inter is None:
+            cluster_of = self._cluster_of
+            message.inter_cluster = inter = cluster_of[message.source] != cluster_of[rank]
+        # PhaseClock.on_deliver_inter / on_deliver_intra, inline.
+        clock = state.clock
+        clock.date += 1
+        if inter:
+            if phase_in >= clock.phase:
+                clock.phase = phase_in + 1
             state.rpp.observe(message.source, date_in, phase_in)
-        else:
-            state.clock.on_deliver_intra(phase_in)
+        elif phase_in > clock.phase:
+            clock.phase = phase_in
         return 0.0
 
     # ============================================================ checkpoints

@@ -29,11 +29,11 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 from repro.lint.rules.common import set_checker_for
 
-_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
+_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post"})
 
 
 def _is_engine_schedule(node: ast.Call) -> bool:
-    """``<...>.engine.schedule(...)`` / ``engine.schedule_at(...)`` calls.
+    """``<...>.engine.schedule(...)`` / ``schedule_at(...)`` / ``post(...)`` calls.
 
     The method name alone is too common (campaign scheduling, cron-like
     helpers), so the attribute chain must mention ``engine``.
@@ -86,7 +86,7 @@ class EqualTimeTieRule(Rule):
     id = "RL08"
     name = "equal-time-tie-break"
     invariant = (
-        "no per-element engine.schedule()/schedule_at() fan-out at a "
+        "no per-element engine.schedule()/schedule_at()/post() fan-out at a "
         "loop-invariant time: same-timestamp events dispatch in insertion "
         "order only, which the model leaves unconstrained"
     )

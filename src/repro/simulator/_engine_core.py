@@ -41,7 +41,11 @@ implementation deliberately avoids Python-level overhead:
   schedule, cancel, or trigger a lazy compaction);
 * :meth:`SimulationEngine.schedule_many` batches the bookkeeping for callers
   that inject many events at once (rank start-up, grouped replays,
-  benchmark floods).
+  benchmark floods);
+* :meth:`SimulationEngine.post` is :meth:`~SimulationEngine.schedule`
+  without the :class:`EventHandle`: only the transport ever cancels, so rank
+  resumes, send completions and control messages allocate nothing that
+  nobody reads.
 
 Scheduled times must be finite: ``NaN`` compares false against everything,
 so a single ``NaN`` time would silently corrupt the queue ordering (and with
@@ -128,7 +132,10 @@ class SimulationEngine:
         #: min-heap of entries scheduled since the drain was built.
         self._heap: List[List[Any]] = []
         self._seq = 0
-        self._now: float = 0.0
+        #: current simulation time in seconds.  A plain attribute, not a
+        #: property: every layer reads it several times per message.  Only
+        #: the engine writes it.
+        self.now: float = 0.0
         self._events_processed: int = 0
         self._running = False
         #: scheduled events that are neither cancelled nor executed yet.
@@ -145,11 +152,6 @@ class SimulationEngine:
         self._on_time_drained: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         return self._events_processed
@@ -195,10 +197,25 @@ class SimulationEngine:
                 f"cannot schedule an event with a negative or non-finite delay (delay={delay})"
             )
         self._seq += 1
-        event = [self._now + delay, self._seq, callback, args, _PENDING]
+        event = [self.now + delay, self._seq, callback, args, _PENDING]
         heappush(self._heap, event)
         self._live += 1
         return EventHandle(event, self)
+
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` without the :class:`EventHandle`.
+
+        Same validation, same ``[time, seq, callback, args, state]`` entry,
+        same position in the ``(time, seq)`` order; the event cannot be
+        cancelled.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"cannot schedule an event with a negative or non-finite delay (delay={delay})"
+            )
+        self._seq += 1
+        heappush(self._heap, [self.now + delay, self._seq, callback, args, _PENDING])
+        self._live += 1
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
@@ -207,13 +224,13 @@ class SimulationEngine:
         """
         # A single comparison chain rejects past times, NaN and +/-inf: NaN
         # compares false against everything, inf fails the right-hand bound.
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             if time != time or time in (_INF, -_INF):
                 raise SimulationError(
                     f"cannot schedule an event at a non-finite time (t={time})"
                 )
             raise SimulationError(
-                f"cannot schedule an event at t={time} before current time t={self._now}"
+                f"cannot schedule an event at t={time} before current time t={self.now}"
             )
         self._seq += 1
         event = [time, self._seq, callback, args, _PENDING]
@@ -232,7 +249,7 @@ class SimulationEngine:
         allocations -- batch-scheduled events cannot be cancelled
         individually.
         """
-        now = self._now
+        now = self.now
         heap = self._heap
         push = heappush
         seq = self._seq
@@ -261,9 +278,9 @@ class SimulationEngine:
         event -- those must be drained (or be scheduled later than ``time``)
         first, otherwise they would execute in the past.
         """
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"cannot advance the clock to t={time} (now t={self._now})"
+                f"cannot advance the clock to t={time} (now t={self.now})"
             )
         head = self._peek_time()
         if head is not None and head < time:
@@ -271,7 +288,7 @@ class SimulationEngine:
                 f"cannot advance the clock to t={time} past a pending event "
                 f"at t={head}"
             )
-        self._now = time
+        self.now = time
 
     # ------------------------------------------------------- schedule policy
     def set_schedule_policy(
@@ -397,15 +414,15 @@ class SimulationEngine:
             next_time = self._peek_time()
             if next_time is None:
                 if executed_any and on_drained is not None:
-                    on_drained(self._now)
+                    on_drained(self.now)
                 return "empty"
             if until_time is not None and next_time > until_time:
                 if executed_any and on_drained is not None:
-                    on_drained(self._now)
-                self._now = until_time
+                    on_drained(self.now)
+                self.now = until_time
                 return "until_time"
-            if executed_any and next_time > self._now and on_drained is not None:
-                on_drained(self._now)
+            if executed_any and next_time > self.now and on_drained is not None:
+                on_drained(self.now)
             group = self._pop_time_group(next_time)
             while group:
                 if stop_predicate is not None and stop_predicate():
@@ -426,7 +443,7 @@ class SimulationEngine:
                 entry = group.pop(choice)
                 entry[_STATE] = _EXECUTED
                 self._live -= 1
-                self._now = entry[_TIME]
+                self.now = entry[_TIME]
                 self._events_processed += 1
                 executed_any = True
                 processed += 1
@@ -500,7 +517,7 @@ class SimulationEngine:
             return False
         event[_STATE] = _EXECUTED
         self._live -= 1
-        self._now = event[_TIME]
+        self.now = event[_TIME]
         self._events_processed += 1
         event[_CALLBACK](*event[_ARGS])
         return True
@@ -563,7 +580,7 @@ class SimulationEngine:
                     self._drain_idx = idx
                     entry[4] = _EXECUTED
                     self._live -= 1
-                    self._now = entry[0]
+                    self.now = entry[0]
                     self._events_processed += 1
                     entry[2](*entry[3])
                     drain = self._drain
@@ -580,7 +597,7 @@ class SimulationEngine:
                 if next_time is None:
                     return "empty"
                 if until_time is not None and next_time > until_time:
-                    self._now = until_time
+                    self.now = until_time
                     return "until_time"
                 event = self._next_event()
                 if event is None:
@@ -589,7 +606,7 @@ class SimulationEngine:
                     return "empty"
                 event[_STATE] = _EXECUTED
                 self._live -= 1
-                self._now = event[_TIME]
+                self.now = event[_TIME]
                 self._events_processed += 1
                 event[_CALLBACK](*event[_ARGS])
                 processed += 1

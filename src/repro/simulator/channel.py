@@ -21,19 +21,11 @@ The transport also tracks in-flight messages so that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.simulator.engine import EventHandle, SimulationEngine
-from repro.simulator.messages import ChannelKey, Message
+from repro.simulator.messages import Message
 from repro.simulator.network import NetworkModel, RoutedNetworkModel
-
-
-@dataclass
-class _InFlight:
-    message: Message
-    handle: EventHandle
-    arrival_time: float
 
 
 class Transport:
@@ -59,10 +51,14 @@ class Transport:
             from repro.topology import ContentionModel
 
             self._contention = ContentionModel()
-        #: last scheduled arrival time per FIFO channel (for non-overtaking).
-        self._channel_last_arrival: Dict[ChannelKey, float] = {}
-        #: in-flight messages keyed by message id.
-        self._in_flight: Dict[int, _InFlight] = {}
+        #: last scheduled arrival time per FIFO ``(source, dest)`` channel
+        #: (for non-overtaking).
+        self._channel_last_arrival: Dict[Tuple[int, int], float] = {}
+        #: in-flight ``(message, arrival event)`` pairs keyed by message id.
+        self._in_flight: Dict[int, Tuple[Message, EventHandle]] = {}
+        #: flat model only: ``transfer_time`` per wire size.  It is a pure
+        #: function of the size and a run sees a handful of sizes.
+        self._transfer_time: Dict[int, float] = {}
         #: accounting
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -75,7 +71,7 @@ class Transport:
         """Inject ``message`` into the network.  Returns the arrival time."""
         now = self._engine.now
         message.send_time = now
-        wire = message.total_bytes
+        wire = message.size_bytes + message.piggyback_bytes
         start = now + extra_delay
         if self._routed is not None:
             arrival, waited = self._routed.routed_arrival(
@@ -83,8 +79,11 @@ class Transport:
             )
             self.contention_wait_s += waited
         else:
-            arrival = start + self._network.transfer_time(wire)
-        key = ChannelKey(message.source, message.dest)
+            transfer = self._transfer_time.get(wire)
+            if transfer is None:
+                transfer = self._transfer_time[wire] = self._network.transfer_time(wire)
+            arrival = start + transfer
+        key = (message.source, message.dest)
         previous = self._channel_last_arrival.get(key, 0.0)
         if arrival <= previous:
             # Preserve FIFO ordering: never overtake an earlier message on the
@@ -93,7 +92,7 @@ class Transport:
             arrival = math.nextafter(previous, math.inf)
         self._channel_last_arrival[key] = arrival
         handle = self._engine.schedule_at(arrival, self._arrive, message)
-        self._in_flight[message.msg_id] = _InFlight(message, handle, arrival)
+        self._in_flight[message.msg_id] = (message, handle)
         self.messages_sent += 1
         self.bytes_sent += wire
         return arrival
@@ -104,7 +103,7 @@ class Transport:
 
     # ------------------------------------------------------------- inspection
     def in_flight_messages(self) -> List[Message]:
-        return [entry.message for entry in self._in_flight.values()]
+        return [message for message, _handle in self._in_flight.values()]
 
     def in_flight_count(
         self,
@@ -113,8 +112,7 @@ class Transport:
     ) -> int:
         """Number of in-flight messages filtered by source/destination sets."""
         count = 0
-        for entry in self._in_flight.values():
-            msg = entry.message
+        for msg, _handle in self._in_flight.values():
             if sources is not None and msg.source not in sources:
                 continue
             if dests is not None and msg.dest not in dests:
@@ -126,8 +124,8 @@ class Transport:
         """In-flight messages whose source *and* destination are both in ``ranks``."""
         return sum(
             1
-            for entry in self._in_flight.values()
-            if entry.message.source in ranks and entry.message.dest in ranks
+            for msg, _handle in self._in_flight.values()
+            if msg.source in ranks and msg.dest in ranks
         )
 
     # ------------------------------------------------------------------ drop
@@ -144,8 +142,7 @@ class Transport:
         ranks are lost and later regenerated or replayed from logs).
         """
         dropped: List[Message] = []
-        for msg_id, entry in list(self._in_flight.items()):
-            msg = entry.message
+        for msg_id, (msg, handle) in list(self._in_flight.items()):
             match = False
             if involving is not None and (msg.source in involving or msg.dest in involving):
                 match = True
@@ -154,7 +151,7 @@ class Transport:
             if dests is not None and msg.dest in dests:
                 match = True
             if match:
-                entry.handle.cancel()
+                handle.cancel()
                 del self._in_flight[msg_id]
                 dropped.append(msg)
                 self.messages_dropped += 1
@@ -171,8 +168,8 @@ class Transport:
         return self._routed.topology if self._routed is not None else None
 
     def channel_stats(self) -> Dict[Tuple[int, int], float]:
-        """Last arrival time per channel (mainly for tests)."""
-        return {(k.source, k.dest): t for k, t in self._channel_last_arrival.items()}
+        """Last arrival time per ``(source, dest)`` channel (mainly for tests)."""
+        return self._channel_last_arrival
 
     def link_stats(self, makespan: Optional[float] = None) -> Dict[str, Dict[str, Any]]:
         """Per-link traffic/utilization counters ({} without a routed topology)."""

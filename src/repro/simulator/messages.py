@@ -16,7 +16,6 @@ resulting extra wire bytes are accounted by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Optional
 
@@ -162,17 +161,6 @@ class Message:
             f"Message(#{self.msg_id} {self.source}->{self.dest} tag={self.tag} "
             f"size={self.size_bytes}B kind={self.kind.value}{extra})"
         )
-
-
-@dataclass(frozen=True)
-class ChannelKey:
-    """Ordered (source, dest) pair identifying a FIFO channel."""
-
-    source: int
-    dest: int
-
-    def reversed(self) -> "ChannelKey":
-        return ChannelKey(self.dest, self.source)
 
 
 def reset_message_counter() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Deque, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Set
 
 from repro.errors import InvalidOperationError, SimulationError
 from repro.simulator.engine import Condition
@@ -41,7 +41,9 @@ from repro.simulator.ops import (
     WaitOp,
     describe,
 )
-from repro.simulator.requests import RecvRequest, Request
+from repro.simulator.requests import RecvRequest, Request, RequestState
+
+_COMPLETE = RequestState.COMPLETE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.simulation import Simulation
@@ -106,7 +108,7 @@ class RankProcess:
         """
         self._gen = self._main()
         self.state = RankState.RUNNING
-        return (0.0, self._advance_guarded, (self.incarnation, None, None))
+        return (0.0, self._advance, (self.incarnation, None, None))
 
     def _main(self):
         """Main driver generator: setup -> iterations -> finalize."""
@@ -154,21 +156,13 @@ class RankProcess:
         self.result = yield from app.finalize(comm, rank, state)
 
     # -------------------------------------------------------------- stepping
-    def _advance_guarded(
-        self, incarnation: int, value: Any, exception: Optional[BaseException]
-    ) -> None:
-        """Engine-facing resume guard: ignore wake-ups of dead incarnations."""
-        if incarnation != self.incarnation:
-            return
-        if self.state in (RankState.FAILED, RankState.DONE):
-            return
-        self._advance(value, exception)
-
     def _schedule_resume(
         self, delay: float, value: Any = None, exception: Optional[BaseException] = None
     ) -> None:
-        delay += self._take_pending_overhead()
-        self.sim.engine.schedule(delay, self._advance_guarded, self.incarnation, value, exception)
+        """Resume this incarnation after ``delay`` plus its pending overhead."""
+        delay += self.pending_overhead
+        self.pending_overhead = 0.0
+        self.sim.engine.post(delay, self._advance, self.incarnation, value, exception)
 
     def _schedule_resume_for(
         self,
@@ -181,19 +175,27 @@ class RankProcess:
 
         Continuations registered on requests or conditions capture the
         incarnation at registration time; if the rank has been rolled back in
-        the meantime the wake-up is silently dropped by the guard.
+        the meantime the wake-up is still an event of the run, but
+        :meth:`_advance` drops it.
         """
         if incarnation == self.incarnation:
-            delay += self._take_pending_overhead()
-        self.sim.engine.schedule(delay, self._advance_guarded, incarnation, value, exception)
+            self._schedule_resume(delay, value, exception)
+        else:
+            self.sim.engine.post(delay, self._advance, incarnation, value, exception)
 
-    def _take_pending_overhead(self) -> float:
-        pending = self.pending_overhead
-        self.pending_overhead = 0.0
-        return pending
+    def _advance(
+        self, incarnation: int, value: Any, exception: Optional[BaseException]
+    ) -> None:
+        """Engine-facing resume: step the coroutine to its next operation.
 
-    def _advance(self, value: Any, exception: Optional[BaseException]) -> None:
-        if self._gen is None:
+        Wake-ups of dead incarnations and of failed or finished ranks are
+        ignored.
+        """
+        if incarnation != self.incarnation:
+            return
+        state = self.state
+        gen = self._gen
+        if state is RankState.FAILED or state is RankState.DONE or gen is None:
             return
         if self.blocked_since is not None:
             self.rstats.blocked_time += self.sim.engine.now - self.blocked_since
@@ -202,9 +204,9 @@ class RankProcess:
         self.blocked_on = None
         try:
             if exception is not None:
-                op = self._gen.throw(exception)
+                op = gen.throw(exception)
             else:
-                op = self._gen.send(value)
+                op = gen.send(value)
         except StopIteration:
             self._finish()
             return
@@ -342,76 +344,67 @@ class RankProcess:
 
     # ------------------------------------------------------------------ wait
     def _handle_wait(self, op: WaitOp) -> None:
-        requests = list(op.requests)
-        if op.mode not in ("all", "any", "one"):
-            raise InvalidOperationError(f"unknown wait mode {op.mode!r}")
-        inc = self.incarnation
-        if op.mode == "one":
-            if len(requests) != 1:
-                raise InvalidOperationError("wait mode 'one' expects exactly one request")
-            request = requests[0]
-            if request.complete:
-                self._deliver_to_app(request.value)
-                self._schedule_resume(0.0, request.value)
-                return
-            self.state = RankState.BLOCKED
-            self.blocked_on = op
-            self.blocked_since = self.sim.engine.now
-
-            def _on_one(req, inc: int = inc) -> None:
-                if inc == self.incarnation:
-                    self._deliver_to_app(req.value)
-                self._schedule_resume_for(inc, 0.0, req.value)
-
-            request.add_waiter(_on_one)
-            return
-        if op.mode == "all":
-            if all(r.complete for r in requests):
-                values = [r.value for r in requests]
-                for value in values:
-                    self._deliver_to_app(value)
-                self._schedule_resume(0.0, values)
-                return
-            self.state = RankState.BLOCKED
-            self.blocked_on = op
-            self.blocked_since = self.sim.engine.now
-            resumed = {"done": False}
-
-            def _check(_req: Request, inc: int = inc) -> None:
-                if resumed["done"] or inc != self.incarnation:
-                    return
-                if all(r.complete for r in requests):
-                    resumed["done"] = True
-                    values = [r.value for r in requests]
-                    for value in values:
-                        self._deliver_to_app(value)
-                    self._schedule_resume_for(inc, 0.0, values)
-
+        requests = op.requests
+        mode = op.mode
+        if mode not in ("all", "any", "one"):
+            raise InvalidOperationError(f"unknown wait mode {mode!r}")
+        if mode == "one" and len(requests) != 1:
+            raise InvalidOperationError("wait mode 'one' expects exactly one request")
+        # A cancelled request never completes: it can satisfy no wait, so a
+        # wait-all over one (and a wait-any/one over nothing else) blocks
+        # until the rank is rolled back.
+        if mode == "all":
+            remaining = 0
             for r in requests:
-                if not r.complete:
-                    r.add_waiter(_check)
-            return
-        # mode == "any"
-        for idx, r in enumerate(requests):
-            if r.complete:
-                self._deliver_to_app(r.value)
-                self._schedule_resume(0.0, (idx, r.value))
+                if r.state is not _COMPLETE:
+                    remaining += 1
+            if not remaining:
+                self._resume_with_all(requests)
                 return
+        else:
+            for idx, r in enumerate(requests):
+                if r.state is _COMPLETE:
+                    self._deliver_to_app(r.value)
+                    self._schedule_resume(0.0, r.value if mode == "one" else (idx, r.value))
+                    return
+            remaining = 1
         self.state = RankState.BLOCKED
         self.blocked_on = op
         self.blocked_since = self.sim.engine.now
-        resumed = {"done": False}
+        inc = self.incarnation
 
-        def _first(req: Request, inc: int = inc) -> None:
-            if resumed["done"] or inc != self.incarnation:
+        def _on_completion(req: Request) -> None:
+            # One call per pending request (duplicates register twice); the
+            # wait is satisfied by the completion that brings the count to
+            # zero, and only while the incarnation that waits is alive.
+            nonlocal remaining
+            remaining -= 1
+            if remaining:
                 return
-            resumed["done"] = True
-            index = requests.index(req)
+            if inc != self.incarnation:
+                if mode == "one":
+                    # The wake-up of a rolled back wait-one is an event of
+                    # the run all the same (dropped by _advance).
+                    self._schedule_resume_for(inc, 0.0, req.value)
+                return
+            if mode == "all":
+                self._resume_with_all(requests)
+                return
             self._deliver_to_app(req.value)
-            self._schedule_resume_for(inc, 0.0, (index, req.value))
+            self._schedule_resume(
+                0.0, req.value if mode == "one" else (requests.index(req), req.value)
+            )
 
         for r in requests:
-            r.add_waiter(_first)
+            if r.state is not _COMPLETE:
+                r.add_waiter(_on_completion)
+
+    def _resume_with_all(self, requests: Sequence[Request]) -> None:
+        """Deliver in request order, then resume with the list of values."""
+        values = [r.value for r in requests]
+        for value in values:
+            self._deliver_to_app(value)
+        self._schedule_resume(0.0, values)
 
     def _handle_wait_condition(self, op: WaitConditionOp) -> None:
         if op.condition.fired:
@@ -429,7 +422,7 @@ class RankProcess:
     def post_receive(self, source: int, tag: int) -> RecvRequest:
         """Post a receive; match immediately against the unexpected queue."""
         request = RecvRequest(self.rank, source, tag)
-        matched = self._match_unexpected(request)
+        matched = self._match_unexpected(request) if self.unexpected else None
         if matched is not None:
             self._complete_receive(request, matched)
         else:
@@ -507,7 +500,7 @@ class RankProcess:
         self.completed_iterations = iteration
         self._gen = self._main()
         self.state = RankState.RUNNING
-        self.sim.stats.rank(self.rank).restarts += 1
+        self.rstats.restarts += 1
         self._schedule_resume(restart_delay)
 
     def fast_forward_to(self, iteration: int, app_state: Any, resume_time: float) -> None:
@@ -537,7 +530,7 @@ class RankProcess:
         self._gen = self._main()
         self.state = RankState.RUNNING
         self.sim.engine.schedule_at(
-            resume_time, self._advance_guarded, self.incarnation, None, None
+            resume_time, self._advance, self.incarnation, None, None
         )
 
     def purge_messages_from(self, sources: Set[int]) -> int:

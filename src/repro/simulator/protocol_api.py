@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 )
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -55,9 +55,9 @@ class SendAction(Enum):
     DEFER = "defer"
 
 
-@dataclass
-class SendDecision:
-    """Outcome of :meth:`ProtocolHooks.on_app_send`."""
+class SendDecision(NamedTuple):
+    """Outcome of :meth:`ProtocolHooks.on_app_send` (immutable: protocols
+    hand out shared instances on the per-message path)."""
 
     action: SendAction = SendAction.SEND
     #: Condition to wait on when ``action`` is DEFER.
@@ -68,6 +68,8 @@ class SendDecision:
 
     @classmethod
     def send(cls, extra_cpu_time: float = 0.0) -> "SendDecision":
+        if not extra_cpu_time:
+            return _PLAIN_SEND
         return cls(SendAction.SEND, None, extra_cpu_time)
 
     @classmethod
@@ -77,6 +79,9 @@ class SendDecision:
     @classmethod
     def defer(cls, condition: Condition) -> "SendDecision":
         return cls(SendAction.DEFER, condition, 0.0)
+
+
+_PLAIN_SEND = SendDecision()
 
 
 class ProtocolHooks:
@@ -319,7 +324,7 @@ class ControlPlane:
                 (self._engine.now + self.latency_s + extra_delay, msg)
             )
             return
-        self._engine.schedule(self.latency_s + extra_delay, self._handler, msg)
+        self._engine.post(self.latency_s + extra_delay, self._handler, msg)
 
     # ------------------------------------------------- buffered fast path
     def begin_buffering(self) -> None:

@@ -31,7 +31,7 @@ class Request:
         "rank",
         "state",
         "completion_time",
-        "_value",
+        "value",
         "_waiters",
     )
 
@@ -40,7 +40,8 @@ class Request:
         self.rank = rank
         self.state = RequestState.PENDING
         self.completion_time: Optional[float] = None
-        self._value: Any = None
+        #: completion value (the :class:`Message` for receive requests).
+        self.value: Any = None
         self._waiters: List[Callable[["Request"], None]] = []
 
     # ------------------------------------------------------------------ api
@@ -52,19 +53,19 @@ class Request:
     def cancelled(self) -> bool:
         return self.state is RequestState.CANCELLED
 
-    @property
-    def value(self) -> Any:
-        """Completion value (the :class:`Message` for receive requests)."""
-        return self._value
-
     def test(self) -> bool:
         """Non-destructive completion test (``MPI_Test`` without deallocation)."""
         return self.complete
 
     def add_waiter(self, callback: Callable[["Request"], None]) -> None:
-        if self.complete or self.cancelled:
+        """Register ``callback(request)`` for completion.
+
+        Invoked immediately if already complete; a cancelled request never
+        completes, so its waiters are never invoked.
+        """
+        if self.state is RequestState.COMPLETE:
             callback(self)
-        else:
+        elif self.state is RequestState.PENDING:
             self._waiters.append(callback)
 
     # ------------------------------------------------------------- internals
@@ -74,7 +75,7 @@ class Request:
         if self.state is RequestState.COMPLETE:
             raise InvalidOperationError(f"request {self.req_id} completed twice")
         self.state = RequestState.COMPLETE
-        self._value = value
+        self.value = value
         self.completion_time = time
         waiters, self._waiters = self._waiters, []
         for callback in waiters:
@@ -92,7 +93,14 @@ class SendRequest(Request):
     __slots__ = ("message",)
 
     def __init__(self, rank: int, message: Message) -> None:
-        super().__init__(rank)
+        # Flat copy of Request.__init__: one request per message, and a
+        # super() chain doubles the cost of creating it.
+        self.req_id = next(_REQUEST_COUNTER)
+        self.rank = rank
+        self.state = RequestState.PENDING
+        self.completion_time = None
+        self.value = None
+        self._waiters = []
         self.message = message
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -105,7 +113,13 @@ class RecvRequest(Request):
     __slots__ = ("source", "tag")
 
     def __init__(self, rank: int, source: int, tag: int) -> None:
-        super().__init__(rank)
+        # Flat, like SendRequest.__init__.
+        self.req_id = next(_REQUEST_COUNTER)
+        self.rank = rank
+        self.state = RequestState.PENDING
+        self.completion_time = None
+        self.value = None
+        self._waiters = []
         self.source = source
         self.tag = tag
 

@@ -32,7 +32,7 @@ from repro.simulator.messages import Message, MessageKind
 from repro.simulator.network import MyrinetMXModel, NetworkModel
 from repro.simulator.process import RankProcess, RankState
 from repro.simulator.protocol_api import ControlPlane, ProtocolHooks, SendAction
-from repro.simulator.requests import SendRequest
+from repro.simulator.requests import RequestState, SendRequest
 from repro.simulator.stable_storage import StableStorage, snapshot_strategy_for
 from repro.simulator.statistics import SimulationStatistics
 from repro.simulator.trace import TraceRecorder
@@ -141,7 +141,6 @@ class Simulation:
         for rank in range(nprocs):
             proc = RankProcess(self, rank, application)
             proc.comm = Communicator(self, proc)
-            proc.pending_overhead = 0.0
             self.ranks[rank] = proc
 
         self._done_count = 0
@@ -169,25 +168,6 @@ class Simulation:
         return [r for r, p in self.ranks.items() if p.state is not RankState.FAILED]
 
     # ------------------------------------------------------------- send paths
-    def _build_message(
-        self,
-        proc: RankProcess,
-        dest: int,
-        payload: Any,
-        tag: int,
-        size_bytes: int,
-        collective: bool,
-    ) -> Message:
-        kind = MessageKind.COLLECTIVE if collective else MessageKind.APP
-        return Message(
-            source=proc.rank,
-            dest=dest,
-            tag=tag,
-            size_bytes=size_bytes,
-            payload=payload,
-            kind=kind,
-        )
-
     def initiate_send(
         self,
         proc: RankProcess,
@@ -202,7 +182,8 @@ class Simulation:
         Returns ``("sent", cpu_time)``, ``("suppressed", cpu_time)`` or
         ``("deferred", condition)``.
         """
-        message = self._build_message(proc, dest, payload, tag, size_bytes, collective)
+        kind = MessageKind.COLLECTIVE if collective else MessageKind.APP
+        message = Message(proc.rank, dest, tag, size_bytes, payload, kind)
         return self._attempt_send(proc, message)
 
     def _attempt_send(self, proc: RankProcess, message: Message) -> Tuple[str, Any]:
@@ -217,15 +198,16 @@ class Simulation:
             return "suppressed", self.network.send_overhead_s
         # SEND
         proc.sends_initiated += 1
-        cpu = self.network.send_overhead_s + decision.extra_cpu_time
-        self.transport.transmit(message, extra_delay=decision.extra_cpu_time)
+        extra_cpu = decision.extra_cpu_time
+        self.transport.transmit(message, extra_cpu)
         self.trace.record_send(message, self.engine.now)
-        rstats = self.stats.rank(proc.rank)
+        rstats = proc.rstats
         rstats.sends += 1
         rstats.bytes_sent += message.size_bytes
-        self.stats.app_messages += 1
-        self.stats.app_bytes += message.size_bytes
-        return "sent", cpu
+        stats = self.stats
+        stats.app_messages += 1
+        stats.app_bytes += message.size_bytes
+        return "sent", self.network.send_overhead_s + extra_cpu
 
     def initiate_isend(
         self,
@@ -237,7 +219,8 @@ class Simulation:
         collective: bool = False,
     ) -> SendRequest:
         """Non-blocking-send entry point; always returns a request."""
-        message = self._build_message(proc, dest, payload, tag, size_bytes, collective)
+        kind = MessageKind.COLLECTIVE if collective else MessageKind.APP
+        message = Message(proc.rank, dest, tag, size_bytes, payload, kind)
         request = SendRequest(proc.rank, message)
         self._isend_attempt(proc, message, request, proc.incarnation)
         return request
@@ -260,10 +243,10 @@ class Simulation:
         # the rank by delaying its next resume: an MPI_Isend call does not
         # return before the library has done that work.
         proc.pending_overhead += cpu
-        self.engine.schedule(cpu, self._complete_send_request, request)
+        self.engine.post(cpu, self._complete_send_request, request)
 
     def _complete_send_request(self, request: SendRequest) -> None:
-        if not request.cancelled and not request.complete:
+        if request.state is RequestState.PENDING:
             request._complete(None, self.engine.now)
 
     def replay_message(self, message: Message, extra_cpu_time: float = 0.0) -> None:
@@ -280,8 +263,8 @@ class Simulation:
 
     # -------------------------------------------------------------- delivery
     def _on_message_arrival(self, message: Message) -> None:
-        proc = self.ranks.get(message.dest)
-        if proc is None or proc.state is RankState.FAILED:
+        proc = self.ranks[message.dest]
+        if proc.state is RankState.FAILED:
             return
         verdict = self.protocol.on_message_arrival(proc.rank, message)
         if verdict is True:
@@ -300,10 +283,10 @@ class Simulation:
     def on_app_delivery(self, proc: RankProcess, message: Message) -> None:
         """Called by the rank process when a message is matched to the app."""
         overhead = self.protocol.on_app_deliver(proc.rank, message)
-        if isinstance(overhead, (int, float)) and overhead > 0:
-            proc.pending_overhead += float(overhead)
+        if overhead is not None and overhead > 0:
+            proc.pending_overhead += overhead
         self.trace.record_delivery(message, self.engine.now)
-        rstats = self.stats.rank(proc.rank)
+        rstats = proc.rstats
         rstats.receives += 1
         rstats.bytes_received += message.size_bytes
 

@@ -222,6 +222,24 @@ class Application(abc.ABC):
         return f"{type(self).__name__}(nprocs={self.nprocs}, iterations={self.iterations})"
 
 
+def round9(x: float) -> float:
+    """``round(x, 9)``, skipping the call where it provably returns ``x``.
+
+    The nearest 9-decimal value ``d`` to ``x`` satisfies ``|d - x| <=
+    0.5e-9``, while for ``|x| >= 2**24`` half the gap to the neighbouring
+    double is ``0.5 * ulp(x) >= 2**-29 > 1.8e-9``, so ``x`` is strictly the
+    nearest double to ``d`` and CPython's correctly rounded dtoa/strtod
+    round-trip reproduces it bit for bit (NaN and +/-inf also round to
+    themselves).  This matters because ``round`` on large-magnitude doubles
+    costs microseconds (long decimal expansions), and workloads with an
+    unnormalised update rule drive their values through that range by
+    design.
+    """
+    if -16777216.0 < x < 16777216.0:  # 2**24
+        return round(x, 9)
+    return x
+
+
 def checksum(values) -> float:
     """Order-independent checksum helper used by workloads' finalize()."""
     total = 0.0

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Application
+from repro.workloads.base import Application, round9
 
 
 def square_grid_side(nprocs: int) -> int:
@@ -138,7 +138,7 @@ class NASKernelBase(Application):
                 acc += float(value.payload)
                 state["received"] += 1
         yield from comm.compute(self.compute_seconds)
-        state["checksum"] = round(0.5 * state["checksum"] + 0.25 * acc, 9)
+        state["checksum"] = round9(0.5 * state["checksum"] + 0.25 * acc)
 
     def fast_forward_states(
         self, states: Dict[int, Dict[str, Any]], start_iteration: int, n: int
@@ -167,7 +167,7 @@ class NASKernelBase(Application):
                 for peer in recv_map[rank]:
                     acc += float(payload(peer, rank, it))
                 state["received"] += len(recv_map[rank])
-                state["checksum"] = round(0.5 * state["checksum"] + 0.25 * acc, 9)
+                state["checksum"] = round9(0.5 * state["checksum"] + 0.25 * acc)
         return True
 
     def finalize(self, comm, rank: int, state: Dict[str, Any]) -> Iterator:

@@ -14,6 +14,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.workloads.base import round9
 from repro.workloads.nas.base import NASKernelBase
 
 
@@ -40,7 +41,7 @@ class FTApplication(NASKernelBase):
         acc = float(sum(v for v in received if isinstance(v, float)))
         state["received"] += self.nprocs - 1
         yield from comm.compute(self.compute_seconds)
-        state["checksum"] = round(0.5 * state["checksum"] + 1e-3 * acc, 9)
+        state["checksum"] = round9(0.5 * state["checksum"] + 1e-3 * acc)
 
     def fast_forward_states(
         self, states: Dict[int, Dict[str, Any]], start_iteration: int, n: int
@@ -63,7 +64,7 @@ class FTApplication(NASKernelBase):
                     for source in range(nprocs)
                 ))
                 state["received"] += nprocs - 1
-                state["checksum"] = round(0.5 * state["checksum"] + 1e-3 * acc, 9)
+                state["checksum"] = round9(0.5 * state["checksum"] + 1e-3 * acc)
         return True
 
     def communication_matrix(self, weight: str = "bytes") -> np.ndarray:

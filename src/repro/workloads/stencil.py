@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Application
+from repro.workloads.base import Application, round9
 
 
 class Stencil1DApplication(Application):
@@ -165,6 +165,8 @@ class Stencil2DApplication(Application):
         self.halo_bytes = halo_bytes
         self.compute_seconds = compute_seconds
         self._ff_kernel: Optional[Any] = None
+        #: rank -> N/S/W/E neighbour ranks (static for the process grid).
+        self._neighbours = [self._grid_neighbours(rank) for rank in range(nprocs)]
 
     # -- process grid helpers -------------------------------------------------
     def coords(self, rank: int) -> Tuple[int, int]:
@@ -175,6 +177,9 @@ class Stencil2DApplication(Application):
         return row * self.grid[1] + col
 
     def neighbours(self, rank: int) -> List[int]:
+        return self._neighbours[rank]
+
+    def _grid_neighbours(self, rank: int) -> List[int]:
         row, col = self.coords(rank)
         rows, cols = self.grid
         out = []
@@ -193,9 +198,9 @@ class Stencil2DApplication(Application):
         return {"value": float(rank % 17) + 1.0, "halo_sum": 0.0}
 
     def iteration(self, comm, rank: int, state: Dict[str, Any], it: int) -> Iterator:
-        neighbours = self.neighbours(rank)
+        neighbours = self._neighbours[rank]
         requests = []
-        outgoing = round(state["value"] * (it + 1), 9)
+        outgoing = round9(state["value"] * (it + 1))
         for nbr in neighbours:
             requests.append(
                 comm.isend(nbr, payload=outgoing, tag=31, size_bytes=self.halo_bytes)
@@ -207,8 +212,8 @@ class Stencil2DApplication(Application):
             if value is not None:
                 halo_sum += value.payload
         yield from comm.compute(self.compute_seconds)
-        state["halo_sum"] = round(state["halo_sum"] + halo_sum, 9)
-        state["value"] = round(0.5 * state["value"] + 0.1 * halo_sum, 9)
+        state["halo_sum"] = round9(state["halo_sum"] + halo_sum)
+        state["value"] = round9(0.5 * state["value"] + 0.1 * halo_sum)
 
     def fast_forward_states(
         self, states: Dict[int, Dict[str, Any]], start_iteration: int, n: int
@@ -241,43 +246,29 @@ class Stencil2DApplication(Application):
         interpreter overhead of the generic loop rivals the float work
         itself.
 
-        Each ``round(x, 9)`` is guarded by ``-2**24 < x < 2**24``: outside
-        that range the call is skipped because it provably returns ``x``
-        unchanged.  The nearest 9-decimal value ``d`` to ``x`` satisfies
-        ``|d - x| <= 0.5e-9``, while for ``|x| >= 2**24`` half the gap to the
-        neighbouring double is ``0.5 * ulp(x) >= 2**-29 > 1.8e-9``, so ``x``
-        is strictly the nearest double to ``d`` and CPython's correctly
-        rounded dtoa/strtod round-trip reproduces it bit for bit (NaN and
-        +/-inf also round to themselves).  This matters because ``round``
-        on large-magnitude doubles costs microseconds (long decimal
-        expansions), and the stencil's unnormalised update rule drives
-        values through that range by design.
+        Roundings go through :func:`~repro.workloads.base.round9` like
+        :meth:`iteration`'s: the stencil's unnormalised update rule drives
+        values into the range where a plain ``round`` costs microseconds.
         """
         ranks = range(self.nprocs)
-        lines = ["def _ff(states, start_iteration, n, _round=round):"]
+        lines = ["def _ff(states, start_iteration, n, _round9=round9):"]
         for r in ranks:
             lines.append(f"    s{r} = states[{r}]")
             lines.append(f"    v{r} = s{r}['value']")
             lines.append(f"    h{r} = s{r}['halo_sum']")
         lines.append("    for it in range(start_iteration, start_iteration + n):")
         lines.append("        m = it + 1")
-
-        def rounded(expr: str, tmp: str) -> str:
-            return (f"        {tmp} = {expr}\n"
-                    f"        {tmp} = _round({tmp}, 9)"
-                    f" if -16777216.0 < {tmp} < 16777216.0 else {tmp}")
-
         for r in ranks:
-            lines.append(rounded(f"v{r} * m", f"o{r}"))
+            lines.append(f"        o{r} = _round9(v{r} * m)")
         for r in ranks:
             terms = " + ".join(f"o{nbr}" for nbr in self.neighbours(r))
             lines.append(f"        x = 0.0 + {terms}")
-            lines.append(rounded(f"h{r} + x", f"h{r}"))
-            lines.append(rounded(f"0.5 * v{r} + 0.1 * x", f"v{r}"))
+            lines.append(f"        h{r} = _round9(h{r} + x)")
+            lines.append(f"        v{r} = _round9(0.5 * v{r} + 0.1 * x)")
         for r in ranks:
             lines.append(f"    s{r}['value'] = v{r}")
             lines.append(f"    s{r}['halo_sum'] = h{r}")
-        namespace: Dict[str, Any] = {}
+        namespace: Dict[str, Any] = {"round9": round9}
         exec("\n".join(lines), namespace)
         return namespace["_ff"]
 

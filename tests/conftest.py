@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.config import HydEEConfig
 from repro.core.protocol import HydEEProtocol
+from repro.simulator.engine import Condition
 from repro.simulator.failures import FailureEvent, FailureInjector
-from repro.simulator.simulation import Simulation
+from repro.simulator.ops import WaitConditionOp, WaitOp
+from repro.simulator.process import RankState
+from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.workloads.ring import RingApplication
 from repro.workloads.stencil import Stencil2DApplication
 
@@ -70,3 +73,40 @@ def single_failure():
                                              time=time)])
 
     return make
+
+
+class WaitProbe:
+    """Rank 0 of an idle two-rank simulation, blocked on one ``WaitOp``.
+
+    The requests are hand-made and completed by the test, so completion
+    order is under its control.  ``resumed`` records the value of *every*
+    resumption of the waiting coroutine: a correct wait leaves exactly one.
+    """
+
+    def __init__(self, mode, requests):
+        def waiter():
+            value = yield WaitOp(requests=requests, mode=mode)
+            park = Condition("never-fired")
+            while True:
+                self.resumed.append(value)
+                value = yield WaitConditionOp(condition=park)
+
+        self.sim = Simulation(
+            RingApplication(nprocs=2, iterations=1),
+            nprocs=2,
+            config=SimulationConfig(record_trace_events=False),
+        )
+        self.proc = self.sim.ranks[0]
+        self.resumed = []
+        self.proc._gen = waiter()
+        self.proc.state = RankState.RUNNING
+        self.proc._advance(self.proc.incarnation, None, None)
+        self.sim.engine.run()
+
+    def complete(self, request, value):
+        request._complete(value, self.sim.engine.now)
+        self.sim.engine.run()
+
+    def roll_back(self):
+        """What a rollback does to continuations: a new incarnation."""
+        self.proc.incarnation += 1

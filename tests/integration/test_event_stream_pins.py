@@ -45,7 +45,7 @@ HIERARCHICAL = TopologySpec(
 )
 
 
-def _spec(
+def scenario_spec(
     name: str,
     kind: str,
     iterations: int,
@@ -73,20 +73,20 @@ def _spec(
 
 
 SCENARIOS = {
-    "hydee-stencil2d": lambda: _spec("hydee-stencil2d", "stencil2d", 24, "hydee", 8),
-    "hydee-ft-hierarchical": lambda: _spec(
+    "hydee-stencil2d": lambda: scenario_spec("hydee-stencil2d", "stencil2d", 24, "hydee", 8),
+    "hydee-ft-hierarchical": lambda: scenario_spec(
         "hydee-ft-hierarchical", "ft", 6, "hydee", 2, topology=HIERARCHICAL
     ),
-    "hydee-pipeline-ckpt-every-iteration": lambda: _spec(
+    "hydee-pipeline-ckpt-every-iteration": lambda: scenario_spec(
         "hydee-pipeline-ckpt-every-iteration", "pipeline", 12, "hydee", 1
     ),
-    "coordinated-stencil2d": lambda: _spec(
+    "coordinated-stencil2d": lambda: scenario_spec(
         "coordinated-stencil2d", "stencil2d", 6, "coordinated", 2
     ),
-    "message-logging-stencil2d": lambda: _spec(
+    "message-logging-stencil2d": lambda: scenario_spec(
         "message-logging-stencil2d", "stencil2d", 6, "message-logging", 2
     ),
-    "native-stencil2d": lambda: _spec("native-stencil2d", "stencil2d", 6, "native"),
+    "native-stencil2d": lambda: scenario_spec("native-stencil2d", "stencil2d", 6, "native"),
 }
 
 

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core.message_log import SenderLog
 from repro.core.phase import INITIAL_PHASE, PhaseClock
+from repro.core.protocol import HydEEProtocol
 from repro.core.rpp import RPPTable
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.messages import Message
+from repro.simulator.simulation import Simulation
+from repro.workloads.ring import RingApplication
 
 
 # --------------------------------------------------------------------- clock
@@ -41,6 +44,32 @@ def test_phase_never_decreases_and_date_counts_events(events):
         assert clock.phase >= INITIAL_PHASE
         previous_phase = clock.phase
     assert clock.date == len(events)                   # date == event count
+
+
+@given(clock_events())
+def test_hydee_hooks_apply_the_phase_clock_rules(events):
+    # The per-message hooks update the clock in place; PhaseClock's methods
+    # are the specification they must keep following.
+    protocol = HydEEProtocol(clusters=[[0, 1], [2, 3]])
+    Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol)
+    reference = PhaseClock()
+    for kind, message_phase in events:
+        if kind == "send":
+            message = Message(source=0, dest=2, tag=0, size_bytes=8)
+            protocol.on_app_send(0, message)
+            stamped = (message.piggyback["date"], message.piggyback["phase"])
+            assert stamped == reference.on_send()
+            assert message.inter_cluster is True
+        else:
+            message = Message(source=1 if kind == "intra" else 2, dest=0, tag=0, size_bytes=8)
+            message.piggyback = {"date": 1, "phase": message_phase}
+            protocol.on_app_deliver(0, message)
+            assert message.inter_cluster is (kind == "inter")
+            if kind == "intra":
+                reference.on_deliver_intra(message_phase)
+            else:
+                reference.on_deliver_inter(message_phase)
+        assert protocol.states[0].clock == reference
 
 
 @given(clock_events())

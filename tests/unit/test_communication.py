@@ -4,9 +4,12 @@ small hand-written applications."""
 import pytest
 
 from repro.errors import DeadlockError, InvalidOperationError
-from repro.simulator.messages import ANY_SOURCE
+from repro.simulator.messages import ANY_SOURCE, Message
+from repro.simulator.process import RankState
+from repro.simulator.requests import RecvRequest
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.workloads.base import Application
+from tests.conftest import WaitProbe
 
 
 class _ScriptedApp(Application):
@@ -127,6 +130,24 @@ class TestPointToPoint:
         values = result.rank_results[1]
         assert values[0][0] == "any"
         assert len(values) >= 2
+
+    @pytest.mark.parametrize("mode", ["all", "any", "one"])
+    def test_cancelled_request_never_satisfies_a_wait(self, mode):
+        cancelled = RecvRequest(0, 1, tag=7)
+        cancelled.cancel()
+        probe = WaitProbe(mode, [cancelled])
+        assert probe.resumed == []
+        assert probe.proc.state is RankState.BLOCKED
+
+    def test_waitany_skips_a_cancelled_request_for_a_live_one(self):
+        cancelled = RecvRequest(0, 1, tag=7)
+        cancelled.cancel()
+        live = RecvRequest(0, 1, tag=8)
+        probe = WaitProbe("any", [cancelled, live])
+        assert probe.resumed == []
+        message = Message(source=1, dest=0, tag=8, size_bytes=8, payload="live")
+        probe.complete(live, message)
+        assert probe.resumed == [(1, message)]
 
     def test_compute_advances_time(self):
         def body(comm, rank, state, it):

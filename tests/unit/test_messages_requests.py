@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidOperationError
-from repro.simulator.messages import ANY_SOURCE, ANY_TAG, ChannelKey, Message, MessageKind
+from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message, MessageKind
 from repro.simulator.requests import RecvRequest, RequestState, SendRequest
 
 
@@ -46,10 +46,6 @@ class TestMessage:
         clone.piggyback["date"] = 99
         assert message.piggyback["date"] == 4
 
-    def test_channel_key_reversed(self):
-        key = ChannelKey(1, 2)
-        assert key.reversed() == ChannelKey(2, 1)
-
 
 class TestRequests:
     def test_send_request_completion(self):
@@ -75,6 +71,14 @@ class TestRequests:
         assert request.cancelled
         assert not request.complete
         # Cancellation silently drops registered waiters and later completions.
+        assert seen == []
+
+    def test_waiter_added_after_cancellation_is_never_called(self):
+        request = RecvRequest(1, source=0, tag=5)
+        request.cancel()
+        seen = []
+        request.add_waiter(seen.append)
+        request._complete("late", 3.0)
         assert seen == []
 
     def test_waiter_called_on_completion(self):

@@ -1,7 +1,11 @@
 """Unit tests for the workload definitions (patterns, matrices, metadata)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads import (
@@ -20,6 +24,7 @@ from repro.workloads import (
     Stencil2DApplication,
     make_nas_application,
 )
+from repro.workloads.base import round9
 from repro.workloads.nas import square_grid_side
 
 
@@ -236,3 +241,23 @@ class TestFastForwardStates:
         assert MasterWorkerApplication(nprocs=4).ff_bulk_compatible is False
         assert PingPongApplication(nprocs=2).ff_bulk_compatible is False
         assert RingApplication(nprocs=4).ff_bulk_compatible is True
+
+
+class TestRound9:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 1.0000000005, -3.1415926535897, 123456.7890123456,
+            2.0**24 - 2.0**-29, 2.0**24, -(2.0**24), 2.0**24 + 2.0, 1.0e15 / 3.0,
+            -7.0e22 / 9.0, 1.0e300, float("inf"), float("-inf"),
+        ],
+    )
+    def test_is_round_to_nine_decimals_bit_for_bit(self, x):
+        assert round9(x).hex() == round(x, 9).hex()
+
+    @given(st.floats(allow_nan=False))
+    def test_agrees_with_round_on_every_float(self, x):
+        assert round9(x).hex() == round(x, 9).hex()
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(round9(float("nan")))
