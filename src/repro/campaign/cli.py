@@ -14,9 +14,7 @@ Subcommands
     Show the scenarios and their cache hashes without running anything.
 
 ``query STORE [STORE...]``
-    Query cached results without re-running anything.  Version-1 stores are
-    migrated transparently on load (pass ``--migrate`` to rewrite them as
-    version 2 on disk)::
+    Query cached results without re-running anything::
 
         repro-campaign query results.json --table table1
         repro-campaign query results.json --where protocol=hydee \\
@@ -67,6 +65,14 @@ def _demo_specs() -> List[ScenarioSpec]:
     )
 
 
+def _open_store(path: str) -> ResultsStore:
+    try:
+        return ResultsStore(path)
+    except ValueError as exc:
+        # Not a results store, or a format version this build does not read.
+        raise ReproError(str(exc)) from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _main(argv)
@@ -98,7 +104,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     list_parser.add_argument("specfile")
 
     query_parser = sub.add_parser(
-        "query", help="query cached results stores (auto-migrates v1 files)"
+        "query", help="query cached results stores"
     )
     query_parser.add_argument("stores", nargs="*",
                               help="one or more results-store JSON files "
@@ -120,8 +126,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
                               default="text", dest="fmt")
     query_parser.add_argument("--list-tables", action="store_true",
                               help="list the registered table schemas and exit")
-    query_parser.add_argument("--migrate", action="store_true",
-                              help="rewrite loaded v1 stores as version 2 in place")
 
     demo_parser = sub.add_parser("demo", help="write an example spec file")
     demo_parser.add_argument("--out", default="campaign-specs.json")
@@ -144,7 +148,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{spec.spec_hash()}  {spec.name:40s} {spec.describe()}")
         return 0
 
-    store = ResultsStore(args.store) if args.store else None
+    store = _open_store(args.store) if args.store else None
     outcome = run_campaign(
         specs, workers=args.workers, store=store, force=args.force
     )
@@ -192,11 +196,7 @@ def _query(args: argparse.Namespace) -> int:
     for path in args.stores:
         if not os.path.exists(path):
             raise ReproError(f"results store {path!r} does not exist")
-    stores = [ResultsStore(path) for path in args.stores]
-    for store in stores:
-        if args.migrate and store.migrated:
-            store.save()
-            print(f"migrated {store.path} to store version 2", file=sys.stderr)
+    stores = [_open_store(path) for path in args.stores]
 
     from repro.results.query import ResultSet
 

@@ -6,12 +6,11 @@ scenario's job.  Records are pure JSON (see
 so two campaigns that computed the same records produce byte-identical
 files regardless of execution order or worker count.
 
-The on-disk format is versioned.  Version 2 (current) stores every record
-with a ``{"status", "metrics", "data"}`` result section (see
-:mod:`repro.results`); version-1 files are migrated in memory on load --
-record by record, spec hashes untouched -- and written back as version 2 on
-the next :meth:`ResultsStore.save`.  Unknown versions are rejected with a
-clear error instead of being silently misread.
+The on-disk format is versioned.  Version 2 (the only one read) stores every
+record with a ``{"status", "metrics", "data"}`` result section (see
+:mod:`repro.results`).  Any other version -- including the version-1 files
+of early builds, which carry no ``version`` field -- is rejected with a clear
+error instead of being silently misread.
 
 Concurrent writers: several campaign processes may share one store file
 (parallel sweeps, CI jobs).  ``os.replace`` alone made each *file* write
@@ -31,7 +30,6 @@ import os
 from typing import Any, Dict, Iterator, Optional
 
 from repro.fslock import atomic_write_json, exclusive_lock
-from repro.results.migrate import migrate_record
 
 STORE_VERSION = 2
 
@@ -52,7 +50,7 @@ class ResultsStore:
 
     # ------------------------------------------------------------------- i/o
     def _read_records(self) -> Dict[str, Dict[str, Any]]:
-        """Read and (if needed) migrate the records currently in the file."""
+        """Read the records currently in the file."""
         if self.path is None:  # defensive: callers check before reading
             raise ValueError("in-memory store has no backing file to read")
         with open(self.path, encoding="utf-8") as fh:
@@ -60,28 +58,16 @@ class ResultsStore:
         if not isinstance(data, dict) or "records" not in data:
             raise ValueError(f"{self.path}: not a campaign results store")
         version = data.get("version", 1)
-        if version == STORE_VERSION:
-            records = dict(data["records"])
-        elif version == 1:
-            records = {
-                spec_hash: migrate_record(record)
-                for spec_hash, record in data["records"].items()
-            }
-        else:
+        if version != STORE_VERSION:
             raise ValueError(
                 f"{self.path}: unsupported results-store version {version!r}; "
-                f"this build reads versions 1 (migrated in place) and {STORE_VERSION}"
+                f"this build reads version {STORE_VERSION} only"
             )
         self.loaded_version = version
-        return records
+        return dict(data["records"])
 
     def _load(self) -> None:
         self._records = self._read_records()
-
-    @property
-    def migrated(self) -> bool:
-        """Did loading this store run the v1 -> v2 migration?"""
-        return self.loaded_version is not None and self.loaded_version < STORE_VERSION
 
     def save(self) -> None:
         """Write the store atomically (no-op for in-memory stores).

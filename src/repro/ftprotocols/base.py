@@ -190,21 +190,11 @@ class ClusteredProtocolBase(ProtocolHooks):
             self._drain_then_fire(cluster_id, condition)
         yield WaitConditionOp(condition=condition)
 
-        # Sanity check of the blocking coordinated-checkpoint assumption: no
-        # intra-cluster message may still be undelivered at this point,
-        # otherwise the saved cluster cut would not be consistent.
-        proc = self.sim.ranks[rank]
-        for message in proc.unexpected:
-            if not self.is_inter_cluster(message.source, rank):
-                raise ProtocolError(
-                    f"rank {rank}: intra-cluster message from {message.source} is still "
-                    "undelivered at a coordinated checkpoint boundary; the application "
-                    "must complete intra-cluster receives before the boundary"
-                )
-
         # The checkpoint *content* is the consistent cut at the drain point:
-        # capture it now, before the write window, during which inter-cluster
-        # arrivals may still mutate transient protocol state.
+        # check and capture it now, before the write window, during which
+        # inter-cluster arrivals may still mutate transient protocol state.
+        proc = self.sim.ranks[rank]
+        self._check_intra_cluster_drained(rank)
         sends_at = proc.sends_initiated
         payload = self._checkpoint_payload(rank)
         size_bytes = self._checkpoint_size(rank, state)
@@ -216,11 +206,39 @@ class ClusteredProtocolBase(ProtocolHooks):
         # the wave (the restarted generators never reach this commit), instead
         # of racing the save events for the recovery line.  The cut itself was
         # captured above, so the committed state is still the drain-point cut.
+        self._commit_checkpoint(
+            rank, iteration, state, self.sim.engine.now, sends_at, payload, size_bytes
+        )
+        saved = self._ckpt_saved.setdefault(key, set())
+        saved.add(rank)
+        if saved == members:
+            # The coordinated checkpoint of the whole cluster is now durable:
+            # it becomes the cluster's recovery line, which is the moment
+            # log garbage collection and similar cleanups become safe.
+            self._on_cluster_checkpoint_complete(cluster_id, iteration)
+
+    def _check_intra_cluster_drained(self, rank: int) -> None:
+        """Sanity check of the blocking coordinated-checkpoint assumption: no
+        intra-cluster message may still be undelivered at the boundary,
+        otherwise the saved cluster cut would not be consistent."""
+        for message in self.sim.ranks[rank].unexpected:
+            if not self.is_inter_cluster(message.source, rank):
+                raise ProtocolError(
+                    f"rank {rank}: intra-cluster message from {message.source} is still "
+                    "undelivered at a coordinated checkpoint boundary; the application "
+                    "must complete intra-cluster receives before the boundary"
+                )
+
+    def _commit_checkpoint(
+        self, rank: int, iteration: int, state: Any, time: float,
+        sends_at: int, payload: Dict[str, Any], size_bytes: int,
+    ) -> CheckpointRecord:
+        """Make one rank's captured cut durable and account for it."""
         record = self.sim.storage.save(
             rank=rank,
             iteration=iteration,
             app_state=state,
-            time=self.sim.engine.now,
+            time=time,
             sends_at_checkpoint=sends_at,
             protocol_state=payload,
             size_bytes=size_bytes,
@@ -230,13 +248,24 @@ class ClusteredProtocolBase(ProtocolHooks):
         self.pstats.checkpoint_bytes += record.size_bytes
         self.sim.stats.rank(rank).checkpoints += 1
         self._after_checkpoint(rank, record)
-        saved = self._ckpt_saved.setdefault(key, set())
-        saved.add(rank)
-        if saved == members:
-            # The coordinated checkpoint of the whole cluster is now durable:
-            # it becomes the cluster's recovery line, which is the moment
-            # log garbage collection and similar cleanups become safe.
-            self._on_cluster_checkpoint_complete(cluster_id, iteration)
+        return record
+
+    def _fast_forward_commit(self, rank: int, iteration: int, state: Any, time: float) -> None:
+        """Check, capture and commit in one step: inside a fast-forwarded
+        epoch nothing happens between the drain point and the end of the
+        write.  Exact mode pays the write as a ComputeOp; charging it here
+        keeps the compute-time counter (and the wasted-work analyses built
+        on it) comparable."""
+        self._check_intra_cluster_drained(rank)
+        record = self._commit_checkpoint(
+            rank, iteration, state, time,
+            self.sim.ranks[rank].sends_initiated,
+            self._checkpoint_payload(rank),
+            self._checkpoint_size(rank, state),
+        )
+        cost = self.sim.storage.write_cost(record.size_bytes)
+        if cost > 0:
+            self.sim.stats.rank(rank).compute_time += cost
 
     def fast_forward_checkpoint(self, rank: int, iteration: int, state: Any, time: float) -> None:
         """Batch bookkeeping for a coordinated checkpoint inside a
@@ -251,36 +280,7 @@ class ClusteredProtocolBase(ProtocolHooks):
         per-cluster recovery-line hooks -- is identical.  ``time`` is the
         rank's projected clock at the boundary.
         """
-        sim = self.sim
-        proc = sim.ranks[rank]
-        if proc.unexpected:
-            for message in proc.unexpected:
-                if not self.is_inter_cluster(message.source, rank):
-                    raise ProtocolError(
-                        f"rank {rank}: intra-cluster message from {message.source} is still "
-                        "undelivered at a coordinated checkpoint boundary; the application "
-                        "must complete intra-cluster receives before the boundary"
-                    )
-        record = sim.storage.save(
-            rank=rank,
-            iteration=iteration,
-            app_state=state,
-            time=time,
-            sends_at_checkpoint=proc.sends_initiated,
-            protocol_state=self._checkpoint_payload(rank),
-            size_bytes=self._checkpoint_size(rank, state),
-        )
-        self._latest_checkpoint[rank] = record
-        self.pstats.checkpoints += 1
-        self.pstats.checkpoint_bytes += record.size_bytes
-        rank_stats = sim.stats.rank(rank)
-        rank_stats.checkpoints += 1
-        cost = sim.storage.write_cost(record.size_bytes)
-        if cost > 0:
-            # Exact mode pays the write as a ComputeOp; keep the compute-time
-            # counter (and the wasted-work analyses built on it) comparable.
-            rank_stats.compute_time += cost
-        self._after_checkpoint(rank, record)
+        self._fast_forward_commit(rank, iteration, state, time)
         cluster_id = self._cluster_of[rank]
         generation = self._cluster_generation.get(cluster_id, 0)
         key = (cluster_id, generation, iteration)
@@ -304,41 +304,8 @@ class ClusteredProtocolBase(ProtocolHooks):
         the end.  ``time_of(rank)`` returns the member's projected clock at
         the boundary.
         """
-        sim = self.sim
-        ranks = sim.ranks
-        storage = sim.storage
-        stats = sim.stats
-        pstats = self.pstats
-        latest = self._latest_checkpoint
         for rank in self.members(cluster_id):
-            proc = ranks[rank]
-            if proc.unexpected:
-                for message in proc.unexpected:
-                    if not self.is_inter_cluster(message.source, rank):
-                        raise ProtocolError(
-                            f"rank {rank}: intra-cluster message from {message.source} is still "
-                            "undelivered at a coordinated checkpoint boundary; the application "
-                            "must complete intra-cluster receives before the boundary"
-                        )
-            state = states[rank]
-            record = storage.save(
-                rank=rank,
-                iteration=iteration,
-                app_state=state,
-                time=time_of(rank),
-                sends_at_checkpoint=proc.sends_initiated,
-                protocol_state=self._checkpoint_payload(rank),
-                size_bytes=self._checkpoint_size(rank, state),
-            )
-            latest[rank] = record
-            pstats.checkpoints += 1
-            pstats.checkpoint_bytes += record.size_bytes
-            rank_stats = stats.rank(rank)
-            rank_stats.checkpoints += 1
-            cost = storage.write_cost(record.size_bytes)
-            if cost > 0:
-                rank_stats.compute_time += cost
-            self._after_checkpoint(rank, record)
+            self._fast_forward_commit(rank, iteration, states[rank], time_of(rank))
         self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
     def _drain_then_fire(self, cluster_id: int, condition: Condition) -> None:

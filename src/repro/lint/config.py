@@ -29,13 +29,11 @@ GUARDED_WRITE_MODULES: Tuple[str, ...] = (
 #: The helper that implements the locked atomic-replace discipline itself.
 FSLOCK_MODULE = "repro/fslock.py"
 
-#: Modules that *reconstruct* metric trees emitted elsewhere -- the v1 -> v2
-#: record migrator re-creates producer metric names by design, and the
+#: Modules that *reconstruct* metric trees emitted elsewhere -- the
 #: congestion campaign job projects producer metrics into a trimmed payload.
-#: Both are consumers replaying names, not second producers, so they are
-#: exempt from the cross-module duplicate check (RL06).
+#: It is a consumer replaying names, not a second producer, so it is exempt
+#: from the cross-module duplicate check (RL06).
 METRIC_RECONSTRUCTION_MODULES: Tuple[str, ...] = (
-    "repro/results/migrate.py",
     "repro/analysis/congestion.py",
 )
 

@@ -7,8 +7,8 @@ metric-name string literals statically:
 
 * **dotted namespace** -- literals in ``<metrics>.set("a.b.c", ...)``
   calls; a literal emitted from two different modules is a collision
-  (modules that deliberately *reconstruct* producer names, like the record
-  migrator, are exempt via config).
+  (modules that deliberately *reconstruct* producer names, like the
+  congestion campaign job, are exempt via config).
 * **protocol flat namespace** -- literals in ``add_metric(info, "name",
   ...)`` calls; duplicates within one class are collisions, and a
   ``*Stats.as_dict`` dict-literal key that matches an ``add_metric``

@@ -4,8 +4,7 @@ Every simulated or analytic run produces one :class:`~repro.results.run.
 RunResult`: the scenario's spec hash (provenance), a namespaced
 :class:`~repro.results.metrics.MetricSet` (``sim.*``, ``protocol.*``,
 ``network.*``, ``links.*``) and a small job-specific ``data`` payload.
-Campaign stores persist run results as version-2 records; version-1 stores
-are migrated transparently on load (:mod:`repro.results.migrate`).
+Campaign stores persist run results as version-2 records.
 
 The package has three layers:
 
@@ -22,7 +21,6 @@ The package has three layers:
 """
 
 from repro.results.metrics import Metric, MetricSet, units_for
-from repro.results.migrate import migrate_record
 from repro.results.run import RunResult, make_payload
 from repro.results.tables import (
     Column,
@@ -48,7 +46,6 @@ __all__ = [
     "build_table",
     "get_table",
     "make_payload",
-    "migrate_record",
     "pivot_rows",
     "register_table",
     "units_for",

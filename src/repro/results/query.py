@@ -47,8 +47,7 @@ class ResultSet:
     def from_store(cls, *stores: Any) -> "ResultSet":
         """Load one or more stores (paths or :class:`ResultsStore` objects).
 
-        Version-1 store files are migrated transparently on load.  Records
-        are ordered by store, then by spec hash, for determinism.
+        Records are ordered by store, then by spec hash, for determinism.
         """
         from repro.campaign.store import ResultsStore
 

@@ -89,8 +89,7 @@ class RunResult:
             if strict:
                 raise ConfigurationError(
                     f"record {record.get('name')!r} is not a v2 result (keys: "
-                    f"{sorted(result) if isinstance(result, Mapping) else type(result).__name__}); "
-                    "load the store through ResultsStore so v1 records are migrated"
+                    f"{sorted(result) if isinstance(result, Mapping) else type(result).__name__})"
                 )
             result = {
                 "status": result.get("status", "unknown")

@@ -1,5 +1,13 @@
 """MPI-like communicator facade used by application code.
 
+The communicator is the only object workloads and
+:mod:`repro.simulator.collectives` see, in every execution mode.  Its
+blocking calls speak the op vocabulary of :mod:`repro.simulator.ops` to
+whichever driver runs the rank -- the event-driven
+:class:`~repro.simulator.process.RankProcess` or, inside a fast-forwarded
+epoch, the hybrid director -- and only two facts differ between the two:
+who initiates a non-blocking send (``_isend``) and what :attr:`now` reads.
+
 Convention (documented in :mod:`repro.workloads.base`):
 
 * **blocking** calls are generator functions and must be invoked with
@@ -25,15 +33,7 @@ from repro.errors import InvalidOperationError
 from repro.simulator import collectives as _collectives
 from repro.simulator.engine import Condition
 from repro.simulator.messages import ANY_SOURCE, ANY_TAG
-from repro.simulator.ops import (
-    CheckpointOp,
-    ComputeOp,
-    LocalEventOp,
-    RecvOp,
-    SendOp,
-    WaitConditionOp,
-    WaitOp,
-)
+from repro.simulator.ops import ComputeOp, RecvOp, SendOp, WaitConditionOp, WaitOp
 from repro.simulator.requests import RecvRequest, Request, SendRequest
 
 
@@ -59,6 +59,10 @@ class Communicator:
         self._sim = sim
         self._proc = rank_process
         self._collective_seq = 0
+        #: who initiates a non-blocking send: the event-driven path, except
+        #: during a fast-forwarded epoch, for which the hybrid director
+        #: swaps in its synchronous ``ff_send``.
+        self._isend = sim.initiate_isend
 
     # ------------------------------------------------------------------ info
     @property
@@ -71,8 +75,11 @@ class Communicator:
 
     @property
     def now(self) -> float:
-        """Current simulation time (useful for workload-side measurements)."""
-        return self._sim.engine.now
+        """Current simulation time (useful for workload-side measurements):
+        the engine clock, or this rank's projected clock while the engine
+        clock is frozen inside a fast-forwarded epoch."""
+        clock = self._sim.ff_clock
+        return self._sim.engine.now if clock is None else clock[self._proc.rank]
 
     # ------------------------------------------------------- blocking p2p
     def send(self, dest: int, payload: Any = None, tag: int = 0, size_bytes: Optional[int] = None):
@@ -112,7 +119,7 @@ class Communicator:
         """Non-blocking send; returns a request (plain call, no yield)."""
         self._check_peer(dest)
         size = _default_size(payload) if size_bytes is None else int(size_bytes)
-        return self._sim.initiate_isend(self._proc, dest, payload, tag, size)
+        return self._isend(self._proc, dest, payload, tag, size)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Non-blocking receive post; returns a request (plain call, no yield)."""
@@ -156,16 +163,6 @@ class Communicator:
         """Block until ``condition`` fires (used by protocol-aware workloads)."""
         value = yield WaitConditionOp(condition=condition)
         return value
-
-    def checkpoint(self, label: str = ""):
-        """Request a local checkpoint at this point of the application."""
-        yield CheckpointOp(label=label)
-        return None
-
-    def local_event(self, name: str = "local", data: Any = None):
-        """Record a purely local event (no time, no communication)."""
-        yield LocalEventOp(name=name, data=data)
-        return None
 
     # ------------------------------------------------------------ collectives
     def _next_collective_tag(self) -> int:

@@ -11,18 +11,24 @@ and the per-rank clocks at the epoch boundary do.
 DES, calibrates a per-rank iteration-rate model from the observed boundary
 times, and then alternates between
 
-* **fast-forward epochs**: every rank's iteration generator is driven
-  synchronously (no event queue) through a batch of iterations; messages are
-  matched through the normal MPI-matching machinery so protocol hooks,
-  per-rank statistics and application state stay *exactly* what full DES
-  would produce; rank clocks are advanced analytically with the rate model
-  and the engine's clock jumps once per epoch
-  (:meth:`~repro.simulator.engine.SimulationEngine.advance_to`);
-* **DES guard windows** around every failure injection: a configurable
-  number of iterations before the strike, the whole failure/rollback/replay
-  choreography, and the re-execution until the run is quiescent again run
-  under the unmodified event-driven simulator, so recovery behaviour is
-  byte-identical to exact mode.
+* **fast-forward epochs**: the director becomes the second interpreter of
+  the op vocabulary (:mod:`repro.simulator.ops`).  Every rank's iteration
+  generator runs against its ordinary
+  :class:`~repro.simulator.communicator.Communicator` and yields the same
+  descriptors the event-driven rank driver interprets; the director executes
+  them synchronously (no event queue), matching messages through the normal
+  MPI-matching machinery so protocol hooks, per-rank statistics and
+  application state stay *exactly* what full DES would produce.  The seam
+  is two facts: who initiates a non-blocking send (``Communicator._isend``,
+  swapped to :meth:`HybridDirector.ff_send` for the epoch) and what
+  ``comm.now`` reads (``Simulation.ff_clock``).  Rank clocks are advanced
+  analytically with the rate model and the engine's clock jumps once per
+  epoch (:meth:`~repro.simulator.engine.SimulationEngine.advance_to`);
+* **DES guard windows** around every failure injection:
+  :data:`GUARD_ITERATIONS` iterations before the strike, the whole
+  failure/rollback/replay choreography, and the re-execution until the run
+  is quiescent again run under the unmodified event-driven simulator, so
+  recovery behaviour is byte-identical to exact mode.
 
 Ranks synchronise with the director through an :class:`IterationGate`: the
 rank driver parks its coroutine at the gate's iteration limit, and the
@@ -52,11 +58,9 @@ from statistics import median
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Deque,
     Dict,
     Generator,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -64,40 +68,27 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import InvalidOperationError, SimulationError
+from repro.errors import SimulationError
 from repro.ftprotocols.base import ClusteredProtocolBase
 from repro.simulator import calibration as _calibration
-from repro.simulator import collectives as _collectives
-from repro.simulator.communicator import _default_size
 from repro.simulator.engine import Condition
-from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message, MessageKind
+from repro.simulator.messages import ANY_SOURCE, Message
+from repro.simulator.ops import ComputeOp, Operation, RecvOp, SendOp, WaitOp, describe
 from repro.simulator.process import RankState
 from repro.simulator.protocol_api import ProtocolHooks, SendAction
-from repro.simulator.requests import RecvRequest, Request, SendRequest
+from repro.simulator.requests import RecvRequest, Request, RequestState, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.process import RankProcess
     from repro.simulator.simulation import Simulation, SimulationResult
 
-#: Return type of the fast-forward communicator's blocking calls: they are
-#: generators yielding :data:`_FF_WAIT` until their request completes.
-_FFGen = Generator[Any, Any, Any]
+_COMPLETE = RequestState.COMPLETE
 
-
-class _FFWait:
-    """Sentinel yielded by fast-forward communicator calls that must block."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "<fast-forward wait>"
-
-
-_FF_WAIT = _FFWait()
-
-
-class _FFUnsupported(Exception):
-    """An application call that cannot be executed without the event queue."""
+#: Iterations of exact DES kept on each side of a failure injection.
+GUARD_ITERATIONS = 2
+#: Calibration guard of the flat model: fall back to exact execution when the
+#: warm-up's pooled iteration durations spread (max-min)/median beyond this.
+MAX_DT_SPREAD = 0.25
 
 
 class IterationGate:
@@ -131,202 +122,16 @@ class IterationGate:
         self.parked.pop(rank, None)
 
 
-class FastForwardCommunicator:
-    """Queue-free mirror of :class:`repro.simulator.communicator.Communicator`.
-
-    During a fast-forwarded epoch the application coroutines are driven
-    directly by the director, not by the event engine.  Blocking calls are
-    still generators (so ``yield from comm.recv(...)`` works unchanged) but
-    instead of yielding operation descriptors they yield the :data:`_FF_WAIT`
-    sentinel until their request completes; sends deliver synchronously
-    through the director.  Calls whose semantics *require* event timing
-    (``ANY_SOURCE`` matching, ``waitany``, explicit checkpoint requests)
-    raise :class:`_FFUnsupported`, which the director converts into a hard
-    error -- such applications must be declared ``ff_compatible = False``.
-    """
-
-    def __init__(self, sim: "Simulation", rank_process: "RankProcess",
-                 director: "HybridDirector") -> None:
-        self._sim = sim
-        self._proc = rank_process
-        self._director = director
-        self._collective_seq = 0
-
-    # ------------------------------------------------------------------ info
-    @property
-    def rank(self) -> int:
-        return self._proc.rank
-
-    @property
-    def size(self) -> int:
-        return self._sim.nprocs
-
-    @property
-    def now(self) -> float:
-        """The rank's projected clock (the engine clock is frozen here)."""
-        return self._director._ff_clock[self._proc.rank]
-
-    # ------------------------------------------------------- blocking p2p
-    def send(self, dest: int, payload: Any = None, tag: int = 0,
-             size_bytes: Optional[int] = None) -> _FFGen:
-        self.isend(dest, payload, tag=tag, size_bytes=size_bytes)
-        return None
-        yield  # pragma: no cover - marks this function as a generator
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _FFGen:
-        request = self.irecv(source=source, tag=tag)
-        while not request.complete:
-            yield _FF_WAIT
-        self._proc._deliver_to_app(request.value)
-        return request.value
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        tag: int = 0,
-        recv_tag: Optional[int] = None,
-        size_bytes: Optional[int] = None,
-    ) -> _FFGen:
-        recv_tag = tag if recv_tag is None else recv_tag
-        rreq = self.irecv(source=source, tag=recv_tag)
-        sreq = self.isend(dest, payload, tag=tag, size_bytes=size_bytes)
-        while not rreq.complete:
-            yield _FF_WAIT
-        # Same delivery order as the exact waitall([sreq, rreq]) path: the
-        # send value (None) first -- a no-op -- then the received message.
-        self._proc._deliver_to_app(sreq.value)
-        self._proc._deliver_to_app(rreq.value)
-        return rreq.value
-
-    # --------------------------------------------------- non-blocking p2p
-    def isend(self, dest: int, payload: Any = None, tag: int = 0,
-              size_bytes: Optional[int] = None) -> SendRequest:
-        self._check_peer(dest)
-        size = _default_size(payload) if size_bytes is None else int(size_bytes)
-        return self._director.ff_send(self._proc, dest, payload, tag, size)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        if source == ANY_SOURCE:
-            raise _FFUnsupported("an ANY_SOURCE receive")
-        self._check_peer(source)
-        return self._proc.post_receive(source, tag)
-
-    @staticmethod
-    def test(request: Request) -> bool:
-        return request.test()
-
-    def wait(self, request: Request) -> _FFGen:
-        while not request.complete:
-            yield _FF_WAIT
-        self._proc._deliver_to_app(request.value)
-        return request.value
-
-    def waitall(self, requests: Sequence[Request]) -> _FFGen:
-        if not requests:
-            return []
-        requests = list(requests)
-        for request in requests:
-            while not request.complete:
-                yield _FF_WAIT
-        values = [r.value for r in requests]
-        # Deliver in request order after all complete, like the exact path.
-        for value in values:
-            self._proc._deliver_to_app(value)
-        return values
-
-    def waitany(self, requests: Sequence[Request]) -> _FFGen:
-        # Which request completes first is a timing question the fast path
-        # cannot answer deterministically.
-        raise _FFUnsupported("a waitany call")
-        yield  # pragma: no cover
-
-    # ------------------------------------------------------------- local ops
-    def compute(self, seconds: float, flops: Optional[float] = None) -> _FFGen:
-        if seconds < 0:
-            raise InvalidOperationError("compute time must be non-negative")
-        if seconds > 0:
-            # The time itself is covered by the calibrated iteration rate;
-            # only the statistics counter must stay in sync with exact mode.
-            self._proc.rstats.compute_time += seconds
-        return None
-        yield  # pragma: no cover
-
-    def wait_condition(self, condition: Condition) -> _FFGen:
-        raise _FFUnsupported("a wait_condition call")
-        yield  # pragma: no cover
-
-    def checkpoint(self, label: str = "") -> _FFGen:
-        raise _FFUnsupported("an application-requested checkpoint")
-        yield  # pragma: no cover
-
-    def local_event(self, name: str = "local", data: Any = None) -> _FFGen:
-        return None
-        yield  # pragma: no cover
-
-    # ------------------------------------------------------------ collectives
-    def _next_collective_tag(self) -> int:
-        self._collective_seq += 1
-        return _collectives.COLLECTIVE_TAG_BASE + self._collective_seq
-
-    def barrier(self) -> _FFGen:
-        return (yield from _collectives.barrier(self))
-
-    def bcast(self, value: Any, root: int = 0,
-              size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.bcast(self, value, root, size_bytes))
-
-    def reduce(self, value: Any, op: Any = None, root: int = 0,
-               size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.reduce(self, value, op, root, size_bytes))
-
-    def allreduce(self, value: Any, op: Any = None,
-                  size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.allreduce(self, value, op, size_bytes))
-
-    def gather(self, value: Any, root: int = 0,
-               size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.gather(self, value, root, size_bytes))
-
-    def allgather(self, value: Any, size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.allgather(self, value, size_bytes))
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0,
-                size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.scatter(self, values, root, size_bytes))
-
-    def alltoall(self, values: Sequence[Any],
-                 size_bytes: Optional[int] = None) -> _FFGen:
-        return (yield from _collectives.alltoall(self, values, size_bytes))
-
-    # ------------------------------------------------------------------ misc
-    def _check_peer(self, peer: int) -> None:
-        if not (0 <= peer < self._sim.nprocs):
-            raise InvalidOperationError(
-                f"rank {self.rank}: peer {peer} outside communicator of size "
-                f"{self._sim.nprocs}"
-            )
-        if peer == self.rank:
-            raise InvalidOperationError(
-                f"rank {self.rank}: self-sends are not supported by the simulator"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FastForwardCommunicator(rank={self.rank}, size={self.size})"
-
-
 class RateModel:
     """Per-rank iteration-rate model calibrated from the DES warm-up.
 
     Two flavours share one interface:
 
-    * **flat** (``phases is None``): ``dt[rank]`` is the median duration of a
-      plain iteration, ``ckpt_extra`` the extra cost of an iteration whose
-      boundary takes a coordinated checkpoint (zero when ``interval`` is
-      falsy or 1 -- with per-iteration checkpointing the cost is already
-      inside every sampled delta).  Used for aperiodic protocols and
-      explicitly shortened warm-ups.
+    * **flat** (``phases is None``, ``interval == 0``): ``dt[rank]`` is the
+      median duration of an iteration.  Used when the protocol takes no
+      periodic checkpoints or one per iteration -- in the latter case the
+      cost is already inside every sampled delta -- so the model needs no
+      checkpoint term at all (``ckpt_extra`` is zero).
     * **phase-indexed** (``phases[rank]`` = list of ``interval`` durations):
       under a periodic checkpoint schedule the steady-state iteration
       durations are *periodic in* ``i % interval`` -- link-contention beats
@@ -346,20 +151,17 @@ class RateModel:
                  phases: Optional[Dict[int, List[float]]] = None) -> None:
         self.dt = dt
         self.ckpt_extra = ckpt_extra
-        #: checkpoint interval in iterations (0 = no periodic checkpoints or
-        #: the cost is folded into ``dt``).
+        #: checkpoint interval in iterations of the phase model (0 = flat).
         self.interval = interval
         self.dt_mean = sum(dt.values()) / len(dt)
         self.dt_spread = dt_spread
         #: rank -> per-phase durations (phase of the delta ending at count
         #: ``i`` is ``i % interval``); ``None`` selects the flat model.
         self.phases = phases
-        self._cum: Optional[Dict[int, List[float]]]
-        self._period: Optional[Dict[int, float]]
+        self._cum: Dict[int, List[float]] = {}
+        self._period: Dict[int, float] = {}
         if phases is not None:
             k = interval
-            self._cum = {}
-            self._period = {}
             for rank, seq in phases.items():
                 cum = [0.0] * k
                 acc = 0.0
@@ -371,10 +173,8 @@ class RateModel:
             self.min_dt = min(min(seq) for seq in phases.values())
             self.max_dt = max(max(seq) for seq in phases.values())
         else:
-            self._cum = None
-            self._period = None
             self.min_dt = min(dt.values())
-            self.max_dt = max(dt[r] + ckpt_extra[r] for r in dt)
+            self.max_dt = max(dt.values())
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
@@ -392,32 +192,38 @@ class RateModel:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RateModel":
-        phases = data.get("phases")
-        return cls(
-            dt={int(r): float(v) for r, v in data["dt"].items()},
-            ckpt_extra={int(r): float(v) for r, v in data["ckpt_extra"].items()},
-            interval=int(data["interval"]),
-            dt_spread=float(data["dt_spread"]),
-            phases=(
-                None if phases is None
-                else {int(r): [float(v) for v in seq] for r, seq in phases.items()}
-            ),
+    def from_dict(cls, data: Dict[str, Any], ranks: Set[int]) -> "RateModel":
+        """Rebuild a model for the rank set ``ranks`` from :meth:`to_dict`.
+
+        The calibration cache is a file, i.e. outside input: the shape is
+        checked here, before construction, so a truncated or hand-edited
+        entry raises ``ValueError`` (or the ``KeyError``/``TypeError``/
+        ``AttributeError`` of a missing or mistyped field) instead of
+        failing later inside a projection.
+        """
+        dt = {int(r): float(v) for r, v in data["dt"].items()}
+        extra = {int(r): float(v) for r, v in data["ckpt_extra"].items()}
+        interval = int(data["interval"])
+        raw_phases = data.get("phases")
+        phases = (
+            None if raw_phases is None
+            else {int(r): [float(v) for v in seq] for r, seq in raw_phases.items()}
         )
+        if set(dt) != ranks or set(extra) != ranks:
+            raise ValueError("rate model covers a different rank set")
+        if phases is None:
+            if interval:
+                raise ValueError("flat rate model carries a checkpoint interval")
+        elif (interval < 2 or set(phases) != ranks
+                or any(len(seq) != interval for seq in phases.values())):
+            raise ValueError("phase table does not match the rank set and interval")
+        return cls(dt, extra, interval, float(data["dt_spread"]), phases)
 
     # ----------------------------------------------------------- projection
-    def checkpoints_between(self, b: int, m: int) -> int:
-        """Checkpoint boundaries in the half-open iteration-count range (b, m]."""
-        if not self.interval:
-            return 0
-        return m // self.interval - b // self.interval
-
     def _phase_sum(self, rank: int, m: int) -> float:
         """Sum of the phase durations of deltas ``1..m`` (``S(m)``)."""
         k = self.interval
-        cum, period = self._cum, self._period
-        assert cum is not None and period is not None
-        return (m // k) * period[rank] + cum[rank][m % k]
+        return (m // k) * self._period[rank] + self._cum[rank][m % k]
 
     def project(self, rank: int, t0: float, b: int, m: int) -> float:
         """Projected clock of ``rank`` at iteration count ``m``, anchored at
@@ -427,24 +233,21 @@ class RateModel:
         inside the *next* delta (the one ending at ``c + 1``), but a rank
         resuming (or finishing) exactly at a boundary has already paid for
         that checkpoint -- so the boundary surcharge is added when ``m``
-        lands on a boundary and removed when the anchor ``b`` does, keeping
-        the projection consistent with the flat model's
-        ``checkpoints_between(b, m]`` convention.
+        lands on a boundary and removed when the anchor ``b`` does.
         """
-        if self.phases is not None:
-            if m == b:
-                return t0
-            t = t0 + (self._phase_sum(rank, m) - self._phase_sum(rank, b))
-            k = self.interval
-            extra = self.ckpt_extra[rank]
-            if extra:
-                if m % k == 0 and m > 0:
-                    t += extra
-                if b % k == 0 and b > 0:
-                    t -= extra
-            return t
-        extra = self.checkpoints_between(b, m) * self.ckpt_extra[rank]
-        return t0 + (m - b) * self.dt[rank] + extra
+        if self.phases is None:
+            return t0 + (m - b) * self.dt[rank]
+        if m == b:
+            return t0
+        t = t0 + (self._phase_sum(rank, m) - self._phase_sum(rank, b))
+        k = self.interval
+        extra = self.ckpt_extra[rank]
+        if extra:
+            if m % k == 0 and m > 0:
+                t += extra
+            if b % k == 0 and b > 0:
+                t -= extra
+        return t
 
     def iterations_at(self, rank: int, t0: float, b: int, t: float) -> int:
         """Largest count ``m >= b`` with ``project(rank, t0, b, m) <= t``.
@@ -452,16 +255,11 @@ class RateModel:
         Central estimate (no conservative slack): used to size the DES guard
         window around a timed strike, where the caller adds its own margin.
         """
-        if t <= t0:
-            return b
         rate = self.dt[rank]
-        if self.interval and self.phases is None:
-            rate += self.ckpt_extra[rank] / self.interval
-        if rate <= 0.0:
+        if t <= t0 or rate <= 0.0:
             return b
-        # The amortised seed is within one checkpoint period of the exact
-        # answer; the two walks below correct the interval-alignment (and,
-        # for the phase model, phase-accumulation) error.
+        # The mean-rate seed is within one checkpoint period of the exact
+        # answer; the two walks below correct the phase-accumulation error.
         m = b + int((t - t0) / rate) + 1
         while m > b and self.project(rank, t0, b, m) > t:
             m -= 1
@@ -472,19 +270,13 @@ class RateModel:
     def max_iterations_by(self, rank: int, t0: float, b: int, deadline: float) -> int:
         """Largest count ``m >= b`` with ``project(rank, t0, b, m) <= deadline``.
 
-        Flat model: conservative -- one full ``ckpt_extra`` is subtracted
-        from the usable window so a checkpoint boundary landing early in the
-        span (alignment of ``b`` with the interval) can never push the
-        projection past the deadline.  Phase model: the projection accounts
-        for every boundary exactly, so the exact walk is already safe.
+        The phase projection accounts for every boundary exactly, so the
+        exact walk is already safe; the flat model divides.
         """
         if self.phases is not None:
             return self.iterations_at(rank, t0, b, deadline)
         rate = self.dt[rank]
         usable = deadline - t0
-        if self.interval:
-            rate += self.ckpt_extra[rank] / self.interval
-            usable -= self.ckpt_extra[rank]
         if usable <= 0.0 or rate <= 0.0:
             return b
         return b + int(usable // rate)
@@ -502,11 +294,8 @@ class HybridDirector:
         )
         #: protocol message hooks must run per message even in fast-forward.
         self._send_hook = bool(protocol.ff_send_hook)
-        self._ffcomms = {
-            rank: FastForwardCommunicator(sim, proc, self)
-            for rank, proc in sim.ranks.items()
-        }
-        #: per-rank projected clocks, valid during a fast-forward epoch.
+        #: per-rank projected clocks, valid during a fast-forward epoch
+        #: (published as ``sim.ff_clock`` for its duration).
         self._ff_clock: Dict[int, float] = {}
         self._ff_blocked: Set[int] = set()
         self._ff_runnable: Deque[int] = deque()
@@ -529,12 +318,8 @@ class HybridDirector:
     # ------------------------------------------------------------------- run
     def run(self) -> "SimulationResult":
         sim = self.sim
-        config = sim.config
         total = int(sim.application.num_iterations)
-        explicit_warmup = int(config.hybrid_warmup_iterations)
-        if explicit_warmup:
-            warmup = explicit_warmup
-        elif self._interval > 1:
+        if self._interval > 1:
             # The phase model needs two full checkpoint periods to verify
             # that the per-phase durations have settled, and slow-decaying
             # transients (pipeline fill, checkpoint-ripple workloads like
@@ -555,11 +340,10 @@ class HybridDirector:
                     warmup = rung
                     break
         else:
-            warmup = max(3, self._interval + 2)
-        guard_i = max(1, int(config.hybrid_guard_iterations))
+            warmup = 3
         sim.hybrid_stats = self.stats
         self.stats["warmup_iterations"] = warmup
-        self.stats["guard_iterations"] = guard_i
+        self.stats["guard_iterations"] = GUARD_ITERATIONS
 
         reason = self._static_fallback_reason(total, warmup)
         if reason is not None:
@@ -593,7 +377,7 @@ class HybridDirector:
         if cached is not None:
             model = self._apply_cached_calibration(cached, gate)
         else:
-            model, calib_reason = self._calibrate(total, warmup)
+            model, calib_reason = self._calibrate(warmup)
             if model is None:
                 return self._abandon(gate, calib_reason)
             # Export for the calibration cache (repro.simulator.calibration):
@@ -625,7 +409,7 @@ class HybridDirector:
             # next strike (plus guard) but no further than necessary.
             g = total
             if i_f is not None:
-                g = min(g, i_f + guard_i)
+                g = min(g, i_f + GUARD_ITERATIONS)
             if t_f is not None:
                 # Project where each rank will be when the strike lands and
                 # gate a spread-proportional margin past it, so ranks are
@@ -636,7 +420,7 @@ class HybridDirector:
                         est, model.iterations_at(rank, entry[1], entry[2], t_f)
                     )
                 margin = 1 + int(math.ceil(model.dt_spread * (est - b_max)))
-                g = min(g, est + guard_i + margin)
+                g = min(g, est + GUARD_ITERATIONS + margin)
             g = max(g, b_max + 1)
 
             advanced = False
@@ -650,9 +434,9 @@ class HybridDirector:
                 # wait and write cost cannot be separated from warm-up data).
                 e = total - 1
                 if i_f is not None:
-                    e = min(e, max(b, i_f - guard_i))
+                    e = min(e, max(b, i_f - GUARD_ITERATIONS))
                 if t_f is not None:
-                    deadline = t_f - guard_i * model.max_dt
+                    deadline = t_f - GUARD_ITERATIONS * model.max_dt
                     for rank, entry in parked.items():
                         e = min(e, model.max_iterations_by(rank, entry[1], b, deadline))
                     e = max(e, b)
@@ -774,8 +558,9 @@ class HybridDirector:
         entry = cache.get(key) if cache is not None else None
         if not entry:
             return None
+        ranks = set(self.sim.ranks)
         try:
-            model = RateModel.from_dict(entry["model"])
+            model = RateModel.from_dict(entry["model"], ranks)
             warmup = int(entry["warmup"])
             park_times = {
                 int(rank): float(t)
@@ -786,10 +571,7 @@ class HybridDirector:
         expected_interval = self._interval if self._interval > 1 else 0
         if model.interval != expected_interval:
             return None
-        ranks = set(self.sim.ranks)
-        if set(model.dt) != ranks or set(park_times) != ranks:
-            return None
-        if warmup < 1:
+        if set(park_times) != ranks or warmup < 1:
             return None
         return {"model": model, "warmup": warmup, "park_times": park_times}
 
@@ -821,20 +603,13 @@ class HybridDirector:
     #: noise (~1e-14) while a live transient shows up at 1e-3 and above.
     _PHASE_TOL = 1e-9
 
-    def _calibrate(
-        self, total: int, warmup: int
-    ) -> Tuple[Optional[RateModel], str]:
-        """Fit the per-rank rate model from warm-up boundary times.
-
-        Periodic protocols with at least two observed periods get the
-        phase-indexed model; everything else (no periodic checkpoints,
-        per-iteration checkpoints, explicitly shortened warm-ups) keeps the
-        flat median model.
-        """
-        k = self._interval
-        if k > 1 and warmup >= 2 * k + 2:
+    def _calibrate(self, warmup: int) -> Tuple[Optional[RateModel], str]:
+        """Fit the per-rank rate model from warm-up boundary times: the
+        phase-indexed model under a periodic checkpoint schedule, the flat
+        median model otherwise (no checkpoints, or one per iteration)."""
+        if self._interval > 1:
             return self._calibrate_phases(warmup)
-        return self._calibrate_flat(total, warmup)
+        return self._calibrate_flat(warmup)
 
     def _calibrate_phases(
         self, warmup: int
@@ -889,26 +664,17 @@ class HybridDirector:
             return None, "degenerate warm-up iteration durations"
         return RateModel(dt, extra, k, residual, phases), ""
 
-    def _calibrate_flat(
-        self, total: int, warmup: int
-    ) -> Tuple[Optional[RateModel], str]:
+    def _calibrate_flat(self, warmup: int) -> Tuple[Optional[RateModel], str]:
         """Fit the flat (single median duration) rate model.
 
-        The boundary-time listener fires *before* iteration-boundary hooks,
-        so the delta ending at completion count ``i`` includes the checkpoint
-        taken at count ``i - 1`` (if any): with interval ``k`` the delta is a
-        "checkpoint delta" iff ``(i - 1) % k == 0``.  With ``k == 1`` every
-        delta carries a checkpoint, so its cost is left inside ``dt`` and
-        ``ckpt_extra`` stays zero.
+        Only used without a periodic schedule or with a checkpoint at every
+        boundary: in the latter case every delta carries one checkpoint, so
+        its cost stays inside ``dt`` and ``ckpt_extra`` is zero either way.
         """
-        config = self.sim.config
-        k = self._interval
         dt: Dict[int, float] = {}
-        extra: Dict[int, float] = {}
         pooled: List[float] = []
         for rank, times in self._iter_times.items():
-            plain: List[float] = []
-            ckpt: List[float] = []
+            deltas: List[float] = []
             for i in range(2, warmup + 1):
                 t1 = times.get(i)
                 t0 = times.get(i - 1)
@@ -919,36 +685,21 @@ class HybridDirector:
                     # A failure rolled this rank back mid-warm-up and the
                     # re-execution overwrote earlier samples.
                     return None, "warm-up disturbed by a failure"
-                if k > 1 and (i - 1) % k == 0:
-                    ckpt.append(delta)
-                else:
-                    plain.append(delta)
-            if not plain:
+                deltas.append(delta)
+            if not deltas:
                 return None, f"rank {rank} produced no usable warm-up samples"
-            m = median(plain)
-            dt[rank] = m
-            if k > 1:
-                if ckpt:
-                    extra[rank] = max(0.0, median(ckpt) - m)
-                elif total // k != warmup // k:
-                    # Checkpoint boundaries lie ahead but the warm-up never
-                    # sampled one: the model would have to guess their cost.
-                    return None, "warm-up shorter than the checkpoint interval"
-                else:
-                    extra[rank] = 0.0
-            else:
-                extra[rank] = 0.0
-            pooled.extend(plain)
+            dt[rank] = median(deltas)
+            pooled.extend(deltas)
         med = median(pooled)
         if med <= 0.0:
             return None, "degenerate warm-up iteration durations"
         spread = (max(pooled) - min(pooled)) / med
-        if spread > config.hybrid_max_dt_spread:
+        if spread > MAX_DT_SPREAD:
             return None, (
                 f"iteration durations too irregular (spread {spread:.3f} > "
-                f"{config.hybrid_max_dt_spread:g})"
+                f"{MAX_DT_SPREAD:g})"
             )
-        return RateModel(dt, extra, k if k > 1 else 0, spread), ""
+        return RateModel(dt, dict.fromkeys(dt, 0.0), 0, spread), ""
 
     # ------------------------------------------------------------- segments
     def _quiescent(self) -> bool:
@@ -1045,7 +796,19 @@ class HybridDirector:
         gate.parked.clear()
         gate.condition = Condition("iteration-gate")
 
-        self._advance_span(b, e, model, anchors)
+        # The seam between the two interpreters: for the epoch, each rank's
+        # communicator initiates sends through ff_send and reads the rank's
+        # projected clock; everything else it does is shared with exact mode.
+        comms = [sim.ranks[rank].comm for rank in anchors]
+        sim.ff_clock = self._ff_clock
+        for comm in comms:
+            comm._isend = self.ff_send
+        try:
+            self._advance_span(b, e, model, anchors)
+        finally:
+            sim.ff_clock = None
+            for comm in comms:
+                comm._isend = sim.initiate_isend
 
         now = sim.engine.now
         resumes: Dict[int, float] = {}
@@ -1385,13 +1148,17 @@ class HybridDirector:
                           start: Optional[int] = None) -> None:
         """Run iterations ``b..e-1`` of every rank synchronously.
 
-        Each rank free-runs through its iterations (a finished iteration
-        immediately starts the next one), blocking only when a receive has no
-        matching message yet; a sender's delivery wakes the blocked receiver.
-        Rank order is deterministic (ascending rank, FIFO wake order), so two
-        runs of the same epoch are identical.
+        This is the queue-free interpreter of the op vocabulary
+        (:mod:`repro.simulator.ops`; the event-driven one is
+        :meth:`RankProcess._handle_op`).  Each rank free-runs through its
+        iterations (a finished iteration immediately starts the next one),
+        blocking only when a receive has no matching message yet; a sender's
+        delivery wakes the blocked receiver.  Rank order is deterministic
+        (ascending rank, FIFO wake order), so two runs of the same epoch are
+        identical.
         """
         sim = self.sim
+        ranks = sim.ranks
         protocol = sim.protocol
         interval = self._interval if self._clustered else 0
         injector = sim.failure_injector
@@ -1402,9 +1169,13 @@ class HybridDirector:
         blocked.clear()
         runnable = self._ff_runnable
         runnable.clear()
-        gens: Dict[int, Any] = {}
+        gens: Dict[int, Generator[Any, Any, Any]] = {}
         counts: Dict[int, int] = {}
         pending: Set[int] = set()
+        #: rank -> (op, its requests, scan position) of a message-blocked
+        #: rank: every request before the position is complete, so a woken
+        #: rank resumes the scan where it stopped.
+        waits: Dict[int, Tuple[Operation, Sequence[Request], int]] = {}
         #: (cluster_id, iteration) -> ranks waiting at the coordinated
         #: checkpoint barrier.  The exact-mode checkpoint is a cluster
         #: barrier; without it a free-running rank could send intra-cluster
@@ -1439,82 +1210,140 @@ class HybridDirector:
             gens[rank] = self._start_iteration(rank, it)
             return True
 
+        def _rejected(rank: int, op: Any, wildcard: bool = False) -> SimulationError:
+            what = describe(op)
+            if wildcard:
+                what = f"an ANY_SOURCE receive ({what})"
+            return SimulationError(
+                f"rank {rank}: {what} cannot be fast-forwarded; declare the "
+                "workload ff_compatible = False"
+            )
+
         while pending:
             if not runnable:
                 waiting = ", ".join(
-                    f"rank {r} in iteration {counts[r]}" for r in sorted(pending)
+                    f"rank {r} in iteration {counts[r]} blocked on "
+                    + (describe(waits[r][0]) if r in waits
+                       else "its cluster's checkpoint barrier")
+                    for r in sorted(pending)
                 )
                 raise SimulationError(
-                    f"fast-forward deadlock: {waiting} wait on messages no "
-                    "peer will send before the epoch boundary"
+                    f"fast-forward deadlock: {waiting}; no peer will send the "
+                    "awaited messages before the epoch boundary"
                 )
             rank = runnable.popleft()
             if rank not in pending:
                 continue
+            proc = ranks[rank]
             gen = gens[rank]
+            wait = waits.pop(rank, None)
+            op: Any
+            requests: Sequence[Request]
+            value: Any = None
             while True:
-                try:
-                    token = next(gen)
-                except StopIteration:
-                    it = counts[rank] + 1
-                    counts[rank] = it
-                    proc = sim.ranks[rank]
-                    proc.completed_iterations = it
-                    if interval and it % interval == 0:
-                        cluster = protocol.cluster_of(rank)
-                        key = (cluster, it)
-                        group = barriers.setdefault(key, set())
-                        group.add(rank)
-                        if len(group) < len(protocol.members(cluster)):
-                            # Parked at the coordinated-checkpoint barrier
-                            # (neither runnable nor message-blocked).
-                            break
-                        del barriers[key]
-                        for member in sorted(group):
-                            protocol.fast_forward_checkpoint(
-                                member, it, sim.ranks[member].app_state,
-                                model.project(member, anchors[member], b, it),
-                            )
-                        # Execute the boundary's control traffic (log-GC
-                        # acks) before anyone reaches the *next* boundary:
-                        # exact mode prunes sender logs between checkpoints,
-                        # and checkpoint sizes include the live log, so
-                        # deferring the acks to the epoch edge would inflate
-                        # every later checkpoint of the epoch.
-                        boundary_done[it] = boundary_done.get(it, 0) + 1
-                        if boundary_done[it] == n_clusters:
-                            del boundary_done[it]
-                            self._drain_scheduled(t_strike)
-                        for member in sorted(group):
-                            if member != rank and _resume(member, it):
-                                runnable.append(member)
+                if wait is not None:
+                    op, requests, pos = wait
+                    wait = None
+                else:
+                    try:
+                        op = gen.send(value)
+                    except StopIteration:
+                        value = None
+                        it = counts[rank] + 1
+                        counts[rank] = it
+                        proc.completed_iterations = it
+                        if interval and it % interval == 0:
+                            cluster = protocol.cluster_of(rank)
+                            key = (cluster, it)
+                            group = barriers.setdefault(key, set())
+                            group.add(rank)
+                            if len(group) < len(protocol.members(cluster)):
+                                # Parked at the coordinated-checkpoint barrier
+                                # (neither runnable nor message-blocked).
+                                break
+                            del barriers[key]
+                            for member in sorted(group):
+                                protocol.fast_forward_checkpoint(
+                                    member, it, ranks[member].app_state,
+                                    model.project(member, anchors[member], b, it),
+                                )
+                            # Execute the boundary's control traffic (log-GC
+                            # acks) before anyone reaches the *next* boundary:
+                            # exact mode prunes sender logs between checkpoints,
+                            # and checkpoint sizes include the live log, so
+                            # deferring the acks to the epoch edge would inflate
+                            # every later checkpoint of the epoch.
+                            boundary_done[it] = boundary_done.get(it, 0) + 1
+                            if boundary_done[it] == n_clusters:
+                                del boundary_done[it]
+                                self._drain_scheduled(t_strike)
+                            for member in sorted(group):
+                                if member != rank and _resume(member, it):
+                                    runnable.append(member)
                         if _resume(rank, it):
                             gen = gens[rank]
                             continue
                         break
-                    if _resume(rank, it):
-                        gen = gens[rank]
+                    kind = op.__class__
+                    if kind is ComputeOp:
+                        # The time itself is covered by the calibrated
+                        # iteration rate; only the statistics counter must
+                        # stay in sync with exact mode.
+                        proc.rstats.compute_time += op.seconds
+                        value = None
                         continue
-                    break
-                except _FFUnsupported as exc:
-                    raise SimulationError(
-                        f"rank {rank}: {exc} cannot be fast-forwarded; declare "
-                        f"the workload ff_compatible = False"
-                    ) from exc
-                if token is _FF_WAIT:
+                    if kind is SendOp:
+                        self.ff_send(proc, op.dest, op.payload, op.tag, op.size_bytes)
+                        value = None
+                        continue
+                    # Everything else must be a wait the fast path can decide
+                    # without event timing: which request of a waitany
+                    # completes first, which sender an ANY_SOURCE receive
+                    # matches and when a condition fires are questions only
+                    # the event queue answers.
+                    if kind is WaitOp:
+                        if op.mode == "any":
+                            raise _rejected(rank, op)
+                        requests = op.requests
+                        for request in requests:
+                            if (request.__class__ is RecvRequest
+                                    and request.source == ANY_SOURCE):
+                                raise _rejected(rank, op, wildcard=True)
+                    elif kind is RecvOp:
+                        if op.source == ANY_SOURCE:
+                            raise _rejected(rank, op, wildcard=True)
+                        requests = (proc.post_receive(op.source, op.tag),)
+                    else:
+                        raise _rejected(rank, op)
+                    pos = 0
+                count = len(requests)
+                while pos < count and requests[pos].state is _COMPLETE:
+                    pos += 1
+                if pos < count:
+                    waits[rank] = (op, requests, pos)
                     blocked.add(rank)
                     break
-                raise SimulationError(
-                    f"rank {rank} yielded {token!r} during fast-forward; only "
-                    "fast-forward-safe communicator calls are allowed"
+                # Same delivery order as the exact path: only after *all*
+                # requests completed, in request order (a sendrecv delivers
+                # the send value -- a no-op -- then the received message),
+                # and before the coroutine resumes.
+                values = [request.value for request in requests]
+                for delivered in values:
+                    proc._deliver_to_app(delivered)
+                value = (
+                    values if op.__class__ is WaitOp and op.mode == "all"
+                    else values[0]
                 )
 
-    def _start_iteration(self, rank: int, it: int) -> Iterator[Any]:
+    def _start_iteration(self, rank: int, it: int) -> Generator[Any, Any, Any]:
         proc = self.sim.ranks[rank]
-        comm = self._ffcomms[rank]
+        comm = proc.comm
         comm._collective_seq = 0
         proc.current_iteration = it
-        return self.sim.application.iteration(comm, rank, proc.app_state, it)
+        gen: Generator[Any, Any, Any] = self.sim.application.iteration(
+            comm, rank, proc.app_state, it
+        )
+        return gen
 
     def _wake(self, rank: int) -> None:
         if rank in self._ff_blocked:
@@ -1532,14 +1361,7 @@ class HybridDirector:
         transport, and completes the send request immediately.
         """
         sim = self.sim
-        message = Message(
-            source=proc.rank,
-            dest=dest,
-            tag=tag,
-            size_bytes=size_bytes,
-            payload=payload,
-            kind=MessageKind.APP,
-        )
+        message = Message(proc.rank, dest, tag, size_bytes, payload)
         now = self._ff_clock[proc.rank]
         suppressed = False
         if self._send_hook:

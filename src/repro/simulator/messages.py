@@ -31,10 +31,9 @@ _MESSAGE_COUNTER = itertools.count(1)
 class MessageKind(Enum):
     """Classification of simulated messages."""
 
-    #: Point-to-point message issued by application code.
+    #: Point-to-point message issued by application code, directly or as
+    #: one of the messages a collective decomposes into.
     APP = "app"
-    #: Point-to-point message generated internally by a collective operation.
-    COLLECTIVE = "collective"
     #: Protocol control message (rollback notification, recovery traffic...).
     CONTROL = "control"
 

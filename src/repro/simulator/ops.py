@@ -1,12 +1,27 @@
 """Operation descriptors yielded by application coroutines.
 
 An application rank is a Python generator.  Blocking operations are expressed
-by yielding one of the descriptors below (via the :class:`Communicator`
-helpers, which are themselves generator functions so that application code
-uniformly writes ``yield from comm.recv(...)``).  The rank driver
-(:class:`repro.simulator.process.RankProcess`) interprets the descriptor,
-blocks the rank if necessary and resumes the generator with the operation's
-result.
+by yielding one of the five descriptors below (via the
+:class:`~repro.simulator.communicator.Communicator` helpers, which are
+themselves generator functions so that application code uniformly writes
+``yield from comm.recv(...)``).  Non-blocking calls (``isend``, ``irecv``,
+``test``) are plain calls on the communicator and yield nothing; their
+completion is awaited through a :class:`WaitOp`.
+
+The vocabulary is the only interface between a workload and whatever drives
+it, and it has two interpreters:
+
+* the event-driven rank driver
+  (:meth:`repro.simulator.process.RankProcess._handle_op`) performs the
+  operation through the engine's event queue, blocks the rank if necessary
+  and resumes the generator with the operation's result -- exact execution
+  and every DES segment of a hybrid run;
+* the hybrid director
+  (:meth:`repro.simulator.hybrid.HybridDirector._drive_iterations`) executes
+  the same descriptors synchronously inside a fast-forwarded epoch.  It
+  decides :class:`SendOp`, :class:`RecvOp`, :class:`ComputeOp` and
+  wait-all/wait-one without the event queue and rejects what only event
+  timing can decide (:class:`WaitConditionOp`, wait-any, ``ANY_SOURCE``).
 """
 
 from __future__ import annotations
@@ -33,31 +48,11 @@ class SendOp(Operation):
     payload: Any
     tag: int = 0
     size_bytes: int = 0
-    collective: bool = False
 
 
 @dataclass
 class RecvOp(Operation):
     """Blocking receive matching ``(source, tag)`` (wildcards allowed)."""
-
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
-
-
-@dataclass
-class IsendOp(Operation):
-    """Non-blocking send; the driver resumes immediately with a Request."""
-
-    dest: int
-    payload: Any
-    tag: int = 0
-    size_bytes: int = 0
-    collective: bool = False
-
-
-@dataclass
-class IrecvOp(Operation):
-    """Non-blocking receive post; the driver resumes immediately with a Request."""
 
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
@@ -91,47 +86,16 @@ class WaitConditionOp(Operation):
     condition: Condition
 
 
-@dataclass
-class CheckpointOp(Operation):
-    """Explicit request by the application to take a checkpoint now.
-
-    Most experiments use protocol-driven checkpoints at iteration boundaries;
-    this operation exists for applications that want to force one.
-    """
-
-    label: str = ""
-
-
-@dataclass
-class LocalEventOp(Operation):
-    """A purely local event (used by tests to exercise the event model)."""
-
-    name: str = "local"
-    data: Any = None
-
-
-#: Operations that the driver treats as communication for statistics purposes.
-COMMUNICATION_OPS = (SendOp, RecvOp, IsendOp, IrecvOp, WaitOp)
-
-
 def describe(op: Operation) -> str:
     """Short human-readable description of an operation (used in deadlock dumps)."""
     if isinstance(op, SendOp):
         return f"send(dest={op.dest}, tag={op.tag}, {op.size_bytes}B)"
     if isinstance(op, RecvOp):
         return f"recv(source={op.source}, tag={op.tag})"
-    if isinstance(op, IsendOp):
-        return f"isend(dest={op.dest}, tag={op.tag}, {op.size_bytes}B)"
-    if isinstance(op, IrecvOp):
-        return f"irecv(source={op.source}, tag={op.tag})"
     if isinstance(op, WaitOp):
         return f"wait(mode={op.mode}, n={len(op.requests)})"
     if isinstance(op, ComputeOp):
         return f"compute({op.seconds:.3g}s)"
     if isinstance(op, WaitConditionOp):
         return f"wait_condition({op.condition.name})"
-    if isinstance(op, CheckpointOp):
-        return f"checkpoint({op.label})"
-    if isinstance(op, LocalEventOp):
-        return f"local_event({op.name})"
     return repr(op)

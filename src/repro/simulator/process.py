@@ -29,11 +29,7 @@ from repro.errors import InvalidOperationError, SimulationError
 from repro.simulator.engine import Condition
 from repro.simulator.messages import Message
 from repro.simulator.ops import (
-    CheckpointOp,
     ComputeOp,
-    IrecvOp,
-    IsendOp,
-    LocalEventOp,
     Operation,
     RecvOp,
     SendOp,
@@ -95,7 +91,7 @@ class RankProcess:
 
         self._gen = None
         self._restored_state: Any = None
-        self.comm = None  # set by Simulation after construction
+        self.comm: Any = None  # set by Simulation after construction
 
     # ------------------------------------------------------------- lifecycle
     def start(self):
@@ -224,70 +220,21 @@ class RankProcess:
         self.rstats.compute_time += op.seconds
         self._schedule_resume(op.seconds)
 
-    def _handle_isend(self, op: IsendOp) -> None:
-        request = self.sim.initiate_isend(
-            self, op.dest, op.payload, op.tag, op.size_bytes, collective=op.collective
-        )
-        self._schedule_resume(0.0, request)
-
-    def _handle_irecv(self, op: IrecvOp) -> None:
-        request = self.post_receive(op.source, op.tag)
-        self._schedule_resume(0.0, request)
-
-    def _handle_checkpoint(self, op: CheckpointOp) -> None:
-        cost = self.sim.protocol_checkpoint_request(self, op.label)
-        self._schedule_resume(cost)
-
-    def _handle_local_event(self, op: LocalEventOp) -> None:
-        self._schedule_resume(0.0)
-
     def _handle_op(self, op: Any) -> None:
-        # Exact-type dispatch first: yielding an op is the single most
-        # frequent rank action, and every concrete op class is final in
-        # practice.  Subclasses (or unknown objects) fall through to the
-        # isinstance chain below.
+        # Exact-type dispatch: yielding an op is the single most frequent
+        # rank action, and the vocabulary is closed (five final classes).
         handler = _OP_DISPATCH.get(op.__class__)
-        if handler is not None:
-            handler(self, op)
-            return
-        if isinstance(op, ComputeOp):
-            self._handle_compute(op)
-            return
-        if isinstance(op, SendOp):
-            self._handle_blocking_send(op)
-            return
-        if isinstance(op, RecvOp):
-            self._handle_blocking_recv(op)
-            return
-        if isinstance(op, IsendOp):
-            self._handle_isend(op)
-            return
-        if isinstance(op, IrecvOp):
-            self._handle_irecv(op)
-            return
-        if isinstance(op, WaitOp):
-            self._handle_wait(op)
-            return
-        if isinstance(op, WaitConditionOp):
-            self._handle_wait_condition(op)
-            return
-        if isinstance(op, CheckpointOp):
-            self._handle_checkpoint(op)
-            return
-        if isinstance(op, LocalEventOp):
-            self._handle_local_event(op)
-            return
-        if isinstance(op, Operation):  # pragma: no cover - future-proofing
-            raise InvalidOperationError(f"rank {self.rank}: unsupported operation {op!r}")
-        raise InvalidOperationError(
-            f"rank {self.rank} yielded a non-operation object {op!r}. Blocking calls must be "
-            "written as `yield from comm.<call>(...)`."
-        )
+        if handler is None:
+            raise InvalidOperationError(
+                f"rank {self.rank} yielded {op!r}, which is not an operation. Blocking "
+                "calls must be written as `yield from comm.<call>(...)`."
+            )
+        handler(self, op)
 
     # ------------------------------------------------------------------ send
     def _handle_blocking_send(self, op: SendOp) -> None:
         outcome, info = self.sim.initiate_send(
-            self, op.dest, op.payload, op.tag, op.size_bytes, collective=op.collective
+            self, op.dest, op.payload, op.tag, op.size_bytes
         )
         if outcome == "deferred":
             condition: Condition = info
@@ -470,6 +417,26 @@ class RankProcess:
         self.posted.clear()
         self.unexpected.clear()
 
+    def _reincarnate(self, iteration: int, app_state: Any) -> None:
+        """Replace the coroutine by a fresh one starting at ``iteration``.
+
+        Bumping the incarnation invalidates every continuation of the
+        previous one (request waiters, condition waiters, queued resumes).
+        """
+        self.incarnation += 1
+        for request in self.posted:
+            request.cancel()
+        self.posted.clear()
+        self.blocked_on = None
+        self.blocked_since = None
+        self._restored_state = app_state
+        self.pending_overhead = 0.0
+        self.start_iteration = iteration
+        self.current_iteration = iteration
+        self.completed_iterations = iteration
+        self._gen = self._main()
+        self.state = RankState.RUNNING
+
     def restart_from_checkpoint(
         self, iteration: int, app_state: Any, restart_delay: float = 0.0
     ) -> None:
@@ -485,21 +452,8 @@ class RankProcess:
         # Note: a DONE rank can legitimately be restarted -- it finished its
         # work but a cluster peer failed, dragging it back to the last
         # coordinated checkpoint.
-        # Invalidate every continuation of the previous incarnation.
-        self.incarnation += 1
-        for request in self.posted:
-            request.cancel()
-        self.posted.clear()
+        self._reincarnate(iteration, app_state)
         self.unexpected.clear()
-        self.blocked_on = None
-        self.blocked_since = None
-        self._restored_state = app_state
-        self.pending_overhead = 0.0
-        self.start_iteration = iteration
-        self.current_iteration = iteration
-        self.completed_iterations = iteration
-        self._gen = self._main()
-        self.state = RankState.RUNNING
         self.rstats.restarts += 1
         self._schedule_resume(restart_delay)
 
@@ -512,23 +466,11 @@ class RankProcess:
         scheduled at the rank's projected clock ``resume_time``.  Unlike
         :meth:`restart_from_checkpoint` this is not a rollback: no restart is
         counted, nothing is purged, and the unexpected queue (messages sent
-        ahead during the fast-forwarded epoch) is preserved.
+        ahead during the fast-forwarded epoch) is preserved.  Library-call
+        overheads accrued during fast-forward are dropped: they are part of
+        the calibrated per-iteration rate, not a separate charge.
         """
-        self.incarnation += 1
-        for request in self.posted:
-            request.cancel()
-        self.posted.clear()
-        self.blocked_on = None
-        self.blocked_since = None
-        self._restored_state = app_state
-        # Library-call overheads accrued during fast-forward are part of the
-        # calibrated per-iteration rate, not a separate charge.
-        self.pending_overhead = 0.0
-        self.start_iteration = iteration
-        self.current_iteration = iteration
-        self.completed_iterations = iteration
-        self._gen = self._main()
-        self.state = RankState.RUNNING
+        self._reincarnate(iteration, app_state)
         self.sim.engine.schedule_at(
             resume_time, self._advance, self.incarnation, None, None
         )
@@ -569,10 +511,6 @@ _OP_DISPATCH = {
     ComputeOp: RankProcess._handle_compute,
     SendOp: RankProcess._handle_blocking_send,
     RecvOp: RankProcess._handle_blocking_recv,
-    IsendOp: RankProcess._handle_isend,
-    IrecvOp: RankProcess._handle_irecv,
     WaitOp: RankProcess._handle_wait,
     WaitConditionOp: RankProcess._handle_wait_condition,
-    CheckpointOp: RankProcess._handle_checkpoint,
-    LocalEventOp: RankProcess._handle_local_event,
 }

@@ -181,10 +181,6 @@ class ProtocolHooks:
             f"protocol {self.name!r} does not implement batched fast-forward"
         )
 
-    def on_checkpoint_request(self, rank: int, label: str = "") -> float:
-        """Application-requested local checkpoint; return the time it costs."""
-        return 0.0
-
     # ----------------------------------------------------------- failure path
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
         return None

@@ -28,7 +28,7 @@ from repro.simulator.channel import Transport
 from repro.simulator.communicator import Communicator
 from repro.simulator.engine import Condition, SimulationEngine
 from repro.simulator.failures import FailureInjector
-from repro.simulator.messages import Message, MessageKind
+from repro.simulator.messages import Message
 from repro.simulator.network import MyrinetMXModel, NetworkModel
 from repro.simulator.process import RankProcess, RankState
 from repro.simulator.protocol_api import ControlPlane, ProtocolHooks, SendAction
@@ -65,14 +65,6 @@ class SimulationConfig:
     #: fast-forward failure-free epochs, DES guard windows around failures --
     #: see :mod:`repro.simulator.hybrid`).
     execution: str = "exact"
-    #: DES warm-up iterations used to calibrate the hybrid rate model
-    #: (0 = auto: ``max(3, checkpoint_interval + 2)``).
-    hybrid_warmup_iterations: int = 0
-    #: Iterations of exact DES kept on each side of a failure injection.
-    hybrid_guard_iterations: int = 2
-    #: Calibration guard: fall back to exact execution when the warm-up's
-    #: pooled iteration durations spread (max-min)/median beyond this.
-    hybrid_max_dt_spread: float = 0.25
     #: Cache key of this run's failure-free timing identity
     #: (:meth:`ScenarioSpec.calibration_key`); when set and a matching entry
     #: exists in the active :class:`repro.simulator.calibration.
@@ -147,9 +139,12 @@ class Simulation:
         #: hybrid-execution hooks (None in exact mode; see
         #: :mod:`repro.simulator.hybrid`).  ``iteration_gate`` parks rank
         #: coroutines at an iteration limit, ``_iteration_listener`` feeds the
-        #: rate-model calibration, ``hybrid_stats`` surfaces ``sim.hybrid.*``.
+        #: rate-model calibration, ``hybrid_stats`` surfaces ``sim.hybrid.*``,
+        #: ``ff_clock`` holds the per-rank projected clocks ``comm.now`` reads
+        #: while a fast-forwarded epoch has the engine clock frozen.
         self.iteration_gate: Optional["IterationGate"] = None
         self._iteration_listener: Optional[Callable[[int, int], None]] = None
+        self.ff_clock: Optional[Dict[int, float]] = None
         self.hybrid_stats: Optional[Dict[str, Any]] = None
         #: serialisable warm-up calibration of a successful hybrid run
         #: (model + park times); harvested by the campaign pre-warm into the
@@ -175,15 +170,13 @@ class Simulation:
         payload: Any,
         tag: int,
         size_bytes: int,
-        collective: bool = False,
     ) -> Tuple[str, Any]:
         """Blocking-send entry point.
 
         Returns ``("sent", cpu_time)``, ``("suppressed", cpu_time)`` or
         ``("deferred", condition)``.
         """
-        kind = MessageKind.COLLECTIVE if collective else MessageKind.APP
-        message = Message(proc.rank, dest, tag, size_bytes, payload, kind)
+        message = Message(proc.rank, dest, tag, size_bytes, payload)
         return self._attempt_send(proc, message)
 
     def _attempt_send(self, proc: RankProcess, message: Message) -> Tuple[str, Any]:
@@ -216,11 +209,9 @@ class Simulation:
         payload: Any,
         tag: int,
         size_bytes: int,
-        collective: bool = False,
     ) -> SendRequest:
         """Non-blocking-send entry point; always returns a request."""
-        kind = MessageKind.COLLECTIVE if collective else MessageKind.APP
-        message = Message(proc.rank, dest, tag, size_bytes, payload, kind)
+        message = Message(proc.rank, dest, tag, size_bytes, payload)
         request = SendRequest(proc.rank, message)
         self._isend_attempt(proc, message, request, proc.incarnation)
         return request
@@ -303,10 +294,6 @@ class Simulation:
     def on_rank_done(self, proc: RankProcess) -> None:
         self._done_count += 1
         self.protocol.on_rank_done(proc.rank)
-
-    def protocol_checkpoint_request(self, proc: RankProcess, label: str) -> float:
-        cost = self.protocol.on_checkpoint_request(proc.rank, label)
-        return float(cost or 0.0)
 
     # --------------------------------------------------------------- failures
     def kill_ranks(self, ranks: Iterable[int]) -> None:

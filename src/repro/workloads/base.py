@@ -13,6 +13,15 @@ An application describes an SPMD MPI program as three pieces:
 Checkpoints are taken by protocols at iteration boundaries, so rollback
 restores ``(iteration, state)`` and re-runs :meth:`iteration` from there.
 
+The op stream :meth:`Application.iteration` yields through its communicator
+*is* the program: exact execution and the hybrid fast-forward
+(:mod:`repro.simulator.hybrid`) drive the same generator against the same
+:class:`~repro.simulator.communicator.Communicator` and differ only in who
+interprets the yielded descriptors (:mod:`repro.simulator.ops`).  A
+workload declared :attr:`Application.ff_compatible` must therefore keep to
+what both interpreters decide identically: directed receives, ``wait`` /
+``waitall`` (no ``waitany``, no ``ANY_SOURCE``, no ``wait_condition``).
+
 **Send-determinism.**  The paper's protocol assumes the application is
 send-deterministic (Definition 3): for fixed inputs every correct execution
 sends the same sequence of messages per process, regardless of the order in
@@ -118,8 +127,10 @@ class Application(abc.ABC):
     send_deterministic: bool = True
     #: Whether failure-free epochs of the workload may be fast-forwarded
     #: analytically (:mod:`repro.simulator.hybrid`).  Requires
-    #: send-determinism plus directed receives (no ``ANY_SOURCE``) and no
-    #: reliance on wall-clock-dependent control flow inside iterations.
+    #: send-determinism plus directed receives (no ``ANY_SOURCE``, no
+    #: ``waitany``, no ``wait_condition``: the fast-forward driver raises
+    #: on them) and no reliance on wall-clock-dependent control flow inside
+    #: iterations.
     ff_compatible: bool = True
     #: Whether :meth:`fast_forward_states` implements the batched state
     #: advance (the hybrid director's analytic fast path).  Workloads that

@@ -27,6 +27,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
@@ -35,6 +36,10 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.simulator.engine import Condition
+from repro.simulator.messages import ANY_SOURCE
+from repro.simulator.simulation import Simulation, SimulationConfig
+from repro.workloads.base import Application
 
 ITERATIONS = 120
 INTERVAL = 8
@@ -275,6 +280,104 @@ class TestFallbacks:
         assert sim.hybrid_stats["ff_iterations"] > 0
 
 
+class _MisdeclaredRing(Application):
+    """A ring exchange that is honestly fast-forwardable until iteration
+    ``misbehave_from`` (past the 3-iteration warm-up, i.e. inside the first
+    fast-forwarded epoch), where ``misbehave`` runs instead."""
+
+    name = "misdeclared-ring"
+    ff_compatible = True
+
+    def __init__(self, nprocs, iterations, misbehave, misbehave_from=5):
+        super().__init__(nprocs, iterations)
+        self._misbehave = misbehave
+        self._from = misbehave_from
+
+    def setup(self, rank, nprocs):
+        return {"seen": 0}
+
+    def iteration(self, comm, rank, state, it):
+        if it >= self._from:
+            yield from self._misbehave(comm, rank)
+            return
+        right, left = (rank + 1) % comm.size, (rank - 1) % comm.size
+        message = yield from comm.sendrecv(right, it, source=left, tag=7, size_bytes=64)
+        state["seen"] += message.payload
+        yield from comm.compute(1.0e-5)
+
+
+def _waitany(comm, rank):
+    requests = [comm.irecv(source=(rank - 1) % comm.size, tag=8),
+                comm.isend((rank + 1) % comm.size, 0, tag=8, size_bytes=8)]
+    yield from comm.waitany(requests)
+
+
+def _irecv_any_source(comm, rank):
+    comm.isend((rank + 1) % comm.size, 0, tag=8, size_bytes=8)
+    yield from comm.wait(comm.irecv(source=ANY_SOURCE, tag=8))
+
+
+def _recv_any_source(comm, rank):
+    comm.isend((rank + 1) % comm.size, 0, tag=8, size_bytes=8)
+    yield from comm.recv(source=ANY_SOURCE, tag=8)
+
+
+def _wait_condition(comm, rank):
+    yield from comm.wait_condition(Condition("never"))
+
+
+def _unmatched_receive(comm, rank):
+    # Everybody listens, nobody talks.
+    yield from comm.recv(source=(rank - 1) % comm.size, tag=9)
+
+
+class TestFastForwardFailurePaths:
+    """The fast-forward interpreter fails loudly and locally: a call only
+    event timing can decide, or a receive nobody serves, raises naming the
+    rank and the call instead of producing a silently different run."""
+
+    def run_hybrid(self, misbehave):
+        app = _MisdeclaredRing(4, 12, misbehave)
+        sim = Simulation(app, nprocs=4, config=SimulationConfig(execution="hybrid"))
+        return sim.run()
+
+    @pytest.mark.parametrize("misbehave, call", [
+        (_waitany, "wait(mode=any, n=2)"),
+        (_irecv_any_source, "an ANY_SOURCE receive (wait(mode=one, n=1))"),
+        (_recv_any_source, "an ANY_SOURCE receive (recv(source=-1, tag=8))"),
+        (_wait_condition, "wait_condition(never)"),
+    ], ids=["waitany", "irecv-any-source", "recv-any-source", "wait-condition"])
+    def test_calls_that_need_event_timing_are_rejected(self, misbehave, call):
+        # Rank 2 is the first to reach the misbehaving iteration (ascending
+        # rank start, FIFO wake order: deterministic).
+        with pytest.raises(SimulationError) as excinfo:
+            self.run_hybrid(misbehave)
+        assert str(excinfo.value) == (
+            f"rank 2: {call} cannot be fast-forwarded; declare the workload "
+            "ff_compatible = False"
+        )
+
+    def test_the_honest_iterations_do_fast_forward(self):
+        # Control: with the misbehaviour out of reach the same workload
+        # fast-forwards, so the rejections above come from inside an epoch.
+        app = _MisdeclaredRing(4, 12, _waitany, misbehave_from=12)
+        sim = Simulation(app, nprocs=4, config=SimulationConfig(execution="hybrid"))
+        assert sim.run().completed
+        assert sim.hybrid_stats["enabled"] == 1
+        assert sim.hybrid_stats["ff_iterations"] > 0
+
+    def test_deadlock_names_each_stuck_rank_and_its_pending_op(self):
+        with pytest.raises(SimulationError) as excinfo:
+            self.run_hybrid(_unmatched_receive)
+        report = str(excinfo.value)
+        assert report.startswith("fast-forward deadlock: ")
+        for rank in range(4):
+            assert (
+                f"rank {rank} in iteration 5 blocked on "
+                f"recv(source={(rank - 1) % 4}, tag=9)"
+            ) in report
+
+
 class TestMonteCarloAggregates:
     def test_hybrid_campaign_matches_exact_aggregates_within_band(self):
         from repro.faults.montecarlo import run_montecarlo
@@ -366,13 +469,40 @@ class TestCalibrationCache:
         assert scenario(interval=4).calibration_key() != base.calibration_key()
         assert scenario(iterations=60).calibration_key() != base.calibration_key()
 
-    def test_stale_entry_for_same_key_degrades_to_probe_guard(self):
-        """A cache entry whose shape no longer matches the run is ignored."""
+    #: name -> corruption of a *valid* entry's serialised model.  The cache
+    #: file is outside input: each of these used to crash the replica
+    #: (ZeroDivisionError, IndexError, a late KeyError inside project()).
+    MALFORMED_MODELS = {
+        "not-a-model": lambda model: {"bogus": 1},
+        "empty-dt": lambda model: {**model, "dt": {}},
+        "short-phase-list": lambda model: {
+            **model,
+            "phases": {r: seq[:-1] for r, seq in model["phases"].items()},
+        },
+        "ckpt-extra-misses-a-rank": lambda model: {
+            **model,
+            "ckpt_extra": {r: v for r, v in model["ckpt_extra"].items() if r != "3"},
+        },
+        "phases-miss-a-rank": lambda model: {
+            **model,
+            "phases": {r: v for r, v in model["phases"].items() if r != "3"},
+        },
+        "flat-model-with-an-interval": lambda model: {**model, "phases": None},
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_MODELS))
+    def test_stale_entry_for_same_key_degrades_to_probe_guard(self, shape):
+        """A cache entry whose shape does not match the run is ignored: the
+        replica degrades to a cold warm-up, it never crashes."""
         from repro.simulator import calibration
 
         spec = dataclasses.replace(scenario(), execution="hybrid")
+        cold_sim = build(spec)
+        cold_sim.run()
+        entry = dict(cold_sim.hybrid_calibration)
+        entry["model"] = self.MALFORMED_MODELS[shape](entry["model"])
         cache = calibration.CalibrationCache()
-        cache.put(spec.calibration_key(), {"model": {"bogus": 1}, "warmup": 2})
+        cache.put(spec.calibration_key(), entry)
         with calibration.activated(cache):
             sim = build(spec)
             result = sim.run()

@@ -1,31 +1,27 @@
-"""Integration tests for the results query layer and store migration:
+"""Integration tests for the results query layer and the store format:
 
-* v1 store files load through the migrator and their migrated records are
-  byte-identical to records a fresh v2 run of the same specs produces,
-* unknown store versions fail with a clear error,
+* store files of any version other than the current one (version-1 files
+  of early builds included) fail with a clear error,
 * where/select/pivot are deterministic (serial vs --workers N stores are
   byte-identical and query output over them matches),
 * spec hashes of every preset scenario are pinned to their pre-redesign
   values (cache keys must survive the results API redesign),
 * the ``repro-campaign query`` CLI reproduces the Table I summary from a
-  v1 store file.
+  store file.
 """
 
 import json
 import os
-import shutil
 
 import pytest
 
-from repro.campaign import ResultsStore, run_campaign, run_spec
+from repro.campaign import ResultsStore, run_campaign
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.store import STORE_VERSION
 from repro.errors import ConfigurationError
-from repro.results import ResultSet, RunResult
-from repro.scenarios import ScenarioSpec
+from repro.results import ResultSet
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
-V1_STORE = os.path.join(DATA_DIR, "v1_store.json")
 PINNED_HASHES = os.path.join(DATA_DIR, "pinned_spec_hashes.json")
 
 
@@ -33,48 +29,17 @@ def canonical(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-class TestV1Migration:
-    def test_fixture_is_a_version1_store(self):
-        with open(V1_STORE, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        assert raw["version"] == 1
-        # v1 simulate records flattened stats with a pstats_ prefix in extra.
-        simulate = [r for r in raw["records"].values() if r["analysis"] == "simulate"]
-        assert any("pstats_logged_messages" in r["result"]["stats"]["extra"]
-                   for r in simulate)
-
-    def test_v1_store_loads_migrated(self):
-        store = ResultsStore(V1_STORE)
-        assert store.loaded_version == 1 and store.migrated
-        for record in store.records().values():
-            run = RunResult.from_record(record)   # strict: v2 layout required
-            assert run.status == "completed"
-
-    def test_migrated_records_match_fresh_v2_runs(self):
-        """The migrator is value-preserving: re-running every fixture spec
-        under the v2 jobs reproduces the migrated records byte for byte
-        (so migrated caches keep being valid caches)."""
-        store = ResultsStore(V1_STORE)
-        for spec_hash, record in sorted(store.records().items()):
-            spec = ScenarioSpec.from_dict(record["spec"])
-            assert spec.spec_hash() == spec_hash
-            fresh, _ = run_spec(spec)
-            assert canonical(fresh) == canonical(record), spec.name
-
-    def test_migrated_store_saves_as_v2_and_is_stable(self, tmp_path):
-        path = tmp_path / "migrated.json"
-        shutil.copy(V1_STORE, path)
-        store = ResultsStore(str(path))
-        assert store.migrated
-        store.save()
-        first = path.read_bytes()
-        data = json.loads(first)
-        assert data["version"] == STORE_VERSION
-        # Loading + saving the migrated file again is a fixed point.
-        reloaded = ResultsStore(str(path))
-        assert not reloaded.migrated
-        reloaded.save()
-        assert path.read_bytes() == first
+class TestStoreVersion:
+    def test_version1_store_rejected(self, tmp_path):
+        """Early builds wrote no ``version`` field; such files are version 1
+        and are no longer read (the migrator is gone)."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"records": {}}))
+        with pytest.raises(
+            ValueError,
+            match=rf"unsupported results-store version 1; .* version {STORE_VERSION} only",
+        ):
+            ResultsStore(str(path))
 
     def test_unknown_store_version_rejected(self, tmp_path):
         path = tmp_path / "future.json"
@@ -197,39 +162,45 @@ class TestQueryDeterminism:
             resultset.overhead_vs(metric="sim.makespan", protocol="coordinated")
 
 
+@pytest.fixture(scope="module")
+def analysis_store(tmp_path_factory):
+    """A store holding one Table I row and one congestion grid column."""
+    from repro.analysis.congestion import congestion_specs
+    from repro.analysis.table1 import table1_spec
+
+    specs = [table1_spec("cg", nprocs=64)] + congestion_specs(oversubscriptions=(2.0,))
+    path = tmp_path_factory.mktemp("query-cli") / "store.json"
+    run_campaign(specs, workers=1, store=ResultsStore(str(path)))
+    return str(path)
+
+
 class TestQueryCli:
-    def test_table1_summary_from_v1_store(self, tmp_path, capsys):
-        """Acceptance: the CLI reproduces Table I from a v1 store file."""
-        path = tmp_path / "v1.json"
-        shutil.copy(V1_STORE, path)
-        assert campaign_main(["query", str(path), "--table", "table1"]) == 0
+    def test_table1_summary_from_store(self, analysis_store, capsys):
+        """Acceptance: the CLI reproduces Table I from a store file."""
+        assert campaign_main(["query", analysis_store, "--table", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out and "CG" in out
 
-    def test_migrate_flag_rewrites_file(self, tmp_path, capsys):
-        path = tmp_path / "v1.json"
-        shutil.copy(V1_STORE, path)
-        assert campaign_main(["query", str(path), "--migrate"]) == 0
-        assert json.loads(path.read_text())["version"] == STORE_VERSION
-
-    def test_where_select_and_formats(self, tmp_path, capsys):
-        path = tmp_path / "v1.json"
-        shutil.copy(V1_STORE, path)
+    def test_where_select_and_formats(self, analysis_store, capsys):
         assert campaign_main([
-            "query", str(path), "--where", "tags.experiment=congestion-recovery",
+            "query", analysis_store, "--where", "tags.experiment=congestion-recovery",
             "--select", "name", "sim.makespan", "--format", "json",
         ]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 4
         assert all(isinstance(r["sim.makespan"], float) for r in rows)
         assert campaign_main([
-            "query", str(path), "--table", "congestion", "--format", "csv",
+            "query", analysis_store, "--table", "congestion", "--format", "csv",
         ]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("protocol,oversubscription")
 
-    def test_unknown_table_errors_cleanly(self, tmp_path, capsys):
+    def test_version1_store_errors_cleanly(self, tmp_path, capsys):
         path = tmp_path / "v1.json"
-        shutil.copy(V1_STORE, path)
-        assert campaign_main(["query", str(path), "--table", "nope"]) == 2
+        path.write_text(json.dumps({"records": {}}))
+        assert campaign_main(["query", str(path)]) == 2
+        assert "unsupported results-store version 1" in capsys.readouterr().err
+
+    def test_unknown_table_errors_cleanly(self, analysis_store, capsys):
+        assert campaign_main(["query", analysis_store, "--table", "nope"]) == 2
         assert "unknown table" in capsys.readouterr().err

@@ -451,41 +451,3 @@ class TestMtbfScaleNormalisation:
             fault(params={"mtbf_s": 2e-3, "mtbf_scale": {"0": "fast"}})
         with pytest.raises(ConfigurationError):
             fault(params={"mtbf_s": 2e-3, "mtbf_scale": [0.5]})
-
-
-class TestMigrationInjectorSynthesis:
-    def _v1_simulate_record(self, status, failures):
-        stats = {
-            "protocol": "coordinated", "makespan": 1e-3, "events_processed": 10,
-            "app_messages": 2, "app_bytes": 20, "logged_messages": 0,
-            "logged_bytes": 0, "logged_fraction_bytes": 0.0,
-            "control_messages": 0, "control_bytes": 0, "checkpoints_taken": 1,
-            "checkpoint_bytes": 100, "failures_injected": 1,
-            "ranks_rolled_back": 4, "rolled_back_fraction": 0.5,
-            "recovery_time": 0.0, "extra": {},
-        }
-        return {
-            "name": "v1", "analysis": "simulate", "spec_hash": "x" * 16,
-            "spec": {"failures": failures},
-            "result": {"status": status, "stats": stats,
-                       "rank_results": {}, "rank_states": {}},
-        }
-
-    def test_completed_v1_failure_record_gains_injector_counters(self):
-        from repro.results.migrate import migrate_record
-
-        failures = [{"ranks": [3], "time": 1e-4}]
-        record = migrate_record(self._v1_simulate_record("completed", failures))
-        injector = record["result"]["metrics"]["sim"]["injector"]
-        assert injector == {"armed_fires": 0, "deferred_fires": 0,
-                            "disarmed_events": 0, "failed_ranks": 1,
-                            "retargeted_events": 0}
-
-    def test_incomplete_v1_record_gets_no_invented_counters(self):
-        # An incomplete v1 run may genuinely have left a strike armed; the
-        # migration must omit what it cannot reconstruct, not invent zeros.
-        from repro.results.migrate import migrate_record
-
-        failures = [{"ranks": [3], "at_iteration": 5}]
-        record = migrate_record(self._v1_simulate_record("incomplete", failures))
-        assert "injector" not in record["result"]["metrics"]["sim"]

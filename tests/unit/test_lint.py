@@ -343,9 +343,9 @@ class TestRL06MetricNamespace:
             module="repro/simulator/a.py",
         )
         ctx_b = ModuleContext(
-            "migrate.py",
+            "congestion.py",
             "def rebuild(metrics, v):\n    metrics.set('sim.makespan3', v)\n",
-            module="repro/results/migrate.py",
+            module="repro/analysis/congestion.py",
         )
         assert lint_contexts([ctx_a, ctx_b], select=["RL06"]) == []
 
