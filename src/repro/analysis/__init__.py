@@ -14,26 +14,18 @@ from repro.analysis.perf_model import (
 from repro.analysis.netpipe_analysis import (
     NETPIPE,
     NetpipeResult,
-    analytic_netpipe_experiment,
-    run_netpipe_experiment,
 )
 from repro.analysis.table1 import (
     CLUSTER_SWEEP,
     TABLE1,
-    build_table1,
-    render_table1,
-    table1_row,
 )
 from repro.analysis.overhead import (
     FIGURE6,
-    build_figure6,
     by_config,
-    measure_overhead,
     render_figure6,
 )
 from repro.analysis.containment import (
     CONTAINMENT,
-    render_containment,
     run_containment_experiment,
 )
 from repro.analysis.congestion import (
@@ -41,7 +33,6 @@ from repro.analysis.congestion import (
     congestion_specs,
     recovery_divergence,
     render_congestion,
-    run_congestion_experiment,
 )
 from repro.analysis.efficiency import (
     EFFICIENCY,
@@ -50,7 +41,7 @@ from repro.analysis.efficiency import (
     run_efficiency_experiment,
     wasted_work_by_protocol,
 )
-from repro.analysis.reporting import format_dict_table, format_series, format_table, percent
+from repro.analysis.reporting import format_dict_table, format_table, percent
 
 __all__ = [
     "MessageCostBreakdown",
@@ -59,24 +50,15 @@ __all__ = [
     "iteration_overhead_estimate",
     "NETPIPE",
     "NetpipeResult",
-    "run_netpipe_experiment",
-    "analytic_netpipe_experiment",
     "TABLE1",
     "CLUSTER_SWEEP",
-    "table1_row",
-    "build_table1",
-    "render_table1",
     "FIGURE6",
     "by_config",
-    "measure_overhead",
-    "build_figure6",
     "render_figure6",
     "CONTAINMENT",
     "run_containment_experiment",
-    "render_containment",
     "CONGESTION",
     "congestion_specs",
-    "run_congestion_experiment",
     "render_congestion",
     "recovery_divergence",
     "EFFICIENCY",
@@ -86,6 +68,5 @@ __all__ = [
     "containment_holds",
     "format_table",
     "format_dict_table",
-    "format_series",
     "percent",
 ]

@@ -25,18 +25,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.runner import CampaignResult, run_campaign
-from repro.campaign.store import ResultsStore
+from repro.clustering.presets import FIGURE6_PAPER_OVERHEAD
 from repro.results.query import ResultSet
 from repro.results.tables import Column, Row, TableSchema, pivot_rows, register_table
-from repro.scenarios.build import to_network_spec
 from repro.scenarios.spec import (
     ClusteringSpec,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
 )
-from repro.simulator.network import NetworkModel
 from repro.workloads.nas import NAS_BENCHMARKS
 
 
@@ -84,29 +81,22 @@ FIGURE6 = register_table(
 )
 
 
-def overhead_specs(
-    benchmark: str,
+def figure6_specs(
+    benchmarks: Optional[Sequence[str]] = None,
     nprocs: int = 64,
     iterations: int = 2,
-    network: Optional[NetworkModel] = None,
-    clusters: Optional[Sequence[Sequence[int]]] = None,
     include_hybrid_event_logging: bool = False,
-    message_scale: float = 1.0,
 ) -> List[ScenarioSpec]:
-    """Declare the Figure 6 configurations for one benchmark as specs."""
-    name = benchmark.lower()
-    network_spec = to_network_spec(network)
-    params = {"message_scale": message_scale} if message_scale != 1.0 else {}
-    workload = WorkloadSpec(kind=name, nprocs=nprocs, iterations=iterations, params=params)
-    if clusters is not None:
-        clustering = ClusteringSpec(
-            method="explicit", clusters=tuple(tuple(c) for c in clusters)
-        )
-    else:
-        # The paper's Table I cluster count, partitioned from the kernel's
-        # analytic per-iteration communication matrix.
-        clustering = ClusteringSpec(method="preset")
+    """NAS failure-free execution time normalized to native MPICH2.
 
+    Every NAS kernel (default: all six) runs under ``native``,
+    ``message_logging`` (every payload logged) and ``hydee`` (the paper's
+    Table I cluster count, partitioned from the kernel's analytic
+    communication matrix), optionally also under the hybrid protocol with
+    event logging.  The paper uses 256 processes; the default is 64 so the
+    grid completes in seconds (at 256 the FT all-to-all dominates).
+    """
+    clustering = ClusteringSpec(method="preset")
     configs = {
         "native": ProtocolSpec(name="native"),
         "message_logging": ProtocolSpec(name="hydee-log-all"),
@@ -116,72 +106,17 @@ def overhead_specs(
         configs["hybrid_event_logging"] = ProtocolSpec(
             name="hybrid-event-logging", clustering=clustering
         )
+    names = NAS_BENCHMARKS if benchmarks is None else benchmarks
     return [
         ScenarioSpec(
             name=f"figure6:{name}:{config}",
-            workload=workload,
+            workload=WorkloadSpec(kind=name, nprocs=nprocs, iterations=iterations),
             protocol=protocol,
-            network=network_spec,
             tags={"experiment": "figure6", "benchmark": name, "config": config},
         )
+        for name in map(str.lower, names)
         for config, protocol in configs.items()
     ]
-
-
-def rows_from_campaign(outcome: CampaignResult) -> List[Row]:
-    """Derive the Figure 6 rows from a campaign outcome."""
-    return _rows_from_store(ResultSet.from_campaign(outcome))
-
-
-def measure_overhead(
-    benchmark: str,
-    nprocs: int = 64,
-    iterations: int = 2,
-    network: Optional[NetworkModel] = None,
-    clusters: Optional[Sequence[Sequence[int]]] = None,
-    include_hybrid_event_logging: bool = False,
-    message_scale: float = 1.0,
-    workers: int = 1,
-    store: Optional[ResultsStore] = None,
-) -> List[Row]:
-    """Measure the Figure 6 configurations for one benchmark (one row each)."""
-    specs = overhead_specs(
-        benchmark,
-        nprocs=nprocs,
-        iterations=iterations,
-        network=network,
-        clusters=clusters,
-        include_hybrid_event_logging=include_hybrid_event_logging,
-        message_scale=message_scale,
-    )
-    outcome = run_campaign(specs, workers=workers, store=store)
-    return rows_from_campaign(outcome)
-
-
-def build_figure6(
-    benchmarks: Optional[Sequence[str]] = None,
-    nprocs: int = 64,
-    iterations: int = 2,
-    network: Optional[NetworkModel] = None,
-    include_hybrid_event_logging: bool = False,
-    workers: int = 1,
-    store: Optional[ResultsStore] = None,
-) -> List[Row]:
-    """Measure every Figure 6 bar (one campaign over the whole grid)."""
-    benchmarks = list(benchmarks) if benchmarks is not None else list(NAS_BENCHMARKS)
-    specs: List[ScenarioSpec] = []
-    for name in benchmarks:
-        specs.extend(
-            overhead_specs(
-                name,
-                nprocs=nprocs,
-                iterations=iterations,
-                network=network,
-                include_hybrid_event_logging=include_hybrid_event_logging,
-            )
-        )
-    outcome = run_campaign(specs, workers=workers, store=store)
-    return rows_from_campaign(outcome)
 
 
 def by_config(rows: Sequence[Row], benchmark: Optional[str] = None) -> Dict[str, Row]:
@@ -194,7 +129,7 @@ def by_config(rows: Sequence[Row], benchmark: Optional[str] = None) -> Dict[str,
 
 
 def render_figure6(rows: Sequence[Row]) -> str:
-    """Per-benchmark view: one line per benchmark, one column per config."""
+    """One line per benchmark, one column per config, then the paper's bars."""
     from repro.analysis.reporting import format_dict_table
 
     configs: List[str] = []
@@ -219,4 +154,14 @@ def render_figure6(rows: Sequence[Row]) -> str:
         )
         display.append(out)
     columns = ["bench", "nprocs"] + [f"{c} (norm.)" for c in configs] + ["hydee logged %"]
-    return format_dict_table(display, columns=columns, title=FIGURE6.title)
+    lines = [
+        format_dict_table(display, columns=columns, title=FIGURE6.title),
+        "",
+        "Paper reference points (normalized time read off Figure 6):",
+    ]
+    for name, values in FIGURE6_PAPER_OVERHEAD.items():
+        lines.append(
+            f"  {name.upper():3s}: message logging ~{values['message_logging']:.3f}, "
+            f"HydEE ~{values['hydee']:.3f}"
+        )
+    return "\n".join(lines)

@@ -20,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.results.query import ResultSet
+from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, WorkloadSpec
 from repro.simulator.network import (
     MyrinetMXModel,
     NetworkModel,
@@ -173,6 +176,59 @@ def piggyback_policy_rows(
         )
         rows.append(row)
     return rows
+
+
+def _rows_from_store(resultset: ResultSet) -> List[Row]:
+    return [
+        PIGGYBACK.from_mapping(row)
+        for run in resultset.where(analysis="piggyback-policy")
+        for row in run.data["rows"]
+    ]
+
+
+def _percent(name: str) -> Column:
+    return Column(name, "float", units="%", display=lambda value: round(value, 3))
+
+
+#: One size point of ablation E5: overhead per policy, in % of native.
+PIGGYBACK = register_table(
+    TableSchema(
+        "piggyback-policy",
+        columns=(
+            Column("bytes", "float", units="B"),
+            *(_percent(f"{policy.value}_pct") for policy in PiggybackPolicy),
+            _percent("logging_extra_pct"),
+        ),
+        title="Piggyback policy ablation -- one-way overhead vs native (percent)",
+    ),
+    builder=_rows_from_store,
+)
+
+
+def piggyback_spec(
+    sizes: Optional[Sequence[int]] = None,
+    piggyback_bytes: int = 12,
+) -> ScenarioSpec:
+    """Piggyback policy and logging cost decomposition.
+
+    The prototype inlines the piggybacked (date, phase) below 1 KiB and
+    ships it as a separate message above.  One analytic ``piggyback-policy``
+    scenario (default sweep: 1 B .. 1 MiB) prices each policy in isolation,
+    with and without sender-based logging: the two Figure 5 peaks are the
+    inline policy crossing a latency plateau, and the logging memcpy is
+    invisible because it overlaps the transfer.
+    """
+    sizes = list(netpipe_sizes(1 << 20)) if sizes is None else list(sizes)
+    return ScenarioSpec(
+        name="ablation:piggyback",
+        workload=WorkloadSpec(
+            kind="netpipe", nprocs=2, iterations=1, params={"sizes": sizes}
+        ),
+        protocol=ProtocolSpec(
+            name="hydee", options={"piggyback_bytes": piggyback_bytes}
+        ),
+        tags={"experiment": "ablation-piggyback", "analysis": "piggyback-policy"},
+    )
 
 
 def piggyback_policy_job(spec):

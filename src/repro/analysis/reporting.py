@@ -1,9 +1,8 @@
-"""Plain-text rendering of experiment tables and series.
+"""Plain-text rendering of experiment tables.
 
 The experiment harnesses return plain data structures (lists of dicts); this
-module turns them into the ASCII tables printed by the ``repro.experiments``
-entry points and the benchmark suites, mirroring the paper's tables/figures
-as text.
+module turns them into the ASCII tables printed by ``repro-experiment`` and
+``repro-campaign query``, mirroring the paper's tables/figures as text.
 """
 
 from __future__ import annotations
@@ -53,20 +52,6 @@ def format_dict_table(
     headers = list(headers) if headers is not None else list(columns)
     data = [[row.get(col, "") for col in columns] for row in rows]
     return format_table(headers, data, title=title)
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[Any],
-    series: Mapping[str, Sequence[Any]],
-    title: Optional[str] = None,
-) -> str:
-    """Render aligned columns for figure-style data (one column per series)."""
-    headers = [x_label] + list(series.keys())
-    rows = []
-    for idx, x in enumerate(x_values):
-        rows.append([x] + [series[name][idx] for name in series])
-    return format_table(headers, rows, title=title)
 
 
 def percent(value: float, reference: float) -> float:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.runner import run_campaign
-from repro.campaign.store import ResultsStore
 from repro.clustering.comm_graph import CommunicationGraph
 from repro.clustering.metrics import ClusteringMetrics
 from repro.clustering.partitioner import ClusteringResult, partition, sweep_cluster_counts
@@ -96,34 +94,46 @@ CLUSTER_SWEEP = register_table(
 
 
 # ------------------------------------------------------------ scenario layer
-def table1_spec(
-    benchmark: str,
+def table1_specs(
+    benchmarks: Optional[Sequence[str]] = None,
     nprocs: int = 256,
-    num_clusters: Optional[int] = None,
     balance_tolerance: float = 1.1,
-) -> ScenarioSpec:
-    """Declare one Table I row as an analytic campaign scenario."""
-    name = benchmark.lower()
+) -> List[ScenarioSpec]:
+    """Application clustering on 256 processes.
+
+    One analytic ``table1-row`` scenario per NAS kernel (default: all six):
+    the communication graph of a full run is partitioned into the number of
+    clusters the paper's tool selected, and the row reports the average
+    fraction of processes one failure rolls back and the logged share of
+    the traffic next to the paper's values.
+    """
     clustering = ClusteringSpec(
-        method="preset" if num_clusters is None else "partition",
-        num_clusters=num_clusters,
-        balance_tolerance=balance_tolerance,
-        matrix="full",
+        method="preset", balance_tolerance=balance_tolerance, matrix="full"
     )
-    return ScenarioSpec(
-        name=f"table1:{name}:np{nprocs}",
-        workload=WorkloadSpec(kind=name, nprocs=nprocs, iterations=1),
-        protocol=ProtocolSpec(name="hydee", clustering=clustering),
-        tags={"experiment": "table1", "analysis": "table1-row", "benchmark": name},
-    )
+    names = NAS_BENCHMARKS if benchmarks is None else benchmarks
+    return [
+        ScenarioSpec(
+            name=f"table1:{name}:np{nprocs}",
+            workload=WorkloadSpec(kind=name, nprocs=nprocs, iterations=1),
+            protocol=ProtocolSpec(name="hydee", clustering=clustering),
+            tags={"experiment": "table1", "analysis": "table1-row", "benchmark": name},
+        )
+        for name in map(str.lower, names)
+    ]
 
 
 def cluster_sweep_spec(
-    benchmark: str,
+    benchmark: str = "bt",
     nprocs: int = 256,
     counts: Sequence[int] = (2, 4, 8, 16, 32),
 ) -> ScenarioSpec:
-    """Declare a cluster-count frontier sweep (ablation E6) scenario."""
+    """Cluster-count sweep: the rollback vs logged-volume frontier.
+
+    The trade-off the clustering tool optimises (Section V-B, [28]): more
+    clusters mean a smaller rollback after a failure but more inter-cluster
+    traffic to log.  One analytic ``cluster-sweep`` scenario partitions a
+    NAS kernel's full-run communication graph at every requested count.
+    """
     name = benchmark.lower()
     return ScenarioSpec(
         name=f"cluster-sweep:{name}:np{nprocs}",
@@ -208,48 +218,3 @@ def cluster_sweep_job(spec: ScenarioSpec) -> Tuple[Dict[str, Any], List[Row]]:
         )
     payload = make_payload("completed", None, {"rows": [r.to_dict() for r in rows]})
     return jsonify(payload), rows
-
-
-# ----------------------------------------------------------------- harnesses
-def rows_from_campaign(outcome) -> List[Row]:
-    """Rebuild the Table I rows from a campaign outcome (cached or fresh)."""
-    return _rows_from_store(ResultSet.from_campaign(outcome))
-
-
-def table1_row(
-    benchmark: str,
-    nprocs: int = 256,
-    num_clusters: Optional[int] = None,
-    balance_tolerance: float = 1.1,
-    store: Optional[ResultsStore] = None,
-) -> Row:
-    """Compute one Table I row."""
-    spec = table1_spec(
-        benchmark,
-        nprocs=nprocs,
-        num_clusters=num_clusters,
-        balance_tolerance=balance_tolerance,
-    )
-    outcome = run_campaign([spec], store=store)
-    return rows_from_campaign(outcome)[0]
-
-
-def build_table1(
-    benchmarks: Optional[Sequence[str]] = None,
-    nprocs: int = 256,
-    balance_tolerance: float = 1.1,
-    workers: int = 1,
-    store: Optional[ResultsStore] = None,
-) -> List[Row]:
-    """Compute every row of Table I (one campaign over the benchmarks)."""
-    benchmarks = list(benchmarks) if benchmarks is not None else list(NAS_BENCHMARKS)
-    specs = [
-        table1_spec(name, nprocs=nprocs, balance_tolerance=balance_tolerance)
-        for name in benchmarks
-    ]
-    outcome = run_campaign(specs, workers=workers, store=store)
-    return rows_from_campaign(outcome)
-
-
-def render_table1(rows: Sequence[Row]) -> str:
-    return TABLE1.render_text(rows)

@@ -1,44 +1,24 @@
-"""Runnable experiment entry points, one per paper table/figure plus ablations.
+"""The paper's evaluation as one registry of runnable experiments.
 
-Each module exposes a ``run(...)`` function returning plain data and a
-``main()`` that prints the corresponding table; run them as::
+Every reproduced artefact -- Table I, Figures 5 and 6, the containment
+argument of Sections III-IV, the ablations and the extensions -- is one
+:class:`Experiment` entry in :data:`EXPERIMENTS`
+(:mod:`repro.experiments.registry`), run by name::
 
-    python -m repro.experiments.table1
-    python -m repro.experiments.figure5
-    python -m repro.experiments.figure6 --nprocs 64 --iterations 2
-    python -m repro.experiments.recovery_containment
-    python -m repro.experiments.ablation_piggyback
-    python -m repro.experiments.ablation_clusters
+    repro-experiment list                       # or: python -m repro.experiments list
+    repro-experiment table1 --workers 6
+    repro-experiment figure6 --nprocs 256 --store results.json
+    repro-experiment hybrid --report .          # timed, writes BENCH_hybrid.json
 
-Full-scale (256-rank) runs are selected with ``--full`` where relevant; the
-defaults are sized to finish in seconds on a laptop.
+    from repro.experiments import run
+    rows = run("table1", nprocs=64, benchmarks=["bt", "cg"])
 
-Every module declares its runs as :class:`repro.scenarios.ScenarioSpec`
-objects and executes them through the campaign runner
-(:mod:`repro.campaign`), so ``--workers N`` parallelises any experiment and
-``--store PATH`` caches completed records.  The ``repro-experiment``
-console script (:mod:`repro.experiments.cli`) dispatches to any of them by
-name.
+Entries declare their runs as :class:`repro.scenarios.ScenarioSpec` objects
+and execute them through the campaign runner (:mod:`repro.campaign`), so
+``--workers N`` parallelises and ``--store PATH`` caches any of them.
 """
 
-from repro.experiments import (  # noqa: F401  (re-exported for convenience)
-    ablation_clusters,
-    ablation_piggyback,
-    congestion_recovery,
-    efficiency_mtbf,
-    figure5,
-    figure6,
-    recovery_containment,
-    table1,
-)
+from repro.experiments.registry import EXPERIMENTS, Experiment, campaign, run
+from repro.experiments.runner import main
 
-__all__ = [
-    "table1",
-    "figure5",
-    "figure6",
-    "recovery_containment",
-    "congestion_recovery",
-    "efficiency_mtbf",
-    "ablation_piggyback",
-    "ablation_clusters",
-]
+__all__ = ["EXPERIMENTS", "Experiment", "campaign", "main", "run"]

@@ -1,0 +1,246 @@
+"""The wall-clock timer of ``--report`` and the three entries that time phases.
+
+Most registry entries are timed from outside (``repro-experiment <name>
+--report DIR`` times their ``run``).  The three here compare phases of
+their own work -- exact vs hybrid replicas, interleavings per second -- so
+they time those phases themselves and return a report ``dict`` instead of
+table rows.  They run serially and never cache: a worker pool or a results
+store would change what the rates mean.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import time
+from typing import Any, Callable, Dict, Tuple
+
+from repro.faults.montecarlo import run_montecarlo
+from repro.faults.spec import FaultModelSpec
+from repro.scenarios.build import build
+from repro.scenarios.spec import (
+    ClusteringSpec,
+    NetworkSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
+from repro.schedexplore.explorer import explore
+from repro.schedexplore.pinned import PINNED_SCENARIOS
+from repro.workloads.nas import NAS_BENCHMARKS
+
+
+def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
+    """Run ``fn`` and return ``(result, elapsed wall-clock seconds)``."""
+    clock = time.perf_counter  # repro-lint: disable=RL02 -- a benchmark report measures real wall time
+    started = clock()
+    result = fn(*args, **kwargs)
+    return result, clock() - started
+
+
+def _hydee_blocks(checkpoint_interval: int) -> ProtocolSpec:
+    return ProtocolSpec(
+        name="hydee",
+        clustering=ClusteringSpec(method="block", num_clusters=4),
+        options={
+            "checkpoint_interval": checkpoint_interval,
+            "checkpoint_size_bytes": 65536,
+        },
+    )
+
+
+def hybrid_speedup(
+    nprocs: int = 16,
+    iterations: int = 1400,
+    replicas: int = 20,
+    checkpoint_interval: int = 8,
+    mtbf_makespan_factor: float = 1.5,
+) -> Dict[str, Any]:
+    """Hybrid execution (analytic fast-forward) vs full discrete-event replicas.
+
+    One Monte Carlo campaign of a long stencil run under HydEE with sparse
+    exponential faults -- the regime the hybrid mode targets: failures are
+    rare, so almost all simulated time is failure-free steady state -- run
+    once with every replica forced to exact execution and once hybrid.  The
+    per-rank MTBF is ``mtbf_makespan_factor * nprocs * makespan``: at 1.5 a
+    replica sees ~0.7 failures on average, so guard-window DES and recovery
+    do occur across the campaign.  Reports replica throughput per mode and
+    the relative error of the hybrid mean makespan.
+    """
+    base = ScenarioSpec(
+        name="bench-hybrid",
+        workload=WorkloadSpec(kind="stencil2d", nprocs=nprocs, iterations=iterations),
+        protocol=_hydee_blocks(checkpoint_interval),
+    )
+    makespan = build(base).run().stats.makespan
+    spec = dataclasses.replace(
+        base,
+        fault_model=FaultModelSpec(
+            distribution="exponential",
+            seed=7,
+            params={"mtbf_s": makespan * nprocs * mtbf_makespan_factor},
+            horizon_s=makespan,
+            max_failures=3,
+        ),
+    )
+    report: Dict[str, Any] = {
+        "nprocs": nprocs,
+        "iterations": iterations,
+        "replicas": replicas,
+        "checkpoint_interval": checkpoint_interval,
+    }
+    for mode in ("exact", "hybrid"):
+        result, elapsed = timed(run_montecarlo, spec, replicas=replicas, execution=mode)
+        runs = [r for r in result.runs if r.metrics is not None]
+        makespans = [r.metrics.get("sim.makespan") for r in runs]
+        report[mode] = {
+            "elapsed_s": round(elapsed, 3),
+            "replica_sims_per_s": round(result.replicas / elapsed, 2),
+            "completed_replicas": result.completed_replicas,
+            "fallback_replicas": sum(
+                1 for r in runs if r.metrics.get("sim.hybrid.fallback", 0)
+            ),
+            "makespan_mean_s": sum(makespans) / len(makespans) if makespans else None,
+            "failures_injected": sum(
+                int(r.metrics.get("sim.failures_injected", 0) or 0) for r in runs
+            ),
+        }
+    exact, hybrid = report["exact"], report["hybrid"]
+    report["speedup"] = round(
+        hybrid["replica_sims_per_s"] / exact["replica_sims_per_s"], 2
+    )
+    report["makespan_mean_rel_err"] = (
+        abs(hybrid["makespan_mean_s"] - exact["makespan_mean_s"]) / exact["makespan_mean_s"]
+    )
+    return report
+
+
+def ff_coverage(
+    nprocs: int = 16,
+    iterations: int = 120,
+    checkpoint_interval: int = 8,
+) -> Dict[str, Any]:
+    """Fast-forward coverage across the bulk-compatible workload catalogue.
+
+    Runs each of the ten deterministic workloads once exact and once hybrid
+    under the same HydEE configuration and reports whether the hybrid
+    executor fast-forwarded (no fallback to full DES), how many iterations
+    it skipped analytically and in batched checkpoint intervals, and the
+    relative makespan error.  The hybrid mode is only an optimisation of
+    the common case if the *whole* catalogue stays on the fast path.  The
+    NAS kernels run ``iterations // 2`` (heavier state updates; the sweep is
+    about coverage, not duration).  ``ring`` legitimately batches nothing:
+    its max-based causal phase clock has a period of 4 iterations, longer
+    than the verifiable stride for its cluster size, so it fast-forwards
+    per message.
+    """
+    cases = {kind: iterations for kind in ("stencil1d", "stencil2d", "ring", "pipeline")}
+    cases.update({kind: iterations // 2 for kind in sorted(NAS_BENCHMARKS)})
+    workloads = {}
+    for kind, count in cases.items():
+        sims, results, seconds = {}, {}, {}
+        for execution in ("exact", "hybrid"):
+            sims[execution] = build(
+                ScenarioSpec(
+                    name=f"ff-coverage-{kind}-{execution}",
+                    workload=WorkloadSpec(kind=kind, nprocs=nprocs, iterations=count),
+                    protocol=_hydee_blocks(checkpoint_interval),
+                    execution=execution,
+                )
+            )
+            results[execution], seconds[execution] = timed(sims[execution].run)
+        stats = sims["hybrid"].hybrid_stats
+        exact_makespan = results["exact"].stats.makespan
+        workloads[kind] = {
+            "fallback": bool(stats["fallback"]),
+            "fallback_reason": sims["hybrid"].stats.extra.get("hybrid_fallback_reason", ""),
+            "warmup_iterations": int(stats["warmup_iterations"]),
+            "ff_iterations": int(stats["ff_iterations"]),
+            "batched_iterations": int(stats["batched_iterations"]),
+            "makespan_rel_err": (
+                abs(results["hybrid"].stats.makespan - exact_makespan) / exact_makespan
+            ),
+            "exact_elapsed_s": round(seconds["exact"], 4),
+            "hybrid_elapsed_s": round(seconds["hybrid"], 4),
+            "speedup": round(seconds["exact"] / max(seconds["hybrid"], 1e-9), 2),
+        }
+    return {
+        "nprocs": nprocs,
+        "checkpoint_interval": checkpoint_interval,
+        "workloads_swept": len(workloads),
+        "workloads_fast_forwarding": sum(
+            1 for entry in workloads.values() if not entry["fallback"]
+        ),
+        "workloads": workloads,
+    }
+
+
+def schedule_explore(
+    seeds: int = 5,
+    contended_seeds: int = 8,
+    policy: str = "adversarial",
+) -> Dict[str, Any]:
+    """Schedule-space exploration: invariance, rate, spread under contention.
+
+    Two halves.  The pinned faulty scenarios (HydEE partial rollback,
+    coordinated global rollback, message-logging replay) run on the flat
+    network, where reordering equal-time events cannot move any event time,
+    so state, recovery trace and makespan must all be interleaving-
+    invariant; the rate is interleavings per second over that sweep.  Then
+    the HydEE scenario re-runs on an oversubscribed cluster-per-node
+    topology: link contention makes event times -- and with them which
+    checkpoint beats the failure -- legitimately schedule-dependent, so no
+    invariance is asserted there; the report captures the makespan spread
+    over seeded interleavings of one identical failure draw.
+    """
+    reports, elapsed = timed(
+        lambda: {
+            name: explore(spec, seeds=seeds, policy=policy)
+            for name, spec in sorted(PINNED_SCENARIOS.items())
+        }
+    )
+    interleavings = sum(report.interleavings for report in reports.values())
+    divergences = sum(len(report.witnesses) for report in reports.values())
+    contended_spec = dataclasses.replace(
+        PINNED_SCENARIOS["hydee-stencil2d-single-failure"],
+        name="hydee-stencil2d-contended",
+        network=NetworkSpec(
+            topology=TopologySpec(
+                preset="cluster-per-node",
+                params={"ranks_per_node": 4, "oversubscription": 4.0},
+            )
+        ),
+    )
+    # shrink=False: divergences are expected here, delta-debugging them
+    # would only burn time; the makespan distribution is the object.
+    contended, contended_elapsed = timed(
+        explore, contended_spec, seeds=contended_seeds, policy=policy, shrink=False
+    )
+    payload = contended.to_payload()
+    makespan = payload["makespan"]
+    return {
+        "policy": policy,
+        "seeds": seeds,
+        "scenarios": sorted(reports),
+        "interleavings": interleavings,
+        "interleavings_per_s": round(interleavings / elapsed, 2),
+        "divergences": divergences,
+        "invariant": divergences == 0,
+        "times_compared": all(report.times_compared for report in reports.values()),
+        "tie_dispatches_max": max(
+            report.to_payload()["tie_dispatches"]["max"] for report in reports.values()
+        ),
+        "recovery_time_over_schedules": {
+            "scenario": contended_spec.name,
+            "seeds": contended_seeds,
+            "elapsed_s": round(contended_elapsed, 3),
+            "times_compared": payload["times_compared"],
+            "makespan_baseline_s": makespan["baseline"],
+            "makespan_min_s": makespan["min"],
+            "makespan_max_s": makespan["max"],
+            "makespan_spread_s": makespan["spread"],
+            "makespan_all_s": makespan["all"],
+            # Alternative outcomes observed, not detector findings.
+            "schedule_dependent_runs": payload["divergences"],
+        },
+    }

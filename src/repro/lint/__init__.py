@@ -5,8 +5,8 @@ can only check after a violation ships (byte-identical stores, pinned
 recovery traces, stable spec hashes).  This package checks the contracts
 *statically*: seeded-RNG discipline (RL01), no wall-clock reads (RL02),
 no unsorted set iteration into ordered output (RL03), flock-guarded store
-writes (RL04), frozen round-trippable specs (RL05), collision-free metric
-namespaces (RL06), and a mypyc-compilable engine core (RL07).
+writes (RL04), frozen round-trippable specs (RL05) and collision-free metric
+namespaces (RL06).
 
 Run ``repro-lint src/repro`` (or ``python -m repro.lint src/repro``);
 see ``--list-rules`` for the contract table.

@@ -3,10 +3,7 @@
 Exit codes: 0 clean, 1 findings reported, 2 usage error.  ``--format
 json`` emits a machine-readable report (consumed by the campaign-service
 tooling); ``--list-rules`` prints the contract table straight from the
-rule registry.  ``--write-baseline FILE`` records the current findings as
-accepted debt; a later run with ``--baseline FILE`` reports and fails only
-on findings beyond that record, so a new rule can land project-wide
-without a big-bang cleanup.
+rule registry.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import sys
 from typing import List, Optional
 
 from repro.lint.analyzer import run_lint
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.registry import all_rules
 
 
@@ -44,18 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         help="comma-separated rule ids to run (default: all rules)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE; fail only on new ones",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings to FILE and exit 0",
     )
     return parser
 
@@ -93,56 +77,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = None
     if args.select is not None:
         select = [code.strip() for code in args.select.split(",") if code.strip()]
-    if args.baseline is not None and args.write_baseline is not None:
-        print(
-            "repro-lint: error: --baseline and --write-baseline are exclusive",
-            file=sys.stderr,
-        )
-        return 2
     try:
         findings, files_checked = run_lint(args.paths, select=select)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline is not None:
-        entries = write_baseline(findings, args.write_baseline)
-        print(
-            f"repro-lint: wrote baseline {args.write_baseline} "
-            f"({len(findings)} finding(s), {entries} entr(ies))"
-        )
-        return 0
-    matched = idle = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        findings, matched, idle = apply_baseline(findings, baseline)
     if args.format == "json":
         payload = {
             "files_checked": files_checked,
             "findings": [finding.to_dict() for finding in findings],
         }
-        if args.baseline is not None:
-            payload["baseline"] = {"matched": matched, "idle": idle}
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for finding in findings:
             print(finding.render())
-        suffix = ""
-        if args.baseline is not None:
-            suffix = f" ({matched} baselined, {idle} baseline entr(ies) idle)"
         if findings:
-            print(
-                f"repro-lint: {len(findings)} finding(s) in "
-                f"{files_checked} file(s){suffix}"
-            )
+            print(f"repro-lint: {len(findings)} finding(s) in {files_checked} file(s)")
         else:
-            print(f"repro-lint: clean ({files_checked} file(s) checked){suffix}")
+            print(f"repro-lint: clean ({files_checked} file(s) checked)")
     return 1 if findings else 0
 
 

@@ -37,11 +37,6 @@ METRIC_RECONSTRUCTION_MODULES: Tuple[str, ...] = (
     "repro/analysis/congestion.py",
 )
 
-#: Modules that must stay inside the statically-typed mypyc-compilable
-#: subset (RL07): the engine hot loop ships as an optional compiled
-#: extension built from this exact source.
-COMPILED_MODULES: Tuple[str, ...] = ("repro/simulator/_engine_core.py",)
-
 
 def module_is_guarded_write(module: str) -> bool:
     if module == FSLOCK_MODULE:

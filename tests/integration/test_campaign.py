@@ -136,10 +136,10 @@ class TestArtifactsAndJobs:
         assert run.metric("sim.ranks_rolled_back") == 4
 
     def test_analytic_jobs_run_through_campaign(self):
-        from repro.analysis.table1 import cluster_sweep_spec, table1_spec
+        from repro.analysis.table1 import cluster_sweep_spec, table1_specs
 
         outcome = run_campaign(
-            [table1_spec("cg", nprocs=64),
+            [*table1_specs(["cg"], nprocs=64),
              cluster_sweep_spec("bt", nprocs=64, counts=(2, 4))],
             workers=2,
         )

@@ -9,11 +9,11 @@ from repro.analysis.congestion import (
     congestion_specs,
     recovery_divergence,
     render_congestion,
-    rows_from_campaign,
-    run_congestion_experiment,
+    rows_from_resultset,
 )
 from repro.campaign import ResultsStore, run_campaign
-from repro.experiments import congestion_recovery
+from repro.experiments import run
+from repro.results.query import ResultSet
 from repro.scenarios import (
     ClusteringSpec,
     FailureSpec,
@@ -92,9 +92,7 @@ class TestFlatTopologyEquivalence:
 
 @pytest.fixture(scope="module")
 def congestion_rows():
-    return run_congestion_experiment(
-        nprocs=16, iterations=6, oversubscriptions=(1.0, 8.0)
-    )
+    return run("congestion-recovery", nprocs=16, iterations=6, oversubscription=(1.0, 8.0))
 
 
 class TestCongestedRecovery:
@@ -126,22 +124,14 @@ class TestCongestedRecovery:
         text = render_congestion(congestion_rows)
         assert "recovery_ms" in text
         assert "hydee" in text and "coordinated" in text
-
-    def test_cli_entry_point(self, capsys):
-        assert congestion_recovery.main(
-            ["--nprocs", "8", "--iterations", "4", "--ranks-per-node", "2",
-             "--fail-rank", "3", "--fail-at-iteration", "3",
-             "--oversubscription", "1", "4", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "recovery growth" in out
+        assert "recovery growth (hydee)" in text
 
 
 class TestContendedCampaignDeterminism:
     def test_serial_and_parallel_runs_byte_identical(self, tmp_path):
         specs = congestion_specs(
             nprocs=8, iterations=4, failed_rank=3, fail_at_iteration=3,
-            oversubscriptions=(4.0,), ranks_per_node=2,
+            oversubscription=(4.0,), ranks_per_node=2,
         )
         serial_store = ResultsStore(str(tmp_path / "serial.json"))
         parallel_store = ResultsStore(str(tmp_path / "parallel.json"))
@@ -159,23 +149,23 @@ class TestContendedCampaignDeterminism:
 
         specs = congestion_specs(
             nprocs=8, iterations=4, failed_rank=3, fail_at_iteration=3,
-            oversubscriptions=(2.0,), ranks_per_node=2,
+            oversubscription=(2.0,), ranks_per_node=2,
         )
         outcome = run_campaign(specs)
         doctored = copy.deepcopy(outcome)
         doctored.records[0]["result"]["status"] = "timeout"
         with pytest.raises(ConfigurationError):
-            rows_from_campaign(doctored)
+            rows_from_resultset(ResultSet.from_campaign(doctored))
 
     def test_congestion_records_cache_and_rebuild_rows(self, tmp_path):
         specs = congestion_specs(
             nprocs=8, iterations=4, failed_rank=3, fail_at_iteration=3,
-            oversubscriptions=(2.0,), ranks_per_node=2,
+            oversubscription=(2.0,), ranks_per_node=2,
         )
         store = ResultsStore(str(tmp_path / "store.json"))
         first = run_campaign(specs, store=store)
         assert first.executed == len(specs)
         second = run_campaign(specs, store=ResultsStore(str(tmp_path / "store.json")))
         assert second.cache_hits == len(specs)
-        rows = rows_from_campaign(second)
+        rows = rows_from_resultset(ResultSet.from_campaign(second))
         assert {row.protocol for row in rows} == {"hydee", "coordinated"}

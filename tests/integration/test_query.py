@@ -60,23 +60,23 @@ class TestPinnedSpecHashes:
         from repro.analysis.congestion import congestion_specs
         from repro.analysis.containment import containment_specs
         from repro.analysis.netpipe_analysis import netpipe_specs
-        from repro.analysis.overhead import overhead_specs
-        from repro.analysis.table1 import cluster_sweep_spec, table1_spec
-        from repro.experiments.ablation_piggyback import piggyback_spec
+        from repro.analysis.overhead import figure6_specs
+        from repro.analysis.perf_model import piggyback_spec
+        from repro.analysis.table1 import cluster_sweep_spec, table1_specs
         from repro.workloads.nas import NAS_BENCHMARKS
 
         with open(PINNED_HASHES, encoding="utf-8") as fh:
             pinned = json.load(fh)
 
         current = {}
+        for spec in table1_specs():
+            current[f"table1:{spec.tags['benchmark']}"] = spec.spec_hash()
         for name in sorted(NAS_BENCHMARKS):
-            current[f"table1:{name}"] = table1_spec(name).spec_hash()
             current[f"cluster-sweep:{name}"] = cluster_sweep_spec(name).spec_hash()
         for spec in netpipe_specs():
             current[spec.name] = spec.spec_hash()
-        for name in sorted(NAS_BENCHMARKS):
-            for spec in overhead_specs(name):
-                current[spec.name] = spec.spec_hash()
+        for spec in figure6_specs():
+            current[spec.name] = spec.spec_hash()
         for spec in containment_specs():
             current[spec.name] = spec.spec_hash()
         for spec in congestion_specs():
@@ -89,7 +89,7 @@ class TestPinnedSpecHashes:
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
     """A small mixed campaign run serially and with workers into stores."""
-    from repro.analysis.table1 import table1_spec
+    from repro.analysis.table1 import table1_specs
     from repro.scenarios import ScenarioSpec, WorkloadSpec, sweep
 
     base = ScenarioSpec(
@@ -102,7 +102,7 @@ def small_campaign(tmp_path_factory):
             "workload.kind": ["stencil2d", "ring"],
             "protocol.name": ["none", "hydee-log-all"],
         },
-    ) + [table1_spec("cg", nprocs=64)]
+    ) + table1_specs(["cg"], nprocs=64)
     tmp = tmp_path_factory.mktemp("query-stores")
     serial_store = ResultsStore(str(tmp / "serial.json"))
     parallel_store = ResultsStore(str(tmp / "parallel.json"))
@@ -166,9 +166,9 @@ class TestQueryDeterminism:
 def analysis_store(tmp_path_factory):
     """A store holding one Table I row and one congestion grid column."""
     from repro.analysis.congestion import congestion_specs
-    from repro.analysis.table1 import table1_spec
+    from repro.analysis.table1 import table1_specs
 
-    specs = [table1_spec("cg", nprocs=64)] + congestion_specs(oversubscriptions=(2.0,))
+    specs = table1_specs(["cg"], nprocs=64) + congestion_specs(oversubscription=(2.0,))
     path = tmp_path_factory.mktemp("query-cli") / "store.json"
     run_campaign(specs, workers=1, store=ResultsStore(str(path)))
     return str(path)

@@ -296,46 +296,10 @@ class TestScheduleMany:
         assert engine.pending_events == 7
 
 
-class TestCompiledCoreSelection:
-    """The engine facade (simulator.engine) and its build selector."""
-
-    def test_facade_exports_a_consistent_build(self):
-        from repro.simulator import engine
-
-        assert isinstance(engine.COMPILED_CORE, bool)
-        if engine.COMPILED_CORE:
-            assert engine.SimulationEngine.__module__.endswith(
-                "_engine_core_compiled"
-            )
-        else:
-            assert engine.SimulationEngine.__module__.endswith("_engine_core")
-
-    def test_repro_compiled_0_forces_the_pure_python_core(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, REPRO_COMPILED="0")
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.simulator import engine; "
-                "print(engine.COMPILED_CORE, engine.SimulationEngine.__module__)",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split()
-        assert out[0] == "False"
-        assert out[1].endswith("_engine_core")
-
-    def test_both_builds_run_the_same_event_order(self):
-        # The deterministic pin that must hold on either build: scheduling
-        # pattern with ties, cancellations and nested scheduling drains in
-        # one canonical order.
+class TestCanonicalEventOrder:
+    def test_ties_cancellations_and_nested_scheduling_drain_in_one_order(self):
+        # The deterministic pin: a scheduling pattern with ties,
+        # cancellations and nested scheduling drains in one canonical order.
         engine = SimulationEngine()
         order = []
 

@@ -379,53 +379,6 @@ class TestRL06MetricNamespace:
         assert findings[0].path == "stats.py"
 
 
-# --------------------------------------------------------------------- RL07
-class TestRL07CompiledSubset:
-    CORE = "repro/simulator/_engine_core.py"
-
-    def test_untyped_def_in_core_is_flagged(self):
-        findings = lint_one("def f(x):\n    return x\n", module=self.CORE,
-                            select=["RL07"])
-        assert "RL07" in rules_of(findings)
-        assert any("unannotated" in f.message for f in findings)
-
-    def test_kwargs_passthrough_is_flagged(self):
-        findings = lint_one(
-            "def f(**kwargs: object) -> None:\n    pass\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert rules_of(findings) == ["RL07"]
-        assert "**kwargs" in findings[0].message
-
-    def test_dynamic_attribute_tricks_are_flagged(self):
-        findings = lint_one(
-            "def f(o: object) -> object:\n    return getattr(o, 'x')\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert rules_of(findings) == ["RL07"]
-
-    def test_fully_typed_code_is_clean(self):
-        findings = lint_one(
-            "class Engine:\n"
-            "    def __init__(self) -> None:\n"
-            "        self.now = 0.0\n\n"
-            "    @property\n"
-            "    def time(self) -> float:\n"
-            "        return self.now\n\n"
-            "    def advance(self, delay: float) -> None:\n"
-            "        self.now += delay\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert findings == []
-
-    def test_rule_only_applies_to_the_compiled_module(self):
-        findings = lint_one("def f(x):\n    return x\n", select=["RL07"])
-        assert findings == []
-
-
 # --------------------------------------------------------------------- RL08
 class TestRL08EqualTimeTies:
     def test_per_element_fanout_at_constant_time_is_flagged(self):
@@ -671,100 +624,12 @@ class TestSuppressionHygiene:
         assert rules_of(findings) == ["RL00"]
 
 
-# ----------------------------------------------------------------- baseline
-class TestBaseline:
-    def _run_cli(self, argv):
-        from repro.lint.cli import main
-
-        return main(argv)
-
-    def test_apply_baseline_counts(self):
-        from repro.lint.baseline import apply_baseline
-
-        f1 = Finding(rule="RL01", path="a.py", line=3, col=0, message="m1")
-        f2 = Finding(rule="RL01", path="a.py", line=9, col=0, message="m1")
-        f3 = Finding(rule="RL02", path="b.py", line=1, col=0, message="m2")
-        baseline = {("a.py", "RL01", "m1"): 1, ("c.py", "RL03", "gone"): 2}
-        new, matched, idle = apply_baseline([f1, f2, f3], baseline)
-        assert matched == 1
-        assert idle == 2
-        assert [(f.path, f.line) for f in new] == [("a.py", 9), ("b.py", 1)]
-
-    def test_write_then_apply_round_trips(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n", encoding="utf-8")
-        baseline = tmp_path / "lint-baseline.json"
-        assert self._run_cli([str(bad), "--write-baseline", str(baseline)]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-        # Same tree against its own baseline: clean exit.
-        assert self._run_cli([str(bad), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n", encoding="utf-8")
-        baseline = tmp_path / "lint-baseline.json"
-        assert self._run_cli([str(bad), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        bad.write_text(
-            "import random\nx = random.random()\ny = random.random()\n",
-            encoding="utf-8",
-        )
-        assert self._run_cli([str(bad), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        # Only the *new* occurrence is reported.
-        assert "1 finding(s)" in out
-        assert "1 baselined" in out
-
-    def test_fixed_finding_reports_idle_entry(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n", encoding="utf-8")
-        baseline = tmp_path / "lint-baseline.json"
-        assert self._run_cli([str(bad), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        bad.write_text("x = 1\n", encoding="utf-8")
-        assert self._run_cli([str(bad), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baseline entr(ies) idle" in out
-
-    def test_baseline_and_write_baseline_are_exclusive(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("x = 1\n", encoding="utf-8")
-        baseline = tmp_path / "b.json"
-        rc = self._run_cli(
-            [str(bad), "--baseline", str(baseline), "--write-baseline", str(baseline)]
-        )
-        assert rc == 2
-
-    def test_missing_baseline_file_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("x = 1\n", encoding="utf-8")
-        rc = self._run_cli([str(bad), "--baseline", str(tmp_path / "absent.json")])
-        assert rc == 2
-
-    def test_json_format_reports_baseline_stats(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n", encoding="utf-8")
-        baseline = tmp_path / "b.json"
-        assert self._run_cli([str(bad), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert (
-            self._run_cli([str(bad), "--baseline", str(baseline), "--format", "json"])
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["baseline"] == {"matched": 1, "idle": 0}
-        assert payload["findings"] == []
-
-
 # ----------------------------------------------------------------- framework
 class TestFramework:
-    def test_all_nine_rules_are_registered(self):
+    def test_all_rules_are_registered(self):
         ids = [rule.id for rule in all_rules()]
         assert ids == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL07",
-            "RL08", "RL09",
+            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
         ]
         for rule in all_rules():
             assert rule.invariant and rule.rationale
@@ -817,8 +682,7 @@ class TestShippedTree:
         assert listed.returncode == 0
         table = json.loads(listed.stdout)
         assert [row["id"] for row in table] == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL07",
-            "RL08", "RL09",
+            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
         ]
 
     def test_cli_json_findings_are_machine_readable(self, tmp_path):

@@ -10,13 +10,13 @@ import math
 
 import pytest
 
-from repro.analysis.netpipe_analysis import run_netpipe_experiment
 from repro.analysis.perf_model import (
     analytic_pingpong_series,
     iteration_overhead_estimate,
     message_cost,
     piggyback_policy_rows,
 )
+from repro.experiments import run
 from repro.simulator.network import (
     MyrinetMXModel,
     PiggybackPolicy,
@@ -31,14 +31,14 @@ class TestAnalyticPingpongVsSimulation:
 
     @pytest.fixture(scope="class")
     def simulated(self):
-        return run_netpipe_experiment(sizes=SIZES, repeats=1)
+        return run("figure5", sizes=SIZES, repeats=1)
 
     @pytest.fixture(scope="class")
     def analytic(self):
         return analytic_pingpong_series(sizes=SIZES)
 
     def test_logging_latency_series_matches(self, simulated, analytic):
-        sim_series = simulated.latency_reduction_pct("hydee_logging")
+        sim_series = [row.lat_log_pct for row in simulated]
         ana_series = analytic["latency_reduction_logging_pct"]
         assert len(sim_series) == len(ana_series) == len(SIZES)
         for size, sim_pct, ana_pct in zip(SIZES, sim_series, ana_series):
@@ -47,7 +47,7 @@ class TestAnalyticPingpongVsSimulation:
             )
 
     def test_no_logging_latency_series_matches(self, simulated, analytic):
-        sim_series = simulated.latency_reduction_pct("hydee_no_logging")
+        sim_series = [row.lat_no_log_pct for row in simulated]
         ana_series = analytic["latency_reduction_no_logging_pct"]
         for size, sim_pct, ana_pct in zip(SIZES, sim_series, ana_series):
             assert sim_pct == pytest.approx(ana_pct, abs=2.0), (
@@ -55,7 +55,7 @@ class TestAnalyticPingpongVsSimulation:
             )
 
     def test_both_report_vanishing_large_message_overhead(self, simulated, analytic):
-        assert simulated.latency_reduction_pct("hydee_logging")[-1] > -2.0
+        assert simulated[-1].lat_log_pct > -2.0
         assert analytic["latency_reduction_logging_pct"][-1] > -2.0
 
 

@@ -18,7 +18,7 @@ from repro.analysis.perf_model import (
     iteration_overhead_estimate,
     message_cost,
 )
-from repro.analysis.reporting import format_dict_table, format_series, format_table, percent
+from repro.analysis.reporting import format_dict_table, format_table, percent
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ftprotocols.base import normalize_clusters
 from repro.simulator.failures import FailureEvent, FailureInjector
@@ -164,8 +164,6 @@ class TestReporting:
         text = format_dict_table(rows, columns=["z", "x"])
         assert "z" in text and "x" in text and "y" not in text.splitlines()[0]
 
-    def test_format_series_and_percent(self):
-        text = format_series("size", [1, 2], {"s": [10, 20]}, title="t")
-        assert text.startswith("t")
+    def test_percent(self):
         assert percent(110.0, 100.0) == pytest.approx(10.0)
         assert percent(5.0, 0.0) == 0.0
