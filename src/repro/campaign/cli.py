@@ -65,14 +65,6 @@ def _demo_specs() -> List[ScenarioSpec]:
     )
 
 
-def _open_store(path: str) -> ResultsStore:
-    try:
-        return ResultsStore(path)
-    except ValueError as exc:
-        # Not a results store, or a format version this build does not read.
-        raise ReproError(str(exc)) from exc
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _main(argv)
@@ -148,7 +140,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{spec.spec_hash()}  {spec.name:40s} {spec.describe()}")
         return 0
 
-    store = _open_store(args.store) if args.store else None
+    store = ResultsStore(args.store) if args.store else None
     outcome = run_campaign(
         specs, workers=args.workers, store=store, force=args.force
     )
@@ -196,7 +188,7 @@ def _query(args: argparse.Namespace) -> int:
     for path in args.stores:
         if not os.path.exists(path):
             raise ReproError(f"results store {path!r} does not exist")
-    stores = [_open_store(path) for path in args.stores]
+    stores = [ResultsStore(path) for path in args.stores]
 
     from repro.results.query import ResultSet
 

@@ -6,6 +6,17 @@ scenario's job.  Records are pure JSON (see
 so two campaigns that computed the same records produce byte-identical
 files regardless of execution order or worker count.
 
+The file is a :class:`repro.fslock.KeyedFile` (layout, locking and merge
+are documented there): one JSON document, one record per line in spec-hash
+order, closed by a trailer that carries a SHA-256 digest of the record lines
+and the format version.  A campaign that adds 32 records to a 10 000-record
+store therefore encodes 32 records and moves the other 10 000 as text, and a
+record is parsed only when :meth:`ResultsStore.get` or
+:meth:`ResultsStore.records` asks for it.  Being plain JSON, the file is read
+unchanged by builds that predate the line layout, and the indented files
+those builds wrote are read here by a full parse and rewritten in the line
+layout by the next :meth:`ResultsStore.save`.
+
 The on-disk format is versioned.  Version 2 (the only one read) stores every
 record with a ``{"status", "metrics", "data"}`` result section (see
 :mod:`repro.results`).  Any other version -- including the version-1 files
@@ -25,49 +36,33 @@ spec anyway).
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, Iterator, Optional
 
-from repro.fslock import atomic_write_json, exclusive_lock
+from repro.fslock import KeyedFile, KeyedFormat
 
 STORE_VERSION = 2
 
+_FORMAT = KeyedFormat(
+    section="records",
+    version=STORE_VERSION,
+    kind="campaign results store",
+    version_label="results-store",
+    versionless=1,  # early builds wrote no ``version`` field
+)
+
 
 class ResultsStore:
-    """JSON-file-backed (or purely in-memory) record cache."""
+    """JSON-file-backed (or purely in-memory) record cache.
+
+    Only :meth:`put` marks a record for writing.  A record returned by
+    :meth:`get` (a campaign cache hit, say) and then mutated by the caller
+    stays mutated in this object but is not written back by :meth:`save`;
+    ``put`` it again to store the change.
+    """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._records: Dict[str, Dict[str, Any]] = {}
-        #: version the file had on disk (None for fresh/in-memory stores).
-        self.loaded_version: Optional[int] = None
-        #: set by clear(): the next save() replaces the file outright instead
-        #: of merging the on-disk records back in (deliberate deletion).
-        self._replace_on_save = False
-        if path is not None and os.path.exists(path):
-            self._load()
-
-    # ------------------------------------------------------------------- i/o
-    def _read_records(self) -> Dict[str, Dict[str, Any]]:
-        """Read the records currently in the file."""
-        if self.path is None:  # defensive: callers check before reading
-            raise ValueError("in-memory store has no backing file to read")
-        with open(self.path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or "records" not in data:
-            raise ValueError(f"{self.path}: not a campaign results store")
-        version = data.get("version", 1)
-        if version != STORE_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported results-store version {version!r}; "
-                f"this build reads version {STORE_VERSION} only"
-            )
-        self.loaded_version = version
-        return dict(data["records"])
-
-    def _load(self) -> None:
-        self._records = self._read_records()
+        self._file = KeyedFile(path, _FORMAT)
 
     def save(self) -> None:
         """Write the store atomically (no-op for in-memory stores).
@@ -77,38 +72,28 @@ class ResultsStore:
         processes since our load are merged in instead of dropped (this
         store's own records win on spec-hash collisions).
         """
-        if self.path is None:
-            return
-        with exclusive_lock(self.path):
-            if not self._replace_on_save and os.path.exists(self.path):
-                merged = self._read_records()
-                merged.update(self._records)
-                self._records = merged
-            atomic_write_json(
-                self.path, {"version": STORE_VERSION, "records": self._records}
-            )
-            self._replace_on_save = False
+        self._file.save()
 
     # --------------------------------------------------------------- records
     def get(self, spec_hash: str) -> Optional[Dict[str, Any]]:
-        return self._records.get(spec_hash)
+        record: Optional[Dict[str, Any]] = self._file.get(spec_hash)
+        return record
 
     def put(self, spec_hash: str, record: Dict[str, Any]) -> None:
-        self._records[spec_hash] = record
+        self._file.put(spec_hash, record)
 
     def __contains__(self, spec_hash: str) -> bool:
-        return spec_hash in self._records
+        return spec_hash in self._file
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._file)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
+        return iter(self._file)
 
     def records(self) -> Dict[str, Dict[str, Any]]:
-        return dict(self._records)
+        return self._file.values()
 
     def clear(self) -> None:
         """Drop every record; the next save() replaces the file (no merge)."""
-        self._records.clear()
-        self._replace_on_save = True
+        self._file.clear()

@@ -61,3 +61,13 @@ class WorkloadError(ReproError):
 
 class ConfigurationError(ReproError):
     """Invalid configuration values passed to a public API entry point."""
+
+
+class StoreFormatError(ReproError, ValueError):
+    """An on-disk store or cache file cannot be read by this build.
+
+    Not JSON, not the kind of file the caller expected, an unsupported
+    format version, or stored text that no longer decodes.  Also a
+    :class:`ValueError`, which is what such files raised before the error
+    had a class of its own.
+    """

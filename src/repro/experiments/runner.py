@@ -27,7 +27,7 @@ import sys
 import typing
 from typing import Any, Callable, Optional, Sequence
 
-from repro.campaign.cli import _open_store
+from repro.campaign.store import ResultsStore
 from repro.errors import ReproError
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.timed import timed
@@ -94,7 +94,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     entry = EXPERIMENTS[name]
     report_dir = params.pop("report")
     if params.get("store") is not None:
-        params["store"] = _open_store(params["store"])
+        params["store"] = ResultsStore(params["store"])
     result, elapsed_s = timed(entry.run, **params)
     print(entry.render(result, params))
     if report_dir is None:

@@ -5,8 +5,9 @@ between worker processes; a bare ``open(path, "w")`` there can interleave
 with a concurrent reader or writer and corrupt the store (which then shows
 up as a baffling byte-identity diff).  All persistent writes in guarded
 modules must go through :mod:`repro.fslock` (``exclusive_lock`` +
-``atomic_write_json``), which holds an flock and publishes via
-``os.replace`` of a same-directory temp file.
+``atomic_write_text`` / ``atomic_write_json``, or a ``KeyedFile`` built on
+them), which holds an flock and publishes via ``os.replace`` of a
+same-directory temp file.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class LockedWriteRule(Rule):
                             node.lineno,
                             node.col_offset,
                             "bare open() with a write mode in a guarded module; "
-                            "use fslock.atomic_write_json / exclusive_lock",
+                            "use fslock.atomic_write_text / atomic_write_json "
+                            "under exclusive_lock",
                         )
                     )
             elif isinstance(fn, ast.Attribute):
@@ -77,8 +79,8 @@ class LockedWriteRule(Rule):
                             node.lineno,
                             node.col_offset,
                             f"`{resolved}` in a guarded module bypasses the "
-                            "fslock helper; publish via "
-                            "fslock.atomic_write_json instead",
+                            "fslock helper; publish via fslock.atomic_write_text "
+                            "/ atomic_write_json instead",
                         )
                     )
                 elif fn.attr in _PATH_WRITE_METHODS:
@@ -88,7 +90,8 @@ class LockedWriteRule(Rule):
                             node.lineno,
                             node.col_offset,
                             f".{fn.attr}() in a guarded module bypasses the "
-                            "fslock helper; use fslock.atomic_write_json",
+                            "fslock helper; use fslock.atomic_write_text / "
+                            "atomic_write_json",
                         )
                     )
         return findings

@@ -24,8 +24,9 @@ store as JSON).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -105,7 +106,9 @@ class MetricSet:
         when a path would be both a leaf and a namespace.
         """
         _validate_path(path)
-        if isinstance(value, Mapping):
+        # collections.abc.Mapping, not the typing alias: its isinstance goes
+        # through the C-level ABC cache instead of five Python frames.
+        if type(value) is dict or isinstance(value, Mapping):
             if not value:
                 raise ConfigurationError(
                     f"metric {path!r}: empty mappings cannot round-trip through the "
@@ -209,15 +212,57 @@ class MetricSet:
 
     @classmethod
     def from_tree(cls, tree: Mapping[str, Any]) -> "MetricSet":
-        """Inverse of :meth:`to_tree` (strict round-trip)."""
+        """Inverse of :meth:`to_tree` (strict round-trip).
+
+        A tree of plain dicts whose keys are non-empty, dot-free strings
+        cannot hold a duplicate path or a leaf/namespace conflict, so it is
+        flattened in one unchecked pass; any other tree goes through the
+        checked :meth:`set_tree`, which raises exactly as it always did.
+        """
         out = cls()
-        if tree:
+        if tree and (
+            type(tree) is not dict or _flatten(tree, "", out._values, out._namespaces) < 0
+        ):
+            out = cls()
             out.set_tree(tree)
         return out
 
     def set_tree(self, tree: Mapping[str, Any]) -> None:
         for key, value in tree.items():
             self.set(str(key), value)
+
+
+#: what a JSON-decoded leaf can be: known non-mappings without asking the ABC.
+_JSON_LEAF_TYPES = frozenset({bool, int, float, str, list, type(None)})
+
+
+def _flatten(
+    tree: Mapping[str, Any], prefix: str, values: Dict[str, Any], namespaces: Dict[str, int]
+) -> int:
+    """Fill ``values`` / ``namespaces`` from ``tree``; returns the number of
+    leaves, or -1 (outputs half-filled) when ``tree`` is not provably
+    well-formed and must take the checked path instead."""
+    leaves = 0
+    for key, value in tree.items():
+        if type(key) is not str or not key or "." in key:
+            return -1
+        path = prefix + key
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                return -1
+            namespaces[path] = 0  # takes its slot before its sub-namespaces do
+            count = _flatten(value, path + ".", values, namespaces)
+            if count < 0:
+                return -1
+            namespaces[path] = count
+            leaves += count
+        elif kind in _JSON_LEAF_TYPES or not isinstance(value, Mapping):
+            values[path] = value
+            leaves += 1
+        else:
+            return -1
+    return leaves
 
 
 def _ancestors(path: str) -> List[str]:

@@ -20,8 +20,9 @@ of raw record dicts).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.results.metrics import MetricSet
@@ -56,11 +57,13 @@ def make_payload(
 
 def is_v2_payload(result: Any) -> bool:
     """Does ``result`` look like a v2 ``result`` section?"""
-    return (
-        isinstance(result, Mapping)
-        and isinstance(result.get("metrics"), Mapping)
-        and isinstance(result.get("data"), Mapping)
-    )
+    # Exact dicts (every JSON-decoded record) skip the ABC machinery.
+    if type(result) is not dict and not isinstance(result, Mapping):
+        return False
+    for section in (result.get("metrics"), result.get("data")):
+        if type(section) is not dict and not isinstance(section, Mapping):
+            return False
+    return True
 
 
 @dataclass
@@ -135,7 +138,7 @@ class RunResult:
         """Dotted-path lookup into the spec dict (``protocol.options.x``)."""
         node: Any = self.spec
         for segment in path.split("."):
-            if not isinstance(node, Mapping) or segment not in node:
+            if (type(node) is not dict and not isinstance(node, Mapping)) or segment not in node:
                 return default
             node = node[segment]
         return node

@@ -34,15 +34,21 @@ variable -- in worker processes started afterwards (fork or spawn).
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
-from repro.fslock import atomic_write_json, exclusive_lock
+from repro.fslock import KeyedFile, KeyedFormat
 
 CACHE_VERSION = 1
 _ENV_VAR = "REPRO_CALIBRATION_CACHE"
+
+_FORMAT = KeyedFormat(
+    section="entries",
+    version=CACHE_VERSION,
+    kind="calibration cache",
+    version_label="calibration-cache",
+)
 
 #: process-local active cache (takes precedence over the environment).
 _active: Optional["CalibrationCache"] = None
@@ -53,59 +59,34 @@ class CalibrationCache:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        if path is not None and os.path.exists(path):
-            self._entries = self._read_entries()
-
-    # ------------------------------------------------------------------- i/o
-    def _read_entries(self) -> Dict[str, Dict[str, Any]]:
-        assert self.path is not None  # callers check before reading
-        with open(self.path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or "entries" not in data:
-            raise ValueError(f"{self.path}: not a calibration cache")
-        version = data.get("version")
-        if version != CACHE_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported calibration-cache version "
-                f"{version!r}; this build reads version {CACHE_VERSION}"
-            )
-        return dict(data["entries"])
+        self._file = KeyedFile(path, _FORMAT)
 
     def save(self) -> None:
         """Write the cache atomically, merging concurrent writers' entries.
 
-        Same discipline as :meth:`repro.campaign.store.ResultsStore.save`:
-        an exclusive lock on ``<path>.lock`` serialises the merge-and-replace
-        and entries written by other processes since our load are merged in
-        (this process's entries win on key collisions -- by construction
-        they describe the same calibration anyway).
+        The same :class:`repro.fslock.KeyedFile` discipline as the results
+        store: an exclusive lock on ``<path>.lock`` serialises the
+        merge-and-replace and entries written by other processes since our
+        load are merged in (this process's entries win on key collisions --
+        by construction they describe the same calibration anyway).
         """
-        if self.path is None:
-            return
-        with exclusive_lock(self.path):
-            if os.path.exists(self.path):
-                merged = self._read_entries()
-                merged.update(self._entries)
-                self._entries = merged
-            atomic_write_json(
-                self.path, {"version": CACHE_VERSION, "entries": self._entries}
-            )
+        self._file.save()
 
     # --------------------------------------------------------------- entries
     def get(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
         if key is None:
             return None
-        return self._entries.get(key)
+        entry: Optional[Dict[str, Any]] = self._file.get(key)
+        return entry
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        self._entries[key] = entry
+        self._file.put(key, entry)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self._file
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._file)
 
 
 # ------------------------------------------------------------------ activation

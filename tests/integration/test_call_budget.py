@@ -1,4 +1,4 @@
-"""Call-budget guards for the two failure-free per-message paths.
+"""Call-budget guards for the per-message paths and the results-store paths.
 
 Interpreter work per application message is what every exact replica and
 every hybrid guard window pays -- and, through the fast-forward interpreter
@@ -8,15 +8,27 @@ one small HydEE replica per path and bound the profiled calls (Python
 functions and C builtins alike) per application message.  The count is a
 property of the code path, not of the host: it repeats exactly from run to
 run, so the tests cannot flake on a noisy machine.
+
+The last two tests bound the layers no simulation touches the same way, per
+record of a 1 000-record store: adding 32 records (open, ``put``, merge
+under the lock, rewrite) and one CLI pivot query over all of them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import cProfile
 import dataclasses
+import io
+import json
 import pstats
 
+import pytest
+
+from repro.campaign import ResultsStore, cli, run_spec
 from repro.scenarios.build import build
+from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from tests.integration.test_event_stream_pins import scenario_spec
 
 #: measured 88.63 calls per message (CPython 3.11, pure-Python engine core;
@@ -30,20 +42,38 @@ CALL_BUDGET_PER_MESSAGE = 97.0
 #: ones, so the fast-forward interpreter dominates the count.
 FF_CALL_BUDGET_PER_MESSAGE = 72.8
 
+#: measured 2.45 calls per stored record (3 154 when the store was written
+#: by ``json.dump(indent=1)``, i.e. by the pure-Python encoder).  What is
+#: left is one key ``raw_decode`` per line and read, twice; the headroom is
+#: for the interpreter's own tempfile / lock plumbing, not for a decode or
+#: encode per record.
+STORE_CALL_BUDGET_PER_RECORD = 4.0
 
-def profiled_calls_per_message(spec, iterations):
-    simulation = build(spec)
+#: measured 84.8 calls per record scanned (587.5 with every metric leaf
+#: through the checked ``MetricSet.set`` and ``typing.Mapping`` tests) plus
+#: 30 % for argparse and dataclass internals that differ between CPythons.
+QUERY_CALL_BUDGET_PER_RECORD = 110.0
+
+
+def profiled(body):
+    """``(profiled calls, body())``."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = simulation.run()
+        outcome = body()
     finally:
         profiler.disable()
+    return pstats.Stats(profiler).total_calls, outcome
+
+
+def profiled_calls_per_message(spec, iterations):
+    simulation = build(spec)
+    calls, result = profiled(simulation.run)
     assert result.completed
     messages = result.metric("sim.app_messages")
     # 48 halo messages per iteration on the 4x4 grid
     assert messages == 16 * 3 * iterations
-    return pstats.Stats(profiler).total_calls / messages, simulation
+    return calls / messages, simulation
 
 
 def test_profiled_calls_per_message_stay_within_budget():
@@ -71,4 +101,75 @@ def test_fast_forward_calls_per_message_stay_within_budget():
     assert calls <= FF_CALL_BUDGET_PER_MESSAGE, (
         f"{calls:.2f} profiled calls per application message "
         f"(budget {FF_CALL_BUDGET_PER_MESSAGE}): the fast-forward interpreter has regrown"
+    )
+
+
+# ------------------------------------------------------------ results store
+STORED_RECORDS, NEW_RECORDS, PIVOT_COLUMNS = 1000, 32, 8
+
+
+def synthetic_record(template, index):
+    record = copy.deepcopy(template)
+    record["name"] = record["spec"]["name"] = f"synthetic-{index}"
+    record["spec"]["tags"] = {
+        "family": "synthetic",
+        "row": f"r{index // PIVOT_COLUMNS:04d}",
+        "col": f"c{index % PIVOT_COLUMNS}",
+    }
+    record["result"]["metrics"]["sim"]["makespan"] = 1.0 + index
+    record["spec_hash"] = f"{index:016x}"
+    return record
+
+
+@pytest.fixture(scope="module")
+def big_store(tmp_path_factory):
+    """A 1 000-record store of real (tiny) simulation records, and 32 more."""
+    template, _ = run_spec(
+        ScenarioSpec(name="seed", workload=WorkloadSpec(kind="ring", nprocs=4, iterations=2))
+    )
+    path = str(tmp_path_factory.mktemp("call_budget") / "store.json")
+    store = ResultsStore(path)
+    for index in range(STORED_RECORDS):
+        record = synthetic_record(template, index)
+        store.put(record["spec_hash"], record)
+    store.save()
+    fresh = [synthetic_record(template, STORED_RECORDS + i) for i in range(NEW_RECORDS)]
+    return path, fresh
+
+
+def test_store_append_calls_per_record_stay_within_budget(big_store):
+    path, fresh = big_store
+
+    def append():
+        store = ResultsStore(path)
+        for record in fresh:
+            store.put(record["spec_hash"], record)
+        store.save()
+        return len(store)
+
+    calls, stored = profiled(append)
+    assert stored == STORED_RECORDS + NEW_RECORDS
+    per_record = calls / stored
+    assert per_record <= STORE_CALL_BUDGET_PER_RECORD, (
+        f"{per_record:.2f} profiled calls per stored record "
+        f"(budget {STORE_CALL_BUDGET_PER_RECORD}): records the campaign did not "
+        "compute are being decoded or re-encoded again"
+    )
+
+
+def test_query_calls_per_record_stay_within_budget(big_store):
+    path, _ = big_store  # 1 032 records on disk once the append test has run
+    scanned = len(ResultsStore(path))
+    argv = ["query", path, "--where", "tags.family=synthetic",
+            "--pivot", "tags.row", "tags.col", "sim.makespan", "--format", "json"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        calls, exit_code = profiled(lambda: cli.main(argv))
+    assert exit_code == 0
+    rows = json.loads(stdout.getvalue())
+    assert sum(len(row) - 1 for row in rows) == scanned
+    per_record = calls / scanned
+    assert per_record <= QUERY_CALL_BUDGET_PER_RECORD, (
+        f"{per_record:.2f} profiled calls per record scanned "
+        f"(budget {QUERY_CALL_BUDGET_PER_RECORD}): the record -> RunResult path has regrown"
     )

@@ -108,6 +108,29 @@ class TestResultCaching:
         assert outcome.cache_hits == 3
         assert outcome.executed == len(specs) - 3
 
+    def test_mutated_cache_hit_is_not_written_back(self, tmp_path):
+        """Only put() marks a record for writing: a record handed out as a
+        cache hit and edited by the caller must not leak into the file when
+        the same store object saves later."""
+        specs = sweep_specs()
+        path = str(tmp_path / "store.json")
+        run_campaign(specs[:1], store=ResultsStore(path))
+        store = ResultsStore(path)
+        hit = run_campaign(specs[:1], store=store)
+        assert hit.cache_hits == 1
+        hit.records[0]["result"]["status"] = "edited by the caller"
+        run_campaign(specs[:2], store=store)  # executes one spec, then saves
+        on_disk = ResultsStore(path)
+        assert len(on_disk) == 2
+        assert on_disk.get(specs[0].spec_hash())["result"]["status"] == "completed"
+        # ... while a record mutated between put() and save() is written as mutated.
+        late = ResultsStore(path)
+        record = {"name": "late", "result": {"status": "before"}}
+        late.put("late", record)
+        record["result"]["status"] = "after"
+        late.save()
+        assert ResultsStore(path).get("late")["result"]["status"] == "after"
+
 
 class TestArtifactsAndJobs:
     def test_keep_artifacts_returns_live_results(self):

@@ -546,3 +546,29 @@ class TestCalibrationCache:
         merged = CalibrationCache(path)
         assert merged.get("key-a") == {"model": {}, "warmup": 3}
         assert merged.get("key-b") == {"model": {}, "warmup": 4}
+
+    def test_cache_file_shares_the_store_layout_and_its_checks(self, tmp_path):
+        """One keyed-file implementation: the cache file is the results
+        store's three-part layout under ``entries`` / version 1, older
+        indented cache files still load, foreign files are rejected."""
+        import json
+
+        from repro.simulator.calibration import CalibrationCache
+
+        path = tmp_path / "calibration.json"
+        cache = CalibrationCache(str(path))
+        cache.put("key-a", {"model": {}, "warmup": 3})
+        cache.save()
+        lines = path.read_text().split("\n")
+        assert lines[0] == '{"entries":{' and lines[1].startswith('"key-a":{')
+        document = json.loads(path.read_text())
+        assert document["version"] == 1 and len(document["digest"]) == 64
+        del document["digest"]
+        path.write_text(json.dumps(document, indent=1, sort_keys=True))
+        assert CalibrationCache(str(path)).get("key-a") == {"model": {}, "warmup": 3}
+        path.write_text(json.dumps({"entries": {}}))
+        with pytest.raises(ValueError, match="unsupported calibration-cache version None"):
+            CalibrationCache(str(path))
+        path.write_text(json.dumps({"records": {}, "version": 1}))
+        with pytest.raises(ValueError, match="not a calibration cache"):
+            CalibrationCache(str(path))

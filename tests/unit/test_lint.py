@@ -210,6 +210,30 @@ class TestRL04LockedWrites:
         )
         assert findings == []
 
+    def test_atomic_write_text_is_a_sanctioned_helper(self):
+        findings = lint_one(
+            "from repro import fslock\n"
+            "from repro.fslock import atomic_write_text, exclusive_lock\n\n"
+            "def publish(path, text):\n"
+            "    with exclusive_lock(path):\n"
+            "        atomic_write_text(path, text)\n"
+            "        fslock.atomic_write_text(path, text)\n",
+            module=self.GUARDED,
+            select=["RL04"],
+        )
+        assert findings == []
+
+    def test_path_write_text_is_flagged_and_names_the_helper(self):
+        findings = lint_one(
+            "from pathlib import Path\n\n"
+            "def publish(path, text):\n"
+            "    Path(path).write_text(text)\n",
+            module=self.GUARDED,
+            select=["RL04"],
+        )
+        assert rules_of(findings) == ["RL04"]
+        assert "atomic_write_text" in findings[0].message
+
     def test_unguarded_modules_may_write_directly(self):
         findings = lint_one(
             "def dump(path, text):\n"
