@@ -35,7 +35,6 @@ from repro.errors import (
     DeadlockError,
     InvariantViolation,
     ProtocolError,
-    RecoveryError,
     ReproError,
     SimulationError,
     WorkloadError,
@@ -73,7 +72,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "ProtocolError",
-    "RecoveryError",
     "InvariantViolation",
     "ClusteringError",
     "WorkloadError",

@@ -25,7 +25,6 @@ from repro.campaign.jobs import (
     ANALYSES,
     analysis_of,
     jsonify,
-    register_analysis,
     resolve_analysis,
     simulate,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ResultsStore",
     "analysis_of",
     "jsonify",
-    "register_analysis",
     "resolve_analysis",
     "run_campaign",
     "run_spec",

@@ -48,15 +48,6 @@ ANALYSES: Dict[str, str] = {
 }
 
 
-def register_analysis(name: str, reference: str) -> None:
-    """Register (or override) an analysis job by dotted reference."""
-    if ":" not in reference:
-        raise ConfigurationError(
-            f"analysis reference {reference!r} must look like 'module:function'"
-        )
-    ANALYSES[name] = reference
-
-
 def analysis_of(spec: ScenarioSpec) -> str:
     return str(spec.tags.get("analysis", "simulate"))
 

@@ -13,9 +13,7 @@ For a clustering of ``n`` processes into clusters of sizes ``s_1..s_k``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.clustering.comm_graph import CommunicationGraph
 from repro.errors import ClusteringError
@@ -36,20 +34,6 @@ class ClusteringMetrics:
         if self.total_bytes <= 0:
             return 0.0
         return self.logged_bytes / self.total_bytes
-
-    @property
-    def largest_cluster(self) -> int:
-        return max(self.cluster_sizes) if self.cluster_sizes else 0
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "num_clusters": self.num_clusters,
-            "rollback_pct": 100.0 * self.rollback_fraction,
-            "logged_pct": 100.0 * self.logged_fraction,
-            "logged_bytes": self.logged_bytes,
-            "total_bytes": self.total_bytes,
-            "cluster_sizes": list(self.cluster_sizes),
-        }
 
 
 def rollback_fraction(cluster_sizes: Sequence[int], nprocs: int) -> float:
@@ -78,11 +62,3 @@ def evaluate_clustering(
         logged_bytes=logged,
         total_bytes=graph.total_bytes,
     )
-
-
-def balance_ratio(cluster_sizes: Sequence[int]) -> float:
-    """max/mean cluster size; 1.0 means perfectly balanced."""
-    if not cluster_sizes:
-        return 1.0
-    mean = float(np.mean(cluster_sizes))
-    return float(max(cluster_sizes)) / mean if mean > 0 else 1.0

@@ -41,8 +41,6 @@ class HydEEConfig:
         after each coordinated checkpoint.
     checkpoint_size_bytes:
         Simulated size of one process image (excluding logs).
-    restart_delay_s:
-        Extra delay charged to a rank when it restarts from a checkpoint.
     """
 
     clusters: Optional[Sequence[Sequence[int]]] = None
@@ -52,7 +50,6 @@ class HydEEConfig:
     log_all_messages: bool = False
     garbage_collect_logs: bool = True
     checkpoint_size_bytes: int = 16 * 1024 * 1024
-    restart_delay_s: float = 1.0e-3
     #: size of each recovery control message on the wire (accounting only).
     control_message_bytes: int = 32
     #: raise if the application declares itself non-send-deterministic.
@@ -65,18 +62,3 @@ class HydEEConfig:
             raise ConfigurationError("checkpoint_interval must be >= 1 or None")
         if self.checkpoint_size_bytes < 0:
             raise ConfigurationError("checkpoint_size_bytes must be >= 0")
-
-    def with_clusters(self, clusters: Sequence[Sequence[int]]) -> "HydEEConfig":
-        """Return a copy of this configuration with a different clustering."""
-        return HydEEConfig(
-            clusters=[list(c) for c in clusters],
-            checkpoint_interval=self.checkpoint_interval,
-            piggyback_policy=self.piggyback_policy,
-            piggyback_bytes=self.piggyback_bytes,
-            log_all_messages=self.log_all_messages,
-            garbage_collect_logs=self.garbage_collect_logs,
-            checkpoint_size_bytes=self.checkpoint_size_bytes,
-            restart_delay_s=self.restart_delay_s,
-            control_message_bytes=self.control_message_bytes,
-            enforce_send_determinism=self.enforce_send_determinism,
-        )

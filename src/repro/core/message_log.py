@@ -31,9 +31,6 @@ class LogEntry:
     message: Message
     size_bytes: int
 
-    def as_tuple(self):
-        return (self.dest, self.date, self.phase, self.size_bytes)
-
 
 class SenderLog:
     """Per-process sender-based payload log."""

@@ -648,9 +648,6 @@ class HydEEProtocol(ClusteredProtocolBase):
     def phase_of(self, rank: int) -> int:
         return self.states[rank].clock.phase
 
-    def date_of(self, rank: int) -> int:
-        return self.states[rank].clock.date
-
     def extra_metrics(self) -> Dict[str, Any]:
         info = super().extra_metrics()
         add_metric(info, "log_all_messages", self.config.log_all_messages)

@@ -35,16 +35,8 @@ class InvalidOperationError(SimulationError):
     """
 
 
-class RankFailedError(SimulationError):
-    """An operation was attempted on a rank that has failed and not restarted."""
-
-
 class ProtocolError(ReproError):
     """A fault-tolerance protocol reached an inconsistent internal state."""
-
-
-class RecoveryError(ProtocolError):
-    """Recovery could not restore a consistent global state."""
 
 
 class InvariantViolation(ReproError):

@@ -105,11 +105,6 @@ class FailureTrace:
     def failure_times(self) -> List[float]:
         return [entry.time for entry in self.entries]
 
-    @property
-    def total_rank_failures(self) -> int:
-        """Rank-failures summed over entries (group failures count each rank)."""
-        return sum(len(entry.ranks) for entry in self.entries)
-
     # -------------------------------------------------------------- json i/o
     def to_dict(self) -> Dict[str, Any]:
         return {

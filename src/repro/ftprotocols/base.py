@@ -13,19 +13,30 @@ it is compared against) share a common skeleton:
 :class:`ClusteredProtocolBase` implements that skeleton on top of the
 simulator's protocol hooks and leaves protocol-specific behaviour (what is
 logged, what is piggybacked, how recovery is ordered) to subclasses through a
-small set of overridable methods.
+small set of overridable methods.  Global coordinated checkpointing is the
+special case of a single cluster containing every rank; uncoordinated local
+checkpointing (the full message-logging baseline) is one cluster per rank.
 
-Global coordinated checkpointing is the special case of a single cluster
-containing every rank; uncoordinated local checkpointing (used by the full
-message-logging baseline) is the special case of one cluster per rank.
+One coordinated checkpoint of one cluster is one :class:`_Wave`, opened by
+the first member to reach the boundary and deleted when the last member's
+record is durable -- or when the cluster rolls back, which kills the
+members standing in it.  No other structure tracks a checkpoint in progress,
+and a finished one leaves nothing behind but its records: the recovery line
+is whatever :class:`~repro.simulator.stable_storage.StableStorage` holds
+(``latest``, ``latest_common_iteration``).  Every record is made durable by
+:meth:`ClusteredProtocolBase._commit_checkpoint`; it has two callers, the
+exact-mode generator :meth:`~ClusteredProtocolBase._coordinated_checkpoint`
+(one rank, inside a wave) and :meth:`~ClusteredProtocolBase.
+fast_forward_cluster_checkpoint` (a whole cluster at once, for the hybrid
+fast-forward, which has no wave because its driver already holds every
+member at the boundary).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
-    Set, Tuple
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 )
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -97,6 +108,19 @@ def normalize_clusters(clusters: Optional[Sequence[Sequence[int]]], nprocs: int)
     return result
 
 
+class _Wave:
+    """One coordinated checkpoint of one cluster, from the first member's
+    arrival at the boundary until the last member's record is durable."""
+
+    __slots__ = ("condition", "arrived", "saved")
+
+    def __init__(self, condition: Condition) -> None:
+        #: fired once every member arrived and the intra-cluster channels drained.
+        self.condition = condition
+        self.arrived: Set[int] = set()
+        self.saved: Set[int] = set()
+
+
 class ClusteredProtocolBase(ProtocolHooks):
     """Cluster bookkeeping + coordinated checkpointing + cluster rollback."""
 
@@ -117,14 +141,9 @@ class ClusteredProtocolBase(ProtocolHooks):
         self._cluster_of: Dict[int, int] = {}
         self.pstats = ProtocolStatistics()
 
-        # Coordinated-checkpoint coordination state.  Keys include a per
-        # cluster "generation" (bumped at every rollback) so that a cluster
-        # re-executing an iteration after a rollback coordinates a fresh
-        # barrier instead of reusing the one from the first execution.
-        self._ckpt_arrivals: Dict[Tuple[int, int, int], Set[int]] = {}
-        self._ckpt_conditions: Dict[Tuple[int, int, int], Condition] = {}
-        self._ckpt_saved: Dict[Tuple[int, int, int], Set[int]] = {}
-        self._latest_checkpoint: Dict[int, CheckpointRecord] = {}
+        #: cluster id -> iteration -> the open wave (see :class:`_Wave`).
+        self._waves: List[Dict[int, _Wave]] = []
+        #: cluster id -> number of rollbacks so far.
         self._cluster_generation: Dict[int, int] = {}
 
     # ------------------------------------------------------------- lifecycle
@@ -138,6 +157,7 @@ class ClusteredProtocolBase(ProtocolHooks):
         # sets serve the completeness checks at checkpoint boundaries without
         # rebuilding a set per rank per boundary.
         self._member_sets = [frozenset(members) for members in self.clusters]
+        self._waves = [{} for _ in self.clusters]
         sim.control.set_handler(self._dispatch_control)
         for rank in range(sim.nprocs):
             self._init_rank_state(rank)
@@ -152,9 +172,6 @@ class ClusteredProtocolBase(ProtocolHooks):
 
     def members(self, cluster_id: int) -> List[int]:
         return self.clusters[cluster_id]
-
-    def same_cluster(self, a: int, b: int) -> bool:
-        return self._cluster_of[a] == self._cluster_of[b]
 
     def is_inter_cluster(self, source: int, dest: int) -> bool:
         return self._cluster_of[source] != self._cluster_of[dest]
@@ -173,22 +190,21 @@ class ClusteredProtocolBase(ProtocolHooks):
 
     def _coordinated_checkpoint(self, rank: int, iteration: int, state: Any):
         """Generator run inline by the rank driver at a checkpoint boundary."""
-        cluster_id = self.cluster_of(rank)
-        generation = self._cluster_generation.get(cluster_id, 0)
-        key = (cluster_id, generation, iteration)
+        cluster_id = self._cluster_of[rank]
         members = self._member_sets[cluster_id]
-        condition = self._ckpt_conditions.get(key)
-        if condition is None:
-            condition = Condition(name=f"ckpt-c{cluster_id}-g{generation}-it{iteration}")
-            self._ckpt_conditions[key] = condition
-            self._ckpt_arrivals[key] = set()
-        arrivals = self._ckpt_arrivals[key]
-        arrivals.add(rank)
-        if arrivals == members:
+        waves = self._waves[cluster_id]
+        wave = waves.get(iteration)
+        if wave is None:
+            generation = self._cluster_generation.get(cluster_id, 0)
+            wave = waves[iteration] = _Wave(
+                Condition(name=f"ckpt-c{cluster_id}-g{generation}-it{iteration}")
+            )
+        wave.arrived.add(rank)
+        if wave.arrived == members:
             # Last member reached the boundary: wait for intra-cluster
             # channels to drain, then release everyone.
-            self._drain_then_fire(cluster_id, condition)
-        yield WaitConditionOp(condition=condition)
+            self._drain_then_fire(cluster_id, wave.condition)
+        yield WaitConditionOp(condition=wave.condition)
 
         # The checkpoint *content* is the consistent cut at the drain point:
         # check and capture it now, before the write window, during which
@@ -197,7 +213,7 @@ class ClusteredProtocolBase(ProtocolHooks):
         self._check_intra_cluster_drained(rank)
         sends_at = proc.sends_initiated
         payload = self._checkpoint_payload(rank)
-        size_bytes = self._checkpoint_size(rank, state)
+        size_bytes = self.checkpoint_size_bytes + self._extra_checkpoint_bytes(rank)
         cost = self.sim.storage.write_cost(size_bytes)
         if cost > 0:
             yield ComputeOp(seconds=cost)
@@ -209,12 +225,12 @@ class ClusteredProtocolBase(ProtocolHooks):
         self._commit_checkpoint(
             rank, iteration, state, self.sim.engine.now, sends_at, payload, size_bytes
         )
-        saved = self._ckpt_saved.setdefault(key, set())
-        saved.add(rank)
-        if saved == members:
+        wave.saved.add(rank)
+        if wave.saved == members:
             # The coordinated checkpoint of the whole cluster is now durable:
             # it becomes the cluster's recovery line, which is the moment
             # log garbage collection and similar cleanups become safe.
+            del waves[iteration]
             self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
     def _check_intra_cluster_drained(self, rank: int) -> None:
@@ -243,82 +259,51 @@ class ClusteredProtocolBase(ProtocolHooks):
             protocol_state=payload,
             size_bytes=size_bytes,
         )
-        self._latest_checkpoint[rank] = record
         self.pstats.checkpoints += 1
         self.pstats.checkpoint_bytes += record.size_bytes
         self.sim.stats.rank(rank).checkpoints += 1
         self._after_checkpoint(rank, record)
         return record
 
-    def _fast_forward_commit(self, rank: int, iteration: int, state: Any, time: float) -> None:
-        """Check, capture and commit in one step: inside a fast-forwarded
-        epoch nothing happens between the drain point and the end of the
-        write.  Exact mode pays the write as a ComputeOp; charging it here
-        keeps the compute-time counter (and the wasted-work analyses built
-        on it) comparable."""
-        self._check_intra_cluster_drained(rank)
-        record = self._commit_checkpoint(
-            rank, iteration, state, time,
-            self.sim.ranks[rank].sends_initiated,
-            self._checkpoint_payload(rank),
-            self._checkpoint_size(rank, state),
-        )
-        cost = self.sim.storage.write_cost(record.size_bytes)
-        if cost > 0:
-            self.sim.stats.rank(rank).compute_time += cost
-
-    def fast_forward_checkpoint(self, rank: int, iteration: int, state: Any, time: float) -> None:
-        """Batch bookkeeping for a coordinated checkpoint inside a
-        fast-forwarded epoch (:mod:`repro.simulator.hybrid`).
-
-        The fast-forward driver reaches an iteration boundary with every
-        cluster member already synchronised, so the barrier, the channel
-        drain and the write-cost compute event of
-        :meth:`_coordinated_checkpoint` are unnecessary (the calibrated
-        per-checkpoint rate already accounts for their duration); everything
-        observable -- the stored record, the protocol counters, the
-        per-cluster recovery-line hooks -- is identical.  ``time`` is the
-        rank's projected clock at the boundary.
-        """
-        self._fast_forward_commit(rank, iteration, state, time)
-        cluster_id = self._cluster_of[rank]
-        generation = self._cluster_generation.get(cluster_id, 0)
-        key = (cluster_id, generation, iteration)
-        saved = self._ckpt_saved.setdefault(key, set())
-        saved.add(rank)
-        if saved == self._member_sets[cluster_id]:
-            self._on_cluster_checkpoint_complete(cluster_id, iteration)
-
     def fast_forward_cluster_checkpoint(
-        self, cluster_id: int, iteration: int, states: Dict[int, Any],
-        time_of: Callable[[int], float],
+        self, cluster_id: int, iteration: int, time_at: Callable[[int, int], float]
     ) -> None:
         """Coordinated checkpoint of one whole cluster inside a
-        fast-forwarded epoch.
+        fast-forwarded epoch (:mod:`repro.simulator.hybrid`).
 
-        The batched driver (:meth:`repro.simulator.hybrid.HybridDirector`'s
-        interval loop) reaches the boundary with every member synchronised in
-        the same call, so the per-member completion set that
-        :meth:`fast_forward_checkpoint` maintains is redundant: each member
-        saves in cluster order and the cluster-complete hook fires once at
-        the end.  ``time_of(rank)`` returns the member's projected clock at
-        the boundary.
+        The fast-forward driver calls this once every member stands at the
+        boundary, so the wave, the channel drain and the write-cost compute
+        event of :meth:`_coordinated_checkpoint` are unnecessary (the
+        calibrated per-checkpoint rate already accounts for their duration);
+        everything observable -- the stored records, the protocol counters,
+        the recovery-line hook -- is identical.  Nothing happens between the
+        drain point and the end of the write here, so each member is checked,
+        captured and committed in one step, in cluster order, at its
+        projected clock ``time_at(rank, iteration)``.  Exact mode pays the
+        write as a ComputeOp; charging it to the counter keeps compute time
+        (and the wasted-work analyses built on it) comparable.
         """
-        for rank in self.members(cluster_id):
-            self._fast_forward_commit(rank, iteration, states[rank], time_of(rank))
+        sim = self.sim
+        for rank in self.clusters[cluster_id]:
+            proc = sim.ranks[rank]
+            self._check_intra_cluster_drained(rank)
+            record = self._commit_checkpoint(
+                rank, iteration, proc.app_state, time_at(rank, iteration),
+                proc.sends_initiated, self._checkpoint_payload(rank),
+                self.checkpoint_size_bytes + self._extra_checkpoint_bytes(rank),
+            )
+            cost = sim.storage.write_cost(record.size_bytes)
+            if cost > 0:
+                proc.rstats.compute_time += cost
         self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
     def _drain_then_fire(self, cluster_id: int, condition: Condition) -> None:
-        members = set(self.members(cluster_id))
-        if self.sim.transport.in_flight_within(members) == 0:
+        if self.sim.transport.in_flight_within(self._member_sets[cluster_id]) == 0:
             condition.fire()
         else:
             self.sim.engine.schedule(
                 self.sim.network.min_latency(), self._drain_then_fire, cluster_id, condition
             )
-
-    def _checkpoint_size(self, rank: int, state: Any) -> int:
-        return self.checkpoint_size_bytes + self._extra_checkpoint_bytes(rank)
 
     # -------------------------------------------------------------- rollback
     def rollback_clusters(self, cluster_ids: Iterable[int]) -> RollbackInfo:
@@ -338,28 +323,27 @@ class ClusteredProtocolBase(ProtocolHooks):
 
         restore_iterations: Dict[int, int] = {}
         for cid in cluster_ids:
+            # The members' generators die with this rollback, so the waves
+            # they stood in can never complete; the re-execution opens new ones.
+            self._waves[cid].clear()
             self._cluster_generation[cid] = self._cluster_generation.get(cid, 0) + 1
             members = self.members(cid)
             iteration = self.sim.storage.latest_common_iteration(members)
             restore_iterations[cid] = 0 if iteration is None else iteration
             for rank in members:
                 if iteration is None:
-                    app_state = None
-                    sends_at = 0
-                    payload: Optional[Dict[str, Any]] = None
-                    restart_iteration = 0
-                else:
-                    record = self.sim.storage.checkpoint_at(rank, iteration)
-                    app_state = record.restore_app_state()
-                    sends_at = record.sends_at_checkpoint
-                    payload = record.protocol_state
-                    restart_iteration = record.iteration
-                self._restore_from_payload(rank, payload)
+                    self._restore_from_payload(rank, None)
+                    self.sim.restart_rank(
+                        rank, iteration=0, app_state=None, sends_at_checkpoint=0
+                    )
+                    continue
+                record = self.sim.storage.checkpoint_at(rank, iteration)
+                self._restore_from_payload(rank, record.protocol_state)
                 self.sim.restart_rank(
                     rank,
-                    iteration=restart_iteration,
-                    app_state=app_state,
-                    sends_at_checkpoint=sends_at,
+                    iteration=iteration,
+                    app_state=record.restore_app_state(),
+                    sends_at_checkpoint=record.sends_at_checkpoint,
                 )
         self.pstats.rollbacks += 1
         self.pstats.ranks_rolled_back += len(ranks)
@@ -438,8 +422,11 @@ class ClusteredProtocolBase(ProtocolHooks):
             if key not in self._WASTED_WORK_COUNTERS
         }
         info["cluster_generations"] = dict(self._cluster_generation)
+        storage = self.sim.storage
         info["latest_checkpoint_iteration"] = {
-            rank: record.iteration for rank, record in self._latest_checkpoint.items()
+            rank: record.iteration
+            for rank in self._cluster_of
+            if (record := storage.latest(rank)) is not None
         }
         return info
 
@@ -449,11 +436,14 @@ class ClusteredProtocolBase(ProtocolHooks):
         iteration *every* member has durably checkpointed)."""
         info = dict(super().recovery_line_fingerprint())
         info["cluster_generations"] = dict(self._cluster_generation)
+        storage = self.sim.storage
         info["latest_checkpoint_iteration"] = {
-            rank: record.iteration for rank, record in self._latest_checkpoint.items()
+            rank: record.iteration
+            for rank in self._cluster_of
+            if (record := storage.latest(rank)) is not None
         }
         info["cluster_lines"] = {
-            cid: self.sim.storage.latest_common_iteration(members)
+            cid: storage.latest_common_iteration(members)
             for cid, members in enumerate(self.clusters)
         }
         return info

@@ -54,9 +54,3 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules  # noqa: F401  (populates the registry)
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    import repro.lint.rules  # noqa: F401
-
-    return _REGISTRY[rule_id]

@@ -123,14 +123,6 @@ class ResultSet:
             for key in sorted(groups, key=lambda k: json.dumps(k, sort_keys=True, default=str))
         }
 
-    def sorted_by(self, *paths: str) -> "ResultSet":
-        return ResultSet(sorted(
-            self._runs,
-            key=lambda run: json.dumps(
-                [run.field(p) for p in paths], sort_keys=True, default=str
-            ),
-        ))
-
     def pivot(self, index: str, columns: str, values: str) -> List[Dict[str, Any]]:
         """One output row per ``index`` value, one key per ``columns`` value,
         cells filled with the ``values`` field (first run wins); rows and

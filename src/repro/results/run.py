@@ -169,6 +169,3 @@ class RunResult:
             if value is not _MISSING:
                 return True, value
         return False, None
-
-    def has_field(self, path: str) -> bool:
-        return self._resolve(path)[0]

@@ -296,7 +296,7 @@ def replay_witness(
         sim_factory = lambda: build(spec)  # noqa: E731
         include_times = spec_is_uncontended(spec)
     else:
-        include_times = witness.divergence.get("kind") != "makespan" or True
+        include_times = True
     baseline = run_interleaving(
         sim_factory, FifoPolicy(), include_times=include_times, label="fifo-baseline"
     )

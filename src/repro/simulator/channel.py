@@ -102,9 +102,6 @@ class Transport:
         self._deliver(message)
 
     # ------------------------------------------------------------- inspection
-    def in_flight_messages(self) -> List[Message]:
-        return [message for message, _handle in self._in_flight.values()]
-
     def in_flight_count(
         self,
         sources: Optional[Set[int]] = None,
@@ -166,10 +163,6 @@ class Transport:
     def topology(self):
         """The routed topology, or ``None`` for flat point-to-point models."""
         return self._routed.topology if self._routed is not None else None
-
-    def channel_stats(self) -> Dict[Tuple[int, int], float]:
-        """Last arrival time per ``(source, dest)`` channel (mainly for tests)."""
-        return self._channel_last_arrival
 
     def link_stats(self, makespan: Optional[float] = None) -> Dict[str, Dict[str, Any]]:
         """Per-link traffic/utilization counters ({} without a routed topology)."""

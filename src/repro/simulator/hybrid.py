@@ -77,6 +77,7 @@ from repro.simulator.ops import ComputeOp, Operation, RecvOp, SendOp, WaitOp, de
 from repro.simulator.process import RankState
 from repro.simulator.protocol_api import ProtocolHooks, SendAction
 from repro.simulator.requests import RecvRequest, Request, RequestState, SendRequest
+from repro.workloads.base import Application
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.process import RankProcess
@@ -611,6 +612,28 @@ class HybridDirector:
             return self._calibrate_phases(warmup)
         return self._calibrate_flat(warmup)
 
+    _DISTURBED = "warm-up disturbed by a failure"
+
+    @staticmethod
+    def _warmup_deltas(
+        times: Dict[int, float], warmup: int
+    ) -> Optional[List[Tuple[int, float]]]:
+        """``(i, duration)`` of each warm-up iteration of one rank whose two
+        boundary times were sampled, ``i`` being the completion count at its
+        end; ``None`` when a failure rolled the rank back mid-warm-up and the
+        re-execution overwrote earlier samples (a negative duration)."""
+        deltas: List[Tuple[int, float]] = []
+        for i in range(2, warmup + 1):
+            t1 = times.get(i)
+            t0 = times.get(i - 1)
+            if t1 is None or t0 is None:
+                continue
+            delta = t1 - t0
+            if delta < 0.0:
+                return None
+            deltas.append((i, delta))
+        return deltas
+
     def _calibrate_phases(
         self, warmup: int
     ) -> Tuple[Optional[RateModel], str]:
@@ -627,17 +650,11 @@ class HybridDirector:
         extra: Dict[int, float] = {}
         residual = 0.0
         for rank, times in self._iter_times.items():
+            sampled = self._warmup_deltas(times, warmup)
+            if sampled is None:
+                return None, self._DISTURBED
             by_phase: List[List[float]] = [[] for _ in range(k)]
-            for i in range(2, warmup + 1):
-                t1 = times.get(i)
-                t0 = times.get(i - 1)
-                if t1 is None or t0 is None:
-                    continue
-                delta = t1 - t0
-                if delta < 0.0:
-                    # A failure rolled this rank back mid-warm-up and the
-                    # re-execution overwrote earlier samples.
-                    return None, "warm-up disturbed by a failure"
+            for i, delta in sampled:
                 by_phase[i % k].append(delta)
             seq: List[float] = []
             for j in range(k):
@@ -674,18 +691,10 @@ class HybridDirector:
         dt: Dict[int, float] = {}
         pooled: List[float] = []
         for rank, times in self._iter_times.items():
-            deltas: List[float] = []
-            for i in range(2, warmup + 1):
-                t1 = times.get(i)
-                t0 = times.get(i - 1)
-                if t1 is None or t0 is None:
-                    continue
-                delta = t1 - t0
-                if delta < 0.0:
-                    # A failure rolled this rank back mid-warm-up and the
-                    # re-execution overwrote earlier samples.
-                    return None, "warm-up disturbed by a failure"
-                deltas.append(delta)
+            sampled = self._warmup_deltas(times, warmup)
+            if sampled is None:
+                return None, self._DISTURBED
+            deltas = [delta for _, delta in sampled]
             if not deltas:
                 return None, f"rank {rank} produced no usable warm-up samples"
             dt[rank] = median(deltas)
@@ -898,7 +907,7 @@ class HybridDirector:
         sim = self.sim
         if sim.config.record_trace_events:
             return None
-        if not getattr(sim.application, "ff_bulk_compatible", False):
+        if type(sim.application).fast_forward_states is Application.fast_forward_states:
             return None
         k = self._interval
         injector = sim.failure_injector
@@ -1111,6 +1120,10 @@ class HybridDirector:
         clusters = (
             sorted({protocol.cluster_of(r) for r in anchors}) if k else []
         )
+
+        def time_at(rank: int, it: int) -> float:
+            return model.project(rank, anchors[rank], b0, it)
+
         while cur < batch_end:
             nxt = min(batch_end, ((cur // k) + 1) * k) if k else batch_end
             n = nxt - cur
@@ -1120,7 +1133,7 @@ class HybridDirector:
             if not app.fast_forward_states(states, cur, n):
                 raise SimulationError(
                     f"workload {app.name!r} refused a batched state advance "
-                    f"({cur}..{nxt}) after declaring ff_bulk_compatible"
+                    f"({cur}..{nxt}) although it implements fast_forward_states"
                 )
             protocol.ff_epoch_apply(d_proto, units)
             self._apply_counter_delta(d_sim, units)
@@ -1131,12 +1144,8 @@ class HybridDirector:
                 control = sim.control
                 control.begin_buffering()
                 try:
-                    def time_of(member: int, _nxt: int = nxt) -> float:
-                        return model.project(member, anchors[member], b0, _nxt)
                     for cluster in clusters:
-                        protocol.fast_forward_cluster_checkpoint(
-                            cluster, nxt, states, time_of
-                        )
+                        protocol.fast_forward_cluster_checkpoint(cluster, nxt, time_at)
                 finally:
                     control.flush(t_strike)
                 self._drain_scheduled(t_strike)
@@ -1191,12 +1200,13 @@ class HybridDirector:
         #: first iteration count to drive; ``anchors``/``b`` stay the clock
         #: projection base even when a batched prefix advanced past them.
         first = b if start is None else start
+
+        def time_at(rank: int, it: int) -> float:
+            return model.project(rank, anchors[rank], b, it)
+
         for rank in sorted(anchors):
             counts[rank] = first
-            clock[rank] = (
-                anchors[rank] if first == b
-                else model.project(rank, anchors[rank], b, first)
-            )
+            clock[rank] = anchors[rank] if first == b else time_at(rank, first)
             gens[rank] = self._start_iteration(rank, first)
             runnable.append(rank)
             pending.add(rank)
@@ -1206,7 +1216,7 @@ class HybridDirector:
             if it >= e:
                 pending.discard(rank)
                 return False
-            clock[rank] = model.project(rank, anchors[rank], b, it)
+            clock[rank] = time_at(rank, it)
             gens[rank] = self._start_iteration(rank, it)
             return True
 
@@ -1262,11 +1272,7 @@ class HybridDirector:
                                 # (neither runnable nor message-blocked).
                                 break
                             del barriers[key]
-                            for member in sorted(group):
-                                protocol.fast_forward_checkpoint(
-                                    member, it, ranks[member].app_state,
-                                    model.project(member, anchors[member], b, it),
-                                )
+                            protocol.fast_forward_cluster_checkpoint(cluster, it, time_at)
                             # Execute the boundary's control traffic (log-GC
                             # acks) before anyone reaches the *next* boundary:
                             # exact mode prunes sender logs between checkpoints,

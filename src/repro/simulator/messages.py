@@ -160,9 +160,3 @@ class Message:
             f"Message(#{self.msg_id} {self.source}->{self.dest} tag={self.tag} "
             f"size={self.size_bytes}B kind={self.kind.value}{extra})"
         )
-
-
-def reset_message_counter() -> None:
-    """Reset the global message id counter (used by tests for determinism)."""
-    global _MESSAGE_COUNTER
-    _MESSAGE_COUNTER = itertools.count(1)

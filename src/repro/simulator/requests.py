@@ -131,9 +131,3 @@ class RecvRequest(Request):
             f"RecvRequest(#{self.req_id} rank={self.rank} src={self.source} "
             f"tag={self.tag} {self.state.value})"
         )
-
-
-def reset_request_counter() -> None:
-    """Reset the global request id counter (used by tests for determinism)."""
-    global _REQUEST_COUNTER
-    _REQUEST_COUNTER = itertools.count(1)

@@ -159,9 +159,6 @@ class Simulation:
     def rank(self, rank: int) -> RankProcess:
         return self.ranks[rank]
 
-    def alive_ranks(self) -> List[int]:
-        return [r for r, p in self.ranks.items() if p.state is not RankState.FAILED]
-
     # ------------------------------------------------------------- send paths
     def initiate_send(
         self,

@@ -7,89 +7,48 @@ that survives process failures and optionally charges a write cost derived
 from a storage bandwidth, which is what creates the I/O-burst concern for
 globally coordinated checkpointing discussed in the related-work section.
 
-Snapshot strategies
--------------------
-Saving a checkpoint used to ``copy.deepcopy`` the application state (and
-restore deep-copied it again), which dominated checkpoint-heavy runs.  The
-store now delegates to a pluggable :class:`SnapshotStrategy`:
+**Index.**  Records are held per rank, keyed by iteration: saving an
+iteration again (a cluster re-executing after a rollback) replaces the older
+record, because no query ever returned it.  :meth:`StableStorage.latest` and
+:meth:`StableStorage.checkpoint_at` are lookups;
+:meth:`StableStorage.latest_common_iteration` walks one rank's iterations
+newest first and stops at the first one every rank holds.
 
-* :class:`DeepcopySnapshotStrategy` reproduces the old behaviour and remains
-  the default for arbitrary state objects;
-* :class:`ApplicationSnapshotStrategy` adapts a workload exposing
-  ``snapshot_state()`` / ``restore_state()`` (every workload in
-  :mod:`repro.workloads` does), which return immutable, structurally-shared
-  snapshots instead of deep copies.
-
-Either way the contract is identical: the stored snapshot is isolated from
-later mutations of the live state, and every ``restore_app_state()`` call
-returns a fresh, independent state.
+**Snapshot contract.**  There is one: the application state goes through
+:meth:`repro.workloads.base.Application.snapshot_state` on save and
+:meth:`~repro.workloads.base.Application.restore_state` on every restore.
+The stored snapshot is isolated from later mutations of the live state, and
+every :meth:`CheckpointRecord.restore_app_state` call returns a fresh,
+independent state.  A store built without an application (unit tests of the
+store itself) uses the generic pair those methods default to,
+:func:`~repro.workloads.base.freeze_state` /
+:func:`~repro.workloads.base.thaw_state`.
 
 ``protocol_state`` is *not* copied at all: protocol checkpoint payloads
-(:meth:`repro.simulator.protocol_api.ProtocolHooks` subclasses'
-``_checkpoint_payload``) are required to already be private snapshots --
+(``_checkpoint_payload`` of the :class:`~repro.simulator.protocol_api.
+ProtocolHooks` subclasses) are required to already be private snapshots --
 freshly-built structures that the protocol never mutates afterwards and that
-restoring code only reads.  All protocol payload builders in this repository
-(:class:`~repro.core.state.HydEERankState`, the message-logging rank state)
-honour that contract.
+restoring code only reads.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.workloads.base import freeze_state, thaw_state
 
 
-class SnapshotStrategy:
-    """How checkpoints capture and rebuild application state."""
-
-    def snapshot(self, state: Any) -> Any:
-        """Return an immutable/private snapshot of ``state``."""
-        raise NotImplementedError
-
-    def restore(self, snapshot: Any) -> Any:
-        """Return a fresh, independent live state built from ``snapshot``."""
-        raise NotImplementedError
-
-
-class DeepcopySnapshotStrategy(SnapshotStrategy):
-    """The conservative fallback: deep-copy on save and on every restore."""
-
-    def snapshot(self, state: Any) -> Any:
-        return copy.deepcopy(state)
-
-    def restore(self, snapshot: Any) -> Any:
-        return copy.deepcopy(snapshot)
-
-
-class ApplicationSnapshotStrategy(SnapshotStrategy):
-    """Delegate to a workload's ``snapshot_state`` / ``restore_state`` pair."""
-
-    def __init__(self, application: Any) -> None:
-        self._snapshot_state = application.snapshot_state
-        self._restore_state = application.restore_state
-
-    def snapshot(self, state: Any) -> Any:
-        return self._snapshot_state(state)
-
-    def restore(self, snapshot: Any) -> Any:
-        return self._restore_state(snapshot)
-
-
-def snapshot_strategy_for(application: Any) -> SnapshotStrategy:
-    """Pick the best snapshot strategy an application supports.
-
-    Applications exposing ``snapshot_state``/``restore_state`` (the
-    :class:`repro.workloads.base.Application` interface) get the fast
-    structurally-shared scheme; anything else falls back to deepcopy.
-    """
+def snapshot_strategy_for(application: Any) -> Any:
+    """The ``snapshot_strategy`` argument of :class:`StableStorage` for a
+    workload: the application itself when it implements ``snapshot_state`` /
+    ``restore_state``, else ``None`` (generic freeze/thaw)."""
     if callable(getattr(application, "snapshot_state", None)) and callable(
         getattr(application, "restore_state", None)
     ):
-        return ApplicationSnapshotStrategy(application)
-    return DeepcopySnapshotStrategy()
+        return application
+    return None
 
 
 @dataclass
@@ -105,24 +64,21 @@ class CheckpointRecord:
     rank: int
     checkpoint_id: int
     iteration: int
-    #: snapshot of the application state (shape depends on the strategy).
+    #: snapshot of the application state, as ``snapshot_state`` returned it.
     app_state: Any
     time: float
     #: number of application sends the rank had initiated when checkpointing
     #: (used to rebuild logical send sequences after a rollback).
-    sends_at_checkpoint: int = 0
+    sends_at_checkpoint: int
     #: protocol-specific payload (dates, phases, RPP, message logs, ...).
-    protocol_state: Dict[str, Any] = field(default_factory=dict)
-    size_bytes: int = 0
-    #: rebuilds a live state from ``app_state`` (None = deepcopy fallback,
-    #: which keeps directly-constructed records behaving as before).
-    restore_fn: Optional[Callable[[Any], Any]] = None
+    protocol_state: Dict[str, Any]
+    size_bytes: int
+    #: the ``restore_state`` that rebuilds a live state from ``app_state``.
+    restore_fn: Callable[[Any], Any]
 
     def restore_app_state(self) -> Any:
         """Return a private copy of the checkpointed application state."""
-        if self.restore_fn is not None:
-            return self.restore_fn(self.app_state)
-        return copy.deepcopy(self.app_state)
+        return self.restore_fn(self.app_state)
 
 
 class StableStorage:
@@ -131,16 +87,17 @@ class StableStorage:
     ``write_bandwidth_bytes_per_s`` prices the checkpoint write; ``None`` is
     the explicit free-writes switch (useful for protocol-logic tests), any
     other value must be a positive bandwidth -- zero or negative values are
-    rejected at construction instead of silently meaning "free".  The store
-    keeps every checkpoint but only the most recent one per rank is needed by
-    the protocols (Section III-E: older checkpoints and the logged messages
-    they reference are garbage collected).
+    rejected at construction instead of silently meaning "free".
+
+    ``snapshot_strategy`` is the object whose ``snapshot_state`` /
+    ``restore_state`` checkpoints go through -- the simulated application,
+    see :func:`snapshot_strategy_for`; ``None`` selects generic freeze/thaw.
     """
 
     def __init__(
         self,
         write_bandwidth_bytes_per_s: Optional[float] = 1.0e9,
-        snapshot_strategy: Optional[SnapshotStrategy] = None,
+        snapshot_strategy: Any = None,
     ) -> None:
         if write_bandwidth_bytes_per_s is not None and not (
             write_bandwidth_bytes_per_s > 0
@@ -150,9 +107,16 @@ class StableStorage:
                 f"(got {write_bandwidth_bytes_per_s}); pass None for free writes"
             )
         self.write_bandwidth_bytes_per_s = write_bandwidth_bytes_per_s
-        self.snapshot_strategy = snapshot_strategy or DeepcopySnapshotStrategy()
-        self._checkpoints: Dict[int, List[CheckpointRecord]] = {}
-        self._next_id = 1
+        self._snapshot: Callable[[Any], Any] = freeze_state
+        self._restore: Callable[[Any], Any] = thaw_state
+        if snapshot_strategy is not None:
+            self._snapshot = snapshot_strategy.snapshot_state
+            self._restore = snapshot_strategy.restore_state
+        #: rank -> iteration -> the most recent record saved for it.
+        self._records: Dict[int, Dict[int, CheckpointRecord]] = {}
+        #: rank -> the record saved last (not necessarily the highest
+        #: iteration the rank holds).
+        self._latest: Dict[int, CheckpointRecord] = {}
         self.bytes_written = 0
         self.writes = 0
 
@@ -172,63 +136,48 @@ class StableStorage:
         protocol_state: Optional[Dict[str, Any]] = None,
         size_bytes: int = 0,
     ) -> CheckpointRecord:
-        """Store a checkpoint of ``app_state`` (snapshotted by the strategy).
+        """Store a checkpoint of ``app_state`` (snapshotted on the way in).
 
         ``protocol_state`` must already be a private snapshot (see the module
         docstring); it is stored as-is.
         """
-        strategy = self.snapshot_strategy
         record = CheckpointRecord(
             rank=rank,
-            checkpoint_id=self._next_id,
+            checkpoint_id=self.writes + 1,
             iteration=iteration,
-            app_state=strategy.snapshot(app_state),
+            app_state=self._snapshot(app_state),
             time=time,
             sends_at_checkpoint=sends_at_checkpoint,
             protocol_state=protocol_state if protocol_state is not None else {},
             size_bytes=size_bytes,
-            restore_fn=strategy.restore,
+            restore_fn=self._restore,
         )
-        self._next_id += 1
-        self._checkpoints.setdefault(rank, []).append(record)
+        self._records.setdefault(rank, {})[iteration] = record
+        self._latest[rank] = record
         self.bytes_written += size_bytes
         self.writes += 1
         return record
 
     # ------------------------------------------------------------------ read
     def latest(self, rank: int) -> Optional[CheckpointRecord]:
-        records = self._checkpoints.get(rank)
-        return records[-1] if records else None
+        return self._latest.get(rank)
 
-    def all_for(self, rank: int) -> List[CheckpointRecord]:
-        return list(self._checkpoints.get(rank, []))
-
-    def latest_common_iteration(self, ranks) -> Optional[int]:
+    def latest_common_iteration(self, ranks: Iterable[int]) -> Optional[int]:
         """Largest iteration for which every rank in ``ranks`` has a checkpoint."""
-        iterations: Optional[set] = None
-        for rank in ranks:
-            have = {rec.iteration for rec in self._checkpoints.get(rank, [])}
-            iterations = have if iterations is None else (iterations & have)
-        if not iterations:
+        tables = [self._records.get(rank, {}) for rank in ranks]
+        if not tables:
             return None
-        return max(iterations)
+        for iteration in sorted(min(tables, key=len), reverse=True):
+            if all(iteration in held for held in tables):
+                return iteration
+        return None
 
     def checkpoint_at(self, rank: int, iteration: int) -> CheckpointRecord:
-        for record in reversed(self._checkpoints.get(rank, [])):
-            if record.iteration == iteration:
-                return record
-        raise SimulationError(f"rank {rank} has no checkpoint at iteration {iteration}")
+        record = self._records.get(rank, {}).get(iteration)
+        if record is None:
+            raise SimulationError(f"rank {rank} has no checkpoint at iteration {iteration}")
+        return record
 
-    # --------------------------------------------------------------- cleanup
-    def garbage_collect(self, rank: int, keep_latest: int = 1) -> int:
-        """Drop all but the ``keep_latest`` most recent checkpoints of ``rank``."""
-        records = self._checkpoints.get(rank, [])
-        removed = max(0, len(records) - keep_latest)
-        if removed:
-            self._checkpoints[rank] = records[-keep_latest:]
-        return removed
-
-    def count(self, rank: Optional[int] = None) -> int:
-        if rank is not None:
-            return len(self._checkpoints.get(rank, []))
-        return sum(len(v) for v in self._checkpoints.values())
+    def count(self) -> int:
+        """Number of records held (one per rank and checkpointed iteration)."""
+        return sum(len(held) for held in self._records.values())

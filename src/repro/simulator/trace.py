@@ -208,18 +208,6 @@ class TraceRecorder:
     def total_messages(self) -> int:
         return sum(v[0] for v in self.channel_volumes.values())
 
-    def sends_of(self, rank: int) -> List[SendSignature]:
-        return list(self.send_sequences.get(rank, []))
-
-    def events_of(self, rank: int, event: str = "send") -> List[CommunicationRecord]:
-        return [r for r in self.records if r.event == event and r.source == rank]
-
-    def deliveries_to(self, rank: int) -> List[CommunicationRecord]:
-        return [r for r in self.records if r.event == "deliver" and r.dest == rank]
-
-    def clear_events(self) -> None:
-        self.records.clear()
-
 
 def compare_send_sequences(
     reference: TraceRecorder,

@@ -44,17 +44,13 @@ from typing import Any, Dict, Iterator, Optional
 from repro.errors import WorkloadError
 
 # --------------------------------------------------------------------------
-# Checkpoint snapshot helpers.
-#
-# Checkpoints used to ``copy.deepcopy`` the whole application state on every
-# save *and* every restore, which dominated checkpoint-heavy runs.  The
-# functions below implement the generic snapshot contract instead: a snapshot
-# is an *immutable, structurally shared* value (tuples all the way down) that
-# is cheap to build, safe to keep forever, and can be thawed back into a
-# fresh mutable state any number of times.  Workloads with a known state
-# shape override :meth:`Application.snapshot_state` /
-# :meth:`Application.restore_state` with something even tighter; arbitrary
-# objects inside the state fall back to ``deepcopy`` transparently.
+# The generic snapshot pair behind :meth:`Application.snapshot_state` /
+# :meth:`Application.restore_state`: a snapshot is an *immutable,
+# structurally shared* value (tuples all the way down) that is cheap to
+# build, safe to keep forever, and can be thawed back into a fresh mutable
+# state any number of times.  Workloads with a known state shape override
+# the two methods with something tighter; arbitrary objects inside the state
+# fall back to ``deepcopy`` transparently.
 
 #: exact types passed through snapshots untouched (immutable scalars).
 _ATOMIC_TYPES = frozenset(
@@ -91,7 +87,7 @@ def thaw_state(snapshot: Any) -> Any:
 
     Every call returns an independent structure: thawing the same snapshot
     twice never aliases mutable containers (opaque leaves are deep-copied
-    again, matching the old double-``deepcopy`` isolation guarantees).
+    again).
     """
     if snapshot.__class__ is not tuple:
         return snapshot
@@ -132,11 +128,6 @@ class Application(abc.ABC):
     #: on them) and no reliance on wall-clock-dependent control flow inside
     #: iterations.
     ff_compatible: bool = True
-    #: Whether :meth:`fast_forward_states` implements the batched state
-    #: advance (the hybrid director's analytic fast path).  Workloads that
-    #: opt in must guarantee the bulk advance is *bit-identical* to driving
-    #: :meth:`iteration` on every rank, including floating-point rounding.
-    ff_bulk_compatible: bool = False
 
     def __init__(self, nprocs: int, iterations: int) -> None:
         if nprocs < 1:
@@ -169,11 +160,13 @@ class Application(abc.ABC):
         its live state object at iteration count ``start_iteration``.  The
         implementation must mutate the state objects in place to exactly what
         ``n`` exchanged iterations of :meth:`iteration` would produce --
-        same values, same floating-point operation order -- without touching
-        a communicator.  Return ``False`` when the request cannot be honoured
-        (the director then falls back to per-message fast-forwarding).
+        *bit-identical*, including floating-point rounding -- without
+        touching a communicator.  Return ``False`` when the request cannot be
+        honoured (``states`` does not cover every rank); the director then
+        stops the run with an error instead of guessing.
 
-        Only consulted when :attr:`ff_bulk_compatible` is ``True``.
+        Overriding this method is what opts a workload into the batched
+        advance: the director never calls the base implementation.
         """
         return False
 

@@ -1,6 +1,6 @@
 """Synthetic NAS Parallel Benchmark communication kernels (class D patterns)."""
 
-from repro.workloads.nas.base import NASKernelBase, near_factor_grid, square_grid_side
+from repro.workloads.nas.base import NASKernelBase, square_grid_side
 from repro.workloads.nas.bt import BTApplication
 from repro.workloads.nas.cg import CGApplication
 from repro.workloads.nas.ft import FTApplication
@@ -33,7 +33,6 @@ def make_nas_application(name: str, nprocs: int, iterations: int = 3, **kwargs):
 __all__ = [
     "NASKernelBase",
     "square_grid_side",
-    "near_factor_grid",
     "BTApplication",
     "CGApplication",
     "FTApplication",

@@ -43,19 +43,10 @@ def square_grid_side(nprocs: int) -> int:
     return side
 
 
-def near_factor_grid(nprocs: int) -> Tuple[int, int]:
-    """(rows, cols) with rows <= cols, rows * cols == nprocs, rows maximal."""
-    rows = int(math.isqrt(nprocs))
-    while rows > 1 and nprocs % rows != 0:
-        rows -= 1
-    return rows, nprocs // rows
-
-
 class NASKernelBase(Application):
     """Base class for the declarative exchange-pattern kernels."""
 
     name = "nas-kernel"
-    ff_bulk_compatible = True
     #: NPB iteration count of the full class D run (used to scale volumes).
     full_run_iterations: int = 100
     #: default compute time per simulated iteration (seconds).
@@ -198,9 +189,6 @@ class NASKernelBase(Application):
         """Volume of a full class D run (NPB iteration count), for Table I."""
         per_iteration = self.communication_matrix(weight) / self.iterations
         return per_iteration * self.full_run_iterations
-
-    def bytes_per_iteration(self) -> float:
-        return float(self.communication_matrix("bytes").sum()) / self.iterations
 
     def parameters(self) -> Dict[str, Any]:
         params = super().parameters()

@@ -19,7 +19,6 @@ class RingApplication(Application):
     """Unidirectional ring exchange."""
 
     name = "ring"
-    ff_bulk_compatible = True
 
     def __init__(
         self,
@@ -106,7 +105,6 @@ class PipelineApplication(Application):
     """
 
     name = "pipeline"
-    ff_bulk_compatible = True
 
     def __init__(
         self,

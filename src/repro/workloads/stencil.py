@@ -23,7 +23,6 @@ class Stencil1DApplication(Application):
     """1-D Jacobi-style stencil with left/right halo exchange."""
 
     name = "stencil1d"
-    ff_bulk_compatible = True
 
     def __init__(
         self,
@@ -146,7 +145,6 @@ class Stencil2DApplication(Application):
     """2-D five-point stencil on a process grid with N/S/E/W halo exchange."""
 
     name = "stencil2d"
-    ff_bulk_compatible = True
 
     def __init__(
         self,

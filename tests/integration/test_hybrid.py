@@ -156,6 +156,45 @@ class TestHybridParity:
         assert hybrid.stats.checkpoint_bytes == exact.stats.checkpoint_bytes
 
 
+    def test_per_message_and_batched_epochs_commit_equal_checkpoints(self):
+        # Per-event trace records need real messages, so asking for them is
+        # what keeps an otherwise batchable epoch on the per-message driver.
+        # Both drivers commit through the same protocol method and must leave
+        # the same records behind, rank by rank.
+        batched = build(scenario(execution="hybrid"))
+        driven = build(scenario(execution="hybrid", config={"record_trace_events": True}))
+        assert batched.run().status == driven.run().status == "completed"
+        assert batched.hybrid_stats["batched_iterations"] > 0
+        assert driven.hybrid_stats["batched_iterations"] == 0
+        assert driven.hybrid_stats["ff_iterations"] == batched.hybrid_stats["ff_iterations"]
+
+        boundaries = range(INTERVAL, ITERATIONS + 1, INTERVAL)
+
+        def committed(sim, rank):
+            # A batched epoch carries the sender log and the RPP table as
+            # extrapolated summaries, so those two payload entries differ in
+            # representation by design; their volume is inside size_bytes.
+            records = [sim.storage.checkpoint_at(rank, it) for it in boundaries]
+            return [
+                (r.rank, r.iteration, r.app_state, r.time, r.sends_at_checkpoint,
+                 r.size_bytes, r.protocol_state["clock"])
+                for r in records
+            ]
+
+        assert batched.storage.writes == driven.storage.writes == 16 * len(boundaries)
+        for rank in range(16):
+            assert committed(batched, rank) == committed(driven, rank), rank
+        # Between the exact warm-up and the exact final iterations, members
+        # commit in cluster order, one cluster at a time.
+        for sim in (batched, driven):
+            warmup = sim.hybrid_stats["warmup_iterations"]
+            assert 0 < warmup < ITERATIONS - INTERVAL
+            for cluster in sim.protocol.clusters:
+                for it in (it for it in boundaries if warmup < it < ITERATIONS):
+                    ids = [sim.storage.checkpoint_at(r, it).checkpoint_id for r in cluster]
+                    assert ids == list(range(ids[0], ids[0] + len(cluster)))
+
+
 class TestGuardWindowTrace:
     def test_recovery_window_events_byte_identical_after_normalisation(self):
         spec = scenario(

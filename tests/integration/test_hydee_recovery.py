@@ -223,3 +223,46 @@ class TestOtherWorkloadsAndTopologies:
         result, protocol = recovery_run(STENCIL, [FailureEvent(ranks=[5], at_iteration=5)])
         assert result.completed
         assert protocol.pstats.determinants_logged == 0
+
+
+class TestCheckpointWaves:
+    """A coordinated checkpoint in progress is one wave record; nothing of it
+    outlives its completion or its cluster's rollback."""
+
+    @staticmethod
+    def open_waves(protocol):
+        return [wave for waves in protocol._waves for wave in waves.values()]
+
+    def test_completed_run_leaves_no_wave_behind(self):
+        result, protocol = recovery_run(
+            lambda: PipelineApplication(nprocs=16, iterations=40), [], checkpoint_interval=1
+        )
+        assert result.completed
+        assert protocol.sim.storage.writes == 40 * 16
+        assert self.open_waves(protocol) == []
+
+    def test_failure_striking_mid_wave_leaves_no_wave_behind(self, monkeypatch):
+        # Find the write window of cluster 1's checkpoint at iteration 4 in a
+        # failure-free run, then strike rank 5 in the middle of it: every
+        # member has arrived, none has committed.
+        _, failure_free = recovery_run(STENCIL, [])
+        storage = failure_free.sim.storage
+        record = storage.checkpoint_at(5, 4)
+        strike = record.time - storage.write_cost(record.size_bytes) / 2
+
+        open_at_strike = []
+        on_failure = HydEEProtocol.on_failure
+
+        def spy(protocol, *args, **kwargs):
+            open_at_strike.extend(self.open_waves(protocol))
+            return on_failure(protocol, *args, **kwargs)
+
+        monkeypatch.setattr(HydEEProtocol, "on_failure", spy)
+        result, protocol = recovery_run(STENCIL, [FailureEvent(ranks=[5], time=strike)])
+
+        struck = [wave for wave in open_at_strike if 5 in wave.arrived]
+        assert len(struck) == 1
+        assert struck[0].arrived == {4, 5, 6, 7} and not struck[0].saved
+        check_all_recovery_invariants(reference_run(STENCIL), result, protocol, [5])
+        assert protocol.sim.storage.latest_common_iteration([4, 5, 6, 7]) == 8
+        assert self.open_waves(protocol) == []

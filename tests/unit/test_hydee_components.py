@@ -207,14 +207,6 @@ class TestHydEEConfig:
         with pytest.raises(ConfigurationError):
             HydEEConfig(checkpoint_size_bytes=-5)
 
-    def test_with_clusters_copies_other_fields(self):
-        config = HydEEConfig(checkpoint_interval=3, piggyback_bytes=16)
-        updated = config.with_clusters([[0, 1], [2, 3]])
-        assert updated.clusters == [[0, 1], [2, 3]]
-        assert updated.checkpoint_interval == 3
-        assert updated.piggyback_bytes == 16
-        assert config.clusters is None
-
 
 class TestRecoveryOrchestrator:
     def _make(self, ranks=(0, 1, 2)):

@@ -18,12 +18,7 @@ import copy
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulator.stable_storage import (
-    ApplicationSnapshotStrategy,
-    DeepcopySnapshotStrategy,
-    StableStorage,
-    snapshot_strategy_for,
-)
+from repro.simulator.stable_storage import StableStorage, snapshot_strategy_for
 from repro.workloads.base import freeze_state, thaw_state
 from repro.workloads.master_worker import MasterWorkerApplication
 from repro.workloads.nas import NAS_BENCHMARKS, make_nas_application
@@ -123,13 +118,13 @@ class TestFreezeThaw:
         assert thaw_state(snapshot)["box"].items == [1, 2]
 
 
-class TestStorageStrategies:
-    def test_strategy_for_prefers_application_snapshots(self):
+class TestStorageSnapshotContract:
+    def test_strategy_for_is_the_application_or_the_generic_fallback(self):
         app = RingApplication(nprocs=2, iterations=1)
-        assert isinstance(snapshot_strategy_for(app), ApplicationSnapshotStrategy)
-        assert isinstance(snapshot_strategy_for(object()), DeepcopySnapshotStrategy)
+        assert snapshot_strategy_for(app) is app
+        assert snapshot_strategy_for(object()) is None
 
-    def test_storage_uses_application_strategy_end_to_end(self):
+    def test_storage_uses_application_snapshots_end_to_end(self):
         app = RingApplication(nprocs=2, iterations=1)
         storage = StableStorage(
             write_bandwidth_bytes_per_s=None,
@@ -143,11 +138,12 @@ class TestStorageStrategies:
         restored["received"].append(1.0)
         assert record.restore_app_state() == {"value": 1.0, "received": []}
 
-    def test_default_strategy_is_deepcopy(self):
+    def test_default_is_generic_freeze_thaw(self):
         storage = StableStorage(write_bandwidth_bytes_per_s=None)
         state = {"nested": [1, 2]}
         record = storage.save(rank=0, iteration=1, app_state=state, time=0.0)
         state["nested"].append(3)
+        assert record.app_state == freeze_state({"nested": [1, 2]})
         assert record.restore_app_state() == {"nested": [1, 2]}
 
 

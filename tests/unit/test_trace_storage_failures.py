@@ -110,7 +110,7 @@ class TestStableStorage:
         storage = StableStorage()
         storage.save(rank=0, iteration=2, app_state={"gen": 1}, time=0.0)
         storage.save(rank=0, iteration=2, app_state={"gen": 2}, time=5.0)
-        assert storage.checkpoint_at(0, 2).app_state == {"gen": 2}
+        assert storage.checkpoint_at(0, 2).restore_app_state() == {"gen": 2}
         with pytest.raises(SimulationError):
             storage.checkpoint_at(0, 7)
 
@@ -122,15 +122,6 @@ class TestStableStorage:
         assert storage.writes == 1
         free = StableStorage(write_bandwidth_bytes_per_s=None)
         assert free.write_cost(1e9) == 0.0
-
-    def test_garbage_collect_keeps_latest(self):
-        storage = StableStorage()
-        for iteration in (1, 2, 3):
-            storage.save(rank=0, iteration=iteration, app_state={}, time=0.0)
-        removed = storage.garbage_collect(0, keep_latest=1)
-        assert removed == 2
-        assert storage.count(0) == 1
-        assert storage.latest(0).iteration == 3
 
 
 class TestTransport:

@@ -24,7 +24,7 @@ from repro.workloads import (
     Stencil2DApplication,
     make_nas_application,
 )
-from repro.workloads.base import round9
+from repro.workloads.base import Application, round9
 from repro.workloads.nas import square_grid_side
 
 
@@ -167,7 +167,7 @@ class TestOtherWorkloads:
 
 
 #: workload kind -> factory for a small-but-nontrivial instance; every entry
-#: must be ff_bulk_compatible and is held to the bit-identity contract below.
+#: must override fast_forward_states and is held to the bit-identity contract below.
 FF_COVERED_APPS = {
     "stencil1d": lambda: Stencil1DApplication(nprocs=6, iterations=25, points_per_rank=8),
     "stencil2d": lambda: Stencil2DApplication(nprocs=12, iterations=25),
@@ -182,6 +182,11 @@ FF_COVERED_APPS = {
 }
 
 
+def _bulk_capable(app):
+    """What HybridDirector._plan_batch asks: is fast_forward_states overridden?"""
+    return type(app).fast_forward_states is not Application.fast_forward_states
+
+
 class TestFastForwardStates:
     """The bulk fast-forward must be bit-identical to the message path."""
 
@@ -193,7 +198,7 @@ class TestFastForwardStates:
         from repro.simulator.simulation import Simulation
 
         app = FF_COVERED_APPS[kind]()
-        assert app.ff_bulk_compatible is True
+        assert _bulk_capable(app)
         nprocs = app.nprocs
         sim = Simulation(app, nprocs=nprocs)
         result = sim.run()
@@ -238,9 +243,9 @@ class TestFastForwardStates:
     def test_non_deterministic_workloads_stay_uncovered(self):
         # Master-worker is not send-deterministic and netpipe's per-iteration
         # timing varies with message size; neither may claim bulk advance.
-        assert MasterWorkerApplication(nprocs=4).ff_bulk_compatible is False
-        assert PingPongApplication(nprocs=2).ff_bulk_compatible is False
-        assert RingApplication(nprocs=4).ff_bulk_compatible is True
+        assert not _bulk_capable(MasterWorkerApplication(nprocs=4))
+        assert not _bulk_capable(PingPongApplication(nprocs=2))
+        assert _bulk_capable(RingApplication(nprocs=4))
 
 
 class TestRound9:
