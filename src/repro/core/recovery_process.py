@@ -50,12 +50,6 @@ class RecoveryReport:
     replay_phases: int = 0
     notifications_sent: int = 0
 
-    @property
-    def duration(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
-
 
 class RecoveryOrchestrator:
     """State machine implementing Algorithm 4."""

@@ -74,9 +74,6 @@ class RPPTable:
         self._channels.setdefault(sender, ChannelRecord()).max_date += by
 
     # ------------------------------------------------------------------- read
-    def channel(self, sender: int) -> ChannelRecord:
-        return self._channels.setdefault(sender, ChannelRecord())
-
     def max_date(self, sender: int) -> int:
         record = self._channels.get(sender)
         return record.max_date if record else 0

@@ -192,6 +192,10 @@ def schedule_explore(
     checkpoint beats the failure -- legitimately schedule-dependent, so no
     invariance is asserted there; the report captures the makespan spread
     over seeded interleavings of one identical failure draw.
+
+    ``witnesses`` holds the shrunk witness of every divergence of the first
+    half (``[]`` on a green run): save one entry as JSON and
+    ``replay_witness(ScheduleWitness.load(path))`` reproduces it.
     """
     reports, elapsed = timed(
         lambda: {
@@ -200,7 +204,9 @@ def schedule_explore(
         }
     )
     interleavings = sum(report.interleavings for report in reports.values())
-    divergences = sum(len(report.witnesses) for report in reports.values())
+    witnesses = [
+        witness.to_dict() for report in reports.values() for witness in report.witnesses
+    ]
     contended_spec = dataclasses.replace(
         PINNED_SCENARIOS["hydee-stencil2d-single-failure"],
         name="hydee-stencil2d-contended",
@@ -224,8 +230,9 @@ def schedule_explore(
         "scenarios": sorted(reports),
         "interleavings": interleavings,
         "interleavings_per_s": round(interleavings / elapsed, 2),
-        "divergences": divergences,
-        "invariant": divergences == 0,
+        "divergences": len(witnesses),
+        "invariant": not witnesses,
+        "witnesses": witnesses,
         "times_compared": all(report.times_compared for report in reports.values()),
         "tie_dispatches_max": max(
             report.to_payload()["tie_dispatches"]["max"] for report in reports.values()

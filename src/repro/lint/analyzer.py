@@ -1,10 +1,10 @@
 """File walker and rule runner.
 
 ``run_lint(paths)`` builds a :class:`ModuleContext` per Python file, runs
-every rule's per-module pass, runs the project-level passes once over all
-contexts, filters findings through inline suppressions, and finally emits
-``RL00`` hygiene findings for malformed or unused suppressions.  Findings
-come back sorted by ``(path, line, col, rule)`` so output is stable.
+every rule over it, filters findings through inline suppressions, and
+finally emits ``RL00`` hygiene findings for malformed or unused
+suppressions.  Findings come back sorted by ``(path, line, col, rule)`` so
+output is stable.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from repro.lint.registry import Rule, all_rules
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     out: List[str] = []
     for path in paths:
+        if not os.path.exists(path):
+            # A gate must not pass on a mistyped path.
+            raise FileNotFoundError(f"{path}: no such file or directory")
         if os.path.isfile(path):
             out.append(path)
             continue
@@ -88,12 +91,6 @@ def lint_contexts(
         for rule in rules:
             module_findings.extend(rule.check_module(ctx))
         findings.extend(_apply_suppressions(ctx, module_findings))
-    # Project-level passes: findings land on their own ctx's suppressions.
-    by_path = {ctx.path: ctx for ctx in ctxs}
-    for rule in rules:
-        for finding in rule.check_project(ctxs):
-            ctx = by_path[finding.path]
-            findings.extend(_apply_suppressions(ctx, [finding]))
     # Only audit for unused suppressions when the full rule set ran: with
     # --select, a suppression for an unselected rule is legitimately idle.
     check_unused = select is None

@@ -13,7 +13,7 @@ from typing import Tuple
 
 #: The only module allowed to construct ``random.Random`` streams: every
 #: other module must go through its ``derive_rng`` (SHA-256-keyed) factory,
-#: which is what keeps fault draws replayable across processes (RL01).
+#: which is what keeps fault draws replayable across processes (RL02).
 RNG_FACTORY_MODULES: Tuple[str, ...] = ("repro/faults/distributions.py",)
 
 #: Modules whose file writes persist shared, replayable state (results
@@ -28,14 +28,6 @@ GUARDED_WRITE_MODULES: Tuple[str, ...] = (
 
 #: The helper that implements the locked atomic-replace discipline itself.
 FSLOCK_MODULE = "repro/fslock.py"
-
-#: Modules that *reconstruct* metric trees emitted elsewhere -- the
-#: congestion campaign job projects producer metrics into a trimmed payload.
-#: It is a consumer replaying names, not a second producer, so it is exempt
-#: from the cross-module duplicate check (RL06).
-METRIC_RECONSTRUCTION_MODULES: Tuple[str, ...] = (
-    "repro/analysis/congestion.py",
-)
 
 
 def module_is_guarded_write(module: str) -> bool:

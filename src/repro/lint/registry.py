@@ -5,18 +5,13 @@ rule declares its id (``RLxx``), a one-line invariant, and a rationale tying
 the invariant back to reproducibility; ``repro-lint --list-rules`` prints
 exactly these fields, so they double as the user-facing contract table.
 
-Rules run in two passes:
-
-* ``check_module(ctx)`` -- per-file, sees one :class:`ModuleContext`;
-* ``check_project(ctxs)`` -- once per run over all contexts, for
-  cross-module invariants (RL06 metric-namespace collisions).
-
-Either may be a no-op (return an empty list).
+A rule is one per-file pass: ``check_module(ctx)`` sees one
+:class:`ModuleContext` and returns its findings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Type
+from typing import Dict, List, Type
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
@@ -33,9 +28,6 @@ class Rule:
     rationale = ""
 
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
-        return []
-
-    def check_project(self, ctxs: Sequence[ModuleContext]) -> List[Finding]:
         return []
 
     def finding(self, ctx: ModuleContext, line: int, col: int, message: str) -> Finding:

@@ -13,12 +13,68 @@ the same reason.  (Plain dict views are insertion-ordered and exempt.)
 from __future__ import annotations
 
 import ast
-from typing import List
+from typing import Callable, Dict, List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import set_checker_for
+
+_SET_METHODS = frozenset(
+    {"union", "intersection", "difference", "symmetric_difference", "copy"}
+)
+
+
+def _is_set_expr(node: ast.AST, known: Set[str]) -> bool:
+    """Whether ``node`` is set-typed, given the scope's set-assigned names."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in known
+    if isinstance(node, ast.Call):
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id in ("set", "frozenset"):
+            return True
+        if isinstance(fn, ast.Attribute) and fn.attr in _SET_METHODS:
+            return _is_set_expr(fn.value, known)
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
+    ):
+        return _is_set_expr(node.left, known) or _is_set_expr(node.right, known)
+    return False
+
+
+def _known_sets_lookup(ctx: ModuleContext) -> Callable[[ast.AST], Set[str]]:
+    """Map any node to the names its enclosing scope assigned set-typed values.
+
+    Runs the assignment pre-pass once, grouping names by the lexical scope
+    (module or function) the assignment lives in.
+    """
+    scope_known: Dict[int, Set[str]] = {id(ctx.tree): set()}
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope_known[id(node)] = set()
+
+    def known_for(node: ast.AST) -> Set[str]:
+        current = ctx.parent(node)
+        while current is not None and id(current) not in scope_known:
+            current = ctx.parent(current)
+        return scope_known[id(current) if current is not None else id(ctx.tree)]
+
+    assigns = [
+        n
+        for n in ast.walk(ctx.tree)
+        if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value is not None
+    ]
+    for assign in sorted(assigns, key=lambda n: n.lineno):
+        known = known_for(assign)
+        if not _is_set_expr(assign.value, known):
+            continue
+        targets = assign.targets if isinstance(assign, ast.Assign) else [assign.target]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                known.add(target.id)
+    return known_for
+
 
 #: Consumers for which element order cannot affect the result.  ``sum`` is
 #: deliberately absent: float addition is not associative, so summing a set
@@ -61,7 +117,7 @@ class IterationOrderRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        checker_for = set_checker_for(ctx)
+        known_for = _known_sets_lookup(ctx)
 
         def flag(node: ast.AST, what: str) -> None:
             findings.append(
@@ -75,8 +131,8 @@ class IterationOrderRule(Rule):
 
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.For):
-                chk = checker_for(node)
-                if chk.is_set_expr(node.iter):
+                known = known_for(node)
+                if _is_set_expr(node.iter, known):
                     flag(node.iter, "for-loop iterates a set-typed expression")
                 elif _is_dynamic_namespace_view(node.iter):
                     flag(node.iter, "for-loop iterates a dynamic-namespace view")
@@ -90,17 +146,17 @@ class IterationOrderRule(Rule):
                     and parent.func.id in _ORDER_FREE_CONSUMERS
                 ):
                     continue
-                chk = checker_for(node)
+                known = known_for(node)
                 for gen in node.generators:
-                    if chk.is_set_expr(gen.iter):
+                    if _is_set_expr(gen.iter, known):
                         flag(gen.iter, "comprehension iterates a set-typed expression")
                     elif _is_dynamic_namespace_view(gen.iter):
                         flag(gen.iter, "comprehension iterates a dynamic-namespace view")
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 if node.func.id in _ORDERED_CONSUMERS:
-                    chk = checker_for(node)
+                    known = known_for(node)
                     for arg in node.args:
-                        if chk.is_set_expr(arg):
+                        if _is_set_expr(arg, known):
                             flag(
                                 arg,
                                 f"{node.func.id}() materialises a set-typed "
@@ -111,8 +167,8 @@ class IterationOrderRule(Rule):
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "join"
             ):
-                chk = checker_for(node)
+                known = known_for(node)
                 for arg in node.args:
-                    if chk.is_set_expr(arg):
+                    if _is_set_expr(arg, known):
                         flag(arg, "str.join() consumes a set-typed expression")
         return findings

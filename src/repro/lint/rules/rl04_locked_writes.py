@@ -19,7 +19,6 @@ from repro.lint.config import module_is_guarded_write
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import call_keyword, string_value
 
 _WRITE_MODE_CHARS = set("wax+")
 
@@ -29,10 +28,15 @@ _PATH_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 
 def _open_mode(call: ast.Call) -> Optional[str]:
-    mode = call_keyword(call, "mode")
+    """The literal mode of an ``open`` call; None when it is not a literal."""
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
     if mode is None and len(call.args) >= 2:
         mode = call.args[1]
-    return string_value(mode) if mode is not None else "r"
+    if mode is None:
+        return "r"
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return None
 
 
 @register

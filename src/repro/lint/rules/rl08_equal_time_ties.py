@@ -14,20 +14,19 @@ The fix is structural, not cosmetic: schedule *one* event that walks the
 collection in a deterministic order (pass the whole batch to the callback),
 or derive genuinely distinct times per element.
 
-Two additional hazards are flagged: a set-typed collection fanned out into
-the scheduler (hash order becomes insertion order becomes dispatch order),
-and ``schedule_at`` with a loop-invariant absolute time.
+``schedule_at`` with a loop-invariant absolute time is the same hazard and
+is flagged too.  (Fanning a *set* out into the scheduler is RL03's finding:
+it flags the ``for`` itself.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import set_checker_for
 
 _SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post"})
 
@@ -72,13 +71,10 @@ def _loop_invariant_time(expr: ast.AST, loop_names: Set[str]) -> bool:
     return True
 
 
-def _uses_names(expr: Optional[ast.AST], loop_names: Set[str]) -> bool:
-    if expr is None:
-        return False
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and node.id in loop_names:
-            return True
-    return False
+def _uses_names(expr: ast.AST, loop_names: Set[str]) -> bool:
+    return any(
+        isinstance(node, ast.Name) and node.id in loop_names for node in ast.walk(expr)
+    )
 
 
 @register
@@ -99,57 +95,32 @@ class EqualTimeTieRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        checker_for = set_checker_for(ctx)
-
-        for loop in ast.walk(ctx.tree):
-            if not isinstance(loop, ast.For):
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.Call) and _is_engine_schedule(node) and node.args):
+                continue
+            # The *innermost* enclosing loop owns the call, so the invariance
+            # test uses the right loop variable under nesting.
+            loop = ctx.parent(node)
+            while loop is not None and not isinstance(loop, ast.For):
+                loop = ctx.parent(loop)
+            if loop is None:
                 continue
             loop_names = _loop_target_names(loop.target)
-            iter_is_set = checker_for(loop).is_set_expr(loop.iter)
-            for node in ast.walk(loop):
-                if not (isinstance(node, ast.Call) and _is_engine_schedule(node)):
-                    continue
-                if not node.args:
-                    continue
-                # Nested loops: attribute the call to the *innermost* loop so
-                # the invariance test uses the right loop variable.
-                inner = ctx.parent(node)
-                owner: Optional[ast.For] = None
-                while inner is not None:
-                    if isinstance(inner, ast.For):
-                        owner = inner
-                        break
-                    inner = ctx.parent(inner)
-                if owner is not loop:
-                    continue
-                per_element = any(
-                    _uses_names(arg, loop_names) for arg in list(node.args)[1:]
-                ) or any(_uses_names(kw.value, loop_names) for kw in node.keywords)
-                if not per_element:
-                    continue
-                if iter_is_set:
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            node.lineno,
-                            node.col_offset,
-                            "per-element event fan-out over a set-typed "
-                            "expression: hash order becomes dispatch order; "
-                            "iterate sorted(...) or schedule one batched event",
-                        )
+            per_element = any(
+                _uses_names(arg, loop_names)
+                for arg in [*node.args[1:], *(kw.value for kw in node.keywords)]
+            )
+            if per_element and _loop_invariant_time(node.args[0], loop_names):
+                method = node.func.attr  # type: ignore[union-attr]
+                findings.append(
+                    self.finding(
+                        ctx,
+                        node.lineno,
+                        node.col_offset,
+                        f"engine.{method}() fan-out at a loop-invariant "
+                        "time: the elements' events tie and dispatch in "
+                        "insertion order only; schedule one batched event "
+                        "for the whole collection or stagger the times",
                     )
-                    continue
-                if _loop_invariant_time(node.args[0], loop_names):
-                    method = node.func.attr  # type: ignore[union-attr]
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            node.lineno,
-                            node.col_offset,
-                            f"engine.{method}() fan-out at a loop-invariant "
-                            "time: the elements' events tie and dispatch in "
-                            "insertion order only; schedule one batched event "
-                            "for the whole collection or stagger the times",
-                        )
-                    )
+                )
         return findings

@@ -30,8 +30,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-_MISSING = object()
-
 #: Explicit units for metric paths that the suffix conventions below miss.
 METRIC_UNITS: Dict[str, str] = {
     "sim.makespan": "s",
@@ -146,15 +144,6 @@ class MetricSet:
         if path in self._namespaces:
             return self.tree(path)
         return default
-
-    def require(self, path: str) -> Any:
-        value = self.get(path, _MISSING)
-        if value is _MISSING:
-            raise ConfigurationError(
-                f"unknown metric {path!r}; available namespaces: "
-                f"{', '.join(sorted({p.split('.', 1)[0] for p in self._values}))}"
-            )
-        return value
 
     def __contains__(self, path: str) -> bool:
         return path in self._values or path in self._namespaces

@@ -77,15 +77,6 @@ class ResultSet:
     def __repr__(self) -> str:
         return f"ResultSet({len(self._runs)} runs)"
 
-    def one(self) -> RunResult:
-        """The single run of this set (raises unless exactly one)."""
-        if len(self._runs) != 1:
-            raise ConfigurationError(
-                f"expected exactly one run, got {len(self._runs)} "
-                f"({[r.name for r in self._runs][:6]}...)"
-            )
-        return self._runs[0]
-
     # ------------------------------------------------------------------ query
     def where(self, predicate: Optional[Callable[[RunResult], bool]] = None,
               **filters: Any) -> "ResultSet":

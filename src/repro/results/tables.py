@@ -164,15 +164,6 @@ class TableSchema:
     def __repr__(self) -> str:
         return f"TableSchema({self.name!r}, {len(self.columns)} columns)"
 
-    def column(self, name: str) -> Column:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"table {self.name!r} has no column {name!r}; columns: "
-                f"{', '.join(c.name for c in self.columns)}"
-            ) from None
-
     @property
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]

@@ -11,10 +11,15 @@ explorer compares interleavings against the FIFO baseline
 (:mod:`~repro.schedexplore.explorer`) and packages any divergence as a
 minimal, replayable witness (:mod:`~repro.schedexplore.witness`).
 
-Run it as a campaign job (``{"analysis": "schedule-explore"}``,
-:mod:`~repro.schedexplore.job`) or from the command line::
+Two front doors: ``repro-experiment schedule-explore`` explores the pinned
+scenarios (the CI gate and benchmark, :mod:`~repro.schedexplore.pinned`),
+and a spec tagged ``{"analysis": "schedule-explore"}`` runs through
+``repro-campaign run`` (:mod:`~repro.schedexplore.job`, cached and
+parallel).  Replaying a saved witness is a library call::
 
-    PYTHONPATH=src python -m repro.schedexplore explore --pinned all --seeds 3
+    from repro.schedexplore import ScheduleWitness, replay_witness
+    outcome = replay_witness(ScheduleWitness.load("foo.witness.json"))
+    assert outcome["reproduced"], outcome
 """
 
 from repro.schedexplore.explorer import (

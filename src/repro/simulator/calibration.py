@@ -82,12 +82,6 @@ class CalibrationCache:
     def put(self, key: str, entry: Dict[str, Any]) -> None:
         self._file.put(key, entry)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._file
-
-    def __len__(self) -> int:
-        return len(self._file)
-
 
 # ------------------------------------------------------------------ activation
 def active_cache() -> Optional[CalibrationCache]:

@@ -156,10 +156,6 @@ class Transport:
 
     # ------------------------------------------------------------------ misc
     @property
-    def network(self) -> NetworkModel:
-        return self._network
-
-    @property
     def topology(self):
         """The routed topology, or ``None`` for flat point-to-point models."""
         return self._routed.topology if self._routed is not None else None

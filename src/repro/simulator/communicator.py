@@ -127,10 +127,6 @@ class Communicator:
             self._check_peer(source)
         return self._proc.post_receive(source, tag)
 
-    @staticmethod
-    def test(request: Request) -> bool:
-        return request.test()
-
     def wait(self, request: Request):
         """Wait for one request; returns its completion value."""
         value = yield WaitOp(requests=[request], mode="one")

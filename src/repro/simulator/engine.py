@@ -101,11 +101,6 @@ class EventHandle:
             self._engine._note_cancelled()
 
     @property
-    def time(self) -> float:
-        value: float = self._event[_TIME]
-        return value
-
-    @property
     def cancelled(self) -> bool:
         state: int = self._event[_STATE]
         return state == _CANCELLED

@@ -140,9 +140,6 @@ class FailureInjector:
         #: (identity, not equality: FailureEvent is a value-equal dataclass).
         self._timed_consumed: Set[int] = set()
 
-    def add(self, event: FailureEvent) -> None:
-        self.events.append(event)
-
     # ------------------------------------------------------------------ wiring
     def attach(self, sim: "Simulation") -> None:
         self._sim = sim

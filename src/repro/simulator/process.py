@@ -487,10 +487,6 @@ class RankProcess:
 
     # ------------------------------------------------------------------ info
     @property
-    def alive(self) -> bool:
-        return self.state not in (RankState.FAILED, RankState.DONE)
-
-    @property
     def done(self) -> bool:
         return self.state is RankState.DONE
 

@@ -155,10 +155,6 @@ class Simulation:
         if self.failure_injector is not None:
             self.failure_injector.attach(self)
 
-    # ----------------------------------------------------------------- access
-    def rank(self, rank: int) -> RankProcess:
-        return self.ranks[rank]
-
     # ------------------------------------------------------------- send paths
     def initiate_send(
         self,
@@ -397,11 +393,17 @@ class Simulation:
             status = "completed" if self.all_done() else "incomplete"
 
         if status == "deadlock" and self.config.raise_on_incomplete:
-            raise DeadlockError(self._deadlock_report())
+            raise DeadlockError(
+                self._unfinished_report(
+                    "simulation deadlock: event queue empty but ranks are not done"
+                )
+            )
         if status in ("timeout", "event-limit") and self.config.raise_on_incomplete:
             raise SimulationError(
-                f"simulation stopped ({status}) before completion: "
-                f"{sum(1 for p in self.ranks.values() if not p.done)} ranks unfinished"
+                self._unfinished_report(
+                    f"simulation stopped ({status}) before completion: "
+                    f"{sum(1 for p in self.ranks.values() if not p.done)} ranks unfinished"
+                )
             )
 
         self._finalize_stats()
@@ -464,9 +466,9 @@ class Simulation:
             metrics.set("links.tiers", self.transport.tier_stats())
         return metrics
 
-    def _deadlock_report(self) -> str:
-        lines = ["simulation deadlock: event queue empty but ranks are not done"]
-        lines.append(f"  recovery in progress: {self.protocol.recovery_in_progress()}")
+    def _unfinished_report(self, headline: str) -> str:
+        """``headline`` plus, per unfinished rank, its state and what it waits on."""
+        lines = [headline, f"  recovery in progress: {self.protocol.recovery_in_progress()}"]
         for rank, proc in sorted(self.ranks.items()):
             if not proc.done:
                 lines.append(

@@ -242,11 +242,3 @@ def round9(x: float) -> float:
     if -16777216.0 < x < 16777216.0:  # 2**24
         return round(x, 9)
     return x
-
-
-def checksum(values) -> float:
-    """Order-independent checksum helper used by workloads' finalize()."""
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return round(total, 10)

@@ -173,7 +173,7 @@ REPORT_FIELDS = {
                "makespan_mean_rel_err", "replicas"],
     "ff-coverage": ["workloads_fast_forwarding", "workloads_swept",
                     "workloads.stencil2d.fallback"],
-    "schedule-explore": ["invariant", "divergences", "interleavings_per_s",
+    "schedule-explore": ["invariant", "divergences", "witnesses", "interleavings_per_s",
                          "recovery_time_over_schedules"],
     "efficiency-mtbf": ["replica_sims", "replicas_per_s", "containment_holds"],
 }

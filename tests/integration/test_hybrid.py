@@ -84,6 +84,15 @@ def log_byte_balance(sim):
     )
 
 
+VOLUME_COUNTERS = (
+    "app_messages",
+    "app_bytes",
+    "logged_messages",
+    "logged_bytes",
+    "checkpoints_taken",
+    "checkpoint_bytes",
+)
+
 FAULT_SCENARIOS = {
     "free": [],
     "timed": [FailureSpec(ranks=(5,), time=0.004)],
@@ -110,14 +119,7 @@ class TestHybridParity:
         )
 
         # Volume counters are bit-exact, not merely close.
-        for attr in (
-            "app_messages",
-            "app_bytes",
-            "logged_messages",
-            "logged_bytes",
-            "checkpoints_taken",
-            "checkpoint_bytes",
-        ):
+        for attr in VOLUME_COUNTERS:
             assert getattr(hybrid.stats, attr) == getattr(exact.stats, attr), attr
 
         exact_pstats = exact_sim.protocol.pstats.as_dict()
@@ -143,6 +145,25 @@ class TestHybridParity:
         assert stats["fallback"] == 0
         assert stats["batched_iterations"] > 0
         assert stats["ff_iterations"] >= stats["batched_iterations"]
+
+    def test_two_rank_clusters_batch_by_pair_extrapolation(self):
+        # With 2-rank clusters on a ring the protocol's per-iteration epoch
+        # delta alternates with period two, so single deltas never agree and
+        # the director verifies and extrapolates *pair* deltas
+        # (`_probe_deltas` stride 2, `_batch_intervals(stride=2)`).  No other
+        # test, registry entry, example or observatory workload reaches it.
+        spec = dataclasses.replace(
+            scenario(iterations=60),
+            workload=WorkloadSpec(kind="ring", nprocs=8, iterations=60),
+        )
+        (exact_sim, exact), (hybrid_sim, hybrid) = run_both(spec)
+        assert exact.status == hybrid.status == "completed"
+        assert hybrid_sim.hybrid_stats["fallback"] == 0
+        assert hybrid_sim.hybrid_stats["batched_iterations"] == 160
+        for attr in VOLUME_COUNTERS:
+            assert getattr(hybrid.stats, attr) == getattr(exact.stats, attr), attr
+        assert hybrid_sim.protocol.pstats.as_dict() == exact_sim.protocol.pstats.as_dict()
+        assert hybrid.stats.makespan == pytest.approx(exact.stats.makespan, rel=1e-12)
 
     def test_dense_checkpointing_disables_batching_but_stays_exact(self):
         # interval=1 leaves no boundary-free probe window; the per-message

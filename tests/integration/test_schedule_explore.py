@@ -7,16 +7,28 @@ adversarial schedules.  The negative half: an artificially order-sensitive
 fixture -- two non-commuting same-time mutations of observable state -- IS
 flagged, its witness shrinks to a handful of decisions, and the shrunk
 witness replays the same first divergence deterministically, including
-after a save/load round-trip.  Finally, the ``schedule-explore`` campaign
-job must produce byte-identical records serial vs ``--workers N``.
+after a save/load round-trip.  The ``schedule-explore`` campaign job must
+produce byte-identical records serial vs ``--workers N`` (through the
+library and through ``repro-campaign run`` on a spec file), and a red
+``repro-experiment schedule-explore --report`` must leave a witness the
+library replays.
 """
 
 import json
 
-from repro.campaign import ResultsStore, run_campaign, run_spec
+from repro.campaign import ResultsStore, run_spec
+from repro.campaign.cli import main as campaign_main
 from repro.scenarios.build import build
-from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, WorkloadSpec
-from repro.schedexplore.cli import main as schedexplore_main
+from repro.experiments import main as experiment_main
+from repro.scenarios.spec import (
+    ClusteringSpec,
+    FailureSpec,
+    NetworkSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.schedexplore.explorer import (
     explore,
     explore_factory,
@@ -144,22 +156,29 @@ class TestOrderSensitiveFixtureIsFlagged:
 
 
 # ------------------------------------------------------------- campaign job
-def _canonical(records):
-    return json.dumps(records, sort_keys=True, separators=(",", ":"))
-
-
 class TestScheduleExploreCampaignJob:
-    def test_serial_vs_workers_byte_identical(self, tmp_path):
+    def test_serial_vs_workers_byte_identical(self, tmp_path, capsys):
+        # The front door for arbitrary spec files: tag the scenario, hand
+        # the file to `repro-campaign run`.
         specs = [pinned_spec(name, seeds=2) for name in available_pinned()]
-        serial_store = ResultsStore(str(tmp_path / "serial.json"))
-        parallel_store = ResultsStore(str(tmp_path / "parallel.json"))
-        serial = run_campaign(specs, workers=1, store=serial_store)
-        parallel = run_campaign(specs, workers=2, store=parallel_store)
-        assert serial.executed == len(specs) and parallel.executed == len(specs)
-        assert _canonical(serial.records) == _canonical(parallel.records)
+        specfile = tmp_path / "explore-specs.json"
+        specfile.write_text(json.dumps([spec.to_dict() for spec in specs]))
+        outputs = {}
+        for label, workers in (("serial", "1"), ("parallel", "2")):
+            store = str(tmp_path / f"{label}.json")
+            argv = ["run", str(specfile), "--workers", workers, "--store", store, "--json"]
+            assert campaign_main(argv) == 0
+            outputs[label] = capsys.readouterr().out
+        records = json.loads(outputs["serial"].rsplit("results store:", 1)[0])
+        assert [r["analysis"] for r in records] == ["schedule-explore"] * len(specs)
+        assert all(r["result"]["invariant"] for r in records)
+        assert outputs["serial"].replace("serial.json", "") == outputs[
+            "parallel"
+        ].replace("parallel.json", "")
         assert (tmp_path / "serial.json").read_bytes() == (
             tmp_path / "parallel.json"
         ).read_bytes()
+        assert len(ResultsStore(str(tmp_path / "serial.json"))) == len(specs)
 
     def test_job_payload_reports_invariance_verdict(self):
         record, _ = run_spec(pinned_spec("message-logging-ring", seeds=2))
@@ -178,27 +197,11 @@ class TestScheduleExploreCampaignJob:
         assert two.spec_hash() != three.spec_hash()
 
 
-# -------------------------------------------------------------------- CLI
-class TestExplorerCli:
-    def test_explore_pinned_scenario_exits_zero(self, capsys):
-        code = schedexplore_main(
-            ["explore", "--pinned", "message-logging-ring", "--seeds", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "INVARIANT" in out
-        assert "0 divergent" in out
-
-    def test_list_shows_pinned_scenarios_and_policies(self, capsys):
-        assert schedexplore_main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in available_pinned():
-            assert name in out
-        assert "adversarial" in out
-
-    def test_replay_of_a_stale_witness_exits_one(self, tmp_path, capsys):
+# ------------------------------------------------- witnesses without a CLI
+class TestWitnessReplayIsALibraryCall:
+    def test_stale_witness_from_file_is_not_reproduced(self, tmp_path):
         # A witness whose decisions no longer diverge (empty = pure FIFO)
-        # must be reported as NOT reproduced, exit 1.
+        # replays from its embedded scenario and reports NOT reproduced.
         witness = ScheduleWitness(
             policy="adversarial",
             seed=0,
@@ -213,9 +216,49 @@ class TestExplorerCli:
         )
         path = str(tmp_path / "stale.witness.json")
         witness.save(path)
-        assert schedexplore_main(["replay", path]) == 1
-        assert "NOT reproduced" in capsys.readouterr().out
+        outcome = replay_witness(ScheduleWitness.load(path))
+        assert outcome["reproduced"] is False
+        assert outcome["divergence"] is None
+        assert outcome["expected"] == witness.divergence
 
-    def test_explore_requires_exactly_one_source(self, capsys):
-        assert schedexplore_main(["explore"]) == 2
-        assert "exactly one of" in capsys.readouterr().err
+    def test_red_registry_report_carries_a_replayable_witness(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Link contention makes which checkpoint beats the failure depend on
+        # the schedule, so this spec diverges; pinned in the entry's place it
+        # turns `repro-experiment schedule-explore --report` red, and the
+        # report it leaves behind must be enough to replay the divergence.
+        contended = ScenarioSpec(
+            name="hydee-ring-contended",
+            workload=WorkloadSpec(kind="ring", nprocs=8, iterations=6),
+            protocol=ProtocolSpec(
+                name="hydee",
+                options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
+                clustering=ClusteringSpec(method="block", num_clusters=2),
+            ),
+            network=NetworkSpec(
+                topology=TopologySpec(
+                    preset="cluster-per-node",
+                    params={"ranks_per_node": 2, "oversubscription": 4.0},
+                )
+            ),
+            failures=(FailureSpec(ranks=(1,), at_iteration=3),),
+        )
+        monkeypatch.setattr(
+            "repro.experiments.timed.PINNED_SCENARIOS",
+            {"hydee-stencil2d-single-failure": contended},
+        )
+        code = experiment_main(
+            ["schedule-explore", "--seeds", "1", "--contended-seeds", "1",
+             "--report", str(tmp_path)]
+        )
+        assert code == 1
+        assert "failed checks: zero_divergences" in capsys.readouterr().err
+        report = json.loads((tmp_path / "BENCH_schedule_explore.json").read_text())
+        assert report["checks"]["zero_divergences"] is False
+        assert report["divergences"] == len(report["witnesses"]) == 1
+        path = tmp_path / "ci.witness.json"
+        path.write_text(json.dumps(report["witnesses"][0]), encoding="utf-8")
+        witness = ScheduleWitness.load(str(path))
+        assert 0 < len(witness.decisions) < witness.original_decisions
+        assert replay_witness(witness)["reproduced"]

@@ -3,7 +3,7 @@ small hand-written applications."""
 
 import pytest
 
-from repro.errors import DeadlockError, InvalidOperationError
+from repro.errors import DeadlockError, InvalidOperationError, SimulationError
 from repro.simulator.messages import ANY_SOURCE, Message
 from repro.simulator.process import RankState
 from repro.simulator.requests import RecvRequest
@@ -185,6 +185,41 @@ class TestPointToPoint:
         with pytest.raises(DeadlockError) as excinfo:
             run_script(2, body)
         assert "rank 1" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "status, bound",
+        [("event-limit", {"max_events": 40}), ("timeout", {"max_time": 1e-5})],
+    )
+    def test_bounded_run_names_each_unfinished_rank_and_what_it_waits_on(
+        self, status, bound
+    ):
+        # Ranks 0 and 1 ping-pong far past the bound; rank 2 waits on a
+        # message nobody sends.
+        def body(comm, rank, state, it):
+            if rank == 2:
+                yield from comm.recv(source=0, tag=99)
+            elif rank == 0:
+                yield from comm.send(1, payload=it)
+                yield from comm.recv(source=1)
+            else:
+                yield from comm.recv(source=0)
+                yield from comm.send(0, payload=it)
+
+        with pytest.raises(SimulationError) as excinfo:
+            run_script(3, body, iterations=1000, config=SimulationConfig(**bound))
+        assert not isinstance(excinfo.value, DeadlockError)
+        lines = str(excinfo.value).splitlines()
+        assert lines[0] == (
+            f"simulation stopped ({status}) before completion: 3 ranks unfinished"
+        )
+        report = {line.split(":")[0].strip(): line for line in lines[1:]}
+        assert sorted(report) == ["rank 0", "rank 1", "rank 2", "recovery in progress"]
+        assert "state=blocked" in report["rank 0"] and "iteration=" in report["rank 0"]
+        assert "blocked on recv(source=1, tag=-1)" in report["rank 0"]
+        assert "blocked on recv(source=0, tag=-1)" in report["rank 1"]
+        assert report["rank 2"].endswith(
+            "state=blocked iteration=0 blocked on recv(source=0, tag=99)"
+        )
 
     def test_deadlock_can_be_reported_without_raising(self):
         def body(comm, rank, state, it):

@@ -15,8 +15,7 @@ import sys
 import pytest
 
 from repro.lint import Finding, all_rules, lint_source, run_lint
-from repro.lint.analyzer import lint_contexts
-from repro.lint.context import ModuleContext
+from repro.lint.cli import main as lint_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -30,31 +29,31 @@ def lint_one(source, module="repro/example.py", select=None):
     return lint_source(source, module=module, select=select)
 
 
-# --------------------------------------------------------------------- RL01
-class TestRL01SeededRng:
+# ------------------------------------------------- RL02 (seeded-RNG half)
+class TestRL02SeededRng:
     def test_module_level_random_call_is_flagged(self):
-        findings = lint_one("import random\nx = random.random()\n", select=["RL01"])
-        assert rules_of(findings) == ["RL01"]
+        findings = lint_one("import random\nx = random.random()\n", select=["RL02"])
+        assert rules_of(findings) == ["RL02"]
         assert "global" in findings[0].message
 
     def test_random_seed_is_flagged_everywhere(self):
         src = "import random\nrandom.seed(42)\n"
         findings = lint_one(
-            src, module="repro/faults/distributions.py", select=["RL01"]
+            src, module="repro/faults/distributions.py", select=["RL02"]
         )
-        assert rules_of(findings) == ["RL01"]
+        assert rules_of(findings) == ["RL02"]
 
     def test_numpy_random_is_flagged_through_aliases(self):
         findings = lint_one(
-            "import numpy as np\nx = np.random.rand(3)\n", select=["RL01"]
+            "import numpy as np\nx = np.random.rand(3)\n", select=["RL02"]
         )
-        assert rules_of(findings) == ["RL01"]
+        assert rules_of(findings) == ["RL02"]
 
     def test_random_constructor_outside_factory_is_flagged(self):
         findings = lint_one(
-            "from random import Random\nr = Random(3)\n", select=["RL01"]
+            "from random import Random\nr = Random(3)\n", select=["RL02"]
         )
-        assert rules_of(findings) == ["RL01"]
+        assert rules_of(findings) == ["RL02"]
         assert "derive_rng" in findings[0].message
 
     def test_random_constructor_inside_factory_is_allowed(self):
@@ -62,7 +61,7 @@ class TestRL01SeededRng:
             "import random\n\ndef derive_rng(seed: int):\n"
             "    return random.Random(seed)\n",
             module="repro/faults/distributions.py",
-            select=["RL01"],
+            select=["RL02"],
         )
         assert findings == []
 
@@ -70,20 +69,20 @@ class TestRL01SeededRng:
         findings = lint_one(
             "from repro.faults.distributions import derive_rng\n"
             "rng = derive_rng('scenario', 1)\nx = rng.random()\n",
-            select=["RL01"],
+            select=["RL02"],
         )
         assert findings == []
 
     def test_suppression_with_justification_is_honored(self):
         findings = lint_one(
             "import random\n"
-            "x = random.random()  # repro-lint: disable=RL01 -- fixture only\n",
-            select=["RL01"],
+            "x = random.random()  # repro-lint: disable=RL02 -- fixture only\n",
+            select=["RL02"],
         )
         assert findings == []
 
 
-# --------------------------------------------------------------------- RL02
+# -------------------------------------------------- RL02 (wall-clock half)
 class TestRL02WallClock:
     def test_time_time_is_flagged(self):
         findings = lint_one("import time\nt = time.time()\n", select=["RL02"])
@@ -270,139 +269,6 @@ class TestRL04LockedWrites:
         assert "RL00" in rules_of(findings)  # and is itself reported
 
 
-# --------------------------------------------------------------------- RL05
-class TestRL05FrozenSpec:
-    def test_unfrozen_dataclass_spec_is_flagged(self):
-        findings = lint_one(
-            "from dataclasses import dataclass\n\n"
-            "@dataclass\nclass FooSpec:\n    a: int = 0\n",
-            select=["RL05"],
-        )
-        assert rules_of(findings) == ["RL05"]
-        assert "frozen" in findings[0].message
-
-    def test_non_dataclass_spec_is_flagged(self):
-        findings = lint_one("class BareSpec:\n    pass\n", select=["RL05"])
-        assert rules_of(findings) == ["RL05"]
-
-    def test_field_missing_from_to_dict_is_flagged(self):
-        findings = lint_one(
-            "from dataclasses import dataclass\n\n"
-            "@dataclass(frozen=True)\n"
-            "class FooSpec:\n"
-            "    a: int = 0\n"
-            "    b: int = 0\n\n"
-            "    def to_dict(self):\n"
-            "        return {'a': self.a}\n",
-            select=["RL05"],
-        )
-        assert rules_of(findings) == ["RL05"]
-        assert "'b'" in findings[0].message
-
-    def test_asdict_and_star_kwargs_pass_automatically(self):
-        findings = lint_one(
-            "import dataclasses\nfrom dataclasses import dataclass\n\n"
-            "@dataclass(frozen=True)\n"
-            "class FooSpec:\n"
-            "    a: int = 0\n"
-            "    b: int = 0\n\n"
-            "    def to_dict(self):\n"
-            "        return dataclasses.asdict(self)\n\n"
-            "    @classmethod\n"
-            "    def from_dict(cls, data):\n"
-            "        return cls(**dict(data))\n",
-            select=["RL05"],
-        )
-        assert findings == []
-
-    def test_explicit_complete_serialisers_pass(self):
-        findings = lint_one(
-            "from dataclasses import dataclass\n\n"
-            "@dataclass(frozen=True)\n"
-            "class FooSpec:\n"
-            "    a: int = 0\n"
-            "    b: int = 0\n\n"
-            "    def to_dict(self):\n"
-            "        return {'a': self.a, 'b': self.b}\n\n"
-            "    @classmethod\n"
-            "    def from_dict(cls, data):\n"
-            "        return cls(a=data['a'], b=data['b'])\n",
-            select=["RL05"],
-        )
-        assert findings == []
-
-    def test_non_spec_classes_are_ignored(self):
-        findings = lint_one("class Helper:\n    pass\n", select=["RL05"])
-        assert findings == []
-
-
-# --------------------------------------------------------------------- RL06
-class TestRL06MetricNamespace:
-    def test_cross_module_duplicate_dotted_metric_is_flagged(self):
-        ctx_a = ModuleContext(
-            "a.py",
-            "def emit(metrics, v):\n    metrics.set('sim.makespan2', v)\n",
-            module="repro/simulator/a.py",
-        )
-        ctx_b = ModuleContext(
-            "b.py",
-            "def emit(metrics, v):\n    metrics.set('sim.makespan2', v)\n",
-            module="repro/analysis/b.py",
-        )
-        findings = lint_contexts([ctx_a, ctx_b], select=["RL06"])
-        assert rules_of(findings) == ["RL06", "RL06"]
-        assert {f.path for f in findings} == {"a.py", "b.py"}
-
-    def test_single_producer_is_clean(self):
-        findings = lint_one(
-            "def emit(metrics, v):\n    metrics.set('sim.unique_metric', v)\n",
-            select=["RL06"],
-        )
-        assert findings == []
-
-    def test_reconstruction_modules_are_exempt(self):
-        ctx_a = ModuleContext(
-            "a.py",
-            "def emit(metrics, v):\n    metrics.set('sim.makespan3', v)\n",
-            module="repro/simulator/a.py",
-        )
-        ctx_b = ModuleContext(
-            "congestion.py",
-            "def rebuild(metrics, v):\n    metrics.set('sim.makespan3', v)\n",
-            module="repro/analysis/congestion.py",
-        )
-        assert lint_contexts([ctx_a, ctx_b], select=["RL06"]) == []
-
-    def test_duplicate_add_metric_in_one_class_is_flagged(self):
-        findings = lint_one(
-            "class Proto:\n"
-            "    def extra_metrics(self, info):\n"
-            "        add_metric(info, 'clusters', 1)\n"
-            "        add_metric(info, 'clusters', 2)\n",
-            select=["RL06"],
-        )
-        assert rules_of(findings) == ["RL06"]
-
-    def test_stats_as_dict_key_colliding_with_add_metric_is_flagged(self):
-        ctx_a = ModuleContext(
-            "base.py",
-            "class Proto:\n"
-            "    def extra_metrics(self, info):\n"
-            "        add_metric(info, 'clusters', 1)\n",
-            module="repro/ftprotocols/base.py",
-        )
-        ctx_b = ModuleContext(
-            "stats.py",
-            "class ProtoStats:\n"
-            "    def as_dict(self):\n"
-            "        return {'clusters': 2}\n",
-            module="repro/ftprotocols/stats.py",
-        )
-        findings = lint_contexts([ctx_a, ctx_b], select=["RL06"])
-        assert rules_of(findings) == ["RL06"]
-        assert findings[0].path == "stats.py"
-
-
 # --------------------------------------------------------------------- RL08
 class TestRL08EqualTimeTies:
     def test_per_element_fanout_at_constant_time_is_flagged(self):
@@ -476,16 +342,17 @@ class TestRL08EqualTimeTies:
         )
         assert lint_one(src, select=["RL08"]) == []
 
-    def test_set_iterable_fanout_is_flagged(self):
+    def test_set_iterable_fanout_is_rl03s_finding(self):
+        # Hash order becoming dispatch order is flagged once, on the `for`.
         src = (
             "def arm(self):\n"
             "    ranks = {1, 2, 3}\n"
             "    for rank in ranks:\n"
             "        self.engine.schedule(self.delay_for(rank), self._fire, rank)\n"
         )
-        findings = lint_one(src, select=["RL08"])
-        assert rules_of(findings) == ["RL08"]
-        assert "hash order" in findings[0].message
+        findings = lint_one(src)
+        assert rules_of(findings) == ["RL03"]
+        assert findings[0].line == 3
 
     def test_non_engine_schedule_is_ignored(self):
         src = (
@@ -514,70 +381,6 @@ class TestRL08EqualTimeTies:
             "  # repro-lint: disable=RL08 -- order proven irrelevant here\n"
         )
         assert lint_one(src, select=["RL08"]) == []
-
-
-# --------------------------------------------------------------------- RL09
-class TestRL09EngineIdentity:
-    def test_msg_id_in_stats_extra_is_flagged(self):
-        src = "def f(self, message):\n    self.stats.extra['last'] = message.msg_id\n"
-        findings = lint_one(src, select=["RL09"])
-        assert rules_of(findings) == ["RL09"]
-        assert ".msg_id" in findings[0].message
-
-    def test_msg_id_in_add_metric_is_flagged(self):
-        src = (
-            "def f(self, info, message):\n"
-            "    add_metric(info, 'last_id', message.msg_id)\n"
-        )
-        findings = lint_one(src, select=["RL09"])
-        assert rules_of(findings) == ["RL09"]
-
-    def test_metric_set_with_identity_is_flagged(self):
-        src = "def f(self, m):\n    self.metrics.set('seq', self._seq)\n"
-        findings = lint_one(src, select=["RL09"])
-        assert rules_of(findings) == ["RL09"]
-
-    def test_id_call_in_json_dump_is_flagged(self):
-        src = (
-            "import json\n"
-            "def f(obj, fh):\n"
-            "    json.dump({'key': id(obj)}, fh)\n"
-        )
-        findings = lint_one(src, select=["RL09"])
-        assert rules_of(findings) == ["RL09"]
-        assert "id()" in findings[0].message
-
-    def test_identity_inside_snapshot_is_flagged(self):
-        src = (
-            "def snapshot(self):\n"
-            "    return {'last': self.last_message.msg_id}\n"
-        )
-        findings = lint_one(src, select=["RL09"])
-        assert rules_of(findings) == ["RL09"]
-        assert "snapshot" in findings[0].message
-
-    def test_transient_msg_id_bookkeeping_is_clean(self):
-        # In-flight tracking keyed by msg_id never persists: legitimate.
-        src = (
-            "def track(self, message):\n"
-            "    self._in_flight[message.msg_id] = message\n"
-        )
-        assert lint_one(src, select=["RL09"]) == []
-
-    def test_protocol_sequence_numbers_are_clean(self):
-        src = (
-            "def snapshot(self):\n"
-            "    return {'send_seq': dict(self.send_seq)}\n"
-        )
-        assert lint_one(src, select=["RL09"]) == []
-
-    def test_suppression_is_honored(self):
-        src = (
-            "def f(self, message):\n"
-            "    self.stats.extra['last'] = message.msg_id"
-            "  # repro-lint: disable=RL09 -- debug-only field, never compared\n"
-        )
-        assert lint_one(src, select=["RL09"]) == []
 
 
 # ------------------------------------------------------------ RL00 hygiene
@@ -652,9 +455,7 @@ class TestSuppressionHygiene:
 class TestFramework:
     def test_all_rules_are_registered(self):
         ids = [rule.id for rule in all_rules()]
-        assert ids == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
-        ]
+        assert ids == ["RL02", "RL03", "RL04", "RL08"]
         for rule in all_rules():
             assert rule.invariant and rule.rationale
 
@@ -666,11 +467,26 @@ class TestFramework:
         assert findings == sorted(findings, key=Finding.sort_key)
         rendered = findings[0].render()
         assert rendered.startswith("<fixture>:3:")
-        assert findings[0].to_dict()["rule"] == "RL01"
+        assert findings[0].to_dict()["rule"] == "RL02"
 
     def test_unknown_select_raises(self):
         with pytest.raises(ValueError):
             lint_one("x = 1\n", select=["RL42"])
+
+    def test_missing_path_is_a_usage_error_not_a_clean_run(self, tmp_path, capsys):
+        # A gate must not pass on a mistyped path.
+        missing = str(tmp_path / "no" / "such" / "dir")
+        with pytest.raises(FileNotFoundError):
+            run_lint([missing])
+        assert lint_main([missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-lint: error: {missing}: no such file or directory\n"
+        )
+        existing = tmp_path / "ok.py"
+        existing.write_text("x = 1\n", encoding="utf-8")
+        assert lint_main([str(existing), str(tmp_path / "gone.py")]) == 2
 
 
 # --------------------------------------------------------------- the tree
@@ -705,9 +521,7 @@ class TestShippedTree:
         )
         assert listed.returncode == 0
         table = json.loads(listed.stdout)
-        assert [row["id"] for row in table] == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
-        ]
+        assert [row["id"] for row in table] == ["RL02", "RL03", "RL04", "RL08"]
 
     def test_cli_json_findings_are_machine_readable(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -723,4 +537,4 @@ class TestShippedTree:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["files_checked"] == 1
-        assert [f["rule"] for f in payload["findings"]] == ["RL01"]
+        assert [f["rule"] for f in payload["findings"]] == ["RL02"]

@@ -1,17 +1,21 @@
 """Unit tests for the declarative scenario layer (spec / build / sweep)."""
 
+import dataclasses
+import inspect
 import json
 import pickle
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.spec import FaultModelSpec
 from repro.scenarios import (
     ClusteringSpec,
     FailureSpec,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
+    TopologySpec,
     WorkloadSpec,
     available_workloads,
     build,
@@ -280,8 +284,6 @@ class TestBuild:
 
 class TestTopologySpec:
     def _topo_spec(self) -> ScenarioSpec:
-        from repro.scenarios import TopologySpec
-
         return ScenarioSpec(
             name="topo",
             workload=WorkloadSpec(kind="stencil2d", nprocs=16, iterations=4),
@@ -329,8 +331,6 @@ class TestTopologySpec:
         assert pinned.spec_hash() == "47aa6a972cec363d"
 
     def test_unknown_preset_rejected_at_spec_time(self):
-        from repro.scenarios import TopologySpec
-
         with pytest.raises(ConfigurationError):
             TopologySpec(preset="moebius-strip")
 
@@ -367,8 +367,6 @@ class TestTopologySpec:
         assert misaligned != clusters
 
     def test_topology_clustering_requires_non_flat_topology(self):
-        from repro.scenarios import TopologySpec
-
         spec = self._topo_spec()
         with pytest.raises(ConfigurationError):
             resolve_clusters(spec.protocol.clustering, spec.workload, topology=None)
@@ -413,3 +411,155 @@ class TestFailureSpecValidation:
 
     def test_valid_time_spec_accepted(self):
         assert FailureSpec(ranks=(1, 2), time=0.0).time == 0.0
+
+
+# ------------------------------------------------ every *Spec, every field
+# The hashed experiment identity must be immutable and must carry every
+# constructor field through the store round-trip and into the hash.  One
+# row per ``*Spec`` dataclass: a base instance, how it sits inside a
+# ScenarioSpec (the only JSON front door most of them have), and per field
+# the ``dataclasses.replace`` changes that give it a valid non-base value.
+_SCENARIO = ScenarioSpec(name="base", workload=WorkloadSpec(kind="ring", nprocs=4))
+
+SPEC_FIELD_TABLE = {
+    WorkloadSpec: (
+        _SCENARIO.workload,
+        lambda workload: dataclasses.replace(_SCENARIO, workload=workload),
+        {
+            "kind": dict(kind="pipeline"),
+            "nprocs": dict(nprocs=8),
+            "iterations": dict(iterations=3),
+            "params": dict(params={"message_bytes": 64}),
+        },
+    ),
+    ClusteringSpec: (
+        ClusteringSpec(),
+        lambda clustering: dataclasses.replace(
+            _SCENARIO, protocol=ProtocolSpec(name="hydee", clustering=clustering)
+        ),
+        {
+            "method": dict(method="preset"),
+            "num_clusters": dict(num_clusters=2),
+            "clusters": dict(clusters=((0, 1), (2, 3))),
+            "balance_tolerance": dict(balance_tolerance=1.5),
+            "matrix": dict(matrix="total"),
+        },
+    ),
+    ProtocolSpec: (
+        ProtocolSpec(),
+        lambda protocol: dataclasses.replace(_SCENARIO, protocol=protocol),
+        {
+            "name": dict(name="coordinated"),
+            "options": dict(options={"checkpoint_interval": 2}),
+            "clustering": dict(clustering=ClusteringSpec(method="block", num_clusters=2)),
+        },
+    ),
+    TopologySpec: (
+        TopologySpec(),
+        lambda topology: dataclasses.replace(
+            _SCENARIO, network=NetworkSpec(topology=topology)
+        ),
+        {
+            "preset": dict(preset="cluster-per-node"),
+            "params": dict(params={"ranks_per_node": 2}),
+        },
+    ),
+    NetworkSpec: (
+        NetworkSpec(),
+        lambda network: dataclasses.replace(_SCENARIO, network=network),
+        {
+            "model": dict(model="ethernet-tcp"),
+            "overrides": dict(overrides={"send_overhead_s": 2e-6}),
+            "topology": dict(topology=TopologySpec(preset="hierarchical")),
+        },
+    ),
+    FailureSpec: (
+        FailureSpec(ranks=(1, 2), at_iteration=2),
+        lambda failure: dataclasses.replace(_SCENARIO, failures=(failure,)),
+        {
+            "ranks": dict(ranks=(3,)),
+            "time": dict(time=1.5, at_iteration=None),
+            "at_iteration": dict(at_iteration=5),
+            "rank_trigger": dict(rank_trigger=2),
+        },
+    ),
+    FaultModelSpec: (
+        FaultModelSpec(params={"mtbf_s": 1.0}, horizon_s=10.0),
+        lambda fault_model: dataclasses.replace(_SCENARIO, fault_model=fault_model),
+        {
+            "distribution": dict(distribution="fixed"),
+            "params": dict(params={"mtbf_s": 2.0}),
+            "scope": dict(scope="node"),
+            "horizon_s": dict(horizon_s=20.0),
+            "max_failures": dict(max_failures=3),
+            "seed": dict(seed=7),
+            "replica": dict(replica=4),
+        },
+    ),
+    ScenarioSpec: (
+        _SCENARIO,
+        lambda scenario: scenario,
+        {
+            "name": dict(name="other"),
+            "workload": dict(workload=WorkloadSpec(kind="ring", nprocs=8)),
+            "protocol": dict(protocol=ProtocolSpec(name="coordinated")),
+            "network": dict(network=NetworkSpec(model="ethernet-tcp")),
+            "failures": dict(failures=(FailureSpec(ranks=(1,), at_iteration=1),)),
+            "fault_model": dict(
+                fault_model=FaultModelSpec(params={"mtbf_s": 1.0}, horizon_s=10.0)
+            ),
+            "execution": dict(execution="hybrid"),
+            "config": dict(config={"max_events": 1000}),
+            "tags": dict(tags={"experiment": "unit-test"}),
+        },
+    ),
+}
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+class TestEverySpecFieldRoundTripsAndRekeys:
+    def test_table_covers_every_spec_dataclass(self):
+        import repro.faults.spec
+        import repro.scenarios.spec
+
+        declared = {
+            cls
+            for module in (repro.scenarios.spec, repro.faults.spec)
+            for name, cls in vars(module).items()
+            if inspect.isclass(cls)
+            and name.endswith("Spec")
+            and cls.__module__ == module.__name__
+        }
+        assert declared == set(SPEC_FIELD_TABLE)
+        assert all(dataclasses.is_dataclass(cls) for cls in declared)
+
+    @pytest.mark.parametrize("cls", SPEC_FIELD_TABLE, ids=lambda cls: cls.__name__)
+    def test_one_table_entry_per_field_and_frozen(self, cls):
+        base, _lift, variants = SPEC_FIELD_TABLE[cls]
+        # A new field without a table entry fails here.
+        assert list(variants) == [f.name for f in dataclasses.fields(cls)]
+        assert cls.__dataclass_params__.frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(base, dataclasses.fields(cls)[0].name, None)
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(cls, field) for cls, row in SPEC_FIELD_TABLE.items() for field in row[2]],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_single_field_variant_round_trips_and_rekeys(self, cls, field):
+        base, lift, variants = SPEC_FIELD_TABLE[cls]
+        variant = dataclasses.replace(base, **variants[field])
+        assert getattr(variant, field) != getattr(base, field)
+        scenario = lift(variant)
+        restored = ScenarioSpec.from_dict(_through_json(scenario.to_dict()))
+        assert restored == scenario
+        assert restored.canonical_json() == scenario.canonical_json()
+        assert scenario.canonical_json() != lift(base).canonical_json()
+        assert scenario.spec_hash() != lift(base).spec_hash()
+        if cls is FaultModelSpec:  # the one nested spec with its own JSON pair
+            assert cls.from_dict(_through_json(variant.to_dict())) == variant
+            assert variant.canonical_json() != base.canonical_json()
