@@ -7,13 +7,16 @@ produce byte-identical records (and byte-identical store files).
 
 Completed records are cached in a :class:`~repro.campaign.store.
 ResultsStore` keyed by spec hash; a cache hit skips execution entirely.
+Specs a caller declares to be the same run (``same_run``) execute once and
+share the outcome, one record per spec as always.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.campaign.jobs import analysis_of, resolve_analysis
 from repro.campaign.store import ResultsStore
@@ -53,7 +56,10 @@ class CampaignResult:
     records: List[Dict[str, Any]]
     artifacts: List[Any]
     cache_hits: int = 0
+    #: jobs actually run.
     executed: int = 0
+    #: records copied from another spec's run (see ``same_run``).
+    shared: int = 0
     workers: int = 1
     extra: Dict[str, Any] = field(default_factory=dict)
 
@@ -91,7 +97,7 @@ class CampaignResult:
             rows,
             columns=["name", "scenario", "analysis", "status", "makespan_ms", "hash"],
             title=title or f"Campaign: {len(self.records)} scenarios "
-            f"({self.executed} executed, {self.cache_hits} cached)",
+            f"({self.executed} executed, {self.shared} shared, {self.cache_hits} cached)",
         )
 
 
@@ -102,6 +108,7 @@ def run_campaign(
     force: bool = False,
     keep_artifacts: bool = False,
     mp_context: Optional[str] = None,
+    same_run: Optional[Callable[[ScenarioSpec], Hashable]] = None,
 ) -> CampaignResult:
     """Run every spec, using the cache and up to ``workers`` processes.
 
@@ -112,6 +119,12 @@ def run_campaign(
       :class:`SimulationResult` objects).  Cache hits have no artifact.
     * ``workers`` -- number of processes; ``<= 1`` runs in-process.  Specs
       are picklable by construction, so fan-out needs no extra setup.
+    * ``same_run`` -- the caller's promise that two specs with equal keys
+      produce the same ``analysis`` and ``result``: of each group only the
+      first spec executes (or none, when the store already holds a member),
+      and every other member gets that record under its own ``name`` /
+      ``spec`` / ``spec_hash`` with a private copy of ``result`` -- stored
+      like an executed record, counted as ``shared``, without artifact.
     """
     specs = list(specs)
     if not specs:
@@ -119,33 +132,60 @@ def run_campaign(
 
     records: List[Optional[Dict[str, Any]]] = [None] * len(specs)
     artifacts: List[Any] = [None] * len(specs)
-    pending: List[Tuple[int, ScenarioSpec, bool]] = []
-    cache_hits = 0
+    misses: List[int] = []
 
     for index, spec in enumerate(specs):
         cached = None if (store is None or force) else store.get(spec.spec_hash())
         if cached is not None:
             records[index] = cached
-            cache_hits += 1
         else:
-            pending.append((index, spec, keep_artifacts))
+            misses.append(index)
+    cache_hits = len(specs) - len(misses)
+
+    pending = misses
+    #: (index, index of the spec whose record it copies)
+    followers: List[Tuple[int, int]] = []
+    if same_run is not None and misses:
+        # Cache hits register first: a stored record leads its group
+        # wherever it sits in the list.
+        leaders: Dict[Hashable, int] = {}
+        for index, record in enumerate(records):
+            if record is not None:
+                leaders.setdefault(same_run(specs[index]), index)
+        pending = []
+        for index in misses:
+            leader = leaders.setdefault(same_run(specs[index]), index)
+            if leader == index:
+                pending.append(index)
+            else:
+                followers.append((index, leader))
 
     if pending:
-        if workers > 1 and len(pending) > 1:
+        jobs = [(index, specs[index], keep_artifacts) for index in pending]
+        if workers > 1 and len(jobs) > 1:
             if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
                 mp_context = "fork"
             context = multiprocessing.get_context(mp_context)
-            with context.Pool(processes=min(workers, len(pending))) as pool:
-                outcomes = pool.map(_execute, pending)
+            with context.Pool(processes=min(workers, len(jobs))) as pool:
+                outcomes = pool.map(_execute, jobs)
         else:
-            outcomes = [_execute(item) for item in pending]
+            outcomes = [_execute(job) for job in jobs]
         for index, record, artifact in outcomes:
             records[index] = record
             artifacts[index] = artifact
-            if store is not None:
-                store.put(record["spec_hash"], record)
-        if store is not None:
-            store.save()
+    for index, leader in followers:
+        spec, led = specs[index], records[leader]
+        records[index] = {
+            **led,
+            "name": spec.name,
+            "spec": spec.to_dict(),
+            "spec_hash": spec.spec_hash(),
+            "result": copy.deepcopy(led["result"]),
+        }
+    if misses and store is not None:
+        for index in misses:
+            store.put(records[index]["spec_hash"], records[index])
+        store.save()
 
     missing = [i for i, r in enumerate(records) if r is None]
     if missing:
@@ -157,5 +197,6 @@ def run_campaign(
         artifacts=artifacts,
         cache_hits=cache_hits,
         executed=len(pending),
+        shared=len(followers),
         workers=workers,
     )

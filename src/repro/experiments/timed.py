@@ -65,7 +65,10 @@ def hybrid_speedup(
     per-rank MTBF is ``mtbf_makespan_factor * nprocs * makespan``: at 1.5 a
     replica sees ~0.7 failures on average, so guard-window DES and recovery
     do occur across the campaign.  Reports replica throughput per mode and
-    the relative error of the hybrid mean makespan.
+    the relative error of the hybrid mean makespan.  Replicas that drew the
+    same trace (the failure-free ones, mostly) share one simulation in both
+    modes, so ``executed`` is equal across modes and the speedup compares
+    equal sets of simulations.
     """
     base = ScenarioSpec(
         name="bench-hybrid",
@@ -96,6 +99,7 @@ def hybrid_speedup(
         report[mode] = {
             "elapsed_s": round(elapsed, 3),
             "replica_sims_per_s": round(result.replicas / elapsed, 2),
+            "executed": result.executed,
             "completed_replicas": result.completed_replicas,
             "fallback_replicas": sum(
                 1 for r in runs if r.metrics.get("sim.hybrid.fallback", 0)

@@ -12,6 +12,11 @@ replica
 * has its own spec hash, so completed replicas cache individually and a
   re-run with more replicas only executes the new ones.
 
+The simulator is deterministic, so replicas that draw the *same* trace --
+above all the empty one, a share ``exp(-horizon * units / mtbf)`` of a
+sparse exponential sweep -- are the same simulation: :func:`run_montecarlo`
+runs each distinct trace once and gives every replica its own record.
+
 Replicas run the ``montecarlo-replica`` job (the ``simulate`` payload plus
 ``sim.total_compute_time``, the counter wasted-work analyses need);
 :func:`aggregate_metrics` folds their per-replica metric trees into
@@ -160,7 +165,10 @@ class MonteCarloResult:
     runs: Tuple[RunResult, ...]
     metrics: MetricSet
     cache_hits: int = 0
+    #: simulations actually run (one per distinct trace the store lacked).
     executed: int = 0
+    #: replicas whose record is a copy of an equal-trace replica's run.
+    shared: int = 0
 
     @property
     def replicas(self) -> int:
@@ -178,22 +186,24 @@ class MonteCarloResult:
 def prewarm_calibration(base: ScenarioSpec, cache: CalibrationCache) -> bool:
     """Calibrate the shared hybrid warm-up model for ``base``, once.
 
-    Runs the *failure-free* variant of the scenario (same workload,
-    protocol, network, and config -- only the failure sources stripped, so
-    it shares the replicas' :meth:`~repro.scenarios.spec.ScenarioSpec.
-    calibration_key`) in hybrid mode and stores its exported calibration in
-    ``cache``.  Replicas that later find the entry skip their own DES
-    warm-up entirely (:meth:`repro.simulator.hybrid.HybridDirector.
-    _cached_calibration`); the two-probe check still re-verifies the model
-    against real per-message iterations before every batched advance.
+    Runs only the DES warm-up of the *failure-free* variant of the scenario
+    (same workload, protocol, network, and config -- only the failure
+    sources stripped, so it shares the replicas' :meth:`~repro.scenarios.
+    spec.ScenarioSpec.calibration_key`) through :meth:`repro.simulator.
+    hybrid.HybridDirector.calibrate` and stores the entry in ``cache``.
+    Replicas that later find the entry skip their own DES warm-up entirely
+    (:meth:`~repro.simulator.hybrid.HybridDirector._cached_calibration`);
+    the two-probe check still re-verifies the model against real
+    per-message iterations before every batched advance.
 
     Returns ``True`` when the cache holds a usable entry afterwards.  A
-    scenario whose failure-free run cannot calibrate (static fallback, too
-    few iterations, ...) returns ``False`` and replicas warm up themselves
-    exactly as before -- the pre-warm is a pure fast path, never a
-    behaviour change.
+    scenario that cannot calibrate returns ``False`` -- without simulating
+    anything when the reason is static (workload not fast-forwardable, too
+    few iterations, ...) -- and replicas warm up themselves exactly as
+    before: the pre-warm is a pure fast path, never a behaviour change.
     """
     from repro.scenarios.build import build
+    from repro.simulator.hybrid import HybridDirector
 
     key = base.calibration_key()
     if cache.get(key) is not None:
@@ -206,9 +216,7 @@ def prewarm_calibration(base: ScenarioSpec, cache: CalibrationCache) -> bool:
         execution="hybrid",
         tags={},
     )
-    sim = build(free)
-    sim.run()
-    entry = sim.hybrid_calibration
+    entry = HybridDirector(build(free)).calibrate()
     if not entry:
         return False
     cache.put(key, entry)
@@ -222,12 +230,12 @@ def _calibration_cache(
     """The campaign's calibration cache (and a temp dir to clean up).
 
     The cache file lives alongside the results store
-    (``<store>.calibration.json``) so a re-run of a stored campaign skips
-    even the pre-warm.  A multi-worker campaign without a store still needs
-    a *file* -- worker processes inherit the cache through the
-    ``REPRO_CALIBRATION_CACHE`` environment variable -- so one is
-    materialised in a temporary directory and discarded with it; a serial
-    in-memory campaign keeps the cache purely in memory.
+    (``<store>.calibration.json``) so a stored campaign that is grown later
+    finds the entry and skips the pre-warm.  A multi-worker campaign
+    without a store still needs a *file* -- worker processes inherit the
+    cache through the ``REPRO_CALIBRATION_CACHE`` environment variable -- so
+    one is materialised in a temporary directory and discarded with it; a
+    serial in-memory campaign keeps the cache purely in memory.
     """
     if store is not None and store.path:
         root, _ext = os.path.splitext(store.path)
@@ -254,17 +262,41 @@ def run_montecarlo(
     ``execution`` pins the replica execution mode (see
     :func:`replica_specs`, which defaults replicas to ``"hybrid"``).
 
-    Hybrid campaigns share one warm-up calibration: the failure-free
-    variant of ``base`` is calibrated *before* the fan-out
-    (:func:`prewarm_calibration`) and every replica reads the resulting
-    cache entry, keeping serial and ``--workers N`` campaigns
-    byte-identical while skipping N-1 redundant DES warm-ups.
+    Replicas that drew the same failure trace are one simulation: it runs
+    once (``executed``) -- not at all when the store holds an equal-trace
+    replica -- and the others receive its result under their own name, spec
+    and spec hash (``shared``), so the store and the aggregate still hold
+    one record per replica.
+
+    Hybrid campaigns share one warm-up calibration: when at least one
+    replica is going to execute, the failure-free variant of ``base`` is
+    calibrated *before* the fan-out (:func:`prewarm_calibration`) and every
+    replica reads the resulting cache entry, keeping serial and
+    ``--workers N`` campaigns byte-identical while skipping N-1 redundant
+    DES warm-ups.
     """
     from repro.campaign.runner import run_campaign
+    from repro.faults.trace import generate_trace
+    from repro.scenarios.build import build_topology
 
     specs = replica_specs(base, replicas, execution=execution)
+    nprocs = base.workload.nprocs
+    topology = build_topology(base.network.topology, nprocs)
+
+    def same_trace(spec: ScenarioSpec) -> Tuple[Any, ...]:
+        # What a replica simulates is its base scenario, its execution mode
+        # and the trace it drew; the draw is a pure function of the spec.
+        trace = generate_trace(spec.fault_model, nprocs, topology)
+        return (
+            spec.tags["mc_base"],
+            spec.execution,
+            tuple((entry.time, entry.ranks) for entry in trace),
+        )
+
     cache = tmpdir = None
-    if specs and specs[0].execution == "hybrid":
+    if specs[0].execution == "hybrid" and (
+        force or store is None or any(spec.spec_hash() not in store for spec in specs)
+    ):
         cache, tmpdir = _calibration_cache(base, store, workers)
         if not prewarm_calibration(specs[0], cache):
             cache = None
@@ -275,6 +307,7 @@ def run_montecarlo(
                 workers=workers,
                 store=store,
                 force=force,
+                same_run=same_trace,
             )
     finally:
         if tmpdir is not None:
@@ -286,6 +319,7 @@ def run_montecarlo(
         metrics=aggregate_metrics(runs),
         cache_hits=outcome.cache_hits,
         executed=outcome.executed,
+        shared=outcome.shared,
     )
 
 

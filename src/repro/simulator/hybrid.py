@@ -54,10 +54,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import partial
 from statistics import median
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
     Generator,
@@ -66,6 +68,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import SimulationError
@@ -317,7 +320,29 @@ class HybridDirector:
         }
 
     # ------------------------------------------------------------------- run
-    def run(self) -> "SimulationResult":
+    def calibrate(self) -> Optional[Dict[str, Any]]:
+        """The calibration-cache entry of this scenario, or ``None``.
+
+        Runs what :meth:`run` runs up to the fitted rate model -- the static
+        checks and the DES warm-up, never the active cache -- and stops
+        there: the simulation is left parked at the warm-up gate and is of
+        no further use.  ``None`` means :meth:`run` would fall back to exact
+        execution; when the reason is static no event has been processed.
+        """
+        self._warm_up(use_cache=False)
+        return self.sim.hybrid_calibration
+
+    def _warm_up(self, use_cache: bool) -> Union[
+        Tuple[IterationGate, RateModel], Callable[[], "SimulationResult"]
+    ]:
+        """Start the run and take it to a calibrated rate model.
+
+        Returns ``(gate, model)`` with every rank parked at ``gate`` when
+        the run can go on in hybrid mode (a model fitted here, not read from
+        the cache, is also exported as ``sim.hybrid_calibration``);
+        otherwise the callable that completes the run the way exact mode
+        would.
+        """
         sim = self.sim
         total = int(sim.application.num_iterations)
         if self._interval > 1:
@@ -348,9 +373,9 @@ class HybridDirector:
 
         reason = self._static_fallback_reason(total, warmup)
         if reason is not None:
-            return self._run_exact_from_start(reason)
+            return partial(self._run_exact_from_start, reason)
 
-        cached = self._cached_calibration()
+        cached = self._cached_calibration() if use_cache else None
         gate = IterationGate(0 if cached is not None else warmup)
         sim.iteration_gate = gate
         if cached is None:
@@ -360,10 +385,10 @@ class HybridDirector:
         engine_reason = self._run_warmup_segment()
         self._remove_listener()
         if engine_reason == "empty" and not self._quiescent():
-            return sim._finish("empty")
+            return partial(sim._finish, "empty")
         if sim._done_count == sim.nprocs:
             sim.iteration_gate = None
-            return sim._finish("stopped")
+            return partial(sim._finish, "stopped")
         if not self._quiescent():
             # The warm-up segment stopped because the next engine event is
             # the first timed strike and not every rank has parked yet.  No
@@ -371,25 +396,33 @@ class HybridDirector:
             # exact mode with at most park-wait timing skew -- whereas
             # letting the strike land on a gated warm-up would perturb the
             # recovery dynamics themselves.
-            return self._abandon(
-                gate, "the first timed strike lands inside the warm-up"
+            return partial(
+                self._abandon, gate, "the first timed strike lands inside the warm-up"
             )
 
         if cached is not None:
-            model = self._apply_cached_calibration(cached, gate)
-        else:
-            model, calib_reason = self._calibrate(warmup)
-            if model is None:
-                return self._abandon(gate, calib_reason)
-            # Export for the calibration cache (repro.simulator.calibration):
-            # the campaign pre-warm harvests this from a failure-free run.
-            sim.hybrid_calibration = {
-                "model": model.to_dict(),
-                "warmup": warmup,
-                "park_times": {
-                    rank: entry[1] for rank, entry in gate.parked.items()
-                },
-            }
+            return gate, self._apply_cached_calibration(cached, gate)
+        model, calib_reason = self._calibrate(warmup)
+        if model is None:
+            return partial(self._abandon, gate, calib_reason)
+        # Export for the calibration cache (repro.simulator.calibration):
+        # the campaign pre-warm stores this entry for its replicas.
+        sim.hybrid_calibration = {
+            "model": model.to_dict(),
+            "warmup": warmup,
+            "park_times": {
+                rank: entry[1] for rank, entry in gate.parked.items()
+            },
+        }
+        return gate, model
+
+    def run(self) -> "SimulationResult":
+        sim = self.sim
+        total = int(sim.application.num_iterations)
+        warm = self._warm_up(use_cache=True)
+        if not isinstance(warm, tuple):
+            return warm()
+        gate, model = warm
         self.stats["enabled"] = 1
         self.stats["dt_mean_s"] = model.dt_mean
         self.stats["dt_spread"] = model.dt_spread

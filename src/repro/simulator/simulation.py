@@ -146,9 +146,9 @@ class Simulation:
         self._iteration_listener: Optional[Callable[[int, int], None]] = None
         self.ff_clock: Optional[Dict[int, float]] = None
         self.hybrid_stats: Optional[Dict[str, Any]] = None
-        #: serialisable warm-up calibration of a successful hybrid run
-        #: (model + park times); harvested by the campaign pre-warm into the
-        #: shared calibration cache.
+        #: serialisable warm-up calibration a hybrid run (or a bare
+        #: ``HybridDirector.calibrate()``) fitted itself (model + park times);
+        #: what the campaign pre-warm puts into the shared calibration cache.
         self.hybrid_calibration: Optional[Dict[str, Any]] = None
         self.stats.protocol = getattr(self.protocol, "name", "none")
         self.protocol.attach(self)

@@ -9,6 +9,10 @@ functions and C builtins alike) per application message.  The count is a
 property of the code path, not of the host: it repeats exactly from run to
 run, so the tests cannot flake on a noisy machine.
 
+The third test bounds a whole sparse Monte Carlo sweep per simulated
+rank-iteration: what it guards is that replicas which drew the same failure
+trace stay one simulation and that the pre-warm stays a warm-up.
+
 The last two tests bound the layers no simulation touches the same way, per
 record of a 1 000-record store: adding 32 records (open, ``put``, merge
 under the lock, rewrite) and one CLI pivot query over all of them.
@@ -27,6 +31,9 @@ import pstats
 import pytest
 
 from repro.campaign import ResultsStore, cli, run_spec
+from repro.faults.montecarlo import replica_specs, run_montecarlo
+from repro.faults.spec import FaultModelSpec
+from repro.faults.trace import generate_trace
 from repro.scenarios.build import build
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from tests.integration.test_event_stream_pins import scenario_spec
@@ -41,6 +48,14 @@ CALL_BUDGET_PER_MESSAGE = 97.0
 #: is 10 warm-up and 1 final iteration of DES around 189 fast-forwarded
 #: ones, so the fast-forward interpreter dominates the count.
 FF_CALL_BUDGET_PER_MESSAGE = 72.8
+
+#: measured 28.57 calls per rank-iteration (39.49 when each of the eight
+#: replicas was simulated and the pre-warm ran its scenario to the end) plus
+#: 10 %.  Five of the eight traces are empty and run once; a sweep with fewer
+#: empty traces costs more per rank-iteration by construction, so the fault
+#: seed is pinned and the trace census asserted.
+SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 31.4
+SWEEP_FAULT_SEED, SWEEP_STRIKES = 0, [0, 1, 0, 1, 1, 0, 0, 0]
 
 #: measured 2.45 calls per stored record (3 154 when the store was written
 #: by ``json.dump(indent=1)``, i.e. by the pure-Python encoder).  What is
@@ -101,6 +116,35 @@ def test_fast_forward_calls_per_message_stay_within_budget():
     assert calls <= FF_CALL_BUDGET_PER_MESSAGE, (
         f"{calls:.2f} profiled calls per application message "
         f"(budget {FF_CALL_BUDGET_PER_MESSAGE}): the fast-forward interpreter has regrown"
+    )
+
+
+def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
+    iterations, replicas = 160, 8
+    base = scenario_spec("sweep-call-budget", "stencil2d", iterations, "hydee", 8)
+    makespan = build(base).run().makespan
+    spec = dataclasses.replace(
+        base,
+        fault_model=FaultModelSpec(
+            distribution="exponential",
+            params={"mtbf_s": 1.5 * 16 * makespan},
+            horizon_s=makespan,
+            max_failures=1,
+            seed=SWEEP_FAULT_SEED,
+        ),
+    )
+    strikes = [len(generate_trace(s.fault_model, 16)) for s in replica_specs(spec, replicas)]
+    assert strikes == SWEEP_STRIKES
+
+    calls, outcome = profiled(lambda: run_montecarlo(spec, replicas=replicas))
+    assert outcome.completed_replicas == replicas
+    assert (outcome.executed, outcome.shared) == (4, 4)  # 3 struck + the empty trace
+    assert outcome.metric("faults.sim.hybrid.fallback.mean") == 0.0
+    per_rank_iteration = calls / (16 * iterations * replicas)
+    assert per_rank_iteration <= SWEEP_CALL_BUDGET_PER_RANK_ITERATION, (
+        f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
+        f"(budget {SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): equal traces are simulated "
+        "more than once, or the pre-warm runs past its warm-up"
     )
 
 

@@ -40,6 +40,7 @@ from repro.simulator.engine import Condition
 from repro.simulator.messages import ANY_SOURCE
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.workloads.base import Application
+from tests.integration.test_event_stream_pins import scenario_spec
 
 ITERATIONS = 120
 INTERVAL = 8
@@ -436,6 +437,68 @@ class TestFastForwardFailurePaths:
                 f"rank {rank} in iteration 5 blocked on "
                 f"recv(source={(rank - 1) % 4}, tag=9)"
             ) in report
+
+
+class TestCalibrateOnly:
+    """``HybridDirector.calibrate()`` is ``run()`` cut off after the warm-up:
+    the entry the campaign pre-warm stores is the one a full run exports."""
+
+    @staticmethod
+    def spec(kind, protocol, interval, iterations=ITERATIONS, failures=()):
+        return dataclasses.replace(
+            scenario_spec("calibrate-only", kind, iterations, protocol, interval),
+            failures=tuple(failures),
+            execution="hybrid",
+        )
+
+    @pytest.mark.parametrize(
+        "kind, protocol, interval, phase_model",
+        [
+            ("stencil2d", "hydee", 8, True),
+            ("pipeline", "hydee", 1, False),
+            ("ring", "coordinated", 8, True),
+        ],
+    )
+    def test_entry_equals_the_one_a_full_run_exports(
+        self, kind, protocol, interval, phase_model
+    ):
+        from repro.simulator.hybrid import HybridDirector
+
+        spec = self.spec(kind, protocol, interval)
+        full = build(spec)
+        assert full.run().status == "completed"
+        assert full.hybrid_stats["enabled"] == 1
+        assert full.hybrid_stats["calibration_cached"] == 0
+
+        sim = build(spec)
+        entry = HybridDirector(sim).calibrate()
+        assert entry == full.hybrid_calibration
+        assert (entry["model"]["phases"] is not None) == phase_model
+        # Only the warm-up ran: every rank is parked at the gate, none done.
+        assert 0 < sim.engine.events_processed < full.engine.events_processed
+        assert {it for _, _, it, _ in sim.iteration_gate.parked.values()} == {
+            entry["warmup"]
+        }
+
+    @pytest.mark.parametrize(
+        "spec_kwargs",
+        [
+            {"kind": "master-worker", "protocol": "coordinated", "interval": 8},
+            {"kind": "stencil2d", "protocol": "hydee", "interval": 8, "iterations": 4},
+            {
+                "kind": "stencil2d", "protocol": "hydee", "interval": 8,
+                "failures": [FailureSpec(ranks=(5,), at_iteration=2)],
+            },
+        ],
+        ids=["master-worker", "too-short", "strike-inside-warm-up"],
+    )
+    def test_static_fallback_returns_none_without_simulating(self, spec_kwargs):
+        from repro.simulator.hybrid import HybridDirector
+
+        sim = build(self.spec(**spec_kwargs))
+        assert HybridDirector(sim).calibrate() is None
+        assert sim.engine.events_processed == 0
+        assert sim.hybrid_calibration is None
 
 
 class TestMonteCarloAggregates:

@@ -83,6 +83,34 @@ class TestSerialParallelByteIdentity:
         assert again.executed == 0 and again.cache_hits == REPLICAS
         assert again.metrics.to_tree() == first.metrics.to_tree()
 
+    def test_fully_cached_rerun_builds_no_simulation(self, tmp_path, monkeypatch):
+        """The pre-warm used to run before anyone knew whether a replica
+        would execute: one build + run per re-run whose calibration sidecar
+        is absent or whose store lives in memory."""
+        import importlib
+        import os
+
+        # The package re-exports the function under the module's own name.
+        scenario_build = importlib.import_module("repro.scenarios.build")
+        builds = []
+        real_build = scenario_build.build
+        monkeypatch.setattr(
+            scenario_build, "build", lambda spec: builds.append(spec.name) or real_build(spec)
+        )
+        base = mc_base()
+        on_disk = ResultsStore(str(tmp_path / "store.json"))
+        in_memory = ResultsStore()
+        for store in (on_disk, in_memory):
+            first = run_montecarlo(base, replicas=5, store=store)
+            assert len(builds) == 1 + first.executed  # the pre-warm, then the replicas
+            builds.clear()
+        os.remove(tmp_path / "store.calibration.json")
+        for store in (ResultsStore(on_disk.path), in_memory):
+            again = run_montecarlo(base, replicas=5, store=store)
+            assert again.executed == 0 and again.cache_hits == 5
+            assert builds == []
+        assert not (tmp_path / "store.calibration.json").exists()
+
     def test_growing_the_campaign_only_runs_new_replicas(self, tmp_path):
         base = mc_base()
         store = ResultsStore(str(tmp_path / "store.json"))
