@@ -10,11 +10,12 @@ store would change what the rates mean.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from typing import Any, Callable, Dict, Tuple
 
-from repro.faults.montecarlo import run_montecarlo
+from repro.faults.montecarlo import prewarm_calibration, run_montecarlo
 from repro.faults.spec import FaultModelSpec
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
@@ -27,6 +28,7 @@ from repro.scenarios.spec import (
 )
 from repro.schedexplore.explorer import explore
 from repro.schedexplore.pinned import PINNED_SCENARIOS
+from repro.simulator.calibration import CalibrationCache, activated
 from repro.workloads.nas import NAS_BENCHMARKS
 
 
@@ -38,10 +40,14 @@ def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float
     return result, clock() - started
 
 
-def _hydee_blocks(checkpoint_interval: int) -> ProtocolSpec:
+def _protocol(name: str, checkpoint_interval: int) -> ProtocolSpec:
+    """``name`` with small checkpoints; HydEE on four block clusters."""
     return ProtocolSpec(
-        name="hydee",
-        clustering=ClusteringSpec(method="block", num_clusters=4),
+        name=name,
+        clustering=(
+            ClusteringSpec(method="block", num_clusters=4) if name == "hydee"
+            else ClusteringSpec()
+        ),
         options={
             "checkpoint_interval": checkpoint_interval,
             "checkpoint_size_bytes": 65536,
@@ -73,7 +79,7 @@ def hybrid_speedup(
     base = ScenarioSpec(
         name="bench-hybrid",
         workload=WorkloadSpec(kind="stencil2d", nprocs=nprocs, iterations=iterations),
-        protocol=_hydee_blocks(checkpoint_interval),
+        protocol=_protocol("hydee", checkpoint_interval),
     )
     makespan = build(base).run().stats.makespan
     spec = dataclasses.replace(
@@ -119,6 +125,11 @@ def hybrid_speedup(
     return report
 
 
+#: The protocol axis of :func:`ff_coverage`: one protocol that extrapolates
+#: its own epoch state and one that batches by declaring it has none.
+_COVERAGE_PROTOCOLS = ("hydee", "coordinated")
+
+
 def ff_coverage(
     nprocs: int = 16,
     iterations: int = 120,
@@ -126,57 +137,86 @@ def ff_coverage(
 ) -> Dict[str, Any]:
     """Fast-forward coverage across the bulk-compatible workload catalogue.
 
-    Runs each of the ten deterministic workloads once exact and once hybrid
-    under the same HydEE configuration and reports whether the hybrid
-    executor fast-forwarded (no fallback to full DES), how many iterations
-    it skipped analytically and in batched checkpoint intervals, and the
-    relative makespan error.  The hybrid mode is only an optimisation of
-    the common case if the *whole* catalogue stays on the fast path.  The
-    NAS kernels run ``iterations // 2`` (heavier state updates; the sweep is
-    about coverage, not duration).  ``ring`` legitimately batches nothing:
-    its max-based causal phase clock has a period of 4 iterations, longer
-    than the verifiable stride for its cluster size, so it fast-forwards
-    per message.
+    Runs each of the ten deterministic workloads under HydEE and under
+    coordinated checkpointing, at ``checkpoint_interval`` and at half of it
+    (at least 3; below 8 the probe window is two iterations wide instead of
+    four), once exact and twice hybrid: self-calibrated, and started from a
+    pre-warmed calibration cache the way every Monte Carlo replica starts.
+    Each cell reports, per start, whether the hybrid executor fast-forwarded
+    (no fallback to full DES), how many rank-iterations it skipped
+    analytically and how many of those in batched checkpoint intervals, and
+    the relative makespan error.  The hybrid mode is only an optimisation of
+    the common case if the *whole* grid stays on the fast path, and only an
+    optimisation of sweeps if the cached start batches wherever the
+    self-calibrated one does.  The NAS kernels run ``iterations // 2``
+    (heavier state updates; the sweep is about coverage, not duration).
+    ``ring`` under HydEE legitimately batches nothing: its max-based causal
+    phase clock has a period of 4 iterations, longer than the verifiable
+    stride for its cluster size, so it fast-forwards per message.
     """
     cases = {kind: iterations for kind in ("stencil1d", "stencil2d", "ring", "pipeline")}
     cases.update({kind: iterations // 2 for kind in sorted(NAS_BENCHMARKS)})
-    workloads = {}
+    intervals = sorted({max(3, checkpoint_interval // 2), checkpoint_interval})
+    workloads: Dict[str, Any] = {}
     for kind, count in cases.items():
-        sims, results, seconds = {}, {}, {}
-        for execution in ("exact", "hybrid"):
-            sims[execution] = build(
-                ScenarioSpec(
-                    name=f"ff-coverage-{kind}-{execution}",
-                    workload=WorkloadSpec(kind=kind, nprocs=nprocs, iterations=count),
-                    protocol=_hydee_blocks(checkpoint_interval),
-                    execution=execution,
+        cells: Dict[str, Any] = {}
+        for protocol in _COVERAGE_PROTOCOLS:
+            for interval in intervals:
+                cells[f"{protocol}/{interval}"] = _coverage_cell(
+                    ScenarioSpec(
+                        name=f"ff-coverage-{kind}-{protocol}-{interval}",
+                        workload=WorkloadSpec(kind=kind, nprocs=nprocs, iterations=count),
+                        protocol=_protocol(protocol, interval),
+                    )
                 )
-            )
-            results[execution], seconds[execution] = timed(sims[execution].run)
-        stats = sims["hybrid"].hybrid_stats
-        exact_makespan = results["exact"].stats.makespan
         workloads[kind] = {
-            "fallback": bool(stats["fallback"]),
-            "fallback_reason": sims["hybrid"].stats.extra.get("hybrid_fallback_reason", ""),
-            "warmup_iterations": int(stats["warmup_iterations"]),
-            "ff_iterations": int(stats["ff_iterations"]),
-            "batched_iterations": int(stats["batched_iterations"]),
-            "makespan_rel_err": (
-                abs(results["hybrid"].stats.makespan - exact_makespan) / exact_makespan
-            ),
-            "exact_elapsed_s": round(seconds["exact"], 4),
-            "hybrid_elapsed_s": round(seconds["hybrid"], 4),
-            "speedup": round(seconds["exact"] / max(seconds["hybrid"], 1e-9), 2),
+            "fallback": any(cell["fallback"] for cell in cells.values()),
+            "cells": cells,
         }
+    all_cells = [cell for entry in workloads.values() for cell in entry["cells"].values()]
     return {
         "nprocs": nprocs,
-        "checkpoint_interval": checkpoint_interval,
+        "protocols": list(_COVERAGE_PROTOCOLS),
+        "checkpoint_intervals": intervals,
         "workloads_swept": len(workloads),
         "workloads_fast_forwarding": sum(
             1 for entry in workloads.values() if not entry["fallback"]
         ),
+        "cells_swept": len(all_cells),
+        "cells_batching": {
+            start: sum(1 for cell in all_cells if cell[start]["batched_iterations"])
+            for start in ("self_calibrated", "cached")
+        },
         "workloads": workloads,
     }
+
+
+def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
+    """One cell of :func:`ff_coverage`: exact, self-calibrated and cached."""
+    exact, exact_s = timed(build(spec).run)
+    hybrid = dataclasses.replace(spec, execution="hybrid")
+    cache = CalibrationCache()
+    prewarm_calibration(hybrid, cache)
+    cell: Dict[str, Any] = {"exact_elapsed_s": round(exact_s, 4)}
+    for start in ("self_calibrated", "cached"):
+        with activated(cache) if start == "cached" else contextlib.nullcontext():
+            sim = build(hybrid)
+            result, seconds = timed(sim.run)
+        stats = sim.hybrid_stats
+        cell[start] = {
+            "fallback": bool(stats["fallback"]),
+            "fallback_reason": sim.stats.extra.get("hybrid_fallback_reason", ""),
+            "warmup_iterations": int(stats["warmup_iterations"]),
+            "ff_iterations": int(stats["ff_iterations"]),
+            "batched_iterations": int(stats["batched_iterations"]),
+            "makespan_rel_err": (
+                abs(result.stats.makespan - exact.stats.makespan) / exact.stats.makespan
+            ),
+            "elapsed_s": round(seconds, 4),
+            "speedup": round(exact_s / max(seconds, 1e-9), 2),
+        }
+    cell["fallback"] = cell["self_calibrated"]["fallback"] or cell["cached"]["fallback"]
+    return cell
 
 
 def schedule_explore(

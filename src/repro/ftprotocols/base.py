@@ -297,6 +297,29 @@ class ClusteredProtocolBase(ProtocolHooks):
                 proc.rstats.compute_time += cost
         self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
+    # ------------------------------------------------- batched fast-forward
+    # The epoch-state contract (see ProtocolHooks) for a protocol whose
+    # message hooks carry no state: it declares so already -- ``ff_send_hook``
+    # is False and ``on_app_deliver`` is the no-op default -- and then owns
+    # nothing that may move between two checkpoint boundaries, so its verified
+    # per-iteration delta is the empty one and there is nothing to extrapolate.
+    # Protocols with message state override all three (HydEE) or stay on the
+    # per-message path (message logging: its log must hold real messages).
+
+    def ff_epoch_snapshot(self) -> Optional[Any]:
+        cls = type(self)
+        if cls.ff_send_hook or cls.on_app_deliver is not ProtocolHooks.on_app_deliver:
+            return None
+        return self.pstats.as_dict()
+
+    def ff_epoch_delta(self, before: Any, after: Any) -> Optional[Any]:
+        """The empty delta, or ``None`` when a counter moved: a checkpoint or
+        a rollback ran inside the probe window."""
+        return () if before == after else None
+
+    def ff_epoch_apply(self, delta: Any, n: int) -> None:
+        """Nothing to extrapolate: the verified delta is empty."""
+
     def _drain_then_fire(self, cluster_id: int, condition: Condition) -> None:
         if self.sim.transport.in_flight_within(self._member_sets[cluster_id]) == 0:
             condition.fire()

@@ -23,7 +23,18 @@ times, and then alternates between
   swapped to :meth:`HybridDirector.ff_send` for the epoch) and what
   ``comm.now`` reads (``Simulation.ff_clock``).  Rank clocks are advanced
   analytically with the rate model and the engine's clock jumps once per
-  epoch (:meth:`~repro.simulator.engine.SimulationEngine.advance_to`);
+  epoch (:meth:`~repro.simulator.engine.SimulationEngine.advance_to`).
+  Inside an epoch, whole checkpoint intervals are *batched* -- neither the
+  generators nor the message hooks run -- once two probe iterations driven
+  per message agree on their state delta (:meth:`HybridDirector.
+  _advance_span`).  Which protocols can is the epoch-state contract of
+  :class:`~repro.simulator.protocol_api.ProtocolHooks`: HydEE extrapolates
+  a linear epoch state, a clustered protocol without message state
+  (coordinated checkpointing) batches by declaring so, message logging stays
+  per message because its log must hold real messages.  A probe that fails
+  -- the cold first iteration of a run started from the calibration cache,
+  recovery residue -- costs its window: the next one is planned further on,
+  at doubling distances;
 * **DES guard windows** around every failure injection:
   :data:`GUARD_ITERATIONS` iterations before the strike, the whole
   failure/rollback/replay choreography, and the re-execution until the run
@@ -882,45 +893,59 @@ class HybridDirector:
         (consecutive per-message probe iterations must produce identical
         deltas, per iteration or per iteration pair -- see
         :meth:`_probe_deltas`) across each checkpoint interval, takes the
-        coordinated checkpoints for real, and falls back to the per-message
-        drive for whatever it cannot cover -- the probe window itself, the
-        tail beyond the last checkpoint boundary (whose sender logs a later
-        failure may need for replay, so its messages must exist for real),
-        and any span whose probes disagree.
+        coordinated checkpoints for real, and drives per message whatever it
+        cannot cover -- the way to each probe window, the windows themselves
+        and the tail :meth:`_plan_batch` keeps real.
+
+        One loop: plan a probe window from the current count, drive up to it,
+        probe.  A probe that fails (the cold first iteration of a cached
+        start, recovery residue, deltas that never agree) costs its window
+        and nothing else: the next window is planned further on, the distance
+        doubling with every failure, so an epoch of ``n`` iterations makes
+        O(log n) probes before the per-message drive carries the rest.  The
+        first probe that succeeds batches to the plan's end.
         """
-        plan = self._plan_batch(b, e)
-        cur = b
-        if plan is not None:
+        cur = origin = b
+        gap = 1
+        while (plan := self._plan_batch(origin, e)) is not None:
             probe_end, batch_end, probe_span = plan
             if probe_end - probe_span > cur:
                 self._drive_iterations(b, probe_end - probe_span, model,
-                                       anchors)
+                                       anchors, start=cur)
             deltas = self._probe_deltas(b, probe_end, probe_span, model,
                                         anchors)
             cur = probe_end
             if deltas is not None:
                 cur, stride, d_proto, d_sim = deltas
-                end = batch_end
-                if stride == 2 and (end - cur) % 2:
+                if stride == 2 and (batch_end - cur) % 2:
                     # Pair extrapolation advances two iterations at a time;
                     # leave an odd final iteration to the per-message tail.
-                    end -= 1
+                    batch_end -= 1
                 cur = self._batch_intervals(
-                    cur, end, model, anchors, b, (d_proto, d_sim), stride
+                    cur, batch_end, model, anchors, b, (d_proto, d_sim), stride
                 )
+                break
+            origin, gap = cur + gap, 2 * gap
         if e > cur:
             self._drive_iterations(b, e, model, anchors, start=cur)
 
-    def _plan_batch(self, b: int, e: int) -> Optional[Tuple[int, int, int]]:
-        """``(probe_end, batch_end, probe_span)`` for a batched advance,
-        or ``None``.
+    def _plan_batch(self, origin: int, e: int) -> Optional[Tuple[int, int, int]]:
+        """``(probe_end, batch_end, probe_span)`` of a batched advance whose
+        probe window starts at count ``origin`` or later, or ``None``.
 
-        Batching needs: a bulk-capable workload, a protocol that can
-        extrapolate its epoch state (``ff_epoch_snapshot``), the slim trace
-        path (per-event records require real messages), and -- whenever any
-        failure strike is still pending -- checkpoint intervals of at least
-        3 iterations, so the batch can end on a recovery line *and* a
-        boundary-free probe window exists.
+        Batching needs: a bulk-capable workload, the slim trace path
+        (per-event records require real messages), a checkpoint interval
+        with a boundary-free probe window (at least 3 iterations) and room
+        between the window and ``batch_end``.  Whether the protocol can
+        extrapolate its epoch state is the probe's question, not the plan's:
+        a ``None`` snapshot fails the probe.
+
+        ``batch_end`` is ``e`` unless the protocol keeps a sender log
+        (``ff_send_hook``) and a failure strike is still pending: a later
+        rollback may replay the messages sent after the last checkpoint, so
+        those must exist for real and the batch ends on the recovery line.
+        A protocol without a log has no tail to keep -- its rollback discards
+        everything after the last checkpoint.
 
         ``probe_span`` is the number of per-message probe iterations driven
         before extrapolating.  Wide enough intervals (and unclustered runs)
@@ -934,7 +959,7 @@ class HybridDirector:
         ``(k - 2) // 2`` -- state whose delta period exceeds that (the
         max-based causal phase clock on a ring topology propagates
         cluster-edge phase bumps with a period set by the cluster diameter)
-        fails the probe every epoch and correctly stays on the per-message
+        fails every probe and correctly stays on the per-message
         fast-forward path.
         """
         sim = self.sim
@@ -943,21 +968,19 @@ class HybridDirector:
         if type(sim.application).fast_forward_states is Application.fast_forward_states:
             return None
         k = self._interval
-        injector = sim.failure_injector
-        strikes = injector is not None and (
-            injector.next_timed_failure_time() is not None
-            or injector.next_iteration_trigger() is not None
-        )
         if k in (1, 2):
             return None
-        if strikes:
+        batch_end = e
+        injector = sim.failure_injector
+        if self._send_hook and injector is not None and (
+            injector.next_timed_failure_time() is not None
+            or injector.next_iteration_trigger() is not None
+        ):
             if not k:
                 return None
             batch_end = (e // k) * k
-        else:
-            batch_end = e
         probe_span = 4 if (not k or (k % 2 == 0 and k >= 8)) else 2
-        probe_end = b + probe_span
+        probe_end = origin + probe_span
         if k and probe_span == 4:
             # All four probed deltas must end strictly inside an interval
             # (residue not 0: no checkpoint boundary inside the window;
@@ -971,8 +994,6 @@ class HybridDirector:
             while probe_end % k == 0 or (probe_end - 1) % k == 0:
                 probe_end += 1
         if batch_end <= probe_end:
-            return None
-        if sim.protocol.ff_epoch_snapshot() is None:
             return None
         return probe_end, batch_end, probe_span
 
@@ -993,8 +1014,10 @@ class HybridDirector:
         extrapolated two iterations at a time by :meth:`_batch_intervals`.
 
         On failure every rank is left at count ``probe_end``: a failed probe
-        costs nothing beyond the per-message work the fallback needed
-        anyway.
+        costs its snapshots (a millisecond or so) on top of per-message work
+        the epoch needed anyway, and :meth:`_advance_span` plans the next
+        window from there.  A protocol that does not batch at all (``None``
+        snapshots) fails here, too.
         """
         sim = self.sim
         protocol = sim.protocol

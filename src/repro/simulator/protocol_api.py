@@ -163,7 +163,12 @@ class ProtocolHooks:
     # delta, and -- if two consecutive deltas agree -- replay the delta N
     # times through :meth:`ff_epoch_apply`.  Protocols that cannot express
     # their steady state as such a linear delta simply return ``None`` from
-    # :meth:`ff_epoch_snapshot` and keep the per-message fast-forward path.
+    # :meth:`ff_epoch_snapshot` and keep the per-message fast-forward path;
+    # that is the default here.  ``ClusteredProtocolBase`` supplies the other
+    # default: a clustered protocol whose message hooks are stateless
+    # (``ff_send_hook`` False, ``on_app_deliver`` not overridden) owns nothing
+    # that moves between checkpoint boundaries, so its delta is the empty one
+    # and it batches by that declaration alone (coordinated checkpointing).
 
     def ff_epoch_snapshot(self) -> Optional[Any]:
         """Opaque snapshot of the per-iteration-linear protocol state, or

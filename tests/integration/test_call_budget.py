@@ -11,7 +11,10 @@ run, so the tests cannot flake on a noisy machine.
 
 The third test bounds a whole sparse Monte Carlo sweep per simulated
 rank-iteration: what it guards is that replicas which drew the same failure
-trace stay one simulation and that the pre-warm stays a warm-up.
+trace stay one simulation and that the pre-warm stays a warm-up.  The fourth
+bounds a dense one -- every replica struck, HydEE then coordinated, checkpoint
+interval 4 -- where it guards that the spans around each strike are batched
+from the cached start, under both protocols.
 
 The last two tests bound the layers no simulation touches the same way, per
 record of a 1 000-record store: adding 32 records (open, ``put``, merge
@@ -24,6 +27,7 @@ import contextlib
 import copy
 import cProfile
 import dataclasses
+import functools
 import io
 import json
 import pstats
@@ -56,6 +60,14 @@ FF_CALL_BUDGET_PER_MESSAGE = 72.8
 #: seed is pinned and the trace census asserted.
 SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 31.4
 SWEEP_FAULT_SEED, SWEEP_STRIKES = 0, [0, 1, 0, 1, 1, 0, 0, 0]
+
+#: measured 136.64 calls per rank-iteration (184.35 when a coordinated replica
+#: never batched and a failed first probe sent the whole epoch to the
+#: per-message driver) plus 10 %.  Every replica is struck once, on average a
+#: fifth into the run; later strikes leave more to batch, so the fault seed is
+#: pinned and the trace census asserted.
+DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 150.3
+DENSE_SWEEP_FAULT_SEED = 13
 
 #: measured 2.45 calls per stored record (3 154 when the store was written
 #: by ``json.dump(indent=1)``, i.e. by the pure-Python encoder).  What is
@@ -119,22 +131,32 @@ def test_fast_forward_calls_per_message_stay_within_budget():
     )
 
 
-def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
-    iterations, replicas = 160, 8
-    base = scenario_spec("sweep-call-budget", "stencil2d", iterations, "hydee", 8)
+def struck_at_most_once(base, mtbf_factor, seed):
+    """``base`` (16 ranks) under exponential faults over its failure-free
+    makespan, at most one per replica; the per-rank MTBF is ``mtbf_factor``
+    x 16 x makespan, i.e. ``1 / mtbf_factor`` failures expected per run."""
     makespan = build(base).run().makespan
-    spec = dataclasses.replace(
+    return dataclasses.replace(
         base,
         fault_model=FaultModelSpec(
             distribution="exponential",
-            params={"mtbf_s": 1.5 * 16 * makespan},
+            params={"mtbf_s": mtbf_factor * 16 * makespan},
             horizon_s=makespan,
             max_failures=1,
-            seed=SWEEP_FAULT_SEED,
+            seed=seed,
         ),
     )
-    strikes = [len(generate_trace(s.fault_model, 16)) for s in replica_specs(spec, replicas)]
-    assert strikes == SWEEP_STRIKES
+
+
+def strikes_per_replica(spec, replicas):
+    return [len(generate_trace(s.fault_model, 16)) for s in replica_specs(spec, replicas)]
+
+
+def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
+    iterations, replicas = 160, 8
+    base = scenario_spec("sweep-call-budget", "stencil2d", iterations, "hydee", 8)
+    spec = struck_at_most_once(base, mtbf_factor=1.5, seed=SWEEP_FAULT_SEED)
+    assert strikes_per_replica(spec, replicas) == SWEEP_STRIKES
 
     calls, outcome = profiled(lambda: run_montecarlo(spec, replicas=replicas))
     assert outcome.completed_replicas == replicas
@@ -145,6 +167,27 @@ def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
         f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
         f"(budget {SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): equal traces are simulated "
         "more than once, or the pre-warm runs past its warm-up"
+    )
+
+
+def test_dense_sweep_calls_per_rank_iteration_stay_within_budget():
+    iterations, replicas, protocols = 40, 6, ("hydee", "coordinated")
+    calls = 0
+    for protocol in protocols:
+        base = scenario_spec("dense-sweep-call-budget", "stencil2d", iterations, protocol, 4)
+        spec = struck_at_most_once(base, mtbf_factor=0.25, seed=DENSE_SWEEP_FAULT_SEED)
+        assert strikes_per_replica(spec, replicas) == [1] * replicas
+
+        sweep_calls, outcome = profiled(functools.partial(run_montecarlo, spec, replicas=replicas))
+        calls += sweep_calls
+        assert outcome.completed_replicas == outcome.executed == replicas
+        assert outcome.metric("faults.sim.hybrid.fallback.mean") == 0.0
+        assert outcome.metric("faults.sim.hybrid.batched_iterations.mean") > 0.0
+    per_rank_iteration = calls / (16 * iterations * replicas * len(protocols))
+    assert per_rank_iteration <= DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION, (
+        f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
+        f"(budget {DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): a protocol has stopped "
+        "batching from the cached start, or a failed probe costs more than its window"
     )
 
 

@@ -172,7 +172,9 @@ REPORT_FIELDS = {
     "hybrid": ["exact.replica_sims_per_s", "hybrid.replica_sims_per_s", "speedup",
                "makespan_mean_rel_err", "replicas"],
     "ff-coverage": ["workloads_fast_forwarding", "workloads_swept",
-                    "workloads.stencil2d.fallback"],
+                    "workloads.stencil2d.fallback", "cells_swept", "cells_batching.cached",
+                    "workloads.stencil2d.cells.coordinated/4.cached.batched_iterations",
+                    "checks.cached_start_batches_wherever_self_calibrated_does"],
     "schedule-explore": ["invariant", "divergences", "witnesses", "interleavings_per_s",
                          "recovery_time_over_schedules"],
     "efficiency-mtbf": ["replica_sims", "replicas_per_s", "containment_holds"],

@@ -21,6 +21,11 @@ whichever garbage-collection acknowledgements are still in flight;
 fast-forwarded epochs drain those acks deterministically, so the hybrid
 counter reports the quiescent value (always >= exact), but the total
 bytes accounted for (reclaimed + still-buffered) match exactly.
+
+The one named limit (``ACK_RACE`` / ``PIPELINE_AFTER_ROLLBACK`` below, strict
+xfails of the protocol x interval grid): HydEE ``checkpoint_bytes`` where
+clusters run skewed against each other -- pipeline at intervals below 8, and
+pipeline or ring after a rollback.
 """
 
 import dataclasses
@@ -215,6 +220,226 @@ class TestHybridParity:
                 for it in (it for it in boundaries if warmup < it < ITERATIONS):
                     ids = [sim.storage.checkpoint_at(r, it).checkpoint_id for r in cluster]
                     assert ids == list(range(ids[0], ids[0] + len(cluster)))
+
+
+# ------------------------------------------------ protocol x interval grid
+GRID_ITERATIONS = 80
+GRID_WORKLOADS = ("stencil2d", "pipeline", "ring", "cg")
+CATALOGUE = ("stencil1d", "stencil2d", "ring", "pipeline", "bt", "cg", "ft", "lu", "mg", "sp")
+
+#: Named limit of both fast-forward interpreters (ROADMAP, differential
+#: fuzzing), present before the grid existed.  HydEE checkpoints include the
+#: live sender log, and which gc ack has landed when an inter-cluster sender
+#: snapshots is decided by sub-iteration timing the fast-forward does not
+#: model.  Pipeline, 120 iterations, interval 4, failure-free: exact
+#: checkpoint_bytes 32 669 696; per-message fast-forward 33 341 440 (+2.1 %);
+#: batched 32 243 712 self-calibrated (-1.3 %), 32 194 560 from the cache
+#: (-1.5 %).  Per record, ranks 3 and 7 (the last of clusters 0 and 1) hold
+#: 16 384 B of live log at a checkpoint in exact mode and 8 192 B batched,
+#: rank 11 holds 8 192 B in both; interval 8 agrees.  The ring shows it only
+#: once a rollback has skewed a cluster against its neighbours (interval 4,
+#: struck: 21 299 200 exact, 21 291 008 hybrid, makespan equal to 1e-15).
+ACK_RACE = pytest.mark.xfail(
+    strict=True,
+    reason="hybrid checkpoint_bytes != exact: gc-ack landing against the "
+           "sender's next snapshot is a timing race fast-forward does not model "
+           "(pipeline, interval 4, 120 iterations: exact 32 669 696, batched "
+           "32 243 712 / 32 194 560, per-message 33 341 440)",
+)
+#: The other limit the struck half of the grid found, equally present before
+#: it: after a HydEE rollback a pipeline runs at a rhythm the failure-free
+#: rate model was not fitted to (interval 8, 80 iterations: makespan
+#: 2.801 ms exact, 2.982 ms hybrid, +6.4 %; checkpoint_bytes differ too).
+PIPELINE_AFTER_ROLLBACK = pytest.mark.xfail(
+    strict=True,
+    reason="HydEE x pipeline, struck: the post-rollback pipeline rhythm is not "
+           "the calibrated one (interval 8: makespan +6.4 % against exact)",
+)
+
+
+def grid_spec(protocol, interval, kind, iterations=GRID_ITERATIONS, failures=()):
+    return dataclasses.replace(
+        scenario_spec(f"grid-{protocol}-{interval}-{kind}", kind, iterations,
+                      protocol, interval),
+        failures=tuple(failures),
+    )
+
+
+def run_hybrid(spec, start, **config):
+    """One hybrid run of ``spec``: self-calibrated, or from an activated
+    calibration cache -- the way every Monte Carlo replica starts."""
+    from repro.faults.montecarlo import prewarm_calibration
+    from repro.simulator import calibration
+
+    spec = dataclasses.replace(spec, execution="hybrid", config=config)
+    if start == "self-calibrated":
+        sim = build(spec)
+        return sim, sim.run()
+    cache = calibration.CalibrationCache()
+    assert prewarm_calibration(spec, cache)
+    with calibration.activated(cache):
+        sim = build(spec)
+        result = sim.run()
+    assert sim.hybrid_stats["calibration_cached"] == 1
+    return sim, result
+
+
+def mid_interval_strike(makespan, interval):
+    """A strike time three quarters into the run, in the middle of a
+    checkpoint interval.  Next to a boundary a strike races the checkpoint
+    commit, and which of the two wins -- one interval's difference in the
+    restore line -- is decided well inside the makespan band."""
+    iteration = (int(0.75 * GRID_ITERATIONS) // interval + 0.5) * interval
+    return iteration / GRID_ITERATIONS * makespan
+
+
+#: (protocol, interval, workload, fault) of the cells that hit a named limit.
+KNOWN_LIMITS = {
+    ("hydee", 3, "pipeline", "free"): ACK_RACE,
+    ("hydee", 3, "pipeline", "timed"): ACK_RACE,
+    ("hydee", 4, "pipeline", "free"): ACK_RACE,
+    ("hydee", 4, "pipeline", "timed"): ACK_RACE,
+    ("hydee", 4, "ring", "timed"): ACK_RACE,
+    ("hydee", 8, "pipeline", "timed"): PIPELINE_AFTER_ROLLBACK,
+}
+
+
+def grid_cells():
+    for protocol in ("hydee", "coordinated"):
+        for interval in (3, 4, 8):
+            for kind in GRID_WORKLOADS:
+                for fault in ("free", "timed"):
+                    cell = (protocol, interval, kind, fault)
+                    limit = KNOWN_LIMITS.get(cell)
+                    yield pytest.param(
+                        *cell, marks=[limit] if limit else [],
+                        id=f"{protocol}-{interval}-{kind}-{fault}",
+                    )
+
+
+class TestProtocolIntervalGrid:
+    """Every protocol x interval x workload cell a sweep can start, from both
+    starts, holds the parity contract of :class:`TestHybridParity`."""
+
+    @pytest.mark.parametrize("protocol, interval, kind, fault", grid_cells())
+    def test_counters_identical_and_makespan_within_band(
+        self, protocol, interval, kind, fault
+    ):
+        spec = grid_spec(protocol, interval, kind)
+        exact_sim = build(spec)
+        exact = exact_sim.run()
+        if fault == "timed":
+            strike = mid_interval_strike(exact.stats.makespan, interval)
+            spec = grid_spec(protocol, interval, kind,
+                             failures=[FailureSpec(ranks=(5,), time=strike)])
+            exact_sim = build(spec)
+            exact = exact_sim.run()
+            assert exact.stats.failures_injected == 1
+        exact_pstats = exact_sim.protocol.pstats.as_dict()
+        del exact_pstats["gc_reclaimed_bytes"]
+
+        for start in ("self-calibrated", "activated cache"):
+            hybrid_sim, hybrid = run_hybrid(spec, start)
+            assert exact.status == hybrid.status == "completed", start
+            assert hybrid_sim.hybrid_stats["fallback"] == 0, start
+            for attr in VOLUME_COUNTERS:
+                assert getattr(hybrid.stats, attr) == getattr(exact.stats, attr), (start, attr)
+            hybrid_pstats = hybrid_sim.protocol.pstats.as_dict()
+            for key, value in exact_pstats.items():
+                assert hybrid_pstats[key] == value, (start, f"pstats.{key}")
+            assert hybrid.stats.makespan == pytest.approx(
+                exact.stats.makespan, rel=0.01
+            ), start
+
+    @pytest.mark.parametrize("kind", GRID_WORKLOADS)
+    @pytest.mark.parametrize("interval", [3, 4, 8])
+    def test_stateless_protocol_batches_what_per_message_drives(self, interval, kind):
+        # Coordinated checkpointing batches by declaration (no message state):
+        # the batched epochs must leave what the per-message driver leaves,
+        # which asking for per-event trace records forces (see
+        # test_per_message_and_batched_epochs_commit_equal_checkpoints).
+        spec = grid_spec("coordinated", interval, kind)
+        batched, batched_result = run_hybrid(spec, "activated cache")
+        driven, driven_result = run_hybrid(spec, "activated cache", record_trace_events=True)
+        assert batched_result.status == driven_result.status == "completed"
+        assert batched.hybrid_stats["batched_iterations"] > 0
+        assert driven.hybrid_stats["batched_iterations"] == 0
+        assert driven.hybrid_stats["ff_iterations"] == batched.hybrid_stats["ff_iterations"]
+
+        for attr in VOLUME_COUNTERS:
+            assert getattr(batched_result.stats, attr) == getattr(driven_result.stats, attr), attr
+        assert batched_result.stats.makespan == pytest.approx(
+            driven_result.stats.makespan, rel=1e-12
+        )
+        assert batched_result.stats.total_compute_time == pytest.approx(
+            driven_result.stats.total_compute_time, rel=1e-9
+        )
+        assert batched.protocol.pstats.as_dict() == driven.protocol.pstats.as_dict()
+        boundaries = range(interval, GRID_ITERATIONS + 1, interval)
+        for rank in range(16):
+            stored = [
+                [(r.iteration, r.size_bytes, r.sends_at_checkpoint)
+                 for r in (sim.storage.checkpoint_at(rank, it) for it in boundaries)]
+                for sim in (batched, driven)
+            ]
+            assert stored[0] == stored[1], rank
+
+    @pytest.mark.parametrize("kind", CATALOGUE)
+    @pytest.mark.parametrize("interval", [4, 8])
+    @pytest.mark.parametrize("protocol", ["hydee", "coordinated"])
+    def test_cached_start_batches_in_every_cell_but_ring_under_hydee(
+        self, protocol, interval, kind
+    ):
+        # The start every sweep replica takes.  Before failed probes were
+        # retried and stateless protocols batched, 8 of these 40 cells did.
+        iterations = 120 if kind in ("stencil1d", "stencil2d", "ring", "pipeline") else 60
+        sim, result = run_hybrid(
+            grid_spec(protocol, interval, kind, iterations), "activated cache"
+        )
+        assert result.status == "completed"
+        assert sim.hybrid_stats["fallback"] == 0
+        if (protocol, kind) == ("hydee", "ring"):
+            # By design: the causal phase clock's delta period on a ring of
+            # 4-rank clusters exceeds any verifiable stride (see _plan_batch).
+            assert sim.hybrid_stats["batched_iterations"] == 0
+        else:
+            assert sim.hybrid_stats["batched_iterations"] > 0
+
+    def test_failed_probes_are_retried_a_logarithmic_number_of_times(self, monkeypatch):
+        # Ring under 4-rank HydEE clusters never verifies a delta, so every
+        # probe of the epoch fails: the distance between windows doubles, and
+        # the run is the forced per-message run, metric for metric.
+        import math
+
+        from repro.simulator.hybrid import HybridDirector
+
+        epochs = []
+        fast_forward_epoch = HybridDirector._fast_forward_epoch
+        probe_deltas = HybridDirector._probe_deltas
+
+        def counting_epoch(director, b, e, model, gate):
+            epochs.append([e - b, 0])
+            return fast_forward_epoch(director, b, e, model, gate)
+
+        def counting_probe(director, *args):
+            epochs[-1][1] += 1
+            outcome = probe_deltas(director, *args)
+            assert outcome is None
+            return outcome
+
+        monkeypatch.setattr(HybridDirector, "_fast_forward_epoch", counting_epoch)
+        monkeypatch.setattr(HybridDirector, "_probe_deltas", counting_probe)
+        spec = grid_spec("hydee", 8, "ring", iterations=400)
+        probed, probed_result = run_hybrid(spec, "self-calibrated")
+        assert [length for length, _ in epochs] == [400 - 34 - 1]
+        for length, probes in epochs:
+            assert 1 < probes <= math.ceil(math.log2(length)) + 1, (length, probes)
+
+        probes_made = sum(probes for _, probes in epochs)
+        driven, driven_result = run_hybrid(spec, "self-calibrated", record_trace_events=True)
+        assert sum(probes for _, probes in epochs) == probes_made  # tracing plans no probe
+        assert probed.hybrid_stats["batched_iterations"] == 0
+        assert probed_result.metrics.to_tree() == driven_result.metrics.to_tree()
 
 
 class TestGuardWindowTrace:

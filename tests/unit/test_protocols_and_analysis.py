@@ -20,9 +20,10 @@ from repro.analysis.perf_model import (
 )
 from repro.analysis.reporting import format_dict_table, format_table, percent
 from repro.errors import ConfigurationError, ProtocolError
-from repro.ftprotocols.base import normalize_clusters
+from repro.ftprotocols.base import ClusteredProtocolBase, normalize_clusters
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.simulator.network import MyrinetMXModel, PiggybackPolicy
+from repro.simulator.protocol_api import ProtocolHooks
 from repro.workloads import MasterWorkerApplication, RingApplication
 
 
@@ -108,6 +109,50 @@ class TestHydEEConstruction:
         assert not protocol.is_inter_cluster(2, 3)
         assert protocol.ranks_outside_cluster(0) == [2, 3]
         assert protocol.num_clusters == 2
+
+
+class TestEpochStateContract:
+    """Who may batch fast-forwarded epochs (``ff_epoch_snapshot`` is not
+    ``None``): protocols that extrapolate their message state, and clustered
+    protocols that declare they have none."""
+
+    @staticmethod
+    def attached(protocol):
+        Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol)
+        return protocol
+
+    def test_stateless_clustered_protocol_batches_by_declaration(self):
+        protocol = self.attached(CoordinatedCheckpointProtocol(checkpoint_interval=4))
+        before = protocol.ff_epoch_snapshot()
+        assert before == protocol.pstats.as_dict()
+        delta = protocol.ff_epoch_delta(before, protocol.ff_epoch_snapshot())
+        assert delta is not None
+        protocol.ff_epoch_apply(delta, 1000)
+        assert protocol.ff_epoch_snapshot() == before  # nothing to extrapolate
+        # A checkpoint or a rollback between two probe snapshots voids the pair.
+        protocol.pstats.checkpoints += 1
+        assert protocol.ff_epoch_delta(before, protocol.ff_epoch_snapshot()) is None
+
+    def test_a_delivery_hook_is_message_state_even_undeclared(self):
+        class CountsDeliveries(ClusteredProtocolBase):
+            def on_app_deliver(self, rank, message):
+                self.pstats.determinants_logged += 1
+
+        class CountsDeliveriesUnclustered(ProtocolHooks):
+            def on_app_deliver(self, rank, message):
+                return None
+
+        assert CountsDeliveries.ff_send_hook is False
+        assert self.attached(CountsDeliveries()).ff_epoch_snapshot() is None
+        assert self.attached(CountsDeliveriesUnclustered()).ff_epoch_snapshot() is None
+
+    def test_protocols_with_message_state_keep_their_own_answer(self):
+        # Message logging keeps a real, un-collected sender log: per message.
+        assert self.attached(FullMessageLoggingProtocol()).ff_epoch_snapshot() is None
+        # HydEE extrapolates its own linear epoch state (clock, RPP, log volume).
+        hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
+        ranks, pstats, logged = hydee.ff_epoch_snapshot()
+        assert sorted(ranks) == [0, 1, 2, 3]
 
 
 class TestPerfModel:
