@@ -28,7 +28,7 @@ ITERATIONS = 8
 
 #: Four clusters of four ranks (one process-grid row each); the
 #: communication-graph partitioner (ClusteringSpec(method="partition")) is
-#: demonstrated in examples/clustering_analysis.py.
+#: demonstrated in examples/nas_failure_containment.py.
 CLUSTERS = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))
 
 

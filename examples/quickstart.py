@@ -44,7 +44,7 @@ def main() -> None:
     # 3. HydEE with four explicit clusters (a 4x4 grid split by rows; on
     #    larger/irregular applications use ClusteringSpec(method="partition")
     #    to run the communication-graph partitioner instead -- see
-    #    examples/clustering_analysis.py) and a failure of rank 5 after
+    #    examples/nas_failure_containment.py) and a failure of rank 5 after
     #    iteration 5.
     clusters = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))
     hydee_spec = ScenarioSpec(

@@ -354,7 +354,12 @@ def replica_job(spec: ScenarioSpec) -> Tuple[Dict[str, Any], Any]:
     metrics = MetricSet()
     metrics.merge(result.metrics)
     metrics.set("sim.total_compute_time", result.stats.total_compute_time)
-    payload = make_payload(result.status, metrics, {"rank_states": result.rank_states})
+    data: Dict[str, Any] = {"rank_states": result.rank_states}
+    if result.blocked:
+        # Only a run that did not complete carries it: the record of a
+        # completed replica stays byte-identical.
+        data["blocked"] = result.blocked
+    payload = make_payload(result.status, metrics, data)
     return jsonify(payload), result
 
 

@@ -7,9 +7,9 @@ Monte Carlo campaigns, yet none of the per-event detail matters for the
 metrics the campaigns aggregate -- only the protocol byte/checkpoint counters
 and the per-rank clocks at the epoch boundary do.
 
-:class:`HybridDirector` exploits this.  It runs a short warm-up of ordinary
-DES, calibrates a per-rank iteration-rate model from the observed boundary
-times, and then alternates between
+:class:`HybridDirector` exploits this.  It runs a warm-up of ordinary DES
+until two checkpoint periods agree, calibrates a per-rank iteration-rate
+model from the observed boundary times, and then alternates between
 
 * **fast-forward epochs**: the director becomes the second interpreter of
   the op vocabulary (:mod:`repro.simulator.ops`).  Every rank's iteration
@@ -35,11 +35,17 @@ times, and then alternates between
   -- the cold first iteration of a run started from the calibration cache,
   recovery residue -- costs its window: the next one is planned further on,
   at doubling distances;
-* **DES guard windows** around every failure injection:
-  :data:`GUARD_ITERATIONS` iterations before the strike, the whole
-  failure/rollback/replay choreography, and the re-execution until the run
-  is quiescent again run under the unmodified event-driven simulator, so
-  recovery behaviour is byte-identical to exact mode.
+* **DES guard windows** around every failure injection, sized by the rate
+  model's projection of where each rank is when the strike lands
+  (:meth:`RateModel.iterations_at`).  The fast-forward stops
+  :data:`GUARD_ITERATIONS` whole iterations before the earliest such count,
+  so two complete iterations and the struck one precede the failure; the
+  gate then holds DES to ``est + GUARD_ITERATIONS + 1 +`` spread slack,
+  ``est`` being the latest such count.  Strike, rollback, replay and the
+  re-execution up to that count run under the unmodified event-driven
+  simulator, so recovery behaviour is byte-identical to exact mode.  The
+  far side is not tighter on purpose: one iteration less doubled the worst
+  struck makespan error (0.65 % -> 1.37 %).
 
 Ranks synchronise with the director through an :class:`IterationGate`: the
 rank driver parks its coroutine at the gate's iteration limit, and the
@@ -159,7 +165,7 @@ class RateModel:
     """
 
     __slots__ = ("dt", "ckpt_extra", "interval", "dt_mean", "dt_spread",
-                 "min_dt", "max_dt", "phases", "_period", "_cum")
+                 "phases", "_period", "_cum")
 
     def __init__(self, dt: Dict[int, float], ckpt_extra: Dict[int, float],
                  interval: int, dt_spread: float,
@@ -185,11 +191,6 @@ class RateModel:
                     cum[j] = acc
                 self._cum[rank] = cum
                 self._period[rank] = acc + seq[0]
-            self.min_dt = min(min(seq) for seq in phases.values())
-            self.max_dt = max(max(seq) for seq in phases.values())
-        else:
-            self.min_dt = min(dt.values())
-            self.max_dt = max(dt.values())
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
@@ -282,20 +283,6 @@ class RateModel:
             m += 1
         return m
 
-    def max_iterations_by(self, rank: int, t0: float, b: int, deadline: float) -> int:
-        """Largest count ``m >= b`` with ``project(rank, t0, b, m) <= deadline``.
-
-        The phase projection accounts for every boundary exactly, so the
-        exact walk is already safe; the flat model divides.
-        """
-        if self.phases is not None:
-            return self.iterations_at(rank, t0, b, deadline)
-        rate = self.dt[rank]
-        usable = deadline - t0
-        if usable <= 0.0 or rate <= 0.0:
-            return b
-        return b + int(usable // rate)
-
 
 class HybridDirector:
     """Orchestrates one hybrid run (``SimulationConfig.execution="hybrid"``)."""
@@ -364,13 +351,12 @@ class HybridDirector:
             # stretch -- parking ranks mid-warm-up and releasing them
             # imprints a period-aligned stall on the measured deltas that
             # the periodicity check cannot distinguish from real timing --
-            # so the length is chosen up front: the largest affordable rung
-            # given the iteration budget and any iteration-triggered strike.
+            # so its longest form is chosen up front: the largest affordable
+            # rung given the iteration budget and any iteration-triggered
+            # strike (the listener ends it at the first rung that verifies).
             k = self._interval
-            i_f = (
-                sim.failure_injector.next_iteration_trigger()
-                if sim.failure_injector else None
-            )
+            injector = sim.failure_injector
+            i_f = injector.next_iteration_trigger() if injector else None
             warmup = 2 * k + 2
             for rung in (4 * k + 2, 3 * k + 2):
                 if total >= rung + 2 and (i_f is None or i_f > rung):
@@ -390,11 +376,11 @@ class HybridDirector:
         gate = IterationGate(0 if cached is not None else warmup)
         sim.iteration_gate = gate
         if cached is None:
-            self._install_listener()
+            self._install_listener(gate)
         sim.protocol.on_simulation_start()
         sim._start_ranks()
         engine_reason = self._run_warmup_segment()
-        self._remove_listener()
+        sim._iteration_listener = None
         if engine_reason == "empty" and not self._quiescent():
             return partial(sim._finish, "empty")
         if sim._done_count == sim.nprocs:
@@ -413,6 +399,8 @@ class HybridDirector:
 
         if cached is not None:
             return gate, self._apply_cached_calibration(cached, gate)
+        # The count the ranks parked at: the listener may have stopped early.
+        warmup = self.stats["warmup_iterations"] = gate.limit
         model, calib_reason = self._calibrate(warmup)
         if model is None:
             return partial(self._abandon, gate, calib_reason)
@@ -456,14 +444,15 @@ class HybridDirector:
             if i_f is not None:
                 g = min(g, i_f + GUARD_ITERATIONS)
             if t_f is not None:
-                # Project where each rank will be when the strike lands and
-                # gate a spread-proportional margin past it, so ranks are
-                # still live DES at t_f even if the model runs a little slow.
-                est = b_max
-                for rank, entry in parked.items():
-                    est = max(
-                        est, model.iterations_at(rank, entry[1], entry[2], t_f)
-                    )
+                # Project each rank's completed count at the strike.  DES is
+                # gated a spread-proportional margin past the latest, so ranks
+                # are still live at t_f even if the model runs a little slow;
+                # it starts GUARD_ITERATIONS before the earliest (below).
+                at_strike = [
+                    model.iterations_at(rank, entry[1], entry[2], t_f)
+                    for rank, entry in parked.items()
+                ]
+                est = max(at_strike)
                 margin = 1 + int(math.ceil(model.dt_spread * (est - b_max)))
                 g = min(g, est + GUARD_ITERATIONS + margin)
             g = max(g, b_max + 1)
@@ -479,12 +468,9 @@ class HybridDirector:
                 # wait and write cost cannot be separated from warm-up data).
                 e = total - 1
                 if i_f is not None:
-                    e = min(e, max(b, i_f - GUARD_ITERATIONS))
+                    e = min(e, i_f - GUARD_ITERATIONS)
                 if t_f is not None:
-                    deadline = t_f - GUARD_ITERATIONS * model.max_dt
-                    for rank, entry in parked.items():
-                        e = min(e, model.max_iterations_by(rank, entry[1], b, deadline))
-                    e = max(e, b)
+                    e = min(e, min(at_strike) - GUARD_ITERATIONS)
                 if e > b:
                     self._fast_forward_epoch(b, e, model, gate)
                     advanced = True
@@ -571,18 +557,32 @@ class HybridDirector:
         return sim._finish(engine_reason)
 
     # ----------------------------------------------------------- calibration
-    def _install_listener(self) -> None:
+    def _install_listener(self, gate: IterationGate) -> None:
+        """Sample every warm-up boundary time, and end the warm-up at the
+        first verified period pair: once every rank has completed rung
+        ``2k+2`` (then ``3k+2``) and the phase fit over it passes, the rest
+        of the stretch would measure the same durations again, so the gate
+        limit drops to the first count no rank has started.  It is never
+        raised: ranks running ahead (a pipeline's head) may be parked at it.
+        """
         sim = self.sim
         times = self._iter_times = {rank: {} for rank in sim.ranks}
         engine = sim.engine
+        k = self._interval
+        arrived = {rung: 0 for rung in (2 * k + 2, 3 * k + 2) if k > 1 and rung < gate.limit}
 
         def listener(rank: int, iteration: int) -> None:
             times[rank][iteration] = engine.now
+            if iteration in arrived:
+                arrived[iteration] += 1
+                if (arrived[iteration] == sim.nprocs
+                        and self._calibrate_phases(iteration)[0] is not None):
+                    arrived.clear()
+                    gate.limit = min(gate.limit, 1 + max(
+                        proc.completed_iterations for proc in sim.ranks.values()
+                    ))
 
         sim._iteration_listener = listener
-
-    def _remove_listener(self) -> None:
-        self.sim._iteration_listener = None
 
     # ----------------------------------------------------- calibration cache
     def _cached_calibration(self) -> Optional[Dict[str, Any]]:

@@ -82,6 +82,9 @@ class SimulationResult:
     trace: TraceRecorder
     rank_results: Dict[int, Any] = field(default_factory=dict)
     rank_states: Dict[int, str] = field(default_factory=dict)
+    #: rank -> what it waits on, for every rank that did not finish (empty
+    #: when the run completed): a ``deadlock`` is diagnosable from the result.
+    blocked: Dict[int, str] = field(default_factory=dict)
     #: namespaced metric tree (``sim.*``, ``protocol.*``, ``network.*``,
     #: ``links.*``) -- the typed face of the run, see :mod:`repro.results`.
     metrics: MetricSet = field(default_factory=MetricSet)
@@ -414,6 +417,9 @@ class Simulation:
             trace=self.trace,
             rank_results={r: p.result for r, p in self.ranks.items()},
             rank_states={r: p.state.value for r, p in self.ranks.items()},
+            blocked={
+                r: p.blocked_description() for r, p in self.ranks.items() if not p.done
+            },
             metrics=self._build_metrics(),
         )
 

@@ -11,7 +11,7 @@ channels), exactly the regime where HydEE's partial logging shines.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -141,6 +141,13 @@ class Stencil1DApplication(Application):
         return matrix
 
 
+#: process grid -> compiled batched kernel (:meth:`Stencil2DApplication.
+#: _build_ff_kernel`).  The generated code depends on the grid alone, and a
+#: Monte Carlo sweep builds one application per replica, so it is compiled
+#: once per process rather than once per instance.
+_FF_KERNELS: Dict[Tuple[int, ...], Any] = {}
+
+
 class Stencil2DApplication(Application):
     """2-D five-point stencil on a process grid with N/S/E/W halo exchange."""
 
@@ -162,7 +169,6 @@ class Stencil2DApplication(Application):
             )
         self.halo_bytes = halo_bytes
         self.compute_seconds = compute_seconds
-        self._ff_kernel: Optional[Any] = None
         #: rank -> N/S/W/E neighbour ranks (static for the process grid).
         self._neighbours = [self._grid_neighbours(rank) for rank in range(nprocs)]
 
@@ -227,9 +233,10 @@ class Stencil2DApplication(Application):
         """
         if set(states) != set(range(self.nprocs)):
             return False
-        kernel = self._ff_kernel
+        grid = tuple(self.grid)  # a spec's JSON parameters deliver a list
+        kernel = _FF_KERNELS.get(grid)
         if kernel is None:
-            kernel = self._ff_kernel = self._build_ff_kernel()
+            kernel = _FF_KERNELS[grid] = self._build_ff_kernel()
         kernel(states, start_iteration, n)
         return True
 

@@ -431,7 +431,10 @@ class TestProtocolIntervalGrid:
         monkeypatch.setattr(HybridDirector, "_probe_deltas", counting_probe)
         spec = grid_spec("hydee", 8, "ring", iterations=400)
         probed, probed_result = run_hybrid(spec, "self-calibrated")
-        assert [length for length, _ in epochs] == [400 - 34 - 1]
+        # One epoch: everything between the DES warm-up and the final iteration.
+        warmup = probed.hybrid_stats["warmup_iterations"]
+        assert 2 * 8 + 2 < warmup <= 4 * 8 + 2
+        assert [length for length, _ in epochs] == [400 - warmup - 1]
         for length, probes in epochs:
             assert 1 < probes <= math.ceil(math.log2(length)) + 1, (length, probes)
 
@@ -440,6 +443,57 @@ class TestProtocolIntervalGrid:
         assert sum(probes for _, probes in epochs) == probes_made  # tracing plans no probe
         assert probed.hybrid_stats["batched_iterations"] == 0
         assert probed_result.metrics.to_tree() == driven_result.metrics.to_tree()
+
+
+class TestGuardWindowShape:
+    """The DES window before a timed strike is what the rate model projects:
+    :data:`GUARD_ITERATIONS` whole iterations and the struck one."""
+
+    @pytest.mark.parametrize("start", ["self-calibrated", "activated cache"])
+    @pytest.mark.parametrize("interval", [1, 3, 4, 8])  # 1: the flat model
+    def test_fast_forward_stops_two_projected_iterations_before_the_strike(
+        self, monkeypatch, interval, start
+    ):
+        from repro.simulator.hybrid import GUARD_ITERATIONS, HybridDirector
+
+        spec = grid_spec("hydee", interval, "stencil2d")
+        strike = mid_interval_strike(build(spec).run().stats.makespan, interval)
+        spec = grid_spec("hydee", interval, "stencil2d",
+                         failures=[FailureSpec(ranks=(5,), time=strike)])
+
+        epochs, counts_at_strike = [], []
+        fast_forward_epoch = HybridDirector._fast_forward_epoch
+        kill_ranks = Simulation.kill_ranks
+
+        def recording_epoch(director, b, e, model, gate):
+            t_f = director.sim.failure_injector.next_timed_failure_time()
+            if t_f is not None:
+                projected = min(
+                    model.iterations_at(rank, entry[1], b, t_f)
+                    for rank, entry in gate.parked.items()
+                )
+                epochs.append((b, e, projected, model.phases is None))
+            return fast_forward_epoch(director, b, e, model, gate)
+
+        def recording_kill(sim, ranks):
+            counts_at_strike.append(
+                min(proc.completed_iterations for proc in sim.ranks.values())
+            )
+            return kill_ranks(sim, ranks)
+
+        monkeypatch.setattr(HybridDirector, "_fast_forward_epoch", recording_epoch)
+        monkeypatch.setattr(Simulation, "kill_ranks", recording_kill)
+        sim, result = run_hybrid(spec, start)
+        assert result.status == "completed" and result.stats.failures_injected == 1
+
+        (b, e, projected, flat), = epochs  # one epoch ends at the window
+        assert flat == (interval == 1)
+        assert e == projected - GUARD_ITERATIONS
+        assert b == sim.hybrid_stats["warmup_iterations"]  # 0 from the cache
+        if not flat:
+            # The phase model is exact in steady state: the strike finds every
+            # rank two whole iterations into the window, inside the third.
+            assert counts_at_strike == [e + GUARD_ITERATIONS]
 
 
 class TestGuardWindowTrace:
@@ -704,6 +758,39 @@ class TestCalibrateOnly:
         assert {it for _, _, it, _ in sim.iteration_gate.parked.values()} == {
             entry["warmup"]
         }
+
+    @pytest.mark.parametrize("kind", GRID_WORKLOADS)
+    @pytest.mark.parametrize("interval", [3, 4, 8])
+    @pytest.mark.parametrize("protocol", ["hydee", "coordinated"])
+    def test_warm_up_stops_at_the_first_verified_period(
+        self, monkeypatch, protocol, interval, kind
+    ):
+        from repro.simulator.hybrid import HybridDirector
+
+        spec = self.spec(kind, protocol, interval, iterations=GRID_ITERATIONS)
+        stopped = HybridDirector(build(spec)).calibrate()
+
+        # Reference: the same warm-up with every mid-stretch fit declined (the
+        # listener is still installed when it asks), i.e. the whole rung.
+        calibrate_phases = HybridDirector._calibrate_phases
+
+        def declined_mid_warm_up(director, warmup):
+            if director.sim._iteration_listener is not None:
+                return None, "reference run: keep the full rung"
+            return calibrate_phases(director, warmup)
+
+        monkeypatch.setattr(HybridDirector, "_calibrate_phases", declined_mid_warm_up)
+        full = HybridDirector(build(spec)).calibrate()
+
+        assert full["warmup"] == 4 * interval + 2
+        if (protocol, kind) == ("hydee", "pipeline"):
+            # The head of the pipeline is parked at the full rung long before
+            # the tail has two periods: the limit stays, nobody is stranded.
+            assert stopped == full
+        else:
+            assert 2 * interval + 2 < stopped["warmup"] < full["warmup"]
+        for rank, phases in full["model"]["phases"].items():
+            assert stopped["model"]["phases"][rank] == pytest.approx(phases, rel=1e-9)
 
     @pytest.mark.parametrize(
         "spec_kwargs",

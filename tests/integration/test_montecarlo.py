@@ -259,3 +259,29 @@ class TestMixedCampaignStores:
             run_with_seed(1, ResultsStore(store.path))
         with pytest.raises(ConfigurationError, match="mixes replicas"):
             rows_from_resultset(ResultSet.from_store(ResultsStore(store.path)))
+
+
+class TestNonCompletedReplicas:
+    def test_a_deadlock_record_keeps_what_each_unfinished_rank_waits_on(self):
+        # ROADMAP fact 1: one strike is enough to deadlock message logging at
+        # the calmest default MTBF point.  The store row must say which ranks
+        # are stuck and on what, without a re-run.
+        store = ResultsStore()
+        run_efficiency_experiment(
+            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=5, store=store
+        )
+        by_replica = {
+            record["name"].rpartition("#")[2]: record["result"]
+            for record in store.records().values() if "#r" in record["name"]
+        }
+        stuck = by_replica["r4"]
+        assert stuck["status"] == "deadlock"
+        assert stuck["data"]["blocked"] == {
+            "11": "wait(mode=all, n=6)", "14": "wait(mode=all, n=6)",
+        }
+        assert sorted(stuck["data"]["blocked"]) == sorted(
+            rank for rank, state in stuck["data"]["rank_states"].items() if state != "done"
+        )
+        # A completed replica's record is what it was: no new key.
+        assert by_replica["r1"]["status"] == "completed"
+        assert sorted(by_replica["r1"]["data"]) == ["rank_states"]
