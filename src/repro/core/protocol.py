@@ -61,6 +61,7 @@ from repro.simulator.messages import Message
 from repro.simulator.protocol_api import (
     RECOVERY_PROCESS,
     ControlMessage,
+    EpochState,
     SendDecision,
     add_metric,
 )
@@ -294,85 +295,60 @@ class HydEEProtocol(ClusteredProtocolBase):
                 self._send_control(rank, sender, "gc_ack", {"up_to_date": up_to_date})
 
     # ============================================== batched fast-forward
-    def ff_epoch_snapshot(self) -> Optional[Any]:
-        """Fast-forward-relevant HydEE state, linear in steady iterations.
-
-        Per rank: the (date, phase) clock, each incoming channel's
-        ``Maxdate`` and the per-destination logged volume; globally, the
-        protocol counters.  Batching requires log garbage collection (it is
+    def ff_epoch_snapshot(self) -> Optional[EpochState]:
+        """HydEE's columns of the epoch state (see ``ProtocolHooks``):
+        Algorithm 1's per-process state, linear in steady iterations -- the
+        (date, phase) clock per rank, ``Maxdate`` per incoming channel
+        ``(rank, sender)``, the logged volume per ``(rank, dest)`` -- and the
+        logging counters.  Batching requires log garbage collection (it is
         what makes the skipped epochs' log entries unobservable) and no
         recovery residue.
         """
-        if not self.config.garbage_collect_logs:
+        states = self.states
+        if not self.config.garbage_collect_logs or any(
+            state.in_recovery for state in states.values()
+        ):
             return None
-        ranks = {}
-        for rank, state in self.states.items():
-            if state.in_recovery:
-                return None
-            per_dest: Dict[int, List[int]] = {}
+        log_entries: Dict[Tuple[int, int], int] = {}
+        log_bytes: Dict[Tuple[int, int], int] = {}
+        for rank, state in states.items():
             for entry in state.log.entries:
-                bucket = per_dest.setdefault(entry.dest, [0, 0])
-                bucket[0] += 1
-                bucket[1] += entry.size_bytes
-            ranks[rank] = (
-                state.clock.date,
-                state.clock.phase,
-                {s: state.rpp.max_date(s) for s in state.rpp.senders()},
-                {dest: tuple(v) for dest, v in per_dest.items()},
-            )
+                key = (rank, entry.dest)
+                log_entries[key] = log_entries.get(key, 0) + 1
+                log_bytes[key] = log_bytes.get(key, 0) + entry.size_bytes
         stats = self.sim.stats
-        return (ranks, dict(self.pstats.as_dict()),
-                (stats.logged_messages, stats.logged_bytes))
+        return {
+            "hydee.date": {rank: state.clock.date for rank, state in states.items()},
+            "hydee.phase": {rank: state.clock.phase for rank, state in states.items()},
+            "hydee.rpp": {
+                (rank, sender): channel.max_date
+                for rank, state in states.items() for sender, channel in state.rpp.channels()
+            },
+            "hydee.log_bytes": log_bytes,
+            "hydee.log_entries": log_entries,
+            "hydee.logged": {"messages": stats.logged_messages, "bytes": stats.logged_bytes},
+            "pstats": self.pstats.as_dict(),
+        }
 
-    def ff_epoch_delta(self, before: Any, after: Any) -> Optional[Any]:
-        ranks_b, pstats_b, sim_b = before
-        ranks_a, pstats_a, sim_a = after
-        ranks: Dict[int, Any] = {}
-        for rank, (date_a, phase_a, rpp_a, log_a) in ranks_a.items():
-            date_b, phase_b, rpp_b, log_b = ranks_b[rank]
-            d_date = date_a - date_b
-            d_phase = phase_a - phase_b
-            d_rpp = {
-                s: rpp_a.get(s, 0) - rpp_b.get(s, 0)
-                for s in sorted(set(rpp_a) | set(rpp_b))
-            }
-            d_log = {}
-            for dest in sorted(set(log_a) | set(log_b)):
-                count_a, bytes_a = log_a.get(dest, (0, 0))
-                count_b, bytes_b = log_b.get(dest, (0, 0))
-                d_log[dest] = (count_a - count_b, bytes_a - bytes_b)
-            if (d_date < 0 or d_phase < 0
-                    or any(d < 0 for d in d_rpp.values())
-                    or any(c < 0 or by < 0 for c, by in d_log.values())):
-                # A rollback or garbage collection ran between the probes.
-                return None
-            ranks[rank] = (d_date, d_phase, d_rpp, d_log)
-        d_pstats = {k: pstats_a[k] - pstats_b[k] for k in pstats_a}
-        if d_pstats.get("checkpoints") or d_pstats.get("rollbacks"):
-            # Probe iterations must be boundary- and failure-free.
-            return None
-        d_sim = (sim_a[0] - sim_b[0], sim_a[1] - sim_b[1])
-        return (ranks, d_pstats, d_sim)
-
-    def ff_epoch_apply(self, delta: Any, n: int) -> None:
-        ranks, d_pstats, d_sim = delta
-        for rank, (d_date, d_phase, d_rpp, d_log) in ranks.items():
-            state = self.states[rank]
-            state.clock.date += n * d_date
-            state.clock.phase += n * d_phase
-            for sender, by in d_rpp.items():
-                state.rpp.advance_max_date(sender, n * by)
-            if d_log:
+    def ff_epoch_apply(self, delta: EpochState, n: int) -> None:
+        super().ff_epoch_apply(delta, n)
+        states = self.states
+        for rank, by in delta["hydee.date"].items():
+            states[rank].clock.date += n * by
+        for rank, by in delta["hydee.phase"].items():
+            states[rank].clock.phase += n * by
+        for (rank, sender), by in delta["hydee.rpp"].items():
+            states[rank].rpp.advance_max_date(sender, n * by)
+        # The skipped messages are never logged for real: only their volume
+        # (a checkpoint's size includes the live log) is carried along.
+        for (rank, dest), nbytes in delta["hydee.log_bytes"].items():
+            if nbytes:
                 phantom = self._ff_phantom_log.setdefault(rank, {})
-                for dest, (_, nbytes) in d_log.items():
-                    if nbytes:
-                        phantom[dest] = phantom.get(dest, 0) + n * nbytes
-        for key, value in d_pstats.items():
-            if value:
-                setattr(self.pstats, key, getattr(self.pstats, key) + n * value)
+                phantom[dest] = phantom.get(dest, 0) + n * nbytes
+        logged = delta["hydee.logged"]
         stats = self.sim.stats
-        stats.logged_messages += n * d_sim[0]
-        stats.logged_bytes += n * d_sim[1]
+        stats.logged_messages += n * logged["messages"]
+        stats.logged_bytes += n * logged["bytes"]
 
     # ================================================================ failure
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:

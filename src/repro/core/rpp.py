@@ -89,9 +89,6 @@ class RPPTable:
             return []
         return record.entries_after(sender_restart_date)
 
-    def senders(self) -> Iterable[int]:
-        return self._channels.keys()
-
     def channels(self) -> Iterable[Tuple[int, ChannelRecord]]:
         """(sender, record) view over the incoming channels."""
         return self._channels.items()

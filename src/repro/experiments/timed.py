@@ -29,6 +29,7 @@ from repro.scenarios.spec import (
 from repro.schedexplore.explorer import explore
 from repro.schedexplore.pinned import PINNED_SCENARIOS
 from repro.simulator.calibration import CalibrationCache, activated
+from repro.simulator.hybrid import HybridDirector
 from repro.workloads.nas import NAS_BENCHMARKS
 
 
@@ -152,7 +153,8 @@ def ff_coverage(
     (heavier state updates; the sweep is about coverage, not duration).
     ``ring`` under HydEE legitimately batches nothing: its max-based causal
     phase clock has a period of 4 iterations, longer than the verifiable
-    stride for its cluster size, so it fast-forwards per message.
+    stride for its cluster size, so it fast-forwards per message -- the
+    cell's ``probe_mismatch`` names a ``hydee.phase`` leaf.
     """
     cases = {kind: iterations for kind in ("stencil1d", "stencil2d", "ring", "pipeline")}
     cases.update({kind: iterations // 2 for kind in sorted(NAS_BENCHMARKS)})
@@ -201,14 +203,18 @@ def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     for start in ("self_calibrated", "cached"):
         with activated(cache) if start == "cached" else contextlib.nullcontext():
             sim = build(hybrid)
-            result, seconds = timed(sim.run)
+            director = HybridDirector(sim)
+            result, seconds = timed(director.run)
         stats = sim.hybrid_stats
+        mismatch = director.probe_mismatch
         cell[start] = {
             "fallback": bool(stats["fallback"]),
             "fallback_reason": sim.stats.extra.get("hybrid_fallback_reason", ""),
             "warmup_iterations": int(stats["warmup_iterations"]),
             "ff_iterations": int(stats["ff_iterations"]),
             "batched_iterations": int(stats["batched_iterations"]),
+            # the leaf the last probe tripped on; empty when it verified
+            "probe_mismatch": f"{mismatch[0]}[{mismatch[1]!r}]" if mismatch else "",
             "makespan_rel_err": (
                 abs(result.stats.makespan - exact.stats.makespan) / exact.stats.makespan
             ),

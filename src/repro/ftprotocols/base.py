@@ -42,7 +42,7 @@ from typing import (
 from repro.errors import ConfigurationError, ProtocolError
 from repro.simulator.engine import Condition
 from repro.simulator.ops import ComputeOp, WaitConditionOp
-from repro.simulator.protocol_api import ControlMessage, ProtocolHooks, add_metric
+from repro.simulator.protocol_api import ControlMessage, EpochState, ProtocolHooks, add_metric
 from repro.simulator.stable_storage import CheckpointRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -298,27 +298,24 @@ class ClusteredProtocolBase(ProtocolHooks):
         self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
     # ------------------------------------------------- batched fast-forward
-    # The epoch-state contract (see ProtocolHooks) for a protocol whose
-    # message hooks carry no state: it declares so already -- ``ff_send_hook``
-    # is False and ``on_app_deliver`` is the no-op default -- and then owns
-    # nothing that may move between two checkpoint boundaries, so its verified
-    # per-iteration delta is the empty one and there is nothing to extrapolate.
-    # Protocols with message state override all three (HydEE) or stay on the
-    # per-message path (message logging: its log must hold real messages).
+    # The epoch-state contract (see ProtocolHooks): every clustered protocol
+    # contributes, and applies, the ``pstats`` column.  One whose message
+    # hooks carry no state says so already -- ``ff_send_hook`` is False and
+    # ``on_app_deliver`` the no-op default -- and owns nothing else, so it
+    # batches by that declaration.  Protocols with message state add their
+    # columns (HydEE) or stay per message (message logging: a real log).
 
-    def ff_epoch_snapshot(self) -> Optional[Any]:
+    def ff_epoch_snapshot(self) -> Optional[EpochState]:
         cls = type(self)
         if cls.ff_send_hook or cls.on_app_deliver is not ProtocolHooks.on_app_deliver:
             return None
-        return self.pstats.as_dict()
+        return {"pstats": self.pstats.as_dict()}
 
-    def ff_epoch_delta(self, before: Any, after: Any) -> Optional[Any]:
-        """The empty delta, or ``None`` when a counter moved: a checkpoint or
-        a rollback ran inside the probe window."""
-        return () if before == after else None
-
-    def ff_epoch_apply(self, delta: Any, n: int) -> None:
-        """Nothing to extrapolate: the verified delta is empty."""
+    def ff_epoch_apply(self, delta: EpochState, n: int) -> None:
+        pstats = self.pstats
+        for key, value in delta["pstats"].items():
+            if value:
+                setattr(pstats, key, getattr(pstats, key) + n * value)
 
     def _drain_then_fire(self, cluster_id: int, condition: Condition) -> None:
         if self.sim.transport.in_flight_within(self._member_sets[cluster_id]) == 0:

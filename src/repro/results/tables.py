@@ -271,6 +271,29 @@ def build_table(name: str, resultset: Any) -> Tuple[TableSchema, List[Row]]:
     return registered.schema, registered.builder(resultset)
 
 
+def _blocked_rows(resultset: Any) -> List[Row]:
+    return [
+        BLOCKED.row(record=run.name, status=run.status, rank=int(rank), waits_on=waits_on)
+        for run in resultset
+        for rank, waits_on in sorted(
+            run.data.get("blocked", {}).items(), key=lambda item: int(item[0])
+        )
+    ]
+
+
+#: What a ``deadlock`` (or otherwise unfinished) replica record says about
+#: itself (``data.blocked``): diagnosable from the store, without a re-run.
+BLOCKED = register_table(
+    TableSchema(
+        "blocked",
+        [Column("record", "str"), Column("status", "str"),
+         Column("rank", "int"), Column("waits_on", "str")],
+        title="Unfinished ranks of non-completed runs and what each waits on",
+    ),
+    _blocked_rows,
+)
+
+
 def pivot_rows(
     rows: Sequence[Mapping[str, Any]],
     index: str,

@@ -27,14 +27,11 @@ model from the observed boundary times, and then alternates between
   Inside an epoch, whole checkpoint intervals are *batched* -- neither the
   generators nor the message hooks run -- once two probe iterations driven
   per message agree on their state delta (:meth:`HybridDirector.
-  _advance_span`).  Which protocols can is the epoch-state contract of
-  :class:`~repro.simulator.protocol_api.ProtocolHooks`: HydEE extrapolates
-  a linear epoch state, a clustered protocol without message state
-  (coordinated checkpointing) batches by declaring so, message logging stays
-  per message because its log must hold real messages.  A probe that fails
-  -- the cold first iteration of a run started from the calibration cache,
-  recovery residue -- costs its window: the next one is planned further on,
-  at doubling distances;
+  _advance_span`).  What that state is, and which protocols take part, is
+  the epoch-state contract written down in :mod:`repro.simulator.
+  protocol_api`.  A probe that fails -- the cold first iteration of a run
+  started from the calibration cache, recovery residue -- costs its window:
+  the next one is planned further on, at doubling distances;
 * **DES guard windows** around every failure injection, sized by the rate
   model's projection of where each rank is when the strike lands
   (:meth:`RateModel.iterations_at`).  The fast-forward stops
@@ -95,7 +92,13 @@ from repro.simulator.engine import Condition
 from repro.simulator.messages import ANY_SOURCE, Message
 from repro.simulator.ops import ComputeOp, Operation, RecvOp, SendOp, WaitOp, describe
 from repro.simulator.process import RankState
-from repro.simulator.protocol_api import ProtocolHooks, SendAction
+from repro.simulator.protocol_api import (
+    EpochState,
+    ProtocolHooks,
+    SendAction,
+    delta_mismatch,
+    linear_delta,
+)
 from repro.simulator.requests import RecvRequest, Request, RequestState, SendRequest
 from repro.workloads.base import Application
 
@@ -233,7 +236,14 @@ class RateModel:
         elif (interval < 2 or set(phases) != ranks
                 or any(len(seq) != interval for seq in phases.values())):
             raise ValueError("phase table does not match the rank set and interval")
-        return cls(dt, extra, interval, float(data["dt_spread"]), phases)
+        # ``json`` round-trips NaN and Infinity, and the engine takes
+        # projected clocks as event times.
+        spread = float(data["dt_spread"])
+        durations = [*dt.values(), *(v for seq in (phases or {}).values() for v in seq)]
+        if not (all(0.0 < v < math.inf for v in durations)
+                and all(0.0 <= v < math.inf for v in (*extra.values(), spread))):
+            raise ValueError("rate model holds a non-finite or out-of-range number")
+        return cls(dt, extra, interval, spread, phases)
 
     # ----------------------------------------------------------- projection
     def _phase_sum(self, rank: int, m: int) -> float:
@@ -302,6 +312,9 @@ class HybridDirector:
         self._ff_blocked: Set[int] = set()
         self._ff_runnable: Deque[int] = deque()
         self._iter_times: Dict[int, Dict[int, float]] = {}
+        #: ``(column, key)`` that failed the most recent probe, ``None`` once
+        #: one verified.  Not a metric: the records stay byte-identical.
+        self.probe_mismatch: Optional[Tuple[str, Any]] = None
         self.stats: Dict[str, float] = {
             "enabled": 0,
             "fallback": 0,
@@ -343,6 +356,7 @@ class HybridDirector:
         """
         sim = self.sim
         total = int(sim.application.num_iterations)
+        injector = sim.failure_injector
         if self._interval > 1:
             # The phase model needs two full checkpoint periods to verify
             # that the per-phase durations have settled, and slow-decaying
@@ -355,7 +369,6 @@ class HybridDirector:
             # rung given the iteration budget and any iteration-triggered
             # strike (the listener ends it at the first rung that verifies).
             k = self._interval
-            injector = sim.failure_injector
             i_f = injector.next_iteration_trigger() if injector else None
             warmup = 2 * k + 2
             for rung in (4 * k + 2, 3 * k + 2):
@@ -370,7 +383,7 @@ class HybridDirector:
 
         reason = self._static_fallback_reason(total, warmup)
         if reason is not None:
-            return partial(self._run_exact_from_start, reason)
+            return partial(self._fall_back, reason)
 
         cached = self._cached_calibration() if use_cache else None
         gate = IterationGate(0 if cached is not None else warmup)
@@ -379,7 +392,9 @@ class HybridDirector:
             self._install_listener(gate)
         sim.protocol.on_simulation_start()
         sim._start_ranks()
-        engine_reason = self._run_warmup_segment()
+        engine_reason = self._run_segment(
+            before=injector.next_timed_failure_time() if injector else None
+        )
         sim._iteration_listener = None
         if engine_reason == "empty" and not self._quiescent():
             return partial(sim._finish, "empty")
@@ -394,16 +409,19 @@ class HybridDirector:
             # letting the strike land on a gated warm-up would perturb the
             # recovery dynamics themselves.
             return partial(
-                self._abandon, gate, "the first timed strike lands inside the warm-up"
+                self._fall_back, "the first timed strike lands inside the warm-up", gate
             )
 
         if cached is not None:
             return gate, self._apply_cached_calibration(cached, gate)
         # The count the ranks parked at: the listener may have stopped early.
         warmup = self.stats["warmup_iterations"] = gate.limit
-        model, calib_reason = self._calibrate(warmup)
+        # The phase-indexed model under a periodic checkpoint schedule, the
+        # flat median one otherwise (no checkpoints, or one per iteration).
+        fit = self._calibrate_phases if self._interval > 1 else self._calibrate_flat
+        model, calib_reason = fit(warmup)
         if model is None:
-            return partial(self._abandon, gate, calib_reason)
+            return partial(self._fall_back, calib_reason, gate)
         # Export for the calibration cache (repro.simulator.calibration):
         # the campaign pre-warm stores this entry for its replicas.
         sim.hybrid_calibration = {
@@ -528,33 +546,20 @@ class HybridDirector:
                 )
         return None
 
-    def _note_fallback(self, reason: str) -> None:
+    def _fall_back(
+        self, reason: str, gate: Optional[IterationGate] = None
+    ) -> "SimulationResult":
+        """Finish in exact mode and report why: the whole run (a static
+        reason, nothing has started) or, given the warm-up's ``gate``, the
+        rest of it with the parked ranks released."""
+        sim = self.sim
         self.stats["fallback"] = 1
         self.stats["enabled"] = 0
-        self.sim.stats.extra["hybrid_fallback_reason"] = reason
-
-    def _run_exact_from_start(self, reason: str) -> "SimulationResult":
-        """Static fallback: the whole run is plain exact execution."""
-        sim = self.sim
-        self._note_fallback(reason)
-        sim.protocol.on_simulation_start()
-        sim._start_ranks()
-        engine_reason = sim.engine.run(
-            until_time=sim.config.max_time,
-            max_events=sim.config.max_events,
-            stop_predicate=sim._should_stop,
-        )
-        return sim._finish(engine_reason)
-
-    def _abandon(self, gate: IterationGate, reason: str) -> "SimulationResult":
-        """Calibration failed after the warm-up: release the gate and finish
-        the already-started run in exact mode."""
-        sim = self.sim
-        self._note_fallback(reason)
-        sim.iteration_gate = None
-        gate.condition.fire(None)
-        engine_reason = sim.engine.run(stop_predicate=sim._should_stop)
-        return sim._finish(engine_reason)
+        sim.stats.extra["hybrid_fallback_reason"] = reason
+        if gate is not None:
+            sim.iteration_gate = None
+            gate.condition.fire(None)
+        return sim._run_exact(start=gate is None)
 
     # ----------------------------------------------------------- calibration
     def _install_listener(self, gate: IterationGate) -> None:
@@ -616,7 +621,8 @@ class HybridDirector:
         expected_interval = self._interval if self._interval > 1 else 0
         if model.interval != expected_interval:
             return None
-        if set(park_times) != ranks or warmup < 1:
+        if (set(park_times) != ranks or warmup < 1
+                or not all(map(math.isfinite, park_times.values()))):
             return None
         return {"model": model, "warmup": warmup, "park_times": park_times}
 
@@ -648,35 +654,30 @@ class HybridDirector:
     #: noise (~1e-14) while a live transient shows up at 1e-3 and above.
     _PHASE_TOL = 1e-9
 
-    def _calibrate(self, warmup: int) -> Tuple[Optional[RateModel], str]:
-        """Fit the per-rank rate model from warm-up boundary times: the
-        phase-indexed model under a periodic checkpoint schedule, the flat
-        median model otherwise (no checkpoints, or one per iteration)."""
-        if self._interval > 1:
-            return self._calibrate_phases(warmup)
-        return self._calibrate_flat(warmup)
-
-    _DISTURBED = "warm-up disturbed by a failure"
-
-    @staticmethod
     def _warmup_deltas(
-        times: Dict[int, float], warmup: int
-    ) -> Optional[List[Tuple[int, float]]]:
-        """``(i, duration)`` of each warm-up iteration of one rank whose two
-        boundary times were sampled, ``i`` being the completion count at its
-        end; ``None`` when a failure rolled the rank back mid-warm-up and the
-        re-execution overwrote earlier samples (a negative duration)."""
-        deltas: List[Tuple[int, float]] = []
-        for i in range(2, warmup + 1):
-            t1 = times.get(i)
-            t0 = times.get(i - 1)
-            if t1 is None or t0 is None:
-                continue
-            delta = t1 - t0
-            if delta < 0.0:
-                return None
-            deltas.append((i, delta))
-        return deltas
+        self, warmup: int, k: int, need: int
+    ) -> Tuple[Optional[Dict[int, List[List[float]]]], str]:
+        """Per rank, the durations of the warm-up iterations whose two
+        boundary times were sampled, bucketed by phase ``i % k`` (``i`` being
+        the completion count at the iteration's end) -- or ``None`` and why
+        they cannot be fitted: a bucket short of ``need`` samples, or a
+        failure that rolled the rank back mid-warm-up, whose re-execution
+        overwrote earlier samples (a negative duration)."""
+        sampled: Dict[int, List[List[float]]] = {}
+        for rank, times in self._iter_times.items():
+            by_phase: List[List[float]] = [[] for _ in range(k)]
+            for i in range(2, warmup + 1):
+                t1 = times.get(i)
+                t0 = times.get(i - 1)
+                if t1 is None or t0 is None:
+                    continue
+                if t1 < t0:
+                    return None, "warm-up disturbed by a failure"
+                by_phase[i % k].append(t1 - t0)
+            if any(len(samples) < need for samples in by_phase):
+                return None, f"rank {rank} produced no usable warm-up samples"
+            sampled[rank] = by_phase
+        return sampled, ""
 
     def _calibrate_phases(
         self, warmup: int
@@ -689,27 +690,19 @@ class HybridDirector:
         precision, i.e. the warm-up transient has fully decayed.
         """
         k = self._interval
+        sampled, reason = self._warmup_deltas(warmup, k, need=2)
+        if sampled is None:
+            return None, reason
         phases: Dict[int, List[float]] = {}
         dt: Dict[int, float] = {}
         extra: Dict[int, float] = {}
         residual = 0.0
-        for rank, times in self._iter_times.items():
-            sampled = self._warmup_deltas(times, warmup)
-            if sampled is None:
-                return None, self._DISTURBED
-            by_phase: List[List[float]] = [[] for _ in range(k)]
-            for i, delta in sampled:
-                by_phase[i % k].append(delta)
-            seq: List[float] = []
-            for j in range(k):
-                samples = by_phase[j]
-                if len(samples) < 2:
-                    return None, f"rank {rank} produced no usable warm-up samples"
+        for rank, by_phase in sampled.items():
+            for samples in by_phase:
                 last, prev = samples[-1], samples[-2]
                 ref = max(abs(last), abs(prev), 1e-300)
                 residual = max(residual, abs(last - prev) / ref)
-                seq.append(last)
-            phases[rank] = seq
+            seq = phases[rank] = [samples[-1] for samples in by_phase]
             dt[rank] = sum(seq) / k
             # The checkpoint taken at a boundary count ``i - 1`` lands in
             # the delta ending at ``i``, i.e. phase 1; its surcharge over
@@ -732,17 +725,11 @@ class HybridDirector:
         boundary: in the latter case every delta carries one checkpoint, so
         its cost stays inside ``dt`` and ``ckpt_extra`` is zero either way.
         """
-        dt: Dict[int, float] = {}
-        pooled: List[float] = []
-        for rank, times in self._iter_times.items():
-            sampled = self._warmup_deltas(times, warmup)
-            if sampled is None:
-                return None, self._DISTURBED
-            deltas = [delta for _, delta in sampled]
-            if not deltas:
-                return None, f"rank {rank} produced no usable warm-up samples"
-            dt[rank] = median(deltas)
-            pooled.extend(deltas)
+        sampled, reason = self._warmup_deltas(warmup, 1, need=1)
+        if sampled is None:
+            return None, reason
+        dt = {rank: median(deltas) for rank, (deltas,) in sampled.items()}
+        pooled = [delta for (deltas,) in sampled.values() for delta in deltas]
         med = median(pooled)
         if med <= 0.0:
             return None, "degenerate warm-up iteration durations"
@@ -787,12 +774,10 @@ class HybridDirector:
                 return False
         return True
 
-    def _run_segment(self) -> str:
-        return self.sim.engine.run(stop_predicate=self._quiescent)
-
-    def _run_warmup_segment(self) -> str:
-        """The calibration segment: like :meth:`_run_segment`, but stop
-        *before* the first timed strike would pop.
+    def _run_segment(self, before: Optional[float] = None) -> str:
+        """Run the engine to quiescence or, given ``before`` (the calibration
+        segment passes the first timed strike), until the next event is due
+        at or past it.
 
         A strike landing while the warm-up gate holds ranks parked would
         recover against a world exact mode never produces; stopping when the
@@ -800,18 +785,13 @@ class HybridDirector:
         exact mode with no failure fired yet.  (Iteration-triggered strikes
         at or below the warm-up boundary are a static fallback instead.)
         """
-        sim = self.sim
-        injector = sim.failure_injector
-        t_first = injector.next_timed_failure_time() if injector else None
-        if t_first is None:
-            return self._run_segment()
-        engine = sim.engine
+        engine = self.sim.engine
+        if before is None:
+            return engine.run(stop_predicate=self._quiescent)
 
         def stop() -> bool:
             head = engine._peek_time()
-            if head is not None and head >= t_first:
-                return True
-            return self._quiescent()
+            return (head is not None and head >= before) or self._quiescent()
 
         return engine.run(stop_predicate=stop)
 
@@ -912,17 +892,17 @@ class HybridDirector:
             if probe_end - probe_span > cur:
                 self._drive_iterations(b, probe_end - probe_span, model,
                                        anchors, start=cur)
-            deltas = self._probe_deltas(b, probe_end, probe_span, model,
-                                        anchors)
+            verified = self._probe_deltas(b, probe_end, probe_span, model,
+                                          anchors)
             cur = probe_end
-            if deltas is not None:
-                cur, stride, d_proto, d_sim = deltas
+            if verified is not None:
+                cur, stride, delta = verified
                 if stride == 2 and (batch_end - cur) % 2:
                     # Pair extrapolation advances two iterations at a time;
                     # leave an odd final iteration to the per-message tail.
                     batch_end -= 1
                 cur = self._batch_intervals(
-                    cur, batch_end, model, anchors, b, (d_proto, d_sim), stride
+                    cur, batch_end, model, anchors, b, delta, stride
                 )
                 break
             origin, gap = cur + gap, 2 * gap
@@ -999,164 +979,125 @@ class HybridDirector:
 
     def _probe_deltas(self, b: int, probe_end: int, probe_span: int,
                       model: RateModel, anchors: Dict[int, float]
-                      ) -> Optional[Tuple[int, int, Any, Any]]:
+                      ) -> Optional[Tuple[int, int, EpochState]]:
         """Drive probe iterations per message and extract a verified
-        ``(cur, stride, proto_delta, counter_delta)``, or ``None``.
+        ``(cur, stride, delta)``, or ``None``.
 
-        The probe is adaptive: two consecutive single-iteration deltas that
-        already agree settle a stride-1 delta after only two driven
-        iterations (``cur`` is then two short of ``probe_end`` and batching
-        starts early).  Only when they disagree -- and the window is the
+        The probe is adaptive, a ladder of (span, stride) rungs over one
+        epoch state per driven iteration.  Two single-iteration deltas that
+        agree settle a stride-1 delta after only two driven iterations
+        (``cur`` is then two short of ``probe_end`` and batching starts
+        early).  Only when they disagree -- and the window is the
         four-iteration kind -- are the remaining probe iterations driven:
         four agreeing singles still yield stride 1, and deltas that
         alternate with period two are caught by comparing the two
         consecutive *pair* deltas instead, yielding a stride-2 delta
         extrapolated two iterations at a time by :meth:`_batch_intervals`.
 
-        On failure every rank is left at count ``probe_end``: a failed probe
-        costs its snapshots (a millisecond or so) on top of per-message work
-        the epoch needed anyway, and :meth:`_advance_span` plans the next
-        window from there.  A protocol that does not batch at all (``None``
-        snapshots) fails here, too.
+        On failure every rank is left at count ``probe_end`` and
+        :attr:`probe_mismatch` names the leaf that broke the last rung: a
+        failed probe costs its snapshots (a millisecond or so) on top of
+        per-message work the epoch needed anyway, and :meth:`_advance_span`
+        plans the next window from there.  A protocol that does not batch at
+        all (``None`` snapshots) fails here, too.
         """
-        sim = self.sim
-        protocol = sim.protocol
         start = probe_end - probe_span
-        counters = [self._ff_counters_snapshot()]
-        protos = [protocol.ff_epoch_snapshot()]
+        states = [self._epoch_state()]
+        for span, stride in ((2, 1), (4, 1), (4, 2)):
+            if span > probe_span:
+                break
+            while len(states) <= span:
+                upto = start + len(states)
+                self._drive_iterations(b, upto, model, anchors, start=upto - 1)
+                states.append(self._epoch_state())
+            delta, self.probe_mismatch = self._verified_delta(
+                states[:span + 1:stride], anchors
+            )
+            if delta is not None:
+                return start + span, stride, delta
+        return None
 
-        def drive_to(upto: int) -> None:
-            self._drive_iterations(b, upto, model, anchors, start=upto - 1)
-            counters.append(self._ff_counters_snapshot())
-            protos.append(protocol.ff_epoch_snapshot())
-
-        def clean() -> bool:
+    def _verified_delta(
+        self, states: Sequence[Optional[EpochState]], anchors: Dict[int, float]
+    ) -> Tuple[Optional[EpochState], Optional[Tuple[str, Any]]]:
+        """``(delta, None)`` when consecutive ``states`` all advance by one
+        and the same delta (their last), else ``(None, (column, key))``
+        naming the first leaf that says otherwise."""
+        for rank in anchors:
             # In-transit application messages (a workload running ahead
             # across iteration boundaries) would be invisible to the
             # extrapolation.
-            if any(p is None for p in protos):
-                return False
-            return not any(sim.ranks[rank].unexpected for rank in anchors)
+            if self.sim.ranks[rank].unexpected:
+                return None, ("in_transit", rank)
+        deltas: List[EpochState] = []
+        for old, new in zip(states, states[1:]):
+            if old is None or new is None:
+                return None, ("ff_epoch_snapshot", None)
+            deltas.append(linear_delta(old, new))
+        for key, by in deltas[-1]["steady"].items():
+            # A checkpoint or a rollback voids the window: probe iterations
+            # must be boundary- and failure-free.  (One that ran before the
+            # last delta fails the comparison below.)
+            if by:
+                return None, ("steady", key)
+        for delta in deltas[:-1]:
+            mismatch = delta_mismatch(delta, deltas[-1])
+            if mismatch is not None:
+                return None, mismatch
+        return deltas[-1], None
 
-        drive_to(start + 1)
-        drive_to(start + 2)
-        if clean():
-            d0 = protocol.ff_epoch_delta(protos[0], protos[1])
-            d1 = protocol.ff_epoch_delta(protos[1], protos[2])
-            if d0 is not None and d0 == d1:
-                c0 = self._counter_delta(counters[0], counters[1])
-                c1 = self._counter_delta(counters[1], counters[2])
-                if self._deltas_match(c0, c1):
-                    return start + 2, 1, d1, c1
-        if probe_span < 4:
-            return None
-        drive_to(start + 3)
-        drive_to(start + 4)
-        if not clean():
-            return None
-        singles = [
-            protocol.ff_epoch_delta(protos[i], protos[i + 1])
-            for i in range(probe_span)
-        ]
-        if all(d is not None and d == singles[-1] for d in singles):
-            c_singles = [
-                self._counter_delta(counters[i], counters[i + 1])
-                for i in range(probe_span)
-            ]
-            if all(self._deltas_match(c, c_singles[-1]) for c in c_singles):
-                return probe_end, 1, singles[-1], c_singles[-1]
-        pair_a = protocol.ff_epoch_delta(protos[0], protos[2])
-        pair_b = protocol.ff_epoch_delta(protos[2], protos[4])
-        if pair_a is None or pair_b is None or pair_a != pair_b:
-            return None
-        cpair_a = self._counter_delta(counters[0], counters[2])
-        cpair_b = self._counter_delta(counters[2], counters[4])
-        if not self._deltas_match(cpair_a, cpair_b):
-            return None
-        return probe_end, 2, pair_b, cpair_b
-
-    def _ff_counters_snapshot(self) -> Tuple[Any, ...]:
+    def _epoch_state(self) -> Optional[EpochState]:
+        """The protocol's epoch state plus the director's own columns, or
+        ``None`` when the protocol does not batch.  ``steady`` is the one
+        column that is not extrapolated: it must not move in a probe window."""
         sim = self.sim
-        per_rank: Dict[int, Tuple[Any, ...]] = {}
+        state = sim.protocol.ff_epoch_snapshot()
+        if state is None:
+            return None
+        procs = sim.ranks.items()
+        state["rstats.sends"] = {rank: proc.rstats.sends for rank, proc in procs}
+        state["rstats.receives"] = {rank: proc.rstats.receives for rank, proc in procs}
+        state["rstats.bytes_sent"] = {rank: proc.rstats.bytes_sent for rank, proc in procs}
+        state["rstats.bytes_received"] = {
+            rank: proc.rstats.bytes_received for rank, proc in procs
+        }
+        state["rstats.compute_time"] = {rank: proc.rstats.compute_time for rank, proc in procs}
+        state["sends_initiated"] = {rank: proc.sends_initiated for rank, proc in procs}
+        state["deliveries"] = {rank: proc.deliveries for rank, proc in procs}
+        state["channel"] = {  # keyed (channel, 0: messages / 1: bytes)
+            (ch, i): v[i] for ch, v in sim.trace.channel_volumes.items() for i in (0, 1)
+        }
+        state["delivered"] = dict(sim.trace.delivered_counts)
+        state["app"] = {"messages": sim.stats.app_messages, "bytes": sim.stats.app_bytes}
+        state["steady"] = {"checkpoints_taken": sim.storage.writes,
+                           "ranks_rolled_back": sim.stats.ranks_rolled_back}
+        return state
+
+    def _apply_epoch_delta(self, delta: EpochState, n: int) -> None:
+        """Advance the director's own columns by ``n`` times ``delta``."""
+        sim = self.sim
         for rank, proc in sim.ranks.items():
             rstats = proc.rstats
-            per_rank[rank] = (
-                rstats.sends, rstats.receives, rstats.bytes_sent,
-                rstats.bytes_received, rstats.compute_time,
-                proc.sends_initiated, proc.deliveries,
-            )
-        trace = sim.trace
-        return (
-            per_rank,
-            (sim.stats.app_messages, sim.stats.app_bytes),
-            {ch: tuple(v) for ch, v in trace.channel_volumes.items()},
-            dict(trace.delivered_counts),
-        )
-
-    @staticmethod
-    def _counter_delta(
-        before: Tuple[Any, ...], after: Tuple[Any, ...]
-    ) -> Tuple[Any, Any, Any, Any]:
-        per_rank = {
-            rank: tuple(a - b for a, b in zip(vals, before[0][rank]))
-            for rank, vals in after[0].items()
-        }
-        glob = tuple(a - b for a, b in zip(after[1], before[1]))
-        chan: Dict[Any, Tuple[int, int]] = {}
-        for ch in sorted(set(after[2]) | set(before[2])):
-            count_a, bytes_a = after[2].get(ch, (0, 0))
-            count_b, bytes_b = before[2].get(ch, (0, 0))
-            chan[ch] = (count_a - count_b, bytes_a - bytes_b)
-        delivered = {
-            rank: after[3].get(rank, 0) - before[3].get(rank, 0)
-            for rank in sorted(set(after[3]) | set(before[3]))
-        }
-        return per_rank, glob, chan, delivered
-
-    @staticmethod
-    def _deltas_match(c1: Any, c2: Any) -> bool:
-        """Probe-delta equality: exact for counters, one-ulp-tolerant for the
-        accumulated compute-time float."""
-        if c1[1:] != c2[1:] or set(c1[0]) != set(c2[0]):
-            return False
-        for rank, vals1 in c1[0].items():
-            vals2 = c2[0][rank]
-            if vals1[:4] != vals2[:4] or vals1[5:] != vals2[5:]:
-                return False
-            if not math.isclose(vals1[4], vals2[4],
-                                rel_tol=1e-9, abs_tol=1e-18):
-                return False
-        return True
-
-    def _apply_counter_delta(self, delta: Any, n: int) -> None:
-        sim = self.sim
-        per_rank, glob, chan, delivered = delta
-        for rank, (d_sends, d_recv, d_bs, d_br, d_ct, d_si, d_del) in per_rank.items():
-            proc = sim.ranks[rank]
-            rstats = proc.rstats
-            rstats.sends += n * d_sends
-            rstats.receives += n * d_recv
-            rstats.bytes_sent += n * d_bs
-            rstats.bytes_received += n * d_br
-            rstats.compute_time += n * d_ct
-            proc.sends_initiated += n * d_si
-            proc.deliveries += n * d_del
-        sim.stats.app_messages += n * glob[0]
-        sim.stats.app_bytes += n * glob[1]
-        volumes = sim.trace.channel_volumes
-        for ch, (d_count, d_bytes) in chan.items():
-            entry = volumes.setdefault(ch, [0, 0])
-            entry[0] += n * d_count
-            entry[1] += n * d_bytes
+            rstats.sends += n * delta["rstats.sends"][rank]
+            rstats.receives += n * delta["rstats.receives"][rank]
+            rstats.bytes_sent += n * delta["rstats.bytes_sent"][rank]
+            rstats.bytes_received += n * delta["rstats.bytes_received"][rank]
+            rstats.compute_time += n * delta["rstats.compute_time"][rank]
+            proc.sends_initiated += n * delta["sends_initiated"][rank]
+            proc.deliveries += n * delta["deliveries"][rank]
+        for (ch, i), by in delta["channel"].items():
+            sim.trace.channel_volumes[ch][i] += n * by
         counts = sim.trace.delivered_counts
-        for rank, d_count in delivered.items():
-            if d_count:
-                counts[rank] = counts.get(rank, 0) + n * d_count
+        for rank, by in delta["delivered"].items():
+            if by:
+                counts[rank] = counts.get(rank, 0) + n * by
+        sim.stats.app_messages += n * delta["app"]["messages"]
+        sim.stats.app_bytes += n * delta["app"]["bytes"]
 
     def _batch_intervals(self, cur: int, batch_end: int, model: RateModel,
                          anchors: Dict[int, float], b0: int,
-                         deltas: Tuple[Any, Any], stride: int = 1) -> int:
-        """Extrapolate verified deltas interval by interval up to
+                         delta: EpochState, stride: int = 1) -> int:
+        """Extrapolate the verified delta interval by interval up to
         ``batch_end``, taking each coordinated checkpoint for real.
 
         ``stride`` is the iteration granularity the verified delta covers
@@ -1169,7 +1110,6 @@ class HybridDirector:
         protocol = sim.protocol
         app = sim.application
         k = self._interval
-        d_proto, d_sim = deltas
         injector = sim.failure_injector
         t_strike = injector.next_timed_failure_time() if injector else None
         states = {rank: sim.ranks[rank].app_state for rank in anchors}
@@ -1191,8 +1131,8 @@ class HybridDirector:
                     f"workload {app.name!r} refused a batched state advance "
                     f"({cur}..{nxt}) although it implements fast_forward_states"
                 )
-            protocol.ff_epoch_apply(d_proto, units)
-            self._apply_counter_delta(d_sim, units)
+            protocol.ff_epoch_apply(delta, units)
+            self._apply_epoch_delta(delta, units)
             self.stats["batched_iterations"] += n * len(anchors)
             for rank in anchors:
                 sim.ranks[rank].completed_iterations = nxt

@@ -14,10 +14,12 @@ The concrete protocols live in :mod:`repro.ftprotocols` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -82,6 +84,57 @@ class SendDecision(NamedTuple):
 
 
 _PLAIN_SEND = SendDecision()
+
+
+#: An epoch state, or the delta of two: ``column -> key -> number`` (the
+#: epoch-state contract in :class:`ProtocolHooks`).
+EpochState = Dict[str, Dict[Any, Any]]
+_NO_KEYS: Dict[Any, Any] = {}
+
+
+def _key_union(before: Mapping[Any, Any], after: Mapping[Any, Any]) -> Iterable[Any]:
+    """Keys of either mapping, in a deterministic order: ``after``'s own when
+    both hold the same set, sorted otherwise."""
+    if before.keys() == after.keys():
+        return after
+    return sorted(before.keys() | after.keys())
+
+
+def linear_delta(before: EpochState, after: EpochState) -> EpochState:
+    """``after - before``, leaf by leaf; a missing key or column counts as 0."""
+    delta: EpochState = {}
+    for column in _key_union(before, after):
+        old, new = before.get(column, _NO_KEYS), after.get(column, _NO_KEYS)
+        if old.keys() == new.keys():
+            delta[column] = {key: value - old[key] for key, value in new.items()}
+        else:
+            delta[column] = {
+                key: new.get(key, 0) - old.get(key, 0) for key in _key_union(old, new)
+            }
+    return delta
+
+
+def delta_mismatch(d1: EpochState, d2: EpochState) -> Optional[Tuple[str, Any]]:
+    """The first ``(column, key)`` at which two deltas do not describe the
+    same linear advance, or ``None``.
+
+    Integers must be equal and floats close (an accumulated compute time may
+    differ by an ulp between iterations); a negative leaf is a mismatch too:
+    a counter went backwards, so a rollback or a garbage collection ran
+    between the snapshots.  Columns compare as whole dicts first (C speed).
+    """
+    for column in _key_union(d1, d2):
+        a, b = d1.get(column, _NO_KEYS), d2.get(column, _NO_KEYS)
+        if a == b and (not a or min(a.values()) >= 0):
+            continue
+        for key in _key_union(a, b):
+            x, y = a.get(key, 0), b.get(key, 0)
+            close = (isinstance(x, float) or isinstance(y, float)) and math.isclose(
+                x, y, rel_tol=1e-9, abs_tol=1e-18
+            )
+            if x < 0 or y < 0 or not (x == y or close):
+                return column, key
+    return None
 
 
 class ProtocolHooks:
@@ -156,32 +209,32 @@ class ProtocolHooks:
         return None
 
     # ----------------------------------------- batched fast-forward (hybrid)
-    # The hybrid director's analytic fast path advances whole checkpoint
-    # intervals without running the application or the per-message hooks.
-    # Its probe protocol: snapshot the fast-forward-relevant protocol state,
-    # drive one ordinary iteration, snapshot again, derive the per-iteration
-    # delta, and -- if two consecutive deltas agree -- replay the delta N
-    # times through :meth:`ff_epoch_apply`.  Protocols that cannot express
-    # their steady state as such a linear delta simply return ``None`` from
-    # :meth:`ff_epoch_snapshot` and keep the per-message fast-forward path;
-    # that is the default here.  ``ClusteredProtocolBase`` supplies the other
-    # default: a clustered protocol whose message hooks are stateless
-    # (``ff_send_hook`` False, ``on_app_deliver`` not overridden) owns nothing
-    # that moves between checkpoint boundaries, so its delta is the empty one
-    # and it batches by that declaration alone (coordinated checkpointing).
+    # The epoch-state contract.  Send-determinism makes a failure-free epoch
+    # *linear*: Algorithm 1's per-process state and every volume counter
+    # advance by the same amount each iteration, so the hybrid director
+    # (:mod:`repro.simulator.hybrid`) skips the application and the message
+    # hooks for whole checkpoint intervals.  Its probe: snapshot, drive one
+    # ordinary iteration, snapshot again; :func:`linear_delta` of consecutive
+    # snapshots; when :func:`delta_mismatch` finds none between the deltas,
+    # replay the last one ``n`` times through :meth:`ff_epoch_apply`.
+    #
+    # An epoch state maps ``column -> key -> number``: a column is a family
+    # of counters (``"hydee.date"``, ``"pstats"``), a key whatever names one
+    # (a rank, a ``(rank, sender)`` channel, a field); an absent key is 0.
+    # The director adds its own columns (per-rank statistics, channel
+    # volumes) to the mapping the protocol returns and verifies the lot as
+    # one state; a protocol applies the columns it wrote.  The default here
+    # is ``None``: no batching, the per-message fast-forward path.
+    # ``ClusteredProtocolBase`` is the other default, HydEE the one protocol
+    # with columns of its own.
 
-    def ff_epoch_snapshot(self) -> Optional[Any]:
-        """Opaque snapshot of the per-iteration-linear protocol state, or
-        ``None`` when the protocol does not support batched fast-forward."""
+    def ff_epoch_snapshot(self) -> Optional[EpochState]:
+        """A fresh epoch state of what the protocol owns (the caller adds
+        columns to it), or ``None``: no batched fast-forward."""
         return None
 
-    def ff_epoch_delta(self, before: Any, after: Any) -> Optional[Any]:
-        """The state delta between two snapshots taken one iteration apart,
-        or ``None`` when the pair cannot be extrapolated linearly."""
-        return None
-
-    def ff_epoch_apply(self, delta: Any, n: int) -> None:
-        """Apply a verified per-iteration delta ``n`` times in one step."""
+    def ff_epoch_apply(self, delta: EpochState, n: int) -> None:
+        """Advance the protocol's columns by ``n`` times a verified ``delta``."""
         raise ProtocolError(
             f"protocol {self.name!r} does not implement batched fast-forward"
         )

@@ -367,8 +367,14 @@ class Simulation:
             from repro.simulator.hybrid import HybridDirector
 
             return HybridDirector(self).run()
-        self.protocol.on_simulation_start()
-        self._start_ranks()
+        return self._run_exact()
+
+    def _run_exact(self, start: bool = True) -> SimulationResult:
+        """Event-driven execution to the end of the run; ``start=False``
+        when the ranks already run (a hybrid run falling back mid-way)."""
+        if start:
+            self.protocol.on_simulation_start()
+            self._start_ranks()
         reason = self.engine.run(
             until_time=self.config.max_time,
             max_events=self.config.max_events,

@@ -174,6 +174,7 @@ REPORT_FIELDS = {
     "ff-coverage": ["workloads_fast_forwarding", "workloads_swept",
                     "workloads.stencil2d.fallback", "cells_swept", "cells_batching.cached",
                     "workloads.stencil2d.cells.coordinated/4.cached.batched_iterations",
+                    "workloads.ring.cells.hydee/8.cached.probe_mismatch",
                     "checks.cached_start_batches_wherever_self_calibrated_does"],
     "schedule-explore": ["invariant", "divergences", "witnesses", "interleavings_per_s",
                          "recovery_time_over_schedules"],

@@ -29,6 +29,7 @@ pipeline or ring after a rollback.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -49,6 +50,7 @@ from tests.integration.test_event_stream_pins import scenario_spec
 
 ITERATIONS = 120
 INTERVAL = 8
+NAN = float("nan")
 
 
 def scenario(failures=(), iterations=ITERATIONS, interval=INTERVAL, **spec_kwargs):
@@ -405,6 +407,17 @@ class TestProtocolIntervalGrid:
         else:
             assert sim.hybrid_stats["batched_iterations"] > 0
 
+    @pytest.mark.parametrize("protocol", ["hydee", "coordinated"])
+    @pytest.mark.parametrize("kind", ["stencil2d", "pipeline"])
+    def test_a_verified_probe_names_no_leaf(self, protocol, kind):
+        from repro.simulator.hybrid import HybridDirector
+
+        spec = dataclasses.replace(grid_spec(protocol, 8, kind, 120), execution="hybrid")
+        director = HybridDirector(build(spec))
+        assert director.run().status == "completed"
+        assert director.stats["batched_iterations"] > 0
+        assert director.probe_mismatch is None
+
     def test_failed_probes_are_retried_a_logarithmic_number_of_times(self, monkeypatch):
         # Ring under 4-rank HydEE clusters never verifies a delta, so every
         # probe of the epoch fails: the distance between windows doubles, and
@@ -425,6 +438,10 @@ class TestProtocolIntervalGrid:
             epochs[-1][1] += 1
             outcome = probe_deltas(director, *args)
             assert outcome is None
+            # ... and every one of them fails on the causal phase clock: the
+            # director names the leaf (what `_plan_batch` says of long periods).
+            column, rank = director.probe_mismatch
+            assert column == "hydee.phase" and rank in director.sim.ranks
             return outcome
 
         monkeypatch.setattr(HybridDirector, "_fast_forward_epoch", counting_epoch)
@@ -923,24 +940,63 @@ class TestCalibrationCache:
             "phases": {r: v for r, v in model["phases"].items() if r != "3"},
         },
         "flat-model-with-an-interval": lambda model: {**model, "phases": None},
+        # ``json`` round-trips NaN and Infinity.  These reached the engine as
+        # event times (SimulationError: non-finite time) or, with a timed
+        # strike pending, ``int(nan)`` in ``iterations_at`` / the margin.
+        "nan-dt": lambda model: {**model, "dt": {**model["dt"], "3": NAN}},
+        "zero-dt": lambda model: {**model, "dt": {**model["dt"], "3": 0.0}},
+        "nan-phase": lambda model: {
+            **model,
+            "phases": {**model["phases"], "3": [NAN] + model["phases"]["3"][1:]},
+        },
+        "infinite-phase": lambda model: {
+            **model,
+            "phases": {**model["phases"], "3": [math.inf] + model["phases"]["3"][1:]},
+        },
+        "nan-ckpt-extra": lambda model: {
+            **model, "ckpt_extra": {**model["ckpt_extra"], "3": NAN}
+        },
+        "negative-ckpt-extra": lambda model: {
+            **model, "ckpt_extra": {**model["ckpt_extra"], "3": -1e-6}
+        },
+        "nan-dt-spread": lambda model: {**model, "dt_spread": NAN},
     }
 
-    @pytest.mark.parametrize("shape", sorted(MALFORMED_MODELS))
-    def test_stale_entry_for_same_key_degrades_to_probe_guard(self, shape):
-        """A cache entry whose shape does not match the run is ignored: the
-        replica degrades to a cold warm-up, it never crashes."""
+    def run_on_corrupted_entry(self, corrupt, failures=()):
+        """Run ``scenario(failures)`` in hybrid mode on the calibration-cache
+        entry of its failure-free run, passed through ``corrupt``."""
         from repro.simulator import calibration
 
-        spec = dataclasses.replace(scenario(), execution="hybrid")
-        cold_sim = build(spec)
+        spec = dataclasses.replace(scenario(failures), execution="hybrid")
+        cold_sim = build(dataclasses.replace(spec, failures=[]))
         cold_sim.run()
-        entry = dict(cold_sim.hybrid_calibration)
-        entry["model"] = self.MALFORMED_MODELS[shape](entry["model"])
         cache = calibration.CalibrationCache()
-        cache.put(spec.calibration_key(), entry)
+        cache.put(spec.calibration_key(), corrupt(dict(cold_sim.hybrid_calibration)))
         with calibration.activated(cache):
             sim = build(spec)
             result = sim.run()
+        return sim, result
+
+    @pytest.mark.parametrize("failures", ["free", "timed"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_MODELS))
+    def test_stale_entry_for_same_key_degrades_to_probe_guard(self, shape, failures):
+        """A cache entry whose shape does not match the run is ignored: the
+        replica degrades to a cold warm-up, it never crashes -- not with a
+        timed strike pending either (the guard window is sized from the
+        model before any epoch runs)."""
+        sim, result = self.run_on_corrupted_entry(
+            lambda entry: {**entry, "model": self.MALFORMED_MODELS[shape](entry["model"])},
+            FAULT_SCENARIOS[failures],
+        )
+        assert result.status == "completed"
+        assert sim.hybrid_stats["calibration_cached"] == 0
+        assert sim.hybrid_stats["warmup_iterations"] > 0
+
+    @pytest.mark.parametrize("bad", [NAN, math.inf])
+    def test_non_finite_park_time_degrades_to_a_cold_warm_up(self, bad):
+        sim, result = self.run_on_corrupted_entry(
+            lambda entry: {**entry, "park_times": {**entry["park_times"], 3: bad}}
+        )
         assert result.status == "completed"
         assert sim.hybrid_stats["calibration_cached"] == 0
         assert sim.hybrid_stats["warmup_iterations"] > 0

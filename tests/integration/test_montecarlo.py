@@ -285,3 +285,62 @@ class TestNonCompletedReplicas:
         # A completed replica's record is what it was: no new key.
         assert by_replica["r1"]["status"] == "completed"
         assert sorted(by_replica["r1"]["data"]) == ["rank_states"]
+
+    def test_the_blocked_table_diagnoses_a_deadlock_row_from_the_store(self, tmp_path, capsys):
+        from repro.campaign.cli import main as campaign_main
+
+        path = str(tmp_path / "store.json")
+        run_efficiency_experiment(
+            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=5,
+            store=ResultsStore(path),
+        )
+        stuck = "efficiency:message-logging:np16:mtbf0.00570496#r4"
+        query = ["query", path, "--table", "blocked", "--format", "csv", "--where"]
+        assert campaign_main([*query, f"name={stuck}"]) == 0
+        assert capsys.readouterr().out.strip().splitlines() == [
+            "record,status,rank,waits_on",
+            f'{stuck},deadlock,11,"wait(mode=all, n=6)"',
+            f'{stuck},deadlock,14,"wait(mode=all, n=6)"',
+        ]
+        # Completed records have nothing to say.
+        assert campaign_main([*query, "status=completed"]) == 0
+        assert capsys.readouterr().out.strip().splitlines() == ["record,status,rank,waits_on"]
+        assert campaign_main(["query", "--list-tables"]) == 0
+        assert any(line.split()[0] == "blocked" for line in capsys.readouterr().out.splitlines())
+
+    #: protocol -> completed / drawn replicas per strike bucket (0, 1, 2, >= 3)
+    #: of the harsh sweep: 16-rank stencil2d, 6 iterations, interval 1, MTBF
+    #: factors 2-16, 20 replicas each, seed 0 (ROADMAP item 1).  Equality, not
+    #: a floor: the PR that makes a failure trace terminate edits the numbers.
+    HARSH_SWEEP_COMPLETED = {
+        "coordinated": [(1, 1), (8, 8), (8, 8), (63, 63)],
+        "hydee": [(1, 1), (8, 8), (8, 8), (49, 63)],
+        "message-logging": [(1, 1), (7, 8), (3, 8), (0, 63)],
+    }
+
+    def test_harsh_mtbf_completion_counts_are_pinned(self):
+        from repro.errors import ConfigurationError
+        from repro.faults.trace import generate_trace
+        from repro.scenarios.spec import ScenarioSpec
+
+        store = ResultsStore()
+        # Every replica record is written before the rows are aggregated,
+        # which is what gives up: message logging completes nothing at factor 2.
+        with pytest.raises(ConfigurationError, match="no completed replicas"):
+            run_efficiency_experiment(
+                protocols=tuple(self.HARSH_SWEEP_COMPLETED), mtbf_factors=(2, 4, 8, 16),
+                replicas=20, seed=0, store=store,
+            )
+        replicas = [run for run in ResultSet.from_store(store) if "#r" in run.name]
+        assert len(replicas) == 240
+        table = {name: [[0, 0] for _ in range(4)] for name in self.HARSH_SWEEP_COMPLETED}
+        for run in replicas:
+            strikes = len(generate_trace(ScenarioSpec.from_dict(run.spec).fault_model, 16))
+            cell = table[run.field("protocol")][min(strikes, 3)]
+            cell[0] += run.completed
+            cell[1] += 1
+            if not run.completed:
+                assert run.status == "deadlock" and run.data["blocked"], run.name
+        assert {
+            name: [tuple(cell) for cell in cells] for name, cells in table.items()
+        } == self.HARSH_SWEEP_COMPLETED

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.ftprotocols.base import ClusteredProtocolBase, normalize_clusters
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.simulator.network import MyrinetMXModel, PiggybackPolicy
-from repro.simulator.protocol_api import ProtocolHooks
+from repro.simulator.protocol_api import ProtocolHooks, linear_delta
 from repro.workloads import MasterWorkerApplication, RingApplication
 
 
@@ -122,16 +122,31 @@ class TestEpochStateContract:
         return protocol
 
     def test_stateless_clustered_protocol_batches_by_declaration(self):
+        from repro.simulator.hybrid import HybridDirector
+
         protocol = self.attached(CoordinatedCheckpointProtocol(checkpoint_interval=4))
         before = protocol.ff_epoch_snapshot()
-        assert before == protocol.pstats.as_dict()
-        delta = protocol.ff_epoch_delta(before, protocol.ff_epoch_snapshot())
-        assert delta is not None
+        assert before == {"pstats": protocol.pstats.as_dict()}
+        delta = linear_delta(before, protocol.ff_epoch_snapshot())
+        assert not any(delta["pstats"].values())
         protocol.ff_epoch_apply(delta, 1000)
         assert protocol.ff_epoch_snapshot() == before  # nothing to extrapolate
-        # A checkpoint or a rollback between two probe snapshots voids the pair.
-        protocol.pstats.checkpoints += 1
-        assert protocol.ff_epoch_delta(before, protocol.ff_epoch_snapshot()) is None
+        # A checkpoint or a rollback between two probe snapshots voids the
+        # window: the director's rule, over its ``steady`` column.
+        director = HybridDirector(protocol.sim)
+        states = [director._epoch_state() for _ in range(3)]
+        assert set(states[0]) > {"pstats", "steady"}
+        assert director._verified_delta(states, {}) == (linear_delta(*states[1:]), None)
+        for moved, bump in [
+            ("checkpoints_taken", lambda sim: setattr(sim.storage, "writes", 1)),
+            ("ranks_rolled_back", lambda sim: setattr(sim.stats, "ranks_rolled_back", 4)),
+        ]:
+            states = [director._epoch_state() for _ in range(3)]
+            bump(protocol.sim)
+            states += [director._epoch_state()] * 2
+            # ... wherever in the window it happened, for single and pair deltas.
+            for window in (states[1:4], states, states[::2]):
+                assert director._verified_delta(window, {}) == (None, ("steady", moved))
 
     def test_a_delivery_hook_is_message_state_even_undeclared(self):
         class CountsDeliveries(ClusteredProtocolBase):
@@ -151,8 +166,13 @@ class TestEpochStateContract:
         assert self.attached(FullMessageLoggingProtocol()).ff_epoch_snapshot() is None
         # HydEE extrapolates its own linear epoch state (clock, RPP, log volume).
         hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
-        ranks, pstats, logged = hydee.ff_epoch_snapshot()
-        assert sorted(ranks) == [0, 1, 2, 3]
+        state = hydee.ff_epoch_snapshot()
+        assert sorted(state) == [
+            "hydee.date", "hydee.log_bytes", "hydee.log_entries", "hydee.logged",
+            "hydee.phase", "hydee.rpp", "pstats",
+        ]
+        assert sorted(state["hydee.date"]) == sorted(state["hydee.phase"]) == [0, 1, 2, 3]
+        assert state["pstats"] == hydee.pstats.as_dict()
 
 
 class TestPerfModel:
