@@ -154,7 +154,10 @@ def ff_coverage(
     ``ring`` under HydEE legitimately batches nothing: its max-based causal
     phase clock has a period of 4 iterations, longer than the verifiable
     stride for its cluster size, so it fast-forwards per message -- the
-    cell's ``probe_mismatch`` names a ``hydee.phase`` leaf.
+    cell's ``probe_mismatch`` names a ``hydee.phase`` leaf.  A cell that
+    batches a long enough span builds fewer checkpoints (``line_commits``)
+    than its fast-forward counts (``ff_checkpoints``): the span jumped to its
+    last recovery line, or ``line_mismatch`` names what kept it from it.
     """
     cases = {kind: iterations for kind in ("stencil1d", "stencil2d", "ring", "pipeline")}
     cases.update({kind: iterations // 2 for kind in sorted(NAS_BENCHMARKS)})
@@ -193,6 +196,10 @@ def ff_coverage(
     }
 
 
+def _leaf(mismatch: Any) -> str:
+    return f"{mismatch[0]}[{mismatch[1]!r}]" if mismatch else ""
+
+
 def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """One cell of :func:`ff_coverage`: exact, self-calibrated and cached."""
     exact, exact_s = timed(build(spec).run)
@@ -206,15 +213,23 @@ def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
             director = HybridDirector(sim)
             result, seconds = timed(director.run)
         stats = sim.hybrid_stats
-        mismatch = director.probe_mismatch
+        # Failure-free: one epoch, from the warm-up to the last iteration but one.
+        first = int(stats["warmup_iterations"])
+        last = first + int(stats["ff_iterations"]) // spec.workload.nprocs
+        interval = spec.protocol.options["checkpoint_interval"]
         cell[start] = {
             "fallback": bool(stats["fallback"]),
             "fallback_reason": sim.stats.extra.get("hybrid_fallback_reason", ""),
-            "warmup_iterations": int(stats["warmup_iterations"]),
+            "warmup_iterations": first,
             "ff_iterations": int(stats["ff_iterations"]),
             "batched_iterations": int(stats["batched_iterations"]),
-            # the leaf the last probe tripped on; empty when it verified
-            "probe_mismatch": f"{mismatch[0]}[{mismatch[1]!r}]" if mismatch else "",
+            # the leaf the last probe (interval rung) tripped on; empty when
+            # it verified
+            "probe_mismatch": _leaf(director.probe_mismatch),
+            "line_mismatch": _leaf(director.line_mismatch),
+            # rank checkpoints the fast-forward counted, and built
+            "ff_checkpoints": spec.workload.nprocs * (last // interval - first // interval),
+            "line_commits": int(stats["line_commits"]),
             "makespan_rel_err": (
                 abs(result.stats.makespan - exact.stats.makespan) / exact.stats.makespan
             ),

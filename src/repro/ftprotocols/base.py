@@ -282,6 +282,12 @@ class ClusteredProtocolBase(ProtocolHooks):
         projected clock ``time_at(rank, iteration)``.  Exact mode pays the
         write as a ComputeOp; charging it to the counter keeps compute time
         (and the wasted-work analyses built on it) comparable.
+
+        This is the only commit of the fast-forward, per-message and batched
+        alike.  A batched span calls it on its first recovery lines and on its
+        last; the checkpoints in between are not committed a second way but
+        extrapolated as a whole -- what this method moved between two lines,
+        verified equal twice, is the interval delta the director replays.
         """
         sim = self.sim
         for rank in self.clusters[cluster_id]:

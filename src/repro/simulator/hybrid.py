@@ -29,9 +29,11 @@ model from the observed boundary times, and then alternates between
   per message agree on their state delta (:meth:`HybridDirector.
   _advance_span`).  What that state is, and which protocols take part, is
   the epoch-state contract written down in :mod:`repro.simulator.
-  protocol_api`.  A probe that fails -- the cold first iteration of a run
-  started from the calibration cache, recovery residue -- costs its window:
-  the next one is planned further on, at doubling distances;
+  protocol_api`.  Once two whole intervals agree as well, the span jumps to
+  its last recovery line: the checkpoints in between are counted, not built
+  (:meth:`HybridDirector._batch_intervals`).  A probe that fails -- the cold
+  first iteration of a run started from the calibration cache, recovery
+  residue -- costs its window: the next is planned at doubling distances;
 * **DES guard windows** around every failure injection, sized by the rate
   model's projection of where each rank is when the strike lands
   (:meth:`RateModel.iterations_at`).  The fast-forward stops
@@ -312,9 +314,11 @@ class HybridDirector:
         self._ff_blocked: Set[int] = set()
         self._ff_runnable: Deque[int] = deque()
         self._iter_times: Dict[int, Dict[int, float]] = {}
-        #: ``(column, key)`` that failed the most recent probe, ``None`` once
-        #: one verified.  Not a metric: the records stay byte-identical.
+        #: ``(column, key)`` that failed the most recent probe / that last kept
+        #: a span committing every boundary (:meth:`_batch_intervals`), ``None``
+        #: once one verified.  Not metrics: the records stay byte-identical.
         self.probe_mismatch: Optional[Tuple[str, Any]] = None
+        self.line_mismatch: Optional[Tuple[str, Any]] = None
         self.stats: Dict[str, float] = {
             "enabled": 0,
             "fallback": 0,
@@ -324,6 +328,7 @@ class HybridDirector:
             "epochs": 0,
             "ff_iterations": 0,
             "batched_iterations": 0,
+            "line_commits": 0,
             "des_iterations": 0,
             "dt_mean_s": 0.0,
             "dt_spread": 0.0,
@@ -872,10 +877,10 @@ class HybridDirector:
         per-message protocol hooks: it extrapolates a *verified* state delta
         (consecutive per-message probe iterations must produce identical
         deltas, per iteration or per iteration pair -- see
-        :meth:`_probe_deltas`) across each checkpoint interval, takes the
-        coordinated checkpoints for real, and drives per message whatever it
-        cannot cover -- the way to each probe window, the windows themselves
-        and the tail :meth:`_plan_batch` keeps real.
+        :meth:`_probe_deltas`) across each checkpoint interval, commits the
+        recovery lines :meth:`_batch_intervals` builds, and drives per message
+        what it cannot cover -- the way to each probe window, the windows
+        themselves and the tail :meth:`_plan_batch` keeps real.
 
         One loop: plan a probe window from the current count, drive up to it,
         probe.  A probe that fails (the cold first iteration of a cached
@@ -1046,10 +1051,14 @@ class HybridDirector:
                 return None, mismatch
         return deltas[-1], None
 
-    def _epoch_state(self) -> Optional[EpochState]:
+    def _epoch_state(self, line: bool = False) -> Optional[EpochState]:
         """The protocol's epoch state plus the director's own columns, or
         ``None`` when the protocol does not batch.  ``steady`` is the one
-        column that is not extrapolated: it must not move in a probe window."""
+        column that is not extrapolated: it must not move between two states.
+        In a probe window that is the checkpoint count; between two recovery
+        lines (``line``) commits are the stride, and what must not move is what
+        they leave behind: the event queue (acks deferred past a strike) and
+        the live plus phantom sender log."""
         sim = self.sim
         state = sim.protocol.ff_epoch_snapshot()
         if state is None:
@@ -1062,6 +1071,7 @@ class HybridDirector:
             rank: proc.rstats.bytes_received for rank, proc in procs
         }
         state["rstats.compute_time"] = {rank: proc.rstats.compute_time for rank, proc in procs}
+        state["rstats.checkpoints"] = {rank: proc.rstats.checkpoints for rank, proc in procs}
         state["sends_initiated"] = {rank: proc.sends_initiated for rank, proc in procs}
         state["deliveries"] = {rank: proc.deliveries for rank, proc in procs}
         state["channel"] = {  # keyed (channel, 0: messages / 1: bytes)
@@ -1069,8 +1079,19 @@ class HybridDirector:
         }
         state["delivered"] = dict(sim.trace.delivered_counts)
         state["app"] = {"messages": sim.stats.app_messages, "bytes": sim.stats.app_bytes}
-        state["steady"] = {"checkpoints_taken": sim.storage.writes,
-                           "ranks_rolled_back": sim.stats.ranks_rolled_back}
+        storage, control = sim.storage, sim.control
+        steady = {"ranks_rolled_back": sim.stats.ranks_rolled_back}
+        if line:
+            steady["pending_events"] = sim.engine.pending_events
+            for rank, held in sim.protocol.memory_usage_bytes().items():
+                steady[f"log_memory[{rank}]"] = held
+        else:
+            steady["checkpoints_taken"] = storage.writes
+        state["steady"] = steady
+        # What a coordinated checkpoint moves (nothing, in a probe window).
+        state["commits"] = {"writes": storage.writes, "bytes": storage.bytes_written,
+                            "control_messages": control.messages_sent,
+                            "control_bytes": control.bytes_sent}
         return state
 
     def _apply_epoch_delta(self, delta: EpochState, n: int) -> None:
@@ -1083,6 +1104,7 @@ class HybridDirector:
             rstats.bytes_sent += n * delta["rstats.bytes_sent"][rank]
             rstats.bytes_received += n * delta["rstats.bytes_received"][rank]
             rstats.compute_time += n * delta["rstats.compute_time"][rank]
+            rstats.checkpoints += n * delta["rstats.checkpoints"][rank]
             proc.sends_initiated += n * delta["sends_initiated"][rank]
             proc.deliveries += n * delta["deliveries"][rank]
         for (ch, i), by in delta["channel"].items():
@@ -1093,59 +1115,81 @@ class HybridDirector:
                 counts[rank] = counts.get(rank, 0) + n * by
         sim.stats.app_messages += n * delta["app"]["messages"]
         sim.stats.app_bytes += n * delta["app"]["bytes"]
+        commits = delta["commits"]
+        sim.storage.writes += n * commits["writes"]
+        sim.storage.bytes_written += n * commits["bytes"]
+        sim.control.messages_sent += n * commits["control_messages"]
+        sim.control.bytes_sent += n * commits["control_bytes"]
 
     def _batch_intervals(self, cur: int, batch_end: int, model: RateModel,
                          anchors: Dict[int, float], b0: int,
                          delta: EpochState, stride: int = 1) -> int:
         """Extrapolate the verified delta interval by interval up to
-        ``batch_end``, taking each coordinated checkpoint for real.
+        ``batch_end``, taking coordinated checkpoints for real.
 
         ``stride`` is the iteration granularity the verified delta covers
         (1 for the classic per-iteration probe, 2 for a pair delta); every
         chunk is extrapolated in whole strides, and a chunk that is not a
         stride multiple ends the batch early -- the per-message tail picks
         up from there.
+
+        The ladder's last rung has a whole interval for its stride: an epoch
+        state is taken on every recovery line committed here, and once two
+        consecutive interval deltas agree, every whole interval left but the
+        last is advanced in one step.  The checkpoints it passes are counted,
+        not built (each is superseded by the next; a rollback restores the
+        last only), and the last is committed for real: a span ends on a
+        materialised line.  A rung that fails -- the first interval reclaims
+        the probe window's log, acks deferred past a strike -- costs one more.
         """
         sim = self.sim
-        protocol = sim.protocol
-        app = sim.application
-        k = self._interval
+        protocol, app, k = sim.protocol, sim.application, self._interval
         injector = sim.failure_injector
         t_strike = injector.next_timed_failure_time() if injector else None
         states = {rank: sim.ranks[rank].app_state for rank in anchors}
-        clusters = (
-            sorted({protocol.cluster_of(r) for r in anchors}) if k else []
-        )
+        clusters = sorted({protocol.cluster_of(r) for r in anchors}) if k else []
+        last_line = (batch_end // k) * k if k else 0
+        lines: List[Optional[EpochState]] = []
 
         def time_at(rank: int, it: int) -> float:
             return model.project(rank, anchors[rank], b0, it)
 
-        while cur < batch_end:
-            nxt = min(batch_end, ((cur // k) + 1) * k) if k else batch_end
-            n = nxt - cur
-            units, rem = divmod(n, stride)
-            if rem:
-                return cur
+        def advance(n: int, by: EpochState, units: int) -> int:  # -> cur + n
             if not app.fast_forward_states(states, cur, n):
                 raise SimulationError(
                     f"workload {app.name!r} refused a batched state advance "
-                    f"({cur}..{nxt}) although it implements fast_forward_states"
+                    f"({cur}..{cur + n}) although it implements fast_forward_states"
                 )
-            protocol.ff_epoch_apply(delta, units)
-            self._apply_epoch_delta(delta, units)
+            protocol.ff_epoch_apply(by, units)
+            self._apply_epoch_delta(by, units)
             self.stats["batched_iterations"] += n * len(anchors)
             for rank in anchors:
-                sim.ranks[rank].completed_iterations = nxt
-            if k and nxt % k == 0:
-                control = sim.control
-                control.begin_buffering()
+                sim.ranks[rank].completed_iterations = cur + n
+            return cur + n
+
+        while cur < batch_end:
+            nxt = min(batch_end, ((cur // k) + 1) * k) if k else batch_end
+            units, rem = divmod(nxt - cur, stride)
+            if rem:
+                return cur
+            cur = advance(nxt - cur, delta, units)
+            if k and cur % k == 0:
+                sim.control.begin_buffering()
                 try:
                     for cluster in clusters:
-                        protocol.fast_forward_cluster_checkpoint(cluster, nxt, time_at)
+                        protocol.fast_forward_cluster_checkpoint(cluster, cur, time_at)
                 finally:
-                    control.flush(t_strike)
+                    sim.control.flush(t_strike)
                 self._drain_scheduled(t_strike)
-            cur = nxt
+                self.stats["line_commits"] += len(anchors)
+                skip = (last_line - cur) // k - 1
+                if skip + len(lines) >= 3:  # three lines, then room to jump
+                    lines.append(self._epoch_state(line=True))
+                    if len(lines) == 3:
+                        by, self.line_mismatch = self._verified_delta(lines, anchors)
+                        del lines[0]
+                        if by is not None:
+                            cur = advance(skip * k, by, skip)
         return cur
 
     def _drive_iterations(self, b: int, e: int, model: RateModel,
@@ -1269,6 +1313,7 @@ class HybridDirector:
                                 break
                             del barriers[key]
                             protocol.fast_forward_cluster_checkpoint(cluster, it, time_at)
+                            self.stats["line_commits"] += len(group)
                             # Execute the boundary's control traffic (log-GC
                             # acks) before anyone reaches the *next* boundary:
                             # exact mode prunes sender logs between checkpoints,

@@ -14,6 +14,13 @@ record, because no query ever returned it.  :meth:`StableStorage.latest` and
 :meth:`StableStorage.latest_common_iteration` walks one rank's iterations
 newest first and stops at the first one every rank holds.
 
+**Counted and materialised.**  ``writes`` / ``bytes_written`` count every
+checkpoint the run takes; the records are the ones *materialised*.  The two
+differ under hybrid execution only: a batched span advances the counters
+past the checkpoints it skips (``checkpoint_id`` keeps counting) and saves
+its last one, the only one a rollback can reach -- a checkpoint superseded
+by the next is never named by a query (:mod:`repro.simulator.hybrid`).
+
 **Snapshot contract.**  There is one: the application state goes through
 :meth:`repro.workloads.base.Application.snapshot_state` on save and
 :meth:`~repro.workloads.base.Application.restore_state` on every restore.
@@ -179,5 +186,6 @@ class StableStorage:
         return record
 
     def count(self) -> int:
-        """Number of records held (one per rank and checkpointed iteration)."""
+        """Number of records materialised and held (at most one per rank and
+        checkpointed iteration; ``writes`` is the number counted)."""
         return sum(len(held) for held in self._records.values())

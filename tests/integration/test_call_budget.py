@@ -12,7 +12,9 @@ run, so the tests cannot flake on a noisy machine.
 The third test bounds a whole sparse Monte Carlo sweep per simulated
 rank-iteration: what it guards is that replicas which drew the same failure
 trace stay one simulation and that the pre-warm stays a warm-up.  The fourth
-bounds a dense one -- every replica struck, HydEE then coordinated, checkpoint
+bounds one long failure-free hybrid replica, where it guards that a batched
+span counts the checkpoints it passes and builds its last.  The fifth bounds a
+dense sweep -- every replica struck, HydEE then coordinated, checkpoint
 interval 4 -- where it guards that the spans around each strike are batched
 from the cached start, under both protocols.
 
@@ -53,14 +55,21 @@ CALL_BUDGET_PER_MESSAGE = 97.0
 #: ones, so the fast-forward interpreter dominates the count.
 FF_CALL_BUDGET_PER_MESSAGE = 71.7
 
-#: measured 24.09 calls per rank-iteration (28.57 when the DES window opened
-#: four to six iterations before a strike and the pre-warm ran 34 iterations;
-#: 39.49 when each of the eight replicas was simulated and the pre-warm ran
-#: its scenario to the end) plus 10 %.  Five of the eight traces are empty and
-#: run once; a sweep with fewer empty traces costs more per rank-iteration by
-#: construction, so the fault seed is pinned and the trace census asserted.
-SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 26.5
+#: measured 21.95 calls per rank-iteration (23.83 when a batched span built
+#: and acknowledged every checkpoint it passed; 28.57 when the DES window
+#: opened four to six iterations before a strike and the pre-warm ran 34
+#: iterations; 39.49 when each of the eight replicas was simulated and the
+#: pre-warm ran its scenario to the end) plus 10 %.  Five of the eight traces
+#: are empty and run once; a sweep with fewer empty traces costs more per
+#: rank-iteration by construction, so the fault seed is pinned and the trace
+#: census asserted.
+SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 24.0
 SWEEP_FAULT_SEED, SWEEP_STRIKES = 0, [0, 1, 0, 1, 1, 0, 0, 0]
+
+#: measured 5.35 calls per rank-iteration (18.62 with 500 boundaries built
+#: and acknowledged one by one) plus 30 %: what is left is the DES warm-up
+#: and final iteration, the probe window, and 8 of the 500 boundaries.
+LINE_CALL_BUDGET_PER_RANK_ITERATION = 7.0
 
 #: measured 121.99 calls per rank-iteration (135.62 with the wider window and
 #: the longer pre-warm; 184.35 when a coordinated replica never batched and a
@@ -172,6 +181,30 @@ def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
         f"(budget {SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): equal traces are simulated "
         "more than once, the pre-warm runs past its first verified period, or "
         "the DES window around a strike has widened"
+    )
+
+
+def test_long_failure_free_replica_commits_one_line_per_span():
+    # 2 000 iterations, a checkpoint every 4: one batched span between the
+    # warm-up and the final iteration.  Every checkpoint is counted; only the
+    # warm-up's, the few the interval rung verifies on, and the last are built.
+    iterations, interval = 2000, 4
+    spec = dataclasses.replace(
+        scenario_spec("line-call-budget", "stencil2d", iterations, "hydee", interval),
+        execution="hybrid",
+    )
+    simulation = build(spec)
+    calls, result = profiled(simulation.run)
+    assert result.completed
+    assert simulation.hybrid_stats["fallback"] == 0
+    assert simulation.storage.writes == 16 * (iterations // interval)
+    assert simulation.storage.count() <= 16 * 10
+    assert simulation.hybrid_stats["line_commits"] < simulation.storage.count()
+    per_rank_iteration = calls / (16 * iterations)
+    assert per_rank_iteration <= LINE_CALL_BUDGET_PER_RANK_ITERATION, (
+        f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
+        f"(budget {LINE_CALL_BUDGET_PER_RANK_ITERATION}): a batched span is "
+        "building the checkpoints it passes again"
     )
 
 

@@ -175,7 +175,11 @@ REPORT_FIELDS = {
                     "workloads.stencil2d.fallback", "cells_swept", "cells_batching.cached",
                     "workloads.stencil2d.cells.coordinated/4.cached.batched_iterations",
                     "workloads.ring.cells.hydee/8.cached.probe_mismatch",
-                    "checks.cached_start_batches_wherever_self_calibrated_does"],
+                    "workloads.stencil2d.cells.hydee/4.cached.line_mismatch",
+                    "workloads.stencil2d.cells.hydee/4.cached.line_commits",
+                    "workloads.stencil2d.cells.hydee/4.cached.ff_checkpoints",
+                    "checks.cached_start_batches_wherever_self_calibrated_does",
+                    "checks.long_batched_spans_commit_one_line"],
     "schedule-explore": ["invariant", "divergences", "witnesses", "interleavings_per_s",
                          "recovery_time_over_schedules"],
     "efficiency-mtbf": ["replica_sims", "replicas_per_s", "containment_holds"],

@@ -92,6 +92,64 @@ def log_byte_balance(sim):
     )
 
 
+def record_fields(record):
+    """What a restore reads of a checkpoint record.  A batched epoch carries
+    the sender log and the RPP table as extrapolated summaries, so those two
+    payload entries differ in representation by design (their volume is
+    inside ``size_bytes``); the clock is the payload entry that must agree.
+    Of the id, the boundary's block of 16: inside a fast-forwarded boundary
+    the per-message driver commits clusters in the order their barriers fill,
+    the batched one in cluster order."""
+    return (record.rank, record.iteration, record.app_state, record.time,
+            record.sends_at_checkpoint, record.size_bytes,
+            (record.checkpoint_id - 1) // 16, record.protocol_state.get("clock"))
+
+
+def materialised(sim, rank, boundaries):
+    """iteration -> record of the ``boundaries`` the store holds for ``rank``."""
+    held = {}
+    for iteration in boundaries:
+        try:
+            held[iteration] = sim.storage.checkpoint_at(rank, iteration)
+        except SimulationError:
+            pass
+    return held
+
+
+def assert_equal_recovery_lines(batched, driven, boundaries):
+    """A batched run against the per-message-driven run of the same spec.
+
+    Both *count* every coordinated checkpoint, through the same protocol
+    method.  The batched one does not *build* the checkpoints a jumped span
+    passes: each is superseded by the next before anything could restore it,
+    and no ``checkpoint_at`` caller can name it -- ``rollback_clusters`` asks
+    for ``latest_common_iteration`` only.  So the two stores agree on every
+    total, on the recovery line rank by rank and cluster by cluster, and on
+    every boundary that is materialised in both.
+    """
+    assert batched.storage.writes == driven.storage.writes == 16 * len(boundaries)
+    assert batched.storage.bytes_written == driven.storage.bytes_written
+    assert batched.protocol.pstats.as_dict() == driven.protocol.pstats.as_dict()
+    jumped = 0
+    for rank in range(16):
+        assert (batched.stats.rank(rank).checkpoints
+                == driven.stats.rank(rank).checkpoints == len(boundaries)), rank
+        latest, expected = batched.storage.latest(rank), driven.storage.latest(rank)
+        assert record_fields(latest) == record_fields(expected), rank
+        # One cluster, or the last line is the one committed under DES.
+        assert latest.checkpoint_id == expected.checkpoint_id, rank
+        held = materialised(batched, rank, boundaries)
+        reference = materialised(driven, rank, boundaries)
+        assert list(reference) == list(boundaries)
+        for iteration, record in held.items():
+            assert record_fields(record) == record_fields(reference[iteration]), (rank, iteration)
+        jumped += len(reference) - len(held)
+    for cluster in batched.protocol.clusters:
+        line = batched.storage.latest_common_iteration(cluster)
+        assert line == driven.storage.latest_common_iteration(cluster) == boundaries[-1]
+    return jumped
+
+
 VOLUME_COUNTERS = (
     "app_messages",
     "app_bytes",
@@ -198,29 +256,19 @@ class TestHybridParity:
         assert driven.hybrid_stats["ff_iterations"] == batched.hybrid_stats["ff_iterations"]
 
         boundaries = range(INTERVAL, ITERATIONS + 1, INTERVAL)
-
-        def committed(sim, rank):
-            # A batched epoch carries the sender log and the RPP table as
-            # extrapolated summaries, so those two payload entries differ in
-            # representation by design; their volume is inside size_bytes.
-            records = [sim.storage.checkpoint_at(rank, it) for it in boundaries]
-            return [
-                (r.rank, r.iteration, r.app_state, r.time, r.sends_at_checkpoint,
-                 r.size_bytes, r.protocol_state["clock"])
-                for r in records
-            ]
-
-        assert batched.storage.writes == driven.storage.writes == 16 * len(boundaries)
-        for rank in range(16):
-            assert committed(batched, rank) == committed(driven, rank), rank
+        jumped = assert_equal_recovery_lines(batched, driven, boundaries)
+        # 120 iterations hold one span long enough for the interval rung.
+        assert jumped > 0 and batched.storage.count() == driven.storage.count() - jumped
+        assert batched.hybrid_stats["line_commits"] == driven.hybrid_stats["line_commits"] - jumped
         # Between the exact warm-up and the exact final iterations, members
         # commit in cluster order, one cluster at a time.
         for sim in (batched, driven):
             warmup = sim.hybrid_stats["warmup_iterations"]
             assert 0 < warmup < ITERATIONS - INTERVAL
             for cluster in sim.protocol.clusters:
-                for it in (it for it in boundaries if warmup < it < ITERATIONS):
-                    ids = [sim.storage.checkpoint_at(r, it).checkpoint_id for r in cluster]
+                held = [materialised(sim, rank, boundaries) for rank in cluster]
+                for it in (it for it in held[0] if warmup < it < ITERATIONS):
+                    ids = [records[it].checkpoint_id for records in held]
                     assert ids == list(range(ids[0], ids[0] + len(cluster)))
 
 
@@ -376,15 +424,10 @@ class TestProtocolIntervalGrid:
         assert batched_result.stats.total_compute_time == pytest.approx(
             driven_result.stats.total_compute_time, rel=1e-9
         )
-        assert batched.protocol.pstats.as_dict() == driven.protocol.pstats.as_dict()
         boundaries = range(interval, GRID_ITERATIONS + 1, interval)
-        for rank in range(16):
-            stored = [
-                [(r.iteration, r.size_bytes, r.sends_at_checkpoint)
-                 for r in (sim.storage.checkpoint_at(rank, it) for it in boundaries)]
-                for sim in (batched, driven)
-            ]
-            assert stored[0] == stored[1], rank
+        jumped = assert_equal_recovery_lines(batched, driven, boundaries)
+        # From the cache the whole run but its last iteration is one span.
+        assert jumped > 0 and batched.storage.count() == driven.storage.count() - jumped
 
     @pytest.mark.parametrize("kind", CATALOGUE)
     @pytest.mark.parametrize("interval", [4, 8])
@@ -460,6 +503,116 @@ class TestProtocolIntervalGrid:
         assert sum(probes for _, probes in epochs) == probes_made  # tracing plans no probe
         assert probed.hybrid_stats["batched_iterations"] == 0
         assert probed_result.metrics.to_tree() == driven_result.metrics.to_tree()
+
+
+class TestRollbackLandsOnTheMaterialisedLine:
+    """A strike late in a long run finds a jumped span behind it: the rollback
+    must restore the span's last, materialised line, exactly as it does when
+    every boundary of the span was built (per-message drive) or simulated."""
+
+    ITERATIONS = 400
+    RECOVERY_COUNTERS = ("ranks_rolled_back", "checkpoint_bytes", "checkpoints_taken",
+                         "logged_bytes", "app_messages")
+
+    @classmethod
+    def struck(cls, protocol, interval):
+        """Rank 5 struck nine tenths into the run, in mid-interval."""
+        free = grid_spec(protocol, interval, "stencil2d", cls.ITERATIONS)
+        iteration = (int(0.9 * cls.ITERATIONS) // interval + 0.5) * interval
+        strike = iteration / cls.ITERATIONS * build(free).run().stats.makespan
+        return dataclasses.replace(free, failures=(FailureSpec(ranks=(5,), time=strike),))
+
+    @staticmethod
+    def run_recording_restarts(spec, execution, **config):
+        sim = build(dataclasses.replace(spec, execution=execution, config=config))
+        restarts = {}
+        restart_rank = sim.restart_rank
+
+        def recording(rank, iteration, **state):
+            restarts[rank] = iteration
+            return restart_rank(rank, iteration=iteration, **state)
+
+        sim.restart_rank = recording
+        result = sim.run()
+        assert result.status == "completed" and result.stats.failures_injected == 1
+        return sim, result, restarts
+
+    @pytest.mark.parametrize("interval", [4, 8])
+    @pytest.mark.parametrize("protocol", ["hydee", "coordinated"])
+    def test_batched_driven_and_exact_restart_from_the_same_line(self, protocol, interval):
+        spec = self.struck(protocol, interval)
+        exact_sim, exact, exact_restarts = self.run_recording_restarts(spec, "exact")
+        driven_sim, driven, driven_restarts = self.run_recording_restarts(
+            spec, "hybrid", record_trace_events=True)
+        batched_sim, batched, restarts = self.run_recording_restarts(spec, "hybrid")
+
+        assert driven_sim.hybrid_stats["batched_iterations"] == 0
+        assert batched_sim.hybrid_stats["batched_iterations"] > 0
+        # The span before the strike jumped: most of its lines were never built.
+        assert batched_sim.storage.count() < driven_sim.storage.count() // 4
+        assert restarts == driven_restarts == exact_restarts
+        assert len(restarts) == (4 if protocol == "hydee" else 16)
+        assert set(restarts.values()) == {int(0.9 * self.ITERATIONS) // interval * interval}
+        for attr in self.RECOVERY_COUNTERS:
+            assert (getattr(batched.stats, attr) == getattr(driven.stats, attr)
+                    == getattr(exact.stats, attr)), attr
+        pstats = batched_sim.protocol.pstats.as_dict()
+        assert pstats == driven_sim.protocol.pstats.as_dict()
+        for key in ("replayed_messages", "suppressed_orphans", "rollbacks", "checkpoints"):
+            assert pstats[key] == getattr(exact_sim.protocol.pstats, key), key
+        assert batched.stats.makespan == pytest.approx(driven.stats.makespan, rel=1e-12)
+        assert batched.stats.makespan == pytest.approx(exact.stats.makespan, rel=0.01)
+
+    def test_acks_deferred_past_the_strike_veto_the_jump(self, monkeypatch):
+        # A boundary's gc acks are due one control latency after the epoch's
+        # frozen clock; those due past the pending strike are handed to the
+        # engine instead of delivered.  With the strike within that latency
+        # of the epoch start (forced here: the latency is stretched for the
+        # epoch before the strike) no sender log is reclaimed inside the span
+        # and every checkpoint is larger than the last.  That is not a linear
+        # interval: the level columns keep the span on per-interval commits,
+        # and each checkpoint is sized from the log volume it really carries.
+        from repro.simulator.hybrid import HybridDirector
+
+        spec = self.struck("hydee", 4)
+        fast_forward_epoch = HybridDirector._fast_forward_epoch
+        said = []  # line_mismatch after each epoch, both runs
+
+        def stretched(director, *args):
+            control = director.sim.control
+            normal = control.latency_s
+            if director.sim.failure_injector.next_timed_failure_time() is not None:
+                control.latency_s = 1.25 * spec.failures[0].time
+            try:
+                return fast_forward_epoch(director, *args)
+            finally:
+                control.latency_s = normal
+                said.append(director.line_mismatch)
+
+        monkeypatch.setattr(HybridDirector, "_fast_forward_epoch", stretched)
+        directors = []
+        for config in ({}, {"record_trace_events": True}):
+            sim = build(dataclasses.replace(spec, execution="hybrid", config=config))
+            directors.append(HybridDirector(sim))
+            result = directors[-1].run()
+            assert result.status == "completed" and result.stats.failures_injected == 1
+        batched, driven = (director.sim for director in directors)
+        assert batched.hybrid_stats["batched_iterations"] > 0
+        # Before the strike the queue level vetoes every rung; after it nothing
+        # is pending and the rung verifies.  Per message there is no rung to try.
+        assert said == [("steady", "pending_events"), None, None, None]
+        boundaries = range(4, self.ITERATIONS + 1, 4)
+        before = [it for it in boundaries if it <= int(0.9 * self.ITERATIONS)]
+        for rank in range(16):
+            held, reference = (materialised(sim, rank, boundaries) for sim in (batched, driven))
+            assert list(held)[:len(before)] == before, rank  # every line before the strike
+            sizes = [held[it].size_bytes for it in before]
+            assert sizes == [reference[it].size_bytes for it in before], rank
+            assert len(set(sizes)) > len(before) // 2, rank  # ... carrying a growing log
+            for it, record in held.items():
+                assert record_fields(record) == record_fields(reference[it]), (rank, it)
+        assert batched.protocol.pstats.as_dict() == driven.protocol.pstats.as_dict()
+        assert batched.stats.makespan == pytest.approx(driven.stats.makespan, rel=1e-12)
 
 
 class TestGuardWindowShape:

@@ -148,6 +148,37 @@ class TestEpochStateContract:
             for window in (states[1:4], states, states[::2]):
                 assert director._verified_delta(window, {}) == (None, ("steady", moved))
 
+    def test_between_recovery_lines_commits_are_linear_and_levels_steady(self):
+        from repro.simulator.hybrid import HybridDirector
+
+        hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
+        sim, director = hydee.sim, HybridDirector(hydee.sim)
+
+        def line(bump=lambda: None):
+            # What one coordinated checkpoint of the world moves ...
+            sim.storage.writes += 4
+            sim.storage.bytes_written += 4096
+            sim.control.messages_sent += 6
+            bump()  # ... and what it may not leave behind.
+            return director._epoch_state(line=True)
+
+        lines = [line() for _ in range(3)]
+        delta, mismatch = director._verified_delta(lines, {})
+        assert mismatch is None
+        assert delta["commits"] == {"writes": 4, "bytes": 4096,
+                                    "control_messages": 6, "control_bytes": 0}
+        # The checkpoint count is what a *probe window* holds steady, not a line.
+        assert "checkpoints_taken" not in lines[0]["steady"]
+        assert director._verified_delta(
+            [director._epoch_state() for _ in range(2)] + [line()], {}
+        ) == (None, ("steady", "checkpoints_taken"))
+        for moved, bump in [
+            ("pending_events", lambda: sim.engine.schedule(1.0, lambda: None)),
+            ("log_memory[2]", lambda: hydee._ff_phantom_log.setdefault(2, {}).update({0: 64})),
+        ]:
+            window = [line(), line(), line(bump)]
+            assert director._verified_delta(window, {}) == (None, ("steady", moved))
+
     def test_a_delivery_hook_is_message_state_even_undeclared(self):
         class CountsDeliveries(ClusteredProtocolBase):
             def on_app_deliver(self, rank, message):
