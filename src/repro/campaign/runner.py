@@ -107,7 +107,6 @@ def run_campaign(
     store: Optional[ResultsStore] = None,
     force: bool = False,
     keep_artifacts: bool = False,
-    mp_context: Optional[str] = None,
     same_run: Optional[Callable[[ScenarioSpec], Hashable]] = None,
 ) -> CampaignResult:
     """Run every spec, using the cache and up to ``workers`` processes.
@@ -117,8 +116,9 @@ def run_campaign(
     * ``force`` -- execute even when a cached record exists.
     * ``keep_artifacts`` -- propagate live job artifacts (e.g. full
       :class:`SimulationResult` objects).  Cache hits have no artifact.
-    * ``workers`` -- number of processes; ``<= 1`` runs in-process.  Specs
-      are picklable by construction, so fan-out needs no extra setup.
+    * ``workers`` -- number of forked processes; ``<= 1`` (or a platform
+      without ``fork``) runs in-process.  Workers inherit the parent's
+      memory, the active calibration cache included.
     * ``same_run`` -- the caller's promise that two specs with equal keys
       produce the same ``analysis`` and ``result``: of each group only the
       first spec executes (or none, when the store already holds a member),
@@ -162,10 +162,9 @@ def run_campaign(
 
     if pending:
         jobs = [(index, specs[index], keep_artifacts) for index in pending]
-        if workers > 1 and len(jobs) > 1:
-            if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-                mp_context = "fork"
-            context = multiprocessing.get_context(mp_context)
+        if (workers > 1 and len(jobs) > 1
+                and "fork" in multiprocessing.get_all_start_methods()):
+            context = multiprocessing.get_context("fork")
             with context.Pool(processes=min(workers, len(jobs))) as pool:
                 outcomes = pool.map(_execute, jobs)
         else:

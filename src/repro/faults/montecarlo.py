@@ -36,9 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import shutil
-import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -217,33 +214,10 @@ def prewarm_calibration(base: ScenarioSpec, cache: CalibrationCache) -> bool:
         tags={},
     )
     entry = HybridDirector(build(free)).calibrate()
-    if not entry:
+    if entry is None:
         return False
     cache.put(key, entry)
-    cache.save()
     return True
-
-
-def _calibration_cache(
-    base: ScenarioSpec, store: Optional[ResultsStore], workers: int
-) -> Tuple[Optional[CalibrationCache], Optional[str]]:
-    """The campaign's calibration cache (and a temp dir to clean up).
-
-    The cache file lives alongside the results store
-    (``<store>.calibration.json``) so a stored campaign that is grown later
-    finds the entry and skips the pre-warm.  A multi-worker campaign
-    without a store still needs a *file* -- worker processes inherit the
-    cache through the ``REPRO_CALIBRATION_CACHE`` environment variable -- so
-    one is materialised in a temporary directory and discarded with it; a
-    serial in-memory campaign keeps the cache purely in memory.
-    """
-    if store is not None and store.path:
-        root, _ext = os.path.splitext(store.path)
-        return CalibrationCache(root + ".calibration.json"), None
-    if workers > 1:
-        tmpdir = tempfile.mkdtemp(prefix="repro-calibration-")
-        return CalibrationCache(os.path.join(tmpdir, "calibration.json")), tmpdir
-    return CalibrationCache(), None
 
 
 def run_montecarlo(
@@ -270,10 +244,11 @@ def run_montecarlo(
 
     Hybrid campaigns share one warm-up calibration: when at least one
     replica is going to execute, the failure-free variant of ``base`` is
-    calibrated *before* the fan-out (:func:`prewarm_calibration`) and every
-    replica reads the resulting cache entry, keeping serial and
-    ``--workers N`` campaigns byte-identical while skipping N-1 redundant
-    DES warm-ups.
+    calibrated *before* the fan-out (:func:`prewarm_calibration`) into a
+    fresh in-memory cache that is active for the fan-out; every replica --
+    in this process or in a forked worker -- reads that one value, keeping
+    serial and ``--workers N`` campaigns byte-identical while skipping N-1
+    redundant DES warm-ups.
     """
     from repro.campaign.runner import run_campaign
     from repro.faults.trace import generate_trace
@@ -293,25 +268,17 @@ def run_montecarlo(
             tuple((entry.time, entry.ranks) for entry in trace),
         )
 
-    cache = tmpdir = None
+    cache = None
     if specs[0].execution == "hybrid" and (
         force or store is None or any(spec.spec_hash() not in store for spec in specs)
     ):
-        cache, tmpdir = _calibration_cache(base, store, workers)
+        cache = CalibrationCache()
         if not prewarm_calibration(specs[0], cache):
             cache = None
-    try:
-        with activated(cache) if cache is not None else nullcontext():
-            outcome = run_campaign(
-                specs,
-                workers=workers,
-                store=store,
-                force=force,
-                same_run=same_trace,
-            )
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
+    with activated(cache) if cache is not None else nullcontext():
+        outcome = run_campaign(
+            specs, workers=workers, store=store, force=force, same_run=same_trace
+        )
     runs = tuple(RunResult.from_record(record) for record in outcome.records)
     return MonteCarloResult(
         base=base,

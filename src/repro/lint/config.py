@@ -17,12 +17,11 @@ from typing import Tuple
 RNG_FACTORY_MODULES: Tuple[str, ...] = ("repro/faults/distributions.py",)
 
 #: Modules whose file writes persist shared, replayable state (results
-#: stores, calibration caches, archived failure traces, spec files).  Any
-#: ``open(.., "w")`` / ``os.replace`` here must go through the
-#: :mod:`repro.fslock` atomic-replace helper (RL04).
+#: stores, archived failure traces, spec files).  Any ``open(.., "w")`` /
+#: ``os.replace`` here must go through the :mod:`repro.fslock`
+#: atomic-replace helper (RL04).
 GUARDED_WRITE_MODULES: Tuple[str, ...] = (
     "repro/campaign/",
-    "repro/simulator/calibration.py",
     "repro/faults/trace.py",
 )
 

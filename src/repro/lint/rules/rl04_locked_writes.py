@@ -1,13 +1,12 @@
 """RL04 -- locked-write discipline.
 
-Campaign stores, calibration caches and archived failure traces are shared
-between worker processes; a bare ``open(path, "w")`` there can interleave
-with a concurrent reader or writer and corrupt the store (which then shows
-up as a baffling byte-identity diff).  All persistent writes in guarded
-modules must go through :mod:`repro.fslock` (``exclusive_lock`` +
-``atomic_write_text`` / ``atomic_write_json``, or a ``KeyedFile`` built on
-them), which holds an flock and publishes via ``os.replace`` of a
-same-directory temp file.
+Campaign stores and archived failure traces are shared between worker
+processes; a bare ``open(path, "w")`` there can interleave with a concurrent
+reader or writer and corrupt the store (which then shows up as a baffling
+byte-identity diff).  All persistent writes in guarded modules must go
+through :mod:`repro.fslock` (``exclusive_lock`` + ``atomic_write_text`` /
+``atomic_write_json``, as ``ResultsStore.save`` does), which holds an
+flock and publishes via ``os.replace`` of a same-directory temp file.
 """
 
 from __future__ import annotations
@@ -44,12 +43,11 @@ class LockedWriteRule(Rule):
     id = "RL04"
     name = "locked-write-discipline"
     invariant = (
-        "writes under campaign/, simulator/calibration.py and faults/trace.py "
-        "go through the fslock atomic-replace helper, never bare open('w') / "
-        "os.replace"
+        "writes under campaign/ and faults/trace.py go through the fslock "
+        "atomic-replace helper, never bare open('w') / os.replace"
     )
     rationale = (
-        "store and cache files are shared across worker processes; unlocked "
+        "store and trace files are shared across worker processes; unlocked "
         "in-place writes can interleave and corrupt replayable state"
     )
 

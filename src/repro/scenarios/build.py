@@ -264,8 +264,8 @@ def build_config(spec: ScenarioSpec) -> SimulationConfig:
     # override (e.g. forcing "exact" for a pinning test) wins.
     overrides.setdefault("execution", spec.execution)
     # Hybrid runs carry the spec's failure-free timing identity so the
-    # director can reuse a shared warm-up calibration (repro.simulator
-    # .calibration); exact runs never consult it.
+    # director can look up the campaign's in-memory warm-up calibration
+    # (repro.simulator.calibration); exact runs never consult it.
     if overrides.get("execution") == "hybrid":
         overrides.setdefault("calibration_key", spec.calibration_key())
     valid = set(SimulationConfig.__dataclass_fields__) - {"network"}

@@ -80,6 +80,7 @@ from typing import (
     Dict,
     Generator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -197,56 +198,6 @@ class RateModel:
                 self._cum[rank] = cum
                 self._period[rank] = acc + seq[0]
 
-    # -------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form for the calibration cache (float-exact: ``json``
-        round-trips Python floats through ``repr``)."""
-        return {
-            "dt": {str(r): v for r, v in self.dt.items()},
-            "ckpt_extra": {str(r): v for r, v in self.ckpt_extra.items()},
-            "interval": self.interval,
-            "dt_spread": self.dt_spread,
-            "phases": (
-                None if self.phases is None
-                else {str(r): list(seq) for r, seq in self.phases.items()}
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], ranks: Set[int]) -> "RateModel":
-        """Rebuild a model for the rank set ``ranks`` from :meth:`to_dict`.
-
-        The calibration cache is a file, i.e. outside input: the shape is
-        checked here, before construction, so a truncated or hand-edited
-        entry raises ``ValueError`` (or the ``KeyError``/``TypeError``/
-        ``AttributeError`` of a missing or mistyped field) instead of
-        failing later inside a projection.
-        """
-        dt = {int(r): float(v) for r, v in data["dt"].items()}
-        extra = {int(r): float(v) for r, v in data["ckpt_extra"].items()}
-        interval = int(data["interval"])
-        raw_phases = data.get("phases")
-        phases = (
-            None if raw_phases is None
-            else {int(r): [float(v) for v in seq] for r, seq in raw_phases.items()}
-        )
-        if set(dt) != ranks or set(extra) != ranks:
-            raise ValueError("rate model covers a different rank set")
-        if phases is None:
-            if interval:
-                raise ValueError("flat rate model carries a checkpoint interval")
-        elif (interval < 2 or set(phases) != ranks
-                or any(len(seq) != interval for seq in phases.values())):
-            raise ValueError("phase table does not match the rank set and interval")
-        # ``json`` round-trips NaN and Infinity, and the engine takes
-        # projected clocks as event times.
-        spread = float(data["dt_spread"])
-        durations = [*dt.values(), *(v for seq in (phases or {}).values() for v in seq)]
-        if not (all(0.0 < v < math.inf for v in durations)
-                and all(0.0 <= v < math.inf for v in (*extra.values(), spread))):
-            raise ValueError("rate model holds a non-finite or out-of-range number")
-        return cls(dt, extra, interval, spread, phases)
-
     # ----------------------------------------------------------- projection
     def _phase_sum(self, rank: int, m: int) -> float:
         """Sum of the phase durations of deltas ``1..m`` (``S(m)``)."""
@@ -296,6 +247,16 @@ class RateModel:
         return m
 
 
+class Calibration(NamedTuple):
+    """What a DES warm-up produces: the fitted model, the count the ranks
+    parked at and each rank's clock there -- the value the campaign
+    pre-warm shares with its replicas (:mod:`repro.simulator.calibration`)."""
+
+    model: RateModel
+    warmup: int
+    park_times: Dict[int, float]
+
+
 class HybridDirector:
     """Orchestrates one hybrid run (``SimulationConfig.execution="hybrid"``)."""
 
@@ -336,8 +297,8 @@ class HybridDirector:
         }
 
     # ------------------------------------------------------------------- run
-    def calibrate(self) -> Optional[Dict[str, Any]]:
-        """The calibration-cache entry of this scenario, or ``None``.
+    def calibrate(self) -> Optional[Calibration]:
+        """The warm-up calibration of this scenario, or ``None``.
 
         Runs what :meth:`run` runs up to the fitted rate model -- the static
         checks and the DES warm-up, never the active cache -- and stops
@@ -428,14 +389,10 @@ class HybridDirector:
         if model is None:
             return partial(self._fall_back, calib_reason, gate)
         # Export for the calibration cache (repro.simulator.calibration):
-        # the campaign pre-warm stores this entry for its replicas.
-        sim.hybrid_calibration = {
-            "model": model.to_dict(),
-            "warmup": warmup,
-            "park_times": {
-                rank: entry[1] for rank, entry in gate.parked.items()
-            },
-        }
+        # the campaign pre-warm stores this value for its replicas.
+        sim.hybrid_calibration = Calibration(
+            model, warmup, {rank: entry[1] for rank, entry in gate.parked.items()}
+        )
         return gate, model
 
     def run(self) -> "SimulationResult":
@@ -595,44 +552,17 @@ class HybridDirector:
         sim._iteration_listener = listener
 
     # ----------------------------------------------------- calibration cache
-    def _cached_calibration(self) -> Optional[Dict[str, Any]]:
-        """A validated calibration-cache entry for this run, or ``None``.
-
-        The entry is keyed by ``config.calibration_key`` (set by the
-        scenario builder from :meth:`ScenarioSpec.calibration_key`) and must
-        structurally match this simulation -- same checkpoint interval, same
-        rank set.  A hit replaces the DES warm-up entirely; it is still
-        re-verified at run time by the two-probe check before every batched
-        advance, so a wrong-but-matching entry can cost throughput, never
-        accuracy.
-        """
-        key = getattr(self.sim.config, "calibration_key", None)
-        if not key:
-            return None
+    def _cached_calibration(self) -> Optional[Calibration]:
+        """The active cache's entry under ``config.calibration_key`` (set by
+        the scenario builder from :meth:`ScenarioSpec.calibration_key`, which
+        covers every field that shapes the model), or ``None``.  A hit
+        replaces the DES warm-up; the two-probe check still re-verifies the
+        model before every batched advance."""
         cache = _calibration.active_cache()
-        entry = cache.get(key) if cache is not None else None
-        if not entry:
-            return None
-        ranks = set(self.sim.ranks)
-        try:
-            model = RateModel.from_dict(entry["model"], ranks)
-            warmup = int(entry["warmup"])
-            park_times = {
-                int(rank): float(t)
-                for rank, t in entry["park_times"].items()
-            }
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-        expected_interval = self._interval if self._interval > 1 else 0
-        if model.interval != expected_interval:
-            return None
-        if (set(park_times) != ranks or warmup < 1
-                or not all(map(math.isfinite, park_times.values()))):
-            return None
-        return {"model": model, "warmup": warmup, "park_times": park_times}
+        return None if cache is None else cache.get(self.sim.config.calibration_key)
 
     def _apply_cached_calibration(
-        self, cached: Dict[str, Any], gate: IterationGate
+        self, cached: Calibration, gate: IterationGate
     ) -> RateModel:
         """Anchor the parked-at-zero ranks so the cached model's projection
         reproduces the calibrating run's observed clocks.
@@ -644,9 +574,7 @@ class HybridDirector:
         land exactly on the calibrated park time at count ``W``, folding the
         whole transient into the anchor instead of into per-iteration error.
         """
-        model: RateModel = cached["model"]
-        warmup = cached["warmup"]
-        park_times = cached["park_times"]
+        model, warmup, park_times = cached
         for rank, entry in list(gate.parked.items()):
             anchor = park_times[rank] - model.project(rank, 0.0, 0, warmup)
             gate.parked[rank] = (entry[0], anchor, entry[2], entry[3])

@@ -38,7 +38,7 @@ from repro.simulator.statistics import SimulationStatistics
 from repro.simulator.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator.hybrid import IterationGate
+    from repro.simulator.hybrid import Calibration, IterationGate
 
 
 @dataclass
@@ -65,10 +65,10 @@ class SimulationConfig:
     #: fast-forward failure-free epochs, DES guard windows around failures --
     #: see :mod:`repro.simulator.hybrid`).
     execution: str = "exact"
-    #: Cache key of this run's failure-free timing identity
-    #: (:meth:`ScenarioSpec.calibration_key`); when set and a matching entry
-    #: exists in the active :class:`repro.simulator.calibration.
-    #: CalibrationCache`, the hybrid director skips the DES warm-up.
+    #: Key of this run's failure-free timing identity
+    #: (:meth:`ScenarioSpec.calibration_key`); when the active in-memory
+    #: :class:`repro.simulator.calibration.CalibrationCache` holds a
+    #: calibration under it, the hybrid director skips the DES warm-up.
     calibration_key: Optional[str] = None
 
 
@@ -149,10 +149,10 @@ class Simulation:
         self._iteration_listener: Optional[Callable[[int, int], None]] = None
         self.ff_clock: Optional[Dict[int, float]] = None
         self.hybrid_stats: Optional[Dict[str, Any]] = None
-        #: serialisable warm-up calibration a hybrid run (or a bare
-        #: ``HybridDirector.calibrate()``) fitted itself (model + park times);
-        #: what the campaign pre-warm puts into the shared calibration cache.
-        self.hybrid_calibration: Optional[Dict[str, Any]] = None
+        #: the warm-up calibration a hybrid run (or a bare
+        #: ``HybridDirector.calibrate()``) fitted itself (model, warm-up, park
+        #: times); what the campaign pre-warm puts into the calibration cache.
+        self.hybrid_calibration: Optional["Calibration"] = None
         self.stats.protocol = getattr(self.protocol, "name", "none")
         self.protocol.attach(self)
         if self.failure_injector is not None:

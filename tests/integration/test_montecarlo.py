@@ -85,10 +85,9 @@ class TestSerialParallelByteIdentity:
 
     def test_fully_cached_rerun_builds_no_simulation(self, tmp_path, monkeypatch):
         """The pre-warm used to run before anyone knew whether a replica
-        would execute: one build + run per re-run whose calibration sidecar
-        is absent or whose store lives in memory."""
+        would execute: one build + run per re-run.  Growing the campaign
+        pre-warms once more, in memory, for the new replicas."""
         import importlib
-        import os
 
         # The package re-exports the function under the module's own name.
         scenario_build = importlib.import_module("repro.scenarios.build")
@@ -104,12 +103,14 @@ class TestSerialParallelByteIdentity:
             first = run_montecarlo(base, replicas=5, store=store)
             assert len(builds) == 1 + first.executed  # the pre-warm, then the replicas
             builds.clear()
-        os.remove(tmp_path / "store.calibration.json")
         for store in (ResultsStore(on_disk.path), in_memory):
             again = run_montecarlo(base, replicas=5, store=store)
             assert again.executed == 0 and again.cache_hits == 5
             assert builds == []
-        assert not (tmp_path / "store.calibration.json").exists()
+        grown = run_montecarlo(base, replicas=8, store=ResultsStore(on_disk.path))
+        assert grown.cache_hits == 5
+        assert sum(name.endswith("#calibration") for name in builds) == 1
+        assert len(builds) == 1 + grown.executed
 
     def test_growing_the_campaign_only_runs_new_replicas(self, tmp_path):
         base = mc_base()
