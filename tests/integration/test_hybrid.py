@@ -1067,6 +1067,46 @@ class TestCalibrationCache:
         # acceptance band: both timelines come from the same model.
         assert warm.stats.makespan == pytest.approx(cold.stats.makespan, rel=1e-9)
 
+    @pytest.mark.parametrize("fault", ["free", "struck"])
+    @pytest.mark.parametrize("interval", [4, 8])
+    @pytest.mark.parametrize("protocol", ["hydee", "coordinated"])
+    @pytest.mark.parametrize("kind", GRID_WORKLOADS)
+    def test_replicas_only_read_the_shared_value(self, kind, protocol, interval, fault):
+        """Serial replicas of one process share the pre-warm's value itself,
+        not a copy: a replica -- rollback and all -- must leave it exactly
+        as the warm-up fitted it, or the next serial replica would start
+        from a different model than a forked worker does."""
+        import copy
+
+        from repro.faults.montecarlo import prewarm_calibration
+        from repro.simulator import calibration
+
+        failures = []
+        if fault == "struck":
+            strike = (3 * GRID_ITERATIONS // 4 // interval) * interval + interval // 2
+            failures = [FailureSpec(ranks=(5,), at_iteration=strike)]
+        spec = dataclasses.replace(
+            grid_spec(protocol, interval, kind, failures=failures), execution="hybrid"
+        )
+        cache = calibration.CalibrationCache()
+        assert prewarm_calibration(spec, cache)
+        entry = cache.get(spec.calibration_key())
+        fitted = copy.deepcopy(calibration_fields(entry))
+
+        replicas = []
+        with calibration.activated(cache):
+            for _ in range(2):
+                sim = build(spec)
+                result = sim.run()
+                assert result.status == "completed"
+                assert sim.hybrid_stats["calibration_cached"] == 1
+                assert result.stats.failures_injected == len(failures)
+                assert cache.get(spec.calibration_key()) is entry
+                assert calibration_fields(entry) == fitted
+                replicas.append((result.stats.makespan, dict(sim.hybrid_stats),
+                                 [getattr(result.stats, a) for a in VOLUME_COUNTERS]))
+        assert replicas[0] == replicas[1]
+
     def test_grown_stored_campaign_equals_the_storeless_one(self, tmp_path):
         """Growing a stored campaign pre-warms again in memory: the new
         replicas record exactly what a store-less campaign records, down to
