@@ -23,6 +23,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultsStore
 from repro.faults import FaultModelSpec
 from repro.faults.montecarlo import replica_specs, run_montecarlo
+from repro.faults.trace import generate_trace
 from repro.results.query import ResultSet
 from repro.scenarios import (
     ClusteringSpec,
@@ -263,6 +264,21 @@ class TestMixedCampaignStores:
 
 
 class TestNonCompletedReplicas:
+    def test_a_single_strike_message_logging_replica_completes(self):
+        # ROADMAP 1(a): one strike at MTBF factor 16 (seed 0) used to leave
+        # ranks 11 and 14 waiting on a re-sent message read as a duplicate.
+        store = ResultsStore()
+        run_efficiency_experiment(
+            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=5, store=store
+        )
+        (record,) = [
+            record for record in store.records().values()
+            if record["name"] == "efficiency:message-logging:np16:mtbf0.00570496#r4"
+        ]
+        fault_model = ScenarioSpec.from_dict(record["spec"]).fault_model
+        assert len(generate_trace(fault_model, 16)) == 1
+        assert record["result"]["status"] == "completed"
+
     def test_a_deadlock_record_keeps_what_each_unfinished_rank_waits_on(self):
         # ROADMAP fact 1: one strike is enough to deadlock message logging at
         # the calmest default MTBF point.  The store row must say which ranks

@@ -206,6 +206,25 @@ class TestEpochStateContract:
         assert state["pstats"] == hydee.pstats.as_dict()
 
 
+class TestMessageLoggingFailure:
+    def test_a_resent_arrived_but_unmatched_message_is_delivered(self):
+        """Survivor 1 had seqs 3 and 5 from rank 0 arrive (3 unmatched, 5
+        stashed) when rank 0 fails: the purge drops 3, so the re-executed
+        send of seq 3 is the only copy left and must not read as a duplicate."""
+        from repro.simulator.messages import Message
+
+        protocol = FullMessageLoggingProtocol()
+        Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol).run()
+        survivor = protocol.rank_state[1]
+        survivor.recv_seq[0] = 2
+        survivor.arrived_seq[0] = 3
+        survivor.stash[0] = {5: Message(0, 1, 0, 8, piggyback={"seq": 5})}
+        protocol.on_failure([0], 0.0)
+        resent = Message(0, 1, 0, 8, piggyback={"seq": 3})
+        assert protocol.on_message_arrival(1, resent) is True
+        assert survivor.arrived_seq[0] == 3 and 0 not in survivor.stash
+
+
 class TestPerfModel:
     def test_message_cost_logging_adds_memcpy_only(self):
         network = MyrinetMXModel()
