@@ -202,7 +202,13 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
         failed = sorted(set(failed_ranks))
         # Purge not-yet-delivered messages from the failed ranks so the copies
-        # they re-send while re-executing are the only ones left.
+        # they re-send while re-executing are the only ones left.  Survivors'
+        # arrival tracking falls back to what they delivered: a purged
+        # arrived-but-unmatched seq must read as new when it is re-sent.
+        for state in self.rank_state.values():
+            for source in failed:
+                state.arrived_seq[source] = state.recv_seq.get(source, 0)
+                state.stash.pop(source, None)
         self.sim.purge_undelivered_from(set(failed))
         # Each failed rank rolls back alone (its singleton cluster).
         info = self.rollback_clusters(self.clusters_of_ranks(failed))

@@ -279,45 +279,52 @@ class TestNonCompletedReplicas:
         assert len(generate_trace(fault_model, 16)) == 1
         assert record["result"]["status"] == "completed"
 
+    #: A replica that still deadlocks (four strikes at MTBF factor 16, seed 0)
+    #: and what each of its unfinished ranks waits on.
+    STUCK = "efficiency:message-logging:np16:mtbf0.00570496#r5"
+    STUCK_BLOCKED = {
+        "3": "wait(mode=all, n=4)", "6": "wait(mode=all, n=8)", "7": "wait(mode=all, n=6)",
+        "9": "wait(mode=all, n=8)", "10": "wait(mode=all, n=8)", "11": "wait(mode=all, n=6)",
+        "12": "wait(mode=all, n=4)", "13": "wait(mode=all, n=6)", "14": "wait(mode=all, n=6)",
+        "15": "wait(mode=all, n=4)",
+    }
+
     def test_a_deadlock_record_keeps_what_each_unfinished_rank_waits_on(self):
-        # ROADMAP fact 1: one strike is enough to deadlock message logging at
-        # the calmest default MTBF point.  The store row must say which ranks
-        # are stuck and on what, without a re-run.
+        # The store row must say which ranks are stuck and on what, without a
+        # re-run.
         store = ResultsStore()
         run_efficiency_experiment(
-            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=5, store=store
+            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=6, store=store
         )
         by_replica = {
-            record["name"].rpartition("#")[2]: record["result"]
+            record["name"]: record["result"]
             for record in store.records().values() if "#r" in record["name"]
         }
-        stuck = by_replica["r4"]
+        stuck = by_replica[self.STUCK]
         assert stuck["status"] == "deadlock"
-        assert stuck["data"]["blocked"] == {
-            "11": "wait(mode=all, n=6)", "14": "wait(mode=all, n=6)",
-        }
+        assert stuck["data"]["blocked"] == self.STUCK_BLOCKED
         assert sorted(stuck["data"]["blocked"]) == sorted(
             rank for rank, state in stuck["data"]["rank_states"].items() if state != "done"
         )
         # A completed replica's record is what it was: no new key.
-        assert by_replica["r1"]["status"] == "completed"
-        assert sorted(by_replica["r1"]["data"]) == ["rank_states"]
+        completed = by_replica[self.STUCK.replace("#r5", "#r1")]
+        assert completed["status"] == "completed"
+        assert sorted(completed["data"]) == ["rank_states"]
 
     def test_the_blocked_table_diagnoses_a_deadlock_row_from_the_store(self, tmp_path, capsys):
         from repro.campaign.cli import main as campaign_main
 
         path = str(tmp_path / "store.json")
         run_efficiency_experiment(
-            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=5,
+            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=6,
             store=ResultsStore(path),
         )
-        stuck = "efficiency:message-logging:np16:mtbf0.00570496#r4"
         query = ["query", path, "--table", "blocked", "--format", "csv", "--where"]
-        assert campaign_main([*query, f"name={stuck}"]) == 0
+        assert campaign_main([*query, f"name={self.STUCK}"]) == 0
         assert capsys.readouterr().out.strip().splitlines() == [
             "record,status,rank,waits_on",
-            f'{stuck},deadlock,11,"wait(mode=all, n=6)"',
-            f'{stuck},deadlock,14,"wait(mode=all, n=6)"',
+            *(f'{self.STUCK},deadlock,{rank},"{waits_on}"'
+              for rank, waits_on in sorted(self.STUCK_BLOCKED.items(), key=lambda kv: int(kv[0]))),
         ]
         # Completed records have nothing to say.
         assert campaign_main([*query, "status=completed"]) == 0
@@ -332,17 +339,15 @@ class TestNonCompletedReplicas:
     HARSH_SWEEP_COMPLETED = {
         "coordinated": [(1, 1), (8, 8), (8, 8), (63, 63)],
         "hydee": [(1, 1), (8, 8), (8, 8), (49, 63)],
-        "message-logging": [(1, 1), (7, 8), (3, 8), (0, 63)],
+        "message-logging": [(1, 1), (8, 8), (4, 8), (3, 63)],
     }
 
     def test_harsh_mtbf_completion_counts_are_pinned(self):
         from repro.errors import ConfigurationError
-        from repro.faults.trace import generate_trace
-        from repro.scenarios.spec import ScenarioSpec
 
         store = ResultsStore()
         # Every replica record is written before the rows are aggregated,
-        # which is what gives up: message logging completes nothing at factor 2.
+        # which is what gives up: message logging completes nothing at factor 4.
         with pytest.raises(ConfigurationError, match="no completed replicas"):
             run_efficiency_experiment(
                 protocols=tuple(self.HARSH_SWEEP_COMPLETED), mtbf_factors=(2, 4, 8, 16),
