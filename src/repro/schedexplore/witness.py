@@ -10,11 +10,12 @@ from its decisions reproduces the divergent schedule deterministically, on
 any machine, serial or inside a worker pool.
 
 A fresh witness from a random policy typically contains hundreds of
-decisions, almost all irrelevant.  :func:`shrink_witness` greedily drops one
-decision at a time (replaying the rest, FIFO at the dropped tie) and keeps
-each drop that preserves the *same first divergence*, iterating to a fixed
-point.  The result is a minimal-ish reorder -- frequently a single swapped
-pair -- that still triggers the bug, which is the artefact a human debugs.
+decisions, almost all irrelevant.  :func:`shrink_witness` hands them to
+:func:`shrink`, the greedy drop-one loop over any list: it drops one decision
+at a time (replaying the rest, FIFO at the dropped tie) and keeps each drop
+that preserves the *same first divergence*, iterating to a fixed point.
+The result is a minimal-ish reorder -- frequently a single swapped pair --
+that still triggers the bug, which is the artefact a human debugs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass
@@ -93,39 +97,61 @@ def same_divergence(a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]) ->
     return a.get("kind") == b.get("kind") and a.get("index") == b.get("index")
 
 
+def shrink(
+    items: Sequence[T],
+    check: Callable[[List[T]], Optional[R]],
+    max_rounds: int = 4,
+) -> Tuple[List[T], Optional[R]]:
+    """Greedy delta-debug over any list: drop items ``check`` can do without.
+
+    ``check(trial)`` runs the candidate list and returns a result when it
+    still shows what is being shrunk for, ``None`` when it does not.  One
+    round tries dropping each item in turn, the last first (late items are
+    usually consequences, not causes), and keeps every drop ``check``
+    accepts; rounds repeat until a fixed point or ``max_rounds``.  Returns
+    the shrunk list and the result of its last accepted check (``None`` when
+    no drop was accepted).
+    """
+    current = list(items)
+    result: Optional[R] = None
+    for _ in range(max_rounds):
+        dropped_any = False
+        for index in reversed(range(len(current))):
+            trial = current[:index] + current[index + 1:]
+            observed = check(trial)
+            if observed is not None:
+                current, result = trial, observed
+                dropped_any = True
+        if not dropped_any:
+            break
+    return current, result
+
+
 def shrink_witness(
     witness: ScheduleWitness,
     diverges: Callable[[Dict[int, int]], Optional[Dict[str, Any]]],
     max_rounds: int = 4,
 ) -> ScheduleWitness:
-    """Greedy delta-debug: drop decisions whose removal keeps the divergence.
+    """Shrink a witness to the decisions its divergence needs.
 
     ``diverges(decisions)`` re-runs the scenario under a replay of
     ``decisions`` and returns the first-divergence record, or ``None`` when
-    the run matches the baseline.  One round tries dropping each decision in
-    turn (highest tie index first: late reorders are usually consequences,
-    not causes); rounds repeat until a fixed point or ``max_rounds``.  The
-    returned witness's divergence is re-verified against the final decision
-    set, so replaying the shrunk witness reproduces exactly what it claims.
+    the run matches the baseline.  :func:`shrink` drops decisions, highest
+    tie index first, while the *same* first divergence shows.  The returned
+    witness's divergence is the one observed with the final decision set,
+    so replaying the shrunk witness reproduces exactly what it claims.
     """
-    reference = witness.divergence
-    current = dict(witness.decisions)
-    for _ in range(max_rounds):
-        dropped_any = False
-        for key in sorted(current, reverse=True):
-            trial = {k: v for k, v in current.items() if k != key}
-            observed = diverges(trial)
-            if observed is not None and same_divergence(observed, reference):
-                current = trial
-                reference = observed
-                dropped_any = True
-        if not dropped_any:
-            break
+
+    def check(decisions: List[Tuple[int, int]]) -> Optional[Dict[str, Any]]:
+        observed = diverges(dict(decisions))
+        return observed if same_divergence(observed, witness.divergence) else None
+
+    decisions, observed = shrink(sorted(witness.decisions.items()), check, max_rounds)
     return ScheduleWitness(
         policy=witness.policy,
         seed=witness.seed,
-        decisions=current,
-        divergence=reference,
+        decisions=dict(decisions),
+        divergence=witness.divergence if observed is None else observed,
         scenario=witness.scenario,
         original_decisions=witness.original_decisions or len(witness.decisions),
         metadata=dict(witness.metadata),

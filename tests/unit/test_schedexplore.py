@@ -23,6 +23,7 @@ from repro.schedexplore.policies import (
 from repro.schedexplore.witness import (
     ScheduleWitness,
     same_divergence,
+    shrink,
     shrink_witness,
 )
 from repro.simulator.messages import Message
@@ -217,3 +218,26 @@ class TestShrinkWitness:
         shrunk = shrink_witness(self._witness({3: 9, 7: 12}), diverges)
         assert 7 in shrunk.decisions
         assert shrunk.divergence["kind"] == "final-fingerprint"
+
+
+class TestShrink:
+    def test_shrinks_a_plain_list_to_the_item_the_check_needs(self):
+        # A synthetic failure trace: only the strike of rank 11 reproduces
+        # the outcome.  Later items are tried first, so the check sees the
+        # list lose its tail one item at a time.
+        failures = [(0, 0.1), (11, 0.4), (3, 0.5), (14, 0.9)]
+        tried = []
+
+        def check(trial):
+            tried.append(list(trial))
+            return "deadlock" if (11, 0.4) in trial else None
+
+        shrunk, result = shrink(failures, check, max_rounds=4)
+        assert (shrunk, result) == ([(11, 0.4)], "deadlock")
+        assert tried[0] == failures[:-1]
+        # The final round tries dropping the one item left, and keeps it.
+        assert tried[-1] == []
+
+    def test_nothing_to_drop_leaves_the_list_and_no_result(self):
+        shrunk, result = shrink([1, 2], lambda trial: None)
+        assert (shrunk, result) == ([1, 2], None)
