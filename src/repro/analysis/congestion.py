@@ -22,8 +22,8 @@ Scenarios run through the campaign runner under the registered
 (``sim.*`` makespans/rollbacks, ``links.tiers.inter-cluster``,
 ``network.*``) -- so sweeps cache, fan out over workers, and stay
 byte-identical between serial and parallel runs.  The paired rows follow
-the registered :data:`CONGESTION` schema and can be rebuilt from any store
-with ``repro-campaign query STORE --table congestion``.
+the :data:`CONGESTION` schema and can be rebuilt from any store with
+``repro-campaign query STORE --table congestion``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.results.metrics import MetricSet
 from repro.results.query import ResultSet
 from repro.results.run import RunResult, make_payload
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
@@ -48,38 +48,6 @@ from repro.scenarios.spec import (
 
 #: tier key reported by the contention model for the oversubscribed fabric.
 INTER_CLUSTER_TIER = "inter-cluster"
-
-
-def _rows_from_store(resultset: ResultSet) -> List[Row]:
-    return rows_from_resultset(
-        resultset.where(**{"tags.experiment": "congestion-recovery"})
-    )
-
-
-#: Recovery cost of one protocol at one oversubscription factor.
-CONGESTION = register_table(
-    TableSchema(
-        "congestion",
-        columns=(
-            Column("protocol", "str"),
-            Column("oversubscription", "float", header="oversub"),
-            Column("failure_free_makespan_s", "float", units="s", scale=1e3,
-                   format=".3f", header="free_ms"),
-            Column("failed_makespan_s", "float", units="s", scale=1e3,
-                   format=".3f", header="failed_ms"),
-            Column("recovery_seconds", "float", units="s", scale=1e3,
-                   format=".3f", header="recovery_ms"),
-            Column("ranks_rolled_back", "int", header="rolled_back"),
-            Column("replayed_messages", "int", header="replayed"),
-            Column("inter_cluster_wait_s", "float", units="s", scale=1e3,
-                   format=".3f", header="inter_wait_ms"),
-            Column("inter_cluster_bytes", "int", units="B", scale=1e-6,
-                   format=".2f", header="inter_MB"),
-        ),
-        title="Congested recovery: one failure, inter-cluster oversubscription sweep",
-    ),
-    builder=_rows_from_store,
-)
 
 
 # ----------------------------------------------------------------------- job
@@ -185,7 +153,8 @@ def congestion_specs(
 
 # ----------------------------------------------------------------------- rows
 def rows_from_resultset(resultset: ResultSet) -> List[Row]:
-    """Pair the failure-free / failure runs back into :data:`CONGESTION` rows.
+    """Pair the failure-free / failure runs of a congestion campaign back into
+    :data:`CONGESTION` rows (other runs in the set are ignored).
 
     Pairing keys include the workload shape, not just (protocol,
     oversubscription): a store holding several sweeps (e.g. two rank
@@ -193,7 +162,7 @@ def rows_from_resultset(resultset: ResultSet) -> List[Row]:
     the failed makespan of another.
     """
     rows: List[Row] = []
-    groups = resultset.group_by(
+    groups = resultset.where(**{"tags.experiment": "congestion-recovery"}).group_by(
         "tags.protocol", "tags.oversubscription",
         "workload.kind", "workload.nprocs", "workload.iterations",
     )
@@ -244,6 +213,30 @@ def rows_from_resultset(resultset: ResultSet) -> List[Row]:
         )
     rows.sort(key=lambda row: (row.protocol, row.oversubscription))
     return rows
+
+
+#: Recovery cost of one protocol at one oversubscription factor.
+CONGESTION = TableSchema(
+    "congestion",
+    columns=(
+        Column("protocol", "str"),
+        Column("oversubscription", "float", header="oversub"),
+        Column("failure_free_makespan_s", "float", units="s", scale=1e3,
+               format=".3f", header="free_ms"),
+        Column("failed_makespan_s", "float", units="s", scale=1e3,
+               format=".3f", header="failed_ms"),
+        Column("recovery_seconds", "float", units="s", scale=1e3,
+               format=".3f", header="recovery_ms"),
+        Column("ranks_rolled_back", "int", header="rolled_back"),
+        Column("replayed_messages", "int", header="replayed"),
+        Column("inter_cluster_wait_s", "float", units="s", scale=1e3,
+               format=".3f", header="inter_wait_ms"),
+        Column("inter_cluster_bytes", "int", units="B", scale=1e-6,
+               format=".2f", header="inter_MB"),
+    ),
+    title="Congested recovery: one failure, inter-cluster oversubscription sweep",
+    rows=rows_from_resultset,
+)
 
 
 # ------------------------------------------------------------------ reporting

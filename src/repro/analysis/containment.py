@@ -18,7 +18,7 @@ per-rank results to compare against the reference), so the campaign runs
 with ``keep_artifacts=True`` and per-event tracing enabled, and records are
 not cached; protocol counters are read from each result's
 :class:`~repro.results.metrics.MetricSet` (``protocol.*``), never from raw
-stat dicts.  The row layout is the registered :data:`CONTAINMENT` schema.
+stat dicts.  The row layout is the :data:`CONTAINMENT` schema.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.campaign.runner import run_campaign
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.build import to_network_spec
 from repro.scenarios.spec import (
     ClusteringSpec,
@@ -39,26 +39,24 @@ from repro.simulator.network import NetworkModel
 from repro.simulator.trace import compare_send_sequences
 
 #: Outcome of one protocol's recovery from one failure scenario.  Live-only
-#: (needs traces), so the schema registers without a store builder.
-CONTAINMENT = register_table(
-    TableSchema(
-        "containment",
-        columns=(
-            Column("protocol", "str"),
-            Column("failed_ranks", "str", header="failed"),
-            Column("ranks_rolled_back", "int", header="rolled_back"),
-            Column("rolled_back_pct", "float", units="%", format=".1f"),
-            Column("replayed_messages", "int", header="replayed"),
-            Column("suppressed_orphans", "int", header="orphans"),
-            Column("logged_bytes", "int", units="B", scale=1e-6, format=".2f",
-                   header="logged_MB"),
-            Column("recovery_time_s", "float", units="s", scale=1e3, format=".3f",
-                   header="recovery_ms"),
-            Column("results_match_reference", "bool", header="correct"),
-            Column("send_sequences_match", "bool", header="send_det"),
-        ),
-        title="Failure containment: one failure, same workload, different protocols",
-    )
+#: (needs traces), so the schema has no row builder.
+CONTAINMENT = TableSchema(
+    "containment",
+    columns=(
+        Column("protocol", "str"),
+        Column("failed_ranks", "str", header="failed"),
+        Column("ranks_rolled_back", "int", header="rolled_back"),
+        Column("rolled_back_pct", "float", units="%", format=".1f"),
+        Column("replayed_messages", "int", header="replayed"),
+        Column("suppressed_orphans", "int", header="orphans"),
+        Column("logged_bytes", "int", units="B", scale=1e-6, format=".2f",
+               header="logged_MB"),
+        Column("recovery_time_s", "float", units="s", scale=1e3, format=".3f",
+               header="recovery_ms"),
+        Column("results_match_reference", "bool", header="correct"),
+        Column("send_sequences_match", "bool", header="send_det"),
+    ),
+    title="Failure containment: one failure, same workload, different protocols",
 )
 
 

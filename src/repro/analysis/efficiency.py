@@ -27,7 +27,7 @@ workload sizes; the same absolute ``mtbf_s``/``horizon_s`` values go into
 every protocol's fault model, which makes replica ``i`` draw the *same
 failure trace* for every protocol -- a paired comparison.
 
-Rows follow the registered :data:`EFFICIENCY` schema and can be rebuilt
+Rows follow the :data:`EFFICIENCY` schema and can be rebuilt
 from any store with ``repro-campaign query STORE --table efficiency``.
 """
 
@@ -42,50 +42,13 @@ from repro.faults.montecarlo import aggregate_metrics, run_montecarlo
 from repro.faults.spec import FaultModelSpec
 from repro.results.query import ResultSet
 from repro.results.run import RunResult
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.spec import ClusteringSpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 
 EXPERIMENT_TAG = "efficiency-mtbf"
 
 #: protocols with a cluster structure (get the block clustering).
 _CLUSTERED_PROTOCOLS = ("hydee", "hydee-log-all", "hybrid-event-logging")
-
-
-def _rows_from_store(resultset: ResultSet) -> List[Row]:
-    return rows_from_resultset(resultset)
-
-
-#: Monte Carlo efficiency of one protocol at one MTBF point.
-EFFICIENCY = register_table(
-    TableSchema(
-        "efficiency",
-        columns=(
-            Column("protocol", "str"),
-            Column("nprocs", "int"),
-            Column("mtbf_s", "float", units="s", scale=1e3, format=".3f",
-                   header="mtbf_ms"),
-            Column("replicas", "int"),
-            Column("completed_replicas", "int", header="ok"),
-            Column("free_makespan_s", "float", units="s", scale=1e3,
-                   format=".3f", header="free_ms"),
-            Column("failed_makespan_s", "float", units="s", scale=1e3,
-                   format=".3f", header="failed_ms"),
-            Column("failed_makespan_ci95_s", "float", units="s", scale=1e3,
-                   format=".3f", header="ci95_ms"),
-            Column("efficiency", "float", format=".3f"),
-            Column("wasted_work_s", "float", units="s", scale=1e6,
-                   format=".2f", header="wasted_us"),
-            Column("recovery_s", "float", units="s", scale=1e3,
-                   format=".3f", header="recovery_ms"),
-            Column("failures_mean", "float", format=".2f", header="failures"),
-            Column("ranks_rolled_back_mean", "float", format=".2f",
-                   header="rolled_back"),
-        ),
-        title="Efficiency vs MTBF: Monte Carlo fault campaigns "
-              "(wasted work and recovery, mean over replicas)",
-    ),
-    builder=_rows_from_store,
-)
 
 
 # ---------------------------------------------------------------------- specs
@@ -239,6 +202,37 @@ def rows_from_resultset(resultset: ResultSet) -> List[Row]:
         )
     rows.sort(key=lambda row: (row.protocol, row.nprocs, row.mtbf_s))
     return rows
+
+
+#: Monte Carlo efficiency of one protocol at one MTBF point.
+EFFICIENCY = TableSchema(
+    "efficiency",
+    columns=(
+        Column("protocol", "str"),
+        Column("nprocs", "int"),
+        Column("mtbf_s", "float", units="s", scale=1e3, format=".3f",
+               header="mtbf_ms"),
+        Column("replicas", "int"),
+        Column("completed_replicas", "int", header="ok"),
+        Column("free_makespan_s", "float", units="s", scale=1e3,
+               format=".3f", header="free_ms"),
+        Column("failed_makespan_s", "float", units="s", scale=1e3,
+               format=".3f", header="failed_ms"),
+        Column("failed_makespan_ci95_s", "float", units="s", scale=1e3,
+               format=".3f", header="ci95_ms"),
+        Column("efficiency", "float", format=".3f"),
+        Column("wasted_work_s", "float", units="s", scale=1e6,
+               format=".2f", header="wasted_us"),
+        Column("recovery_s", "float", units="s", scale=1e3,
+               format=".3f", header="recovery_ms"),
+        Column("failures_mean", "float", format=".2f", header="failures"),
+        Column("ranks_rolled_back_mean", "float", format=".2f",
+               header="rolled_back"),
+    ),
+    title="Efficiency vs MTBF: Monte Carlo fault campaigns "
+          "(wasted work and recovery, mean over replicas)",
+    rows=rows_from_resultset,
+)
 
 
 # ----------------------------------------------------------------- experiment

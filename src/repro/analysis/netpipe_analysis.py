@@ -10,10 +10,11 @@ Three configurations are measured over a sweep of message sizes:
 
 The closed-form model of :mod:`repro.analysis.perf_model`
 (``analytic_pingpong_series``) predicts the same series; the ``figure5``
-experiment checks the simulated sweep against it.  The per-size measurements are read through :class:`~repro.results.run.RunResult`
-(``data["rank_results"]``), and the printed series follow the registered
-:data:`NETPIPE` table schema, so ``repro-campaign query STORE --table
-netpipe`` rebuilds the Figure 5 series from a cached store.
+experiment checks the simulated sweep against it.  The per-size
+measurements are read through :class:`~repro.results.run.RunResult`
+(``data["rank_results"]``), and the printed series follow the
+:data:`NETPIPE` table schema, whose row builder lets ``repro-campaign query
+STORE --table netpipe`` rebuild the Figure 5 series from a cached store.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.results.query import ResultSet
 from repro.results.run import RunResult
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.spec import (
     ClusteringSpec,
     ProtocolSpec,
@@ -31,32 +32,6 @@ from repro.scenarios.spec import (
     WorkloadSpec,
 )
 from repro.simulator.network import netpipe_sizes
-
-
-def _rows_from_store(resultset: ResultSet) -> List[Row]:
-    return result_from_resultset(resultset).rows()
-
-
-#: One NetPIPE size point: latency/bandwidth change vs native, in percent.
-NETPIPE = register_table(
-    TableSchema(
-        "netpipe",
-        columns=(
-            Column("bytes", "int"),
-            Column("lat_no_log_pct", "float", units="%", format=".2f",
-                   header="lat% no-log"),
-            Column("lat_log_pct", "float", units="%", format=".2f",
-                   header="lat% log"),
-            Column("bw_no_log_pct", "float", units="%", format=".2f",
-                   header="bw% no-log"),
-            Column("bw_log_pct", "float", units="%", format=".2f",
-                   header="bw% log"),
-        ),
-        title="Figure 5 -- ping-pong performance change vs native MPICH2 "
-              "(negative = overhead)",
-    ),
-    builder=_rows_from_store,
-)
 
 
 @dataclass
@@ -157,7 +132,7 @@ def _measurements(run: RunResult) -> Dict[str, Dict[str, float]]:
     return run.data["rank_results"]["0"]["measurements"]
 
 
-def result_from_resultset(resultset: ResultSet) -> NetpipeResult:
+def netpipe_rows(resultset: ResultSet) -> List[Row]:
     """Rebuild the three Figure 5 series from figure5-tagged runs.
 
     Refuses a result set mixing several netpipe sweeps (different size
@@ -191,5 +166,24 @@ def result_from_resultset(resultset: ResultSet) -> NetpipeResult:
         ]
     if result is None:
         result = NetpipeResult(sizes=[])
-    return result
+    return result.rows()
 
+
+#: One NetPIPE size point: latency/bandwidth change vs native, in percent.
+NETPIPE = TableSchema(
+    "netpipe",
+    columns=(
+        Column("bytes", "int"),
+        Column("lat_no_log_pct", "float", units="%", format=".2f",
+               header="lat% no-log"),
+        Column("lat_log_pct", "float", units="%", format=".2f",
+               header="lat% log"),
+        Column("bw_no_log_pct", "float", units="%", format=".2f",
+               header="bw% no-log"),
+        Column("bw_log_pct", "float", units="%", format=".2f",
+               header="bw% log"),
+    ),
+    title="Figure 5 -- ping-pong performance change vs native MPICH2 "
+          "(negative = overhead)",
+    rows=netpipe_rows,
+)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.clustering.presets import FIGURE6_PAPER_OVERHEAD
 from repro.results.query import ResultSet
-from repro.results.tables import Column, Row, TableSchema, pivot_rows, register_table
+from repro.results.tables import Column, Row, TableSchema, pivot_rows
 from repro.scenarios.spec import (
     ClusteringSpec,
     ProtocolSpec,
@@ -61,23 +61,21 @@ def _rows_from_store(resultset: ResultSet) -> List[Row]:
 
 
 #: One Figure 6 bar: a benchmark under one protocol configuration.
-FIGURE6 = register_table(
-    TableSchema(
-        "figure6",
-        columns=(
-            Column("benchmark", "str", header="bench", display=str.upper),
-            Column("nprocs", "int"),
-            Column("iterations", "int"),
-            Column("config", "str"),
-            Column("makespan_s", "float", units="s", scale=1e3, format=".3f",
-                   header="makespan_ms"),
-            Column("normalized", "float", format=".4f"),
-            Column("logged_fraction", "float", units="ratio", scale=100.0,
-                   format=".1f", header="logged %"),
-        ),
-        title="Figure 6 -- NAS failure-free execution time normalized to native MPICH2",
+FIGURE6 = TableSchema(
+    "figure6",
+    columns=(
+        Column("benchmark", "str", header="bench", display=str.upper),
+        Column("nprocs", "int"),
+        Column("iterations", "int"),
+        Column("config", "str"),
+        Column("makespan_s", "float", units="s", scale=1e3, format=".3f",
+               header="makespan_ms"),
+        Column("normalized", "float", format=".4f"),
+        Column("logged_fraction", "float", units="ratio", scale=100.0,
+               format=".1f", header="logged %"),
     ),
-    builder=_rows_from_store,
+    title="Figure 6 -- NAS failure-free execution time normalized to native MPICH2",
+    rows=_rows_from_store,
 )
 
 
@@ -130,8 +128,6 @@ def by_config(rows: Sequence[Row], benchmark: Optional[str] = None) -> Dict[str,
 
 def render_figure6(rows: Sequence[Row]) -> str:
     """One line per benchmark, one column per config, then the paper's bars."""
-    from repro.analysis.reporting import format_dict_table
-
     configs: List[str] = []
     for row in rows:
         if row.config not in configs:
@@ -153,9 +149,8 @@ def render_figure6(rows: Sequence[Row]) -> str:
             round(100.0 * hydee.logged_fraction, 1) if hydee is not None else "-"
         )
         display.append(out)
-    columns = ["bench", "nprocs"] + [f"{c} (norm.)" for c in configs] + ["hydee logged %"]
     lines = [
-        format_dict_table(display, columns=columns, title=FIGURE6.title),
+        TableSchema.of_rows(display, title=FIGURE6.title).render_text(display),
         "",
         "Paper reference points (normalized time read off Figure 6):",
     ]

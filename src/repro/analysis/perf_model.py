@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.results.query import ResultSet
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, WorkloadSpec
 from repro.simulator.network import (
     MyrinetMXModel,
@@ -191,17 +191,15 @@ def _percent(name: str) -> Column:
 
 
 #: One size point of ablation E5: overhead per policy, in % of native.
-PIGGYBACK = register_table(
-    TableSchema(
-        "piggyback-policy",
-        columns=(
-            Column("bytes", "float", units="B"),
-            *(_percent(f"{policy.value}_pct") for policy in PiggybackPolicy),
-            _percent("logging_extra_pct"),
-        ),
-        title="Piggyback policy ablation -- one-way overhead vs native (percent)",
+PIGGYBACK = TableSchema(
+    "piggyback-policy",
+    columns=(
+        Column("bytes", "float", units="B"),
+        *(_percent(f"{policy.value}_pct") for policy in PiggybackPolicy),
+        _percent("logging_extra_pct"),
     ),
-    builder=_rows_from_store,
+    title="Piggyback policy ablation -- one-way overhead vs native (percent)",
+    rows=_rows_from_store,
 )
 
 

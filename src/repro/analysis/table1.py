@@ -16,9 +16,10 @@ cluster-count frontier sweep of ablation E6 is the ``cluster-sweep``
 analysis in the same fashion), so whole-table builds parallelise and cache
 like any other campaign.
 
-Rows follow the registered :data:`TABLE1` / :data:`CLUSTER_SWEEP` schemas
-(:mod:`repro.results.tables`): ``repro-campaign query STORE --table table1``
-rebuilds the printed table from any cached store.
+Rows follow the :data:`TABLE1` / :data:`CLUSTER_SWEEP` schemas
+(:mod:`repro.results.tables`), which carry their row builders:
+``repro-campaign query STORE --table table1`` rebuilds the printed table
+from any cached store.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.campaign.jobs import jsonify
 from repro.results.metrics import MetricSet
 from repro.results.query import ResultSet
 from repro.results.run import make_payload
-from repro.results.tables import Column, Row, TableSchema, register_table
+from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.build import build_application
 from repro.scenarios.spec import ClusteringSpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 from repro.workloads.nas import NAS_BENCHMARKS
@@ -55,41 +56,37 @@ def _sweep_rows_from_store(resultset: ResultSet) -> List[Row]:
 
 
 #: One row of Table I (measured next to the paper's reference values).
-TABLE1 = register_table(
-    TableSchema(
-        "table1",
-        columns=(
-            Column("benchmark", "str", header="bench", display=str.upper),
-            Column("num_clusters", "int", header="clusters"),
-            Column("rollback_pct", "float", units="%", format=".2f", header="rollback %"),
-            Column("paper_rollback_pct", "float", units="%", optional=True, header="paper %"),
-            Column("logged_pct", "float", units="%", format=".2f", header="logged %"),
-            Column("paper_logged_pct", "float", units="%", optional=True, header="paper %"),
-            Column("logged_gb", "float", units="GB", format=".1f", header="logged GB"),
-            Column("total_gb", "float", units="GB", format=".1f", header="total GB"),
-            Column("paper_logged_gb", "float", units="GB", optional=True, header="paper log GB"),
-            Column("paper_total_gb", "float", units="GB", optional=True, header="paper total GB"),
-            Column("method", "str"),
-        ),
-        title="Table I -- application clustering on 256 processes (measured vs paper)",
+TABLE1 = TableSchema(
+    "table1",
+    columns=(
+        Column("benchmark", "str", header="bench", display=str.upper),
+        Column("num_clusters", "int", header="clusters"),
+        Column("rollback_pct", "float", units="%", format=".2f", header="rollback %"),
+        Column("paper_rollback_pct", "float", units="%", optional=True, header="paper %"),
+        Column("logged_pct", "float", units="%", format=".2f", header="logged %"),
+        Column("paper_logged_pct", "float", units="%", optional=True, header="paper %"),
+        Column("logged_gb", "float", units="GB", format=".1f", header="logged GB"),
+        Column("total_gb", "float", units="GB", format=".1f", header="total GB"),
+        Column("paper_logged_gb", "float", units="GB", optional=True, header="paper log GB"),
+        Column("paper_total_gb", "float", units="GB", optional=True, header="paper total GB"),
+        Column("method", "str"),
     ),
-    builder=_rows_from_store,
+    title="Table I -- application clustering on 256 processes (measured vs paper)",
+    rows=_rows_from_store,
 )
 
 #: The cluster-count frontier of ablation E6 (rollback vs logged volume).
-CLUSTER_SWEEP = register_table(
-    TableSchema(
-        "cluster-sweep",
-        columns=(
-            Column("clusters", "int"),
-            Column("rollback_pct", "float", units="%"),
-            Column("logged_pct", "float", units="%"),
-            Column("logged_gb", "float", units="GB"),
-            Column("method", "str"),
-        ),
-        title="Cluster-count sweep (rollback vs logged volume)",
+CLUSTER_SWEEP = TableSchema(
+    "cluster-sweep",
+    columns=(
+        Column("clusters", "int"),
+        Column("rollback_pct", "float", units="%"),
+        Column("logged_pct", "float", units="%"),
+        Column("logged_gb", "float", units="GB"),
+        Column("method", "str"),
     ),
-    builder=_sweep_rows_from_store,
+    title="Cluster-count sweep (rollback vs logged volume)",
+    rows=_sweep_rows_from_store,
 )
 
 

@@ -40,6 +40,8 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultsStore
 from repro.errors import ReproError
 from repro.fslock import atomic_write_json
+from repro.results.query import ResultSet
+from repro.results.tables import TableSchema
 from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, WorkloadSpec, load_specs
 from repro.scenarios.sweep import sweep
 
@@ -168,15 +170,10 @@ def _parse_filters(pairs: Sequence[str]) -> Dict[str, Any]:
 
 
 def _query(args: argparse.Namespace) -> int:
-    # Importing the analysis package registers every table schema.
-    import repro.analysis  # noqa: F401
-    from repro.results.tables import available_tables, build_table, get_table
-
     if args.list_tables:
-        for name in available_tables():
-            registered = get_table(name)
-            derivable = "" if registered.builder is not None else "  (live-only)"
-            print(f"{name:16s} {registered.schema.title}{derivable}")
+        for name, schema in sorted(_tables().items()):
+            derivable = "" if schema.rows is not None else "  (live-only)"
+            print(f"{name:16s} {schema.title}{derivable}")
         return 0
     if not args.stores:
         raise ReproError("query needs at least one results-store file")
@@ -190,13 +187,21 @@ def _query(args: argparse.Namespace) -> int:
             raise ReproError(f"results store {path!r} does not exist")
     stores = [ResultsStore(path) for path in args.stores]
 
-    from repro.results.query import ResultSet
-
     resultset = ResultSet.from_store(*stores).where(**_parse_filters(args.where))
 
     if args.table:
-        schema, rows = build_table(args.table, resultset)
-        print(schema.render(rows, fmt=args.fmt))
+        tables = _tables()
+        if args.table not in tables:
+            raise ReproError(
+                f"unknown table {args.table!r}; registered: {', '.join(sorted(tables))}"
+            )
+        schema = tables[args.table]
+        if schema.rows is None:
+            raise ReproError(
+                f"table {args.table!r} cannot be derived from a results store "
+                "(it needs live simulation artifacts)"
+            )
+        print(schema.render(schema.rows(resultset), fmt=args.fmt))
         return 0
 
     if args.pivot:
@@ -219,27 +224,25 @@ def _query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_plain_rows(rows: List[Dict[str, Any]], fmt: str = "text",
-                      title: Optional[str] = None) -> None:
-    from repro.analysis.reporting import format_dict_table
+def _tables() -> Dict[str, TableSchema]:
+    # Imported on use: only --table and --list-tables need the analysis layer.
+    from repro.analysis import TABLES
 
+    return TABLES
+
+
+def _print_plain_rows(rows: List[Dict[str, Any]], fmt: str = "text",
+                      title: str = "") -> None:
+    """Rows of a selection, pivot or summary: their keys are the columns."""
     if fmt == "json":
+        # Each row keeps only the keys it has (a pivot cell a row lacks is
+        # absent, not null), unlike a schema's rows.
         json.dump(rows, sys.stdout, indent=1, sort_keys=False)
         print()
-        return
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    if fmt == "csv":
-        import csv
-
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    print(format_dict_table(rows, columns=columns, title=title))
+    elif fmt == "csv":
+        sys.stdout.write(TableSchema.of_rows(rows).render_csv(rows))
+    else:
+        print(TableSchema.of_rows(rows, title=title).render_text(rows))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,6 +21,8 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 from repro.campaign.jobs import analysis_of, resolve_analysis
 from repro.campaign.store import ResultsStore
 from repro.errors import ConfigurationError
+from repro.results.query import ResultSet
+from repro.results.tables import TableSchema
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -63,42 +65,22 @@ class CampaignResult:
     workers: int = 1
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    def results(self) -> "Any":
+    def results(self) -> ResultSet:
         """The records as a queryable :class:`~repro.results.query.ResultSet`."""
-        from repro.results.query import ResultSet
-
         return ResultSet.from_campaign(self)
 
     def summary_table(self, title: Optional[str] = None) -> str:
-        # Imported lazily: the analysis package itself builds on the campaign
-        # runner, so a module-level import would be circular.
-        from repro.analysis.reporting import format_dict_table
-        from repro.results.run import RunResult
-
-        rows = []
-        for spec, record in zip(self.specs, self.records):
-            run = RunResult.from_record(record, strict=False)
-            makespan = run.metric("sim.makespan")
-            rows.append(
-                {
-                    "name": run.name,
-                    "scenario": spec.describe(),
-                    "analysis": run.analysis,
-                    "status": run.status,
-                    "makespan_ms": (
-                        round(makespan * 1e3, 3)
-                        if isinstance(makespan, (int, float))
-                        else "-"
-                    ),
-                    "hash": run.spec_hash,
-                }
-            )
-        return format_dict_table(
+        """The query summary rows, each with its scenario next to its name."""
+        runs = ResultSet.from_records(self.records, strict=False)
+        rows = [
+            {"name": row.pop("name"), "scenario": spec.describe(), **row}
+            for spec, row in zip(self.specs, runs.summary_rows())
+        ]
+        return TableSchema.of_rows(
             rows,
-            columns=["name", "scenario", "analysis", "status", "makespan_ms", "hash"],
             title=title or f"Campaign: {len(self.records)} scenarios "
             f"({self.executed} executed, {self.shared} shared, {self.cache_hits} cached)",
-        )
+        ).render_text(rows)
 
 
 def run_campaign(

@@ -4,10 +4,10 @@ An entry states *what* to run once -- the keyword signature of its ``run``
 is the parameter list -- and everything else is derived from it by
 :mod:`repro.experiments.runner`: the command-line flags, the timed
 ``BENCH_<name>.json`` report and the paper-claim check.  Where reproducing
-an artefact is "declare the specs, run the campaign, build the registered
-table", :func:`campaign` does the forwarding and the entry only names the
-spec factory and the table; a custom ``run`` is kept where there is real
-work (multi-phase, live artifacts, self-timed phases).
+an artefact is "declare the specs, run the campaign, build the table's
+rows", :func:`campaign` does the forwarding and the entry only names the
+spec factory and the table schema; a custom ``run`` is kept where there is
+real work (multi-phase, live artifacts, self-timed phases).
 """
 
 from __future__ import annotations
@@ -18,25 +18,31 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.congestion import congestion_specs, recovery_divergence, render_congestion
+from repro.analysis.congestion import (
+    CONGESTION,
+    congestion_specs,
+    recovery_divergence,
+    render_congestion,
+)
 from repro.analysis.containment import CONTAINMENT, run_containment_experiment
 from repro.analysis.efficiency import (
+    EFFICIENCY,
     containment_holds,
     render_efficiency,
     run_efficiency_experiment,
     wasted_work_by_protocol,
 )
-from repro.analysis.netpipe_analysis import netpipe_specs
-from repro.analysis.overhead import figure6_specs, render_figure6
-from repro.analysis.perf_model import analytic_pingpong_series, piggyback_spec
-from repro.analysis.table1 import CLUSTER_SWEEP, cluster_sweep_spec, table1_specs
+from repro.analysis.netpipe_analysis import NETPIPE, netpipe_specs
+from repro.analysis.overhead import FIGURE6, figure6_specs, render_figure6
+from repro.analysis.perf_model import PIGGYBACK, analytic_pingpong_series, piggyback_spec
+from repro.analysis.table1 import CLUSTER_SWEEP, TABLE1, cluster_sweep_spec, table1_specs
 from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultsStore
 from repro.clustering.presets import TABLE1_PAPER_VALUES
 from repro.errors import ConfigurationError
 from repro.experiments.timed import ff_coverage, hybrid_speedup, schedule_explore
 from repro.results.query import ResultSet
-from repro.results.tables import Row, build_table, get_table
+from repro.results.tables import Row, TableSchema
 from repro.scenarios.spec import ScenarioSpec
 
 Rows = Sequence[Row]
@@ -51,7 +57,8 @@ class Experiment:
     and its first line the summary ``repro-experiment list`` prints.
     ``render(result, params)`` is the printed text, ``checks(result)`` the
     paper claim as named booleans, and ``summary(result, elapsed_s)`` the
-    JSON fields of the ``--report`` file.
+    JSON fields of the ``--report`` file.  ``table`` is the schema of the
+    rows an entry returns (``None`` for the self-timed reports).
     """
 
     name: str
@@ -60,16 +67,17 @@ class Experiment:
     render: Callable[[Any, Mapping[str, Any]], str]
     checks: Callable[[Any], Dict[str, bool]]
     summary: Callable[[Any, float], Dict[str, Any]]
+    table: Optional[TableSchema] = None
 
     @property
     def title(self) -> str:
         return inspect.cleandoc(self.run.__doc__ or "").splitlines()[0]
 
 
-def campaign(specs: Callable[..., Any], table: str) -> Callable[..., List[Row]]:
+def campaign(specs: Callable[..., Any], table: TableSchema) -> Callable[..., List[Row]]:
     """A ``run`` that forwards its parameters to the spec factory ``specs``,
     the declared scenario(s) to the campaign runner, and the records to the
-    registered ``table`` builder.  Its signature is the factory's plus the
+    ``table``'s row builder.  Its signature is the factory's plus the
     runner-owned ``workers`` and ``store``."""
 
     def run(*, workers: int = 1, store: Optional[ResultsStore] = None, **params: Any) -> List[Row]:
@@ -79,7 +87,7 @@ def campaign(specs: Callable[..., Any], table: str) -> Callable[..., List[Row]]:
             workers=workers,
             store=store,
         )
-        return build_table(table, ResultSet.from_campaign(outcome))[1]
+        return table.rows(ResultSet.from_campaign(outcome))
 
     runner_owned = [
         p for p in inspect.signature(run).parameters.values() if p.kind is p.KEYWORD_ONLY
@@ -100,18 +108,18 @@ def _table_entry(
     name: str,
     artefact: str,
     specs: Callable[..., Any],
-    table: str,
+    table: TableSchema,
     checks: Callable[[Rows], Dict[str, bool]],
     render: Optional[Callable[[Rows, Mapping[str, Any]], str]] = None,
 ) -> Experiment:
-    schema = get_table(table).schema
     return Experiment(
         name,
         artefact,
         run=campaign(specs, table),
-        render=render or (lambda rows, _params: schema.render_text(rows)),
+        render=render or (lambda rows, _params: table.render_text(rows)),
         checks=checks,
         summary=_rows_summary,
+        table=table,
     )
 
 
@@ -270,10 +278,10 @@ def _ff_coverage_checks(report: Dict[str, Any]) -> Dict[str, bool]:
 EXPERIMENTS: Dict[str, Experiment] = {
     entry.name: entry
     for entry in (
-        _table_entry("table1", "Table I", table1_specs, "table1", _table1_checks),
-        _table_entry("figure5", "Figure 5", netpipe_specs, "netpipe", _figure5_checks),
+        _table_entry("table1", "Table I", table1_specs, TABLE1, _table1_checks),
+        _table_entry("figure5", "Figure 5", netpipe_specs, NETPIPE, _figure5_checks),
         _table_entry(
-            "figure6", "Figure 6", figure6_specs, "figure6", _figure6_checks,
+            "figure6", "Figure 6", figure6_specs, FIGURE6, _figure6_checks,
             render=lambda rows, _params: render_figure6(rows),
         ),
         Experiment(
@@ -283,9 +291,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
             render=lambda rows, _params: CONTAINMENT.render_text(rows),
             checks=_containment_checks,
             summary=_rows_summary,
+            table=CONTAINMENT,
         ),
         _table_entry(
-            "congestion-recovery", "extension (topology)", congestion_specs, "congestion",
+            "congestion-recovery", "extension (topology)", congestion_specs, CONGESTION,
             _congestion_checks, render=lambda rows, _params: render_congestion(rows),
         ),
         Experiment(
@@ -295,13 +304,14 @@ EXPERIMENTS: Dict[str, Experiment] = {
             render=lambda rows, _params: render_efficiency(rows),
             checks=lambda rows: {"containment_holds": containment_holds(rows)},
             summary=_efficiency_summary,
+            table=EFFICIENCY,
         ),
         _table_entry(
-            "ablation-piggyback", "Section V-A", piggyback_spec, "piggyback-policy",
+            "ablation-piggyback", "Section V-A", piggyback_spec, PIGGYBACK,
             _piggyback_checks,
         ),
         _table_entry(
-            "ablation-clusters", "Section V-B", cluster_sweep_spec, "cluster-sweep",
+            "ablation-clusters", "Section V-B", cluster_sweep_spec, CLUSTER_SWEEP,
             _cluster_sweep_checks,
             render=lambda rows, params: CLUSTER_SWEEP.render_text(
                 rows,

@@ -3,7 +3,7 @@
 Exit codes: 0 clean, 1 findings reported, 2 usage error.  ``--format
 json`` emits a machine-readable report (consumed by the campaign-service
 tooling); ``--list-rules`` prints the contract table straight from the
-rule registry.
+rule list.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Rule registry.
+"""Rule base class and the rule list.
 
-Every rule is a subclass of :class:`Rule` decorated with ``@register``.  A
-rule declares its id (``RLxx``), a one-line invariant, and a rationale tying
-the invariant back to reproducibility; ``repro-lint --list-rules`` prints
+Every rule is a subclass of :class:`Rule` listed in
+:data:`repro.lint.rules.RULES`.  A rule declares its id (``RLxx``), a
+one-line invariant, and a rationale tying the invariant back to
+reproducibility; ``repro-lint --list-rules`` prints
 exactly these fields, so they double as the user-facing contract table.
 
 A rule is one per-file pass: ``check_module(ctx)`` sees one
@@ -11,13 +12,10 @@ A rule is one per-file pass: ``check_module(ctx)`` sees one
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import List
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-
-_REGISTRY: Dict[str, "Rule"] = {}
-
 
 class Rule:
     """Base class for determinism-contract rules."""
@@ -34,15 +32,9 @@ class Rule:
         return Finding(rule=self.id, path=ctx.path, line=line, col=col, message=message)
 
 
-def register(cls: Type[Rule]) -> Type[Rule]:
-    if cls.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.id}")
-    _REGISTRY[cls.id] = cls()
-    return cls
-
-
 def all_rules() -> List[Rule]:
-    """Registered rules in id order."""
-    import repro.lint.rules  # noqa: F401  (populates the registry)
+    """Every rule, in id order."""
+    # Imported on use: the rule modules import this one for :class:`Rule`.
+    from repro.lint.rules import RULES
 
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
+    return sorted(RULES, key=lambda rule: rule.id)

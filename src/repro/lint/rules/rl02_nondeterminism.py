@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.lint.config import RNG_FACTORY_MODULES
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.registry import Rule
 
 _BANNED = frozenset(
     {
@@ -123,7 +123,6 @@ def _source_violation(resolved: str, in_rng_factory: bool) -> Optional[str]:
     return None
 
 
-@register
 class NondeterminismSourceRule(Rule):
     id = "RL02"
     name = "nondeterminism-sources"

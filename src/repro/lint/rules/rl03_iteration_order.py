@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.registry import Rule
 
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
@@ -101,7 +101,6 @@ def _is_dynamic_namespace_view(node: ast.AST) -> bool:
     )
 
 
-@register
 class IterationOrderRule(Rule):
     id = "RL03"
     name = "iteration-order-hazards"

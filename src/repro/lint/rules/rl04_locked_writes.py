@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro.lint.config import module_is_guarded_write
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.registry import Rule
 
 _WRITE_MODE_CHARS = set("wax+")
 
@@ -38,7 +38,6 @@ def _open_mode(call: ast.Call) -> Optional[str]:
     return None
 
 
-@register
 class LockedWriteRule(Rule):
     id = "RL04"
     name = "locked-write-discipline"

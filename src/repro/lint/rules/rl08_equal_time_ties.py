@@ -26,7 +26,7 @@ from typing import List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.registry import Rule
 
 _SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post"})
 
@@ -77,7 +77,6 @@ def _uses_names(expr: ast.AST, loop_names: Set[str]) -> bool:
     )
 
 
-@register
 class EqualTimeTieRule(Rule):
     id = "RL08"
     name = "equal-time-tie-break"

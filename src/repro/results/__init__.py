@@ -12,41 +12,28 @@ The package has three layers:
   metrics`) and :class:`RunResult` (:mod:`repro.results.run`): one typed
   contract for everything a run reports, with strict JSON round-trips;
 * **tables** -- :class:`Column` / :class:`TableSchema` / :class:`Row`
-  (:mod:`repro.results.tables`): a declarative registry the analysis
-  modules register their paper tables into (validation, stable column
-  order, text/CSV/JSON rendering);
+  (:mod:`repro.results.tables`): a table is one schema value carrying its
+  columns, title and the builder of its rows from stored records; it
+  validates rows and is the one text/CSV/JSON renderer.  The analysis
+  modules declare the paper's tables and :data:`repro.analysis.TABLES`
+  lists them by name;
 * **query** -- :class:`ResultSet` (:mod:`repro.results.query`): filtering
   on spec fields, dotted-path metric selection, group-by/pivot and
   baseline-comparison helpers over campaign outcomes and stores.
 """
 
-from repro.results.metrics import Metric, MetricSet, units_for
+from repro.results.metrics import MetricSet, units_for
 from repro.results.run import RunResult, make_payload
-from repro.results.tables import (
-    Column,
-    Row,
-    TableSchema,
-    available_tables,
-    build_table,
-    get_table,
-    pivot_rows,
-    register_table,
-)
+from repro.results.tables import Column, TableSchema, pivot_rows
 from repro.results.query import ResultSet
 
 __all__ = [
     "Column",
-    "Metric",
     "MetricSet",
     "ResultSet",
-    "Row",
     "RunResult",
     "TableSchema",
-    "available_tables",
-    "build_table",
-    "get_table",
     "make_payload",
     "pivot_rows",
-    "register_table",
     "units_for",
 ]

@@ -1,16 +1,17 @@
 """Declarative table schemas: the table layer of :mod:`repro.results`.
 
-Each paper table/figure the analysis modules reproduce declares one
-:class:`TableSchema` -- ordered :class:`Column` objects with a dtype,
-units, display scale and format -- and registers it with
-:func:`register_table`.  Rows built through a schema are validated and
-ordered once, and every analysis gets text/CSV/JSON rendering through the
-single :mod:`repro.analysis.reporting` path instead of a private
-``Row`` dataclass + ``as_dict()`` clone.
+A reproduced table is one :class:`TableSchema` value: ordered
+:class:`Column` objects (dtype, units, display scale and format), a title,
+and -- when the table can be derived from stored records -- the ``rows``
+callable that builds its rows from a :class:`~repro.results.query.ResultSet`
+(``None`` marks a live-only table).  Each analysis module declares its
+schemas next to their row builders, and :data:`repro.analysis.TABLES` lists
+them by name for ``repro-campaign query --table NAME``.
 
-A registered table may also carry a *builder*: a callable that derives the
-rows from a :class:`~repro.results.query.ResultSet`, which is what powers
-``repro-campaign query --table NAME`` over cached stores.
+The schema is also the one text/CSV/JSON renderer: rows built through it are
+validated and ordered once, and plain rows (query selections, campaign
+summaries, display pivots) render through :meth:`TableSchema.of_rows`, a
+schema of untyped columns named after the rows' keys.
 """
 
 from __future__ import annotations
@@ -88,10 +89,12 @@ class Column:
         return float(value)
 
     def render(self, value: Any) -> str:
-        """Display string for a (raw, unscaled) stored value."""
-        from repro.analysis.reporting import format_value
+        """Display string for a (raw, unscaled) stored value.
 
-        if value is None:
+        An absent optional value shows as ``-``; a ``json`` column shows
+        whatever it holds, ``None`` included.
+        """
+        if value is None and self.dtype != "json":
             return "-"
         if self.display is not None:
             value = self.display(value)
@@ -101,7 +104,18 @@ class Column:
             value = value * self.scale
         if self.format is not None and isinstance(value, (int, float)):
             return format(value, self.format)
-        return format_value(value)
+        return _format_value(value)
+
+
+def _format_value(value: Any) -> str:
+    """Default display of a cell: floats to 2 decimals or 3 significant digits."""
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.01:
+            return f"{value:.3g}"
+        return f"{value:.2f}"
+    return str(value)
 
 
 class Row(Mapping[str, Any]):
@@ -146,12 +160,20 @@ class Row(Mapping[str, Any]):
 
 
 class TableSchema:
-    """Ordered, validated column layout of one reproduced table."""
+    """Ordered, validated column layout of one reproduced table, and the
+    builder of its rows from stored records (``None``: live-only)."""
 
-    def __init__(self, name: str, columns: Sequence[Column], title: str = "") -> None:
+    def __init__(
+        self,
+        name: str,
+        columns: Sequence[Column],
+        title: str = "",
+        rows: Optional[Callable[[Any], List[Row]]] = None,
+    ) -> None:
         self.name = name
         self.columns: Tuple[Column, ...] = tuple(columns)
         self.title = title
+        self.rows = rows
         seen: Set[str] = set()
         for column in self.columns:
             if column.name in seen:
@@ -163,6 +185,15 @@ class TableSchema:
 
     def __repr__(self) -> str:
         return f"TableSchema({self.name!r}, {len(self.columns)} columns)"
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[Mapping[str, Any]], title: str = "") -> "TableSchema":
+        """A schema for plain rows: one ``json`` column per key, in the order
+        the keys first appear."""
+        names: Dict[str, None] = {}
+        for row in rows:
+            names.update(dict.fromkeys(row))
+        return cls("", [Column(name, "json") for name in names], title=title)
 
     @property
     def column_names(self) -> List[str]:
@@ -184,31 +215,30 @@ class TableSchema:
             out[column.name] = column.coerce(values.get(column.name))
         return Row(self, out)
 
-    def rows(self, mappings: Sequence[Mapping[str, Any]]) -> List[Row]:
-        return [self.from_mapping(m) for m in mappings]
-
     # ------------------------------------------------------------- rendering
     def render_text(self, rows: Sequence[Mapping[str, Any]], title: Optional[str] = None) -> str:
-        from repro.analysis.reporting import format_table
-
+        """An ASCII table with aligned columns; a cell a row lacks is blank."""
         headers = [c.title for c in self.columns]
-        data = [[c.render(row.get(c.name)) for c in self.columns] for row in rows]
-        return format_table(headers, data, title=self.title if title is None else title)
+        cells = [
+            [c.render(row[c.name]) if c.name in row else "" for c in self.columns]
+            for row in rows
+        ]
+        widths = [len(h) for h in headers]
+        for line in cells:
+            widths = [max(width, len(cell)) for width, cell in zip(widths, line)]
+        title = self.title if title is None else title
+        lines = [title] if title else []
+        lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
+        lines.append("-+-".join("-" * w for w in widths))
+        lines.extend(" | ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells)
+        return "\n".join(lines)
 
     def render_csv(self, rows: Sequence[Mapping[str, Any]]) -> str:
         """Raw (unscaled) values as CSV, one header row first."""
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.column_names)
-        for row in rows:
-            writer.writerow(
-                [
-                    json.dumps(row.get(c.name))
-                    if isinstance(row.get(c.name), (list, dict))
-                    else row.get(c.name)
-                    for c in self.columns
-                ]
-            )
+        writer.writerows([row.get(c.name) for c in self.columns] for row in rows)
         return buffer.getvalue()
 
     def render_json(self, rows: Sequence[Mapping[str, Any]]) -> str:
@@ -228,49 +258,6 @@ class TableSchema:
         raise ConfigurationError(f"unknown table format {fmt!r} (text, csv, json)")
 
 
-#: ``ResultSet -> rows`` derivation used by ``repro-campaign query --table``.
-TableBuilder = Callable[[Any], List[Row]]
-
-
-@dataclass(frozen=True)
-class RegisteredTable:
-    schema: TableSchema
-    builder: Optional[TableBuilder] = None
-
-
-_TABLES: Dict[str, RegisteredTable] = {}
-
-
-def register_table(schema: TableSchema, builder: Optional[TableBuilder] = None) -> TableSchema:
-    """Register (or re-register) a table schema; returns the schema."""
-    _TABLES[schema.name] = RegisteredTable(schema=schema, builder=builder)
-    return schema
-
-
-def get_table(name: str) -> RegisteredTable:
-    try:
-        return _TABLES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown table {name!r}; registered: {', '.join(sorted(_TABLES)) or '(none)'}"
-        ) from None
-
-
-def available_tables() -> List[str]:
-    return sorted(_TABLES)
-
-
-def build_table(name: str, resultset: Any) -> Tuple[TableSchema, List[Row]]:
-    """Derive a registered table's rows from a :class:`ResultSet`."""
-    registered = get_table(name)
-    if registered.builder is None:
-        raise ConfigurationError(
-            f"table {name!r} cannot be derived from a results store "
-            "(it needs live simulation artifacts)"
-        )
-    return registered.schema, registered.builder(resultset)
-
-
 def _blocked_rows(resultset: Any) -> List[Row]:
     return [
         BLOCKED.row(record=run.name, status=run.status, rank=int(rank), waits_on=waits_on)
@@ -283,14 +270,12 @@ def _blocked_rows(resultset: Any) -> List[Row]:
 
 #: What a ``deadlock`` (or otherwise unfinished) replica record says about
 #: itself (``data.blocked``): diagnosable from the store, without a re-run.
-BLOCKED = register_table(
-    TableSchema(
-        "blocked",
-        [Column("record", "str"), Column("status", "str"),
-         Column("rank", "int"), Column("waits_on", "str")],
-        title="Unfinished ranks of non-completed runs and what each waits on",
-    ),
-    _blocked_rows,
+BLOCKED = TableSchema(
+    "blocked",
+    [Column("record", "str"), Column("status", "str"),
+     Column("rank", "int"), Column("waits_on", "str")],
+    title="Unfinished ranks of non-completed runs and what each waits on",
+    rows=_blocked_rows,
 )
 
 

@@ -204,3 +204,41 @@ class TestQueryCli:
     def test_unknown_table_errors_cleanly(self, analysis_store, capsys):
         assert campaign_main(["query", analysis_store, "--table", "nope"]) == 2
         assert "unknown table" in capsys.readouterr().err
+
+
+class TestTableIndex:
+    """``repro.analysis.TABLES`` is the one list of tables the CLI and the
+    experiment registry name."""
+
+    def test_list_tables_prints_the_index(self, capsys):
+        from repro.analysis import TABLES
+
+        assert campaign_main(["query", "--list-tables"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == sorted(TABLES)
+        for line in lines:
+            schema = TABLES[line.split()[0]]
+            assert schema.title in line
+            assert line.endswith("(live-only)") == (schema.rows is None)
+
+    def test_every_campaign_backed_experiment_names_an_indexed_schema(self):
+        import inspect
+
+        from repro.analysis import TABLES
+        from repro.experiments import EXPERIMENTS
+
+        backed = [
+            entry for entry in EXPERIMENTS.values()
+            if "workers" in inspect.signature(entry.run).parameters
+        ]
+        assert backed
+        for entry in backed:
+            assert entry.table is not None, entry.name
+            assert TABLES[entry.table.name] is entry.table, entry.name
+
+    def test_a_live_only_table_fails_with_one_error_line(self, analysis_store, capsys):
+        assert campaign_main(["query", analysis_store, "--table", "containment"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("repro-campaign: error: ")
+        assert len(captured.err.splitlines()) == 1 and "live" in captured.err

@@ -1,4 +1,4 @@
-"""Unit tests for the baseline protocols, registry, analytic model and reporting."""
+"""Unit tests for the baseline protocols, registry and analytic model."""
 
 import pytest
 
@@ -18,7 +18,6 @@ from repro.analysis.perf_model import (
     iteration_overhead_estimate,
     message_cost,
 )
-from repro.analysis.reporting import format_dict_table, format_table, percent
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ftprotocols.base import ClusteredProtocolBase, normalize_clusters
 from repro.simulator.failures import FailureEvent, FailureInjector
@@ -265,20 +264,3 @@ class TestPerfModel:
         )
         assert 1.0 <= estimate < 1.05
 
-
-class TestReporting:
-    def test_format_table_alignment(self):
-        text = format_table(["a", "bee"], [[1, 2.5], ["xx", 0.001]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("a")
-        assert "-+-" in lines[1]
-
-    def test_format_dict_table_selects_columns(self):
-        rows = [{"x": 1, "y": 2, "z": 3}]
-        text = format_dict_table(rows, columns=["z", "x"])
-        assert "z" in text and "x" in text and "y" not in text.splitlines()[0]
-
-    def test_percent(self):
-        assert percent(110.0, 100.0) == pytest.approx(10.0)
-        assert percent(5.0, 0.0) == 0.0

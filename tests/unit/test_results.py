@@ -13,10 +13,8 @@ from repro.results import (
     TableSchema,
     make_payload,
     pivot_rows,
-    register_table,
     units_for,
 )
-from repro.results.tables import available_tables, build_table, get_table
 
 
 class TestMetricSet:
@@ -191,14 +189,30 @@ class TestTableSchema:
         parsed = json.loads(schema.render_json(rows))
         assert parsed == [{"name": "a", "count": 3, "ratio": 0.25, "note": None}]
 
-    def test_registry_lookup_and_builder(self):
-        schema = register_table(self.schema(), builder=lambda rs: [])
-        assert "unit-test-table" in available_tables()
-        assert get_table("unit-test-table").schema is schema
-        got_schema, rows = build_table("unit-test-table", None)
-        assert got_schema is schema and rows == []
-        with pytest.raises(ConfigurationError, match="unknown table"):
-            get_table("no-such-table")
+    def test_plain_rows_render_aligned(self):
+        rows = [{"a": 1, "bee": 2.5}, {"a": "xx", "bee": 0.001}]
+        lines = TableSchema.of_rows(rows).render_text(rows).splitlines()
+        assert lines == [
+            "a  | bee  ",
+            "---+------",
+            "1  | 2.50 ",
+            "xx | 0.001",
+        ]
+
+    def test_plain_rows_take_their_columns_from_the_keys(self):
+        # Columns in first-seen key order; a cell a row lacks is blank, a
+        # None cell shows as is; CSV writes raw values.
+        rows = [{"z": 3, "x": 1}, {"x": None, "y": [1, 2]}]
+        schema = TableSchema.of_rows(rows, title="plain")
+        assert schema.column_names == ["z", "x", "y"]
+        assert schema.render_text(rows).splitlines() == [
+            "plain",
+            "z | x    | y     ",
+            "--+------+-------",
+            "3 | 1    |       ",
+            "  | None | [1, 2]",
+        ]
+        assert schema.render_csv(rows) == 'z,x,y\n3,1,\n,,"[1, 2]"\n'
 
     def test_pivot_rows(self):
         rows = [
