@@ -10,7 +10,6 @@ import pytest
 
 from repro import HydEEConfig, HydEEProtocol, Simulation
 from repro.core.invariants import check_all_recovery_invariants
-from repro.errors import ProtocolError
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.workloads import (
     PipelineApplication,
@@ -143,20 +142,22 @@ class TestMultipleFailures:
         assert result.rank_results == reference.rank_results
         assert result.stats.ranks_rolled_back == 8
 
-    def test_failure_during_recovery_is_rejected_explicitly(self):
-        # Two failures 2 microseconds apart: the second lands inside the first
-        # recovery session and must be reported as unsupported rather than
-        # silently corrupting state.
-        app = Stencil2DApplication(nprocs=16, iterations=8)
-        protocol = HydEEProtocol(
-            HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                        checkpoint_size_bytes=16 * 1024)
+    @pytest.mark.parametrize("second_at", [202e-6, 205e-6, 300e-6])
+    def test_strike_inside_a_recovery_session_joins_it(self, second_at):
+        # Rank 5's session (cluster 1) is still active when rank 10 fails:
+        # the strike lands at its time and joins the session, which then
+        # rolls back clusters 1 and 2 together, as one simultaneous strike
+        # of both ranks would.
+        reference = reference_run(STENCIL)
+        result, protocol = recovery_run(
+            STENCIL,
+            [FailureEvent(ranks=[5], time=200e-6), FailureEvent(ranks=[10], time=second_at)],
         )
-        injector = FailureInjector(
-            [FailureEvent(ranks=[5], time=200e-6), FailureEvent(ranks=[10], time=202e-6)]
-        )
-        with pytest.raises(ProtocolError):
-            Simulation(app, nprocs=16, protocol=protocol, failures=injector).run()
+        check_all_recovery_invariants(reference, result, protocol, [5, 10])
+        assert [report["rolled_back_ranks"] for report in protocol.recovery_reports] == [
+            list(range(4, 12))
+        ]
+        assert protocol.recovery_reports[0]["started_at"] == 200e-6
 
 
 class TestOtherWorkloadsAndTopologies:

@@ -333,7 +333,6 @@ class TestInjectorHealthMetrics:
         result, _ = run_simulation(ring8(4), 8, protocol=protocol, failures=injector)
         assert result.metric("sim.injector.failed_ranks") == 1
         assert result.metric("sim.injector.armed_fires") == 0
-        assert result.metric("sim.injector.deferred_fires") == 0
         assert result.metric("sim.injector.disarmed_events") == 0
         assert result.metric("sim.injector.retargeted_events") == 0
 
@@ -360,9 +359,9 @@ class TestInjectorHealthMetrics:
         assert result.metric("sim.injector.failed_ranks") == 1
 
 
-class TestRepeatedAndDeferredFailures:
-    """PR-5: stochastic traces re-fail restarted ranks and defer strikes
-    that land inside an active recovery session."""
+class TestRepeatedAndOverlappingFailures:
+    """Stochastic traces re-fail restarted ranks and strike inside an
+    active recovery session."""
 
     def test_restarted_rank_can_fail_again(self, ring8):
         from tests.conftest import run_simulation
@@ -381,14 +380,13 @@ class TestRepeatedAndDeferredFailures:
         assert len(injector.failure_times) == 2
         assert injector.failed_ranks == {3}
 
-    def test_strike_during_recovery_is_deferred_not_fatal(self, stencil16):
+    def test_strike_during_recovery_joins_the_session(self, stencil16):
         from tests.conftest import run_simulation
         from repro.core.config import HydEEConfig
         from repro.core.protocol import HydEEProtocol
 
-        # The second failure lands 5us after the first: HydEE's recovery
-        # session is still active (it rejects concurrent sessions outright),
-        # so the strike must wait for the session to wind down.
+        # The second failure lands 5us after the first, inside HydEE's
+        # recovery session: it strikes at its own time and joins the session.
         injector = FailureInjector([
             FailureEvent(ranks=[5], time=100e-6),
             FailureEvent(ranks=[9], time=105e-6),
@@ -400,49 +398,10 @@ class TestRepeatedAndDeferredFailures:
         ))
         result, _ = run_simulation(stencil16(8), 16, protocol=protocol,
                                    failures=injector)
+        assert injector.failure_times == [100e-6, 105e-6]
+        [report] = protocol.recovery_reports
+        assert set(report["rolled_back_ranks"]) >= set(range(4, 12))
         assert result.completed
-        assert result.stats.failures_injected == 2
-        assert injector.deferred_fires > 0
-        assert result.metric("sim.injector.deferred_fires") == injector.deferred_fires
-        # The deferred strike fired strictly after its nominal time.
-        assert injector.failure_times[1] > 105e-6
-
-    def test_deferred_timed_strike_holds_completion_open(self):
-        # A time-triggered strike whose nominal time passed, deferred behind
-        # an active recovery session, must keep the completion predicate
-        # waiting: if every rank finishes while the strike is parked, the
-        # run must not be declared complete underneath it.
-        from repro.simulator.protocol_api import ProtocolHooks
-        from repro.simulator.simulation import Simulation, SimulationConfig
-
-        class _BusyUntil(ProtocolHooks):
-            """Stub protocol whose recovery session spans a fixed window."""
-
-            name = "busy-until"
-
-            def __init__(self, until_s):
-                super().__init__()
-                self.until_s = until_s
-
-            def recovery_in_progress(self):
-                return self.sim.engine.now < self.until_s
-
-        # Ranks finish at ~28us (4 x 7us iterations); the strike lands at
-        # 20us inside a "recovery" that only winds down at 100us -- well
-        # after the last rank is done.
-        app = TestDeadTriggerRetargeting._compute_only_app(2, 4)
-        injector = FailureInjector([FailureEvent(ranks=[1], time=20e-6)])
-        sim = Simulation(app, nprocs=2, protocol=_BusyUntil(100e-6),
-                         failures=injector,
-                         config=SimulationConfig(raise_on_incomplete=False))
-        result = sim.run()
-        # The strike fired (after the session ended) instead of being
-        # silently dropped by an early completion.
-        assert injector.failure_times and injector.failure_times[0] >= 100e-6
-        assert result.stats.failures_injected == 1
-        assert injector.deferred_fires > 0
-        assert injector.armed_fires == 0
-        assert result.status != "completed"  # rank 1 died, nothing restarts it
 
     def test_out_of_range_ranks_rejected_at_attach(self):
         from repro.simulator.simulation import Simulation
