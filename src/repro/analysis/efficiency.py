@@ -18,8 +18,9 @@ point, fans ``replicas`` Monte Carlo replicas through the campaign runner
   baseline (containment in its purest form);
 * *efficiency* -- failure-free makespan / mean failed makespan;
 * mean recovery time, failures injected, ranks rolled back, and the
-  completed-replica count (replicas whose drawn trace trips a protocol
-  corner case are reported, not silently dropped).
+  completed-replica count (a replica that does not complete is reported,
+  not silently dropped; the ``efficiency-mtbf`` entry checks that every
+  replica completes).
 
 The MTBF axis is expressed in *multiples of the reference makespan* (a
 protocol-free run of the same workload), so the sweep transfers across

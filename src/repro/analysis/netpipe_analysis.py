@@ -136,8 +136,9 @@ def netpipe_rows(resultset: ResultSet) -> List[Row]:
     """Rebuild the three Figure 5 series from figure5-tagged runs.
 
     Refuses a result set mixing several netpipe sweeps (different size
-    lists or duplicate series): silently combining series measured under
-    different parameters would fabricate a Figure 5 that nobody ran.
+    lists or duplicate series) or lacking a series: silently combining
+    series measured under different parameters would fabricate a Figure 5
+    that nobody ran.  A result set without figure5 runs is the empty table.
     """
     from repro.errors import ConfigurationError
 
@@ -165,7 +166,10 @@ def netpipe_rows(resultset: ResultSet) -> List[Row]:
             measurements[str(s)]["bandwidth_bytes_per_s"] for s in result.sizes
         ]
     if result is None:
-        result = NetpipeResult(sizes=[])
+        return []
+    missing = {"native", "hydee_no_logging", "hydee_logging"} - set(result.latency_s)
+    if missing:
+        raise ConfigurationError(f"figure5 runs lack the series {', '.join(sorted(missing))}")
     return result.rows()
 
 

@@ -24,6 +24,13 @@ On a failure the protocol
    phase by phase, never before all orphan messages of lower phases have been
    regenerated (suppressed) by their rolled back senders.
 
+A failure during an active session joins it (the paper allows several
+concurrent failures): the union of the struck clusters and the clusters the
+session rolled back rolls back, and one fresh session recovers the union.
+Session-scoped control messages carry the session number, so the replaced
+session's messages still in flight are dropped on arrival, and sends parked
+on its gates are re-gated by the new session.
+
 Clarification w.r.t. the paper's pseudo-code
 --------------------------------------------
 Algorithm 2 line 6 sends only the restart *date* of the rolled back process.
@@ -110,6 +117,9 @@ class HydEEProtocol(ClusteredProtocolBase):
         self._ff_phantom_log: Dict[int, Dict[int, int]] = {}
         #: message size -> :meth:`_price_send` result.
         self._send_costs: Dict[int, Tuple[int, SendDecision, SendDecision]] = {}
+        #: number of recovery sessions started; session-scoped control
+        #: messages carry it, and a later session drops an earlier one's.
+        self.session = 0
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, sim: "Simulation") -> None:
@@ -292,7 +302,11 @@ class HydEEProtocol(ClusteredProtocolBase):
         for rank in self.members(cluster_id):
             acks = self._pending_gc_acks.pop((cluster_id, iteration, rank), {})
             for sender, up_to_date in acks.items():
-                self._send_control(rank, sender, "gc_ack", {"up_to_date": up_to_date})
+                # Not session-scoped: a checkpoint's acknowledgement stays valid.
+                self.sim.control.send(
+                    rank, sender, "gc_ack", {"up_to_date": up_to_date},
+                    size_bytes=self.config.control_message_bytes,
+                )
 
     # ============================================== batched fast-forward
     def ff_epoch_snapshot(self) -> Optional[EpochState]:
@@ -352,18 +366,25 @@ class HydEEProtocol(ClusteredProtocolBase):
 
     # ================================================================ failure
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
-        failed = sorted(set(failed_ranks))
-        if self.orchestrator is not None and not self.orchestrator.complete:
-            raise ProtocolError(
-                "HydEE reproduction: a failure occurred while a recovery session is still "
-                "active; concurrent failures must be injected as a single simultaneous event"
-            )
-
-        affected_clusters = self.clusters_of_ranks(failed)
-        rollback = self.rollback_clusters(affected_clusters)
+        """Roll back the struck clusters and start a recovery session.  A
+        strike during an active session joins it (see the module docstring)
+        and keeps its start: ``recovery_time`` covers the whole overlap."""
+        clusters = self.clusters_of_ranks(failed_ranks)
+        active = self.orchestrator
+        if active is not None and not active.complete:
+            clusters += self.clusters_of_ranks(active.report.rolled_back_ranks)
+            time = active.report.started_at
+        rollback = self.rollback_clusters(clusters)
         rolled = set(rollback.ranks)
         all_ranks = list(range(self.sim.nprocs))
+        # Gates of the replaced session (rolled back ranks lost theirs with
+        # their state): fired once the new state exists, to re-gate on it.
+        parked = [
+            state.recovery.send_gate for state in self.states.values()
+            if state.recovery is not None and state.recovery.send_gate is not None
+        ]
 
+        self.session += 1
         self.pstats.recoveries += 1
         self.orchestrator = RecoveryOrchestrator(
             expected_ranks=all_ranks,
@@ -383,6 +404,8 @@ class HydEEProtocol(ClusteredProtocolBase):
                 recovery.awaiting_lastdate_from = set(self.ranks_outside_cluster(rank))
             if not recovery.awaiting_rollback_from:
                 self._finalize_reports(rank)
+        for gate in parked:
+            gate.fire()
 
         # Rolled back processes announce their restart point (Algorithm 2,
         # lines 6-7).  See the module docstring for the content of the
@@ -402,15 +425,19 @@ class HydEEProtocol(ClusteredProtocolBase):
 
     # ------------------------------------------------------- control handling
     def _send_control(self, sender: int, dest: int, kind: str, data: Dict[str, Any]) -> None:
+        """Send a control message of the current recovery session."""
+        data["session"] = self.session
         self.sim.control.send(
             sender, dest, kind, data, size_bytes=self.config.control_message_bytes
         )
 
     def _dispatch_control(self, cm: ControlMessage) -> None:
+        if cm.data.get("session", self.session) != self.session:
+            return  # sent by a session a later strike joined and replaced
         if cm.dest == RECOVERY_PROCESS:
             if self.orchestrator is None:
                 raise ProtocolError(f"control message {cm.kind!r} but no recovery is active")
-            self.orchestrator.handle(cm.kind, cm.sender, cm.data or {})
+            self.orchestrator.handle(cm.kind, cm.sender, cm.data)
             return
         handlers = self._control_handlers
         if handlers is None:
@@ -424,7 +451,7 @@ class HydEEProtocol(ClusteredProtocolBase):
         handler = handlers.get(cm.kind)
         if handler is None:
             raise ProtocolError(f"HydEE: unknown control message kind {cm.kind!r}")
-        handler(cm.dest, cm.sender, cm.data or {})
+        handler(cm.dest, cm.sender, cm.data)
 
     def _on_rollback_notification(self, rank: int, from_rank: int, data: Dict[str, Any]) -> None:
         """Algorithm 3, lines 6-16 (also executed by rolled back processes for

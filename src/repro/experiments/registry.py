@@ -302,7 +302,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "extension (Monte Carlo)",
             run=run_efficiency_experiment,
             render=lambda rows, _params: render_efficiency(rows),
-            checks=lambda rows: {"containment_holds": containment_holds(rows)},
+            checks=lambda rows: {
+                "containment_holds": containment_holds(rows),
+                "every_replica_completes": all(
+                    row.completed_replicas == row.replicas for row in rows
+                ),
+            },
             summary=_efficiency_summary,
             table=EFFICIENCY,
         ),

@@ -247,16 +247,17 @@ def schedule_explore(
 ) -> Dict[str, Any]:
     """Schedule-space exploration: invariance, rate, spread under contention.
 
-    Two halves.  The pinned faulty scenarios (HydEE partial rollback,
-    coordinated global rollback, message-logging replay) run on the flat
-    network, where reordering equal-time events cannot move any event time,
-    so state, recovery trace and makespan must all be interleaving-
-    invariant; the rate is interleavings per second over that sweep.  Then
-    the HydEE scenario re-runs on an oversubscribed cluster-per-node
-    topology: link contention makes event times -- and with them which
-    checkpoint beats the failure -- legitimately schedule-dependent, so no
-    invariance is asserted there; the report captures the makespan spread
-    over seeded interleavings of one identical failure draw.
+    Two halves.  The pinned faulty scenarios (HydEE partial rollback and
+    joined session, coordinated global rollback, message-logging replay)
+    run on the flat network, where reordering equal-time events cannot move
+    any event time, so state, recovery trace and makespan must all be
+    interleaving-invariant; the rate is interleavings per second over that
+    sweep.  Then the HydEE scenario re-runs on an oversubscribed
+    cluster-per-node topology: link contention makes event times -- and
+    with them which checkpoint beats the failure -- legitimately
+    schedule-dependent, so no invariance is asserted there; the report
+    captures the makespan spread over seeded interleavings of one identical
+    failure draw.
 
     ``witnesses`` holds the shrunk witness of every divergence of the first
     half (``[]`` on a green run): save one entry as JSON and

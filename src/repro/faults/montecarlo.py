@@ -299,8 +299,7 @@ def replica_job(spec: ScenarioSpec) -> Tuple[Dict[str, Any], Any]:
     *containment* saves; the plain ``simulate`` payload cannot grow this
     metric without invalidating pre-fault-model caches).
 
-    A replica whose drawn trace trips a *runtime* protocol corner case
-    (e.g. a strike landing exactly as a recovery session winds down) is
+    A replica whose drawn trace trips a *runtime* protocol error is
     recorded as a deterministic ``error:`` record instead of tearing down
     the whole campaign: Monte Carlo statistics must not silently select
     for calm replicas, so the aggregate reports such replicas as not

@@ -6,9 +6,11 @@ behaviour is already pinned byte-for-byte against a fixture -- so the
 explorer, the CI smoke job and the benchmark all probe exactly the recovery
 paths the regression suite protects: a HydEE partial rollback, a coordinated
 global rollback and a full-message-logging localised replay, each with small
-(16 KiB) checkpoints so recovery structure dominates.
+(16 KiB) checkpoints so recovery structure dominates.  A fourth scenario
+strikes a second HydEE cluster while the first one's recovery session is
+active, so the explorer also perturbs a joined session.
 
-All three run send-deterministic workloads on the flat network, so every
+All four run send-deterministic workloads on the flat network, so every
 seeded interleaving must reproduce the FIFO baseline exactly -- state,
 recovery trace *and* timing.  A divergence here is a real schedule-space
 race in the simulator or a protocol, never an expected spread.
@@ -16,6 +18,7 @@ race in the simulator or a protocol, never an expected spread.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
@@ -29,16 +32,23 @@ from repro.scenarios.spec import (
 
 _CLUSTERS16 = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))
 
+_HYDEE_STENCIL2D = ScenarioSpec(
+    name="hydee-stencil2d-single-failure",
+    workload=WorkloadSpec(kind="stencil2d", nprocs=16, iterations=8),
+    protocol=ProtocolSpec(
+        name="hydee",
+        options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
+        clustering=ClusteringSpec(method="explicit", clusters=_CLUSTERS16),
+    ),
+    failures=(FailureSpec(ranks=(9,), at_iteration=5),),
+)
+
 PINNED_SCENARIOS: Dict[str, ScenarioSpec] = {
-    "hydee-stencil2d-single-failure": ScenarioSpec(
-        name="hydee-stencil2d-single-failure",
-        workload=WorkloadSpec(kind="stencil2d", nprocs=16, iterations=8),
-        protocol=ProtocolSpec(
-            name="hydee",
-            options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
-            clustering=ClusteringSpec(method="explicit", clusters=_CLUSTERS16),
-        ),
-        failures=(FailureSpec(ranks=(9,), at_iteration=5),),
+    "hydee-stencil2d-single-failure": _HYDEE_STENCIL2D,
+    "hydee-stencil2d-joined-strikes": dataclasses.replace(
+        _HYDEE_STENCIL2D,
+        name="hydee-stencil2d-joined-strikes",
+        failures=(FailureSpec(ranks=(5,), time=200e-6), FailureSpec(ranks=(10,), time=205e-6)),
     ),
     "coordinated-stencil2d": ScenarioSpec(
         name="coordinated-stencil2d",

@@ -12,7 +12,9 @@ concurrent failures.  The injector supports scheduling failures
 When a failure fires, the injector notifies the attached protocol through
 :meth:`repro.simulator.protocol_api.ProtocolHooks.on_failure`; the protocol is
 responsible for rolling back the appropriate ranks (for HydEE: the failed
-processes' clusters only).
+processes' clusters only).  A strike always lands at its time, also inside a
+recovery session that is still active: the protocol decides what the
+overlap means (HydEE joins the session, see :mod:`repro.core.protocol`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.simulator.process import RankState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,9 +76,6 @@ class FailureEvent:
     at_iteration: Optional[int] = None
     rank_trigger: Optional[int] = None
     fired: bool = field(default=False, init=False)
-    #: times this event's strike was postponed behind an active recovery
-    #: session (see FailureInjector.RETRY_DELAY_S / MAX_EVENT_DEFERRALS).
-    deferrals: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         validate_failure_group("failure event", self.ranks, self.time)
@@ -95,23 +94,11 @@ class FailureEvent:
 class FailureInjector:
     """Schedules and fires :class:`FailureEvent` objects.
 
-    A strike that lands while the protocol's recovery session is still
-    active is *deferred*: re-scheduled every :data:`RETRY_DELAY_S` until
-    recovery completes, then fired.  The paper's protocols handle multiple
-    *simultaneous* failures (one event, several ranks) but model recovery
-    sessions as non-overlapping; stochastic fault traces
-    (:mod:`repro.faults`) routinely draw a failure inside another
-    failure's recovery window, and killing the run there would bias every
-    Monte Carlo statistic toward calm replicas.
+    Every strike lands at its time, through one path (:meth:`_fire`): the
+    paper's failure model allows several concurrent failures, so a strike
+    inside an active recovery session is handed to the protocol like any
+    other.
     """
-
-    #: deferral quantum for strikes landing during an active recovery.
-    RETRY_DELAY_S = 5.0e-5
-    #: per-event cap on consecutive deferrals: 100k x RETRY_DELAY_S = five
-    #: simulated seconds of one uninterrupted recovery session, orders of
-    #: magnitude past any legal scenario -- only a protocol whose
-    #: recovery_in_progress() is stuck true can reach it.
-    MAX_EVENT_DEFERRALS = 100_000
 
     def __init__(self, events: Optional[Iterable[FailureEvent]] = None) -> None:
         self.events: List[FailureEvent] = list(events or [])
@@ -128,17 +115,11 @@ class FailureInjector:
         #: iteration-triggered events disarmed because no rank of theirs
         #: survived to trigger (or suffer) them.
         self.disarmed_events: int = 0
-        #: strikes postponed because a recovery session was still active
-        #: (each RETRY_DELAY_S postponement counts once).
-        self.deferred_fires: int = 0
         #: time-triggered strikes scheduled at attach() and not yet fired.
         #: The hybrid director uses this to recognise quiescence: when it is
         #: the only thing left in the engine queue, every unfired event is a
         #: *future* timed failure and the epoch in between can be skipped.
         self.pending_timed_fires: int = 0
-        #: id()s of timed events whose attach()-scheduled entry was consumed
-        #: (identity, not equality: FailureEvent is a value-equal dataclass).
-        self._timed_consumed: Set[int] = set()
 
     # ------------------------------------------------------------------ wiring
     def attach(self, sim: "Simulation") -> None:
@@ -185,60 +166,16 @@ class FailureInjector:
             self._sim.engine.schedule(0.0, self._fire_armed_batch, armed)
 
     # ------------------------------------------------------------------ firing
-    def _recovery_active(self) -> bool:
-        return self._sim is not None and self._sim.protocol.recovery_in_progress()
-
-    def _defer_batch(self, events) -> None:
-        for event in events:
-            self.deferred_fires += 1
-            event.deferrals += 1
-            if event.deferrals > self.MAX_EVENT_DEFERRALS:
-                # A recovery session that never winds down is a protocol bug;
-                # without this guard the retry event would keep the queue
-                # non-empty forever and mask what should be a deadlock report.
-                # (Per event, not run-wide: a dense-but-legal trace may rack
-                # up many deferrals in total across many strikes.)
-                raise SimulationError(
-                    f"one failure strike deferred more than "
-                    f"{self.MAX_EVENT_DEFERRALS} times: the protocol reports "
-                    "recovery_in_progress() indefinitely"
-                )
-        self._sim.engine.schedule(self.RETRY_DELAY_S, self._fire_armed_batch, list(events))
-
     def _fire_armed_batch(self, events) -> None:
-        """Land armed strikes in spec order; re-defer the remainder together.
-
-        A strike that opens a recovery session defers every strike behind it
-        in the batch (the completion predicate keeps waiting for them), so
-        the relative order of simultaneous strikes is the deterministic spec
-        order, never an engine tie-break.
-        """
-        for index, event in enumerate(events):
-            if self._recovery_active():
-                self._defer_batch(events[index:])
-                return
+        """Land the strikes armed by one boundary, in spec order."""
+        for event in events:
             self.armed_fires -= 1
             self._fire(event)
 
     def _fire(self, event: FailureEvent) -> None:
-        if self._sim is None:
-            return
-        if event.time is not None and event.fired:
-            return
-        if event.time is not None and id(event) not in self._timed_consumed:
-            # The original attach()-scheduled engine entry is gone now,
-            # whether the strike lands immediately or enters the deferred
-            # pipeline below (armed_fires then keeps the run waiting for it).
-            self._timed_consumed.add(id(event))
+        if event.time is not None:
+            # The attach()-scheduled entry, the only one a timed event has.
             self.pending_timed_fires -= 1
-        if self._recovery_active():
-            # Arm the strike while it waits: its nominal time has passed, so
-            # the run must not be declared complete before it lands (same
-            # contract as an iteration-triggered strike armed by a rank's
-            # last iteration).
-            self.armed_fires += 1
-            self._defer_batch([event])
-            return
         event.fired = True
         # "Alive" is the rank's *current* state, not failure history: a rank
         # that failed, was rolled back and restarted by the protocol can fail

@@ -453,7 +453,6 @@ class Simulation:
             # whose failure schedule silently degenerated (all events
             # disarmed, armed strikes left hanging, nobody actually killed).
             metrics.set("sim.injector.armed_fires", injector.armed_fires)
-            metrics.set("sim.injector.deferred_fires", injector.deferred_fires)
             metrics.set("sim.injector.disarmed_events", injector.disarmed_events)
             metrics.set("sim.injector.failed_ranks", len(injector.failed_ranks))
             metrics.set("sim.injector.retargeted_events", injector.retargeted_events)

@@ -10,6 +10,7 @@ import pytest
 
 from repro import HydEEConfig, HydEEProtocol, Simulation
 from repro.core.invariants import check_all_recovery_invariants
+from repro.errors import DeadlockError, InvariantViolation, ProtocolError
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.workloads import (
     PipelineApplication,
@@ -39,6 +40,14 @@ def recovery_run(app_factory, failure_events, checkpoint_interval=2, clusters=CL
 
 
 STENCIL = lambda: Stencil2DApplication(nprocs=16, iterations=8)
+
+
+def post_session_bug(second_at, raises):
+    """A strike shortly after a completed HydEE session: a known, open bug."""
+    return pytest.param(second_at, marks=pytest.mark.xfail(
+        strict=True, raises=raises,
+        reason="a strike shortly after a completed HydEE session (open bug)",
+    ))
 
 
 class TestSingleFailure:
@@ -158,6 +167,26 @@ class TestMultipleFailures:
             list(range(4, 12))
         ]
         assert protocol.recovery_reports[0]["started_at"] == 200e-6
+
+    @pytest.mark.parametrize("second_at", [
+        post_session_bug(1210e-6, DeadlockError),
+        post_session_bug(1252e-6, ProtocolError),
+        post_session_bug(1300e-6, ProtocolError),
+        post_session_bug(1400e-6, InvariantViolation),
+        1500e-6,
+    ])
+    def test_strike_after_a_completed_session(self, second_at):
+        # Rank 5's session completes at about 1.2 ms; rank 10 then strikes
+        # in a fresh session.  Until about 1.5 ms the second recovery
+        # deadlocks, sees an orphan notification nobody reported, or
+        # completes with wrong results.
+        reference = reference_run(STENCIL)
+        result, protocol = recovery_run(
+            STENCIL,
+            [FailureEvent(ranks=[5], time=200e-6), FailureEvent(ranks=[10], time=second_at)],
+        )
+        check_all_recovery_invariants(reference, result, protocol, [5, 10])
+        assert len(protocol.recovery_reports) == 2
 
 
 class TestOtherWorkloadsAndTopologies:

@@ -242,3 +242,29 @@ class TestTableIndex:
         assert not captured.out
         assert captured.err.startswith("repro-campaign: error: ")
         assert len(captured.err.splitlines()) == 1 and "live" in captured.err
+
+
+class TestNetpipeTableFromStore:
+    def test_a_store_without_figure5_runs_prints_the_empty_table(self, analysis_store, capsys):
+        query = ["query", analysis_store, "--table", "netpipe", "--format", "csv"]
+        assert campaign_main(query) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines() == [
+            "bytes,lat_no_log_pct,lat_log_pct,bw_no_log_pct,bw_log_pct"
+        ]
+        assert not captured.err
+
+    def test_a_partial_sweep_names_the_missing_series(self, tmp_path, capsys):
+        from repro.analysis.netpipe_analysis import netpipe_specs
+
+        path = str(tmp_path / "store.json")
+        partial = [
+            spec for spec in netpipe_specs(sizes=[1, 32])
+            if spec.name != "figure5:hydee_logging"
+        ]
+        run_campaign(partial, workers=1, store=ResultsStore(path))
+        assert campaign_main(["query", path, "--table", "netpipe"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("repro-campaign: error: ")
+        assert len(captured.err.splitlines()) == 1 and "hydee_logging" in captured.err

@@ -51,7 +51,7 @@ class TestPinnedScenariosAreInterleavingInvariant:
                 f"{[w.divergence for w in report.witnesses]}"
             )
             assert report.interleavings == 11
-            # All three pinned scenarios run on the flat network, so timing
+            # Every pinned scenario runs on the flat network, so timing
             # joined the invariant and the makespan spread collapsed to zero.
             assert report.times_compared
             payload = report.to_payload()

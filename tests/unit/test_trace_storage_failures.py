@@ -403,6 +403,21 @@ class TestRepeatedAndOverlappingFailures:
         assert set(report["rolled_back_ranks"]) >= set(range(4, 12))
         assert result.completed
 
+    def test_strike_armed_by_the_last_iteration_holds_completion_open(self):
+        # The slowest rank's last iteration arms the strike, so every rank
+        # is done before it lands: the run must not be declared complete
+        # under it.
+        from repro.simulator.simulation import Simulation, SimulationConfig
+
+        app = TestDeadTriggerRetargeting._compute_only_app(2, 4)
+        injector = FailureInjector([FailureEvent(ranks=[0], at_iteration=4)])
+        sim = Simulation(app, nprocs=2, failures=injector,
+                         config=SimulationConfig(raise_on_incomplete=False))
+        result = sim.run()
+        assert result.stats.failures_injected == 1
+        assert injector.failed_ranks == {0}
+        assert injector.armed_fires == 0
+
     def test_out_of_range_ranks_rejected_at_attach(self):
         from repro.simulator.simulation import Simulation
 
