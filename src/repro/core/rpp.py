@@ -17,36 +17,110 @@ message indexed by its send-date.  The table has three uses in the paper:
   on this point).
 
 The table is part of the checkpoint (Algorithm 1, line 21).
+
+**Append-only history, shared by checkpoints.**  A channel keeps its
+history as two parallel lists: the delivered send-dates in ascending order
+and their phases.  Within one incarnation a receiver delivers a channel's
+messages in send-date order -- channels are FIFO and a rolled back sender's
+orphan re-sends are suppressed -- so :meth:`RPPTable.observe` appends.  A
+checkpoint therefore does not copy the history: :meth:`RPPTable.snapshot`
+hands out a :class:`PhaseHistory`, an immutable view of the prefix that
+exists at that moment, and costs O(channels) however long the run.  The two
+writes that do not append -- an ``observe`` of an older or repeated date,
+and :meth:`RPPTable.prune_channel` -- build new lists first (copy on write),
+so no earlier snapshot ever changes; :meth:`RPPTable.from_snapshot` copies
+the prefix, on restore only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
-@dataclass
+class PhaseHistory(Mapping[int, int]):
+    """send-date -> phase of a channel's deliveries when the snapshot was taken.
+
+    An immutable prefix view of the channel's history lists: entries
+    appended later lie beyond its length, and every other write replaces
+    the lists (see the module documentation).  It is a value: equal to any
+    mapping with the same items, and fingerprinted by content.
+    """
+
+    __slots__ = ("_dates", "_phases", "_length")
+
+    def __init__(self, dates: List[int], phases: List[int]) -> None:
+        self._dates = dates
+        self._phases = phases
+        self._length = len(dates)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[int]:
+        return islice(self._dates, self._length)
+
+    def __getitem__(self, date: int) -> int:
+        index = bisect_left(self._dates, date, 0, self._length)
+        if index < self._length and self._dates[index] == date:
+            return self._phases[index]
+        raise KeyError(date)
+
+    def __repr__(self) -> str:
+        return f"PhaseHistory({dict(self)!r})"
+
+    def copy_lists(self) -> Tuple[List[int], List[int]]:
+        """Private copies of the viewed (dates, phases) prefix."""
+        return self._dates[:self._length], self._phases[:self._length]
+
+
 class ChannelRecord:
     """Reception history of one incoming channel."""
 
-    max_date: int = 0
-    #: send-date -> phase of the delivered message.
-    phases: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("max_date", "dates", "phases")
+
+    def __init__(
+        self, max_date: int = 0, dates: Optional[List[int]] = None,
+        phases: Optional[List[int]] = None,
+    ) -> None:
+        self.max_date = max_date
+        #: delivered send-dates, ascending; ``phases`` runs parallel to it.
+        self.dates: List[int] = [] if dates is None else dates
+        self.phases: List[int] = [] if phases is None else phases
 
     def observe(self, send_date: int, phase: int) -> None:
-        self.max_date = max(self.max_date, send_date)
-        self.phases[send_date] = phase
+        if send_date > self.max_date:
+            self.max_date = send_date
+        dates = self.dates
+        if not dates or send_date > dates[-1]:
+            dates.append(send_date)
+            self.phases.append(phase)
+            return
+        # Not an append: copy on write, snapshots keep viewing the old lists.
+        dates = self.dates = list(dates)
+        phases = self.phases = list(self.phases)
+        index = bisect_left(dates, send_date)
+        if dates[index] == send_date:
+            phases[index] = phase
+        else:
+            dates.insert(index, send_date)
+            phases.insert(index, phase)
 
     def entries_after(self, date: int) -> List[Tuple[int, int]]:
         """(send_date, phase) of delivered messages with send_date > date."""
-        return sorted((d, p) for d, p in self.phases.items() if d > date)
+        index = bisect_right(self.dates, date)
+        return list(zip(self.dates[index:], self.phases[index:]))
 
     def prune_up_to(self, date: int) -> int:
-        """Drop entries with send_date <= date (garbage collection); return count."""
-        stale = [d for d in self.phases if d <= date]
-        for d in stale:
-            del self.phases[d]
-        return len(stale)
+        """Drop entries with send_date <= date (garbage collection); return count.
+        The kept entries move to new lists (copy on write)."""
+        index = bisect_right(self.dates, date)
+        if index:
+            self.dates = self.dates[index:]
+            self.phases = self.phases[index:]
+        return index
 
 
 class RPPTable:
@@ -55,9 +129,15 @@ class RPPTable:
     def __init__(self) -> None:
         self._channels: Dict[int, ChannelRecord] = {}
 
+    def _channel(self, sender: int) -> ChannelRecord:
+        record = self._channels.get(sender)
+        if record is None:
+            record = self._channels[sender] = ChannelRecord()
+        return record
+
     # ------------------------------------------------------------------ write
     def observe(self, sender: int, send_date: int, phase: int) -> None:
-        self._channels.setdefault(sender, ChannelRecord()).observe(send_date, phase)
+        self._channel(sender).observe(send_date, phase)
 
     def advance_max_date(self, sender: int, by: int) -> None:
         """Bulk-advance ``Maxdate`` of a channel without per-date entries.
@@ -71,7 +151,7 @@ class RPPTable:
         """
         if by <= 0:
             return
-        self._channels.setdefault(sender, ChannelRecord()).max_date += by
+        self._channel(sender).max_date += by
 
     # ------------------------------------------------------------------- read
     def max_date(self, sender: int) -> int:
@@ -94,7 +174,7 @@ class RPPTable:
         return self._channels.items()
 
     def entry_count(self) -> int:
-        return sum(len(c.phases) for c in self._channels.values())
+        return sum(len(c.dates) for c in self._channels.values())
 
     # ----------------------------------------------------- garbage collection
     def prune_channel(self, sender: int, up_to_date: int) -> int:
@@ -105,8 +185,10 @@ class RPPTable:
 
     # ------------------------------------------------------------ checkpoints
     def snapshot(self) -> Dict[int, Dict[str, object]]:
+        """Per channel, ``Maxdate`` and a :class:`PhaseHistory` of the
+        history so far: O(channels), the history itself is shared."""
         return {
-            sender: {"max_date": rec.max_date, "phases": dict(rec.phases)}
+            sender: {"max_date": rec.max_date, "phases": PhaseHistory(rec.dates, rec.phases)}
             for sender, rec in self._channels.items()
         }
 
@@ -115,7 +197,6 @@ class RPPTable:
         table = cls()
         if snapshot:
             for sender, data in snapshot.items():
-                record = ChannelRecord(max_date=int(data["max_date"]))
-                record.phases = {int(d): int(p) for d, p in dict(data["phases"]).items()}
-                table._channels[int(sender)] = record
+                dates, phases = data["phases"].copy_lists()
+                table._channels[sender] = ChannelRecord(data["max_date"], dates, phases)
         return table

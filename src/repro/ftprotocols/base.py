@@ -30,6 +30,15 @@ exact-mode generator :meth:`~ClusteredProtocolBase._coordinated_checkpoint`
 fast_forward_cluster_checkpoint` (a whole cluster at once, for the hybrid
 fast-forward, which has no wave because its driver already holds every
 member at the boundary).
+
+**Releasing a line.**  Both callers end a cluster's checkpoint in
+:meth:`~ClusteredProtocolBase._complete_cluster_checkpoint`: the new line
+is complete, so no rollback of the cluster can reach an older one, and
+storage releases the members' older records before the protocol's
+recovery-line hook runs.  Stable storage thus holds what a rollback can
+reach -- the line, plus the records of a wave not complete yet or cut short
+by a rollback -- and the log snapshots those records carry, not the run's
+history.
 """
 
 from __future__ import annotations
@@ -231,7 +240,7 @@ class ClusteredProtocolBase(ProtocolHooks):
             # it becomes the cluster's recovery line, which is the moment
             # log garbage collection and similar cleanups become safe.
             del waves[iteration]
-            self._on_cluster_checkpoint_complete(cluster_id, iteration)
+            self._complete_cluster_checkpoint(cluster_id, iteration)
 
     def _check_intra_cluster_drained(self, rank: int) -> None:
         """Sanity check of the blocking coordinated-checkpoint assumption: no
@@ -301,6 +310,13 @@ class ClusteredProtocolBase(ProtocolHooks):
             cost = sim.storage.write_cost(record.size_bytes)
             if cost > 0:
                 proc.rstats.compute_time += cost
+        self._complete_cluster_checkpoint(cluster_id, iteration)
+
+    def _complete_cluster_checkpoint(self, cluster_id: int, iteration: int) -> None:
+        """Every member of ``cluster_id`` saved ``iteration``: it is the
+        cluster's recovery line.  Release the older records no rollback can
+        reach any more, then run the recovery-line hook."""
+        self.sim.storage.release_below(self.clusters[cluster_id], iteration)
         self._on_cluster_checkpoint_complete(cluster_id, iteration)
 
     # ------------------------------------------------- batched fast-forward

@@ -3,8 +3,9 @@
 A fingerprint is a SHA-256 digest over a *canonical* encoding of simulation
 state: container contents are fed to the hash in a sorted, type-tagged form
 so that two states hash equal exactly when they are structurally equal --
-independent of dict insertion order, tuple-vs-list representation or set
-iteration order, all of which legitimately vary between interleavings.
+independent of dict insertion order, dict-vs-other-mapping or tuple-vs-list
+representation and set iteration order, all of which legitimately vary
+between interleavings.
 
 Two identities assigned by the engine are deliberately stripped wherever a
 :class:`~repro.simulator.messages.Message` appears (protocol logs, channel
@@ -25,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
@@ -75,7 +77,9 @@ def _feed(h: "hashlib._Hash", obj: Any) -> None:
         for item in obj:
             _feed(h, item)
         h.update(b")")
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
+        # Any mapping is its items: a read-only view (an RPP snapshot's
+        # PhaseHistory) hashes exactly like the dict it stands for.
         h.update(b"{")
         for _, key, value in sorted(
             (_encoding(key), key, value) for key, value in obj.items()

@@ -14,12 +14,18 @@ record, because no query ever returned it.  :meth:`StableStorage.latest` and
 :meth:`StableStorage.latest_common_iteration` walks one rank's iterations
 newest first and stops at the first one every rank holds.
 
-**Counted and materialised.**  ``writes`` / ``bytes_written`` count every
-checkpoint the run takes; the records are the ones *materialised*.  The two
+**Counted, saved and held.**  ``writes`` / ``bytes_written`` count every
+checkpoint the run takes.  ``saves`` counts the records built.  The two
 differ under hybrid execution only: a batched span advances the counters
 past the checkpoints it skips (``checkpoint_id`` keeps counting) and saves
 its last one, the only one a rollback can reach -- a checkpoint superseded
 by the next is never named by a query (:mod:`repro.simulator.hybrid`).
+:meth:`StableStorage.count` is the number of records *held*: once a
+cluster's coordinated checkpoint at iteration *i* is complete, it is the
+cluster's recovery line and no rollback can reach below it, so the
+protocol releases its members' older records
+(:meth:`StableStorage.release_below`).  A finished run holds one line per
+cluster, not its whole history.
 
 **Snapshot contract.**  There is one: the application state goes through
 :meth:`repro.workloads.base.Application.snapshot_state` on save and
@@ -126,6 +132,8 @@ class StableStorage:
         self._latest: Dict[int, CheckpointRecord] = {}
         self.bytes_written = 0
         self.writes = 0
+        #: records built by :meth:`save` (``writes`` also counts skipped ones).
+        self.saves = 0
 
     # ------------------------------------------------------------------ write
     def write_cost(self, size_bytes: int) -> float:
@@ -163,7 +171,23 @@ class StableStorage:
         self._latest[rank] = record
         self.bytes_written += size_bytes
         self.writes += 1
+        self.saves += 1
         return record
+
+    def release_below(self, ranks: Iterable[int], iteration: int) -> None:
+        """Drop the records of ``ranks`` older than ``iteration``.
+
+        Called when the coordinated checkpoint of ``ranks`` at ``iteration``
+        is complete: every rank holds ``iteration``, so
+        :meth:`latest_common_iteration` over them can never name an older
+        one again, and ``iteration`` itself stays held until a save of the
+        same iteration replaces it.
+        """
+        for rank in ranks:
+            held = self._records.get(rank)
+            if held:
+                for stale in [it for it in held if it < iteration]:
+                    del held[stale]
 
     # ------------------------------------------------------------------ read
     def latest(self, rank: int) -> Optional[CheckpointRecord]:
@@ -186,6 +210,7 @@ class StableStorage:
         return record
 
     def count(self) -> int:
-        """Number of records materialised and held (at most one per rank and
-        checkpointed iteration; ``writes`` is the number counted)."""
+        """Number of records held (at most one per rank and checkpointed
+        iteration; ``saves`` is the number built, ``writes`` the number
+        counted)."""
         return sum(len(held) for held in self._records.values())

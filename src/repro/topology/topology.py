@@ -31,6 +31,7 @@ private, uncontended channel).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -73,9 +74,12 @@ class Link:
         if self.latency_s < 0:
             raise ConfigurationError(f"link {self.name}: latency must be >= 0")
 
-    @property
+    @cached_property
     def effective_bandwidth_bytes_per_s(self) -> float:
-        """Bandwidth actually available to one message (after oversubscription)."""
+        """Bandwidth actually available to one message (after oversubscription).
+
+        Computed once per link: the contention model reads it for every link
+        of every routed message."""
         return self.bandwidth_bytes_per_s / self.oversubscription
 
 

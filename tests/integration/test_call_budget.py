@@ -198,8 +198,8 @@ def test_long_failure_free_replica_commits_one_line_per_span():
     assert result.completed
     assert simulation.hybrid_stats["fallback"] == 0
     assert simulation.storage.writes == 16 * (iterations // interval)
-    assert simulation.storage.count() <= 16 * 10
-    assert simulation.hybrid_stats["line_commits"] < simulation.storage.count()
+    assert simulation.storage.saves <= 16 * 10
+    assert simulation.hybrid_stats["line_commits"] < simulation.storage.saves
     per_rank_iteration = calls / (16 * iterations)
     assert per_rank_iteration <= LINE_CALL_BUDGET_PER_RANK_ITERATION, (
         f"{per_rank_iteration:.2f} profiled calls per rank-iteration "

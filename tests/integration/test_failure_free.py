@@ -130,7 +130,7 @@ def test_coordinated_checkpoints_are_saved_per_cluster():
     sim.run()
     # 5 iterations with interval 2 -> checkpoints at iterations 2 and 4 for
     # every rank.
-    assert sim.storage.count() == 2 * 16
+    assert sim.storage.saves == 2 * 16
     for rank in range(16):
         assert sim.storage.latest(rank).iteration == 4
 

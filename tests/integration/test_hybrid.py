@@ -104,28 +104,42 @@ def record_fields(record):
             (record.checkpoint_id - 1) // 16, record.protocol_state.get("clock"))
 
 
-def materialised(sim, rank, boundaries):
-    """iteration -> record of the ``boundaries`` the store holds for ``rank``."""
-    held = {}
-    for iteration in boundaries:
-        try:
-            held[iteration] = sim.storage.checkpoint_at(rank, iteration)
-        except SimulationError:
-            pass
-    return held
+def record_commits(sim, commits=None):
+    """Spy on ``sim.storage.save`` before the run: ``commits`` fills with
+    rank -> iteration -> the record last saved for it.  The store itself
+    releases every line a completed one supersedes, so the checkpoints a
+    run materialised are observed as they are committed."""
+    commits = {} if commits is None else commits
+    save = sim.storage.save
+
+    def spy(**fields):
+        record = save(**fields)
+        commits.setdefault(record.rank, {})[record.iteration] = record
+        return record
+
+    sim.storage.save = spy
+    return commits
 
 
-def assert_equal_recovery_lines(batched, driven, boundaries):
-    """A batched run against the per-message-driven run of the same spec.
+def materialised(commits, rank, boundaries):
+    """iteration -> record of the ``boundaries`` committed for ``rank``."""
+    held = commits.get(rank, {})
+    return {iteration: held[iteration] for iteration in boundaries if iteration in held}
+
+
+def assert_equal_recovery_lines(batched, driven, boundaries, commits):
+    """A batched run against the per-message-driven run of the same spec;
+    ``commits`` is the pair of their :func:`record_commits` spies.
 
     Both *count* every coordinated checkpoint, through the same protocol
     method.  The batched one does not *build* the checkpoints a jumped span
     passes: each is superseded by the next before anything could restore it,
     and no ``checkpoint_at`` caller can name it -- ``rollback_clusters`` asks
-    for ``latest_common_iteration`` only.  So the two stores agree on every
+    for ``latest_common_iteration`` only.  So the two runs agree on every
     total, on the recovery line rank by rank and cluster by cluster, and on
     every boundary that is materialised in both.
     """
+    batched_commits, driven_commits = commits
     assert batched.storage.writes == driven.storage.writes == 16 * len(boundaries)
     assert batched.storage.bytes_written == driven.storage.bytes_written
     assert batched.protocol.pstats.as_dict() == driven.protocol.pstats.as_dict()
@@ -137,8 +151,8 @@ def assert_equal_recovery_lines(batched, driven, boundaries):
         assert record_fields(latest) == record_fields(expected), rank
         # One cluster, or the last line is the one committed under DES.
         assert latest.checkpoint_id == expected.checkpoint_id, rank
-        held = materialised(batched, rank, boundaries)
-        reference = materialised(driven, rank, boundaries)
+        held = materialised(batched_commits, rank, boundaries)
+        reference = materialised(driven_commits, rank, boundaries)
         assert list(reference) == list(boundaries)
         for iteration, record in held.items():
             assert record_fields(record) == record_fields(reference[iteration]), (rank, iteration)
@@ -249,23 +263,24 @@ class TestHybridParity:
         # the same records behind, rank by rank.
         batched = build(scenario(execution="hybrid"))
         driven = build(scenario(execution="hybrid", config={"record_trace_events": True}))
+        commits = record_commits(batched), record_commits(driven)
         assert batched.run().status == driven.run().status == "completed"
         assert batched.hybrid_stats["batched_iterations"] > 0
         assert driven.hybrid_stats["batched_iterations"] == 0
         assert driven.hybrid_stats["ff_iterations"] == batched.hybrid_stats["ff_iterations"]
 
         boundaries = range(INTERVAL, ITERATIONS + 1, INTERVAL)
-        jumped = assert_equal_recovery_lines(batched, driven, boundaries)
+        jumped = assert_equal_recovery_lines(batched, driven, boundaries, commits)
         # 120 iterations hold one span long enough for the interval rung.
-        assert jumped > 0 and batched.storage.count() == driven.storage.count() - jumped
+        assert jumped > 0 and batched.storage.saves == driven.storage.saves - jumped
         assert batched.hybrid_stats["line_commits"] == driven.hybrid_stats["line_commits"] - jumped
         # Between the exact warm-up and the exact final iterations, members
         # commit in cluster order, one cluster at a time.
-        for sim in (batched, driven):
+        for sim, committed in zip((batched, driven), commits):
             warmup = sim.hybrid_stats["warmup_iterations"]
             assert 0 < warmup < ITERATIONS - INTERVAL
             for cluster in sim.protocol.clusters:
-                held = [materialised(sim, rank, boundaries) for rank in cluster]
+                held = [materialised(committed, rank, boundaries) for rank in cluster]
                 for it in (it for it in held[0] if warmup < it < ITERATIONS):
                     ids = [records[it].checkpoint_id for records in held]
                     assert ids == list(range(ids[0], ids[0] + len(cluster)))
@@ -314,20 +329,25 @@ def grid_spec(protocol, interval, kind, iterations=GRID_ITERATIONS, failures=())
     )
 
 
-def run_hybrid(spec, start, **config):
+def run_hybrid(spec, start, commits=None, **config):
     """One hybrid run of ``spec``: self-calibrated, or from an activated
-    calibration cache -- the way every Monte Carlo replica starts."""
+    calibration cache -- the way every Monte Carlo replica starts.  A
+    ``commits`` dict is filled by :func:`record_commits`."""
     from repro.faults.montecarlo import prewarm_calibration
     from repro.simulator import calibration
 
     spec = dataclasses.replace(spec, execution="hybrid", config=config)
     if start == "self-calibrated":
         sim = build(spec)
+        if commits is not None:
+            record_commits(sim, commits)
         return sim, sim.run()
     cache = calibration.CalibrationCache()
     assert prewarm_calibration(spec, cache)
     with calibration.activated(cache):
         sim = build(spec)
+        if commits is not None:
+            record_commits(sim, commits)
         result = sim.run()
     assert sim.hybrid_stats["calibration_cached"] == 1
     return sim, result
@@ -408,8 +428,10 @@ class TestProtocolIntervalGrid:
         # which asking for per-event trace records forces (see
         # test_per_message_and_batched_epochs_commit_equal_checkpoints).
         spec = grid_spec("coordinated", interval, kind)
-        batched, batched_result = run_hybrid(spec, "activated cache")
-        driven, driven_result = run_hybrid(spec, "activated cache", record_trace_events=True)
+        commits = {}, {}
+        batched, batched_result = run_hybrid(spec, "activated cache", commits[0])
+        driven, driven_result = run_hybrid(spec, "activated cache", commits[1],
+                                           record_trace_events=True)
         assert batched_result.status == driven_result.status == "completed"
         assert batched.hybrid_stats["batched_iterations"] > 0
         assert driven.hybrid_stats["batched_iterations"] == 0
@@ -424,9 +446,9 @@ class TestProtocolIntervalGrid:
             driven_result.stats.total_compute_time, rel=1e-9
         )
         boundaries = range(interval, GRID_ITERATIONS + 1, interval)
-        jumped = assert_equal_recovery_lines(batched, driven, boundaries)
+        jumped = assert_equal_recovery_lines(batched, driven, boundaries, commits)
         # From the cache the whole run but its last iteration is one span.
-        assert jumped > 0 and batched.storage.count() == driven.storage.count() - jumped
+        assert jumped > 0 and batched.storage.saves == driven.storage.saves - jumped
 
     @pytest.mark.parametrize("kind", CATALOGUE)
     @pytest.mark.parametrize("interval", [4, 8])
@@ -548,7 +570,7 @@ class TestRollbackLandsOnTheMaterialisedLine:
         assert driven_sim.hybrid_stats["batched_iterations"] == 0
         assert batched_sim.hybrid_stats["batched_iterations"] > 0
         # The span before the strike jumped: most of its lines were never built.
-        assert batched_sim.storage.count() < driven_sim.storage.count() // 4
+        assert batched_sim.storage.saves < driven_sim.storage.saves // 4
         assert restarts == driven_restarts == exact_restarts
         assert len(restarts) == (4 if protocol == "hydee" else 16)
         assert set(restarts.values()) == {int(0.9 * self.ITERATIONS) // interval * interval}
@@ -589,9 +611,10 @@ class TestRollbackLandsOnTheMaterialisedLine:
                 said.append(director.line_mismatch)
 
         monkeypatch.setattr(HybridDirector, "_fast_forward_epoch", stretched)
-        directors = []
+        directors, commits = [], []
         for config in ({}, {"record_trace_events": True}):
             sim = build(dataclasses.replace(spec, execution="hybrid", config=config))
+            commits.append(record_commits(sim))
             directors.append(HybridDirector(sim))
             result = directors[-1].run()
             assert result.status == "completed" and result.stats.failures_injected == 1
@@ -603,7 +626,7 @@ class TestRollbackLandsOnTheMaterialisedLine:
         boundaries = range(4, self.ITERATIONS + 1, 4)
         before = [it for it in boundaries if it <= int(0.9 * self.ITERATIONS)]
         for rank in range(16):
-            held, reference = (materialised(sim, rank, boundaries) for sim in (batched, driven))
+            held, reference = (materialised(committed, rank, boundaries) for committed in commits)
             assert list(held)[:len(before)] == before, rank  # every line before the strike
             sizes = [held[it].size_bytes for it in before]
             assert sizes == [reference[it].size_bytes for it in before], rank

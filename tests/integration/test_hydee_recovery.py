@@ -12,6 +12,7 @@ from repro import HydEEConfig, HydEEProtocol, Simulation
 from repro.core.invariants import check_all_recovery_invariants
 from repro.errors import DeadlockError, InvariantViolation, ProtocolError
 from repro.simulator.failures import FailureEvent, FailureInjector
+from repro.simulator.stable_storage import StableStorage
 from repro.workloads import (
     PipelineApplication,
     RingApplication,
@@ -274,10 +275,20 @@ class TestCheckpointWaves:
     def test_failure_striking_mid_wave_leaves_no_wave_behind(self, monkeypatch):
         # Find the write window of cluster 1's checkpoint at iteration 4 in a
         # failure-free run, then strike rank 5 in the middle of it: every
-        # member has arrived, none has committed.
-        _, failure_free = recovery_run(STENCIL, [])
+        # member has arrived, none has committed.  The store releases that
+        # line once the next one is complete, so it is read as it is saved.
+        saved = []
+        save = StableStorage.save
+
+        def save_spy(storage, **fields):
+            saved.append(save(storage, **fields))
+            return saved[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StableStorage, "save", save_spy)
+            _, failure_free = recovery_run(STENCIL, [])
         storage = failure_free.sim.storage
-        record = storage.checkpoint_at(5, 4)
+        (record,) = [r for r in saved if (r.rank, r.iteration) == (5, 4)]
         strike = record.time - storage.write_cost(record.size_bytes) / 2
 
         open_at_strike = []

@@ -127,6 +127,58 @@ def test_rpp_orphans_are_exactly_entries_after_restart_date(observations, restar
         assert restored.max_date(sender) == max(seen)
 
 
+rpp_ops = st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 3), st.integers(1, 60), st.integers(1, 9)),
+    st.tuples(st.just("observe"), st.integers(0, 3), st.integers(1, 60), st.integers(1, 9)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("prune"), st.integers(0, 3), st.integers(0, 60)),
+    st.tuples(st.just("restore"), st.integers(0, 1000)),
+)
+
+
+def assert_rpp_matches(rpp, model):
+    """``rpp`` answers as the plain-dict model {sender: (max_date, {date: phase})}."""
+    for sender in range(4):
+        max_date, phases = model.get(sender, (0, {}))
+        assert rpp.max_date(sender) == max_date
+        for restart_date in (0, 20, 40):
+            expected = sorted((d, p) for d, p in phases.items() if d > restart_date)
+            assert rpp.orphan_entries(sender, restart_date) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rpp_ops, max_size=80))
+def test_rpp_snapshots_stay_the_table_of_their_moment(program):
+    # Observes in any order (appends, older and repeated dates), pruning and
+    # restores interleaved with snapshots: the history a snapshot shares is
+    # never changed under it.
+    rpp, model = RPPTable(), {}
+    taken = []  # (snapshot, the model at that moment)
+    for op in program:
+        if op[0] == "observe":
+            _, sender, date, phase = op
+            rpp.observe(sender, date, phase)
+            max_date, phases = model.get(sender, (0, {}))
+            model[sender] = (max(max_date, date), {**phases, date: phase})
+        elif op[0] == "snapshot":
+            taken.append((rpp.snapshot(), {s: (m, dict(p)) for s, (m, p) in model.items()}))
+        elif op[0] == "prune":
+            _, sender, date = op
+            max_date, phases = model.get(sender, (0, {}))
+            kept = {d: p for d, p in phases.items() if d > date}
+            assert rpp.prune_channel(sender, date) == len(phases) - len(kept)
+            if sender in model:
+                model[sender] = (max_date, kept)
+        elif taken:
+            snapshot, at = taken[op[1] % len(taken)]
+            rpp = RPPTable.from_snapshot(snapshot)
+            model = {s: (m, dict(p)) for s, (m, p) in at.items()}
+        assert_rpp_matches(rpp, model)
+        for snapshot, at in taken:
+            assert {s: (c["max_date"], c["phases"]) for s, c in snapshot.items()} == at
+            assert_rpp_matches(RPPTable.from_snapshot(snapshot), at)
+
+
 # ----------------------------------------------------------------- sender log
 @given(
     st.lists(

@@ -8,6 +8,11 @@ drives both with random sequences of saves -- new iterations in any order,
 the same iteration saved again (a cluster re-executing after a rollback) --
 interleaved with queries, and requires equal answers throughout; restoring
 one record twice must never alias mutable structure.
+
+A second property interleaves releases: a cluster whose members all hold
+iteration *i* (its coordinated checkpoint at *i* is complete) releases
+their older records.  The store must still answer every query a rollback
+makes of that cluster as the model that keeps everything does.
 """
 
 import pytest
@@ -86,3 +91,49 @@ def test_indexed_store_matches_the_list_scan_reference(program):
     assert storage.bytes_written == sum(
         tag for records in model.saved.values() for _, tag in records
     )
+
+
+CLUSTERS = ([0, 1], [2, 3])
+releases = st.tuples(st.just("release"), st.sampled_from(range(len(CLUSTERS))),
+                     st.integers(0, 6))
+
+
+def holds(storage, rank, iteration):
+    try:
+        storage.checkpoint_at(rank, iteration)
+    except SimulationError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(saves, saves, saves, releases), max_size=60))
+def test_releasing_completed_lines_answers_as_the_full_store(program):
+    storage = StableStorage(write_bandwidth_bytes_per_s=None)
+    model = ListScanModel()
+    released = {}  # rank -> the highest iteration released below
+    for tag, (op, who, iteration) in enumerate(program):
+        if op == "save":
+            storage.save(rank=who, iteration=iteration, app_state={"tag": [tag]},
+                         time=float(tag), size_bytes=tag)
+            model.save(who, iteration, tag)
+        elif all(holds(storage, rank, iteration) for rank in CLUSTERS[who]):
+            storage.release_below(CLUSTERS[who], iteration)
+            for rank in CLUSTERS[who]:
+                released[rank] = max(released.get(rank, 0), iteration)
+        for members in CLUSTERS:
+            assert storage.latest_common_iteration(members) == (
+                model.latest_common_iteration(members))
+        for rank in RANKS:
+            latest, expected = storage.latest(rank), model.latest(rank)
+            assert (latest and (latest.iteration, latest.size_bytes)) == expected
+            for it in range(7):
+                expected = model.checkpoint_at(rank, it)
+                if holds(storage, rank, it):
+                    record = storage.checkpoint_at(rank, it)
+                    assert (record.iteration, record.size_bytes) == expected
+                else:
+                    assert expected is None or it < released.get(rank, 0)
+    held = sum(holds(storage, rank, it) for rank in RANKS for it in range(7))
+    assert storage.count() == held
+    assert storage.saves == storage.writes == sum(len(r) for r in model.saved.values())

@@ -8,9 +8,12 @@ shrinking).  End-to-end exploration of real scenarios lives in
 ``tests/integration/test_schedule_explore.py``.
 """
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
+from repro.core.rpp import RPPTable
 from repro.errors import ConfigurationError
 from repro.schedexplore.fingerprint import fingerprint_value
 from repro.schedexplore.policies import (
@@ -41,6 +44,16 @@ class TestFingerprintCanonicalization:
 
     def test_tuple_and_list_hash_identically(self):
         assert fingerprint_value((1, "x", 2.5)) == fingerprint_value([1, "x", 2.5])
+
+    def test_any_mapping_hashes_like_the_dict_of_its_items(self):
+        # An RPP snapshot holds read-only views of the reception history;
+        # their object repr is address-dependent, their content is not.
+        rpp = RPPTable()
+        for date, phase in ((2, 1), (5, 3)):
+            rpp.observe(sender=4, send_date=date, phase=phase)
+        view = rpp.snapshot()[4]["phases"]
+        assert fingerprint_value(view) == fingerprint_value({5: 3, 2: 1})
+        assert fingerprint_value(MappingProxyType({"a": 1})) == fingerprint_value({"a": 1})
 
     def test_numpy_scalars_and_arrays_match_python_values(self):
         assert fingerprint_value(np.int64(7)) == fingerprint_value(7)
