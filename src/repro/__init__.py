@@ -26,7 +26,7 @@ Quick start::
     clusters = cluster_application(app, num_clusters=4)
     protocol = HydEEProtocol(HydEEConfig(clusters=clusters, checkpoint_interval=2))
     result = Simulation(app, nprocs=16, protocol=protocol).run()
-    print(result.stats.summary_lines())
+    print("\n".join(result.stats.summary_lines()))
 """
 
 from repro.errors import (

@@ -5,12 +5,10 @@ from repro.clustering.metrics import ClusteringMetrics, evaluate_clustering, rol
 from repro.clustering.partitioner import (
     ClusteringResult,
     block_partition,
-    choose_clustering,
     cluster_application,
     greedy_agglomerative,
     partition,
     refine,
-    repartition_online,
     sweep_cluster_counts,
 )
 from repro.clustering.placement import (
@@ -36,9 +34,7 @@ __all__ = [
     "refine",
     "partition",
     "cluster_application",
-    "choose_clustering",
     "sweep_cluster_counts",
-    "repartition_online",
     "aligned_clusters",
     "misaligned_clusters",
     "placement_alignment",

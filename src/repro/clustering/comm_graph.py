@@ -8,17 +8,16 @@ collect those volumes; this module builds the same graph either
 
 * analytically, from a workload's :meth:`communication_matrix` (fast path
   used by the Table I harness),
-* from a simulation trace (:class:`repro.simulator.trace.TraceRecorder`),
-  which is the instrumented-library equivalent,
-* or directly from a dense numpy matrix.
+* or directly from a dense numpy matrix (e.g.
+  :meth:`repro.simulator.trace.TraceRecorder.communication_matrix`, the
+  instrumented-library equivalent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ClusteringError
@@ -57,32 +56,10 @@ class CommunicationGraph:
         """Undirected volume matrix (sum of both directions)."""
         return self.volume + self.volume.T
 
-    def channel_bytes(self, src: int, dst: int) -> float:
-        return float(self.volume[src, dst])
-
-    def heaviest_channels(self, k: int = 10) -> List[Tuple[int, int, float]]:
-        sym = np.triu(self.symmetric(), k=1)
-        flat = np.argsort(sym, axis=None)[::-1][:k]
-        out = []
-        for index in flat:
-            i, j = np.unravel_index(index, sym.shape)
-            if sym[i, j] <= 0:
-                break
-            out.append((int(i), int(j), float(sym[i, j])))
-        return out
-
     # -------------------------------------------------------------- builders
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "CommunicationGraph":
         return cls(volume=np.asarray(matrix, dtype=np.float64))
-
-    @classmethod
-    def from_trace(cls, trace, nprocs: int) -> "CommunicationGraph":
-        """Build from a :class:`TraceRecorder` (instrumented-library path)."""
-        return cls(
-            volume=trace.communication_matrix(nprocs, weight="bytes"),
-            messages=trace.communication_matrix(nprocs, weight="messages"),
-        )
 
     @classmethod
     def from_application(cls, application, weight: str = "bytes") -> "CommunicationGraph":
@@ -95,17 +72,6 @@ class CommunicationGraph:
             )
         except NotImplementedError:  # pragma: no cover - optional
             graph.messages = None
-        return graph
-
-    # ------------------------------------------------------------- networkx
-    def to_networkx(self) -> nx.Graph:
-        """Undirected weighted graph (weight = bytes in both directions)."""
-        sym = self.symmetric()
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.nprocs))
-        rows, cols = np.nonzero(np.triu(sym, k=1))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            graph.add_edge(i, j, weight=float(sym[i, j]))
         return graph
 
     # ------------------------------------------------------------------ misc

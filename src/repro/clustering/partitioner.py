@@ -21,7 +21,7 @@ Three partitioners are provided and composed by the high-level helpers:
     Kernighan--Lin-style single-vertex moves that reduce the logged volume
     without violating the balance cap.
 
-``cluster_application`` / ``choose_clustering`` wrap these for the common
+``cluster_application`` wraps these for the common
 cases (Table I harness, examples, experiments).
 """
 
@@ -274,49 +274,3 @@ def sweep_cluster_counts(
     """Evaluate a range of cluster counts (the rollback/logging frontier)."""
     graph = _as_graph(graph_or_matrix)
     return [partition(graph, k, method=method) for k in counts]
-
-
-def choose_clustering(
-    graph_or_matrix,
-    max_rollback_fraction: float = 0.25,
-    candidate_counts: Optional[Sequence[int]] = None,
-    method: str = "auto",
-) -> ClusteringResult:
-    """Pick the clustering that logs the least data while keeping the
-    expected rollback fraction under ``max_rollback_fraction`` (the trade-off
-    the paper's tool optimises).  Falls back to the smallest rollback
-    fraction when no candidate satisfies the constraint."""
-    graph = _as_graph(graph_or_matrix)
-    if candidate_counts is None:
-        n = graph.nprocs
-        candidate_counts = sorted(
-            {k for k in (2, 4, 5, 6, 8, 12, 16, 24, 32) if 2 <= k <= n}
-        )
-    results = sweep_cluster_counts(graph, candidate_counts, method=method)
-    feasible = [r for r in results if r.metrics.rollback_fraction <= max_rollback_fraction]
-    if feasible:
-        return min(feasible, key=lambda r: r.metrics.logged_bytes)
-    return min(results, key=lambda r: r.metrics.rollback_fraction)
-
-
-def repartition_online(
-    previous: Sequence[Sequence[int]],
-    graph_or_matrix,
-    num_clusters: Optional[int] = None,
-    balance_tolerance: float = 1.5,
-) -> ClusteringResult:
-    """Dynamic re-clustering (the paper's future-work item).
-
-    Starts from the previous clustering and refines it against the newly
-    observed communication graph, so that the assignment tracks applications
-    whose communication pattern drifts over time without being recomputed
-    from scratch.
-    """
-    graph = _as_graph(graph_or_matrix)
-    k = num_clusters or len(previous)
-    if k != len(previous):
-        return partition(graph, k, method="auto", balance_tolerance=balance_tolerance)
-    refined = refine(graph, previous, balance_tolerance=balance_tolerance)
-    return ClusteringResult(
-        clusters=refined, metrics=evaluate_clustering(graph, refined), method="online-refine"
-    )

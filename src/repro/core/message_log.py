@@ -16,7 +16,7 @@ again and is reclaimed when the receiver's acknowledgement arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.simulator.messages import Message
 
@@ -82,12 +82,6 @@ class SenderLog:
             (e for e in self._entries if e.dest == dest and e.date > after_date),
             key=lambda e: e.date,
         )
-
-    def phases_for(self, entries: Iterable[LogEntry]) -> List[int]:
-        return sorted({e.phase for e in entries})
-
-    def destinations(self) -> List[int]:
-        return sorted({e.dest for e in self._entries})
 
     # ----------------------------------------------------- garbage collection
     def purge_acknowledged(self, dest: int, up_to_date: int) -> int:

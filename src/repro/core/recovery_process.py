@@ -197,17 +197,3 @@ class RecoveryOrchestrator:
         self._completed = True
         if self._on_complete is not None:
             self._on_complete(self)
-
-    # ------------------------------------------------------------------ debug
-    def pending_summary(self) -> Dict[str, object]:
-        return {
-            "started": self._started_notifications,
-            "complete": self._completed,
-            "outstanding_orphans": dict(self.orphans_per_phase),
-            "ungated_process_phases": {p: sorted(r) for p, r in self.process_phase.items()},
-            "unreleased_log_phases": {p: sorted(r) for p, r in self.log_phase.items()},
-            "missing_reports": sorted(
-                self.expected_ranks
-                - (self._log_reports & self._orphan_reports & self._phase_reports)
-            ),
-        }

@@ -20,7 +20,7 @@ Generation is a pure function of spec content
 * the per-unit draws are merged in deterministic ``(time, ranks)`` order
   and truncated to ``max_failures``.
 
-The trace materialises into plain
+The trace materialises into frozen
 :class:`~repro.simulator.failures.FailureEvent` objects at scenario build
 time (:meth:`FailureTrace.to_failure_events`), so the simulator itself
 never sees the stochastic layer.
@@ -141,11 +141,8 @@ class FailureTrace:
 
     # ------------------------------------------------------------ simulation
     def to_failure_events(self) -> List[FailureEvent]:
-        """Materialise into the simulator's plain failure events."""
-        return [
-            FailureEvent(ranks=list(entry.ranks), time=entry.time)
-            for entry in self.entries
-        ]
+        """Materialise into the simulator's frozen failure events."""
+        return [FailureEvent(ranks=entry.ranks, time=entry.time) for entry in self.entries]
 
 
 # ------------------------------------------------------------------- units

@@ -27,7 +27,7 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.simulator.failures import FailureEvent, FailureInjector
+from repro.simulator.failures import FailureInjector
 from repro.simulator.network import (
     EthernetTCPModel,
     MyrinetMXModel,
@@ -226,10 +226,11 @@ def build_failures(
 ) -> Optional[FailureInjector]:
     """Materialise the spec's failure source into an injector.
 
-    Explicit ``failures`` map one-to-one onto events; a ``fault_model``
-    draws its :class:`~repro.faults.trace.FailureTrace` here, ahead of
-    simulation (``topology`` optionally passes the scenario's already-built
-    physical topology so node/cluster fault scopes reuse it).  A fault
+    Explicit ``failures`` are handed to the injector as they stand (no run
+    writes to them); a ``fault_model`` draws its
+    :class:`~repro.faults.trace.FailureTrace` here, ahead of simulation
+    (``topology`` optionally passes the scenario's already-built physical
+    topology so node/cluster fault scopes reuse it).  A fault
     model always gets an injector -- even for a replica whose draw came up
     empty -- so every Monte Carlo replica publishes the same metric paths.
     """
@@ -242,17 +243,7 @@ def build_failures(
         return FailureInjector(trace.to_failure_events())
     if not spec.failures:
         return None
-    return FailureInjector(
-        [
-            FailureEvent(
-                ranks=list(f.ranks),
-                time=f.time,
-                at_iteration=f.at_iteration,
-                rank_trigger=f.rank_trigger,
-            )
-            for f in spec.failures
-        ]
-    )
+    return FailureInjector(spec.failures)
 
 
 def build_config(spec: ScenarioSpec) -> SimulationConfig:

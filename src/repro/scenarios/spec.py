@@ -25,7 +25,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultModelSpec
-from repro.simulator.failures import validate_failure_group
+from repro.simulator.failures import FailureEvent
 
 
 def _freeze_mapping(value: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -183,32 +183,8 @@ class NetworkSpec:
             object.__setattr__(self, "topology", TopologySpec(**self.topology))
 
 
-@dataclass(frozen=True)
-class FailureSpec:
-    """One fail-stop failure event (mirrors
-    :class:`repro.simulator.failures.FailureEvent`)."""
-
-    ranks: Tuple[int, ...]
-    time: Optional[float] = None
-    at_iteration: Optional[int] = None
-    rank_trigger: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        validate_failure_group("failure spec", self.ranks, self.time)
-        if (self.time is None) == (self.at_iteration is None):
-            raise ConfigurationError(
-                "specify exactly one of `time` or `at_iteration` for a failure spec"
-            )
-        if self.rank_trigger is not None and self.rank_trigger not in self.ranks:
-            # Unlike the simulator-level FailureEvent, the declarative layer
-            # requires the trigger to be one of the failing ranks: only then
-            # can the injector always re-target the event if the trigger
-            # rank dies before reaching its iteration boundary.
-            raise ConfigurationError(
-                f"failure spec rank_trigger {self.rank_trigger} is not one of "
-                f"its ranks {list(self.ranks)}"
-            )
+#: one fail-stop failure of a scenario: the simulator's own failure value.
+FailureSpec = FailureEvent
 
 
 @dataclass(frozen=True)
@@ -253,6 +229,15 @@ class ScenarioSpec:
                 f"unknown execution mode {self.execution!r}; "
                 f"expected one of {self._EXECUTIONS}"
             )
+        for failure in self.failures:
+            if failure.rank_trigger is not None and failure.rank_trigger not in failure.ranks:
+                # The declarative layer requires the trigger to be one of the
+                # failing ranks: only then can the injector always re-target
+                # the strike if the trigger dies before its iteration boundary.
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: failure rank_trigger "
+                    f"{failure.rank_trigger} is not one of its ranks {list(failure.ranks)}"
+                )
         if isinstance(self.fault_model, Mapping):
             object.__setattr__(self, "fault_model", FaultModelSpec(**self.fault_model))
         if self.fault_model is not None and self.failures:

@@ -102,21 +102,6 @@ class Transport:
         self._deliver(message)
 
     # ------------------------------------------------------------- inspection
-    def in_flight_count(
-        self,
-        sources: Optional[Set[int]] = None,
-        dests: Optional[Set[int]] = None,
-    ) -> int:
-        """Number of in-flight messages filtered by source/destination sets."""
-        count = 0
-        for msg, _handle in self._in_flight.values():
-            if sources is not None and msg.source not in sources:
-                continue
-            if dests is not None and msg.dest not in dests:
-                continue
-            count += 1
-        return count
-
     def in_flight_within(self, ranks: Set[int]) -> int:
         """In-flight messages whose source *and* destination are both in ``ranks``."""
         return sum(

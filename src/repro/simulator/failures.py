@@ -20,8 +20,8 @@ overlap means (HydEE joins the session, see :mod:`repro.core.protocol`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.simulator.process import RankState
@@ -34,9 +34,8 @@ def validate_failure_group(what: str, ranks: Sequence[int],
                            time: Optional[float]) -> None:
     """Shared (ranks, time) validation of every failure-description layer.
 
-    :class:`FailureEvent`, the declarative
-    :class:`~repro.scenarios.spec.FailureSpec` and the trace-level
-    :class:`~repro.faults.trace.TraceEntry` all describe "these ranks fail
+    :class:`FailureEvent` and the trace-level
+    :class:`~repro.faults.trace.TraceEntry` both describe "these ranks fail
     together at this time" and share one rule set: at least one rank, no
     duplicates, and -- when a time is given -- a finite number >= 0.
     """
@@ -54,11 +53,14 @@ def validate_failure_group(what: str, ranks: Sequence[int],
             raise ConfigurationError(f"{what} time must be >= 0, got {time!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FailureEvent:
-    """Specification of one failure to inject.
+    """One fail-stop failure: these ranks fail together.
 
-    Exactly one of ``time`` or ``(rank_trigger, at_iteration)`` must be set.
+    Exactly one of ``time`` or ``at_iteration`` must be set.  An event is a
+    value: no run writes to it, so one list of events can drive any number
+    of simulations (what became of a strike in one run is the
+    :class:`FailureInjector`'s state).
 
     Attributes
     ----------
@@ -67,37 +69,37 @@ class FailureEvent:
     time:
         Absolute simulation time of the failure.
     at_iteration:
-        Fire when ``rank_trigger`` (defaults to the first rank of ``ranks``)
-        completes this iteration.
+        Fire when ``rank_trigger`` completes this iteration.
+    rank_trigger:
+        The rank whose iteration boundary triggers the failure, kept as
+        written; ``None`` means the first rank of ``ranks``.  A trigger
+        outside ``ranks`` ("kill X when Y completes iteration N") is legal
+        here; :class:`~repro.scenarios.spec.ScenarioSpec` requires it to be
+        one of ``ranks``.
     """
 
-    ranks: Sequence[int]
+    ranks: Tuple[int, ...]
     time: Optional[float] = None
     at_iteration: Optional[int] = None
     rank_trigger: Optional[int] = None
-    fired: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         validate_failure_group("failure event", self.ranks, self.time)
         if (self.time is None) == (self.at_iteration is None):
             raise ConfigurationError(
                 "specify exactly one of `time` or `at_iteration` for a failure event"
             )
-        if self.rank_trigger is None:
-            self.rank_trigger = self.ranks[0]
-        # NOTE: a trigger *outside* ranks stays legal at this level ("kill X
-        # when Y completes iteration N" is a useful test harness); the
-        # declarative FailureSpec is stricter because retargeting after the
-        # trigger dies only works within the event's own ranks.
 
 
 class FailureInjector:
-    """Schedules and fires :class:`FailureEvent` objects.
+    """Schedules and fires :class:`FailureEvent` strikes.
 
     Every strike lands at its time, through one path (:meth:`_fire`): the
     paper's failure model allows several concurrent failures, so a strike
     inside an active recovery session is handed to the protocol like any
-    other.
+    other.  The injector only reads its events; every fact about a strike
+    in this run (:attr:`status`, :attr:`triggers`) is its own.
     """
 
     def __init__(self, events: Optional[Iterable[FailureEvent]] = None) -> None:
@@ -105,6 +107,19 @@ class FailureInjector:
         self._sim: Optional["Simulation"] = None
         self.failed_ranks: Set[int] = set()
         self.failure_times: List[float] = []
+        #: what became of each strike, by index into :attr:`events`:
+        #: ``"pending"``, ``"armed"`` (its boundary passed and it is
+        #: scheduled), ``"fired"``, or ``"disarmed"`` (no rank of it
+        #: survived to trigger or suffer it).
+        self.status: List[str] = ["pending"] * len(self.events)
+        #: the rank whose iteration boundary triggers each iteration-triggered
+        #: strike, by index: its ``rank_trigger`` resolved, re-targeted to a
+        #: surviving rank of the strike when it dies for good.
+        self.triggers: Dict[int, int] = {
+            index: event.ranks[0] if event.rank_trigger is None else event.rank_trigger
+            for index, event in enumerate(self.events)
+            if event.at_iteration is not None
+        }
         #: iteration-triggered failures armed (scheduled) but not yet fired.
         #: The simulation refuses to declare completion while this is non-zero
         #: so a failure triggered by a rank's *last* iteration still strikes.
@@ -124,59 +139,64 @@ class FailureInjector:
     # ------------------------------------------------------------------ wiring
     def attach(self, sim: "Simulation") -> None:
         self._sim = sim
-        for event in self.events:
+        for index, event in enumerate(self.events):
             bad = [r for r in event.ranks if r not in sim.ranks]
             if bad:
                 raise ConfigurationError(
                     f"failure event names ranks {bad} outside the simulation's "
                     f"0..{sim.nprocs - 1}"
                 )
-            if event.rank_trigger is not None and event.rank_trigger not in sim.ranks:
+            trigger = self.triggers.get(index)
+            if trigger is not None and trigger not in sim.ranks:
                 # An out-of-range trigger would never complete an iteration:
                 # the event could silently never fire.
                 raise ConfigurationError(
-                    f"failure event trigger rank {event.rank_trigger} is "
+                    f"failure event trigger rank {trigger} is "
                     f"outside the simulation's 0..{sim.nprocs - 1}"
                 )
             if event.time is not None:
-                sim.engine.schedule_at(event.time, self._fire, event)
+                sim.engine.schedule_at(event.time, self._fire, index)
                 self.pending_timed_fires += 1
 
     def on_iteration_completed(self, rank: int, iteration: int) -> None:
         """Called by the rank driver after each completed iteration."""
-        if self._sim is None:
+        if self._sim is None or not self.triggers:
             return
-        armed = []
-        for event in self.events:
-            if (
-                not event.fired
-                and event.at_iteration is not None
-                and event.rank_trigger == rank
-                and iteration >= event.at_iteration
-            ):
-                self.armed_fires += 1
-                event.fired = True
-                armed.append(event)
+        armed = [
+            index
+            for index, trigger in self.triggers.items()
+            if trigger == rank
+            and self.status[index] == "pending"
+            and iteration >= self.events[index].at_iteration
+        ]
         if armed:
             # Fire "now" (zero delay so the failing rank has fully returned
             # from its iteration first) -- as ONE event striking in spec
             # order, not one event per strike: same-time events dispatch in
             # insertion order only, and several strikes armed by one boundary
             # must not leave their relative order to that tie-break.
-            self._sim.engine.schedule(0.0, self._fire_armed_batch, armed)
+            self._arm(armed)
 
     # ------------------------------------------------------------------ firing
-    def _fire_armed_batch(self, events) -> None:
-        """Land the strikes armed by one boundary, in spec order."""
-        for event in events:
-            self.armed_fires -= 1
-            self._fire(event)
+    def _arm(self, indices: List[int]) -> None:
+        """Schedule the strikes ``indices`` to land now, as one batch."""
+        for index in indices:
+            self.status[index] = "armed"
+        self.armed_fires += len(indices)
+        self._sim.engine.schedule(0.0, self._fire_armed_batch, indices)
 
-    def _fire(self, event: FailureEvent) -> None:
+    def _fire_armed_batch(self, indices: List[int]) -> None:
+        """Land the strikes armed by one boundary, in spec order."""
+        for index in indices:
+            self.armed_fires -= 1
+            self._fire(index)
+
+    def _fire(self, index: int) -> None:
+        event = self.events[index]
         if event.time is not None:
             # The attach()-scheduled entry, the only one a timed event has.
             self.pending_timed_fires -= 1
-        event.fired = True
+        self.status[index] = "fired"
         # "Alive" is the rank's *current* state, not failure history: a rank
         # that failed, was rolled back and restarted by the protocol can fail
         # again (stochastic fault traces routinely re-draw the same node).
@@ -196,31 +216,29 @@ class FailureInjector:
         self._retarget_dead_triggers()
 
     def _retarget_dead_triggers(self) -> None:
-        """Keep iteration-triggered events firable after their trigger dies.
+        """Keep iteration-triggered strikes firable after their trigger dies.
 
-        An unfired ``at_iteration`` event whose ``rank_trigger`` has been
-        fail-stopped -- and *not* restarted by the protocol's recovery, which
-        runs synchronously inside the failure notification -- would wait for
-        an iteration completion that can never happen, so the simulation
-        could never converge on it.  The event is re-triggered on the first
+        A pending ``at_iteration`` strike whose trigger has been fail-stopped
+        -- and *not* restarted by the protocol's recovery, which runs
+        synchronously inside the failure notification -- would wait for an
+        iteration completion that can never happen, so the simulation could
+        never converge on it.  The strike is re-triggered on the first
         surviving rank of its own ``ranks`` (firing immediately if that rank
-        is already past ``at_iteration``); when no rank of the event
-        survives, the event is disarmed: every rank it would kill is already
-        dead.
+        is already past ``at_iteration``); when no rank of the strike
+        survives, it is disarmed: every rank it would kill is already dead.
 
         Triggers that were rolled back and restarted by the protocol are
         left alone -- they will complete their iterations again.
         """
         sim = self._sim
-        if sim is None:
-            return
         refire = []
-        for event in self.events:
-            if event.fired or event.at_iteration is None:
+        for index, trigger in self.triggers.items():
+            if self.status[index] != "pending":
                 continue
-            trigger = sim.ranks.get(event.rank_trigger)
-            if trigger is None or trigger.state is not RankState.FAILED:
+            proc = sim.ranks.get(trigger)
+            if proc is None or proc.state is not RankState.FAILED:
                 continue
+            event = self.events[index]
             survivor = None
             for rank in event.ranks:
                 proc = sim.ranks.get(rank)
@@ -228,22 +246,20 @@ class FailureInjector:
                     survivor = proc
                     break
             if survivor is None:
-                event.fired = True
+                self.status[index] = "disarmed"
                 self.disarmed_events += 1
                 continue
             self.retargeted_events += 1
-            event.rank_trigger = survivor.rank
+            self.triggers[index] = survivor.rank
             if survivor.completed_iterations >= event.at_iteration:
                 # The new trigger already passed the boundary: fire now (via
                 # the armed path so completion still waits for the strike).
-                event.fired = True
-                self.armed_fires += 1
-                refire.append(event)
+                refire.append(index)
         if refire:
             # One batched event for every re-triggered strike (see
             # on_iteration_completed: simultaneous strikes land in spec
             # order, not engine insertion order).
-            sim.engine.schedule(0.0, self._fire_armed_batch, refire)
+            self._arm(refire)
 
     # ------------------------------------------------------------- lookahead
     def next_timed_failure_time(self) -> Optional[float]:
@@ -253,18 +269,22 @@ class FailureInjector:
         epoch must end a guard window *before* this time so the strike, and
         the recovery it triggers, play out in exact DES.
         """
-        times = [e.time for e in self.events if e.time is not None and not e.fired]
-        return min(times) if times else None
+        return min(
+            (
+                event.time
+                for event, status in zip(self.events, self.status)
+                if event.time is not None and status == "pending"
+            ),
+            default=None,
+        )
 
     def next_iteration_trigger(self) -> Optional[int]:
         """Earliest unfired iteration-triggered boundary (None when none)."""
-        its = [
-            e.at_iteration
-            for e in self.events
-            if e.at_iteration is not None and not e.fired
-        ]
-        return min(its) if its else None
-
-    @property
-    def any_failure_injected(self) -> bool:
-        return bool(self.failure_times)
+        return min(
+            (
+                self.events[index].at_iteration
+                for index in self.triggers
+                if self.status[index] == "pending"
+            ),
+            default=None,
+        )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -211,12 +211,14 @@ class RoutedNetworkModel:
     method is delegated to the wrapped model, so protocols and processes use
     a routed model transparently.
 
-    Contention state (per-link busy-until) is per simulation run; the
-    transport calls :meth:`reset` when it attaches.
+    Contention state (per-link busy-until) is per simulation run and lives
+    in the transport, which passes its own
+    :class:`~repro.topology.contention.ContentionModel` to every
+    :meth:`routed_arrival`; one model instance can back many simulations.
     """
 
     def __init__(self, base: NetworkModel, topology) -> None:
-        from repro.topology import ContentionModel, Topology
+        from repro.topology import Topology
 
         if not isinstance(base, NetworkModel):
             raise ConfigurationError(
@@ -228,7 +230,6 @@ class RoutedNetworkModel:
             )
         self.base = base
         self.topology = topology
-        self.contention = ContentionModel()
         # Hot-path bindings: routed_arrival runs once per message, so the
         # wrapped model's methods/thresholds are resolved once here, and the
         # per-(src, dst) link chains are memoised locally instead of
@@ -244,18 +245,13 @@ class RoutedNetworkModel:
         # (transfer_time, latency, piggyback_cost, send_overhead_s, ...).
         return getattr(self.base, name)
 
-    def reset(self) -> None:
-        """Clear the model's own contention state (standalone use only;
-        transports carry their private per-run :class:`ContentionModel`)."""
-        self.contention.reset()
-
     def routed_arrival(
         self,
         source: int,
         dest: int,
         wire_bytes: int,
         start: float,
-        contention=None,
+        contention,
     ) -> Tuple[float, float]:
         """Arrival time of a message injected at ``start``.
 
@@ -264,10 +260,8 @@ class RoutedNetworkModel:
         message occupies its first link, mirroring the flat model's
         ``transfer_time`` decomposition.
 
-        ``contention`` selects whose busy-until state the reservation lands
-        in; the transport passes its own per-run model so that one
-        ``RoutedNetworkModel`` instance can safely back several simulations.
-        Standalone callers may omit it and use the model's own state.
+        The reservation lands in ``contention``, the caller's per-run
+        :class:`~repro.topology.contention.ContentionModel`.
         """
         key = (source, dest)
         path = self._route_of.get(key)
@@ -278,15 +272,7 @@ class RoutedNetworkModel:
         inject = start + self._base_latency(wire_bytes)
         if wire_bytes > self._eager_threshold:
             inject += self._rendezvous_cost
-        if contention is None:
-            contention = self.contention
         return contention.reserve(path, wire_bytes, inject)
-
-    def link_stats(self, makespan: Optional[float] = None):
-        return self.contention.link_stats(makespan=makespan)
-
-    def tier_stats(self):
-        return self.contention.tier_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RoutedNetworkModel({type(self.base).__name__}, {self.topology!r})"

@@ -308,13 +308,6 @@ class ProtocolHooks:
             metrics.set(f"protocol.{key}", value)
         return metrics
 
-    def describe(self) -> Dict[str, Any]:
-        """Legacy flat description, derived from :meth:`metrics`."""
-        out: Dict[str, Any] = {}
-        for path, value in self.metrics().items():
-            key = path.split(".", 1)[1]
-            out["protocol" if key == "name" else key] = value
-        return out
 
 
 @dataclass

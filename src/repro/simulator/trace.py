@@ -205,9 +205,6 @@ class TraceRecorder:
     def total_bytes(self) -> int:
         return sum(v[1] for v in self.channel_volumes.values())
 
-    def total_messages(self) -> int:
-        return sum(v[0] for v in self.channel_volumes.values())
-
 
 def compare_send_sequences(
     reference: TraceRecorder,

@@ -115,7 +115,6 @@ class TestSenderLog:
         entries = log.entries_for(dest=1, after_date=3)
         assert [e.date for e in entries] == [7]
         assert log.entries_for(dest=1, after_date=0) == log.entries_for(1, -1)
-        assert log.destinations() == [1, 2]
 
     def test_purge_acknowledged_frees_bytes(self):
         log = SenderLog()
@@ -147,13 +146,6 @@ class TestSenderLog:
         log.purge_acknowledged(dest=1, up_to_date=3)
         assert len(SenderLog.from_snapshot(snapshot)) == 1
         assert SenderLog.from_snapshot(snapshot).entries[0].date == 3
-
-    def test_phases_for(self):
-        log = SenderLog()
-        log.add(dest=1, date=1, phase=2, message=self._msg(1))
-        log.add(dest=1, date=2, phase=2, message=self._msg(1))
-        log.add(dest=2, date=3, phase=4, message=self._msg(2))
-        assert log.phases_for(log.entries) == [2, 4]
 
 
 class TestHydEERankState:
@@ -278,10 +270,3 @@ class TestRecoveryOrchestrator:
         orchestrator, _ = self._make()
         with pytest.raises(ProtocolError):
             orchestrator.handle("bogus", 0, {})
-
-    def test_pending_summary_reports_missing_ranks(self):
-        orchestrator, _ = self._make()
-        orchestrator.handle("own_phase", 0, {"phase": 1})
-        summary = orchestrator.pending_summary()
-        assert summary["started"] is False
-        assert 1 in summary["missing_reports"]

@@ -240,13 +240,3 @@ class TestProtocolMetricCollisions:
 
         with pytest.raises(ConfigurationError, match="duplicate protocol metric"):
             Shadowing().metrics()
-
-    def test_describe_is_derived_from_metrics(self):
-        from repro.ftprotocols.coordinated import CoordinatedCheckpointProtocol
-
-        protocol = CoordinatedCheckpointProtocol()
-        protocol.clusters = [[0, 1]]
-        info = protocol.describe()
-        assert info["protocol"] == protocol.name
-        assert info["clusters"] == 1
-        assert "rollbacks" in info

@@ -402,8 +402,41 @@ class TestFailureSpecValidation:
             FailureSpec(ranks=(4, 4), time=1e-3)
 
     def test_trigger_outside_ranks_rejected(self):
+        # Legal on the event itself (a simulator-level harness tool), but a
+        # scenario requires the trigger to be one of the failing ranks.
+        failure = FailureSpec(ranks=(5,), at_iteration=3, rank_trigger=3)
+        workload = WorkloadSpec(kind="ring", nprocs=8)
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=(5,), at_iteration=3, rank_trigger=3)
+            ScenarioSpec(name="bad-trigger", workload=workload, failures=(failure,))
+        data = ScenarioSpec(name="ok", workload=workload).to_dict()
+        data["failures"] = [{"ranks": [5], "at_iteration": 3, "rank_trigger": 3}]
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec.from_dict(data)
+
+    def test_build_hands_the_spec_failures_to_the_injector(self):
+        failures = (
+            FailureSpec(ranks=(3,), at_iteration=2),
+            FailureSpec(ranks=(1, 2), time=5e-6),
+        )
+        spec = ScenarioSpec(
+            name="handed-over",
+            workload=WorkloadSpec(kind="ring", nprocs=4, iterations=3),
+            protocol=ProtocolSpec(name="coordinated", options={"checkpoint_interval": 1}),
+            failures=failures,
+        )
+        sim = build(spec)
+        assert all(a is b for a, b in zip(sim.failure_injector.events, failures))
+        hash_before = spec.spec_hash()
+        sim.run()
+        assert spec.failures == failures
+        assert spec.spec_hash() == hash_before
+
+    def test_failure_spec_is_the_simulator_event(self):
+        import repro
+        from repro.simulator.failures import FailureEvent
+
+        assert FailureSpec is FailureEvent
+        assert repro.FailureSpec is FailureEvent
 
     def test_trigger_inside_ranks_accepted(self):
         spec = FailureSpec(ranks=(3, 5), at_iteration=3, rank_trigger=5)
@@ -529,9 +562,7 @@ class TestEverySpecFieldRoundTripsAndRekeys:
             cls
             for module in (repro.scenarios.spec, repro.faults.spec)
             for name, cls in vars(module).items()
-            if inspect.isclass(cls)
-            and name.endswith("Spec")
-            and cls.__module__ == module.__name__
+            if inspect.isclass(cls) and name.endswith("Spec")
         }
         assert declared == set(SPEC_FIELD_TABLE)
         assert all(dataclasses.is_dataclass(cls) for cls in declared)

@@ -170,7 +170,7 @@ class TestRoutedNetworkModel:
         base = MyrinetMXModel()
         routed = RoutedNetworkModel(base, flat_topology(4))
         for wire in (1, 64, 1024, 65536, 1 << 20):
-            arrival, waited = routed.routed_arrival(0, 3, wire, start=5.0)
+            arrival, waited = routed.routed_arrival(0, 3, wire, 5.0, ContentionModel())
             assert arrival == 5.0 + base.transfer_time(wire)
             assert waited == 0.0
 
@@ -188,7 +188,7 @@ class TestRoutedNetworkModel:
         )
         routed = RoutedNetworkModel(base, topo)
         flat_time = base.transfer_time(1 << 20)
-        arrival, _ = routed.routed_arrival(0, 7, 1 << 20, start=0.0)
+        arrival, _ = routed.routed_arrival(0, 7, 1 << 20, 0.0, ContentionModel())
         assert arrival > flat_time
 
     def test_concurrent_inter_cluster_messages_queue(self):
@@ -199,8 +199,9 @@ class TestRoutedNetworkModel:
         routed = RoutedNetworkModel(base, topo)
         # Two different senders in cluster 0 to cluster 1: they share the
         # cluster up/downlinks and must serialize there.
-        _, wait_first = routed.routed_arrival(0, 6, 1 << 16, start=0.0)
-        _, wait_second = routed.routed_arrival(2, 7, 1 << 16, start=0.0)
+        contention = ContentionModel()
+        _, wait_first = routed.routed_arrival(0, 6, 1 << 16, 0.0, contention)
+        _, wait_second = routed.routed_arrival(2, 7, 1 << 16, 0.0, contention)
         assert wait_first == 0.0
         assert wait_second > 0.0
 
