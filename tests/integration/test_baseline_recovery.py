@@ -89,6 +89,25 @@ class TestFullMessageLogging:
         # The recovering rank re-sent messages its peers had already received.
         assert result.stats.extra.get("suppressed_duplicates", 0) > 0
 
+    def test_every_arrival_reaches_the_logging_hook(self):
+        # Two strikes, pinned: the protocol sees every arrival (replays
+        # included) and suppresses the re-sent duplicates among them.
+        arrivals = []
+
+        class Spy(FullMessageLoggingProtocol):
+            def on_message_arrival(self, rank, message):
+                arrivals.append(message)
+                return super().on_message_arrival(rank, message)
+
+        protocol = Spy(checkpoint_interval=2, checkpoint_size_bytes=16 * 1024)
+        result = run(lambda: Stencil2DApplication(nprocs=16, iterations=10), protocol,
+                     FailureInjector([FailureEvent(ranks=[6], at_iteration=3),
+                                      FailureEvent(ranks=[9], at_iteration=6)]))
+        assert result.completed
+        assert result.metric("sim.suppressed_duplicates") == 12
+        assert len(arrivals) == 504
+        assert result.stats.events_processed == 1531
+
     def test_memory_footprint_larger_than_hydee(self):
         full = FullMessageLoggingProtocol(checkpoint_interval=None)
         run(STENCIL, full)
