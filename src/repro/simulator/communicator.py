@@ -23,6 +23,7 @@ Message sizes: the simulator separates the simulated wire size
 (``size_bytes``) from the Python payload, so workloads can describe class-D
 NAS exchanges without allocating gigabytes.  If ``size_bytes`` is omitted, a
 small size is derived from the payload repr, which is good enough for tests.
+A negative size is rejected with :class:`~repro.errors.InvalidOperationError`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class Communicator:
     def __init__(self, sim, rank_process) -> None:
         self._sim = sim
         self._proc = rank_process
+        self._nprocs = sim.nprocs
         self._collective_seq = 0
         #: who initiates a non-blocking send: the event-driven path, except
         #: during a fast-forwarded epoch, for which the hybrid director
@@ -84,14 +86,16 @@ class Communicator:
     # ------------------------------------------------------- blocking p2p
     def send(self, dest: int, payload: Any = None, tag: int = 0, size_bytes: Optional[int] = None):
         """Blocking send.  Use as ``yield from comm.send(...)``."""
-        self._check_peer(dest)
         size = _default_size(payload) if size_bytes is None else int(size_bytes)
+        if not (0 <= dest < self._nprocs) or dest == self._proc.rank or size < 0:
+            self._reject_send(dest, size)
         yield SendOp(dest=dest, payload=payload, tag=tag, size_bytes=size)
         return None
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive.  Returns the :class:`Message`; use ``.payload``."""
-        if source != ANY_SOURCE:
+        if source != ANY_SOURCE and not (0 <= source < self._nprocs
+                                         and source != self._proc.rank):
             self._check_peer(source)
         message = yield RecvOp(source=source, tag=tag)
         return message
@@ -117,15 +121,20 @@ class Communicator:
         self, dest: int, payload: Any = None, tag: int = 0, size_bytes: Optional[int] = None
     ) -> SendRequest:
         """Non-blocking send; returns a request (plain call, no yield)."""
-        self._check_peer(dest)
+        # The peer and size tests are inline: this is the first hop of every
+        # message; the helpers run only to raise.
         size = _default_size(payload) if size_bytes is None else int(size_bytes)
-        return self._isend(self._proc, dest, payload, tag, size)
+        proc = self._proc
+        if not (0 <= dest < self._nprocs) or dest == proc.rank or size < 0:
+            self._reject_send(dest, size)
+        return self._isend(proc, dest, payload, tag, size)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Non-blocking receive post; returns a request (plain call, no yield)."""
-        if source != ANY_SOURCE:
+        proc = self._proc
+        if source != ANY_SOURCE and not (0 <= source < self._nprocs and source != proc.rank):
             self._check_peer(source)
-        return self._proc.post_receive(source, tag)
+        return proc.post_receive(source, tag)
 
     def wait(self, request: Request):
         """Wait for one request; returns its completion value."""
@@ -208,6 +217,12 @@ class Communicator:
             raise InvalidOperationError(
                 f"rank {self.rank}: self-sends are not supported by the simulator"
             )
+
+    def _reject_send(self, dest: int, size: int) -> None:
+        self._check_peer(dest)
+        raise InvalidOperationError(
+            f"rank {self.rank}: message size {size} to rank {dest} is negative"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Communicator(rank={self.rank}, size={self.size})"

@@ -1298,13 +1298,12 @@ class HybridDirector:
                     waits[rank] = (op, requests, pos)
                     blocked.add(rank)
                     break
-                # Same delivery order as the exact path: only after *all*
+                # The exact path's delivery loop and order: only after *all*
                 # requests completed, in request order (a sendrecv delivers
                 # the send value -- a no-op -- then the received message),
                 # and before the coroutine resumes.
                 values = [request.value for request in requests]
-                for delivered in values:
-                    proc._deliver_to_app(delivered)
+                proc.deliver_to_app(values)
                 value = (
                     values if op.__class__ is WaitOp and op.mode == "all"
                     else values[0]

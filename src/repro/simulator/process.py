@@ -9,7 +9,19 @@ interleaving of ranks is deterministic.
 
 The process also owns the MPI matching state (posted receives and the
 unexpected-message queue), the per-rank statistics, and the mechanics needed
-by rollback-recovery protocols:
+by rollback-recovery protocols.  Matching and delivery are the two per-message
+steps of the process:
+
+* matching (:meth:`RankProcess.deliver_message`, :meth:`post_receive`) pairs
+  a message with the first posted receive, in post order, whose
+  ``(source, tag)`` -- wildcards included -- accepts it, exactly as
+  :meth:`RecvRequest.matches` defines it, and completes that request;
+* delivery (:meth:`RankProcess.deliver_to_app`) is the application-level
+  event the protocol accounts, in the order the application obtains its
+  messages.  It is one loop, shared by the event-driven driver and the
+  hybrid fast-forward interpreter.
+
+Rollback-recovery protocols use:
 
 * :meth:`RankProcess.fail` -- fail-stop failure,
 * :meth:`RankProcess.restart_from_checkpoint` -- rollback to an application
@@ -27,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Set
 
 from repro.errors import InvalidOperationError, SimulationError
 from repro.simulator.engine import Condition
-from repro.simulator.messages import Message
+from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message
 from repro.simulator.ops import (
     ComputeOp,
     Operation,
@@ -39,6 +51,7 @@ from repro.simulator.ops import (
 )
 from repro.simulator.requests import RecvRequest, Request, RequestState
 
+_PENDING = RequestState.PENDING
 _COMPLETE = RequestState.COMPLETE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -257,24 +270,29 @@ class RankProcess:
         self._handle_blocking_send(op)
 
     # ------------------------------------------------------------------ recv
-    def _deliver_to_app(self, value: Any) -> None:
-        """Application-level Delivery event (Section II-C of the paper).
+    def deliver_to_app(self, values: Sequence[Any]) -> None:
+        """Application-level Delivery events (Section II-C of the paper).
 
-        Delivery accounting (protocol date/phase/RPP updates, trace records)
-        is performed here, in the order the *application* obtains messages
-        (blocking recv completion, or request order inside a waitall), not in
-        network-arrival order.  This keeps the protocol's logical dates
-        reproducible when a rolled-back process re-executes.
+        ``values`` are completion values in the order the *application*
+        obtains them (blocking recv completion, or request order inside a
+        waitall), not network-arrival order: this keeps the protocol's
+        logical dates reproducible when a rolled-back process re-executes.
+        Each message not yet delivered is accounted once (protocol
+        date/phase/RPP updates, trace records); a send request's ``None``
+        is skipped.  The event-driven driver and the hybrid fast-forward
+        interpreter both deliver through this one loop.
         """
-        if isinstance(value, Message) and not value.app_delivered:
-            value.app_delivered = True
-            self.deliveries += 1
-            self.sim.on_app_delivery(self, value)
+        sim = self.sim
+        for value in values:
+            if value.__class__ is Message and not value.app_delivered:
+                value.app_delivered = True
+                self.deliveries += 1
+                sim.on_app_delivery(self, value)
 
     def _handle_blocking_recv(self, op: RecvOp) -> None:
         request = self.post_receive(op.source, op.tag)
-        if request.complete:
-            self._deliver_to_app(request.value)
+        if request.state is _COMPLETE:
+            self.deliver_to_app((request.value,))
             self._schedule_resume(self.sim.network.recv_overhead_s, request.value)
             return
         self.state = RankState.BLOCKED
@@ -284,10 +302,11 @@ class RankProcess:
 
         def _on_complete(req, inc: int = inc) -> None:
             if inc == self.incarnation:
-                self._deliver_to_app(req.value)
+                self.deliver_to_app((req.value,))
             self._schedule_resume_for(inc, self.sim.network.recv_overhead_s, req.value)
 
-        request.add_waiter(_on_complete)
+        # A freshly posted receive is PENDING: its waiter list, directly.
+        request._waiters.append(_on_complete)
 
     # ------------------------------------------------------------------ wait
     def _handle_wait(self, op: WaitOp) -> None:
@@ -311,7 +330,7 @@ class RankProcess:
         else:
             for idx, r in enumerate(requests):
                 if r.state is _COMPLETE:
-                    self._deliver_to_app(r.value)
+                    self.deliver_to_app((r.value,))
                     self._schedule_resume(0.0, r.value if mode == "one" else (idx, r.value))
                     return
             remaining = 1
@@ -337,20 +356,21 @@ class RankProcess:
             if mode == "all":
                 self._resume_with_all(requests)
                 return
-            self._deliver_to_app(req.value)
+            self.deliver_to_app((req.value,))
             self._schedule_resume(
                 0.0, req.value if mode == "one" else (requests.index(req), req.value)
             )
 
+        # Request.add_waiter, inline: a completed request is not waited on
+        # and a cancelled one never completes.
         for r in requests:
-            if r.state is not _COMPLETE:
-                r.add_waiter(_on_completion)
+            if r.state is _PENDING:
+                r._waiters.append(_on_completion)
 
     def _resume_with_all(self, requests: Sequence[Request]) -> None:
         """Deliver in request order, then resume with the list of values."""
         values = [r.value for r in requests]
-        for value in values:
-            self._deliver_to_app(value)
+        self.deliver_to_app(values)
         self._schedule_resume(0.0, values)
 
     def _handle_wait_condition(self, op: WaitConditionOp) -> None:
@@ -366,44 +386,71 @@ class RankProcess:
         )
 
     # ------------------------------------------------------------- matching
+    # MPI-level completion.  ``(source, tag)`` is tested against the
+    # wildcards inline -- the test of :meth:`RecvRequest.matches` -- and a
+    # PENDING request is completed inline, as :meth:`Request._complete`
+    # would; any other state is left to ``_complete`` (a cancelled request
+    # stays cancelled, a second completion raises).  The application-level
+    # Delivery event is *not* triggered here but in :meth:`deliver_to_app`,
+    # when the application obtains the message in its own program order.
+
     def post_receive(self, source: int, tag: int) -> RecvRequest:
-        """Post a receive; match immediately against the unexpected queue."""
+        """Post a receive; the first matching unexpected message completes it."""
         request = RecvRequest(self.rank, source, tag)
-        matched = self._match_unexpected(request) if self.unexpected else None
-        if matched is not None:
-            self._complete_receive(request, matched)
-        else:
+        message = self._match_unexpected(source, tag) if self.unexpected else None
+        if message is None:
             self.posted.append(request)
+        else:
+            # A fresh request: PENDING, nobody waits on it yet.
+            now = self.sim.engine.now
+            message.deliver_time = now
+            request.state = _COMPLETE
+            request.value = message
+            request.completion_time = now
         return request
 
-    def _match_unexpected(self, request: RecvRequest) -> Optional[Message]:
+    def _match_unexpected(self, source: int, tag: int) -> Optional[Message]:
+        """Remove and return the first unexpected message ``(source, tag)``
+        matches, else ``None``."""
+        rank = self.rank
         for idx, message in enumerate(self.unexpected):
-            if request.matches(message):
+            if ((source == ANY_SOURCE or source == message.source)
+                    and (tag == ANY_TAG or tag == message.tag)
+                    and message.dest == rank):
                 del self.unexpected[idx]
                 return message
         return None
 
     def deliver_message(self, message: Message) -> None:
-        """Called by the simulation when ``message`` arrives at this rank."""
+        """Called by the simulation when ``message`` arrives at this rank: the
+        first posted receive, in post order, that matches takes it, else it
+        joins the unexpected queue."""
         if self.state is RankState.FAILED:
             return
-        for idx, request in enumerate(self.posted):
-            if request.matches(message):
-                del self.posted[idx]
-                self._complete_receive(request, message)
+        if message.dest == self.rank:
+            source = message.source
+            tag = message.tag
+            posted = self.posted
+            for idx, request in enumerate(posted):
+                if not ((request.source == source or request.source == ANY_SOURCE)
+                        and (request.tag == tag or request.tag == ANY_TAG)):
+                    continue
+                del posted[idx]
+                now = self.sim.engine.now
+                message.deliver_time = now
+                if request.state is not _PENDING:
+                    request._complete(message, now)
+                    return
+                request.state = _COMPLETE
+                request.value = message
+                request.completion_time = now
+                waiters = request._waiters
+                if waiters:
+                    request._waiters = []
+                    for callback in waiters:
+                        callback(request)
                 return
         self.unexpected.append(message)
-
-    def _complete_receive(self, request: RecvRequest, message: Message) -> None:
-        """Match ``message`` to ``request`` (MPI-level completion).
-
-        Note: the application-level Delivery event (protocol accounting) is
-        *not* triggered here but in :meth:`_deliver_to_app`, when the
-        application actually obtains the message in its own program order.
-        """
-        now = self.sim.engine.now
-        message.deliver_time = now
-        request._complete(message, now)
 
     # -------------------------------------------------------------- failures
     def fail(self) -> None:

@@ -7,7 +7,14 @@ that protocols need in order to implement rollback-recovery:
 
 * :meth:`Simulation.initiate_send` / :meth:`initiate_isend` -- the single code
   path every application message goes through (protocol hooks are applied
-  here),
+  here; a SEND decision is transmitted and counted in one place,
+  :meth:`_attempt_send`, for blocking sends, non-blocking sends and the
+  retries of deferred ones),
+* the arrival binding -- the transport hands each arriving message to
+  :meth:`_on_message_arrival`, which asks ``protocol.on_message_arrival``,
+  only when the protocol overrides that hook (message logging); under any
+  other protocol it hands it to :meth:`_on_plain_arrival`, straight to the
+  destination's matching,
 * :meth:`Simulation.replay_message` -- inject a message replayed from a
   sender-based log (bypasses the application, Section III-B of the paper),
 * :meth:`Simulation.kill_ranks`, :meth:`restart_rank`, :meth:`drop_in_flight`
@@ -39,6 +46,9 @@ from repro.simulator.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.hybrid import Calibration, IterationGate
+
+_PENDING = RequestState.PENDING
+_COMPLETE = RequestState.COMPLETE
 
 
 @dataclass
@@ -128,8 +138,15 @@ class Simulation:
             snapshot_strategy=snapshot_strategy_for(application),
         )
         self.control = ControlPlane(self.engine, latency_s=self.config.control_latency_s)
-        self.transport = Transport(self.engine, self.network, self._on_message_arrival)
         self.protocol: ProtocolHooks = protocol or ProtocolHooks()
+        # Arrival binding: only a protocol that overrides the arrival hook
+        # (message logging) is asked about every arrival; otherwise the
+        # transport hands each message straight to its rank's matching.
+        if type(self.protocol).on_message_arrival is ProtocolHooks.on_message_arrival:
+            arrival = self._on_plain_arrival
+        else:
+            arrival = self._on_message_arrival
+        self.transport = Transport(self.engine, self.network, arrival)
         self.failure_injector = failures
 
         self.ranks: Dict[int, RankProcess] = {}
@@ -206,35 +223,58 @@ class Simulation:
         tag: int,
         size_bytes: int,
     ) -> SendRequest:
-        """Non-blocking-send entry point; always returns a request."""
+        """Non-blocking-send entry point; always returns a request.
+
+        The first attempt runs here, from the sender's own coroutine step
+        (so its incarnation is the live one); a deferred send is retried by
+        :meth:`_isend_attempt` once the protocol's condition fires.
+        """
         message = Message(proc.rank, dest, tag, size_bytes, payload)
         request = SendRequest(proc.rank, message)
-        self._isend_attempt(proc, message, request, proc.incarnation)
+        outcome, info = self._attempt_send(proc, message)
+        if outcome == "deferred":
+            self._defer_isend(proc, message, request, info, proc.incarnation)
+        else:
+            # Charge the sender-side CPU cost (piggyback handling, log
+            # memcpy) to the rank by delaying its next resume: an MPI_Isend
+            # call does not return before the library has done that work.
+            proc.pending_overhead += info
+            self.engine.post(info, self._complete_send_request, request)
         return request
+
+    def _defer_isend(
+        self, proc: RankProcess, message: Message, request: SendRequest,
+        condition: Condition, incarnation: int,
+    ) -> None:
+        condition.add_waiter(
+            lambda _value: self._isend_attempt(proc, message, request, incarnation)
+        )
 
     def _isend_attempt(
         self, proc: RankProcess, message: Message, request: SendRequest, incarnation: int
     ) -> None:
+        """Retry a deferred isend, unless its rank failed or rolled back."""
         if incarnation != proc.incarnation or proc.state is RankState.FAILED:
             request.cancel()
             return
         outcome, info = self._attempt_send(proc, message)
         if outcome == "deferred":
-            condition: Condition = info
-            condition.add_waiter(
-                lambda _value: self._isend_attempt(proc, message, request, incarnation)
-            )
+            self._defer_isend(proc, message, request, info, incarnation)
             return
-        cpu = info
-        # Charge the sender-side CPU cost (piggyback handling, log memcpy) to
-        # the rank by delaying its next resume: an MPI_Isend call does not
-        # return before the library has done that work.
-        proc.pending_overhead += cpu
-        self.engine.post(cpu, self._complete_send_request, request)
+        proc.pending_overhead += info
+        self.engine.post(info, self._complete_send_request, request)
 
     def _complete_send_request(self, request: SendRequest) -> None:
-        if request.state is RequestState.PENDING:
-            request._complete(None, self.engine.now)
+        # Request._complete, inline for the one state it acts on here (a
+        # cancelled request stays cancelled; the value stays None).
+        if request.state is _PENDING:
+            request.state = _COMPLETE
+            request.completion_time = self.engine.now
+            waiters = request._waiters
+            if waiters:
+                request._waiters = []
+                for callback in waiters:
+                    callback(request)
 
     def replay_message(self, message: Message, extra_cpu_time: float = 0.0) -> None:
         """Inject a message replayed from a sender-based log (recovery path).
@@ -249,7 +289,12 @@ class Simulation:
         self.stats.extra["replayed_messages"] = self.stats.extra.get("replayed_messages", 0) + 1
 
     # -------------------------------------------------------------- delivery
+    def _on_plain_arrival(self, message: Message) -> None:
+        """Arrival under a protocol without an arrival hook."""
+        self.ranks[message.dest].deliver_message(message)
+
     def _on_message_arrival(self, message: Message) -> None:
+        """Arrival under a protocol that overrides the arrival hook."""
         proc = self.ranks[message.dest]
         if proc.state is RankState.FAILED:
             return

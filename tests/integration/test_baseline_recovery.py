@@ -17,6 +17,7 @@ from repro import (
     Simulation,
 )
 from repro.simulator.failures import FailureEvent, FailureInjector
+from repro.simulator.protocol_api import ProtocolHooks
 from repro.workloads import PipelineApplication, RingApplication, Stencil2DApplication
 
 CLUSTERS16 = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
@@ -171,3 +172,27 @@ class TestContainmentComparison:
         r_coord = run(STENCIL, coordinated)
         assert r_coord.stats.logged_bytes == 0
         assert 0 < r_hydee.stats.logged_bytes < r_full.stats.logged_bytes
+
+
+class TestArrivalBinding:
+    """A protocol is asked about each arrival only if it overrides the hook."""
+
+    @pytest.mark.parametrize("protocol", [lambda: None,
+                                          lambda: HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))],
+                             ids=["none", "hydee"])
+    def test_default_hook_is_never_called_per_arrival(self, monkeypatch, protocol):
+        arrivals = []
+
+        def spy(self, rank, message):
+            arrivals.append(message)
+            return True
+
+        monkeypatch.setattr(ProtocolHooks, "on_message_arrival", spy)
+        protocol = protocol()
+        # HydEE recovers from a strike; without a protocol there is none.
+        failures = None if protocol is None else FailureInjector(
+            [FailureEvent(ranks=[5], at_iteration=5)])
+        result = run(STENCIL, protocol, failures)
+        assert result.completed
+        assert result.metric("sim.app_messages") > 0
+        assert arrivals == []

@@ -21,6 +21,10 @@ from the cached start, under both protocols.
 The last two tests bound the layers no simulation touches the same way, per
 record of a 1 000-record store: adding 32 records (open, ``put``, merge
 under the lock, rewrite) and one CLI pivot query over all of them.
+
+Re-measure every count next to its budget, without editing the file::
+
+    PYTHONPATH=src python -m tests.integration.test_call_budget
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import pstats
+import tempfile
 
 import pytest
 
@@ -44,40 +50,44 @@ from repro.scenarios.build import build
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from tests.integration.test_event_stream_pins import scenario_spec
 
-#: measured 88.63 calls per message (CPython 3.11, pure-Python engine core;
-#: 147.44 before the lean path) plus 10 %.  Raise it only with a reason:
-#: the budget is the point of the test.
-CALL_BUDGET_PER_MESSAGE = 97.0
+#: measured 70.51 calls per message (CPython 3.11, pure-Python engine core;
+#: 88.51 before the lean per-message hops, 147.44 before the lean path) plus
+#: 10 %.  Raise it only with a reason: the budget is the
+#: point of the test.
+CALL_BUDGET_PER_MESSAGE = 77.6
 
-#: measured 65.15 calls per message (same interpreter and core; 65.56 with
-#: the mirror communicator this interpreter replaced) plus 10 %.  The run
-#: is 7 warm-up and 1 final iteration of DES around 192 fast-forwarded
-#: ones, so the fast-forward interpreter dominates the count.
-FF_CALL_BUDGET_PER_MESSAGE = 71.7
+#: measured 53.97 calls per message (same interpreter and core; 67.05
+#: before the lean per-message hops, 65.56 with the mirror communicator this
+#: interpreter replaced) plus 10 %.  The run is 7 warm-up and 1 final
+#: iteration of DES around 192 fast-forwarded ones, so the fast-forward
+#: interpreter dominates the count.
+FF_CALL_BUDGET_PER_MESSAGE = 59.4
 
-#: measured 21.95 calls per rank-iteration (23.83 when a batched span built
-#: and acknowledged every checkpoint it passed; 28.57 when the DES window
-#: opened four to six iterations before a strike and the pre-warm ran 34
-#: iterations; 39.49 when each of the eight replicas was simulated and the
-#: pre-warm ran its scenario to the end) plus 10 %.  Five of the eight traces
+#: measured 19.04 calls per rank-iteration (22.31 before the lean
+#: per-message hops; 23.83 when a batched span built and acknowledged every
+#: checkpoint it passed; 28.57 when the DES window opened four to six
+#: iterations before a strike and the pre-warm ran 34 iterations; 39.49 when
+#: each of the eight replicas was simulated and the pre-warm ran its scenario
+#: to the end) plus 10 %.  Five of the eight traces
 #: are empty and run once; a sweep with fewer empty traces costs more per
 #: rank-iteration by construction, so the fault seed is pinned and the trace
 #: census asserted.
-SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 24.0
+SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 20.9
 SWEEP_FAULT_SEED, SWEEP_STRIKES = 0, [0, 1, 0, 1, 1, 0, 0, 0]
 
-#: measured 5.35 calls per rank-iteration (18.62 with 500 boundaries built
-#: and acknowledged one by one) plus 30 %: what is left is the DES warm-up
-#: and final iteration, the probe window, and 8 of the 500 boundaries.
-LINE_CALL_BUDGET_PER_RANK_ITERATION = 7.0
+#: measured 4.86 calls per rank-iteration (5.23 before the lean per-message
+#: hops; 18.62 with 500 boundaries built and acknowledged one by one) plus
+#: 30 %: what is left is the DES warm-up and final iteration, the probe
+#: window, and 8 of the 500 boundaries.
+LINE_CALL_BUDGET_PER_RANK_ITERATION = 6.3
 
-#: measured 121.99 calls per rank-iteration (135.62 with the wider window and
-#: the longer pre-warm; 184.35 when a coordinated replica never batched and a
-#: failed first probe sent the whole epoch to the per-message driver) plus
-#: 10 %.  Every replica is struck once, on average a fifth into the run; later
+#: measured 101.81 calls per rank-iteration (120.85 before the lean
+#: per-message hops; 135.62 with the wider window and the longer pre-warm;
+#: 184.35 when a coordinated replica never batched and a failed first probe
+#: sent the whole epoch to the per-message driver) plus 10 %.  Every replica is struck once, on average a fifth into the run; later
 #: strikes leave more to batch, so the fault seed is pinned and the trace
 #: census asserted.
-DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 134.2
+DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 112.0
 DENSE_SWEEP_FAULT_SEED = 13
 
 #: measured 2.45 calls per stored record (3 154 when the store was written
@@ -114,18 +124,23 @@ def profiled_calls_per_message(spec, iterations):
     return calls / messages, simulation
 
 
-def test_profiled_calls_per_message_stay_within_budget():
+def exact_calls_per_message():
     # 16 ranks, 8 iterations, 4 block clusters, one checkpoint at the end.
     calls, _ = profiled_calls_per_message(
         scenario_spec("call-budget", "stencil2d", 8, "hydee", 8), 8
     )
+    return calls
+
+
+def test_profiled_calls_per_message_stay_within_budget():
+    calls = exact_calls_per_message()
     assert calls <= CALL_BUDGET_PER_MESSAGE, (
         f"{calls:.2f} profiled calls per application message "
         f"(budget {CALL_BUDGET_PER_MESSAGE}): the per-message path has regrown"
     )
 
 
-def test_fast_forward_calls_per_message_stay_within_budget():
+def fast_forward_calls_per_message():
     # Checkpoint interval 2 leaves no boundary-free probe window, so nothing
     # is batched: every fast-forwarded iteration is driven per message.
     spec = dataclasses.replace(
@@ -138,6 +153,11 @@ def test_fast_forward_calls_per_message_stay_within_budget():
     # Everything but the DES warm-up and the final iteration.
     assert 2 * 2 + 2 < stats["warmup_iterations"] <= 4 * 2 + 2
     assert stats["ff_iterations"] == 16 * (200 - stats["warmup_iterations"] - 1)
+    return calls
+
+
+def test_fast_forward_calls_per_message_stay_within_budget():
+    calls = fast_forward_calls_per_message()
     assert calls <= FF_CALL_BUDGET_PER_MESSAGE, (
         f"{calls:.2f} profiled calls per application message "
         f"(budget {FF_CALL_BUDGET_PER_MESSAGE}): the fast-forward interpreter has regrown"
@@ -165,7 +185,7 @@ def strikes_per_replica(spec, replicas):
     return [len(generate_trace(s.fault_model, 16)) for s in replica_specs(spec, replicas)]
 
 
-def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
+def sparse_sweep_calls_per_rank_iteration():
     iterations, replicas = 160, 8
     base = scenario_spec("sweep-call-budget", "stencil2d", iterations, "hydee", 8)
     spec = struck_at_most_once(base, mtbf_factor=1.5, seed=SWEEP_FAULT_SEED)
@@ -175,7 +195,11 @@ def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
     assert outcome.completed_replicas == replicas
     assert (outcome.executed, outcome.shared) == (4, 4)  # 3 struck + the empty trace
     assert outcome.metric("faults.sim.hybrid.fallback.mean") == 0.0
-    per_rank_iteration = calls / (16 * iterations * replicas)
+    return calls / (16 * iterations * replicas)
+
+
+def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
+    per_rank_iteration = sparse_sweep_calls_per_rank_iteration()
     assert per_rank_iteration <= SWEEP_CALL_BUDGET_PER_RANK_ITERATION, (
         f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
         f"(budget {SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): equal traces are simulated "
@@ -184,7 +208,7 @@ def test_sparse_sweep_calls_per_rank_iteration_stay_within_budget():
     )
 
 
-def test_long_failure_free_replica_commits_one_line_per_span():
+def line_calls_per_rank_iteration():
     # 2 000 iterations, a checkpoint every 4: one batched span between the
     # warm-up and the final iteration.  Every checkpoint is counted; only the
     # warm-up's, the few the interval rung verifies on, and the last are built.
@@ -200,7 +224,11 @@ def test_long_failure_free_replica_commits_one_line_per_span():
     assert simulation.storage.writes == 16 * (iterations // interval)
     assert simulation.storage.saves <= 16 * 10
     assert simulation.hybrid_stats["line_commits"] < simulation.storage.saves
-    per_rank_iteration = calls / (16 * iterations)
+    return calls / (16 * iterations)
+
+
+def test_long_failure_free_replica_commits_one_line_per_span():
+    per_rank_iteration = line_calls_per_rank_iteration()
     assert per_rank_iteration <= LINE_CALL_BUDGET_PER_RANK_ITERATION, (
         f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
         f"(budget {LINE_CALL_BUDGET_PER_RANK_ITERATION}): a batched span is "
@@ -208,7 +236,7 @@ def test_long_failure_free_replica_commits_one_line_per_span():
     )
 
 
-def test_dense_sweep_calls_per_rank_iteration_stay_within_budget():
+def dense_sweep_calls_per_rank_iteration():
     iterations, replicas, protocols = 40, 6, ("hydee", "coordinated")
     calls = 0
     for protocol in protocols:
@@ -221,7 +249,11 @@ def test_dense_sweep_calls_per_rank_iteration_stay_within_budget():
         assert outcome.completed_replicas == outcome.executed == replicas
         assert outcome.metric("faults.sim.hybrid.fallback.mean") == 0.0
         assert outcome.metric("faults.sim.hybrid.batched_iterations.mean") > 0.0
-    per_rank_iteration = calls / (16 * iterations * replicas * len(protocols))
+    return calls / (16 * iterations * replicas * len(protocols))
+
+
+def test_dense_sweep_calls_per_rank_iteration_stay_within_budget():
+    per_rank_iteration = dense_sweep_calls_per_rank_iteration()
     assert per_rank_iteration <= DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION, (
         f"{per_rank_iteration:.2f} profiled calls per rank-iteration "
         f"(budget {DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION}): a protocol has stopped "
@@ -246,25 +278,27 @@ def synthetic_record(template, index):
     return record
 
 
-@pytest.fixture(scope="module")
-def big_store(tmp_path_factory):
-    """A 1 000-record store of real (tiny) simulation records, and 32 more."""
+def write_big_store(path):
+    """A 1 000-record store of real (tiny) simulation records at ``path``;
+    returns 32 more."""
     template, _ = run_spec(
         ScenarioSpec(name="seed", workload=WorkloadSpec(kind="ring", nprocs=4, iterations=2))
     )
-    path = str(tmp_path_factory.mktemp("call_budget") / "store.json")
     store = ResultsStore(path)
     for index in range(STORED_RECORDS):
         record = synthetic_record(template, index)
         store.put(record["spec_hash"], record)
     store.save()
-    fresh = [synthetic_record(template, STORED_RECORDS + i) for i in range(NEW_RECORDS)]
-    return path, fresh
+    return [synthetic_record(template, STORED_RECORDS + i) for i in range(NEW_RECORDS)]
 
 
-def test_store_append_calls_per_record_stay_within_budget(big_store):
-    path, fresh = big_store
+@pytest.fixture(scope="module")
+def big_store(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("call_budget") / "store.json")
+    return path, write_big_store(path)
 
+
+def store_append_calls_per_record(path, fresh):
     def append():
         store = ResultsStore(path)
         for record in fresh:
@@ -274,7 +308,11 @@ def test_store_append_calls_per_record_stay_within_budget(big_store):
 
     calls, stored = profiled(append)
     assert stored == STORED_RECORDS + NEW_RECORDS
-    per_record = calls / stored
+    return calls / stored
+
+
+def test_store_append_calls_per_record_stay_within_budget(big_store):
+    per_record = store_append_calls_per_record(*big_store)
     assert per_record <= STORE_CALL_BUDGET_PER_RECORD, (
         f"{per_record:.2f} profiled calls per stored record "
         f"(budget {STORE_CALL_BUDGET_PER_RECORD}): records the campaign did not "
@@ -282,8 +320,7 @@ def test_store_append_calls_per_record_stay_within_budget(big_store):
     )
 
 
-def test_query_calls_per_record_stay_within_budget(big_store):
-    path, _ = big_store  # 1 032 records on disk once the append test has run
+def query_calls_per_record(path):
     scanned = len(ResultsStore(path))
     argv = ["query", path, "--where", "tags.family=synthetic",
             "--pivot", "tags.row", "tags.col", "sim.makespan", "--format", "json"]
@@ -293,8 +330,42 @@ def test_query_calls_per_record_stay_within_budget(big_store):
     assert exit_code == 0
     rows = json.loads(stdout.getvalue())
     assert sum(len(row) - 1 for row in rows) == scanned
-    per_record = calls / scanned
+    return calls / scanned
+
+
+def test_query_calls_per_record_stay_within_budget(big_store):
+    path, _ = big_store  # 1 032 records on disk once the append test has run
+    per_record = query_calls_per_record(path)
     assert per_record <= QUERY_CALL_BUDGET_PER_RECORD, (
         f"{per_record:.2f} profiled calls per record scanned "
         f"(budget {QUERY_CALL_BUDGET_PER_RECORD}): the record -> RunResult path has regrown"
     )
+
+
+def main():
+    """Print every measured count next to its budget."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "store.json")
+        fresh = write_big_store(path)
+        rows = [
+            ("calls per message, exact", CALL_BUDGET_PER_MESSAGE,
+             exact_calls_per_message),
+            ("calls per message, fast-forward", FF_CALL_BUDGET_PER_MESSAGE,
+             fast_forward_calls_per_message),
+            ("calls per rank-iteration, sparse sweep", SWEEP_CALL_BUDGET_PER_RANK_ITERATION,
+             sparse_sweep_calls_per_rank_iteration),
+            ("calls per rank-iteration, 2 000-iteration replica",
+             LINE_CALL_BUDGET_PER_RANK_ITERATION, line_calls_per_rank_iteration),
+            ("calls per rank-iteration, dense sweep",
+             DENSE_SWEEP_CALL_BUDGET_PER_RANK_ITERATION, dense_sweep_calls_per_rank_iteration),
+            ("calls per stored record, append", STORE_CALL_BUDGET_PER_RECORD,
+             functools.partial(store_append_calls_per_record, path, fresh)),
+            ("calls per record scanned, query", QUERY_CALL_BUDGET_PER_RECORD,
+             functools.partial(query_calls_per_record, path)),
+        ]
+        for label, budget, measure in rows:
+            print(f"{label:<50} {measure():9.2f}   budget {budget}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

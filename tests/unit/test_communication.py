@@ -170,6 +170,32 @@ class TestPointToPoint:
         with pytest.raises(InvalidOperationError):
             run_script(2, body)
 
+    @pytest.mark.parametrize("call", ["send", "isend", "bcast"])
+    def test_negative_message_size_rejected(self, call):
+        # Without the check the run completed with negative byte counters.
+        def body(comm, rank, state, it):
+            if call == "bcast":
+                yield from comm.bcast(1, root=0, size_bytes=-10**9)
+            elif rank == 0 and call == "send":
+                yield from comm.send(1, payload=1, size_bytes=-10**9)
+            elif rank == 0:
+                yield from comm.wait(comm.isend(1, payload=1, size_bytes=-10**9))
+            else:
+                yield from comm.recv(source=0)
+
+        with pytest.raises(InvalidOperationError, match="size -1000000000"):
+            run_script(2, body)
+
+    def test_zero_message_size_is_a_message(self):
+        def body(comm, rank, state, it):
+            if rank == 0:
+                yield from comm.send(1, payload=None, size_bytes=0)
+            else:
+                yield from comm.recv(source=0)
+
+        result = run_script(2, body)
+        assert (result.metric("sim.app_messages"), result.metric("sim.app_bytes")) == (1, 0)
+
     def test_negative_compute_rejected(self):
         def body(comm, rank, state, it):
             yield from comm.compute(-1.0)
