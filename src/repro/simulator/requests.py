@@ -70,6 +70,10 @@ class Request:
 
     # ------------------------------------------------------------- internals
     def _complete(self, value: Any, time: float) -> None:
+        """Complete once and wake the waiters.  The per-message path
+        (:meth:`RankProcess.deliver_message`, the send completion of
+        :class:`Simulation`) does this inline for a PENDING request and
+        leaves every other state here."""
         if self.state is RequestState.CANCELLED:
             return
         if self.state is RequestState.COMPLETE:
@@ -124,6 +128,8 @@ class RecvRequest(Request):
         self.tag = tag
 
     def matches(self, message: Message) -> bool:
+        """The definition of MPI matching, which :class:`RankProcess` applies
+        inline when a message arrives or a receive is posted."""
         return message.matches(self.source, self.tag) and message.dest == self.rank
 
     def __repr__(self) -> str:  # pragma: no cover
