@@ -12,6 +12,11 @@ executes the same program; the logs must match exactly.
 The FIFO schedule-policy path (``set_schedule_policy`` with a chooser that
 always picks index 0) must reproduce the default order bit for bit -- that
 equivalence is what lets the schedule explorer trust its baseline run.
+
+A *cut* stops the first :meth:`~SimulationEngine.run` at a bound
+(``max_events`` or ``until_time``) and a second ``run()`` finishes the
+program: the stop reason, the clock and the live remainder at the cut must
+match the reference's, and the concatenated log must equal the uncut one.
 """
 
 from hypothesis import given, settings
@@ -65,8 +70,22 @@ def queue_programs(draw):
     return n_specs, roots, delays, actions
 
 
-def _run_engine(program, engine=None, chooser=None):
-    """Execute the program on a real engine; returns the execution log."""
+#: ``None`` or a bound for the first of two runs: ``("max_events", k)`` or
+#: ``("until_time", t)`` (times the delay pool reaches, and some between).
+cuts = st.one_of(
+    st.none(),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("until_time"), st.sampled_from((0.0, 0.25, 0.6, 1.0, 1.5, 2.5))),
+)
+
+
+def _run_engine(program, engine=None, chooser=None, cut=None):
+    """Execute the program on a real engine.
+
+    Returns ``(log, at_cut)``: the execution log and, given a ``cut``,
+    ``(reason, now, pending_events)`` right after the bounded first run
+    (``None`` without one).
+    """
     n_specs, roots, delays, actions = program
     engine = engine if engine is not None else SimulationEngine()
     if chooser is not None:
@@ -87,27 +106,43 @@ def _run_engine(program, engine=None, chooser=None):
                     handle.cancel()
     for spec in roots:
         handles[spec] = engine.schedule(delays[spec], execute, spec)
+    at_cut = None
+    if cut is not None:
+        kind, bound = cut
+        at_cut = (engine.run(**{kind: bound}), engine.now, engine.pending_events)
     outcome = engine.run()
     assert outcome == "empty"
     assert engine.pending_events == 0
     assert engine.events_processed == len(log)
-    return log
+    return log, at_cut
 
 
-def _run_reference(program):
-    """Same program on a naive sorted-list queue: the ground truth order."""
+def _run_reference(program, cut=None):
+    """Same program on a naive sorted-list queue: the ground truth order.
+
+    Returns ``(log, at_cut)`` like :func:`_run_engine`.
+    """
     n_specs, roots, delays, actions = program
+    kind, bound = cut if cut is not None else (None, None)
     now = 0.0
     seq = 0
     pending = {}  # spec -> [time, seq, alive]
     log = []
+    at_cut = None
     for spec in roots:
         seq += 1
         pending[spec] = [delays[spec], seq, True]
     while True:
         live = [(e[0], e[1], s) for s, e in pending.items() if e[2]]
+        if at_cut is None and kind is not None:
+            if kind == "max_events" and len(log) == bound:
+                at_cut = ("max_events", now, len(live))
+            elif kind == "until_time" and live and min(live)[0] > bound:
+                at_cut = ("until_time", bound, len(live))
+            elif not live:
+                at_cut = ("empty", now, 0)
         if not live:
-            return log
+            return log, at_cut
         _, _, spec = min(live)
         entry = pending[spec]
         now = entry[0]
@@ -125,16 +160,18 @@ def _run_reference(program):
                     target[2] = False
 
 
-@given(queue_programs())
+@given(queue_programs(), cuts)
 @settings(max_examples=200, deadline=None)
-def test_execution_order_matches_naive_reference(program):
-    assert _run_engine(program) == _run_reference(program)
+def test_execution_order_matches_naive_reference(program, cut):
+    assert _run_engine(program, cut=cut) == _run_reference(program, cut)
 
 
-@given(queue_programs())
+@given(queue_programs(), cuts)
 @settings(max_examples=100, deadline=None)
-def test_aggressive_compaction_does_not_reorder(program):
-    assert _run_engine(program, engine=_CompactingEngine()) == _run_reference(program)
+def test_aggressive_compaction_does_not_reorder(program, cut):
+    assert _run_engine(program, engine=_CompactingEngine(), cut=cut) == _run_reference(
+        program, cut
+    )
 
 
 @given(queue_programs())
