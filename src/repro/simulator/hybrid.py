@@ -707,10 +707,20 @@ class HybridDirector:
                 return False
         return True
 
+    def _head_at_or_past(self, bound: float) -> Callable[[], bool]:
+        """Stop predicate: the engine's next live event is due at or past ``bound``."""
+        engine = self.sim.engine
+
+        def reached() -> bool:
+            head = engine._peek_time()
+            return head is not None and head >= bound
+
+        return reached
+
     def _run_segment(self, before: Optional[float] = None) -> str:
         """Run the engine to quiescence or, given ``before`` (the calibration
         segment passes the first timed strike), until the next event is due
-        at or past it.
+        at or past it (:meth:`_head_at_or_past`).
 
         A strike landing while the warm-up gate holds ranks parked would
         recover against a world exact mode never produces; stopping when the
@@ -721,12 +731,8 @@ class HybridDirector:
         engine = self.sim.engine
         if before is None:
             return engine.run(stop_predicate=self._quiescent)
-
-        def stop() -> bool:
-            head = engine._peek_time()
-            return (head is not None and head >= before) or self._quiescent()
-
-        return engine.run(stop_predicate=stop)
+        reached = self._head_at_or_past(before)
+        return engine.run(stop_predicate=lambda: reached() or self._quiescent())
 
     def _raise_gate(self, gate: IterationGate, limit: int) -> None:
         """Release parked ranks into a DES segment bounded by ``limit``."""
@@ -742,15 +748,14 @@ class HybridDirector:
         Fast-forwarded checkpoints fire protocol control messages through
         the ordinary engine scheduler; those events carry epoch-start
         timestamps and must run before the epoch's clock jump.  ``bound``
-        keeps genuinely future events (the next timed strike) queued.
+        keeps genuinely future events (the next timed strike) queued: the
+        engine runs until :meth:`_head_at_or_past` holds.  Like
+        :meth:`_run_segment`, a whole engine run between segments, never
+        inside an engine callback.
         """
-        engine = self.sim.engine
-        while True:
-            head = engine._peek_time()
-            if head is None or (bound is not None and head >= bound):
-                return
-            if not engine.step():
-                return
+        self.sim.engine.run(
+            stop_predicate=None if bound is None else self._head_at_or_past(bound)
+        )
 
     # ----------------------------------------------------------- fast path
     def _fast_forward_epoch(self, b: int, e: int, model: RateModel,

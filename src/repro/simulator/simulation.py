@@ -444,7 +444,7 @@ class Simulation:
         elif reason == "max_events":
             status = "event-limit"
         else:
-            status = "completed" if self.all_done() else "incomplete"
+            status = "incomplete"
 
         if status == "deadlock" and self.config.raise_on_incomplete:
             raise DeadlockError(

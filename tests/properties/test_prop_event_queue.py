@@ -17,6 +17,9 @@ A *cut* stops the first :meth:`~SimulationEngine.run` at a bound
 (``max_events`` or ``until_time``) and a second ``run()`` finishes the
 program: the stop reason, the clock and the live remainder at the cut must
 match the reference's, and the concatenated log must equal the uncut one.
+The ``"peek"`` cut instead runs once under a stop predicate that peeks at
+the queue head before every event and never stops.  Whatever the input, a
+finished run leaves no cancelled entry counted.
 """
 
 from hypothesis import given, settings
@@ -70,10 +73,12 @@ def queue_programs(draw):
     return n_specs, roots, delays, actions
 
 
-#: ``None`` or a bound for the first of two runs: ``("max_events", k)`` or
-#: ``("until_time", t)`` (times the delay pool reaches, and some between).
+#: ``None``, a bound for the first of two runs -- ``("max_events", k)`` or
+#: ``("until_time", t)`` (times the delay pool reaches, and some between) --
+#: or ``("peek", None)``: one run whose stop predicate peeks.
 cuts = st.one_of(
     st.none(),
+    st.just(("peek", None)),
     st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=12)),
     st.tuples(st.just("until_time"), st.sampled_from((0.0, 0.25, 0.6, 1.0, 1.5, 2.5))),
 )
@@ -106,13 +111,19 @@ def _run_engine(program, engine=None, chooser=None, cut=None):
                     handle.cancel()
     for spec in roots:
         handles[spec] = engine.schedule(delays[spec], execute, spec)
+
+    def peek_and_go_on():
+        engine._peek_time()
+        return False
+
     at_cut = None
-    if cut is not None:
+    if cut is not None and cut[0] != "peek":
         kind, bound = cut
         at_cut = (engine.run(**{kind: bound}), engine.now, engine.pending_events)
-    outcome = engine.run()
+    outcome = engine.run(stop_predicate=peek_and_go_on if cut == ("peek", None) else None)
     assert outcome == "empty"
     assert engine.pending_events == 0
+    assert engine._cancelled == 0
     assert engine.events_processed == len(log)
     return log, at_cut
 
@@ -123,7 +134,7 @@ def _run_reference(program, cut=None):
     Returns ``(log, at_cut)`` like :func:`_run_engine`.
     """
     n_specs, roots, delays, actions = program
-    kind, bound = cut if cut is not None else (None, None)
+    kind, bound = cut if cut is not None and cut[0] != "peek" else (None, None)
     now = 0.0
     seq = 0
     pending = {}  # spec -> [time, seq, alive]

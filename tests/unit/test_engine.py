@@ -95,10 +95,6 @@ class TestScheduling:
         assert reason == "stopped"
         assert len(hits) == 2
 
-    def test_step_returns_false_when_empty(self):
-        engine = SimulationEngine()
-        assert engine.step() is False
-
     def test_events_processed_counter(self):
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
@@ -169,6 +165,48 @@ class TestHeapCompaction:
         assert engine.run() == "empty"
         assert engine.pending_events == 0
         assert engine.events_processed == 3
+
+    def test_peeking_stop_predicate_keeps_the_cancelled_count(self):
+        # A stop predicate runs while the unbounded loop holds the drain
+        # index in a local; a peek that consumed the cancelled drain entries
+        # would have them discounted twice (once more when the loop pops
+        # them), leaving the count negative and compaction delayed.
+        engine = SimulationEngine()
+        doomed = [engine.schedule(float(t), lambda: None) for t in range(2, 12)]
+        engine.schedule(20.0, lambda: None)
+
+        def cancel_all():
+            for handle in doomed:
+                handle.cancel()
+
+        engine.schedule(1.0, cancel_all)
+        assert engine.run(stop_predicate=lambda: (engine._peek_time(), False)[1]) == "empty"
+        assert engine.events_processed == 2
+        assert engine._cancelled == 0
+
+    def test_compaction_inside_a_group_keeps_the_cancelled_count(self):
+        # A bounded run executes one equal-time group at a time, popped out
+        # of the queue tiers.  A compaction triggered inside the group must
+        # discount only the entries it drops: the group's own cancelled
+        # member is discounted when the loop prunes it.
+        engine = SimulationEngine()
+        doomed = [
+            engine.schedule(2.0 + i, lambda: None)
+            for i in range(SimulationEngine.COMPACT_MIN_CANCELLED)
+        ]
+        engine.schedule(1000.0, lambda: None)
+        tie = []
+
+        def cancel_all():
+            tie[0].cancel()
+            for handle in doomed:
+                handle.cancel()
+
+        engine.schedule(1.0, cancel_all)
+        tie.append(engine.schedule(1.0, lambda: None))
+        assert engine.run(max_events=10) == "empty"
+        assert engine.events_processed == 2
+        assert engine._cancelled == 0
 
     def test_cancelling_an_executed_event_is_a_noop(self):
         engine = SimulationEngine()
