@@ -24,9 +24,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import importlib
+import sys
 from typing import Any, Callable, Dict, Mapping, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.results.run import make_payload
@@ -79,20 +78,35 @@ def jsonify(obj: Any) -> Any:
         return obj
     if isinstance(obj, enum.Enum):
         return jsonify(obj.value)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, Mapping):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [jsonify(v) for v in items]
+    value = from_numpy(obj)
+    if value is not None:
+        return jsonify(value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return jsonify(dataclasses.asdict(obj))
     return repr(obj)
+
+
+def from_numpy(obj: Any) -> Any:
+    """The Python value of a numpy integer, float or array; else None.
+
+    A numpy value exists only once numpy is loaded, so numpy is looked up,
+    never imported: no run that stores or fingerprints its results loads it.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return None
 
 
 # ----------------------------------------------------------------- simulate

@@ -16,11 +16,12 @@ collect those volumes; this module builds the same graph either
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import ClusteringError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -33,6 +34,8 @@ class CommunicationGraph:
     messages: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.volume = np.asarray(self.volume, dtype=np.float64)
         if self.volume.ndim != 2 or self.volume.shape[0] != self.volume.shape[1]:
             raise ClusteringError("communication matrix must be square")
@@ -59,24 +62,23 @@ class CommunicationGraph:
     # -------------------------------------------------------------- builders
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "CommunicationGraph":
-        return cls(volume=np.asarray(matrix, dtype=np.float64))
+        return cls(volume=matrix)
 
     @classmethod
     def from_application(cls, application, weight: str = "bytes") -> "CommunicationGraph":
         """Build from a workload's analytic communication matrix."""
         matrix = application.communication_matrix(weight=weight)
-        graph = cls(volume=np.asarray(matrix, dtype=np.float64))
         try:
-            graph.messages = np.asarray(
-                application.communication_matrix(weight="messages"), dtype=np.float64
-            )
+            messages = application.communication_matrix(weight="messages")
         except NotImplementedError:  # pragma: no cover - optional
-            graph.messages = None
-        return graph
+            messages = None
+        return cls(volume=matrix, messages=messages)
 
     # ------------------------------------------------------------------ misc
     def cut_bytes(self, clusters: Iterable[Iterable[int]]) -> float:
         """Bytes crossing cluster boundaries (i.e. the logged volume)."""
+        import numpy as np
+
         assignment = np.full(self.nprocs, -1, dtype=np.int64)
         for cid, members in enumerate(clusters):
             for rank in members:

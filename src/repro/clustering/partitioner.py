@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.clustering.comm_graph import CommunicationGraph
 from repro.clustering.metrics import ClusteringMetrics, evaluate_clustering
 from repro.errors import ClusteringError
@@ -44,7 +42,7 @@ Clusters = List[List[int]]
 def _as_graph(graph_or_matrix) -> CommunicationGraph:
     if isinstance(graph_or_matrix, CommunicationGraph):
         return graph_or_matrix
-    return CommunicationGraph.from_matrix(np.asarray(graph_or_matrix))
+    return CommunicationGraph.from_matrix(graph_or_matrix)
 
 
 def _validate_k(nprocs: int, num_clusters: int) -> None:
@@ -81,6 +79,8 @@ def greedy_agglomerative(
     ``ceil(nprocs / num_clusters) * balance_tolerance``; the cap is relaxed
     progressively if no merge is possible under it.
     """
+    import numpy as np
+
     graph = _as_graph(graph_or_matrix)
     nprocs = graph.nprocs
     _validate_k(nprocs, num_clusters)
@@ -148,6 +148,8 @@ def refine(
     """Kernighan--Lin-style refinement: greedily move single ranks to the
     cluster they communicate with the most, whenever that reduces the logged
     volume and respects the balance cap."""
+    import numpy as np
+
     graph = _as_graph(graph_or_matrix)
     nprocs = graph.nprocs
     sym = graph.symmetric()

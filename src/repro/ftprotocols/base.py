@@ -270,7 +270,7 @@ class ClusteredProtocolBase(ProtocolHooks):
         )
         self.pstats.checkpoints += 1
         self.pstats.checkpoint_bytes += record.size_bytes
-        self.sim.stats.rank(rank).checkpoints += 1
+        self.sim.ranks[rank].rstats.checkpoints += 1
         self._after_checkpoint(rank, record)
         return record
 

@@ -29,8 +29,7 @@ import hashlib
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-import numpy as np
-
+from repro.campaign.jobs import from_numpy
 from repro.simulator.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,14 +92,10 @@ def _feed(h: "hashlib._Hash", obj: Any) -> None:
         for encoded in sorted(_encoding(item) for item in obj):
             h.update(encoded)
         h.update(b">")
-    elif isinstance(obj, np.integer):
-        _feed(h, int(obj))
-    elif isinstance(obj, np.floating):
-        _feed(h, float(obj))
-    elif isinstance(obj, np.ndarray):
-        # No type tag: an array is its (nested) sequence of values, exactly
-        # like the tuple-vs-list case above.
-        _feed(h, obj.tolist())
+    elif (value := from_numpy(obj)) is not None:
+        # No type tag: a numpy scalar is its Python number and an array its
+        # (nested) sequence of values, exactly like the tuple-vs-list case.
+        _feed(h, value)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(b"D")
         _feed(h, type(obj).__name__)

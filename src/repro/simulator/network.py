@@ -240,9 +240,20 @@ class RoutedNetworkModel:
         self._eager_threshold = base.eager_threshold_bytes
         self._rendezvous_cost = base.rendezvous_extra_rtts * 2.0 * base.min_latency()
 
+    # The endpoint overheads are read once per message: properties, not the
+    # __getattr__ fallback, which only runs after a failed attribute lookup.
+    # They read the base on every call, so a later change to it stays visible.
+    @property
+    def send_overhead_s(self) -> float:
+        return self.base.send_overhead_s
+
+    @property
+    def recv_overhead_s(self) -> float:
+        return self.base.recv_overhead_s
+
     def __getattr__(self, name: str):
-        # Fallback delegation: everything the flat model exposes
-        # (transfer_time, latency, piggyback_cost, send_overhead_s, ...).
+        # Fallback delegation: everything else the flat model exposes
+        # (transfer_time, latency, piggyback_cost, ...).
         return getattr(self.base, name)
 
     def routed_arrival(

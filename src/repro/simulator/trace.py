@@ -14,11 +14,12 @@ Two consumers rely on the trace:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.simulator.messages import Message
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -195,6 +196,8 @@ class TraceRecorder:
 
         ``weight`` selects ``"bytes"`` or ``"messages"``.
         """
+        import numpy as np
+
         index = 1 if weight == "bytes" else 0
         matrix = np.zeros((nprocs, nprocs), dtype=np.float64)
         for (src, dst), (count, nbytes) in self.channel_volumes.items():

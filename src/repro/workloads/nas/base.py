@@ -25,12 +25,13 @@ all-to-all.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Application, round9
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def square_grid_side(nprocs: int) -> int:
@@ -177,6 +178,8 @@ class NASKernelBase(Application):
     # --------------------------------------------------------------- analysis
     def communication_matrix(self, weight: str = "bytes") -> np.ndarray:
         """Analytic per-channel volume for the configured number of iterations."""
+        import numpy as np
+
         self._build_maps()
         matrix = np.zeros((self.nprocs, self.nprocs))
         assert self._send_map is not None

@@ -10,12 +10,13 @@ to roll back and ~50 % of the data logged.  Class D on 256 processes moves
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
 from repro.workloads.base import round9
 from repro.workloads.nas.base import NASKernelBase
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class FTApplication(NASKernelBase):
@@ -68,6 +69,8 @@ class FTApplication(NASKernelBase):
         return True
 
     def communication_matrix(self, weight: str = "bytes") -> np.ndarray:
+        import numpy as np
+
         per_message = self._scaled(self.block_bytes) if weight == "bytes" else 1
         matrix = np.full((self.nprocs, self.nprocs), float(per_message * self.iterations))
         np.fill_diagonal(matrix, 0.0)

@@ -11,12 +11,13 @@ channels), exactly the regime where HydEE's partial logging shines.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Application, round9
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class Stencil1DApplication(Application):
@@ -132,6 +133,8 @@ class Stencil1DApplication(Application):
         return params
 
     def communication_matrix(self, weight: str = "bytes") -> np.ndarray:
+        import numpy as np
+
         per_message = self.halo_bytes if weight == "bytes" else 1
         matrix = np.zeros((self.nprocs, self.nprocs))
         for rank in range(self.nprocs):
@@ -295,6 +298,8 @@ class Stencil2DApplication(Application):
         return params
 
     def communication_matrix(self, weight: str = "bytes") -> np.ndarray:
+        import numpy as np
+
         per_message = self.halo_bytes if weight == "bytes" else 1
         matrix = np.zeros((self.nprocs, self.nprocs))
         for rank in range(self.nprocs):

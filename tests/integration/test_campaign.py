@@ -183,6 +183,19 @@ class TestArtifactsAndJobs:
         with pytest.raises(ConfigurationError):
             run_spec(spec)
 
+    def test_jsonify_turns_numpy_values_into_python_values(self):
+        # jobs.py never imports numpy; once it is loaded, its values still
+        # normalise like the Python numbers and lists they stand for.
+        import numpy as np
+
+        from repro.campaign.jobs import jsonify
+
+        assert jsonify(np.int64(3)) == 3
+        assert type(jsonify(np.int64(3))) is int
+        assert jsonify(np.float32(0.5)) == 0.5
+        assert type(jsonify(np.float32(0.5))) is float
+        assert jsonify(np.arange(3)) == [0, 1, 2]
+
 
 class TestCampaignCli:
     def test_demo_list_run_cycle(self, tmp_path, capsys):

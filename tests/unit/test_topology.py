@@ -181,6 +181,14 @@ class TestRoutedNetworkModel:
         assert routed.latency(8) == base.latency(8)
         assert routed.memcpy_time(4096) == base.memcpy_time(4096)
 
+    def test_endpoint_overheads_follow_later_base_changes(self):
+        base = MyrinetMXModel()
+        routed = RoutedNetworkModel(base, flat_topology(4))
+        base.send_overhead_s = 3e-6
+        base.recv_overhead_s = 4e-6
+        assert routed.send_overhead_s == 3e-6
+        assert routed.recv_overhead_s == 4e-6
+
     def test_contended_path_is_slower_than_flat(self):
         base = MyrinetMXModel()
         topo = hierarchical_topology(
