@@ -6,16 +6,19 @@ The script
 1. declares a :class:`FaultModelSpec` -- a seeded exponential per-node
    failure process with *node-level* spatial correlation (every drawn
    failure takes down a whole physical node of the scenario's topology),
-2. shows the replayable :class:`FailureTrace` the model draws ahead of
-   simulation (and its JSON round trip -- the trace can be archived and
-   replayed verbatim with ``distribution="trace"``),
+2. shows the :class:`FailureTrace` the model draws ahead of simulation --
+   plain failure events -- and keeps it as an ordinary scenario whose
+   ``failures`` list replays the draw (same hash after a JSON round trip,
+   same makespan as the fault-model run),
 3. fans 10 seeded replicas of the scenario through the campaign runner
    (each replica re-draws the trace under its own ``replica`` index) and
 4. prints the ``faults.*`` aggregate: mean/stddev/95%-CI makespan,
    failures injected and ranks rolled back across the replicas.
 """
 
-from repro.faults import FailureTrace, FaultModelSpec, generate_trace
+import dataclasses
+
+from repro.faults import FaultModelSpec, generate_trace
 from repro.faults.montecarlo import run_montecarlo
 from repro.scenarios import (
     ClusteringSpec,
@@ -24,6 +27,7 @@ from repro.scenarios import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
+    build,
     build_topology,
 )
 
@@ -62,10 +66,15 @@ def main() -> None:
         fault_model, NPROCS, build_topology(topology, NPROCS)
     )
     print(f"replica 0 draws {len(trace)} node failure(s):")
-    for entry in trace:
-        print(f"  t={entry.time * 1e3:8.4f} ms  {entry.unit:8s} ranks {list(entry.ranks)}")
-    restored = FailureTrace.from_json(trace.to_json())
-    print(f"trace JSON round-trip identical: {restored == trace}")
+    for event in trace:
+        print(f"  t={event.time * 1e3:8.4f} ms  ranks {list(event.ranks)}")
+    # Keep the draw as an ordinary scenario: its failures list replays it.
+    replay = dataclasses.replace(spec, fault_model=None, failures=tuple(trace))
+    restored = ScenarioSpec.from_json(replay.to_json())
+    print(f"replay spec JSON round-trip keeps its hash: "
+          f"{restored.spec_hash() == replay.spec_hash()}")
+    same = build(restored).run().makespan == build(spec).run().makespan
+    print(f"replay reproduces the fault-model makespan: {same}")
 
     result = run_montecarlo(spec, replicas=REPLICAS)
     print()

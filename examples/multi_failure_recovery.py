@@ -17,7 +17,7 @@ simultaneously, runs them as a single campaign, and checks that
 from repro.campaign import run_campaign
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -39,7 +39,7 @@ def main() -> None:
     # Pick one victim in two different clusters.
     victims = (CLUSTERS[0][0], CLUSTERS[-1][-1])
     print(f"concurrent failures injected on ranks {list(victims)}")
-    failure = FailureSpec(ranks=victims, at_iteration=5)
+    failure = FailureEvent(ranks=victims, at_iteration=5)
     checkpointing = {"checkpoint_interval": 2, "checkpoint_size_bytes": 256 * 1024}
 
     specs = [

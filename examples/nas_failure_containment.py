@@ -19,7 +19,7 @@ from repro.campaign import run_campaign
 from repro.clustering import CommunicationGraph, evaluate_clustering, partition
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -69,7 +69,7 @@ def main() -> None:
                     clusters=tuple(tuple(c) for c in clustering.clusters),
                 ),
             ),
-            failures=(FailureSpec(ranks=tuple(victims), at_iteration=4),),
+            failures=(FailureEvent(ranks=tuple(victims), at_iteration=4),),
         ),
     ]
     outcome = run_campaign(specs, keep_artifacts=True)

@@ -17,7 +17,7 @@ from repro.campaign import run_campaign
 from repro.core.invariants import check_all_recovery_invariants
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -55,7 +55,7 @@ def main() -> None:
             options={"checkpoint_interval": 2, "checkpoint_size_bytes": 256 * 1024},
             clustering=ClusteringSpec(method="explicit", clusters=clusters),
         ),
-        failures=(FailureSpec(ranks=(FAILED_RANK,), at_iteration=5),),
+        failures=(FailureEvent(ranks=(FAILED_RANK,), at_iteration=5),),
         config=config,
     )
     print(f"process clusters   : {[list(c) for c in clusters]}")

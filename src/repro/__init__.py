@@ -51,7 +51,7 @@ from repro.ftprotocols import (
 )
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
@@ -96,7 +96,7 @@ __all__ = [
     "ClusteringSpec",
     "NetworkSpec",
     "TopologySpec",
-    "FailureSpec",
+    "FailureEvent",
     "Topology",
     "Link",
     "build_scenario",

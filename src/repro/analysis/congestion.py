@@ -38,13 +38,13 @@ from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
 )
+from repro.simulator.failures import FailureEvent
 
 #: tier key reported by the contention model for the oversubscribed fabric.
 INTER_CLUSTER_TIER = "inter-cluster"
@@ -101,7 +101,7 @@ def congestion_specs(
     oversubscribed links again, so its recovery cost grows faster.
     """
     workload = WorkloadSpec(kind=workload_kind, nprocs=nprocs, iterations=iterations)
-    failure = FailureSpec(ranks=(failed_rank,), at_iteration=fail_at_iteration)
+    failure = FailureEvent(ranks=(failed_rank,), at_iteration=fail_at_iteration)
     checkpoint_options = {
         "checkpoint_interval": checkpoint_interval,
         "checkpoint_size_bytes": 64 * 1024,

@@ -30,11 +30,11 @@ from repro.results.tables import Column, Row, TableSchema
 from repro.scenarios.build import to_network_spec
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.simulator.failures import FailureEvent
 from repro.simulator.network import NetworkModel
 from repro.simulator.trace import compare_send_sequences
 
@@ -74,7 +74,7 @@ def containment_specs(
     """Declare the reference run plus one failure run per protocol."""
     network_spec = to_network_spec(network)
     workload = workload or WorkloadSpec(kind="stencil2d", nprocs=nprocs, iterations=iterations)
-    failure = FailureSpec(ranks=tuple(failed_ranks), at_iteration=fail_at_iteration)
+    failure = FailureEvent(ranks=tuple(failed_ranks), at_iteration=fail_at_iteration)
     # Send-sequence comparisons need per-event traces on both sides.
     config = {"record_trace_events": True}
     checkpoint_options = {

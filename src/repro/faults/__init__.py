@@ -3,17 +3,18 @@
 Layers (bottom up):
 
 * :mod:`repro.faults.distributions` -- seeded inter-arrival distributions
-  (exponential, Weibull, fixed-interval, replay) with per-unit MTBF
-  scaling; every stream is derived from spec content via SHA-256, never
-  from global RNG state.
+  (exponential, Weibull, fixed-interval) with per-unit MTBF scaling; every
+  stream is derived from spec content via SHA-256, never from global RNG
+  state.
 * :mod:`repro.faults.spec` -- :class:`FaultModelSpec`, the frozen,
   sweepable, JSON-round-trippable description that rides on
   :class:`~repro.scenarios.spec.ScenarioSpec` (mutually exclusive with an
   explicit ``failures`` list).
-* :mod:`repro.faults.trace` -- :class:`FailureTrace`: the concrete timed
-  group failures a spec draws, generated ahead of simulation with
-  topology-aware node/cluster scopes and materialised into
-  :class:`~repro.simulator.failures.FailureEvent` objects at build time.
+* :mod:`repro.faults.trace` -- :class:`FailureTrace`: the timed
+  :class:`~repro.simulator.failures.FailureEvent` values a spec draws,
+  generated ahead of simulation with topology-aware node/cluster scopes.
+  To keep or replay a draw, give it to a scenario as its explicit failures:
+  ``dataclasses.replace(spec, fault_model=None, failures=tuple(trace))``.
 * :mod:`repro.faults.montecarlo` -- N-replica Monte Carlo campaigns over
   the existing parallel campaign runner, aggregated into ``faults.*``
   mean/stddev/CI metrics.  (Imported lazily: the campaign layer sits above
@@ -25,19 +26,13 @@ from repro.faults.distributions import (
     ExponentialInterArrival,
     FixedInterArrival,
     InterArrivalDistribution,
-    ReplayInterArrival,
     WeibullInterArrival,
     derive_rng,
     derive_seed,
     make_distribution,
 )
 from repro.faults.spec import DISTRIBUTION_KINDS, SCOPES, FaultModelSpec
-from repro.faults.trace import (
-    FailureTrace,
-    TraceEntry,
-    failure_units,
-    generate_trace,
-)
+from repro.faults.trace import FailureTrace, failure_units, generate_trace
 
 #: names resolved lazily from :mod:`repro.faults.montecarlo` (it imports the
 #: campaign layer, which imports the scenario layer, which imports this
@@ -65,14 +60,12 @@ __all__ = [
     "DISTRIBUTION_KINDS",
     "SCOPES",
     "FailureTrace",
-    "TraceEntry",
     "generate_trace",
     "failure_units",
     "InterArrivalDistribution",
     "ExponentialInterArrival",
     "WeibullInterArrival",
     "FixedInterArrival",
-    "ReplayInterArrival",
     "DISTRIBUTIONS",
     "make_distribution",
     "derive_rng",

@@ -15,9 +15,10 @@ Hohmann's IPPP package, arXiv:1901.10754):
 * ``weibull``     -- Weibull renewal process (``shape`` < 1 bursty infant
   mortality, ``shape`` > 1 wear-out); parameterised by its *mean* so the
   sweep axis stays "MTBF", not the scale parameter;
-* ``fixed``       -- deterministic interval (every ``mtbf_s`` seconds);
-* ``replay``      -- replays an explicit, finite inter-arrival sequence
-  (``intervals``), exhausting afterwards.
+* ``fixed``       -- deterministic interval (every ``mtbf_s`` seconds).
+
+Explicit failure times are not a distribution: a scenario lists them in
+:attr:`~repro.scenarios.spec.ScenarioSpec.failures`.
 
 Per-node MTBF scaling: :meth:`InterArrivalDistribution.scaled` returns a
 copy with the mean multiplied by a unit-specific factor (see
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -68,8 +69,8 @@ class InterArrivalDistribution:
     #: mean inter-arrival time (the unit's MTBF), in simulated seconds.
     mean_s: float = math.inf
 
-    def sample(self, rng: random.Random) -> Optional[float]:
-        """Draw the next inter-arrival time; ``None`` = process exhausted."""
+    def sample(self, rng: random.Random) -> float:
+        """Draw the next inter-arrival time."""
         raise NotImplementedError
 
     def scaled(self, factor: float) -> "InterArrivalDistribution":
@@ -85,7 +86,7 @@ class ExponentialInterArrival(InterArrivalDistribution):
     def __init__(self, mtbf_s: float) -> None:
         self.mean_s = _require_positive("mtbf_s", mtbf_s)
 
-    def sample(self, rng: random.Random) -> Optional[float]:
+    def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean_s)
 
     def scaled(self, factor: float) -> "ExponentialInterArrival":
@@ -107,7 +108,7 @@ class WeibullInterArrival(InterArrivalDistribution):
         self.shape = _require_positive("shape", shape)
         self.scale_s = self.mean_s / math.gamma(1.0 + 1.0 / self.shape)
 
-    def sample(self, rng: random.Random) -> Optional[float]:
+    def sample(self, rng: random.Random) -> float:
         return rng.weibullvariate(self.scale_s, self.shape)
 
     def scaled(self, factor: float) -> "WeibullInterArrival":
@@ -122,55 +123,20 @@ class FixedInterArrival(InterArrivalDistribution):
     def __init__(self, mtbf_s: float) -> None:
         self.mean_s = _require_positive("mtbf_s", mtbf_s)
 
-    def sample(self, rng: random.Random) -> Optional[float]:
+    def sample(self, rng: random.Random) -> float:
         return self.mean_s
 
     def scaled(self, factor: float) -> "FixedInterArrival":
         return FixedInterArrival(self.mean_s * factor)
 
 
-class ReplayInterArrival(InterArrivalDistribution):
-    """Replays an explicit inter-arrival sequence, then exhausts.
-
-    Stateful: each :meth:`sample` consumes the next interval.  Use one
-    instance per unit (``scaled`` returns a fresh, rewound copy, so the
-    per-unit scaling path does the right thing).
-    """
-
-    kind = "replay"
-
-    def __init__(self, intervals: Sequence[float]) -> None:
-        if not intervals:
-            raise ConfigurationError(
-                "fault distribution 'replay' needs a non-empty 'intervals' list"
-            )
-        self.intervals: Tuple[float, ...] = tuple(
-            _require_positive("intervals[]", v) for v in intervals
-        )
-        self.mean_s = sum(self.intervals) / len(self.intervals)
-        self._next = 0
-
-    def sample(self, rng: random.Random) -> Optional[float]:
-        if self._next >= len(self.intervals):
-            return None
-        value = self.intervals[self._next]
-        self._next += 1
-        return value
-
-    def scaled(self, factor: float) -> "ReplayInterArrival":
-        return ReplayInterArrival([v * factor for v in self.intervals])
-
-
-#: distribution kind -> factory(params dict) (the ``trace`` kind is not an
-#: inter-arrival process; :func:`repro.faults.trace.generate_trace` replays
-#: it verbatim).
+#: distribution kind -> factory(params dict).
 DISTRIBUTIONS: Dict[str, Any] = {
     "exponential": lambda params: ExponentialInterArrival(params.get("mtbf_s")),
     "weibull": lambda params: WeibullInterArrival(
         params.get("mtbf_s"), params.get("shape", 1.5)
     ),
     "fixed": lambda params: FixedInterArrival(params.get("mtbf_s")),
-    "replay": lambda params: ReplayInterArrival(params.get("intervals", ())),
 }
 
 

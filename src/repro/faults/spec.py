@@ -11,10 +11,10 @@ that makes every draw replayable.
 The spec is frozen, JSON-round-trippable and sweepable like every other
 piece of a :class:`~repro.scenarios.spec.ScenarioSpec` (e.g. sweep
 ``fault_model.params.mtbf_s`` or ``fault_model.seed``).  It is *plan, not
-outcome*: the concrete :class:`~repro.faults.trace.FailureTrace` is
-generated ahead of simulation in :func:`repro.faults.trace.generate_trace`
-and materialised into plain :class:`~repro.simulator.failures.FailureEvent`
-objects at :func:`repro.scenarios.build.build` time.
+outcome*: :func:`repro.faults.trace.generate_trace` draws the concrete
+:class:`~repro.faults.trace.FailureTrace` -- plain
+:class:`~repro.simulator.failures.FailureEvent` values -- ahead of
+simulation, at :func:`repro.scenarios.build.build` time.
 
 Seeding contract
 ----------------
@@ -42,16 +42,11 @@ from repro.errors import ConfigurationError
 #: spatial scope of one drawn failure (what fails together, concurrently).
 SCOPES = ("rank", "node", "cluster")
 
-#: distribution kinds accepted by :attr:`FaultModelSpec.distribution`.
-#: ``exponential``/``weibull``/``fixed``/``replay`` draw per-unit
-#: inter-arrival times (see :mod:`repro.faults.distributions`); ``trace``
-#: replays a recorded :class:`~repro.faults.trace.FailureTrace` verbatim
-#: (from ``params["events"]`` inline or ``params["path"]`` on disk).
-DISTRIBUTION_KINDS = ("exponential", "weibull", "fixed", "replay", "trace")
-
-#: distribution kinds that draw failures inside ``[0, horizon_s]`` and
-#: therefore require the horizon to be set.
-_HORIZON_KINDS = ("exponential", "weibull", "fixed", "replay")
+#: distribution kinds accepted by :attr:`FaultModelSpec.distribution`: each
+#: draws per-unit inter-arrival times (see :mod:`repro.faults.distributions`).
+#: Explicit failures are not a fault model; list them in
+#: :attr:`~repro.scenarios.spec.ScenarioSpec.failures`.
+DISTRIBUTION_KINDS = ("exponential", "weibull", "fixed")
 
 
 def _freeze_mapping(value: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -68,10 +63,10 @@ class FaultModelSpec:
         One of :data:`DISTRIBUTION_KINDS`.
     params:
         Distribution parameters: ``mtbf_s`` (per-unit mean time between
-        failures; exponential/weibull/fixed), ``shape`` (weibull),
-        ``intervals`` (replay), ``events``/``path`` (trace), and the
-        optional ``mtbf_scale`` mapping of unit label to MTBF multiplier
-        (per-node MTBF scaling, e.g. ``{"3": 0.5}`` halves unit 3's MTBF).
+        failures), ``shape`` (weibull), and the optional ``mtbf_scale``
+        mapping of unit label to MTBF multiplier (per-node MTBF scaling,
+        e.g. ``{"3": 0.5}`` halves unit 3's MTBF; every key must name a
+        failing unit of the scenario).
     scope:
         What fails together per drawn event: one ``rank``, a whole
         ``node``, or a whole physical ``cluster``.  Node and cluster scope
@@ -98,24 +93,19 @@ class FaultModelSpec:
         if self.distribution not in DISTRIBUTION_KINDS:
             raise ConfigurationError(
                 f"unknown fault distribution {self.distribution!r}; "
-                f"expected one of {DISTRIBUTION_KINDS}"
+                f"expected one of {DISTRIBUTION_KINDS} (explicit failures "
+                "belong in the scenario's `failures` list)"
             )
         if self.scope not in SCOPES:
             raise ConfigurationError(
                 f"unknown fault scope {self.scope!r}; expected one of {SCOPES}"
             )
-        if self.horizon_s is not None:
-            if not isinstance(self.horizon_s, (int, float)) \
-                    or isinstance(self.horizon_s, bool) \
-                    or not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
-                raise ConfigurationError(
-                    f"fault model horizon_s must be a positive finite number, "
-                    f"got {self.horizon_s!r}"
-                )
-        elif self.distribution in _HORIZON_KINDS:
+        if not isinstance(self.horizon_s, (int, float)) \
+                or isinstance(self.horizon_s, bool) \
+                or not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
             raise ConfigurationError(
-                f"fault distribution {self.distribution!r} draws failures in "
-                "[0, horizon_s]: set horizon_s (simulated seconds)"
+                "fault model horizon_s (failures are drawn in [0, horizon_s]) "
+                f"must be a positive finite number of seconds, got {self.horizon_s!r}"
             )
         if self.max_failures is not None and (
             not isinstance(self.max_failures, int)
@@ -156,20 +146,9 @@ class FaultModelSpec:
             object.__setattr__(self, "params", params)
         # Eager parameter validation: a missing/mistyped mtbf_s must fail at
         # spec construction, not replicas-deep inside a campaign worker.
-        if self.distribution == "trace":
-            # Value-is-None, not key-presence: a template with the unused
-            # source left as an explicit null must behave like an absent key
-            # (and generate-time code tests None-ness the same way).
-            if (self.params.get("events") is None) == (self.params.get("path") is None):
-                raise ConfigurationError(
-                    "fault distribution 'trace' needs exactly one of "
-                    "params['events'] (inline entries) or params['path'] "
-                    "(a saved FailureTrace file)"
-                )
-        else:
-            from repro.faults.distributions import make_distribution
+        from repro.faults.distributions import make_distribution
 
-            make_distribution(self.distribution, self.params)
+        make_distribution(self.distribution, self.params)
 
     # -------------------------------------------------------------- json i/o
     def to_dict(self) -> Dict[str, Any]:

@@ -1,8 +1,8 @@
 """Shared file-locking and atomic-write discipline for on-disk campaign files.
 
-Several campaign processes may share one JSON file (results stores, archived
-failure traces).  ``os.replace`` alone makes each *file* write atomic,
-but a load-compute-save cycle is still a read-modify-write race: the last
+Several campaign processes may share one JSON file (a results store).
+``os.replace`` alone makes each *file* write atomic, but a
+load-compute-save cycle is still a read-modify-write race: the last
 writer's file silently drops whatever the other writers added in between.
 Every shared file therefore follows the same two-part discipline:
 
@@ -79,6 +79,6 @@ def atomic_write_json(path: str, payload: Any) -> None:
 
     Sorted keys keep files with identical content byte-identical regardless
     of insertion order; the indented layout is for files people read (spec
-    lists, archived failure traces, benchmark reports).
+    lists, benchmark reports).
     """
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")

@@ -16,9 +16,9 @@ hand.  Quick use::
 """
 
 from repro.faults.spec import FaultModelSpec
+from repro.simulator.failures import FailureEvent
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
@@ -54,7 +54,7 @@ __all__ = [
     "ClusteringSpec",
     "NetworkSpec",
     "TopologySpec",
-    "FailureSpec",
+    "FailureEvent",
     "FaultModelSpec",
     "load_specs",
     "build",

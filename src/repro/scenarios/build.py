@@ -228,7 +228,8 @@ def build_failures(
 
     Explicit ``failures`` are handed to the injector as they stand (no run
     writes to them); a ``fault_model`` draws its
-    :class:`~repro.faults.trace.FailureTrace` here, ahead of simulation
+    :class:`~repro.faults.trace.FailureTrace` -- failure events like any
+    explicit list -- here, ahead of simulation
     (``topology`` optionally passes the scenario's already-built physical
     topology so node/cluster fault scopes reuse it).  A fault
     model always gets an injector -- even for a replica whose draw came up
@@ -239,8 +240,9 @@ def build_failures(
 
         if not isinstance(topology, Topology):
             topology = build_topology(spec.network.topology, spec.workload.nprocs)
-        trace = generate_trace(spec.fault_model, spec.workload.nprocs, topology)
-        return FailureInjector(trace.to_failure_events())
+        return FailureInjector(
+            generate_trace(spec.fault_model, spec.workload.nprocs, topology)
+        )
     if not spec.failures:
         return None
     return FailureInjector(spec.failures)

@@ -183,10 +183,6 @@ class NetworkSpec:
             object.__setattr__(self, "topology", TopologySpec(**self.topology))
 
 
-#: one fail-stop failure of a scenario: the simulator's own failure value.
-FailureSpec = FailureEvent
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete declarative simulation scenario.
@@ -202,7 +198,7 @@ class ScenarioSpec:
     workload: WorkloadSpec
     protocol: ProtocolSpec = field(default_factory=ProtocolSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
-    failures: Tuple[FailureSpec, ...] = ()
+    failures: Tuple[FailureEvent, ...] = ()
     #: stochastic fault model (:mod:`repro.faults`): failures are *drawn*
     #: from a seeded distribution at build() time instead of listed by
     #: hand.  Mutually exclusive with ``failures``; ``None`` is omitted
@@ -282,7 +278,7 @@ class ScenarioSpec:
         protocol = ProtocolSpec(clustering=clustering, **protocol_data)
         network_data = data.pop("network", None)
         network = NetworkSpec(**network_data) if network_data else NetworkSpec()
-        failures = tuple(FailureSpec(**f) for f in data.pop("failures", ()) or ())
+        failures = tuple(FailureEvent(**f) for f in data.pop("failures", ()) or ())
         fault_model_data = data.pop("fault_model", None)
         fault_model = (
             FaultModelSpec(**fault_model_data) if fault_model_data else None

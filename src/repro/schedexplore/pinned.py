@@ -24,11 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.simulator.failures import FailureEvent
 
 _CLUSTERS16 = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))
 
@@ -40,7 +40,7 @@ _HYDEE_STENCIL2D = ScenarioSpec(
         options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
         clustering=ClusteringSpec(method="explicit", clusters=_CLUSTERS16),
     ),
-    failures=(FailureSpec(ranks=(9,), at_iteration=5),),
+    failures=(FailureEvent(ranks=(9,), at_iteration=5),),
 )
 
 PINNED_SCENARIOS: Dict[str, ScenarioSpec] = {
@@ -48,7 +48,7 @@ PINNED_SCENARIOS: Dict[str, ScenarioSpec] = {
     "hydee-stencil2d-joined-strikes": dataclasses.replace(
         _HYDEE_STENCIL2D,
         name="hydee-stencil2d-joined-strikes",
-        failures=(FailureSpec(ranks=(5,), time=200e-6), FailureSpec(ranks=(10,), time=205e-6)),
+        failures=(FailureEvent(ranks=(5,), time=200e-6), FailureEvent(ranks=(10,), time=205e-6)),
     ),
     "coordinated-stencil2d": ScenarioSpec(
         name="coordinated-stencil2d",
@@ -57,7 +57,7 @@ PINNED_SCENARIOS: Dict[str, ScenarioSpec] = {
             name="coordinated",
             options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
         ),
-        failures=(FailureSpec(ranks=(6,), at_iteration=4),),
+        failures=(FailureEvent(ranks=(6,), at_iteration=4),),
     ),
     "message-logging-ring": ScenarioSpec(
         name="message-logging-ring",
@@ -66,7 +66,7 @@ PINNED_SCENARIOS: Dict[str, ScenarioSpec] = {
             name="message-logging",
             options={"checkpoint_interval": 2, "checkpoint_size_bytes": 16 * 1024},
         ),
-        failures=(FailureSpec(ranks=(3,), at_iteration=3),),
+        failures=(FailureEvent(ranks=(3,), at_iteration=3),),
     ),
 }
 

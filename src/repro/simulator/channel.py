@@ -111,28 +111,15 @@ class Transport:
         )
 
     # ------------------------------------------------------------------ drop
-    def drop_messages(
-        self,
-        involving: Optional[Set[int]] = None,
-        sources: Optional[Set[int]] = None,
-        dests: Optional[Set[int]] = None,
-    ) -> List[Message]:
-        """Cancel in-flight messages matching the filters and return them.
+    def drop_messages(self, involving: Set[int]) -> List[Message]:
+        """Cancel in-flight messages to or from ``involving`` and return them.
 
-        ``involving`` drops messages whose source *or* destination is in the
-        set (used when a cluster fails: in-flight messages to/from the failed
-        ranks are lost and later regenerated or replayed from logs).
+        Used when ranks fail: in-flight messages to/from the failed ranks
+        are lost and later regenerated or replayed from logs.
         """
         dropped: List[Message] = []
         for msg_id, (msg, handle) in list(self._in_flight.items()):
-            match = False
-            if involving is not None and (msg.source in involving or msg.dest in involving):
-                match = True
-            if sources is not None and msg.source in sources:
-                match = True
-            if dests is not None and msg.dest in dests:
-                match = True
-            if match:
+            if msg.source in involving or msg.dest in involving:
                 handle.cancel()
                 del self._in_flight[msg_id]
                 dropped.append(msg)

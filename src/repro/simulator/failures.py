@@ -21,36 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.simulator.process import RankState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.simulation import Simulation
-
-
-def validate_failure_group(what: str, ranks: Sequence[int],
-                           time: Optional[float]) -> None:
-    """Shared (ranks, time) validation of every failure-description layer.
-
-    :class:`FailureEvent` and the trace-level
-    :class:`~repro.faults.trace.TraceEntry` both describe "these ranks fail
-    together at this time" and share one rule set: at least one rank, no
-    duplicates, and -- when a time is given -- a finite number >= 0.
-    """
-    if not ranks:
-        raise ConfigurationError(f"a {what} needs at least one rank")
-    if len(set(ranks)) != len(ranks):
-        raise ConfigurationError(f"a {what} lists duplicate ranks: {list(ranks)}")
-    if time is not None:
-        if not isinstance(time, (int, float)) or isinstance(time, bool) \
-                or not math.isfinite(time):
-            raise ConfigurationError(
-                f"{what} time must be a finite number, got {time!r}"
-            )
-        if time < 0:
-            raise ConfigurationError(f"{what} time must be >= 0, got {time!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +62,19 @@ class FailureEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        validate_failure_group("failure event", self.ranks, self.time)
+        if not self.ranks:
+            raise ConfigurationError("a failure event needs at least one rank")
+        if len(set(self.ranks)) != len(self.ranks):
+            raise ConfigurationError(
+                f"a failure event lists duplicate ranks: {list(self.ranks)}"
+            )
+        if self.time is not None and (
+            not isinstance(self.time, (int, float)) or isinstance(self.time, bool)
+            or not math.isfinite(self.time) or self.time < 0
+        ):
+            raise ConfigurationError(
+                f"failure event time must be a finite number >= 0, got {self.time!r}"
+            )
         if (self.time is None) == (self.at_iteration is None):
             raise ConfigurationError(
                 "specify exactly one of `time` or `at_iteration` for a failure event"

@@ -10,7 +10,7 @@ from repro.campaign.cli import main as campaign_main
 from repro.results import RunResult
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -150,7 +150,7 @@ class TestArtifactsAndJobs:
                 options={"checkpoint_interval": 2, "checkpoint_size_bytes": 65536},
                 clustering=ClusteringSpec(method="block", num_clusters=4),
             ),
-            failures=(FailureSpec(ranks=(5,), at_iteration=4),),
+            failures=(FailureEvent(ranks=(5,), at_iteration=4),),
         )
         record, _ = run_spec(spec)
         run = RunResult.from_record(record)

@@ -16,7 +16,7 @@ from repro.experiments import run
 from repro.results.query import ResultSet
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
@@ -49,7 +49,7 @@ def _representative_specs():
                 options={"checkpoint_interval": 2},
                 clustering=ClusteringSpec(method="block", num_clusters=2),
             ),
-            failures=(FailureSpec(ranks=(3,), at_iteration=3),),
+            failures=(FailureEvent(ranks=(3,), at_iteration=3),),
         ),
         ScenarioSpec(
             name="eq:coordinated-failure",
@@ -57,7 +57,7 @@ def _representative_specs():
             protocol=ProtocolSpec(
                 name="coordinated", options={"checkpoint_interval": 2}
             ),
-            failures=(FailureSpec(ranks=(2,), at_iteration=2),),
+            failures=(FailureEvent(ranks=(2,), at_iteration=2),),
         ),
     ]
 

@@ -37,7 +37,7 @@ from repro.errors import SimulationError
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     ProtocolSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -174,11 +174,11 @@ VOLUME_COUNTERS = (
 
 FAULT_SCENARIOS = {
     "free": [],
-    "timed": [FailureSpec(ranks=(5,), time=0.004)],
-    "iteration-triggered": [FailureSpec(ranks=(9,), at_iteration=80)],
+    "timed": [FailureEvent(ranks=(5,), time=0.004)],
+    "iteration-triggered": [FailureEvent(ranks=(9,), at_iteration=80)],
     "two-strikes": [
-        FailureSpec(ranks=(3,), time=0.003),
-        FailureSpec(ranks=(12,), at_iteration=90),
+        FailureEvent(ranks=(3,), time=0.003),
+        FailureEvent(ranks=(12,), at_iteration=90),
     ],
 }
 
@@ -400,7 +400,7 @@ class TestProtocolIntervalGrid:
         if fault == "timed":
             strike = mid_interval_strike(exact.stats.makespan, interval)
             spec = grid_spec(protocol, interval, kind,
-                             failures=[FailureSpec(ranks=(5,), time=strike)])
+                             failures=[FailureEvent(ranks=(5,), time=strike)])
             exact_sim = build(spec)
             exact = exact_sim.run()
             assert exact.stats.failures_injected == 1
@@ -541,7 +541,7 @@ class TestRollbackLandsOnTheMaterialisedLine:
         free = grid_spec(protocol, interval, "stencil2d", cls.ITERATIONS)
         iteration = (int(0.9 * cls.ITERATIONS) // interval + 0.5) * interval
         strike = iteration / cls.ITERATIONS * build(free).run().stats.makespan
-        return dataclasses.replace(free, failures=(FailureSpec(ranks=(5,), time=strike),))
+        return dataclasses.replace(free, failures=(FailureEvent(ranks=(5,), time=strike),))
 
     @staticmethod
     def run_recording_restarts(spec, execution, **config):
@@ -651,7 +651,7 @@ class TestGuardWindowShape:
         spec = grid_spec("hydee", interval, "stencil2d")
         strike = mid_interval_strike(build(spec).run().stats.makespan, interval)
         spec = grid_spec("hydee", interval, "stencil2d",
-                         failures=[FailureSpec(ranks=(5,), time=strike)])
+                         failures=[FailureEvent(ranks=(5,), time=strike)])
 
         epochs, counts_at_strike = [], []
         fast_forward_epoch = HybridDirector._fast_forward_epoch
@@ -763,7 +763,7 @@ class TestFallbacks:
 
     def test_strike_inside_warmup_falls_back(self):
         spec = dataclasses.replace(
-            scenario([FailureSpec(ranks=(5,), at_iteration=2)]),
+            scenario([FailureEvent(ranks=(5,), at_iteration=2)]),
             execution="hybrid",
         )
         sim = build(spec)
@@ -998,7 +998,7 @@ class TestCalibrateOnly:
             {"kind": "stencil2d", "protocol": "hydee", "interval": 8, "iterations": 4},
             {
                 "kind": "stencil2d", "protocol": "hydee", "interval": 8,
-                "failures": [FailureSpec(ranks=(5,), at_iteration=2)],
+                "failures": [FailureEvent(ranks=(5,), at_iteration=2)],
             },
         ],
         ids=["master-worker", "too-short", "strike-inside-warm-up"],
@@ -1107,7 +1107,7 @@ class TestCalibrationCache:
         failures = []
         if fault == "struck":
             strike = (3 * GRID_ITERATIONS // 4 // interval) * interval + interval // 2
-            failures = [FailureSpec(ranks=(5,), at_iteration=strike)]
+            failures = [FailureEvent(ranks=(5,), at_iteration=strike)]
         spec = dataclasses.replace(
             grid_spec(protocol, interval, kind, failures=failures), execution="hybrid"
         )

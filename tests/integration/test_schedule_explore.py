@@ -22,7 +22,7 @@ from repro.scenarios.build import build
 from repro.experiments import main as experiment_main
 from repro.scenarios.spec import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
@@ -242,7 +242,7 @@ class TestWitnessReplayIsALibraryCall:
                     params={"ranks_per_node": 2, "oversubscription": 4.0},
                 )
             ),
-            failures=(FailureSpec(ranks=(1,), at_iteration=3),),
+            failures=(FailureEvent(ranks=(1,), at_iteration=3),),
         )
         monkeypatch.setattr(
             "repro.experiments.timed.PINNED_SCENARIOS",

@@ -6,8 +6,9 @@ replica spec through :func:`repro.campaign.runner.run_spec`, one simulation
 each, under the calibration cache the campaign itself would have activated.
 The generated fault models cover what decides how much is shared: sparse
 exponential draws (mostly the empty trace), dense ones (all distinct),
-``fixed`` and ``trace`` replay (every replica the *same* non-empty trace),
-each uncapped or capped at one or two failures, exact and hybrid.
+``fixed`` on every rank or on a single one (every replica the *same*
+non-empty trace), each uncapped or capped at one or two failures, exact and
+hybrid.
 """
 
 import dataclasses
@@ -65,9 +66,13 @@ def fixed(fraction):
 
 
 def replayed(fraction, rank):
+    """Only ``rank`` fails, once, at ``fraction`` x makespan, in every replica
+    alike: every other rank's doubled interval ends past the horizon."""
+    strike = fraction * makespan()
+    scale = {q: 2.0 for q in range(NPROCS) if q != rank}
     return lambda seed: FaultModelSpec(
-        distribution="trace", seed=seed,
-        params={"events": [{"time": fraction * makespan(), "ranks": [rank]}]},
+        distribution="fixed", params={"mtbf_s": strike, "mtbf_scale": scale},
+        horizon_s=strike, seed=seed,
     )
 
 
@@ -96,6 +101,11 @@ scenarios = st.builds(
 
 def trace_of(spec):
     return tuple((e.time, e.ranks) for e in generate_trace(spec.fault_model, NPROCS))
+
+
+def test_replayed_draws_one_failure_of_one_rank():
+    spec = dataclasses.replace(BASE, fault_model=replayed(0.37, 2)(seed=5))
+    assert trace_of(spec) == ((0.37 * makespan(), (2,)),)
 
 
 def reference_records(specs):

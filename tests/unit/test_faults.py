@@ -7,10 +7,9 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.campaign.runner import run_spec
 from repro.faults import (
-    FailureTrace,
     FaultModelSpec,
-    TraceEntry,
     derive_rng,
     derive_seed,
     generate_trace,
@@ -19,18 +18,20 @@ from repro.faults import (
 from repro.faults.distributions import (
     ExponentialInterArrival,
     FixedInterArrival,
-    ReplayInterArrival,
     WeibullInterArrival,
 )
+from repro.results.run import RunResult
 from repro.scenarios import (
-    FailureSpec,
+    ClusteringSpec,
+    FailureEvent,
+    NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
+    TopologySpec,
     WorkloadSpec,
     build,
     sweep,
 )
-from repro.simulator.failures import FailureEvent
 from repro.topology import build_topology
 
 
@@ -72,13 +73,6 @@ class TestDistributions:
         dist = FixedInterArrival(mtbf_s=0.5)
         rng = derive_rng("fixed")
         assert [dist.sample(rng) for _ in range(3)] == [0.5, 0.5, 0.5]
-
-    def test_replay_exhausts_and_scales(self):
-        dist = ReplayInterArrival([1.0, 2.0])
-        rng = derive_rng("replay")
-        assert [dist.sample(rng) for _ in range(3)] == [1.0, 2.0, None]
-        rewound = dist.scaled(2.0)
-        assert [rewound.sample(rng) for _ in range(3)] == [2.0, 4.0, None]
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -125,29 +119,19 @@ class TestFaultModelSpec:
         with pytest.raises(ConfigurationError):
             fault(params={"mtbf_s": "0.008"})
         with pytest.raises(ConfigurationError):
-            FaultModelSpec(distribution="trace", params={})
-        with pytest.raises(ConfigurationError):
             fault(horizon_s=True)  # bool is not a duration
-        # An explicit null source behaves like an absent key.
-        with pytest.raises(ConfigurationError):
-            FaultModelSpec(distribution="trace", params={"path": None})
-        ok = FaultModelSpec(
-            distribution="trace",
-            params={"events": [[1e-3, [0]]], "path": None},
-        )
-        assert ok.params["path"] is None
+
+    def test_explicit_failure_kinds_are_rejected(self):
+        # Explicit failures have one spelling: the scenario's failures list.
+        for kind in ("trace", "replay"):
+            with pytest.raises(ConfigurationError, match="failures"):
+                fault(distribution=kind)
 
     def test_json_round_trip(self):
         spec = fault(max_failures=3, replica=7)
         restored = FaultModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.canonical_json() == spec.canonical_json()
-
-    def test_trace_distribution_needs_no_horizon(self):
-        spec = FaultModelSpec(
-            distribution="trace", params={"events": [[1e-3, [0]]]}
-        )
-        assert spec.horizon_s is None
 
 
 class TestScenarioIntegration:
@@ -167,7 +151,7 @@ class TestScenarioIntegration:
         with pytest.raises(ConfigurationError):
             self.scenario(
                 fault_model=fault(),
-                failures=(FailureSpec(ranks=(1,), time=1e-3),),
+                failures=(FailureEvent(ranks=(1,), time=1e-3),),
             )
 
     def test_spec_without_fault_model_serialises_as_before(self):
@@ -184,7 +168,7 @@ class TestScenarioIntegration:
                     ProtocolSpec().clustering, method="block", num_clusters=4
                 ),
             ),
-            failures=(FailureSpec(ranks=(5,), at_iteration=5),),
+            failures=(FailureEvent(ranks=(5,), at_iteration=5),),
         )
         assert pinned.spec_hash() == "47aa6a972cec363d"
 
@@ -241,6 +225,39 @@ class TestScenarioIntegration:
         assert sim.failure_injector is not None
         assert sim.failure_injector.events == []
 
+    @pytest.mark.parametrize("scope", ["rank", "node", "cluster"])
+    def test_drawn_trace_replays_as_explicit_failures(self, scope):
+        # A draw is kept as an ordinary spec: its failures list replays the
+        # fault-model run metric for metric, and hashes like any spec.
+        topology = TopologySpec(
+            preset="hierarchical", params={"ranks_per_node": 2, "nodes_per_cluster": 2}
+        )
+        spec = dataclasses.replace(
+            self.scenario(fault_model=fault(
+                params={"mtbf_s": 5e-5}, scope=scope, horizon_s=1e-4, max_failures=2,
+            )),
+            protocol=ProtocolSpec(
+                name="hydee",
+                options={"checkpoint_interval": 2, "checkpoint_size_bytes": 1024},
+                clustering=ClusteringSpec(method="topology"),
+            ),
+            network=NetworkSpec(topology=topology),
+        )
+        trace = generate_trace(spec.fault_model, 8, build_topology_spec(
+            "hierarchical", 8, ranks_per_node=2, nodes_per_cluster=2
+        ))
+        assert len(trace) == 2
+        replay = dataclasses.replace(spec, fault_model=None, failures=tuple(trace))
+        restored = ScenarioSpec.from_json(replay.to_json())
+        assert restored == replay
+        assert restored.spec_hash() == replay.spec_hash()
+
+        drawn = RunResult.from_record(run_spec(spec)[0])
+        replayed = RunResult.from_record(run_spec(restored)[0])
+        assert drawn.status == "completed"
+        assert drawn.metric("sim.failures_injected") > 0
+        assert replayed.metrics.to_tree() == drawn.metrics.to_tree()
+
 
 # ---------------------------------------------------------------------- trace
 class TestTraceGeneration:
@@ -258,11 +275,18 @@ class TestTraceGeneration:
         assert times == sorted(times)
         assert all(0 < t <= 4e-3 for t in times)
 
+    def test_trace_is_a_tuple_of_timed_failure_events(self):
+        trace = generate_trace(fault(), 8)
+        assert isinstance(trace, tuple) and len(trace) > 0
+        assert all(isinstance(event, FailureEvent) for event in trace)
+        assert all(event.at_iteration is None for event in trace)
+        assert trace.failure_times == [event.time for event in trace]
+
     def test_max_failures_truncates_after_merge(self):
         full = generate_trace(fault(), 16)
         capped = generate_trace(fault(max_failures=3), 16)
         assert len(full) > 3
-        assert capped.entries == full.entries[:3]
+        assert capped == full[:3]
 
     def test_mtbf_scale_shifts_one_unit(self):
         # Scaling one rank's MTBF down makes it fail (much) more often.
@@ -270,17 +294,15 @@ class TestTraceGeneration:
             fault(params={"mtbf_s": 2e-3, "mtbf_scale": {"0": 0.05}}), 4
         )
         base = generate_trace(fault(), 4)
-        count = lambda t, unit: sum(1 for e in t if e.unit == unit)  # noqa: E731
-        assert count(scaled, "rank:0") > count(base, "rank:0")
+        count = lambda t: sum(1 for e in t if e.ranks == (0,))  # noqa: E731
+        assert count(scaled) > count(base)
 
     def test_node_scope_kills_whole_nodes(self):
         topo = build_topology_spec("cluster-per-node", 16, ranks_per_node=4)
         trace = generate_trace(fault(scope="node", params={"mtbf_s": 1e-3}), 16, topo)
         assert len(trace) > 0
-        for entry in trace:
-            assert entry.unit.startswith("node:")
-            node = int(entry.unit.split(":")[1])
-            assert entry.ranks == tuple(range(4 * node, 4 * node + 4))
+        nodes = {tuple(range(4 * node, 4 * node + 4)) for node in range(4)}
+        assert all(event.ranks in nodes for event in trace)
 
     def test_cluster_scope_kills_whole_clusters(self):
         topo = build_topology_spec(
@@ -318,96 +340,7 @@ def build_topology_spec(preset, nprocs, **params):
     return build_topology(preset, nprocs, **params)
 
 
-class TestTraceRoundTripAndReplay:
-    def test_json_round_trip_identity(self):
-        trace = generate_trace(fault(), 8)
-        assert FailureTrace.from_json(trace.to_json()) == trace
-
-    def test_save_load_round_trip(self, tmp_path):
-        trace = generate_trace(fault(), 8)
-        path = tmp_path / "trace.json"
-        trace.save(str(path))
-        assert FailureTrace.load(str(path)) == trace
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FailureTrace.from_dict({"version": 99, "entries": []})
-
-    def test_to_failure_events(self):
-        trace = FailureTrace([TraceEntry(time=1e-3, ranks=(1, 2))])
-        events = trace.to_failure_events()
-        assert len(events) == 1
-        assert isinstance(events[0], FailureEvent)
-        assert events[0].time == 1e-3 and list(events[0].ranks) == [1, 2]
-
-    def test_entry_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceEntry(time=-1.0, ranks=(0,))
-        with pytest.raises(ConfigurationError):
-            TraceEntry(time=float("inf"), ranks=(0,))
-        with pytest.raises(ConfigurationError):
-            TraceEntry(time=1.0, ranks=())
-        with pytest.raises(ConfigurationError):
-            TraceEntry(time=1.0, ranks=(1, 1))
-
-    def test_inline_trace_replay(self):
-        spec = FaultModelSpec(
-            distribution="trace",
-            params={"events": [{"time": 2e-3, "ranks": [3]}, [1e-3, [0, 1]]]},
-        )
-        trace = generate_trace(spec, 8)
-        # Replayed entries are normalised into deterministic time order.
-        assert trace.failure_times == [1e-3, 2e-3]
-
-    def test_file_trace_replay_round_trips_a_generated_trace(self, tmp_path):
-        original = generate_trace(fault(), 8)
-        path = tmp_path / "archived.json"
-        original.save(str(path))
-        replayed = generate_trace(
-            FaultModelSpec(distribution="trace", params={"path": str(path)}), 8
-        )
-        assert replayed.failure_times == original.failure_times
-        assert [e.ranks for e in replayed] == [e.ranks for e in original]
-
-    def test_replayed_ranks_validated_against_nprocs(self):
-        spec = FaultModelSpec(
-            distribution="trace", params={"events": [[1e-3, [9]]]}
-        )
-        with pytest.raises(ConfigurationError):
-            generate_trace(spec, 4)
-
-    def test_trace_needs_exactly_one_source(self):
-        with pytest.raises(ConfigurationError):
-            generate_trace(FaultModelSpec(distribution="trace"), 4)
-        with pytest.raises(ConfigurationError):
-            generate_trace(
-                FaultModelSpec(
-                    distribution="trace",
-                    params={"events": [[1e-3, [0]]], "path": "x.json"},
-                ),
-                4,
-            )
-
-    def test_horizon_filters_replayed_entries(self):
-        spec = FaultModelSpec(
-            distribution="trace",
-            params={"events": [[1e-3, [0]], [5e-3, [1]]]},
-            horizon_s=2e-3,
-        )
-        assert generate_trace(spec, 4).failure_times == [1e-3]
-
-
-class TestReplayDistributionTrace:
-    def test_replay_intervals_per_unit(self):
-        spec = FaultModelSpec(
-            distribution="replay",
-            params={"intervals": [1e-3, 1e-3]},
-            horizon_s=10e-3,
-        )
-        trace = generate_trace(spec, 2)
-        # Both units replay the same intervals: failures at 1ms and 2ms each.
-        assert trace.failure_times == pytest.approx([1e-3, 1e-3, 2e-3, 2e-3])
-
+class TestWeibullTrace:
     def test_math_gamma_weibull_generation(self):
         spec = fault(distribution="weibull", params={"mtbf_s": 2e-3, "shape": 2.0})
         trace = generate_trace(spec, 8)
@@ -443,6 +376,22 @@ class TestMtbfScaleNormalisation:
         assert int_keys == str_keys
         assert int_keys.stream_key() == str_keys.stream_key()
         assert generate_trace(int_keys, 4) == generate_trace(str_keys, 4)
+
+    @pytest.mark.parametrize("key", ["rank:0", "0"])
+    def test_scale_key_matches_full_or_bare_label(self, key):
+        spec = fault(params={"mtbf_s": 1e-3, "mtbf_scale": {key: 0.01}},
+                     horizon_s=5e-3, seed=1)
+        trace = generate_trace(spec, 8)
+        assert sum(event.ranks == (0,) for event in trace) > len(trace) / 2
+
+    @pytest.mark.parametrize("key", ["node:0", "rank0", "99"])
+    def test_scale_key_matching_no_unit_is_rejected(self, key):
+        # A key that names no failing unit used to be ignored silently.
+        spec = fault(params={"mtbf_s": 1e-3, "mtbf_scale": {key: 0.01}},
+                     horizon_s=5e-3, seed=1)
+        with pytest.raises(ConfigurationError, match="rank:0") as info:
+            generate_trace(spec, 8)
+        assert repr(key) in str(info.value)
 
     def test_invalid_scale_rejected_at_construction(self):
         with pytest.raises(ConfigurationError):

@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 from repro.faults.spec import FaultModelSpec
 from repro.scenarios import (
     ClusteringSpec,
-    FailureSpec,
+    FailureEvent,
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
@@ -46,7 +46,7 @@ def full_spec() -> ScenarioSpec:
             clustering=ClusteringSpec(method="block", num_clusters=4),
         ),
         network=NetworkSpec(model="ethernet-tcp", overrides={"send_overhead_s": 2e-6}),
-        failures=(FailureSpec(ranks=(5,), at_iteration=4),),
+        failures=(FailureEvent(ranks=(5,), at_iteration=4),),
         config={"record_trace_events": True},
         tags={"experiment": "unit-test"},
     )
@@ -96,11 +96,11 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigurationError):
             ClusteringSpec(method="block")  # no num_clusters
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=())
+            FailureEvent(ranks=())
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=(1,))  # neither time nor at_iteration
+            FailureEvent(ranks=(1,))  # neither time nor at_iteration
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=(1,), time=1.0, at_iteration=2)  # both
+            FailureEvent(ranks=(1,), time=1.0, at_iteration=2)  # both
 
 
 class TestSweep:
@@ -272,7 +272,7 @@ class TestBuild:
             name="failing",
             workload=WorkloadSpec(kind="stencil2d", nprocs=16, iterations=6),
             protocol=PROTOCOL_SPECS["hydee"],
-            failures=(FailureSpec(ranks=(5,), at_iteration=3),),
+            failures=(FailureEvent(ranks=(5,), at_iteration=3),),
         )
         sim = build(spec)
         assert sim.failure_injector is not None
@@ -325,7 +325,7 @@ class TestTopologySpec:
                 options={"checkpoint_interval": 2},
                 clustering=ClusteringSpec(method="block", num_clusters=4),
             ),
-            failures=(FailureSpec(ranks=(5,), at_iteration=5),),
+            failures=(FailureEvent(ranks=(5,), at_iteration=5),),
         )
         # Hash computed before the topology layer existed (PR 1 code).
         assert pinned.spec_hash() == "47aa6a972cec363d"
@@ -385,26 +385,26 @@ class TestTopologySpec:
         assert result.metric("network.contention_wait_s") >= 0.0
 
 
-class TestFailureSpecValidation:
+class TestFailureEventValidation:
     """PR-5 validation hardening of the declarative failure layer."""
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=(1,), time=-1.0)
+            FailureEvent(ranks=(1,), time=-1.0)
 
     def test_non_finite_times_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigurationError):
-                FailureSpec(ranks=(1,), time=bad)
+                FailureEvent(ranks=(1,), time=bad)
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ConfigurationError):
-            FailureSpec(ranks=(4, 4), time=1e-3)
+            FailureEvent(ranks=(4, 4), time=1e-3)
 
     def test_trigger_outside_ranks_rejected(self):
         # Legal on the event itself (a simulator-level harness tool), but a
         # scenario requires the trigger to be one of the failing ranks.
-        failure = FailureSpec(ranks=(5,), at_iteration=3, rank_trigger=3)
+        failure = FailureEvent(ranks=(5,), at_iteration=3, rank_trigger=3)
         workload = WorkloadSpec(kind="ring", nprocs=8)
         with pytest.raises(ConfigurationError):
             ScenarioSpec(name="bad-trigger", workload=workload, failures=(failure,))
@@ -415,8 +415,8 @@ class TestFailureSpecValidation:
 
     def test_build_hands_the_spec_failures_to_the_injector(self):
         failures = (
-            FailureSpec(ranks=(3,), at_iteration=2),
-            FailureSpec(ranks=(1, 2), time=5e-6),
+            FailureEvent(ranks=(3,), at_iteration=2),
+            FailureEvent(ranks=(1, 2), time=5e-6),
         )
         spec = ScenarioSpec(
             name="handed-over",
@@ -431,19 +431,12 @@ class TestFailureSpecValidation:
         assert spec.failures == failures
         assert spec.spec_hash() == hash_before
 
-    def test_failure_spec_is_the_simulator_event(self):
-        import repro
-        from repro.simulator.failures import FailureEvent
-
-        assert FailureSpec is FailureEvent
-        assert repro.FailureSpec is FailureEvent
-
     def test_trigger_inside_ranks_accepted(self):
-        spec = FailureSpec(ranks=(3, 5), at_iteration=3, rank_trigger=5)
+        spec = FailureEvent(ranks=(3, 5), at_iteration=3, rank_trigger=5)
         assert spec.rank_trigger == 5
 
     def test_valid_time_spec_accepted(self):
-        assert FailureSpec(ranks=(1, 2), time=0.0).time == 0.0
+        assert FailureEvent(ranks=(1, 2), time=0.0).time == 0.0
 
 
 # ------------------------------------------------ every *Spec, every field
@@ -506,8 +499,8 @@ SPEC_FIELD_TABLE = {
             "topology": dict(topology=TopologySpec(preset="hierarchical")),
         },
     ),
-    FailureSpec: (
-        FailureSpec(ranks=(1, 2), at_iteration=2),
+    FailureEvent: (
+        FailureEvent(ranks=(1, 2), at_iteration=2),
         lambda failure: dataclasses.replace(_SCENARIO, failures=(failure,)),
         {
             "ranks": dict(ranks=(3,)),
@@ -537,7 +530,7 @@ SPEC_FIELD_TABLE = {
             "workload": dict(workload=WorkloadSpec(kind="ring", nprocs=8)),
             "protocol": dict(protocol=ProtocolSpec(name="coordinated")),
             "network": dict(network=NetworkSpec(model="ethernet-tcp")),
-            "failures": dict(failures=(FailureSpec(ranks=(1,), at_iteration=1),)),
+            "failures": dict(failures=(FailureEvent(ranks=(1,), at_iteration=1),)),
             "fault_model": dict(
                 fault_model=FaultModelSpec(params={"mtbf_s": 1.0}, horizon_s=10.0)
             ),
@@ -564,6 +557,8 @@ class TestEverySpecFieldRoundTripsAndRekeys:
             for name, cls in vars(module).items()
             if inspect.isclass(cls) and name.endswith("Spec")
         }
+        # ScenarioSpec.failures holds the simulator's own failure value.
+        declared.add(FailureEvent)
         assert declared == set(SPEC_FIELD_TABLE)
         assert all(dataclasses.is_dataclass(cls) for cls in declared)
 

@@ -171,6 +171,10 @@ class TestFailureInjector:
             FailureEvent(ranks=[1])  # neither time nor iteration
         with pytest.raises(ConfigurationError):
             FailureEvent(ranks=[1], time=1.0, at_iteration=2)  # both
+        with pytest.raises(ConfigurationError):
+            FailureEvent(ranks=[1, 1], time=1.0)  # duplicate ranks
+        with pytest.raises(ConfigurationError):
+            FailureEvent(ranks=[0], time=float("inf"))
 
     def test_time_triggered_failure_kills_rank(self, ring8):
         from tests.conftest import run_simulation
