@@ -186,9 +186,9 @@ def rows_from_resultset(resultset: ResultSet) -> List[Row]:
             )
         for role, run in sorted(by_role.items()):
             if not run.completed:
-                # A truncated run (timeout/event-limit/deadlock with
-                # raise_on_incomplete disabled) would understate recovery
-                # time and silently flip the containment conclusion.
+                # A deadlocked run (raise_on_incomplete disabled) would
+                # understate recovery time and silently flip the containment
+                # conclusion.
                 raise ConfigurationError(
                     f"congestion run {protocol} @ oversubscription {oversub} "
                     f"({role}) did not complete: status {run.status!r}"

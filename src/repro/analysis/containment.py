@@ -23,11 +23,10 @@ stat dicts.  The row layout is the :data:`CONTAINMENT` schema.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.campaign.runner import run_campaign
 from repro.results.tables import Column, Row, TableSchema
-from repro.scenarios.build import to_network_spec
 from repro.scenarios.spec import (
     ClusteringSpec,
     ProtocolSpec,
@@ -35,7 +34,6 @@ from repro.scenarios.spec import (
     WorkloadSpec,
 )
 from repro.simulator.failures import FailureEvent
-from repro.simulator.network import NetworkModel
 from repro.simulator.trace import compare_send_sequences
 
 #: Outcome of one protocol's recovery from one failure scenario.  Live-only
@@ -67,13 +65,10 @@ def containment_specs(
     fail_at_iteration: int = 5,
     checkpoint_interval: int = 2,
     num_clusters: int = 4,
-    workload: Optional[WorkloadSpec] = None,
-    network: Optional[NetworkModel] = None,
     protocols: Sequence[str] = ("hydee", "coordinated", "message-logging"),
 ) -> List[ScenarioSpec]:
     """Declare the reference run plus one failure run per protocol."""
-    network_spec = to_network_spec(network)
-    workload = workload or WorkloadSpec(kind="stencil2d", nprocs=nprocs, iterations=iterations)
+    workload = WorkloadSpec(kind="stencil2d", nprocs=nprocs, iterations=iterations)
     failure = FailureEvent(ranks=tuple(failed_ranks), at_iteration=fail_at_iteration)
     # Send-sequence comparisons need per-event traces on both sides.
     config = {"record_trace_events": True}
@@ -99,7 +94,6 @@ def containment_specs(
             name="containment:reference",
             workload=workload,
             protocol=ProtocolSpec(name="native"),
-            network=network_spec,
             config=config,
             tags={"experiment": "containment", "role": "reference"},
         )
@@ -109,7 +103,6 @@ def containment_specs(
             name=f"containment:{name}",
             workload=workload,
             protocol=protocol_spec(name),
-            network=network_spec,
             failures=(failure,),
             config=config,
             tags={"experiment": "containment", "role": "failure", "protocol": name},

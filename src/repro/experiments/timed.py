@@ -240,11 +240,7 @@ def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return cell
 
 
-def schedule_explore(
-    seeds: int = 5,
-    contended_seeds: int = 8,
-    policy: str = "adversarial",
-) -> Dict[str, Any]:
+def schedule_explore(seeds: int = 5, contended_seeds: int = 8) -> Dict[str, Any]:
     """Schedule-space exploration: invariance, rate, spread under contention.
 
     Two halves.  The pinned faulty scenarios (HydEE partial rollback and
@@ -265,7 +261,7 @@ def schedule_explore(
     """
     reports, elapsed = timed(
         lambda: {
-            name: explore(spec, seeds=seeds, policy=policy)
+            name: explore(spec, seeds=seeds)
             for name, spec in sorted(PINNED_SCENARIOS.items())
         }
     )
@@ -286,12 +282,11 @@ def schedule_explore(
     # shrink=False: divergences are expected here, delta-debugging them
     # would only burn time; the makespan distribution is the object.
     contended, contended_elapsed = timed(
-        explore, contended_spec, seeds=contended_seeds, policy=policy, shrink=False
+        explore, contended_spec, seeds=contended_seeds, shrink=False
     )
     payload = contended.to_payload()
     makespan = payload["makespan"]
     return {
-        "policy": policy,
         "seeds": seeds,
         "scenarios": sorted(reports),
         "interleavings": interleavings,

@@ -39,7 +39,6 @@ from repro.scenarios.build import (
     build_protocol,
     build_topology,
     resolve_clusters,
-    to_network_spec,
 )
 from repro.scenarios.sweep import sweep, with_path
 
@@ -65,7 +64,6 @@ __all__ = [
     "build_failures",
     "build_config",
     "resolve_clusters",
-    "to_network_spec",
     "available_workloads",
     "available_networks",
     "WORKLOAD_FACTORIES",

@@ -11,8 +11,6 @@ methods into :mod:`repro.clustering` calls, and failure specs into a
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.clustering.comm_graph import CommunicationGraph
@@ -88,36 +86,6 @@ def build_application(spec: WorkloadSpec) -> Any:
             f"{', '.join(available_workloads())}"
         ) from None
     return factory(nprocs=spec.nprocs, iterations=spec.iterations, **spec.params)
-
-
-def to_network_spec(model: Optional[NetworkModel]):
-    """Describe a live network model instance as a :class:`NetworkSpec`.
-
-    Harness APIs historically accept ``NetworkModel`` instances; this maps
-    one back onto a declarative spec (model name + field overrides) so those
-    APIs can feed the campaign runner.  Only registered model classes are
-    supported -- a hand-rolled subclass has no declarative name.
-    """
-    from repro.scenarios.spec import NetworkSpec
-
-    if model is None:
-        return NetworkSpec()
-    for name, cls in NETWORK_MODELS.items():
-        if type(model) is cls:
-            reference = cls()
-            overrides = {
-                f.name: getattr(model, f.name)
-                for f in dataclasses.fields(cls)
-                if getattr(model, f.name) != getattr(reference, f.name)
-            }
-            # Normalise to pure JSON values so spec equality and spec hashes
-            # do not depend on tuple-vs-list representation.
-            overrides = json.loads(json.dumps(overrides))
-            return NetworkSpec(model=name, overrides=overrides)
-    raise ConfigurationError(
-        f"cannot express network model {type(model).__name__} as a spec; "
-        f"registered models: {', '.join(available_networks())}"
-    )
 
 
 def build_topology(topology: Optional[TopologySpec], nprocs: int) -> Optional[Topology]:
@@ -253,22 +221,24 @@ def build_config(spec: ScenarioSpec) -> SimulationConfig:
     # Campaign scenarios default to the slim trace path; per-event records
     # must be opted into explicitly (containment / invariant scenarios).
     overrides.setdefault("record_trace_events", False)
-    # The spec's execution mode seeds the config; an explicit config
-    # override (e.g. forcing "exact" for a pinning test) wins.
-    overrides.setdefault("execution", spec.execution)
+    derived = {"network", "execution", "calibration_key"}
+    unknown = set(overrides) - (set(SimulationConfig.__dataclass_fields__) - derived)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown SimulationConfig overrides: {sorted(unknown)} (the network "
+            "is set through NetworkSpec, the execution mode through "
+            "ScenarioSpec.execution and the calibration key from the spec, "
+            "not through config overrides)"
+        )
     # Hybrid runs carry the spec's failure-free timing identity so the
     # director can look up the campaign's in-memory warm-up calibration
     # (repro.simulator.calibration); exact runs never consult it.
-    if overrides.get("execution") == "hybrid":
-        overrides.setdefault("calibration_key", spec.calibration_key())
-    valid = set(SimulationConfig.__dataclass_fields__) - {"network"}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown SimulationConfig overrides: {sorted(unknown)} "
-            "(the network is set through NetworkSpec, not a config override)"
-        )
-    return SimulationConfig(network=build_network(spec), **overrides)
+    return SimulationConfig(
+        network=build_network(spec),
+        execution=spec.execution,
+        calibration_key=spec.calibration_key() if spec.execution == "hybrid" else None,
+        **overrides,
+    )
 
 
 def build(spec: ScenarioSpec) -> Simulation:

@@ -40,13 +40,10 @@ from repro.schedexplore.fingerprint import (
     state_digest,
 )
 from repro.schedexplore.policies import (
-    POLICIES,
     AdversarialPolicy,
     FifoPolicy,
-    RandomPolicy,
     ReplayPolicy,
     SchedulePolicy,
-    make_policy,
 )
 from repro.schedexplore.witness import ScheduleWitness, same_divergence, shrink_witness
 
@@ -56,8 +53,6 @@ __all__ = [
     "FifoPolicy",
     "FingerprintRecorder",
     "InterleavingRun",
-    "POLICIES",
-    "RandomPolicy",
     "ReplayPolicy",
     "SchedulePolicy",
     "ScheduleWitness",
@@ -66,7 +61,6 @@ __all__ = [
     "fingerprint_state",
     "fingerprint_value",
     "first_divergence",
-    "make_policy",
     "normalized_trace_digest",
     "replay_witness",
     "run_interleaving",

@@ -35,10 +35,10 @@ from repro.schedexplore.fingerprint import (
     normalized_trace_digest,
 )
 from repro.schedexplore.policies import (
+    AdversarialPolicy,
     FifoPolicy,
     ReplayPolicy,
     SchedulePolicy,
-    make_policy,
 )
 from repro.schedexplore.witness import ScheduleWitness, same_divergence, shrink_witness
 
@@ -184,15 +184,14 @@ def first_divergence(
 def explore_factory(
     sim_factory: SimFactory,
     seeds: Union[int, Sequence[int]] = 10,
-    policy: str = "adversarial",
     include_times: bool = True,
     shrink: bool = True,
-    shrink_rounds: int = 4,
     scenario: Optional[Dict[str, Any]] = None,
 ) -> ExplorationReport:
     """Explore the schedule space of whatever ``sim_factory`` builds.
 
-    ``seeds`` is a count (seeds ``0..n-1``) or an explicit sequence.  Every
+    Each seed runs one :class:`AdversarialPolicy` interleaving; ``seeds`` is
+    a count (seeds ``0..n-1``) or an explicit sequence.  Every
     divergence found is packaged as a witness; with ``shrink=True`` each is
     delta-debugged down to a minimal decision set before being reported.
     """
@@ -211,16 +210,16 @@ def explore_factory(
     for seed in seed_list:
         run = run_interleaving(
             sim_factory,
-            make_policy(policy, seed),
+            AdversarialPolicy(seed),
             include_times=include_times,
-            label=f"{policy}-{seed}",
+            label=f"{AdversarialPolicy.name}-{seed}",
         )
         report.runs.append(run)
         divergence = first_divergence(baseline, run, include_times=include_times)
         if divergence is None:
             continue
         witness = ScheduleWitness(
-            policy=policy,
+            policy=AdversarialPolicy.name,
             seed=seed,
             decisions=dict(run.decisions),
             divergence=divergence,
@@ -228,7 +227,7 @@ def explore_factory(
             metadata={"label": run.label, "tie_dispatches": run.tie_dispatches},
         )
         if shrink:
-            witness = shrink_witness(witness, diverges, max_rounds=shrink_rounds)
+            witness = shrink_witness(witness, diverges)
         report.witnesses.append(witness)
     return report
 
@@ -242,7 +241,6 @@ def prepare_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """
     config = dict(spec.config)
     config["record_trace_events"] = True
-    config["execution"] = "exact"
     return dataclasses.replace(spec, execution="exact", config=config)
 
 
@@ -259,19 +257,15 @@ def spec_is_uncontended(spec: ScenarioSpec) -> bool:
 def explore(
     spec: ScenarioSpec,
     seeds: Union[int, Sequence[int]] = 10,
-    policy: str = "adversarial",
     shrink: bool = True,
-    shrink_rounds: int = 4,
 ) -> ExplorationReport:
     """Explore a declarative scenario's schedule space."""
     prepared = prepare_spec(spec)
     return explore_factory(
         lambda: build(prepared),
         seeds=seeds,
-        policy=policy,
         include_times=spec_is_uncontended(prepared),
         shrink=shrink,
-        shrink_rounds=shrink_rounds,
         scenario=prepared.to_dict(),
     )
 

@@ -78,7 +78,6 @@ def available_pinned() -> List[str]:
 def pinned_spec(
     name: str,
     seeds: Union[int, Sequence[int]] = 5,
-    policy: str = "adversarial",
     shrink: bool = True,
 ) -> ScenarioSpec:
     """A pinned scenario tagged as a ``schedule-explore`` campaign job."""
@@ -92,7 +91,6 @@ def pinned_spec(
     tags: Dict[str, Any] = {
         "analysis": "schedule-explore",
         "explore_seeds": list(seeds) if not isinstance(seeds, int) else seeds,
-        "explore_policy": policy,
         "explore_shrink": shrink,
     }
     return ScenarioSpec(

@@ -3,12 +3,11 @@
 The engine's dispatch order is fully determined except for one degree of
 freedom: when several events are admissible at the *same* simulation time,
 their relative order is an artefact of insertion sequence, not of the model
-(the network never constrains it).  A policy decides that order.  Four are
+(the network never constrains it).  A policy decides that order.  Three are
 provided:
 
 * :class:`FifoPolicy` -- always the canonical ``(time, seq)`` order; bit-
   identical to running without a policy (the explorer's baseline).
-* :class:`RandomPolicy` -- uniform seeded shuffle of every tie.
 * :class:`AdversarialPolicy` -- seeded, but biased toward dispatching
   recovery-session and guard-window machinery (rollbacks, restarts, control
   deliveries, failure strikes, drain probes) ahead of application progress,
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError
 from repro.faults.distributions import derive_rng
 
 # Queue-entry field indexes (entries are plain lists).
@@ -77,20 +75,6 @@ class SchedulePolicy:
 
 class FifoPolicy(SchedulePolicy):
     """The canonical order; reproduces the policy-free engine exactly."""
-
-
-class RandomPolicy(SchedulePolicy):
-    """Uniform seeded shuffle of every equal-time group."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__()
-        self.seed = seed
-        self._rng = derive_rng("schedexplore", self.name, seed)
-
-    def _select(self, call: int, time: float, group: List[List[Any]]) -> int:
-        return self._rng.randrange(len(group))
 
 
 #: callback qualname fragments marking recovery / guard-window machinery.
@@ -174,23 +158,3 @@ class ReplayPolicy(SchedulePolicy):
                 if entry[_SEQ] == seq:
                     return index
         return 0
-
-
-#: policy name -> seeded factory.
-POLICIES: Dict[str, Callable[[int], SchedulePolicy]] = {
-    "fifo": lambda seed: FifoPolicy(),
-    "random": RandomPolicy,
-    "adversarial": AdversarialPolicy,
-}
-
-
-def make_policy(name: str, seed: int = 0) -> SchedulePolicy:
-    """Instantiate a named exploration policy with a seed."""
-    try:
-        factory = POLICIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown schedule policy {name!r}; available: "
-            f"{', '.join(sorted(POLICIES))}"
-        ) from None
-    return factory(seed)

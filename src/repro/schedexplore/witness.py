@@ -9,7 +9,7 @@ scenario under a :class:`~repro.schedexplore.policies.ReplayPolicy` built
 from its decisions reproduces the divergent schedule deterministically, on
 any machine, serial or inside a worker pool.
 
-A fresh witness from a random policy typically contains hundreds of
+A fresh witness from the adversarial policy typically contains hundreds of
 decisions, almost all irrelevant.  :func:`shrink_witness` hands them to
 :func:`shrink`, the greedy drop-one loop over any list: it drops one decision
 at a time (replaying the rest, FIFO at the dropped tie) and keeps each drop
@@ -33,7 +33,7 @@ R = TypeVar("R")
 class ScheduleWitness:
     """A replayable divergent schedule."""
 
-    #: policy that found the divergence (``random``/``adversarial``/...).
+    #: policy that found the divergence (the explorer's is ``adversarial``).
     policy: str
     #: seed the finding policy ran with.
     seed: int
@@ -130,7 +130,6 @@ def shrink(
 def shrink_witness(
     witness: ScheduleWitness,
     diverges: Callable[[Dict[int, int]], Optional[Dict[str, Any]]],
-    max_rounds: int = 4,
 ) -> ScheduleWitness:
     """Shrink a witness to the decisions its divergence needs.
 
@@ -146,7 +145,7 @@ def shrink_witness(
         observed = diverges(dict(decisions))
         return observed if same_divergence(observed, witness.divergence) else None
 
-    decisions, observed = shrink(sorted(witness.decisions.items()), check, max_rounds)
+    decisions, observed = shrink(sorted(witness.decisions.items()), check)
     return ScheduleWitness(
         policy=witness.policy,
         seed=witness.seed,

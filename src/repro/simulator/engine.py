@@ -25,12 +25,12 @@ implementation deliberately avoids Python-level overhead:
   becomes the next drain.  This turns the dominant cost -- one O(log n)
   sift-down per executed event -- into an amortised O(log k) where k is the
   number of events scheduled since the last generation;
-* ``run`` has two loops.  An unbounded run without a schedule policy --
-  every simulation, and the hybrid director's drains -- takes the hot loop,
-  which hoists the queue tiers into locals and re-synchronises them around
+* ``run`` has two loops.  A run without a schedule policy -- every
+  simulation, and the hybrid director's drains -- takes the hot loop, which
+  hoists the queue tiers into locals and re-synchronises them around
   callbacks (a callback may schedule, cancel, or trigger a lazy
-  compaction).  A run bounded by ``until_time`` / ``max_events``, or under a
-  policy, takes the grouped loop described below;
+  compaction).  A run under a policy takes the grouped loop described
+  below;
 * :meth:`SimulationEngine.schedule_many` batches the bookkeeping for callers
   that inject many events at once (rank start-up, grouped replays,
   benchmark floods);
@@ -56,14 +56,14 @@ causal order, and a correct (send-deterministic) protocol must produce the
 same outcome whichever way the tie is broken.  :meth:`SimulationEngine.
 set_schedule_policy` installs a *chooser* that picks which member of each
 equal-time group executes next (see :mod:`repro.schedexplore`), turning the
-engine into an interleaving explorer.  The grouped loop pops one equal-time
-group at a time, so it can hand the group to the chooser and stop at a time
-or count bound between any two events; without a chooser it runs index 0,
-which reproduces the ``(time, seq)`` order bit for bit.  It is not the only
-loop because it costs more per event: a 300-iteration exact stencil2d HydEE
-replica (16 ranks, 40 488 events) runs in 0.272 s on the hot loop and
-0.318 s on the FIFO grouped loop, +17 % (medians of 8 alternating pairs,
-CPython 3.11 on an Intel Xeon).
+engine into an interleaving explorer.  The grouped loop, whose one user is
+that explorer, pops one equal-time group at a time and hands it to the
+chooser; a chooser that always picks index 0 reproduces the ``(time, seq)``
+order bit for bit.  It is not the only loop because it costs more per
+event: a 300-iteration exact stencil2d HydEE replica (16 ranks, 40 488
+events) runs in 0.272 s on the hot loop and 0.318 s on the FIFO grouped
+loop, +17 % (medians of 8 alternating pairs, CPython 3.11 on an Intel
+Xeon).
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ class SimulationEngine:
         return live
 
     def _requeue_group(self, group: List[List[Any]]) -> None:
-        """Return the live group members to the heap (bounded stop paths).
+        """Return the live group members to the heap (a mid-group stop).
 
         Entries keep their original ``seq``, so re-popping them later
         reproduces the canonical order exactly.
@@ -377,37 +377,25 @@ class SimulationEngine:
 
     def _run_grouped(
         self,
-        until_time: Optional[float],
-        max_events: Optional[int],
+        chooser: Callable[[float, List[List[Any]]], int],
         stop_predicate: Optional[Callable[[], bool]],
     ) -> str:
-        """The :meth:`run` loop for bounded runs and schedule policies.
+        """The :meth:`run` loop under a schedule policy.
 
         Pops one equal-time group at a time; same contract as the hot loop
         (stop predicate before every event).  The only degree of freedom is
-        which member of each group executes next: the installed chooser's
-        pick, else index 0 -- FIFO, bit-identical to the hot loop's
-        ``(time, seq)`` order.
+        which member of each group executes next: the chooser's pick.
         """
-        chooser = self._policy
         on_drained = self._on_time_drained
-        processed = 0
         executed_any = False
         while True:
             if stop_predicate is not None and stop_predicate():
                 return "stopped"
-            if max_events is not None and processed >= max_events:
-                return "max_events"
             next_time = self._peek_time()
             if next_time is None:
                 if executed_any and on_drained is not None:
                     on_drained(self.now)
                 return "empty"
-            if until_time is not None and next_time > until_time:
-                if executed_any and on_drained is not None:
-                    on_drained(self.now)
-                self.now = until_time
-                return "until_time"
             if executed_any and next_time > self.now and on_drained is not None:
                 on_drained(self.now)
             group = self._pop_time_group(next_time)
@@ -415,13 +403,10 @@ class SimulationEngine:
                 if stop_predicate is not None and stop_predicate():
                     self._requeue_group(group)
                     return "stopped"
-                if max_events is not None and processed >= max_events:
-                    self._requeue_group(group)
-                    return "max_events"
                 group = self._prune_group(group)
                 if not group:
                     break
-                choice = 0 if chooser is None or len(group) == 1 else chooser(next_time, group)
+                choice = 0 if len(group) == 1 else chooser(next_time, group)
                 if not 0 <= choice < len(group):
                     raise SimulationError(
                         f"schedule policy chose index {choice} out of a "
@@ -433,11 +418,10 @@ class SimulationEngine:
                 self.now = entry[_TIME]
                 self._events_processed += 1
                 executed_any = True
-                processed += 1
                 entry[_CALLBACK](*entry[_ARGS])
                 # Events the callback scheduled at this same time are
                 # admissible now and join the group (with higher seq, so
-                # FIFO order is preserved for the default chooser).
+                # canonical order is preserved for a FIFO chooser).
                 self._absorb_into_group(next_time, group)
 
     # ------------------------------------------------------------ queue core
@@ -466,27 +450,22 @@ class SimulationEngine:
         return head_time
 
     # --------------------------------------------------------------- running
-    def run(
-        self,
-        until_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_predicate: Optional[Callable[[], bool]] = None,
-    ) -> str:
-        """Run events until exhaustion or a bound is reached.
+    def run(self, stop_predicate: Optional[Callable[[], bool]] = None) -> str:
+        """Run events until the queue is empty or ``stop_predicate`` holds.
 
-        Returns one of ``"empty"``, ``"until_time"``, ``"max_events"`` or
-        ``"stopped"`` describing why the loop ended.  ``stop_predicate`` is
+        Returns ``"empty"`` or ``"stopped"``.  ``stop_predicate`` is
         consulted before *every* event (never batched away): the exact event
         count at which a run stops is part of the determinism contract.
         """
         self._running = True
         try:
-            if self._policy is None and until_time is None and max_events is None:
-                # Hot path: no time/count bound (with or without a stop
-                # predicate) and no policy.  The queue tiers live in locals;
-                # ``_drain_idx`` is committed before each callback and every
-                # local re-read after it, because callbacks may schedule,
-                # cancel and compact.
+            chooser = self._policy
+            if chooser is None:
+                # Hot path: no policy (with or without a stop predicate).
+                # The queue tiers live in locals; ``_drain_idx`` is
+                # committed before each callback and every local re-read
+                # after it, because callbacks may schedule, cancel and
+                # compact.
                 drain = self._drain
                 idx = self._drain_idx
                 heap = self._heap
@@ -528,7 +507,7 @@ class SimulationEngine:
                     drain = self._drain
                     idx = self._drain_idx
                     heap = self._heap
-            return self._run_grouped(until_time, max_events, stop_predicate)
+            return self._run_grouped(chooser, stop_predicate)
         finally:
             self._running = False
 

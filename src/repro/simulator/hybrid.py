@@ -53,9 +53,9 @@ coroutine wholesale after a fast-forwarded epoch
 (:meth:`~repro.simulator.process.RankProcess.fast_forward_to`).
 
 When the run cannot be fast-forwarded safely -- workload not declared
-:attr:`~repro.workloads.base.Application.ff_compatible`, bounded runs,
-protocols with opaque boundary hooks, or a warm-up whose iteration durations
-are too irregular to trust -- the director degrades gracefully to plain exact
+:attr:`~repro.workloads.base.Application.ff_compatible`, protocols with
+opaque boundary hooks, or a warm-up whose iteration durations are too
+irregular to trust -- the director degrades gracefully to plain exact
 execution and reports why (``sim.hybrid.*`` metrics plus a
 ``hybrid_fallback_reason`` entry in ``stats.extra``).
 
@@ -477,8 +477,6 @@ class HybridDirector:
             return f"application {app.name!r} is not fast-forwardable"
         if not getattr(app, "send_deterministic", False):
             return f"application {app.name!r} is not send-deterministic"
-        if sim.config.max_time is not None or sim.config.max_events is not None:
-            return "bounded run (max_time/max_events)"
         if total < warmup + 2:
             return (
                 f"too few iterations ({total}) for a {warmup}-iteration warm-up"

@@ -59,17 +59,14 @@ class SimulationConfig:
     network: Optional[NetworkModel] = None
     #: Record individual communication events (disable for large sweeps).
     record_trace_events: bool = True
-    #: Absolute simulation-time bound (None = unbounded).
-    max_time: Optional[float] = None
-    #: Maximum number of engine events (None = unbounded); safety valve.
-    max_events: Optional[int] = None
     #: Delay charged when a rank restarts from a checkpoint.
     restart_delay_s: float = 1.0e-3
     #: Latency of protocol control messages.
     control_latency_s: float = 2.0e-6
     #: Stable-storage write bandwidth for checkpoints (None = free writes).
     checkpoint_write_bandwidth: Optional[float] = 1.0e9
-    #: Raise when the run ends without every rank finishing.
+    #: Raise :class:`~repro.errors.DeadlockError` when the queue empties
+    #: before every rank has finished.
     raise_on_incomplete: bool = True
     #: Execution mode: ``"exact"`` (full DES) or ``"hybrid"`` (analytically
     #: fast-forward failure-free epochs, DES guard windows around failures --
@@ -420,12 +417,7 @@ class Simulation:
         if start:
             self.protocol.on_simulation_start()
             self._start_ranks()
-        reason = self.engine.run(
-            until_time=self.config.max_time,
-            max_events=self.config.max_events,
-            stop_predicate=self._should_stop,
-        )
-        return self._finish(reason)
+        return self._finish(self.engine.run(stop_predicate=self._should_stop))
 
     def _start_ranks(self) -> None:
         """Inject every rank's t=0 kick-off event in one deterministic batch."""
@@ -439,26 +431,11 @@ class Simulation:
             status = "completed"
         elif reason == "empty":
             status = "deadlock"
-        elif reason == "until_time":
-            status = "timeout"
-        elif reason == "max_events":
-            status = "event-limit"
         else:
             status = "incomplete"
 
         if status == "deadlock" and self.config.raise_on_incomplete:
-            raise DeadlockError(
-                self._unfinished_report(
-                    "simulation deadlock: event queue empty but ranks are not done"
-                )
-            )
-        if status in ("timeout", "event-limit") and self.config.raise_on_incomplete:
-            raise SimulationError(
-                self._unfinished_report(
-                    f"simulation stopped ({status}) before completion: "
-                    f"{sum(1 for p in self.ranks.values() if not p.done)} ranks unfinished"
-                )
-            )
+            raise DeadlockError(self._unfinished_report())
 
         self._finalize_stats()
         return SimulationResult(
@@ -522,9 +499,12 @@ class Simulation:
             metrics.set("links.tiers", self.transport.tier_stats())
         return metrics
 
-    def _unfinished_report(self, headline: str) -> str:
-        """``headline`` plus, per unfinished rank, its state and what it waits on."""
-        lines = [headline, f"  recovery in progress: {self.protocol.recovery_in_progress()}"]
+    def _unfinished_report(self) -> str:
+        """The deadlock message: per unfinished rank, its state and what it waits on."""
+        lines = [
+            "simulation deadlock: event queue empty but ranks are not done",
+            f"  recovery in progress: {self.protocol.recovery_in_progress()}",
+        ]
         for rank, proc in sorted(self.ranks.items()):
             if not proc.done:
                 lines.append(

@@ -153,7 +153,7 @@ class TestContendedCampaignDeterminism:
         )
         outcome = run_campaign(specs)
         doctored = copy.deepcopy(outcome)
-        doctored.records[0]["result"]["status"] = "timeout"
+        doctored.records[0]["result"]["status"] = "deadlock"
         with pytest.raises(ConfigurationError):
             rows_from_resultset(ResultSet.from_campaign(doctored))
 

@@ -33,7 +33,7 @@ import math
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
@@ -737,15 +737,13 @@ class TestSpecHashStability:
         assert round_trip.execution == "hybrid"
         assert round_trip.spec_hash() == hybrid.spec_hash()
 
-    def test_config_override_can_force_exact_execution(self):
-        spec = dataclasses.replace(
-            scenario(), execution="hybrid", config={"execution": "exact"}
-        )
-        sim = build(spec)
-        assert sim.config.execution == "exact"
-        result = sim.run()
-        assert result.status == "completed"
-        assert sim.hybrid_stats is None
+    @pytest.mark.parametrize("key", ["execution", "calibration_key"])
+    def test_derived_run_settings_are_not_config_overrides(self, key):
+        # The execution mode and the calibration key have one home each:
+        # ScenarioSpec.execution and spec.calibration_key().
+        spec = dataclasses.replace(scenario(), execution="hybrid", config={key: "exact"})
+        with pytest.raises(ConfigurationError, match="ScenarioSpec.execution"):
+            build(spec)
 
 
 class TestFallbacks:

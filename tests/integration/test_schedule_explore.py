@@ -14,12 +14,16 @@ library and through ``repro-campaign run`` on a spec file), and a red
 library replays.
 """
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.campaign import ResultsStore, run_spec
 from repro.campaign.cli import main as campaign_main
-from repro.scenarios.build import build
+from repro.errors import ConfigurationError
 from repro.experiments import main as experiment_main
+from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
     FailureEvent,
@@ -35,6 +39,7 @@ from repro.schedexplore.explorer import (
     prepare_spec,
     replay_witness,
 )
+from repro.schedexplore.job import schedule_explore_job
 from repro.schedexplore.pinned import PINNED_SCENARIOS, available_pinned, pinned_spec
 from repro.schedexplore.witness import ScheduleWitness
 
@@ -45,7 +50,7 @@ class TestPinnedScenariosAreInterleavingInvariant:
         # HydEE / coordinated / message-logging fault scenarios yield
         # bit-identical final fingerprints and normalized recovery traces.
         for name, spec in sorted(PINNED_SCENARIOS.items()):
-            report = explore(spec, seeds=10, policy="adversarial")
+            report = explore(spec, seeds=10)
             assert report.invariant, (
                 f"{name}: schedule-space divergence: "
                 f"{[w.divergence for w in report.witnesses]}"
@@ -66,12 +71,6 @@ class TestPinnedScenariosAreInterleavingInvariant:
                 # The seeds genuinely perturbed the schedule: every run hit
                 # equal-time ties it could (and mostly did) reorder.
                 assert run.tie_dispatches > 0
-
-    def test_random_policy_is_also_invariant(self):
-        report = explore(
-            PINNED_SCENARIOS["message-logging-ring"], seeds=3, policy="random"
-        )
-        assert report.invariant
 
 
 # ----------------------------------------------------- order-sensitive fixture
@@ -105,16 +104,14 @@ def order_sensitive_factory():
 
 
 def _first_witness():
-    report = explore_factory(order_sensitive_factory, seeds=3, policy="adversarial")
+    report = explore_factory(order_sensitive_factory, seeds=3)
     assert not report.invariant
     return report.witnesses[0]
 
 
 class TestOrderSensitiveFixtureIsFlagged:
     def test_explorer_flags_the_race_and_shrinks_the_witness(self):
-        report = explore_factory(
-            order_sensitive_factory, seeds=3, policy="adversarial"
-        )
+        report = explore_factory(order_sensitive_factory, seeds=3)
         assert not report.invariant
         assert report.witnesses
         for witness in report.witnesses:
@@ -124,12 +121,6 @@ class TestOrderSensitiveFixtureIsFlagged:
             # witness keeps only the few that matter.
             assert witness.original_decisions > len(witness.decisions)
             assert 0 < len(witness.decisions) <= 8
-
-    def test_random_policy_also_flags_the_race(self):
-        report = explore_factory(
-            order_sensitive_factory, seeds=5, policy="random", shrink=False
-        )
-        assert not report.invariant
 
     def test_shrunk_witness_replays_deterministically(self):
         witness = _first_witness()
@@ -195,6 +186,18 @@ class TestScheduleExploreCampaignJob:
         two = pinned_spec("message-logging-ring", seeds=2)
         three = pinned_spec("message-logging-ring", seeds=3)
         assert two.spec_hash() != three.spec_hash()
+
+    def test_a_policy_tag_is_rejected_not_ignored(self):
+        spec = pinned_spec("message-logging-ring", seeds=2)
+        tagged = dataclasses.replace(spec, tags={**spec.tags, "explore_policy": "random"})
+        with pytest.raises(ConfigurationError, match="explore_policy"):
+            schedule_explore_job(tagged)
+
+    def test_the_cli_has_no_policy_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            experiment_main(["schedule-explore", "--policy", "random"])
+        assert excinfo.value.code == 2
+        assert "--policy" in capsys.readouterr().err
 
 
 # ------------------------------------------------- witnesses without a CLI

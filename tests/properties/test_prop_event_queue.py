@@ -13,13 +13,15 @@ The FIFO schedule-policy path (``set_schedule_policy`` with a chooser that
 always picks index 0) must reproduce the default order bit for bit -- that
 equivalence is what lets the schedule explorer trust its baseline run.
 
-A *cut* stops the first :meth:`~SimulationEngine.run` at a bound
-(``max_events`` or ``until_time``) and a second ``run()`` finishes the
-program: the stop reason, the clock and the live remainder at the cut must
-match the reference's, and the concatenated log must equal the uncut one.
-The ``"peek"`` cut instead runs once under a stop predicate that peeks at
-the queue head before every event and never stops.  Whatever the input, a
-finished run leaves no cancelled entry counted.
+A *cut* stops the first :meth:`~SimulationEngine.run` with a stop predicate
+("stop after k events") and a second ``run()`` finishes the program: the
+stop reason, the clock and the live remainder at the cut must match the
+reference's, and the concatenated log must equal the uncut one.  The
+``"peek"`` cut instead runs once under a stop predicate that peeks at the
+queue head before every event and never stops.  Both properties run with
+and without the FIFO chooser, so a cut lands in the hot loop or inside an
+equal-time group of the grouped loop (which requeues the group's rest).
+Whatever the input, a finished run leaves no cancelled entry counted.
 """
 
 from hypothesis import given, settings
@@ -73,23 +75,25 @@ def queue_programs(draw):
     return n_specs, roots, delays, actions
 
 
-#: ``None``, a bound for the first of two runs -- ``("max_events", k)`` or
-#: ``("until_time", t)`` (times the delay pool reaches, and some between) --
-#: or ``("peek", None)``: one run whose stop predicate peeks.
+#: ``None``, ``("stop_after", k)`` -- the first of two runs stops once k
+#: events have executed -- or ``("peek", None)``: one run whose stop
+#: predicate peeks.
 cuts = st.one_of(
     st.none(),
     st.just(("peek", None)),
-    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=12)),
-    st.tuples(st.just("until_time"), st.sampled_from((0.0, 0.25, 0.6, 1.0, 1.5, 2.5))),
+    st.tuples(st.just("stop_after"), st.integers(min_value=0, max_value=12)),
 )
+
+#: the FIFO chooser (always the first member of an equal-time group).
+_FIFO = lambda time, group: 0  # noqa: E731
 
 
 def _run_engine(program, engine=None, chooser=None, cut=None):
     """Execute the program on a real engine.
 
-    Returns ``(log, at_cut)``: the execution log and, given a ``cut``,
-    ``(reason, now, pending_events)`` right after the bounded first run
-    (``None`` without one).
+    Returns ``(log, at_cut)``: the execution log and, given a
+    ``stop_after`` cut, ``(reason, now, pending_events)`` right after the
+    first run (``None`` without one).
     """
     n_specs, roots, delays, actions = program
     engine = engine if engine is not None else SimulationEngine()
@@ -117,9 +121,9 @@ def _run_engine(program, engine=None, chooser=None, cut=None):
         return False
 
     at_cut = None
-    if cut is not None and cut[0] != "peek":
-        kind, bound = cut
-        at_cut = (engine.run(**{kind: bound}), engine.now, engine.pending_events)
+    if cut is not None and cut[0] == "stop_after":
+        reason = engine.run(stop_predicate=lambda: len(log) >= cut[1])
+        at_cut = (reason, engine.now, engine.pending_events)
     outcome = engine.run(stop_predicate=peek_and_go_on if cut == ("peek", None) else None)
     assert outcome == "empty"
     assert engine.pending_events == 0
@@ -134,7 +138,7 @@ def _run_reference(program, cut=None):
     Returns ``(log, at_cut)`` like :func:`_run_engine`.
     """
     n_specs, roots, delays, actions = program
-    kind, bound = cut if cut is not None and cut[0] != "peek" else (None, None)
+    stop_after = cut[1] if cut is not None and cut[0] == "stop_after" else None
     now = 0.0
     seq = 0
     pending = {}  # spec -> [time, seq, alive]
@@ -145,11 +149,9 @@ def _run_reference(program, cut=None):
         pending[spec] = [delays[spec], seq, True]
     while True:
         live = [(e[0], e[1], s) for s, e in pending.items() if e[2]]
-        if at_cut is None and kind is not None:
-            if kind == "max_events" and len(log) == bound:
-                at_cut = ("max_events", now, len(live))
-            elif kind == "until_time" and live and min(live)[0] > bound:
-                at_cut = ("until_time", bound, len(live))
+        if at_cut is None and stop_after is not None:
+            if len(log) == stop_after:
+                at_cut = ("stopped", now, len(live))
             elif not live:
                 at_cut = ("empty", now, 0)
         if not live:
@@ -171,18 +173,18 @@ def _run_reference(program, cut=None):
                     target[2] = False
 
 
-@given(queue_programs(), cuts)
+@given(queue_programs(), cuts, st.sampled_from((None, _FIFO)))
 @settings(max_examples=200, deadline=None)
-def test_execution_order_matches_naive_reference(program, cut):
-    assert _run_engine(program, cut=cut) == _run_reference(program, cut)
+def test_execution_order_matches_naive_reference(program, cut, chooser):
+    assert _run_engine(program, chooser=chooser, cut=cut) == _run_reference(program, cut)
 
 
-@given(queue_programs(), cuts)
+@given(queue_programs(), cuts, st.sampled_from((None, _FIFO)))
 @settings(max_examples=100, deadline=None)
-def test_aggressive_compaction_does_not_reorder(program, cut):
-    assert _run_engine(program, engine=_CompactingEngine(), cut=cut) == _run_reference(
-        program, cut
-    )
+def test_aggressive_compaction_does_not_reorder(program, cut, chooser):
+    assert _run_engine(
+        program, engine=_CompactingEngine(), chooser=chooser, cut=cut
+    ) == _run_reference(program, cut)
 
 
 @given(queue_programs())
@@ -191,9 +193,7 @@ def test_fifo_policy_reproduces_default_order(program):
     # The policy loop (group pop + same-time absorption across both tiers)
     # with the always-first chooser is the explorer's baseline: it must be
     # indistinguishable from the policy-free hot path.
-    assert _run_engine(program, chooser=lambda time, group: 0) == _run_reference(
-        program
-    )
+    assert _run_engine(program, chooser=_FIFO) == _run_reference(program)
 
 
 @given(queue_programs())

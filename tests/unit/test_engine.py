@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.schedexplore.policies import FifoPolicy
 from repro.simulator.engine import Condition, SimulationEngine
 
 
@@ -67,25 +68,6 @@ class TestScheduling:
         assert order == ["first", "second"]
         assert engine.now == 2.0
 
-    def test_run_until_time_stops_before_later_events(self):
-        engine = SimulationEngine()
-        order = []
-        engine.schedule(1.0, order.append, "a")
-        engine.schedule(10.0, order.append, "b")
-        reason = engine.run(until_time=5.0)
-        assert reason == "until_time"
-        assert order == ["a"]
-        assert engine.now == 5.0
-        assert engine.pending_events == 1
-
-    def test_run_max_events(self):
-        engine = SimulationEngine()
-        for i in range(10):
-            engine.schedule(float(i + 1), lambda: None)
-        reason = engine.run(max_events=4)
-        assert reason == "max_events"
-        assert engine.events_processed == 4
-
     def test_stop_predicate(self):
         engine = SimulationEngine()
         hits = []
@@ -94,6 +76,20 @@ class TestScheduling:
         reason = engine.run(stop_predicate=lambda: len(hits) >= 2)
         assert reason == "stopped"
         assert len(hits) == 2
+
+    def test_stop_inside_an_equal_time_group_resumes_in_order(self):
+        # Under a chooser the grouped loop holds the group outside the
+        # queue tiers; a stop between two members must requeue the rest.
+        engine = SimulationEngine()
+        FifoPolicy().install(engine)
+        order = []
+        for label in "abc":
+            engine.schedule(1.0, order.append, label)
+        engine.schedule(2.0, order.append, "d")
+        assert engine.run(stop_predicate=lambda: len(order) >= 1) == "stopped"
+        assert (order, engine.now, engine.pending_events) == (["a"], 1.0, 3)
+        assert engine.run() == "empty"
+        assert order == list("abcd")
 
     def test_events_processed_counter(self):
         engine = SimulationEngine()
@@ -134,17 +130,16 @@ class TestHeapCompaction:
         assert order == list(range(0, total, 3))
         assert engine.pending_events == 0
 
-    def test_run_until_time_with_cancelled_head_events(self):
+    def test_advance_to_with_cancelled_head_events(self):
         engine = SimulationEngine()
         order = []
         early = [engine.schedule(float(i + 1), order.append, i) for i in range(3)]
         engine.schedule(10.0, order.append, "late")
         for handle in early:
             handle.cancel()
-        # The cancelled events head the heap; run must skip them without
-        # executing anything and stop at the time bound.
-        reason = engine.run(until_time=5.0)
-        assert reason == "until_time"
+        # The cancelled events head the heap; the clock jump must skip them
+        # without executing anything and stop short of the live event.
+        engine.advance_to(5.0)
         assert order == []
         assert engine.now == 5.0
         assert engine.pending_events == 1
@@ -156,9 +151,9 @@ class TestHeapCompaction:
         handles = [engine.schedule(float(i + 1), lambda: None) for i in range(5)]
         handles[0].cancel()
         handles[1].cancel()
-        # until_time before the first live event: _peek_time pops the two
-        # cancelled heads but executes nothing.
-        assert engine.run(until_time=0.5) == "until_time"
+        # A stop predicate that peeks before the first event: _peek_time
+        # pops the two cancelled heads but executes nothing.
+        assert engine.run(stop_predicate=lambda: engine._peek_time() > 0.5) == "stopped"
         assert engine.pending_events == 3
         assert engine._entry_count() == 3
         assert engine._cancelled == 0
@@ -185,8 +180,8 @@ class TestHeapCompaction:
         assert engine._cancelled == 0
 
     def test_compaction_inside_a_group_keeps_the_cancelled_count(self):
-        # A bounded run executes one equal-time group at a time, popped out
-        # of the queue tiers.  A compaction triggered inside the group must
+        # The grouped loop (here under the FIFO chooser) executes one
+        # equal-time group at a time, popped out of the queue tiers.  A compaction triggered inside the group must
         # discount only the entries it drops: the group's own cancelled
         # member is discounted when the loop prunes it.
         engine = SimulationEngine()
@@ -204,7 +199,8 @@ class TestHeapCompaction:
 
         engine.schedule(1.0, cancel_all)
         tie.append(engine.schedule(1.0, lambda: None))
-        assert engine.run(max_events=10) == "empty"
+        FifoPolicy().install(engine)
+        assert engine.run() == "empty"
         assert engine.events_processed == 2
         assert engine._cancelled == 0
 

@@ -14,14 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core.rpp import RPPTable
-from repro.errors import ConfigurationError
 from repro.schedexplore.fingerprint import fingerprint_value
 from repro.schedexplore.policies import (
     AdversarialPolicy,
     FifoPolicy,
-    RandomPolicy,
     ReplayPolicy,
-    make_policy,
 )
 from repro.schedexplore.witness import (
     ScheduleWitness,
@@ -101,10 +98,6 @@ def _fire_guard_window():  # qualname matches an adversary marker ("fire")
 
 
 class TestPolicies:
-    def test_make_policy_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="unknown schedule policy"):
-            make_policy("bogus")
-
     def test_fifo_policy_records_no_decisions(self):
         policy = FifoPolicy()
         for _ in range(5):
@@ -112,20 +105,20 @@ class TestPolicies:
         assert policy.tie_dispatches == 5
         assert policy.decisions == {}
 
-    def test_random_policy_is_seed_deterministic(self):
+    def test_adversarial_policy_is_seed_deterministic(self):
         runs = []
         for _ in range(2):
-            policy = RandomPolicy(seed=5)
+            policy = AdversarialPolicy(seed=5)
             picks = [policy.choose(0.0, _group(6)) for _ in range(40)]
             runs.append((picks, dict(policy.decisions)))
         assert runs[0] == runs[1]
         # A different seed explores a different schedule.
-        other = RandomPolicy(seed=6)
+        other = AdversarialPolicy(seed=6)
         other_picks = [other.choose(0.0, _group(6)) for _ in range(40)]
         assert other_picks != runs[0][0]
 
     def test_decisions_record_chosen_seq_not_index(self):
-        policy = RandomPolicy(seed=0)
+        policy = AdversarialPolicy(seed=0)
         group = _group(4)
         index = policy.choose(0.0, group)
         if index != 0:
@@ -174,13 +167,13 @@ class TestSameDivergence:
 class TestWitness:
     def test_dict_round_trip_preserves_int_decision_keys(self):
         witness = ScheduleWitness(
-            policy="random",
+            policy="adversarial",
             seed=3,
             decisions={17: 42, 4: 8},
             divergence=_divergence(),
             scenario={"name": "s"},
             original_decisions=12,
-            metadata={"label": "random-3"},
+            metadata={"label": "adversarial-3"},
         )
         data = witness.to_dict()
         assert set(data["decisions"]) == {"4", "17"}  # JSON-safe string keys
@@ -199,7 +192,7 @@ class TestWitness:
 class TestShrinkWitness:
     def _witness(self, decisions):
         return ScheduleWitness(
-            policy="random", seed=0, decisions=dict(decisions),
+            policy="adversarial", seed=0, decisions=dict(decisions),
             divergence=_divergence(),
         )
 
