@@ -224,6 +224,29 @@ class TestWitnessReplayIsALibraryCall:
         assert outcome["divergence"] is None
         assert outcome["expected"] == witness.divergence
 
+    def test_prepare_spec_sets_only_the_execution_field(self):
+        spec = dataclasses.replace(
+            PINNED_SCENARIOS["message-logging-ring"], execution="hybrid"
+        )
+        prepared = prepare_spec(spec)
+        assert prepared.execution == "exact"
+        assert prepared.config == {**spec.config, "record_trace_events": True}
+        assert build(prepared).config.execution == "exact"
+
+    def test_witness_embedding_a_config_execution_key_is_rejected(self):
+        # A witness saved when prepare_spec also wrote config.execution
+        # names the key's one home instead of replaying.
+        scenario = PINNED_SCENARIOS["message-logging-ring"].to_dict()
+        scenario["config"] = {**scenario["config"], "execution": "exact"}
+        witness = ScheduleWitness(
+            policy="adversarial", seed=0, decisions={},
+            divergence={"kind": "final-fingerprint", "index": None,
+                        "baseline": "a", "observed": "b"},
+            scenario=scenario,
+        )
+        with pytest.raises(ConfigurationError, match="ScenarioSpec.execution"):
+            replay_witness(witness)
+
     def test_red_registry_report_carries_a_replayable_witness(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -236,6 +236,21 @@ class TestPointToPoint:
             "state=blocked iteration=0 blocked on recv(source=0, tag=99)"
         )
 
+    def test_deadlock_report_lists_every_blocked_rank(self):
+        # Ranks 0 and 1 each wait for the other first; rank 2 finishes.
+        def body(comm, rank, state, it):
+            if rank < 2:
+                yield from comm.recv(source=1 - rank)
+
+        with pytest.raises(DeadlockError) as excinfo:
+            run_script(3, body)
+        lines = str(excinfo.value).splitlines()
+        report = {line.split(":")[0].strip(): line for line in lines[1:]}
+        assert sorted(report) == ["rank 0", "rank 1", "recovery in progress"]
+        assert "state=blocked" in report["rank 0"] and "iteration=0" in report["rank 0"]
+        assert report["rank 0"].endswith("blocked on recv(source=1, tag=-1)")
+        assert report["rank 1"].endswith("blocked on recv(source=0, tag=-1)")
+
     def test_deadlock_can_be_reported_without_raising(self):
         def body(comm, rank, state, it):
             if rank == 1:

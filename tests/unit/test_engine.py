@@ -77,6 +77,21 @@ class TestScheduling:
         assert reason == "stopped"
         assert len(hits) == 2
 
+    def test_run_takes_the_grouped_loop_exactly_when_a_policy_is_installed(self):
+        loops = []
+        for policy in (None, FifoPolicy()):
+            engine = SimulationEngine()
+            grouped = engine._run_grouped
+            engine._run_grouped = lambda *args: loops.append(args[0]) or grouped(*args)
+            if policy is not None:
+                policy.install(engine)
+            order = []
+            for label in "ab":
+                engine.schedule(1.0, order.append, label)
+            assert engine.run() == "empty"
+            assert order == ["a", "b"]
+        assert loops == [policy.choose]
+
     def test_stop_inside_an_equal_time_group_resumes_in_order(self):
         # Under a chooser the grouped loop holds the group outside the
         # queue tiers; a stop between two members must requeue the rest.

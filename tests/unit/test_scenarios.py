@@ -223,6 +223,17 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             build_config(spec)
 
+    @pytest.mark.parametrize("key", ["max_time", "max_events"])
+    def test_removed_run_bounds_are_unknown_overrides(self, key):
+        # Runs end by completion or deadlock; a spec still carrying a bound
+        # is refused by name, not turned into a TypeError.
+        spec = ScenarioSpec(
+            name="bounded", workload=_workload_spec("ring"), config={key: 10}
+        )
+        match = f"unknown SimulationConfig overrides: \\['{key}'\\]"
+        with pytest.raises(ConfigurationError, match=match):
+            build_config(spec)
+
     def test_network_overrides_are_applied(self):
         spec = ScenarioSpec(
             name="net",
