@@ -6,7 +6,9 @@ recovery traces, stable spec hashes).  This package checks the contracts
 *statically*: no wall-clock reads or unkeyed RNG streams (RL02), no
 unsorted set iteration into ordered output (RL03), flock-guarded store
 writes (RL04) and no per-element event fan-out at one timestamp (RL08) --
-the rules that have caught a bug, or that hold the three timer suppressions.
+the rules that have caught a bug, or that keep host clocks inside the two
+benchmark-timing modules.  The deliberate holes in these contracts are
+listed in :mod:`repro.lint.config`, and only there.
 
 Run ``repro-lint src/repro`` (or ``python -m repro.lint src/repro``);
 see ``--list-rules`` for the contract table.

@@ -1,10 +1,11 @@
 """Path policy of the determinism-contract rules.
 
-Rules are scoped by *module path* -- the path of a file relative to the
-package root, in posix form (``repro/simulator/engine.py``).  Keeping the
-policy in one module (instead of inside each rule) makes the exemptions
-reviewable: every entry here is a deliberate, documented hole in a
-contract, exactly like an inline suppression.
+Rules are scoped by *module path* -- the path of a file from the package
+root (or the ``benchmarks`` directory) down, in posix form
+(``repro/simulator/engine.py``).  Keeping the policy in one module
+(instead of inside each rule) makes the exemptions reviewable: this is the
+one place a contract hole is declared, and every entry here is a
+deliberate, documented one.  No comment in a linted file can open a hole.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from typing import Tuple
 #: other module must go through its ``derive_rng`` (SHA-256-keyed) factory,
 #: which is what keeps fault draws replayable across processes (RL02).
 RNG_FACTORY_MODULES: Tuple[str, ...] = ("repro/faults/distributions.py",)
+
+#: The two benchmark-timing modules allowed to read host clocks from the
+#: ``time`` module: a benchmark report measures real wall and CPU time, and
+#: every other timer goes through these two.  The rest of RL02 (datetime,
+#: uuid, global RNG, ``id()``) still applies to them.
+WALL_CLOCK_MODULES: Tuple[str, ...] = (
+    "repro/experiments/timed.py",
+    "benchmarks/observatory/clock.py",
+)
 
 #: Modules whose file writes persist shared, replayable state (results
 #: stores, archived failure traces, spec files).  Any ``open(.., "w")`` /

@@ -1,17 +1,16 @@
-"""Per-file analysis context: AST, import resolution, suppressions.
+"""Per-file analysis context: AST and import resolution.
 
 A :class:`ModuleContext` is built once per linted file and handed to every
 rule.  It provides
 
 * the parsed AST with a parent map (``ctx.parent(node)``);
 * import-aware name resolution (``ctx.resolve(node)`` turns ``np.random.
-  seed`` into ``numpy.random.seed`` whatever the local alias is);
-* the inline suppression table parsed from ``# repro-lint:`` comments
-  (see :mod:`repro.lint.suppress`).
+  seed`` into ``numpy.random.seed`` whatever the local alias is).
 
-``module`` is the file's path relative to the package root in posix form
-(``repro/campaign/store.py``); path-scoped rules match against it.  For
-fixture snippets the caller passes the module name explicitly.
+``module`` is the file's path from the package root (or from the
+``benchmarks`` directory) down, in posix form (``repro/campaign/store.py``,
+``benchmarks/observatory/clock.py``); path-scoped rules match against it.
+For fixture snippets the caller passes the module name explicitly.
 """
 
 from __future__ import annotations
@@ -19,18 +18,16 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-from repro.lint.suppress import SuppressionTable, parse_suppressions
-
 
 def module_name_for(path: str) -> str:
-    """Module path relative to the ``repro`` package root, posix form.
+    """Module path from the innermost ``repro`` or ``benchmarks`` directory down.
 
-    Falls back to the basename for files outside a ``repro`` package
+    Posix form.  Falls back to the basename for files outside both
     (fixtures, scratch snippets).
     """
     parts = path.replace("\\", "/").split("/")
     for idx in range(len(parts) - 1, -1, -1):
-        if parts[idx] == "repro":
+        if parts[idx] in ("repro", "benchmarks"):
             return "/".join(parts[idx:])
     return parts[-1]
 
@@ -44,7 +41,6 @@ class ModuleContext:
         self.module = module if module is not None else module_name_for(path)
         self.tree = ast.parse(source, filename=path)
         self.imports = _collect_imports(self.tree)
-        self.suppressions: SuppressionTable = parse_suppressions(source)
         self._parents: Dict[int, ast.AST] = {}
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):

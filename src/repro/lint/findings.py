@@ -1,15 +1,14 @@
 """Findings: what ``repro-lint`` reports.
 
 A :class:`Finding` is one violation of a determinism contract at one
-``file:line``.  Findings are plain data so the CLI can render them as text
-(``path:line:col: RLxx message``) or JSON (``--format json``, consumed by
-the campaign-service tooling).
+``file:line``.  The CLI renders each as one line of text,
+``path:line:col: RLxx message``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -24,15 +23,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

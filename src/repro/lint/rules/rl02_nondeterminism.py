@@ -11,7 +11,8 @@ draw from interpreter-global state that any import can perturb,
 ``random.seed`` mutates that state for everyone, and ``numpy.random`` adds
 a second, platform-sensitive global stream.  ``id()`` is flagged only where
 its result flows into hashes or rendered output (identity *comparison* via
-sets is a legitimate, run-local use).
+sets is a legitimate, run-local use).  The benchmark-timing modules of
+``config.WALL_CLOCK_MODULES`` may read the ``time`` module's host clocks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.lint.config import RNG_FACTORY_MODULES
+from repro.lint.config import RNG_FACTORY_MODULES, WALL_CLOCK_MODULES
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule
@@ -95,8 +96,12 @@ def _imported_name_chains(ctx: ModuleContext) -> Iterator[Tuple[ast.AST, str]]:
             yield node, resolved
 
 
-def _source_violation(resolved: str, in_rng_factory: bool) -> Optional[str]:
+def _source_violation(
+    resolved: str, in_rng_factory: bool, reads_wall_clock: bool
+) -> Optional[str]:
     """Why reading ``resolved`` breaks run-to-run identity, or None."""
+    if reads_wall_clock and resolved.startswith("time."):
+        return None
     if resolved in _BANNED or resolved.startswith(_BANNED_PREFIXES):
         return (
             f"`{resolved}` is a per-run nondeterminism source; derive the "
@@ -142,8 +147,9 @@ class NondeterminismSourceRule(Rule):
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
         in_rng_factory = ctx.module in RNG_FACTORY_MODULES
+        reads_wall_clock = ctx.module in WALL_CLOCK_MODULES
         for node, resolved in _imported_name_chains(ctx):
-            message = _source_violation(resolved, in_rng_factory)
+            message = _source_violation(resolved, in_rng_factory, reads_wall_clock)
             if message is not None:
                 findings.append(
                     self.finding(ctx, node.lineno, node.col_offset, message)

@@ -93,13 +93,4 @@ def pinned_spec(
         "explore_seeds": list(seeds) if not isinstance(seeds, int) else seeds,
         "explore_shrink": shrink,
     }
-    return ScenarioSpec(
-        name=spec.name,
-        workload=spec.workload,
-        protocol=spec.protocol,
-        network=spec.network,
-        failures=spec.failures,
-        execution=spec.execution,
-        config=spec.config,
-        tags=tags,
-    )
+    return dataclasses.replace(spec, tags=tags)
