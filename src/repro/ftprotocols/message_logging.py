@@ -201,13 +201,21 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
     # ---------------------------------------------------------------- failure
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
         failed = sorted(set(failed_ranks))
-        # Purge not-yet-delivered messages from the failed ranks so the copies
+        # Purge not-yet-matched messages from the failed ranks so the copies
         # they re-send while re-executing are the only ones left.  Survivors'
-        # arrival tracking falls back to what they delivered: a purged
-        # arrived-but-unmatched seq must read as new when it is re-sent.
-        for state in self.rank_state.values():
+        # arrival tracking falls back to just below the lowest purged seq: a
+        # purged seq must read as new when it is re-sent, a matched one (even
+        # if not yet delivered to the application) must still read as a
+        # duplicate.  Per-channel FIFO makes the queued seqs the newest ones.
+        for rank, state in self.rank_state.items():
+            lowest: Dict[int, int] = {}
+            for message in self.sim.ranks[rank].unexpected:
+                seq = message.piggyback.get("seq")
+                if message.source in failed and seq is not None:
+                    lowest[message.source] = min(lowest.get(message.source, seq), seq)
             for source in failed:
-                state.arrived_seq[source] = state.recv_seq.get(source, 0)
+                if source in lowest:
+                    state.arrived_seq[source] = lowest[source] - 1
                 state.stash.pop(source, None)
         self.sim.purge_undelivered_from(set(failed))
         # Each failed rank rolls back alone (its singleton cluster).
@@ -241,6 +249,22 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
                 self.sim.engine.schedule(
                     request_delay, self._replay_channel, list(entries)
                 )
+        # The restored ranks replay to the survivors too: a message sent
+        # before the checkpoint and purged above is never re-executed.
+        for failed_rank in info.ranks:
+            log = self.rank_state[failed_rank].log
+            for receiver, receiver_state in self.rank_state.items():
+                if receiver in info.ranks:
+                    continue
+                after = receiver_state.arrived_seq.get(
+                    failed_rank, receiver_state.recv_seq.get(failed_rank, 0)
+                )
+                entries = log.entries_for(receiver, after_date=after)
+                if entries:
+                    self.pstats.replayed_messages += len(entries)
+                    self.sim.engine.schedule(
+                        request_delay, self._replay_channel, list(entries)
+                    )
 
     def _replay_channel(self, entries) -> None:
         """Transmit one channel's replay backlog in log (determinant) order."""

@@ -31,6 +31,7 @@ from repro.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.workloads.base import Application
 
 REPLICAS = 20
 
@@ -279,46 +280,75 @@ class TestNonCompletedReplicas:
         assert len(generate_trace(fault_model, 16)) == 1
         assert record["result"]["status"] == "completed"
 
-    #: A replica that still deadlocks (four strikes at MTBF factor 16, seed 0)
-    #: and what each of its unfinished ranks waits on.
-    STUCK = "efficiency:message-logging:np16:mtbf0.00570496#r5"
-    STUCK_BLOCKED = {
-        "3": "wait(mode=all, n=4)", "6": "wait(mode=all, n=8)", "7": "wait(mode=all, n=6)",
-        "9": "wait(mode=all, n=8)", "10": "wait(mode=all, n=8)", "11": "wait(mode=all, n=6)",
-        "12": "wait(mode=all, n=4)", "13": "wait(mode=all, n=6)", "14": "wait(mode=all, n=6)",
-        "15": "wait(mode=all, n=4)",
-    }
+    #: Ranks 0 and 1 of a three-rank workload each wait for the other
+    #: first; rank 2 finishes.  A replica of it deadlocks by construction.
+    STUCK = "mutual-wait#deadlock"
+    STUCK_BLOCKED = {"0": "recv(source=1, tag=-1)", "1": "recv(source=0, tag=-1)"}
 
-    def test_a_deadlock_record_keeps_what_each_unfinished_rank_waits_on(self):
+    class MutualWait(Application):
+        name = "mutual-wait"
+
+        def setup(self, rank, nprocs):
+            return {}
+
+        def iteration(self, comm, rank, state, it):
+            if rank < 2:
+                yield from comm.recv(source=1 - rank)
+
+        def finalize(self, comm, rank, state):
+            return rank
+            yield  # pragma: no cover
+
+    def run_stuck_and_completed(self, monkeypatch, store):
+        """One deadlocked and one completed replica, through a campaign."""
+        from repro.scenarios.build import WORKLOAD_FACTORIES
+
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "mutual-wait", self.MutualWait)
+        replica = dict(
+            protocol=ProtocolSpec(name="none"),
+            config={"raise_on_incomplete": False},
+            tags={"analysis": "montecarlo-replica"},
+        )
+        run_campaign(
+            [
+                ScenarioSpec(
+                    name=self.STUCK,
+                    workload=WorkloadSpec(kind="mutual-wait", nprocs=3, iterations=1),
+                    **replica,
+                ),
+                ScenarioSpec(
+                    name="ring#completed",
+                    workload=WorkloadSpec(kind="ring", nprocs=3, iterations=1),
+                    **replica,
+                ),
+            ],
+            store=store,
+        )
+
+    def test_a_deadlock_record_keeps_what_each_unfinished_rank_waits_on(self, monkeypatch):
         # The store row must say which ranks are stuck and on what, without a
         # re-run.
         store = ResultsStore()
-        run_efficiency_experiment(
-            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=6, store=store
-        )
-        by_replica = {
-            record["name"]: record["result"]
-            for record in store.records().values() if "#r" in record["name"]
-        }
-        stuck = by_replica[self.STUCK]
+        self.run_stuck_and_completed(monkeypatch, store)
+        by_name = {record["name"]: record["result"] for record in store.records().values()}
+        stuck = by_name[self.STUCK]
         assert stuck["status"] == "deadlock"
         assert stuck["data"]["blocked"] == self.STUCK_BLOCKED
         assert sorted(stuck["data"]["blocked"]) == sorted(
             rank for rank, state in stuck["data"]["rank_states"].items() if state != "done"
         )
         # A completed replica's record is what it was: no new key.
-        completed = by_replica[self.STUCK.replace("#r5", "#r1")]
+        completed = by_name["ring#completed"]
         assert completed["status"] == "completed"
         assert sorted(completed["data"]) == ["rank_states"]
 
-    def test_the_blocked_table_diagnoses_a_deadlock_row_from_the_store(self, tmp_path, capsys):
+    def test_the_blocked_table_diagnoses_a_deadlock_row_from_the_store(
+        self, monkeypatch, tmp_path, capsys
+    ):
         from repro.campaign.cli import main as campaign_main
 
         path = str(tmp_path / "store.json")
-        run_efficiency_experiment(
-            protocols=("message-logging",), mtbf_factors=(16.0,), replicas=6,
-            store=ResultsStore(path),
-        )
+        self.run_stuck_and_completed(monkeypatch, ResultsStore(path))
         query = ["query", path, "--table", "blocked", "--format", "csv", "--where"]
         assert campaign_main([*query, f"name={self.STUCK}"]) == 0
         assert capsys.readouterr().out.strip().splitlines() == [
@@ -339,20 +369,15 @@ class TestNonCompletedReplicas:
     HARSH_SWEEP_COMPLETED = {
         "coordinated": [(1, 1), (8, 8), (8, 8), (63, 63)],
         "hydee": [(1, 1), (8, 8), (8, 8), (63, 63)],
-        "message-logging": [(1, 1), (8, 8), (4, 8), (3, 63)],
+        "message-logging": [(1, 1), (8, 8), (8, 8), (63, 63)],
     }
 
     def test_harsh_mtbf_completion_counts_are_pinned(self):
-        from repro.errors import ConfigurationError
-
         store = ResultsStore()
-        # Every replica record is written before the rows are aggregated,
-        # which is what gives up: message logging completes nothing at factor 4.
-        with pytest.raises(ConfigurationError, match="no completed replicas"):
-            run_efficiency_experiment(
-                protocols=tuple(self.HARSH_SWEEP_COMPLETED), mtbf_factors=(2, 4, 8, 16),
-                replicas=20, seed=0, store=store,
-            )
+        run_efficiency_experiment(
+            protocols=tuple(self.HARSH_SWEEP_COMPLETED), mtbf_factors=(2, 4, 8, 16),
+            replicas=20, seed=0, store=store,
+        )
         replicas = [run for run in ResultSet.from_store(store) if "#r" in run.name]
         assert len(replicas) == 240
         table = {name: [[0, 0] for _ in range(4)] for name in self.HARSH_SWEEP_COMPLETED}
@@ -378,6 +403,7 @@ class TestNonCompletedReplicas:
             "efficiency:hydee:np16:mtbf0.00285248#r9",
             "efficiency:hydee:np16:mtbf0.00570496#r0",
         ],
+        "message-logging": [],
     }
 
     def test_harsh_sweep_replicas_reproduce_their_baseline(self):

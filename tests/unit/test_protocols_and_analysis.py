@@ -206,22 +206,46 @@ class TestEpochStateContract:
 
 
 class TestMessageLoggingFailure:
+    @staticmethod
+    def finished_ring():
+        protocol = FullMessageLoggingProtocol()
+        sim = Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol)
+        sim.run()
+        return sim, protocol
+
     def test_a_resent_arrived_but_unmatched_message_is_delivered(self):
-        """Survivor 1 had seqs 3 and 5 from rank 0 arrive (3 unmatched, 5
-        stashed) when rank 0 fails: the purge drops 3, so the re-executed
-        send of seq 3 is the only copy left and must not read as a duplicate."""
+        """Survivor 1 had seqs 3 and 5 from rank 0 arrive (3 unmatched, in
+        its unexpected queue; 5 stashed) when rank 0 fails: the purge drops
+        3, so the re-executed send of seq 3 is the only copy left and must
+        not read as a duplicate."""
         from repro.simulator.messages import Message
 
-        protocol = FullMessageLoggingProtocol()
-        Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol).run()
+        sim, protocol = self.finished_ring()
         survivor = protocol.rank_state[1]
         survivor.recv_seq[0] = 2
         survivor.arrived_seq[0] = 3
         survivor.stash[0] = {5: Message(0, 1, 0, 8, piggyback={"seq": 5})}
+        sim.ranks[1].unexpected.append(Message(0, 1, 0, 8, piggyback={"seq": 3}))
         protocol.on_failure([0], 0.0)
+        assert not sim.ranks[1].unexpected
         resent = Message(0, 1, 0, 8, piggyback={"seq": 3})
         assert protocol.on_message_arrival(1, resent) is True
         assert survivor.arrived_seq[0] == 3 and 0 not in survivor.stash
+
+    def test_a_resent_matched_but_undelivered_message_is_a_duplicate(self):
+        """Survivor 1 matched seq 3 from rank 0 but has not delivered it to
+        the application yet (recv_seq 2) when rank 0 fails: nothing of rank
+        0's is queued, so the re-executed send of seq 3 is a duplicate."""
+        from repro.simulator.messages import Message
+
+        _sim, protocol = self.finished_ring()
+        survivor = protocol.rank_state[1]
+        survivor.recv_seq[0] = 2
+        survivor.arrived_seq[0] = 3
+        protocol.on_failure([0], 0.0)
+        resent = Message(0, 1, 0, 8, piggyback={"seq": 3})
+        assert protocol.on_message_arrival(1, resent) is False
+        assert survivor.arrived_seq[0] == 3
 
 
 class TestPerfModel:
