@@ -43,7 +43,6 @@ ANALYSES: Dict[str, str] = {
     "congestion-recovery": "repro.analysis.congestion:congestion_job",
     "montecarlo": "repro.faults.montecarlo:montecarlo_job",
     "montecarlo-replica": "repro.faults.montecarlo:replica_job",
-    "schedule-explore": "repro.schedexplore.job:schedule_explore_job",
 }
 
 
@@ -83,30 +82,19 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [jsonify(v) for v in items]
-    value = from_numpy(obj)
-    if value is not None:
-        return jsonify(value)
+    # A numpy value exists only once numpy is loaded, so numpy is looked up,
+    # never imported: no run that stores its results loads it.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return jsonify(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return jsonify(dataclasses.asdict(obj))
     return repr(obj)
-
-
-def from_numpy(obj: Any) -> Any:
-    """The Python value of a numpy integer, float or array; else None.
-
-    A numpy value exists only once numpy is loaded, so numpy is looked up,
-    never imported: no run that stores or fingerprints its results loads it.
-    """
-    np = sys.modules.get("numpy")
-    if np is None:
-        return None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return None
 
 
 # ----------------------------------------------------------------- simulate

@@ -620,34 +620,6 @@ class HydEEProtocol(ClusteredProtocolBase):
             for rank, state in self.states.items()
         }
 
-    def schedule_fingerprint(self) -> Dict[str, Any]:
-        """Durable Algorithm 1 state per rank + completed recovery sessions.
-
-        Everything here is content the paper's correctness argument makes
-        interleaving-invariant for send-deterministic applications: the
-        phase clocks, the RPP tables, the sender-based logs (hashed without
-        engine message ids) and the normalized recovery reports.
-        """
-        info = super().schedule_fingerprint()
-        info["rank_state"] = {
-            rank: {
-                "clock": state.clock.snapshot(),
-                "rpp": state.rpp.snapshot(),
-                "log": state.log.snapshot(),
-                "in_recovery": state.in_recovery,
-            }
-            for rank, state in self.states.items()
-        }
-        # Only the structural half of each session: who rolled back.  The
-        # chatter counts (orphans found, notifications sent, entries
-        # replayed) meter how far doomed work got before the rollback
-        # landed, which an equal-time tie-break legitimately decides.
-        info["recovery_reports"] = [
-            {"rolled_back_ranks": sorted(report["rolled_back_ranks"])}
-            for report in self.recovery_reports
-        ]
-        return info
-
     def phase_of(self, rank: int) -> int:
         return self.states[rank].clock.phase
 

@@ -40,7 +40,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultsStore
 from repro.clustering.presets import TABLE1_PAPER_VALUES
 from repro.errors import ConfigurationError
-from repro.experiments.timed import ff_coverage, hybrid_speedup, schedule_explore
+from repro.experiments.timed import ff_coverage, hybrid_speedup
 from repro.results.query import ResultSet
 from repro.results.tables import Row, TableSchema
 from repro.scenarios.spec import ScenarioSpec
@@ -328,13 +328,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _report_entry(
             "ff-coverage", "extension (hybrid)", ff_coverage,
             _ff_coverage_checks,
-        ),
-        _report_entry(
-            "schedule-explore", "extension (schedules)", schedule_explore,
-            lambda report: {
-                "zero_divergences": report["invariant"],
-                "event_times_compared": report["times_compared"],
-            },
         ),
     )
 }

@@ -1,8 +1,8 @@
-"""The wall-clock timer of ``--report`` and the three entries that time phases.
+"""The wall-clock timer of ``--report`` and the two entries that time phases.
 
 Most registry entries are timed from outside (``repro-experiment <name>
---report DIR`` times their ``run``).  The three here compare phases of
-their own work -- exact vs hybrid replicas, interleavings per second -- so
+--report DIR`` times their ``run``).  The two here compare phases of their
+own work -- exact vs hybrid replicas, self-calibrated vs cached starts -- so
 they time those phases themselves and return a report ``dict`` instead of
 table rows.  They run serially and never cache: a worker pool or a results
 store would change what the rates mean.
@@ -20,14 +20,10 @@ from repro.faults.spec import FaultModelSpec
 from repro.scenarios.build import build
 from repro.scenarios.spec import (
     ClusteringSpec,
-    NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
-    TopologySpec,
     WorkloadSpec,
 )
-from repro.schedexplore.explorer import explore
-from repro.schedexplore.pinned import PINNED_SCENARIOS
 from repro.simulator.calibration import CalibrationCache, activated
 from repro.simulator.hybrid import HybridDirector
 from repro.workloads.nas import NAS_BENCHMARKS
@@ -240,76 +236,3 @@ def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     cell["fallback"] = cell["self_calibrated"]["fallback"] or cell["cached"]["fallback"]
     return cell
 
-
-def schedule_explore(seeds: int = 5, contended_seeds: int = 8) -> Dict[str, Any]:
-    """Schedule-space exploration: invariance, rate, spread under contention.
-
-    Two halves.  The pinned faulty scenarios (HydEE partial rollback and
-    joined session, coordinated global rollback, message-logging replay)
-    run on the flat network, where reordering equal-time events cannot move
-    any event time, so state, recovery trace and makespan must all be
-    interleaving-invariant; the rate is interleavings per second over that
-    sweep.  Then the HydEE scenario re-runs on an oversubscribed
-    cluster-per-node topology: link contention makes event times -- and
-    with them which checkpoint beats the failure -- legitimately
-    schedule-dependent, so no invariance is asserted there; the report
-    captures the makespan spread over seeded interleavings of one identical
-    failure draw.
-
-    ``witnesses`` holds the shrunk witness of every divergence of the first
-    half (``[]`` on a green run): save one entry as JSON and
-    ``replay_witness(ScheduleWitness.load(path))`` reproduces it.
-    """
-    reports, elapsed = timed(
-        lambda: {
-            name: explore(spec, seeds=seeds)
-            for name, spec in sorted(PINNED_SCENARIOS.items())
-        }
-    )
-    interleavings = sum(report.interleavings for report in reports.values())
-    witnesses = [
-        witness.to_dict() for report in reports.values() for witness in report.witnesses
-    ]
-    contended_spec = dataclasses.replace(
-        PINNED_SCENARIOS["hydee-stencil2d-single-failure"],
-        name="hydee-stencil2d-contended",
-        network=NetworkSpec(
-            topology=TopologySpec(
-                preset="cluster-per-node",
-                params={"ranks_per_node": 4, "oversubscription": 4.0},
-            )
-        ),
-    )
-    # shrink=False: divergences are expected here, delta-debugging them
-    # would only burn time; the makespan distribution is the object.
-    contended, contended_elapsed = timed(
-        explore, contended_spec, seeds=contended_seeds, shrink=False
-    )
-    payload = contended.to_payload()
-    makespan = payload["makespan"]
-    return {
-        "seeds": seeds,
-        "scenarios": sorted(reports),
-        "interleavings": interleavings,
-        "interleavings_per_s": round(interleavings / elapsed, 2),
-        "divergences": len(witnesses),
-        "invariant": not witnesses,
-        "witnesses": witnesses,
-        "times_compared": all(report.times_compared for report in reports.values()),
-        "tie_dispatches_max": max(
-            report.to_payload()["tie_dispatches"]["max"] for report in reports.values()
-        ),
-        "recovery_time_over_schedules": {
-            "scenario": contended_spec.name,
-            "seeds": contended_seeds,
-            "elapsed_s": round(contended_elapsed, 3),
-            "times_compared": payload["times_compared"],
-            "makespan_baseline_s": makespan["baseline"],
-            "makespan_min_s": makespan["min"],
-            "makespan_max_s": makespan["max"],
-            "makespan_spread_s": makespan["spread"],
-            "makespan_all_s": makespan["all"],
-            # Alternative outcomes observed, not detector findings.
-            "schedule_dependent_runs": payload["divergences"],
-        },
-    }

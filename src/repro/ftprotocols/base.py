@@ -434,62 +434,6 @@ class ClusteredProtocolBase(ProtocolHooks):
             "(protocol did not install a control handler)"
         )
 
-    # ------------------------------------------------------- schedule explore
-    #: pstats counters that meter *attempted* work, including work later
-    #: rolled back.  When a rollback notification ties with an iteration
-    #: boundary, the tie-break decides how many doomed sends the victim got
-    #: in before rewinding -- so these totals are schedule-dependent by
-    #: nature even though the recovered state is not, and they stay out of
-    #: the interleaving-invariance fingerprint.
-    _WASTED_WORK_COUNTERS = (
-        "logged_messages",
-        "logged_bytes",
-        "determinants_logged",
-        "determinant_bytes",
-        "piggyback_bytes",
-        "gc_reclaimed_bytes",
-        # Recovery-session chatter: how many log entries needed replaying
-        # and how many duplicates receivers swatted depends on how far
-        # doomed work got before the rollback landed.
-        "replayed_messages",
-        "suppressed_orphans",
-    )
-
-    def schedule_fingerprint(self) -> Dict[str, Any]:
-        """Structural counters + recovery-line bookkeeping (interleaving-invariant)."""
-        info = dict(super().schedule_fingerprint())
-        info["pstats"] = {
-            key: value
-            for key, value in self.pstats.as_dict().items()
-            if key not in self._WASTED_WORK_COUNTERS
-        }
-        info["cluster_generations"] = dict(self._cluster_generation)
-        storage = self.sim.storage
-        info["latest_checkpoint_iteration"] = {
-            rank: record.iteration
-            for rank in self._cluster_of
-            if (record := storage.latest(rank)) is not None
-        }
-        return info
-
-    def recovery_line_fingerprint(self) -> Dict[str, Any]:
-        """The committed recovery line: checkpoint coordinates per rank, plus
-        the per-cluster line a rollback would actually restore (the largest
-        iteration *every* member has durably checkpointed)."""
-        info = dict(super().recovery_line_fingerprint())
-        info["cluster_generations"] = dict(self._cluster_generation)
-        storage = self.sim.storage
-        info["latest_checkpoint_iteration"] = {
-            rank: record.iteration
-            for rank in self._cluster_of
-            if (record := storage.latest(rank)) is not None
-        }
-        info["cluster_lines"] = {
-            cid: storage.latest_common_iteration(members)
-            for cid, members in enumerate(self.clusters)
-        }
-        return info
-
     # ------------------------------------------------------------ accounting
     def extra_metrics(self) -> Dict[str, Any]:
         """Cluster layout + the shared :class:`ProtocolStatistics` counters.

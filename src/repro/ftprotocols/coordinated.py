@@ -51,26 +51,6 @@ class CoordinatedCheckpointProtocol(ClusteredProtocolBase):
             }
         )
 
-    def schedule_fingerprint(self) -> Dict[str, Any]:
-        """Global-rollback history, without the strike timestamps.
-
-        The ``time`` field of a rollback event is the failure injection
-        instant, which is part of the scenario (not of the schedule) under a
-        flat network but drifts under link contention; the state half --
-        who failed, how far the application was rolled back -- must be
-        identical across interleavings either way.
-        """
-        info = super().schedule_fingerprint()
-        info["rollback_events"] = [
-            {
-                "failed_ranks": event["failed_ranks"],
-                "ranks_rolled_back": event["ranks_rolled_back"],
-                "restore_iteration": event["restore_iteration"],
-            }
-            for event in self.rollback_events
-        ]
-        return info
-
     def extra_metrics(self) -> Dict[str, Any]:
         info = super().extra_metrics()
         add_metric(info, "rollback_events", list(self.rollback_events))

@@ -229,8 +229,7 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         # one transmit loop pins the channel's replay order to log order, so
         # per-channel FIFO holds no matter how same-time events interleave
         # (per-entry events would leave the order at the mercy of the
-        # dispatch tie-break -- an out-of-order replay the schedule explorer
-        # catches as a recovery race).
+        # dispatch tie-break; RL08 flags that fan-out).
         request_delay = 2 * self.sim.control.latency_s
         for failed_rank in info.ranks:
             restored = self.rank_state[failed_rank]
@@ -277,14 +276,6 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
             raise ProtocolError(f"message-logging: unexpected control message {cm.kind!r}")
 
     # ------------------------------------------------------------ inspection
-    def schedule_fingerprint(self) -> Dict[str, Any]:
-        """Per-channel sequence state and sender logs (interleaving-invariant)."""
-        info = super().schedule_fingerprint()
-        info["rank_state"] = {
-            rank: state.snapshot() for rank, state in self.rank_state.items()
-        }
-        return info
-
     def memory_usage_bytes(self) -> Dict[int, int]:
         return {rank: st.log.current_bytes for rank, st in self.rank_state.items()}
 

@@ -3,10 +3,9 @@
 Scheduling one engine event *per element* of a collection with a
 loop-invariant delay puts every event at the same admissible timestamp;
 their relative dispatch order is then nothing but the insertion tie-break,
-which the model does not constrain (and which the schedule explorer
-deliberately perturbs).  When the per-element callbacks feed an ordered
-consumer -- a FIFO channel, a log, a trace -- the run's outcome silently
-depends on that artefact.  The message-logging replay bug is the canonical
+which the model does not constrain.  When the per-element callbacks feed
+an ordered consumer -- a FIFO channel, a log, a trace -- the run's outcome
+silently depends on that artefact.  The message-logging replay bug is the canonical
 instance: one replay event per log entry, all at ``failure + request_delay``,
 let a reordered dispatch break per-channel FIFO.
 

@@ -25,12 +25,9 @@ implementation deliberately avoids Python-level overhead:
   becomes the next drain.  This turns the dominant cost -- one O(log n)
   sift-down per executed event -- into an amortised O(log k) where k is the
   number of events scheduled since the last generation;
-* ``run`` has two loops.  A run without a schedule policy -- every
-  simulation, and the hybrid director's drains -- takes the hot loop, which
-  hoists the queue tiers into locals and re-synchronises them around
-  callbacks (a callback may schedule, cancel, or trigger a lazy
-  compaction).  A run under a policy takes the grouped loop described
-  below;
+* ``run`` is one loop, which hoists the queue tiers into locals and
+  re-synchronises them around callbacks (a callback may schedule, cancel,
+  or trigger a lazy compaction);
 * :meth:`SimulationEngine.schedule_many` batches the bookkeeping for callers
   that inject many events at once (rank start-up, grouped replays,
   benchmark floods);
@@ -46,24 +43,6 @@ rejected with :class:`~repro.errors.SimulationError` at scheduling time.
 
 The ``state`` slot of an entry is ``_PENDING`` (may run), ``_EXECUTED``
 (popped and run) or ``_CANCELLED`` (skipped when reached; lazily compacted).
-
-Schedule policies
------------------
-The ``(time, seq)`` order makes every run reproducible, but the ``seq``
-tie-break is an *arbitrary* choice among events the model itself leaves
-unconstrained: events scheduled at exactly the same simulation time have no
-causal order, and a correct (send-deterministic) protocol must produce the
-same outcome whichever way the tie is broken.  :meth:`SimulationEngine.
-set_schedule_policy` installs a *chooser* that picks which member of each
-equal-time group executes next (see :mod:`repro.schedexplore`), turning the
-engine into an interleaving explorer.  The grouped loop, whose one user is
-that explorer, pops one equal-time group at a time and hands it to the
-chooser; a chooser that always picks index 0 reproduces the ``(time, seq)``
-order bit for bit.  It is not the only loop because it costs more per
-event: a 300-iteration exact stencil2d HydEE replica (16 ranks, 40 488
-events) runs in 0.272 s on the hot loop and 0.318 s on the FIFO grouped
-loop, +17 % (medians of 8 alternating pairs, CPython 3.11 on an Intel
-Xeon).
 """
 
 from __future__ import annotations
@@ -83,9 +62,6 @@ _INF: Final = math.inf
 
 #: queue-entry indexes / states (plain ints: list slots, not attributes).
 _TIME: Final = 0
-_SEQ: Final = 1
-_CALLBACK: Final = 2
-_ARGS: Final = 3
 _STATE: Final = 4
 _PENDING: Final = 0
 _EXECUTED: Final = 1
@@ -132,20 +108,10 @@ class SimulationEngine:
         #: the engine writes it.
         self.now: float = 0.0
         self._events_processed: int = 0
-        self._running = False
         #: scheduled events that are neither cancelled nor executed yet.
         self._live: int = 0
-        #: cancelled events still sitting in the queue tiers (or in the
-        #: equal-time group the grouped loop holds).
+        #: cancelled events still sitting in the queue tiers.
         self._cancelled: int = 0
-        #: equal-time tie-break chooser (None = deterministic ``seq`` order);
-        #: receives ``(time, group)`` and returns the index of the entry to
-        #: execute next.  Installed by :meth:`set_schedule_policy`.
-        self._policy: Optional[Callable[[float, List[List[Any]]], int]] = None
-        #: observer invoked (grouped loop only) once every event at a given
-        #: time has executed, right before the clock moves on -- the hook
-        #: point state fingerprinting uses (:mod:`repro.schedexplore`).
-        self._on_time_drained: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -173,9 +139,7 @@ class SimulationEngine:
         :meth:`run` or inside an executing callback -- both points where
         ``_drain_idx`` is synchronised, so slicing the consumed prefix off
         the drain is safe (the run loops re-read the tier attributes after
-        every callback).  Only the dropped entries are discounted: cancelled
-        members of a group the grouped loop has popped sit outside the tiers
-        and are discounted when it prunes them.
+        every callback).
         """
         before = self._entry_count()
         self._drain = [e for e in self._drain[self._drain_idx:] if not e[_STATE]]
@@ -289,149 +253,14 @@ class SimulationEngine:
             )
         self.now = time
 
-    # ------------------------------------------------------- schedule policy
-    def set_schedule_policy(
-        self,
-        chooser: Optional[Callable[[float, List[List[Any]]], int]],
-        on_time_drained: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """Install (or clear, with ``None``) an equal-time tie-break policy.
-
-        ``chooser(time, group)`` is called whenever more than one live event
-        is admissible at the same simulation time; ``group`` is the list of
-        raw queue entries (``[time, seq, callback, args, state]``) in
-        canonical ``seq`` order and the chooser returns the index of the
-        entry to execute next.  Events scheduled *during* the group at the
-        same time join the group (they are admissible at that time too), so
-        a policy explores exactly the orders the model leaves unconstrained;
-        events at different times never reorder.
-
-        ``on_time_drained(time)`` is invoked after the last event at each
-        executed timestamp, before the clock moves on -- a quiescent point
-        at which observers may *read* simulation state.  The hook must not
-        schedule or cancel events.
-
-        Installing a policy mid-run is rejected: a half-explored group would
-        corrupt the dispatch order.
-        """
-        if self._running:
-            raise SimulationError("cannot change the schedule policy while running")
-        self._policy = chooser
-        self._on_time_drained = on_time_drained
-
-    def _pop_time_group(self, time: float) -> List[List[Any]]:
-        """Pop every live entry scheduled exactly at ``time``, in seq order.
-
-        ``time`` is the live head :meth:`_peek_time` found.  Cancelled drain
-        entries are consumed (and discounted) on the way: the peek skips
-        them without consuming, and stopping at one with an earlier time
-        would pop an empty group forever.  Every drain entry precedes every
-        heap entry in ``seq`` (the drain is an older generation), and each
-        tier yields ascending ``seq`` for a fixed time, so the concatenation
-        is the canonical FIFO order.
-        """
-        group: List[List[Any]] = []
-        drain = self._drain
-        idx = self._drain_idx
-        while idx < len(drain):
-            entry = drain[idx]
-            if entry[_STATE]:
-                self._cancelled -= 1
-            elif entry[_TIME] == time:
-                group.append(entry)
-            else:
-                break
-            idx += 1
-        self._drain_idx = idx
-        self._absorb_into_group(time, group)
-        return group
-
-    def _absorb_into_group(self, time: float, group: List[List[Any]]) -> None:
-        """Move newly scheduled live entries at ``time`` into ``group``."""
-        heap = self._heap
-        while heap and heap[0][_TIME] == time:
-            entry = heappop(heap)
-            if entry[_STATE]:
-                self._cancelled -= 1
-            else:
-                group.append(entry)
-
-    def _prune_group(self, group: List[List[Any]]) -> List[List[Any]]:
-        """Drop (and discount) group members cancelled since they were popped."""
-        live: List[List[Any]] = []
-        for entry in group:
-            if entry[_STATE]:
-                self._cancelled -= 1
-            else:
-                live.append(entry)
-        return live
-
-    def _requeue_group(self, group: List[List[Any]]) -> None:
-        """Return the live group members to the heap (a mid-group stop).
-
-        Entries keep their original ``seq``, so re-popping them later
-        reproduces the canonical order exactly.
-        """
-        for entry in self._prune_group(group):
-            heappush(self._heap, entry)
-
-    def _run_grouped(
-        self,
-        chooser: Callable[[float, List[List[Any]]], int],
-        stop_predicate: Optional[Callable[[], bool]],
-    ) -> str:
-        """The :meth:`run` loop under a schedule policy.
-
-        Pops one equal-time group at a time; same contract as the hot loop
-        (stop predicate before every event).  The only degree of freedom is
-        which member of each group executes next: the chooser's pick.
-        """
-        on_drained = self._on_time_drained
-        executed_any = False
-        while True:
-            if stop_predicate is not None and stop_predicate():
-                return "stopped"
-            next_time = self._peek_time()
-            if next_time is None:
-                if executed_any and on_drained is not None:
-                    on_drained(self.now)
-                return "empty"
-            if executed_any and next_time > self.now and on_drained is not None:
-                on_drained(self.now)
-            group = self._pop_time_group(next_time)
-            while group:
-                if stop_predicate is not None and stop_predicate():
-                    self._requeue_group(group)
-                    return "stopped"
-                group = self._prune_group(group)
-                if not group:
-                    break
-                choice = 0 if len(group) == 1 else chooser(next_time, group)
-                if not 0 <= choice < len(group):
-                    raise SimulationError(
-                        f"schedule policy chose index {choice} out of a "
-                        f"group of {len(group)} events"
-                    )
-                entry = group.pop(choice)
-                entry[_STATE] = _EXECUTED
-                self._live -= 1
-                self.now = entry[_TIME]
-                self._events_processed += 1
-                executed_any = True
-                entry[_CALLBACK](*entry[_ARGS])
-                # Events the callback scheduled at this same time are
-                # admissible now and join the group (with higher seq, so
-                # canonical order is preserved for a FIFO chooser).
-                self._absorb_into_group(next_time, group)
-
     # ------------------------------------------------------------ queue core
     def _peek_time(self) -> Optional[float]:
         """Earliest live event time without consuming it (None when empty).
 
-        The drain tier is only read: the hot loop holds ``_drain_idx`` in a
+        The drain tier is only read: the run loop holds ``_drain_idx`` in a
         local while a stop predicate -- which may peek -- runs, so consuming
         cancelled drain entries here would discount them twice.  Cancelled
-        heap heads are popped; every loop re-reads ``heap[0]``.
+        heap heads are popped; the loop re-reads ``heap[0]``.
         """
         drain = self._drain
         idx = self._drain_idx
@@ -457,59 +286,50 @@ class SimulationEngine:
         consulted before *every* event (never batched away): the exact event
         count at which a run stops is part of the determinism contract.
         """
-        self._running = True
-        try:
-            chooser = self._policy
-            if chooser is None:
-                # Hot path: no policy (with or without a stop predicate).
-                # The queue tiers live in locals; ``_drain_idx`` is
-                # committed before each callback and every local re-read
-                # after it, because callbacks may schedule, cancel and
-                # compact.
-                drain = self._drain
-                idx = self._drain_idx
-                heap = self._heap
-                while True:
-                    if stop_predicate is not None and stop_predicate():
-                        self._drain_idx = idx
-                        return "stopped"
-                    # Pop the earliest live entry across both tiers,
-                    # dropping cancelled entries on the way (fused peek/pop).
-                    while True:
-                        if idx < len(drain):
-                            entry = drain[idx]
-                            if heap and heap[0] < entry:
-                                entry = heappop(heap)
-                            else:
-                                idx += 1
-                        elif heap:
-                            if len(heap) > 1:
-                                heap.sort()
-                                self._drain = drain = heap
-                                self._heap = heap = []
-                                entry = drain[0]
-                                idx = 1
-                            else:
-                                entry = heap.pop()
-                        else:
-                            self._drain_idx = idx
-                            return "empty"
-                        if entry[4]:  # _CANCELLED (_EXECUTED never re-queued)
-                            self._cancelled -= 1
-                            continue
-                        break
+        # The queue tiers live in locals; ``_drain_idx`` is committed before
+        # each callback and every local re-read after it, because callbacks
+        # may schedule, cancel and compact.
+        drain = self._drain
+        idx = self._drain_idx
+        heap = self._heap
+        while True:
+            if stop_predicate is not None and stop_predicate():
+                self._drain_idx = idx
+                return "stopped"
+            # Pop the earliest live entry across both tiers,
+            # dropping cancelled entries on the way (fused peek/pop).
+            while True:
+                if idx < len(drain):
+                    entry = drain[idx]
+                    if heap and heap[0] < entry:
+                        entry = heappop(heap)
+                    else:
+                        idx += 1
+                elif heap:
+                    if len(heap) > 1:
+                        heap.sort()
+                        self._drain = drain = heap
+                        self._heap = heap = []
+                        entry = drain[0]
+                        idx = 1
+                    else:
+                        entry = heap.pop()
+                else:
                     self._drain_idx = idx
-                    entry[4] = _EXECUTED
-                    self._live -= 1
-                    self.now = entry[0]
-                    self._events_processed += 1
-                    entry[2](*entry[3])
-                    drain = self._drain
-                    idx = self._drain_idx
-                    heap = self._heap
-            return self._run_grouped(chooser, stop_predicate)
-        finally:
-            self._running = False
+                    return "empty"
+                if entry[4]:  # _CANCELLED (_EXECUTED never re-queued)
+                    self._cancelled -= 1
+                    continue
+                break
+            self._drain_idx = idx
+            entry[4] = _EXECUTED
+            self._live -= 1
+            self.now = entry[0]
+            self._events_processed += 1
+            entry[2](*entry[3])
+            drain = self._drain
+            idx = self._drain_idx
+            heap = self._heap
 
 
 class Condition:

@@ -252,36 +252,6 @@ class ProtocolHooks:
     def recovery_in_progress(self) -> bool:
         return False
 
-    # ------------------------------------------------------- schedule explore
-    def schedule_fingerprint(self) -> Dict[str, Any]:
-        """Protocol state that must be interleaving-invariant.
-
-        The schedule explorer (:mod:`repro.schedexplore`) hashes this mapping
-        at checkpoint boundaries and at completion while reordering
-        same-timestamp events; for a send-deterministic workload every
-        admissible interleaving must produce identical values.  Values may
-        nest plain containers, dataclasses and :class:`Message` objects --
-        the canonical encoder strips engine-assigned identities (``msg_id``,
-        transport timestamps) that legitimately differ between interleavings.
-        Protocols override this with their durable state (logs, clocks,
-        sequence tables); the default exposes nothing.
-        """
-        return {}
-
-    def recovery_line_fingerprint(self) -> Dict[str, Any]:
-        """The *committed* subset of the schedule fingerprint.
-
-        Hashed at every checkpoint boundary, including boundaries that land
-        mid-recovery -- so it must only expose state that is stable across
-        interleavings even while ranks are mid-rollback: the recovery line
-        itself (which checkpoints exist, per cluster generation), never live
-        rank progress.  Transient state between a race point and
-        reconvergence (how far a doomed iteration got before its rollback
-        arrived) is legitimately schedule-dependent; it is checked by
-        :meth:`schedule_fingerprint` at completion instead.
-        """
-        return {}
-
     # ------------------------------------------------------------ accounting
     def memory_usage_bytes(self) -> Dict[int, int]:
         """Per-rank protocol memory footprint (log buffers, determinants...)."""

@@ -164,7 +164,6 @@ SMALL = {
     "ablation-clusters": dict(nprocs=64, counts=[2, 4, 8]),
     "hybrid": dict(iterations=200, replicas=3),
     "ff-coverage": dict(iterations=40),
-    "schedule-explore": dict(seeds=1, contended_seeds=1),
 }
 
 #: The report fields CI reads, as dotted paths.
@@ -180,8 +179,6 @@ REPORT_FIELDS = {
                     "workloads.stencil2d.cells.hydee/4.cached.ff_checkpoints",
                     "checks.cached_start_batches_wherever_self_calibrated_does",
                     "checks.long_batched_spans_commit_one_line"],
-    "schedule-explore": ["invariant", "divergences", "witnesses", "interleavings_per_s",
-                         "recovery_time_over_schedules"],
     "efficiency-mtbf": ["replica_sims", "replicas_per_s", "containment_holds"],
 }
 
@@ -207,9 +204,7 @@ class TestRegistryContract:
     def test_every_entry_has_a_small_size(self):
         assert sorted(SMALL) == sorted(EXPERIMENTS)
         # Only the self-timed entries are outside the campaign runner's reach.
-        assert set(EXPERIMENTS) - set(CAMPAIGN_BACKED) == {
-            "hybrid", "ff-coverage", "schedule-explore"
-        }
+        assert set(EXPERIMENTS) - set(CAMPAIGN_BACKED) == {"hybrid", "ff-coverage"}
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_flags_are_the_run_signature(self, name):

@@ -9,16 +9,13 @@ one edit there, and runs every checker against the copy:
     ``python -m pytest -x -q`` (the whole suite, strike-anywhere grid
     included);
 ``repro-lint``
-    ``python -m repro.lint src/repro``;
-``schedule-explore``
-    ``python -m repro.experiments schedule-explore --report DIR``, only
-    while the checkout still has that registry entry.
+    ``python -m repro.lint src/repro``.
 
 A checker *catches* an edit when it exits non-zero (or runs past its
 timeout).  The first row is the unmutated checkout, which every checker must
 pass.  Run from the repository root::
 
-    python -m tests.mutation_audit                 # every entry, about 20 min
+    python -m tests.mutation_audit                 # every entry, about 15 min
     python -m tests.mutation_audit --only ml-fix   # entries whose name contains it
 
 Exit status: 0 when the baseline row passes every checker and every entry is
@@ -133,17 +130,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
 )
 
 
-def _tools(checkout: Path) -> Dict[str, Optional[List[str]]]:
-    """Checker name -> command (None: the checkout no longer has it)."""
-    explorer = (checkout / "src/repro/schedexplore").is_dir()
-    return {
-        "tier-1": [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-        "repro-lint": [sys.executable, "-m", "repro.lint", "src/repro"],
-        "schedule-explore": (
-            [sys.executable, "-m", "repro.experiments", "schedule-explore", "--report", "."]
-            if explorer else None
-        ),
-    }
+#: checker name -> command, run in the mutated copy.
+CHECKERS: Dict[str, List[str]] = {
+    "tier-1": [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+    "repro-lint": [sys.executable, "-m", "repro.lint", "src/repro"],
+}
 
 
 def _copy_checkout(dest: Path) -> Path:
@@ -188,10 +179,7 @@ def audit_row(mutant: Optional[Mutant]) -> Dict[str, str]:
         checkout = _copy_checkout(Path(tmp))
         if mutant is not None:
             (checkout / mutant.file).write_text(edited(mutant, checkout))
-        return {
-            tool: "retired" if command is None else _run(command, checkout)
-            for tool, command in _tools(checkout).items()
-        }
+        return {tool: _run(command, checkout) for tool, command in CHECKERS.items()}
 
 
 BASELINE = "baseline (no edit)"
@@ -202,8 +190,8 @@ def caught(verdict: str) -> bool:
     return verdict.startswith("caught")
 
 
-def render_row(name: str, verdicts: Dict[str, str]) -> str:
-    return "  ".join([f"{name:<{WIDTH}}", *(f"{verdict:<16}" for verdict in verdicts.values())])
+def render_row(name: str, cells: Sequence[str]) -> str:
+    return "  ".join([f"{name:<{WIDTH}}", *(f"{cell:<16}" for cell in cells)]).rstrip()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -224,22 +212,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for mutant in selected:
             print(f"{mutant.name:<24} {mutant.file}: {mutant.what}")
         return 0
-    rows = [(BASELINE, audit_row(None))]
-    print(render_row("entry", {tool: tool for tool in rows[0][1]}).rstrip())
-    print(render_row(*rows[0]).rstrip(), flush=True)
-    for mutant in selected:
-        rows.append((mutant.name, audit_row(mutant)))
-        print(render_row(*rows[-1]).rstrip(), flush=True)
-    tools = list(rows[0][1])
-    baseline_trips = [tool for tool in tools if caught(rows[0][1][tool])]
-    uncaught = [name for name, verdicts in rows[1:] if not any(map(caught, verdicts.values()))]
-    alone = {
-        tool: [
-            name for name, verdicts in rows[1:]
-            if [t for t in tools if caught(verdicts[t])] == [tool]
-        ]
-        for tool in tools
-    }
+    print(render_row("entry", list(CHECKERS)))
+    rows = []
+    for name, mutant in [(BASELINE, None), *((mutant.name, mutant) for mutant in selected)]:
+        rows.append((name, audit_row(mutant)))
+        print(render_row(name, list(rows[-1][1].values())), flush=True)
+    baseline_trips = [tool for tool, verdict in rows[0][1].items() if caught(verdict)]
+    catchers = {name: [t for t, v in verdicts.items() if caught(v)] for name, verdicts in rows[1:]}
+    uncaught = [name for name, tools in catchers.items() if not tools]
+    alone = {tool: [name for name, tools in catchers.items() if tools == [tool]] for tool in CHECKERS}
     print()
     for tool, names in alone.items():
         print(f"caught by {tool} alone: {', '.join(names) or 'none'}")

@@ -9,19 +9,16 @@ schedule further events (including zero-delay ties that join the group
 being drained) and cancel pending ones.  A naive single-list reference
 executes the same program; the logs must match exactly.
 
-The FIFO schedule-policy path (``set_schedule_policy`` with a chooser that
-always picks index 0) must reproduce the default order bit for bit -- that
-equivalence is what lets the schedule explorer trust its baseline run.
-
-A *cut* stops the first :meth:`~SimulationEngine.run` with a stop predicate
-("stop after k events") and a second ``run()`` finishes the program: the
-stop reason, the clock and the live remainder at the cut must match the
-reference's, and the concatenated log must equal the uncut one.  The
+A *cut* stops :meth:`~SimulationEngine.run` with a stop predicate ("stop
+once k events have executed"), up to three times at increasing k, and a
+last ``run()`` finishes the program: the stop reason, the clock and the
+live remainder at each cut must match the reference's, and the concatenated
+log must equal the uncut one.  A cut often lands between two members of an
+equal-time group, or between a drain entry and a heap entry of one
+timestamp, so resuming must pick up the group's rest in order.  The
 ``"peek"`` cut instead runs once under a stop predicate that peeks at the
-queue head before every event and never stops.  Both properties run with
-and without the FIFO chooser, so a cut lands in the hot loop or inside an
-equal-time group of the grouped loop (which requeues the group's rest).
-Whatever the input, a finished run leaves no cancelled entry counted.
+queue head before every event and never stops.  Whatever the input, a
+finished run leaves no cancelled entry counted.
 """
 
 from hypothesis import given, settings
@@ -75,30 +72,30 @@ def queue_programs(draw):
     return n_specs, roots, delays, actions
 
 
-#: ``None``, ``("stop_after", k)`` -- the first of two runs stops once k
-#: events have executed -- or ``("peek", None)``: one run whose stop
-#: predicate peeks.
+#: ``None``, ``("stop_after", ks)`` -- one run per k in the ascending
+#: ``ks``, each stopping once k events have executed, then a last run to
+#: the end -- or ``("peek", None)``: one run whose stop predicate peeks.
 cuts = st.one_of(
     st.none(),
     st.just(("peek", None)),
-    st.tuples(st.just("stop_after"), st.integers(min_value=0, max_value=12)),
+    st.tuples(
+        st.just("stop_after"),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3).map(
+            lambda ks: tuple(sorted(ks))
+        ),
+    ),
 )
 
-#: the FIFO chooser (always the first member of an equal-time group).
-_FIFO = lambda time, group: 0  # noqa: E731
 
-
-def _run_engine(program, engine=None, chooser=None, cut=None):
+def _run_engine(program, engine=None, cut=None):
     """Execute the program on a real engine.
 
-    Returns ``(log, at_cut)``: the execution log and, given a
-    ``stop_after`` cut, ``(reason, now, pending_events)`` right after the
-    first run (``None`` without one).
+    Returns ``(log, at_cuts)``: the execution log and, given a
+    ``stop_after`` cut, one ``(reason, now, pending_events)`` right after
+    each stopped run (``None`` without one).
     """
     n_specs, roots, delays, actions = program
     engine = engine if engine is not None else SimulationEngine()
-    if chooser is not None:
-        engine.set_schedule_policy(chooser)
     handles = {}
     log = []
 
@@ -120,42 +117,45 @@ def _run_engine(program, engine=None, chooser=None, cut=None):
         engine._peek_time()
         return False
 
-    at_cut = None
+    at_cuts = None
     if cut is not None and cut[0] == "stop_after":
-        reason = engine.run(stop_predicate=lambda: len(log) >= cut[1])
-        at_cut = (reason, engine.now, engine.pending_events)
+        at_cuts = []
+        for k in cut[1]:
+            reason = engine.run(stop_predicate=lambda: len(log) >= k)
+            at_cuts.append((reason, engine.now, engine.pending_events))
     outcome = engine.run(stop_predicate=peek_and_go_on if cut == ("peek", None) else None)
     assert outcome == "empty"
     assert engine.pending_events == 0
     assert engine._cancelled == 0
     assert engine.events_processed == len(log)
-    return log, at_cut
+    return log, at_cuts
 
 
 def _run_reference(program, cut=None):
     """Same program on a naive sorted-list queue: the ground truth order.
 
-    Returns ``(log, at_cut)`` like :func:`_run_engine`.
+    Returns ``(log, at_cuts)`` like :func:`_run_engine`.
     """
     n_specs, roots, delays, actions = program
-    stop_after = cut[1] if cut is not None and cut[0] == "stop_after" else None
+    stops = list(cut[1]) if cut is not None and cut[0] == "stop_after" else None
     now = 0.0
     seq = 0
     pending = {}  # spec -> [time, seq, alive]
     log = []
-    at_cut = None
+    at_cuts = None if stops is None else []
     for spec in roots:
         seq += 1
         pending[spec] = [delays[spec], seq, True]
     while True:
         live = [(e[0], e[1], s) for s, e in pending.items() if e[2]]
-        if at_cut is None and stop_after is not None:
-            if len(log) == stop_after:
-                at_cut = ("stopped", now, len(live))
-            elif not live:
-                at_cut = ("empty", now, 0)
+        # A run that stops once k events have executed stops here when k
+        # are done (the predicate runs first; a later k may stop at the same
+        # point), or comes back empty when the queue ran dry before.
+        while stops and (len(log) >= stops[0] or not live):
+            reason = "stopped" if len(log) >= stops.pop(0) else "empty"
+            at_cuts.append((reason, now, len(live)))
         if not live:
-            return log, at_cut
+            return log, at_cuts
         _, _, spec = min(live)
         entry = pending[spec]
         now = entry[0]
@@ -173,27 +173,18 @@ def _run_reference(program, cut=None):
                     target[2] = False
 
 
-@given(queue_programs(), cuts, st.sampled_from((None, _FIFO)))
-@settings(max_examples=200, deadline=None)
-def test_execution_order_matches_naive_reference(program, cut, chooser):
-    assert _run_engine(program, chooser=chooser, cut=cut) == _run_reference(program, cut)
+@given(queue_programs(), cuts)
+@settings(max_examples=300, deadline=None)
+def test_execution_order_matches_naive_reference(program, cut):
+    assert _run_engine(program, cut=cut) == _run_reference(program, cut)
 
 
-@given(queue_programs(), cuts, st.sampled_from((None, _FIFO)))
-@settings(max_examples=100, deadline=None)
-def test_aggressive_compaction_does_not_reorder(program, cut, chooser):
-    assert _run_engine(
-        program, engine=_CompactingEngine(), chooser=chooser, cut=cut
-    ) == _run_reference(program, cut)
-
-
-@given(queue_programs())
-@settings(max_examples=100, deadline=None)
-def test_fifo_policy_reproduces_default_order(program):
-    # The policy loop (group pop + same-time absorption across both tiers)
-    # with the always-first chooser is the explorer's baseline: it must be
-    # indistinguishable from the policy-free hot path.
-    assert _run_engine(program, chooser=_FIFO) == _run_reference(program)
+@given(queue_programs(), cuts)
+@settings(max_examples=150, deadline=None)
+def test_aggressive_compaction_does_not_reorder(program, cut):
+    assert _run_engine(program, engine=_CompactingEngine(), cut=cut) == _run_reference(
+        program, cut
+    )
 
 
 @given(queue_programs())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.schedexplore.policies import FifoPolicy
 from repro.simulator.engine import Condition, SimulationEngine
 
 
@@ -77,34 +76,28 @@ class TestScheduling:
         assert reason == "stopped"
         assert len(hits) == 2
 
-    def test_run_takes_the_grouped_loop_exactly_when_a_policy_is_installed(self):
-        loops = []
-        for policy in (None, FifoPolicy()):
-            engine = SimulationEngine()
-            grouped = engine._run_grouped
-            engine._run_grouped = lambda *args: loops.append(args[0]) or grouped(*args)
-            if policy is not None:
-                policy.install(engine)
-            order = []
-            for label in "ab":
-                engine.schedule(1.0, order.append, label)
-            assert engine.run() == "empty"
-            assert order == ["a", "b"]
-        assert loops == [policy.choose]
-
     def test_stop_inside_an_equal_time_group_resumes_in_order(self):
-        # Under a chooser the grouped loop holds the group outside the
-        # queue tiers; a stop between two members must requeue the rest.
+        # The group spans both queue tiers: "a" to "c" become the drain when
+        # the run starts, "b2" joins the heap at the same time while "a"
+        # runs.  A stop between members must leave the rest where the next
+        # run resumes them in (time, seq) order.
         engine = SimulationEngine()
-        FifoPolicy().install(engine)
         order = []
-        for label in "abc":
+
+        def first(label):
+            order.append(label)
+            engine.schedule(0.0, order.append, "b2")
+
+        engine.schedule(1.0, first, "a")
+        for label in "bc":
             engine.schedule(1.0, order.append, label)
         engine.schedule(2.0, order.append, "d")
         assert engine.run(stop_predicate=lambda: len(order) >= 1) == "stopped"
-        assert (order, engine.now, engine.pending_events) == (["a"], 1.0, 3)
+        assert (order, engine.now, engine.pending_events) == (["a"], 1.0, 4)
+        assert engine.run(stop_predicate=lambda: len(order) >= 3) == "stopped"
+        assert (order, engine.now, engine.pending_events) == (["a", "b", "c"], 1.0, 2)
         assert engine.run() == "empty"
-        assert order == list("abcd")
+        assert order == ["a", "b", "c", "b2", "d"]
 
     def test_events_processed_counter(self):
         engine = SimulationEngine()
@@ -195,10 +188,9 @@ class TestHeapCompaction:
         assert engine._cancelled == 0
 
     def test_compaction_inside_a_group_keeps_the_cancelled_count(self):
-        # The grouped loop (here under the FIFO chooser) executes one
-        # equal-time group at a time, popped out of the queue tiers.  A compaction triggered inside the group must
-        # discount only the entries it drops: the group's own cancelled
-        # member is discounted when the loop prunes it.
+        # A compaction triggered by a callback of an equal-time group drops
+        # the group's own cancelled member along with the others: each is
+        # discounted once, by the compaction, never again by the loop.
         engine = SimulationEngine()
         doomed = [
             engine.schedule(2.0 + i, lambda: None)
@@ -214,7 +206,6 @@ class TestHeapCompaction:
 
         engine.schedule(1.0, cancel_all)
         tie.append(engine.schedule(1.0, lambda: None))
-        FifoPolicy().install(engine)
         assert engine.run() == "empty"
         assert engine.events_processed == 2
         assert engine._cancelled == 0
