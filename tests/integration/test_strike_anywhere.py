@@ -3,11 +3,13 @@
 The harsh-sweep scenario (16-rank stencil2d, 6 iterations, checkpoint
 interval 1) runs once failure-free, recording every distinct ``engine.now``
 its loop passes through.  Then, for each of those instants, one strike on
-each of ranks 1, 5, 10 and 14; on every 4th instant also a second strike on
-``(r + 5) mod 16`` 150 us later.  Every struck run must complete and
-reproduce the protocol's own failure-free run: the same rank results
-(``check_recovery_equivalence``) and the same effective send sequences
-(``check_send_determinism``).
+each of ranks 1, 5, 10 and 14; on every 4th instant also two double strikes
+per rank r, the second one 150 us later on ``(r + 5) mod 16``, a rank r
+does not talk to, or on ``(r + 1) mod 16``, a neighbour: re-executing r may
+still hold messages that neighbour replayed to it when the neighbour fails.
+Every struck run must complete and reproduce the protocol's own
+failure-free run: the same rank results (``check_recovery_equivalence``)
+and the same effective send sequences (``check_send_determinism``).
 
 Sampling strike times (the harsh Monte Carlo sweep) finds a recovery window
 only when a draw happens to land in it; enumerating the instants finds every
@@ -28,6 +30,7 @@ from repro.simulator.failures import FailureEvent
 PROTOCOL = "message-logging"
 STRUCK_RANKS = (1, 5, 10, 14)
 SECOND_STRIKE_EVERY = 4
+SECOND_STRIKE_OFFSETS = (5, 1)
 SECOND_STRIKE_DELAY_S = 150e-6
 #: distinct event instants of the failure-free run (including t = 0).
 INSTANTS = 87
@@ -58,10 +61,13 @@ def _strikes(index, instant):
     for rank in STRUCK_RANKS:
         yield (FailureEvent(ranks=(rank,), time=instant),)
         if index % SECOND_STRIKE_EVERY == 0:
-            yield (
-                FailureEvent(ranks=(rank,), time=instant),
-                FailureEvent(ranks=((rank + 5) % 16,), time=instant + SECOND_STRIKE_DELAY_S),
-            )
+            for offset in SECOND_STRIKE_OFFSETS:
+                yield (
+                    FailureEvent(ranks=(rank,), time=instant),
+                    FailureEvent(
+                        ranks=((rank + offset) % 16,), time=instant + SECOND_STRIKE_DELAY_S
+                    ),
+                )
 
 
 def test_the_failure_free_run_has_the_pinned_instants():
