@@ -24,6 +24,13 @@ recorded by the determinants.  The workloads in this repository are
 send-deterministic and receive on FIFO channels, so per-channel FIFO replay
 -- which is what the implementation below does -- yields exactly the order
 the determinants would dictate; determinants are still counted and priced.
+
+Recovery also assumes every channel is *matched* in sequence order, as
+directed receives on one tag per channel are.  After a failure, a survivor
+takes the failed sender's seqs still in its unexpected queue as the newest
+ones it received; a receive by tag or from ``ANY_SOURCE`` that matched a later
+seq past a queued one breaks that, and ``on_failure`` raises
+:class:`ProtocolError` instead of accepting the later seq a second time.
 """
 
 from __future__ import annotations
@@ -206,12 +213,17 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         # arrival tracking falls back to just below the lowest purged seq: a
         # purged seq must read as new when it is re-sent, a matched one (even
         # if not yet delivered to the application) must still read as a
-        # duplicate.  Per-channel FIFO makes the queued seqs the newest ones.
+        # duplicate.  In-order matching makes the queued seqs the newest ones.
         for rank, state in self.rank_state.items():
             lowest: Dict[int, int] = {}
             for message in self.sim.ranks[rank].unexpected:
                 seq = message.piggyback.get("seq")
                 if message.source in failed and seq is not None:
+                    if rank not in failed and seq <= state.recv_seq.get(message.source, 0):
+                        raise ProtocolError(
+                            f"message-logging: rank {rank} matched past seq {seq} "
+                            f"from rank {message.source}; recovery needs in-order matching"
+                        )
                     lowest[message.source] = min(lowest.get(message.source, seq), seq)
             for source in failed:
                 if source in lowest:

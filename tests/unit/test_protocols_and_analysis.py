@@ -247,6 +247,20 @@ class TestMessageLoggingFailure:
         assert protocol.on_message_arrival(1, resent) is False
         assert survivor.arrived_seq[0] == 3
 
+    def test_a_seq_matched_past_a_queued_one_is_an_error(self):
+        """Survivor 1 delivered seq 4 from rank 0 (a receive by tag matched
+        it first) while seq 3 is still queued when rank 0 fails: lowering
+        the watermark to 2 would accept the re-sent seq 4 twice, so the
+        protocol refuses the out-of-order match loudly."""
+        from repro.simulator.messages import Message
+
+        sim, protocol = self.finished_ring()
+        survivor = protocol.rank_state[1]
+        survivor.recv_seq[0] = survivor.arrived_seq[0] = 4
+        sim.ranks[1].unexpected.append(Message(0, 1, 0, 8, piggyback={"seq": 3}))
+        with pytest.raises(ProtocolError, match="in-order matching"):
+            protocol.on_failure([0], 0.0)
+
 
 class TestPerfModel:
     def test_message_cost_logging_adds_memcpy_only(self):
