@@ -15,8 +15,7 @@ A checker *catches* an edit when it exits non-zero (or runs past its
 timeout).  The first row is the unmutated checkout, which every checker must
 pass.  Run from the repository root::
 
-    python -m tests.mutation_audit                 # every entry, about 15 min
-    python -m tests.mutation_audit --only ml-fix   # entries whose name contains it
+    python -m tests.mutation_audit    # every entry, about 15 min
 
 Exit status: 0 when the baseline row passes every checker and every entry is
 caught by at least one; 1 otherwise; 2 when an entry's ``old`` text is not
@@ -26,7 +25,6 @@ not part of tier-1: every row runs the whole suite.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -194,27 +192,16 @@ def render_row(name: str, cells: Sequence[str]) -> str:
     return "  ".join([f"{name:<{WIDTH}}", *(f"{cell:<16}" for cell in cells)]).rstrip()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m tests.mutation_audit", description=__doc__.split("\n")[0]
-    )
-    parser.add_argument("--only", default="", help="audit only entries whose name contains this")
-    parser.add_argument("--list", action="store_true", help="list the catalogue and exit")
-    args = parser.parse_args(argv)
-    selected = [mutant for mutant in CATALOGUE if args.only in mutant.name]
+def main() -> int:
     try:
-        for mutant in selected:  # a stale entry fails before any checker runs
+        for mutant in CATALOGUE:  # a stale entry fails before any checker runs
             edited(mutant, ROOT)
     except LookupError as error:
         print(f"mutation-audit: error: {error}", file=sys.stderr)
         return 2
-    if args.list:
-        for mutant in selected:
-            print(f"{mutant.name:<24} {mutant.file}: {mutant.what}")
-        return 0
     print(render_row("entry", list(CHECKERS)))
     rows = []
-    for name, mutant in [(BASELINE, None), *((mutant.name, mutant) for mutant in selected)]:
+    for name, mutant in [(BASELINE, None), *((mutant.name, mutant) for mutant in CATALOGUE)]:
         rows.append((name, audit_row(mutant)))
         print(render_row(name, list(rows[-1][1].values())), flush=True)
     baseline_trips = [tool for tool, verdict in rows[0][1].items() if caught(verdict)]
