@@ -144,9 +144,9 @@ def render_figure6(rows: Sequence[Row]) -> str:
         out["nprocs"] = any_row.nprocs
         for config in configs:
             out[f"{config} (norm.)"] = round(entry.get(config, 0.0), 4)
-        hydee = normalized.get((bench, "hydee"))
+        hydee_row = normalized.get((bench, "hydee"))
         out["hydee logged %"] = (
-            round(100.0 * hydee.logged_fraction, 1) if hydee is not None else "-"
+            round(100.0 * hydee_row.logged_fraction, 1) if hydee_row is not None else "-"
         )
         display.append(out)
     lines = [

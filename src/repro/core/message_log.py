@@ -37,8 +37,6 @@ class SenderLog:
 
     def __init__(self) -> None:
         self._entries: List[LogEntry] = []
-        self.total_logged_bytes = 0
-        self.reclaimed_bytes = 0
         self._current_bytes = 0
 
     # ------------------------------------------------------------------ write
@@ -51,7 +49,6 @@ class SenderLog:
             size_bytes=message.size_bytes,
         )
         self._entries.append(entry)
-        self.total_logged_bytes += entry.size_bytes
         self._current_bytes += entry.size_bytes
         return entry
 
@@ -98,7 +95,6 @@ class SenderLog:
             else:
                 keep.append(entry)
         self._entries = keep
-        self.reclaimed_bytes += freed
         self._current_bytes -= freed
         return freed
 

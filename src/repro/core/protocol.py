@@ -195,9 +195,6 @@ class HydEEProtocol(ClusteredProtocolBase):
             state.log.add(message.dest, date, phase, message)
             pstats.logged_messages += 1
             pstats.logged_bytes += size
-            stats = self.sim.stats
-            stats.logged_messages += 1
-            stats.logged_bytes += size
             return logged
         return unlogged
 
@@ -330,7 +327,6 @@ class HydEEProtocol(ClusteredProtocolBase):
                 key = (rank, entry.dest)
                 log_entries[key] = log_entries.get(key, 0) + 1
                 log_bytes[key] = log_bytes.get(key, 0) + entry.size_bytes
-        stats = self.sim.stats
         return {
             "hydee.date": {rank: state.clock.date for rank, state in states.items()},
             "hydee.phase": {rank: state.clock.phase for rank, state in states.items()},
@@ -340,7 +336,6 @@ class HydEEProtocol(ClusteredProtocolBase):
             },
             "hydee.log_bytes": log_bytes,
             "hydee.log_entries": log_entries,
-            "hydee.logged": {"messages": stats.logged_messages, "bytes": stats.logged_bytes},
             "pstats": self.pstats.as_dict(),
         }
 
@@ -359,10 +354,6 @@ class HydEEProtocol(ClusteredProtocolBase):
             if nbytes:
                 phantom = self._ff_phantom_log.setdefault(rank, {})
                 phantom[dest] = phantom.get(dest, 0) + n * nbytes
-        logged = delta["hydee.logged"]
-        stats = self.sim.stats
-        stats.logged_messages += n * logged["messages"]
-        stats.logged_bytes += n * logged["bytes"]
 
     # ================================================================ failure
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:

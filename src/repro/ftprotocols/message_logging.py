@@ -102,25 +102,20 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         checkpoint_size_bytes: int = 16 * 1024 * 1024,
         determinant_latency_s: float = 1.0e-6,
         piggyback_bytes: int = 8,
-        nprocs_hint: Optional[int] = None,
     ) -> None:
-        # One cluster per rank: checkpoints are local and uncoordinated.
-        clusters = None if nprocs_hint is None else [[r] for r in range(nprocs_hint)]
         super().__init__(
-            clusters=clusters,
             checkpoint_interval=checkpoint_interval,
             checkpoint_size_bytes=checkpoint_size_bytes,
         )
-        self._singleton_clusters = clusters is not None
         self.determinant_latency_s = determinant_latency_s
         self.piggyback_bytes = piggyback_bytes
         self.rank_state: Dict[int, _RankLogState] = {}
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, sim) -> None:
-        if not self._singleton_clusters:
-            # Build the one-cluster-per-rank partition now that nprocs is known.
-            self._clusters_spec = [[r] for r in range(sim.nprocs)]
+        # One cluster per rank (checkpoints are local and uncoordinated),
+        # built now that nprocs is known.
+        self._clusters_spec = [[r] for r in range(sim.nprocs)]
         super().attach(sim)
 
     def _init_rank_state(self, rank: int) -> None:
@@ -138,8 +133,6 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         self.pstats.logged_messages += 1
         self.pstats.logged_bytes += message.size_bytes
         self.pstats.piggyback_bytes += self.piggyback_bytes
-        self.sim.stats.logged_messages += 1
-        self.sim.stats.logged_bytes += message.size_bytes
         extra_cpu = self.sim.network.memcpy_time(message.size_bytes)
         return SendDecision.send(extra_cpu)
 

@@ -59,10 +59,6 @@ class Transport:
         #: flat model only: ``transfer_time`` per wire size.  It is a pure
         #: function of the size and a run sees a handful of sizes.
         self._transfer_time: Dict[int, float] = {}
-        #: accounting
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_dropped = 0
         #: summed time messages queued behind busy links (0 without topology).
         self.contention_wait_s = 0.0
 
@@ -70,7 +66,6 @@ class Transport:
     def transmit(self, message: Message, extra_delay: float = 0.0) -> float:
         """Inject ``message`` into the network.  Returns the arrival time."""
         now = self._engine.now
-        message.send_time = now
         wire = message.size_bytes + message.piggyback_bytes
         start = now + extra_delay
         if self._routed is not None:
@@ -93,8 +88,6 @@ class Transport:
         self._channel_last_arrival[key] = arrival
         handle = self._engine.schedule_at(arrival, self._arrive, message)
         self._in_flight[message.msg_id] = (message, handle)
-        self.messages_sent += 1
-        self.bytes_sent += wire
         return arrival
 
     def _arrive(self, message: Message) -> None:
@@ -123,7 +116,6 @@ class Transport:
                 handle.cancel()
                 del self._in_flight[msg_id]
                 dropped.append(msg)
-                self.messages_dropped += 1
         return dropped
 
     # ------------------------------------------------------------------ misc

@@ -356,7 +356,6 @@ class HybridDirector:
         sim.iteration_gate = gate
         if cached is None:
             self._install_listener(gate)
-        sim.protocol.on_simulation_start()
         sim._start_ranks()
         engine_reason = self._run_segment(
             before=injector.next_timed_failure_time() if injector else None
@@ -1004,12 +1003,9 @@ class HybridDirector:
         state["rstats.compute_time"] = {rank: proc.rstats.compute_time for rank, proc in procs}
         state["rstats.checkpoints"] = {rank: proc.rstats.checkpoints for rank, proc in procs}
         state["sends_initiated"] = {rank: proc.sends_initiated for rank, proc in procs}
-        state["deliveries"] = {rank: proc.deliveries for rank, proc in procs}
         state["channel"] = {  # keyed (channel, 0: messages / 1: bytes)
             (ch, i): v[i] for ch, v in sim.trace.channel_volumes.items() for i in (0, 1)
         }
-        state["delivered"] = dict(sim.trace.delivered_counts)
-        state["app"] = {"messages": sim.stats.app_messages, "bytes": sim.stats.app_bytes}
         storage, control = sim.storage, sim.control
         steady = {"ranks_rolled_back": sim.stats.ranks_rolled_back}
         if line:
@@ -1037,15 +1033,8 @@ class HybridDirector:
             rstats.compute_time += n * delta["rstats.compute_time"][rank]
             rstats.checkpoints += n * delta["rstats.checkpoints"][rank]
             proc.sends_initiated += n * delta["sends_initiated"][rank]
-            proc.deliveries += n * delta["deliveries"][rank]
         for (ch, i), by in delta["channel"].items():
             sim.trace.channel_volumes[ch][i] += n * by
-        counts = sim.trace.delivered_counts
-        for rank, by in delta["delivered"].items():
-            if by:
-                counts[rank] = counts.get(rank, 0) + n * by
-        sim.stats.app_messages += n * delta["app"]["messages"]
-        sim.stats.app_bytes += n * delta["app"]["bytes"]
         commits = delta["commits"]
         sim.storage.writes += n * commits["writes"]
         sim.storage.bytes_written += n * commits["bytes"]
@@ -1316,7 +1305,6 @@ class HybridDirector:
         proc = self.sim.ranks[rank]
         comm = proc.comm
         comm._collective_seq = 0
-        proc.current_iteration = it
         gen: Generator[Any, Any, Any] = self.sim.application.iteration(
             comm, rank, proc.app_state, it
         )
@@ -1333,7 +1321,7 @@ class HybridDirector:
 
         Mirrors :meth:`Simulation._attempt_send` byte for byte on the
         accounting side (protocol hooks when the protocol declares them
-        stateful, trace records, per-rank and global counters) but delivers
+        stateful, trace records, per-rank counters) but delivers
         straight into the destination's matching machinery instead of the
         transport, and completes the send request immediately.
         """
@@ -1356,8 +1344,6 @@ class HybridDirector:
         rstats = proc.rstats
         rstats.sends += 1
         rstats.bytes_sent += message.size_bytes
-        sim.stats.app_messages += 1
-        sim.stats.app_bytes += message.size_bytes
         if suppressed:
             sim.stats.extra["suppressed_duplicates"] = (
                 sim.stats.extra.get("suppressed_duplicates", 0) + 1

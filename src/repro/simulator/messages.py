@@ -63,7 +63,6 @@ class Message:
     ``msg_id`` (unique, monotonically increasing identifier), ``piggyback``
     (protocol metadata, e.g. ``{"date": 12, "phase": 3}`` for HydEE),
     ``piggyback_bytes`` (extra wire bytes added by the protocol),
-    ``send_time`` / ``deliver_time`` (filled by the transport),
     ``inter_cluster`` (True when sender and receiver belong to different
     process clusters; ``None`` without clustering), ``replayed`` (re-sent
     from a sender-based log during recovery) and ``app_delivered`` (set once
@@ -82,8 +81,6 @@ class Message:
         "msg_id",
         "piggyback",
         "piggyback_bytes",
-        "send_time",
-        "deliver_time",
         "inter_cluster",
         "replayed",
         "app_delivered",
@@ -110,8 +107,6 @@ class Message:
         self.msg_id = next(_MESSAGE_COUNTER) if msg_id is None else msg_id
         self.piggyback = {} if piggyback is None else piggyback
         self.piggyback_bytes = piggyback_bytes
-        self.send_time: Optional[float] = None
-        self.deliver_time: Optional[float] = None
         self.inter_cluster: Optional[bool] = None
         self.replayed = False
         self.app_delivered = False

@@ -87,8 +87,6 @@ class NetworkModel:
     memcpy_overlap_fraction: float = 0.95
     eager_threshold_bytes: int = 32 * 1024
     rendezvous_extra_rtts: float = 1.0
-    control_message_bytes: int = 16
-    control_latency_s: float = 2.0e-6
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:

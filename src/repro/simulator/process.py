@@ -85,14 +85,12 @@ class RankProcess:
 
         # Application progress.
         self.start_iteration = 0
-        self.current_iteration = 0
         self.completed_iterations = 0
         self.app_state: Any = None
         self.result: Any = None
 
         # Accounting.
         self.sends_initiated = 0
-        self.deliveries = 0
         self.blocked_since: Optional[float] = None
         self.blocked_on: Optional[Operation] = None
         self.finish_time: Optional[float] = None
@@ -147,7 +145,6 @@ class RankProcess:
                     gate = self.sim.iteration_gate
                     if gate is None or iteration < gate.limit:
                         break
-            self.current_iteration = iteration
             # Collective-internal tags restart from the same base every
             # iteration so that a rank re-executing from an iteration-boundary
             # checkpoint reproduces exactly the tags of the original
@@ -226,7 +223,7 @@ class RankProcess:
         self.finish_time = self.sim.engine.now
         self.rstats.finish_time = self.finish_time
         self._gen = None
-        self.sim.on_rank_done(self)
+        self.sim.on_rank_done()
 
     # ---------------------------------------------------------- op dispatch
     def _handle_compute(self, op: ComputeOp) -> None:
@@ -286,7 +283,6 @@ class RankProcess:
         for value in values:
             if value.__class__ is Message and not value.app_delivered:
                 value.app_delivered = True
-                self.deliveries += 1
                 sim.on_app_delivery(self, value)
 
     def _handle_blocking_recv(self, op: RecvOp) -> None:
@@ -403,7 +399,6 @@ class RankProcess:
         else:
             # A fresh request: PENDING, nobody waits on it yet.
             now = self.sim.engine.now
-            message.deliver_time = now
             request.state = _COMPLETE
             request.value = message
             request.completion_time = now
@@ -437,7 +432,6 @@ class RankProcess:
                     continue
                 del posted[idx]
                 now = self.sim.engine.now
-                message.deliver_time = now
                 if request.state is not _PENDING:
                     request._complete(message, now)
                     return
@@ -479,7 +473,6 @@ class RankProcess:
         self._restored_state = app_state
         self.pending_overhead = 0.0
         self.start_iteration = iteration
-        self.current_iteration = iteration
         self.completed_iterations = iteration
         self._gen = self._main()
         self.state = RankState.RUNNING

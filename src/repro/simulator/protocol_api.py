@@ -149,16 +149,20 @@ class ProtocolHooks:
     ``on_app_send``
         called for every application/collective message before it enters the
         network; may mutate ``message.piggyback`` / ``piggyback_bytes``.
+    ``on_message_arrival``
+        called when a message reaches its destination, before matching; only
+        asked when the protocol overrides it (message logging).
     ``on_app_deliver``
         called when a message is matched to the receiving application.
     ``on_iteration_boundary``
         called by the rank driver after each completed application iteration;
         may return a generator to be executed inline by the rank (used for
         coordinated checkpointing).
+    ``ff_epoch_snapshot`` / ``ff_epoch_apply``
+        called by the hybrid director to batch failure-free epochs (the
+        epoch-state contract below).
     ``on_failure``
         called by the failure injector with the set of failed ranks.
-    ``on_rank_restarted`` / ``on_rank_done``
-        lifecycle notifications.
     ``recovery_in_progress``
         consulted by the deadlock detector: while recovery is active a
         momentarily empty event queue is not necessarily a deadlock.
@@ -178,12 +182,6 @@ class ProtocolHooks:
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: "Simulation") -> None:
         self.sim = sim
-
-    def on_simulation_start(self) -> None:
-        """Called right before the first rank event executes."""
-
-    def on_simulation_end(self) -> None:
-        """Called after the simulation loop finishes."""
 
     # ------------------------------------------------------- failure-free path
     def on_app_send(self, rank: int, message: Message) -> SendDecision:
@@ -241,12 +239,6 @@ class ProtocolHooks:
 
     # ----------------------------------------------------------- failure path
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
-        return None
-
-    def on_rank_restarted(self, rank: int) -> None:
-        return None
-
-    def on_rank_done(self, rank: int) -> None:
         return None
 
     def recovery_in_progress(self) -> bool:

@@ -207,9 +207,6 @@ class Simulation:
         rstats = proc.rstats
         rstats.sends += 1
         rstats.bytes_sent += message.size_bytes
-        stats = self.stats
-        stats.app_messages += 1
-        stats.app_bytes += message.size_bytes
         return "sent", self.network.send_overhead_s + extra_cpu
 
     def initiate_isend(
@@ -273,7 +270,7 @@ class Simulation:
                 for callback in waiters:
                     callback(request)
 
-    def replay_message(self, message: Message, extra_cpu_time: float = 0.0) -> None:
+    def replay_message(self, message: Message) -> None:
         """Inject a message replayed from a sender-based log (recovery path).
 
         The replayed clone bypasses the protocol send hook: its piggybacked
@@ -281,7 +278,7 @@ class Simulation:
         Algorithm 3 lines 22-24).
         """
         clone = message.clone_for_replay()
-        self.transport.transmit(clone, extra_delay=extra_cpu_time)
+        self.transport.transmit(clone)
         self.trace.record_send(clone, self.engine.now)
         self.stats.extra["replayed_messages"] = self.stats.extra.get("replayed_messages", 0) + 1
 
@@ -329,9 +326,8 @@ class Simulation:
         if self.failure_injector is not None:
             self.failure_injector.on_iteration_completed(rank, iteration)
 
-    def on_rank_done(self, proc: RankProcess) -> None:
+    def on_rank_done(self) -> None:
         self._done_count += 1
-        self.protocol.on_rank_done(proc.rank)
 
     # --------------------------------------------------------------- failures
     def kill_ranks(self, ranks: Iterable[int]) -> None:
@@ -366,20 +362,19 @@ class Simulation:
         iteration: int,
         app_state: Any,
         sends_at_checkpoint: int = 0,
-        restart_delay: Optional[float] = None,
     ) -> None:
-        """Restart ``rank`` from an application iteration boundary."""
-        delay = self.config.restart_delay_s if restart_delay is None else restart_delay
+        """Restart ``rank`` from an application iteration boundary; its send
+        count rewinds to the checkpoint's, the length of its logical sequence."""
         proc = self.ranks[rank]
         was_done = proc.done
-        proc.restart_from_checkpoint(iteration, app_state, restart_delay=delay)
+        proc.restart_from_checkpoint(iteration, app_state, self.config.restart_delay_s)
         if was_done:
             # The rank had finished but is dragged back by a rollback; it will
             # finish again at the end of recovery.
             self._done_count -= 1
+        proc.sends_initiated = sends_at_checkpoint
         self.trace.mark_restart(rank, sends_at_checkpoint)
         self.stats.ranks_rolled_back += 1
-        self.protocol.on_rank_restarted(rank)
 
     # ------------------------------------------------------------------- run
     def all_done(self) -> bool:
@@ -415,7 +410,6 @@ class Simulation:
         """Event-driven execution to the end of the run; ``start=False``
         when the ranks already run (a hybrid run falling back mid-way)."""
         if start:
-            self.protocol.on_simulation_start()
             self._start_ranks()
         return self._finish(self.engine.run(stop_predicate=self._should_stop))
 
@@ -425,8 +419,6 @@ class Simulation:
 
     def _finish(self, reason: str) -> SimulationResult:
         """Map the engine's stop reason to a result (shared exact/hybrid)."""
-        self.protocol.on_simulation_end()
-
         if self.all_done():
             status = "completed"
         elif reason == "empty":
@@ -453,13 +445,23 @@ class Simulation:
 
     # ------------------------------------------------------------- internals
     def _finalize_stats(self) -> None:
+        """Fill the whole-run totals from the one place each is counted."""
+        stats = self.stats
         finish_times = [p.finish_time for p in self.ranks.values() if p.finish_time is not None]
-        self.stats.makespan = max(finish_times) if finish_times else self.engine.now
-        self.stats.events_processed = self.engine.events_processed
-        self.stats.control_messages = self.control.messages_sent
-        self.stats.control_bytes = self.control.bytes_sent
-        self.stats.checkpoints_taken = self.storage.writes
-        self.stats.checkpoint_bytes = self.storage.bytes_written
+        stats.makespan = max(finish_times) if finish_times else self.engine.now
+        stats.events_processed = self.engine.events_processed
+        ranks = stats.ranks.values()
+        stats.app_messages = sum(r.sends for r in ranks)
+        stats.app_bytes = sum(r.bytes_sent for r in ranks)
+        # Only the clustered protocols log payloads (and keep ``pstats``).
+        pstats = getattr(self.protocol, "pstats", None)
+        if pstats is not None:
+            stats.logged_messages = pstats.logged_messages
+            stats.logged_bytes = pstats.logged_bytes
+        stats.control_messages = self.control.messages_sent
+        stats.control_bytes = self.control.bytes_sent
+        stats.checkpoints_taken = self.storage.writes
+        stats.checkpoint_bytes = self.storage.bytes_written
 
     def _build_metrics(self) -> MetricSet:
         """Assemble the run's namespaced metric tree.

@@ -64,14 +64,18 @@ class SendSignature:
         )
 
 
+#: an ``(original, re-executed)`` pair of send segments around one rollback.
+Overlap = Tuple[List[SendSignature], List[SendSignature]]
+
+
 class TraceRecorder:
     """Accumulates communication records and per-channel volumes.
 
     With ``record_events=False`` (large campaign sweeps) the recorder keeps
     only the aggregate per-channel counters: neither
     :class:`CommunicationRecord` nor :class:`SendSignature` objects are
-    constructed at all, so the per-message cost on the hot path is two dict
-    updates and no allocation.  Send-determinism comparisons
+    constructed at all, so the per-message cost on the hot path is one dict
+    update per send and no allocation.  Send-determinism comparisons
     (:func:`compare_send_sequences`) need a recorder built with
     ``record_events=True``.
     """
@@ -85,11 +89,11 @@ class TraceRecorder:
         #: because a suppressed send is still "the same message sent again" in
         #: the send-deterministic model).
         self.send_sequences: Dict[int, List[SendSignature]] = {}
-        self.delivered_counts: Dict[int, int] = {}
-        #: rank -> list of (raw_index_at_restart, sends_kept_from_checkpoint).
-        #: Recorded when a rank rolls back; used to reconstruct the *logical*
-        #: send sequence of an execution with failures (re-executed sends
-        #: overwrite the rolled-back suffix rather than appending to it).
+        #: rank -> list of (raw_index_at_restart, logical sends kept from the
+        #: checkpoint).  Recorded when a rank rolls back; used to reconstruct
+        #: the *logical* send sequence of an execution with failures
+        #: (re-executed sends overwrite the rolled-back suffix rather than
+        #: appending to it).
         self.restart_marks: Dict[int, List[Tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------ hooks
@@ -121,7 +125,6 @@ class TraceRecorder:
             )
 
     def record_delivery(self, message: Message, time: float) -> None:
-        self.delivered_counts[message.dest] = self.delivered_counts.get(message.dest, 0) + 1
         if self.record_events:
             self.records.append(
                 CommunicationRecord(
@@ -142,7 +145,7 @@ class TraceRecorder:
 
     def mark_restart(self, rank: int, sends_at_checkpoint: int) -> None:
         """Record that ``rank`` rolled back to a checkpoint taken after its
-        ``sends_at_checkpoint``-th application send."""
+        ``sends_at_checkpoint``-th logical application send."""
         raw_index = len(self.send_sequences.get(rank, []))
         self.restart_marks.setdefault(rank, []).append((raw_index, sends_at_checkpoint))
 
@@ -157,39 +160,36 @@ class TraceRecorder:
         re-executed sends.  For a failure-free execution this is identical to
         the raw sequence.
         """
-        raw = self.send_sequences.get(rank, [])
-        marks = self.restart_marks.get(rank, [])
-        if not marks:
-            return list(raw)
-        logical: List[SendSignature] = []
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, None)
-        for idx, sig in enumerate(raw):
-            while next_mark is not None and idx == next_mark[0]:
-                logical = logical[: next_mark[1]]
-                next_mark = next(mark_iter, None)
-            logical.append(sig)
-        # A mark may sit exactly at the end of the raw list (rank restarted
-        # but has not sent anything yet).
-        while next_mark is not None and next_mark[0] == len(raw):
-            logical = logical[: next_mark[1]]
-            next_mark = next(mark_iter, None)
-        return logical
+        return self._replay_marks(rank)[0]
 
-    def reexecution_overlaps(self, rank: int) -> List[Tuple[List[SendSignature], List[SendSignature]]]:
+    def reexecution_overlaps(self, rank: int) -> List[Overlap]:
         """Pairs of (original, re-executed) send segments for each rollback.
 
         Used to check send-determinism empirically: the re-executed segment
         must reproduce the original segment message for message (Definition 3
         / Lemma 4 of the paper), for as far as the re-execution has progressed.
         """
+        return self._replay_marks(rank)[1]
+
+    def _replay_marks(self, rank: int) -> Tuple[List[SendSignature], List[Overlap]]:
+        """The logical sequence and the overlaps, in one pass over the raw
+        sends and the restart marks.  A mark's ``keep`` is a logical length:
+        the original segment is the logical tail the mark discards, the
+        re-executed one the raw sends after the mark, up to the next mark."""
         raw = self.send_sequences.get(rank, [])
-        overlaps: List[Tuple[List[SendSignature], List[SendSignature]]] = []
-        for raw_index, keep in self.restart_marks.get(rank, []):
-            original = raw[keep:raw_index]
-            reexecuted = raw[raw_index : raw_index + len(original)]
-            overlaps.append((original, reexecuted))
-        return overlaps
+        marks = self.restart_marks.get(rank, [])
+        logical: List[SendSignature] = []
+        overlaps: List[Overlap] = []
+        start = 0
+        for i, (raw_index, keep) in enumerate(marks):
+            logical.extend(raw[start:raw_index])
+            original = logical[keep:]
+            del logical[keep:]
+            end = marks[i + 1][0] if i + 1 < len(marks) else len(raw)
+            overlaps.append((original, raw[raw_index : min(end, raw_index + len(original))]))
+            start = raw_index
+        logical.extend(raw[start:])
+        return logical, overlaps
 
     def communication_matrix(self, nprocs: int, weight: str = "bytes") -> np.ndarray:
         """Dense ``nprocs x nprocs`` matrix of channel volumes.

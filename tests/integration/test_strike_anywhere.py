@@ -14,6 +14,11 @@ and the same effective send sequences (``check_send_determinism``).
 Sampling strike times (the harsh Monte Carlo sweep) finds a recovery window
 only when a draw happens to land in it; enumerating the instants finds every
 window the run has.  One test case per instant, so a red case names it.
+
+The last test strikes one rank twice, under every protocol: a rank that
+rolls back a second time restores either the checkpoint it restored before
+or one it took after the first rollback, and its logical send sequence must
+still be the failure-free one.
 """
 
 import dataclasses
@@ -89,4 +94,31 @@ def test_every_strike_at_this_instant_recovers_to_the_baseline(index):
             check_send_determinism(baseline.trace, run.trace)
         except ReproError as error:
             wrong.append((strikes, f"{type(error).__name__}: {str(error)[:120]}"))
+    assert wrong == []
+
+
+#: protocols struck twice, and the two strike instants as fractions of each
+#: protocol's 16-iteration failure-free makespan.
+REPEAT_PROTOCOLS = ("coordinated", "hydee", "message-logging")
+FIRST_STRIKES = (0.1, 0.2, 0.3)
+SECOND_STRIKES = (0.5, 0.6, 0.8)
+
+
+@pytest.mark.parametrize("protocol", REPEAT_PROTOCOLS)
+def test_a_rank_struck_twice_recovers_to_the_baseline(protocol):
+    spec = _traced(baseline_spec(protocol, iterations=16))
+    baseline = build(spec).run()
+    wrong = []
+    for a in FIRST_STRIKES:
+        for b in SECOND_STRIKES:
+            failures = (
+                FailureEvent(ranks=(1,), time=a * baseline.makespan),
+                FailureEvent(ranks=(1,), time=b * baseline.makespan),
+            )
+            try:
+                run = build(dataclasses.replace(spec, failures=failures)).run()
+                check_recovery_equivalence(baseline, run)
+                check_send_determinism(baseline.trace, run.trace)
+            except ReproError as error:
+                wrong.append(((a, b), f"{type(error).__name__}: {str(error)[:120]}"))
     assert wrong == []

@@ -125,6 +125,22 @@ CATALOGUE: Tuple[Mutant, ...] = (
 """,
         "",
     ),
+    Mutant(
+        "sends-rewind-reverted",
+        "a restarted rank keeps its raw send count, not its checkpoint's",
+        "src/repro/simulator/simulation.py",
+        """        proc.sends_initiated = sends_at_checkpoint
+""",
+        "",
+    ),
+    Mutant(
+        "epoch-receives-not-applied",
+        "a batched hybrid span does not advance the per-rank receive count",
+        "src/repro/simulator/hybrid.py",
+        """            rstats.receives += n * delta["rstats.receives"][rank]
+""",
+        "",
+    ),
 )
 
 

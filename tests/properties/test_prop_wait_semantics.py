@@ -92,7 +92,7 @@ def test_counted_wait_matches_the_rescanning_reference(program):
 
     if wakeup is None or (rollback_before is not None and wakeup[0] >= rollback_before):
         assert probe.resumed == []
-        assert probe.proc.deliveries == 0
+        assert probe.proc.rstats.receives == 0
         return
     step, position = wakeup
     # Exactly once, and at the completion that satisfies the wait.
@@ -106,7 +106,7 @@ def test_counted_wait_matches_the_rescanning_reference(program):
         obtained = set() if message is None else {slots[position]}
     assert probe.resumed == [expected]
     # One application delivery per message, however often it is listed.
-    assert probe.proc.deliveries == probe.proc.rstats.receives == len(obtained)
+    assert probe.proc.rstats.receives == len(obtained)
     assert all(messages[i].app_delivered == (i in obtained)
                for i, kind in enumerate(kinds) if kind == "recv")
 
@@ -166,7 +166,7 @@ def test_matching_follows_the_reference_definition(program):
                 if state is RequestState.PENDING:
                     completed.append(target)
                     assert target.value is message
-                    assert message.deliver_time == sim.engine.now
+                    assert target.completion_time == sim.engine.now
                 else:
                     # A cancelled receive still consumes its match.
                     assert target.value is None

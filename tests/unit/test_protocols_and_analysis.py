@@ -198,8 +198,8 @@ class TestEpochStateContract:
         hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
         state = hydee.ff_epoch_snapshot()
         assert sorted(state) == [
-            "hydee.date", "hydee.log_bytes", "hydee.log_entries", "hydee.logged",
-            "hydee.phase", "hydee.rpp", "pstats",
+            "hydee.date", "hydee.log_bytes", "hydee.log_entries", "hydee.phase",
+            "hydee.rpp", "pstats",
         ]
         assert sorted(state["hydee.date"]) == sorted(state["hydee.phase"]) == [0, 1, 2, 3]
         assert state["pstats"] == hydee.pstats.as_dict()
