@@ -262,9 +262,9 @@ def _ff_coverage_checks(report: Dict[str, Any]) -> Dict[str, bool]:
             cell["cached"]["batched_iterations"] > 0
             for cell in cells if cell["self_calibrated"]["batched_iterations"] > 0
         ),
-        # A span needs five boundaries past its probe windows (six under
-        # HydEE) to jump; from the cache, seven fast-forwarded ones suffice
-        # in every cell that batches.
+        # A span needs five boundaries past its probe (six under HydEE) to
+        # jump; from the cache, seven fast-forwarded ones suffice in every
+        # cell that batches.
         "long_batched_spans_commit_one_line": all(
             cell["cached"]["line_commits"] < cell["cached"]["ff_checkpoints"]
             for cell in cells

@@ -137,9 +137,9 @@ def ff_coverage(
 
     Runs each of the ten deterministic workloads under HydEE and under
     coordinated checkpointing, at ``checkpoint_interval`` and at half of it
-    (at least 3; below 8 the probe window is two iterations wide instead of
-    four), once exact and twice hybrid: self-calibrated, and started from a
-    pre-warmed calibration cache the way every Monte Carlo replica starts.
+    (at least 3), once exact and twice hybrid: self-calibrated, and started
+    from a pre-warmed calibration cache the way every Monte Carlo replica
+    starts.
     Each cell reports, per start, whether the hybrid executor fast-forwarded
     (no fallback to full DES), how many rank-iterations it skipped
     analytically and how many of those in batched checkpoint intervals, and
@@ -149,8 +149,8 @@ def ff_coverage(
     self-calibrated one does.  The NAS kernels run ``iterations // 2``
     (heavier state updates; the sweep is about coverage, not duration).
     ``ring`` under HydEE legitimately batches nothing: its max-based causal
-    phase clock has a period of 4 iterations, longer than the verifiable
-    stride for its cluster size, so it fast-forwards per message -- the
+    phase clock has a period of 4 iterations, and only a delta that repeats
+    every iteration is batched, so it fast-forwards per message -- the
     cell's ``probe_mismatch`` names a ``hydee.phase`` leaf.  A cell that
     batches a long enough span builds fewer checkpoints (``line_commits``)
     than its fast-forward counts (``ff_checkpoints``): the span jumped to its
@@ -220,8 +220,8 @@ def _coverage_cell(spec: ScenarioSpec) -> Dict[str, Any]:
             "warmup_iterations": first,
             "ff_iterations": int(stats["ff_iterations"]),
             "batched_iterations": int(stats["batched_iterations"]),
-            # the leaf the last probe (interval rung) tripped on; empty when
-            # it verified
+            # the leaf the last probe (and line check) tripped on; empty
+            # when it verified
             "probe_mismatch": _leaf(director.probe_mismatch),
             "line_mismatch": _leaf(director.line_mismatch),
             # rank checkpoints the fast-forward counted, and built

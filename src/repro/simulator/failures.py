@@ -46,13 +46,14 @@ class FailureEvent:
     time:
         Absolute simulation time of the failure.
     at_iteration:
-        Fire when ``rank_trigger`` completes this iteration.
+        Fire when ``rank_trigger`` completes this iteration: an ``int`` from
+        1 to the run's iteration count (checked on attach).
     rank_trigger:
         The rank whose iteration boundary triggers the failure, kept as
         written; ``None`` means the first rank of ``ranks``.  A trigger
         outside ``ranks`` ("kill X when Y completes iteration N") is legal
         here; :class:`~repro.scenarios.spec.ScenarioSpec` requires it to be
-        one of ``ranks``.
+        one of ``ranks``.  A timed event has none.
     """
 
     ranks: Tuple[int, ...]
@@ -79,6 +80,11 @@ class FailureEvent:
             raise ConfigurationError(
                 "specify exactly one of `time` or `at_iteration` for a failure event"
             )
+        at = self.at_iteration
+        if at is not None and (type(at) is not int or at < 1):  # bool is not a count
+            raise ConfigurationError(f"failure event at_iteration must be an int >= 1, got {at!r}")
+        if self.time is not None and self.rank_trigger is not None:
+            raise ConfigurationError("a timed failure event takes no rank_trigger")
 
 
 class FailureInjector:
@@ -128,6 +134,7 @@ class FailureInjector:
     # ------------------------------------------------------------------ wiring
     def attach(self, sim: "Simulation") -> None:
         self._sim = sim
+        iterations = sim.application.num_iterations
         for index, event in enumerate(self.events):
             bad = [r for r in event.ranks if r not in sim.ranks]
             if bad:
@@ -136,12 +143,17 @@ class FailureInjector:
                     f"0..{sim.nprocs - 1}"
                 )
             trigger = self.triggers.get(index)
+            # An out-of-range trigger, or an iteration past the run's last,
+            # would never complete: the event could silently never fire.
             if trigger is not None and trigger not in sim.ranks:
-                # An out-of-range trigger would never complete an iteration:
-                # the event could silently never fire.
                 raise ConfigurationError(
                     f"failure event trigger rank {trigger} is "
                     f"outside the simulation's 0..{sim.nprocs - 1}"
+                )
+            if event.at_iteration is not None and event.at_iteration > iterations:
+                raise ConfigurationError(
+                    f"failure event at_iteration {event.at_iteration} is past "
+                    f"the run's {iterations} iterations"
                 )
             if event.time is not None:
                 sim.engine.schedule_at(event.time, self._fire, index)

@@ -33,7 +33,7 @@ model from the observed boundary times, and then alternates between
   its last recovery line: the checkpoints in between are counted, not built
   (:meth:`HybridDirector._batch_intervals`).  A probe that fails -- the cold
   first iteration of a run started from the calibration cache, recovery
-  residue -- costs its window: the next is planned at doubling distances;
+  residue -- costs two iterations: the next is planned at doubling distances;
 * **DES guard windows** around every failure injection, sized by the rate
   model's projection of where each rank is when the strike lands
   (:meth:`RateModel.iterations_at`).  The fast-forward stops
@@ -805,17 +805,16 @@ class HybridDirector:
 
         The batched fast path never runs the application generators or the
         per-message protocol hooks: it extrapolates a *verified* state delta
-        (consecutive per-message probe iterations must produce identical
-        deltas, per iteration or per iteration pair -- see
-        :meth:`_probe_deltas`) across each checkpoint interval, commits the
-        recovery lines :meth:`_batch_intervals` builds, and drives per message
-        what it cannot cover -- the way to each probe window, the windows
-        themselves and the tail :meth:`_plan_batch` keeps real.
+        (two consecutive per-message probe iterations must produce identical
+        deltas -- see :meth:`_probe_deltas`) across each checkpoint interval,
+        commits the recovery lines :meth:`_batch_intervals` builds, and drives
+        per message what it cannot cover -- the way to each probe, the probe
+        iterations themselves and the tail :meth:`_plan_batch` keeps real.
 
-        One loop: plan a probe window from the current count, drive up to it,
-        probe.  A probe that fails (the cold first iteration of a cached
-        start, recovery residue, deltas that never agree) costs its window
-        and nothing else: the next window is planned further on, the distance
+        One loop: plan a probe from the current count, drive up to it, probe.
+        A probe that fails (the cold first iteration of a cached start,
+        recovery residue, deltas that never agree) costs its two iterations
+        and nothing else: the next probe is planned further on, the distance
         doubling with every failure, so an epoch of ``n`` iterations makes
         O(log n) probes before the per-message drive carries the rest.  The
         first probe that succeeds batches to the plan's end.
@@ -823,35 +822,26 @@ class HybridDirector:
         cur = origin = b
         gap = 1
         while (plan := self._plan_batch(origin, e)) is not None:
-            probe_end, batch_end, probe_span = plan
-            if probe_end - probe_span > cur:
-                self._drive_iterations(b, probe_end - probe_span, model,
-                                       anchors, start=cur)
-            verified = self._probe_deltas(b, probe_end, probe_span, model,
-                                          anchors)
+            probe_end, batch_end = plan
+            if probe_end - 2 > cur:
+                self._drive_iterations(b, probe_end - 2, model, anchors, start=cur)
+            delta = self._probe_deltas(b, probe_end, model, anchors)
             cur = probe_end
-            if verified is not None:
-                cur, stride, delta = verified
-                if stride == 2 and (batch_end - cur) % 2:
-                    # Pair extrapolation advances two iterations at a time;
-                    # leave an odd final iteration to the per-message tail.
-                    batch_end -= 1
-                cur = self._batch_intervals(
-                    cur, batch_end, model, anchors, b, delta, stride
-                )
+            if delta is not None:
+                cur = self._batch_intervals(cur, batch_end, model, anchors, b, delta)
                 break
             origin, gap = cur + gap, 2 * gap
         if e > cur:
             self._drive_iterations(b, e, model, anchors, start=cur)
 
-    def _plan_batch(self, origin: int, e: int) -> Optional[Tuple[int, int, int]]:
-        """``(probe_end, batch_end, probe_span)`` of a batched advance whose
-        probe window starts at count ``origin`` or later, or ``None``.
+    def _plan_batch(self, origin: int, e: int) -> Optional[Tuple[int, int]]:
+        """``(probe_end, batch_end)`` of a batched advance whose two probe
+        iterations start at count ``origin`` or later, or ``None``.
 
         Batching needs: a bulk-capable workload, the slim trace path
         (per-event records require real messages), a checkpoint interval
-        with a boundary-free probe window (at least 3 iterations) and room
-        between the window and ``batch_end``.  Whether the protocol can
+        with two boundary-free probe iterations (at least 3 iterations) and
+        room between the probe and ``batch_end``.  Whether the protocol can
         extrapolate its epoch state is the probe's question, not the plan's:
         a ``None`` snapshot fails the probe.
 
@@ -862,20 +852,11 @@ class HybridDirector:
         A protocol without a log has no tail to keep -- its rollback discards
         everything after the last checkpoint.
 
-        ``probe_span`` is the number of per-message probe iterations driven
-        before extrapolating.  Wide enough intervals (and unclustered runs)
-        get a four-iteration window, which additionally supports pair
-        (stride-2) verification for protocol state whose per-iteration delta
-        alternates with period two; tight intervals keep the classic
-        two-iteration window.
-
-        Longer periods cannot be batched at all: verifying stride ``s``
-        needs ``2*s`` boundary-free probe deltas, so ``s`` is capped at
-        ``(k - 2) // 2`` -- state whose delta period exceeds that (the
-        max-based causal phase clock on a ring topology propagates
-        cluster-edge phase bumps with a period set by the cluster diameter)
-        fails every probe and correctly stays on the per-message
-        fast-forward path.
+        Only a delta that repeats every iteration is batched.  State whose
+        per-iteration delta is periodic instead (the max-based causal phase
+        clock on a ring topology propagates cluster-edge phase bumps with a
+        period set by the cluster diameter) fails every probe and correctly
+        stays on the per-message fast-forward path.
         """
         sim = self.sim
         if sim.config.record_trace_events:
@@ -883,7 +864,7 @@ class HybridDirector:
         if type(sim.application).fast_forward_states is Application.fast_forward_states:
             return None
         k = self._interval
-        if k in (1, 2):
+        if k in (1, 2):  # no two boundary-free deltas: the loop below never ends
             return None
         batch_end = e
         injector = sim.failure_injector
@@ -894,63 +875,34 @@ class HybridDirector:
             if not k:
                 return None
             batch_end = (e // k) * k
-        probe_span = 4 if (not k or (k % 2 == 0 and k >= 8)) else 2
-        probe_end = origin + probe_span
-        if k and probe_span == 4:
-            # All four probed deltas must end strictly inside an interval
-            # (residue not 0: no checkpoint boundary inside the window;
-            # not 1: no delta carrying a checkpoint's cost), and probe_end
-            # must be even so every boundary-aligned chunk after it has
-            # even length for pair extrapolation (k is even here).
-            while (probe_end % 2
-                   or any((probe_end - j) % k in (0, 1) for j in range(4))):
-                probe_end += 1
-        elif k:
-            while probe_end % k == 0 or (probe_end - 1) % k == 0:
+        probe_end = origin + 2
+        if k:
+            # Both probe iterations end strictly inside an interval: residue
+            # 0 or 1 puts a checkpoint boundary at probe_end or probe_end - 1.
+            while probe_end % k in (0, 1):
                 probe_end += 1
         if batch_end <= probe_end:
             return None
-        return probe_end, batch_end, probe_span
+        return probe_end, batch_end
 
-    def _probe_deltas(self, b: int, probe_end: int, probe_span: int,
-                      model: RateModel, anchors: Dict[int, float]
-                      ) -> Optional[Tuple[int, int, EpochState]]:
-        """Drive probe iterations per message and extract a verified
-        ``(cur, stride, delta)``, or ``None``.
+    def _probe_deltas(self, b: int, probe_end: int, model: RateModel,
+                      anchors: Dict[int, float]) -> Optional[EpochState]:
+        """Drive the two iterations that end at ``probe_end`` per message and
+        return their common delta, or ``None``.
 
-        The probe is adaptive, a ladder of (span, stride) rungs over one
-        epoch state per driven iteration.  Two single-iteration deltas that
-        agree settle a stride-1 delta after only two driven iterations
-        (``cur`` is then two short of ``probe_end`` and batching starts
-        early).  Only when they disagree -- and the window is the
-        four-iteration kind -- are the remaining probe iterations driven:
-        four agreeing singles still yield stride 1, and deltas that
-        alternate with period two are caught by comparing the two
-        consecutive *pair* deltas instead, yielding a stride-2 delta
-        extrapolated two iterations at a time by :meth:`_batch_intervals`.
-
-        On failure every rank is left at count ``probe_end`` and
-        :attr:`probe_mismatch` names the leaf that broke the last rung: a
-        failed probe costs its snapshots (a millisecond or so) on top of
-        per-message work the epoch needed anyway, and :meth:`_advance_span`
-        plans the next window from there.  A protocol that does not batch at
-        all (``None`` snapshots) fails here, too.
+        Either way every rank is left at count ``probe_end``.  On failure
+        :attr:`probe_mismatch` names the leaf that failed it: a failed probe
+        costs its snapshots (a millisecond or so) on top of per-message work
+        the epoch needed anyway, and :meth:`_advance_span` plans the next
+        probe from there.  A protocol that does not batch at all (``None``
+        snapshots) fails here, too.
         """
-        start = probe_end - probe_span
         states = [self._epoch_state()]
-        for span, stride in ((2, 1), (4, 1), (4, 2)):
-            if span > probe_span:
-                break
-            while len(states) <= span:
-                upto = start + len(states)
-                self._drive_iterations(b, upto, model, anchors, start=upto - 1)
-                states.append(self._epoch_state())
-            delta, self.probe_mismatch = self._verified_delta(
-                states[:span + 1:stride], anchors
-            )
-            if delta is not None:
-                return start + span, stride, delta
-        return None
+        for upto in (probe_end - 1, probe_end):
+            self._drive_iterations(b, upto, model, anchors, start=upto - 1)
+            states.append(self._epoch_state())
+        delta, self.probe_mismatch = self._verified_delta(states, anchors)
+        return delta
 
     def _verified_delta(
         self, states: Sequence[Optional[EpochState]], anchors: Dict[int, float]
@@ -970,7 +922,7 @@ class HybridDirector:
                 return None, ("ff_epoch_snapshot", None)
             deltas.append(linear_delta(old, new))
         for key, by in deltas[-1]["steady"].items():
-            # A checkpoint or a rollback voids the window: probe iterations
+            # A checkpoint or a rollback voids the probe: probe iterations
             # must be boundary- and failure-free.  (One that ran before the
             # last delta fails the comparison below.)
             if by:
@@ -985,10 +937,10 @@ class HybridDirector:
         """The protocol's epoch state plus the director's own columns, or
         ``None`` when the protocol does not batch.  ``steady`` is the one
         column that is not extrapolated: it must not move between two states.
-        In a probe window that is the checkpoint count; between two recovery
-        lines (``line``) commits are the stride, and what must not move is what
-        they leave behind: the event queue (acks deferred past a strike) and
-        the live plus phantom sender log."""
+        Across a probe that is the checkpoint count; between two recovery
+        lines (``line``) commits advance, and what must not move is what they
+        leave behind: the event queue (acks deferred past a strike) and the
+        live plus phantom sender log."""
         sim = self.sim
         state = sim.protocol.ff_epoch_snapshot()
         if state is None:
@@ -1015,7 +967,7 @@ class HybridDirector:
         else:
             steady["checkpoints_taken"] = storage.writes
         state["steady"] = steady
-        # What a coordinated checkpoint moves (nothing, in a probe window).
+        # What a coordinated checkpoint moves (nothing, across a probe).
         state["commits"] = {"writes": storage.writes, "bytes": storage.bytes_written,
                             "control_messages": control.messages_sent,
                             "control_bytes": control.bytes_sent}
@@ -1043,24 +995,19 @@ class HybridDirector:
 
     def _batch_intervals(self, cur: int, batch_end: int, model: RateModel,
                          anchors: Dict[int, float], b0: int,
-                         delta: EpochState, stride: int = 1) -> int:
-        """Extrapolate the verified delta interval by interval up to
-        ``batch_end``, taking coordinated checkpoints for real.
+                         delta: EpochState) -> int:
+        """Extrapolate the verified per-iteration delta interval by interval
+        up to ``batch_end``, taking coordinated checkpoints for real.
 
-        ``stride`` is the iteration granularity the verified delta covers
-        (1 for the classic per-iteration probe, 2 for a pair delta); every
-        chunk is extrapolated in whole strides, and a chunk that is not a
-        stride multiple ends the batch early -- the per-message tail picks
-        up from there.
-
-        The ladder's last rung has a whole interval for its stride: an epoch
-        state is taken on every recovery line committed here, and once two
-        consecutive interval deltas agree, every whole interval left but the
-        last is advanced in one step.  The checkpoints it passes are counted,
+        Whole intervals are verified the same way: an epoch state is taken on
+        every recovery line committed here, and once two consecutive interval
+        deltas agree, every whole interval left but the last is advanced in
+        one step.  The checkpoints it passes are counted,
         not built (each is superseded by the next; a rollback restores the
         last only), and the last is committed for real: a span ends on a
-        materialised line.  A rung that fails -- the first interval reclaims
-        the probe window's log, acks deferred past a strike -- costs one more.
+        materialised line.  A line check that fails -- the first interval
+        reclaims the probe's log, acks deferred past a strike -- costs one
+        more.
         """
         sim = self.sim
         protocol, app, k = sim.protocol, sim.application, self._interval
@@ -1089,10 +1036,7 @@ class HybridDirector:
 
         while cur < batch_end:
             nxt = min(batch_end, ((cur // k) + 1) * k) if k else batch_end
-            units, rem = divmod(nxt - cur, stride)
-            if rem:
-                return cur
-            cur = advance(nxt - cur, delta, units)
+            cur = advance(nxt - cur, delta, nxt - cur)
             if k and cur % k == 0:
                 sim.control.begin_buffering()
                 try:

@@ -63,22 +63,23 @@ CALL_BUDGET_PER_MESSAGE = 76.5
 #: so the fast-forward interpreter dominates the count.
 FF_CALL_BUDGET_PER_MESSAGE = 56.7
 
-#: measured 18.71 calls per rank-iteration (18.99 with the duplicate
-#: counters; 22.31 before the lean per-message hops; 23.83 when a batched
-#: span built and acknowledged every checkpoint it passed; 28.57 when the DES
-#: window opened four to six iterations before a strike and the pre-warm ran
-#: 34 iterations; 39.49 when each of the eight replicas was simulated and the
+#: measured 18.27 calls per rank-iteration (18.79 with the four-iteration
+#: probe window and its pair rung; 18.99 with the duplicate counters; 22.31
+#: before the lean per-message hops; 23.83 when a batched span built and
+#: acknowledged every checkpoint it passed; 28.57 when the DES window opened
+#: four to six iterations before a strike and the pre-warm ran 34
+#: iterations; 39.49 when each of the eight replicas was simulated and the
 #: pre-warm ran its scenario to the end) plus 10 %.  Five of the eight traces
 #: are empty and run once; a sweep with fewer empty traces costs more per
 #: rank-iteration by construction, so the fault seed is pinned and the trace
 #: census asserted.
-SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 20.6
+SWEEP_CALL_BUDGET_PER_RANK_ITERATION = 20.1
 SWEEP_FAULT_SEED, SWEEP_STRIKES = 0, [0, 1, 0, 1, 1, 0, 0, 0]
 
 #: measured 4.86 calls per rank-iteration (5.23 before the lean per-message
 #: hops; 18.62 with 500 boundaries built and acknowledged one by one) plus
-#: 30 %: what is left is the DES warm-up and final iteration, the probe
-#: window, and 8 of the 500 boundaries.
+#: 30 %: what is left is the DES warm-up and final iteration, the probe,
+#: and 8 of the 500 boundaries.
 LINE_CALL_BUDGET_PER_RANK_ITERATION = 6.3
 
 #: measured 99.85 calls per rank-iteration (101.47 with the duplicate

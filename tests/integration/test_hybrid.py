@@ -225,20 +225,25 @@ class TestHybridParity:
         assert stats["batched_iterations"] > 0
         assert stats["ff_iterations"] >= stats["batched_iterations"]
 
-    def test_two_rank_clusters_batch_by_pair_extrapolation(self):
+    def test_a_ring_of_two_rank_clusters_fast_forwards_per_message_exactly(self):
         # With 2-rank clusters on a ring the protocol's per-iteration epoch
-        # delta alternates with period two, so single deltas never agree and
-        # the director verifies and extrapolates *pair* deltas
-        # (`_probe_deltas` stride 2, `_batch_intervals(stride=2)`).  No other
-        # test, registry entry, example or observatory workload reaches it.
+        # delta alternates with period two, so no two consecutive deltas
+        # agree: every probe fails on the causal phase clock and the epoch is
+        # driven per message, still bit-exact.
+        from repro.simulator.hybrid import HybridDirector
+
         spec = dataclasses.replace(
             scenario(iterations=60),
             workload=WorkloadSpec(kind="ring", nprocs=8, iterations=60),
         )
-        (exact_sim, exact), (hybrid_sim, hybrid) = run_both(spec)
+        exact_sim = build(spec)
+        exact = exact_sim.run()
+        director = HybridDirector(build(dataclasses.replace(spec, execution="hybrid")))
+        hybrid_sim, hybrid = director.sim, director.run()
         assert exact.status == hybrid.status == "completed"
         assert hybrid_sim.hybrid_stats["fallback"] == 0
-        assert hybrid_sim.hybrid_stats["batched_iterations"] == 160
+        assert hybrid_sim.hybrid_stats["batched_iterations"] == 0
+        assert director.probe_mismatch[0] == "hydee.phase"
         for attr in VOLUME_COUNTERS:
             assert getattr(hybrid.stats, attr) == getattr(exact.stats, attr), attr
         assert hybrid_sim.protocol.pstats.as_dict() == exact_sim.protocol.pstats.as_dict()
@@ -465,8 +470,8 @@ class TestProtocolIntervalGrid:
         assert result.status == "completed"
         assert sim.hybrid_stats["fallback"] == 0
         if (protocol, kind) == ("hydee", "ring"):
-            # By design: the causal phase clock's delta period on a ring of
-            # 4-rank clusters exceeds any verifiable stride (see _plan_batch).
+            # By design: on a ring of 4-rank clusters the causal phase
+            # clock's delta repeats only every 4 iterations (see _plan_batch).
             assert sim.hybrid_stats["batched_iterations"] == 0
         else:
             assert sim.hybrid_stats["batched_iterations"] > 0

@@ -141,6 +141,15 @@ CATALOGUE: Tuple[Mutant, ...] = (
 """,
         "",
     ),
+    Mutant(
+        "probe-verifies-nothing",
+        "the batching probe returns its last delta without comparing it to the first",
+        "src/repro/simulator/hybrid.py",
+        """        delta, self.probe_mismatch = self._verified_delta(states, anchors)
+""",
+        """        delta, self.probe_mismatch = self._verified_delta(states[1:], anchors)
+""",
+    ),
 )
 
 

@@ -386,6 +386,31 @@ class TestFailureEventValidation:
         event = FailureEvent(ranks=[5], at_iteration=2, rank_trigger=3)
         assert event.rank_trigger == 3
 
+    @pytest.mark.parametrize("bad", [-3, 0, 2.5, True])
+    def test_at_iteration_must_be_a_positive_int(self, bad):
+        # Iteration counts start at 1; a float or a bool is a typo, not a count.
+        with pytest.raises(ConfigurationError, match="at_iteration"):
+            FailureEvent(ranks=[1], at_iteration=bad)
+
+    def test_rank_trigger_on_a_timed_event_rejected(self):
+        # Only an iteration boundary has a trigger rank; a timed strike would
+        # silently ignore it.
+        with pytest.raises(ConfigurationError, match="rank_trigger"):
+            FailureEvent(ranks=[1], time=1e-6, rank_trigger=1)
+
+    def test_at_iteration_past_the_run_rejected_at_attach(self):
+        # No rank completes iteration 5 of a 4-iteration run: the strike
+        # could silently never fire.
+        from repro.simulator.simulation import Simulation
+
+        app = TestDeadTriggerRetargeting._compute_only_app(4, 4)
+        with pytest.raises(ConfigurationError, match="at_iteration 5"):
+            Simulation(app, nprocs=4,
+                       failures=FailureInjector([FailureEvent(ranks=[1], at_iteration=5)]))
+        # The last iteration itself is a legal trigger.
+        Simulation(app, nprocs=4,
+                   failures=FailureInjector([FailureEvent(ranks=[1], at_iteration=4)]))
+
 
 class TestInjectorHealthMetrics:
     """The injector's health counters surface as sim.injector.* metrics."""
