@@ -18,15 +18,16 @@ The package is organised in layers:
 
 Quick start::
 
-    from repro import Simulation, HydEEProtocol, HydEEConfig
+    from repro import Simulation, HydEEProtocol
     from repro.workloads import Stencil2DApplication
     from repro.clustering import cluster_application
 
     app = Stencil2DApplication(nprocs=16, iterations=8)
     clusters = cluster_application(app, num_clusters=4)
-    protocol = HydEEProtocol(HydEEConfig(clusters=clusters, checkpoint_interval=2))
+    protocol = HydEEProtocol(clusters=clusters, checkpoint_interval=2)
     result = Simulation(app, nprocs=16, protocol=protocol).run()
-    print("\n".join(result.stats.summary_lines()))
+    for line in result.stats.summary_lines():
+        print(line)
 """
 
 from repro.errors import (
@@ -40,7 +41,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.simulator import Simulation, SimulationConfig, SimulationResult
-from repro.core import HydEEConfig, HydEEProtocol
+from repro.core import HydEEProtocol
 from repro.ftprotocols import (
     CoordinatedCheckpointProtocol,
     FullMessageLoggingProtocol,
@@ -81,7 +82,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     # protocols
-    "HydEEConfig",
     "HydEEProtocol",
     "NoFaultToleranceProtocol",
     "CoordinatedCheckpointProtocol",

@@ -5,7 +5,7 @@ communication graph; this module places protocol clusters relative to the
 *physical* :class:`~repro.topology.topology.Topology` instead:
 
 * :func:`aligned_clusters` makes protocol clusters coincide with physical
-  clusters (or nodes), so HydEE's logged inter-cluster traffic is exactly
+  clusters, so HydEE's logged inter-cluster traffic is exactly
   the traffic that crosses the oversubscribed fabric -- the placement under
   which containment pays off during congested recovery;
 * :func:`misaligned_clusters` deliberately deals ranks round-robin across
@@ -26,21 +26,9 @@ from repro.topology.topology import Topology
 Clusters = List[List[int]]
 
 
-def aligned_clusters(topology: Topology, granularity: str = "cluster") -> Clusters:
-    """One protocol cluster per physical cluster (or per node).
-
-    ``granularity`` is ``"cluster"`` (default) or ``"node"``.
-    """
-    if granularity == "cluster":
-        groups = topology.ranks_by_cluster()
-    elif granularity == "node":
-        groups = topology.ranks_by_node()
-    else:
-        raise ClusteringError(
-            f"unknown placement granularity {granularity!r}; "
-            "expected 'cluster' or 'node'"
-        )
-    clusters = [sorted(group) for group in groups if group]
+def aligned_clusters(topology: Topology) -> Clusters:
+    """One protocol cluster per physical cluster."""
+    clusters = [sorted(group) for group in topology.ranks_by_cluster() if group]
     if not clusters:
         raise ClusteringError("topology places no ranks")
     return clusters

@@ -7,15 +7,13 @@ failure (Algorithms 1-4 of the paper).
 
 Public entry points:
 
-* :class:`repro.core.config.HydEEConfig` -- protocol configuration
-  (clustering, checkpoint interval, piggyback policy);
 * :class:`repro.core.protocol.HydEEProtocol` -- the protocol object to pass
-  to :class:`repro.simulator.Simulation`;
+  to :class:`repro.simulator.Simulation`, configured by keyword (clusters,
+  checkpoint interval and size, piggyback size, log-everything);
 * :mod:`repro.core.invariants` -- executable versions of the paper's lemmas
   and theorems, used by the test-suite and the recovery experiments.
 """
 
-from repro.core.config import HydEEConfig
 from repro.core.phase import PhaseClock
 from repro.core.rpp import RPPTable
 from repro.core.message_log import LogEntry, SenderLog
@@ -24,7 +22,6 @@ from repro.core.recovery_process import RecoveryOrchestrator
 from repro.core.protocol import HydEEProtocol
 
 __all__ = [
-    "HydEEConfig",
     "PhaseClock",
     "RPPTable",
     "LogEntry",

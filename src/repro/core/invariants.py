@@ -90,7 +90,7 @@ def check_message_phase_vs_sender(trace: TraceRecorder) -> Dict[str, int]:
 def check_logged_messages_inter_cluster(protocol) -> Dict[str, int]:
     """Lemma 2 corollary: unless ``log_all_messages`` is set, every logged
     message crosses a cluster boundary."""
-    log_all = getattr(protocol.config, "log_all_messages", False)
+    log_all = protocol.log_all_messages
     checked = 0
     for rank, state in protocol.states.items():
         for entry in state.log.entries:

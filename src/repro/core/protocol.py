@@ -51,9 +51,8 @@ Our ``Rollback`` notification therefore carries both values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import HydEEConfig
 from repro.core.phase import INITIAL_PHASE
 from repro.core.recovery_process import (
     NOTIFY_SEND_LOG,
@@ -65,6 +64,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.ftprotocols.base import ClusteredProtocolBase
 from repro.simulator.engine import Condition
 from repro.simulator.messages import Message
+from repro.simulator.network import PiggybackPolicy
 from repro.simulator.protocol_api import (
     RECOVERY_PROCESS,
     ControlMessage,
@@ -84,22 +84,43 @@ class HydEEProtocol(ClusteredProtocolBase):
     name = "hydee"
     ff_send_hook = True
 
-    def __init__(self, config: Optional[HydEEConfig] = None, **kwargs: Any) -> None:
+    #: How the (date, phase) pair travels: the paper's prototype inlines it
+    #: in messages below 1 KiB and ships it as a separate message above that
+    #: threshold (Section V-A).
+    PIGGYBACK_POLICY = PiggybackPolicy.INLINE_SMALL_SEPARATE_LARGE
+
+    def __init__(
+        self,
+        clusters: Optional[Sequence[Sequence[int]]] = None,
+        checkpoint_interval: Optional[int] = None,
+        checkpoint_size_bytes: int = 16 * 1024 * 1024,
+        piggyback_bytes: int = 12,
+        log_all_messages: bool = False,
+    ) -> None:
         """Create the protocol.
 
-        Either pass a fully built :class:`HydEEConfig`, or pass its fields as
-        keyword arguments (``clusters=...``, ``checkpoint_interval=...``).
+        ``clusters`` partitions the ranks (``None``: a single cluster, which
+        degenerates to coordinated checkpointing with no logging; use
+        :mod:`repro.clustering` to compute a partition from the application's
+        communication graph as the paper does with [28]).
+        ``checkpoint_interval`` takes a coordinated cluster checkpoint every N
+        iterations (``None``: never, as in the failure-free Figures 5 and 6);
+        ``checkpoint_size_bytes`` is the simulated size of one process image,
+        logs excluded.  ``piggyback_bytes`` is the wire size of the
+        piggybacked date and phase (two integers plus framing).
+        ``log_all_messages`` logs every payload regardless of clusters: the
+        "Message Logging" configuration of Figure 6, with unchanged
+        containment semantics.
         """
-        if config is None:
-            config = HydEEConfig(**kwargs)
-        elif kwargs:
-            raise ConfigurationError("pass either a HydEEConfig or keyword arguments, not both")
+        if piggyback_bytes < 0:
+            raise ConfigurationError("piggyback_bytes must be >= 0")
         super().__init__(
-            clusters=config.clusters,
-            checkpoint_interval=config.checkpoint_interval,
-            checkpoint_size_bytes=config.checkpoint_size_bytes,
+            clusters=clusters,
+            checkpoint_interval=checkpoint_interval,
+            checkpoint_size_bytes=checkpoint_size_bytes,
         )
-        self.config = config
+        self.piggyback_bytes = piggyback_bytes
+        self.log_all_messages = log_all_messages
         self.states: Dict[int, HydEERankState] = {}
         self.orchestrator: Optional[RecoveryOrchestrator] = None
         self.recovery_reports: List[Dict[str, Any]] = []
@@ -124,13 +145,10 @@ class HydEEProtocol(ClusteredProtocolBase):
     # ------------------------------------------------------------- lifecycle
     def attach(self, sim: "Simulation") -> None:
         super().attach(sim)
-        if self.config.enforce_send_determinism and not getattr(
-            sim.application, "send_deterministic", True
-        ):
+        if not getattr(sim.application, "send_deterministic", True):
             raise ConfigurationError(
                 "HydEE requires a send-deterministic application "
-                f"({sim.application!r} declares send_deterministic=False); "
-                "set enforce_send_determinism=False to override for experiments"
+                f"({sim.application!r} declares send_deterministic=False)"
             )
 
     def _init_rank_state(self, rank: int) -> None:
@@ -186,12 +204,12 @@ class HydEEProtocol(ClusteredProtocolBase):
             costs = self._send_costs[size] = self._price_send(size)
         message.piggyback_bytes, unlogged, logged = costs
         pstats = self.pstats
-        pstats.piggyback_bytes += self.config.piggyback_bytes
+        pstats.piggyback_bytes += self.piggyback_bytes
 
         # Sender-based payload logging of inter-cluster messages (line 7-8 of
         # Algorithm 1).  ``log_all_messages`` is the "Message Logging"
         # configuration of Figure 6.
-        if inter or self.config.log_all_messages:
+        if inter or self.log_all_messages:
             state.log.add(message.dest, date, phase, message)
             pstats.logged_messages += 1
             pstats.logged_bytes += size
@@ -209,7 +227,7 @@ class HydEEProtocol(ClusteredProtocolBase):
         # Piggyback the (date, phase) pair following the prototype's policy:
         # inline for small messages, separate control message above 1 KiB.
         extra_bytes, extra_latency = network.piggyback_cost(
-            size_bytes, self.config.piggyback_bytes, self.config.piggyback_policy
+            size_bytes, self.piggyback_bytes, self.PIGGYBACK_POLICY
         )
         return (
             extra_bytes,
@@ -273,8 +291,6 @@ class HydEEProtocol(ClusteredProtocolBase):
         cluster peer could still force a rollback to an older checkpoint that
         needs the logged messages this checkpoint covers.
         """
-        if not self.config.garbage_collect_logs:
-            return
         state = self.states[rank]
         acks = {
             sender: channel.max_date
@@ -294,16 +310,11 @@ class HydEEProtocol(ClusteredProtocolBase):
         again (the receiver's cluster will never roll back past this
         checkpoint).
         """
-        if not self.config.garbage_collect_logs:
-            return
         for rank in self.members(cluster_id):
             acks = self._pending_gc_acks.pop((cluster_id, iteration, rank), {})
             for sender, up_to_date in acks.items():
                 # Not session-scoped: a checkpoint's acknowledgement stays valid.
-                self.sim.control.send(
-                    rank, sender, "gc_ack", {"up_to_date": up_to_date},
-                    size_bytes=self.config.control_message_bytes,
-                )
+                self.sim.control.send(rank, sender, "gc_ack", {"up_to_date": up_to_date})
 
     # ============================================== batched fast-forward
     def ff_epoch_snapshot(self) -> Optional[EpochState]:
@@ -311,14 +322,12 @@ class HydEEProtocol(ClusteredProtocolBase):
         Algorithm 1's per-process state, linear in steady iterations -- the
         (date, phase) clock per rank, ``Maxdate`` per incoming channel
         ``(rank, sender)``, the logged volume per ``(rank, dest)`` -- and the
-        logging counters.  Batching requires log garbage collection (it is
-        what makes the skipped epochs' log entries unobservable) and no
-        recovery residue.
+        logging counters.  Batching relies on log garbage collection (it is
+        what makes the skipped epochs' log entries unobservable) and requires
+        no recovery residue.
         """
         states = self.states
-        if not self.config.garbage_collect_logs or any(
-            state.in_recovery for state in states.values()
-        ):
+        if any(state.in_recovery for state in states.values()):
             return None
         log_entries: Dict[Tuple[int, int], int] = {}
         log_bytes: Dict[Tuple[int, int], int] = {}
@@ -418,9 +427,7 @@ class HydEEProtocol(ClusteredProtocolBase):
     def _send_control(self, sender: int, dest: int, kind: str, data: Dict[str, Any]) -> None:
         """Send a control message of the current recovery session."""
         data["session"] = self.session
-        self.sim.control.send(
-            sender, dest, kind, data, size_bytes=self.config.control_message_bytes
-        )
+        self.sim.control.send(sender, dest, kind, data)
 
     def _dispatch_control(self, cm: ControlMessage) -> None:
         if cm.data.get("session", self.session) != self.session:
@@ -583,7 +590,6 @@ class HydEEProtocol(ClusteredProtocolBase):
 
     def _on_recovery_complete(self, orchestrator: RecoveryOrchestrator) -> None:
         now = self.sim.engine.now
-        orchestrator.report.completed_at = now
         self.sim.stats.recovery_time += now - orchestrator.report.started_at
         self.recovery_reports.append(
             {
@@ -616,11 +622,11 @@ class HydEEProtocol(ClusteredProtocolBase):
 
     def extra_metrics(self) -> Dict[str, Any]:
         info = super().extra_metrics()
-        add_metric(info, "log_all_messages", self.config.log_all_messages)
-        add_metric(info, "piggyback_policy", self.config.piggyback_policy.value)
+        add_metric(info, "log_all_messages", self.log_all_messages)
+        add_metric(info, "piggyback_policy", self.PIGGYBACK_POLICY.value)
         # Not "piggyback_bytes": that name is the ProtocolStatistics traffic
         # counter; this is the configured per-message piggyback size.
-        add_metric(info, "configured_piggyback_bytes", self.config.piggyback_bytes)
+        add_metric(info, "configured_piggyback_bytes", self.piggyback_bytes)
         add_metric(info, "log_memory_bytes", sum(self.memory_usage_bytes().values()))
         # Not "recoveries": that name belongs to the ProtocolStatistics
         # counter, which the old pstats_ prefix used to hide the collision.

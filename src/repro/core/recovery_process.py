@@ -44,10 +44,8 @@ class RecoveryReport:
     """Summary of a finished recovery session (used by experiments)."""
 
     started_at: float
-    completed_at: Optional[float] = None
     rolled_back_ranks: Tuple[int, ...] = ()
     orphan_messages: int = 0
-    replay_phases: int = 0
     notifications_sent: int = 0
 
 
@@ -173,7 +171,6 @@ class RecoveryOrchestrator:
             for rank in sorted(self.log_phase[phase]):
                 self._notify(NOTIFY_SEND_LOG, rank, phase)
                 self.report.notifications_sent += 1
-            self.report.replay_phases += 1
             del self.log_phase[phase]
 
         for phase in sorted(self.process_phase):

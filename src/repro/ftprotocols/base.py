@@ -80,6 +80,14 @@ class ProtocolStatistics:
         return dict(self.__dict__)
 
 
+#: Cost of one determinant written to reliable storage by the protocols that
+#: log events (pessimistic message logging, hybrid event logging): the
+#: latency blocks the delivery (the paper cites [29] for its magnitude), the
+#: bytes hold the delivery's identity (receiver, sender, sequence numbers).
+DETERMINANT_LATENCY_S = 1.0e-6
+DETERMINANT_BYTES = 24
+
+
 @dataclass
 class RollbackInfo:
     """Result of rolling back a set of clusters."""
@@ -142,6 +150,10 @@ class ClusteredProtocolBase(ProtocolHooks):
         checkpoint_size_bytes: int = 16 * 1024 * 1024,
     ) -> None:
         super().__init__()
+        if checkpoint_interval is not None and checkpoint_interval < 1:
+            raise ConfigurationError("checkpoint_interval must be >= 1 or None")
+        if checkpoint_size_bytes < 0:
+            raise ConfigurationError("checkpoint_size_bytes must be >= 0")
         self._clusters_spec = clusters
         self.checkpoint_interval = checkpoint_interval
         self.checkpoint_size_bytes = checkpoint_size_bytes
@@ -191,7 +203,7 @@ class ClusteredProtocolBase(ProtocolHooks):
 
     # ------------------------------------------------ coordinated checkpoints
     def on_iteration_boundary(self, rank: int, iteration: int, state: Any):
-        if not self.checkpoint_interval:
+        if self.checkpoint_interval is None:
             return None
         if iteration % self.checkpoint_interval != 0:
             return None

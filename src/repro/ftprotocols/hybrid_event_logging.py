@@ -19,10 +19,10 @@ send-deterministic workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.core.config import HydEEConfig
 from repro.core.protocol import HydEEProtocol
+from repro.ftprotocols.base import DETERMINANT_BYTES, DETERMINANT_LATENCY_S
 from repro.simulator.messages import Message
 from repro.simulator.protocol_api import add_metric
 
@@ -32,22 +32,13 @@ class HybridEventLoggingProtocol(HydEEProtocol):
 
     name = "hybrid-event-logging"
 
-    def __init__(
-        self,
-        config: Optional[HydEEConfig] = None,
-        determinant_latency_s: float = 1.0e-6,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(config=config, **kwargs)
-        self.determinant_latency_s = determinant_latency_s
-
     def on_app_deliver(self, rank: int, message: Message) -> float:
         overhead = super().on_app_deliver(rank, message)
         self.pstats.determinants_logged += 1
-        self.pstats.determinant_bytes += 24
-        return overhead + self.determinant_latency_s
+        self.pstats.determinant_bytes += DETERMINANT_BYTES
+        return overhead + DETERMINANT_LATENCY_S
 
     def extra_metrics(self) -> Dict[str, Any]:
         info = super().extra_metrics()
-        add_metric(info, "determinant_latency_s", self.determinant_latency_s)
+        add_metric(info, "determinant_latency_s", DETERMINANT_LATENCY_S)
         return info

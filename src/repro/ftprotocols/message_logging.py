@@ -13,11 +13,12 @@ Cost model:
 
 * the payload copy costs the (mostly overlapped) memcpy time of the network
   model, like HydEE's logging;
-* determinant logging costs ``determinant_latency_s`` per delivery, modelling
+* determinant logging costs ``DETERMINANT_LATENCY_S`` per delivery, modelling
   the synchronous write to reliable storage that pessimistic protocols
   require (the paper cites [29] for the magnitude of this cost);
-* every message carries a small piggybacked per-channel sequence number used
-  for duplicate suppression during recovery.
+* every message carries a piggybacked per-channel sequence number
+  (``PIGGYBACK_BYTES`` on the wire) used for duplicate suppression during
+  recovery.
 
 Recovery ordering note: the real protocol replays messages in the order
 recorded by the determinants.  The workloads in this repository are
@@ -39,9 +40,14 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro.core.message_log import SenderLog
 from repro.errors import ProtocolError
-from repro.ftprotocols.base import ClusteredProtocolBase
+from repro.ftprotocols.base import (
+    DETERMINANT_BYTES, DETERMINANT_LATENCY_S, ClusteredProtocolBase
+)
 from repro.simulator.messages import Message
 from repro.simulator.protocol_api import SendDecision, add_metric
+
+#: Wire size of the piggybacked per-channel sequence number.
+PIGGYBACK_BYTES = 8
 
 
 class _RankLogState:
@@ -100,15 +106,11 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         self,
         checkpoint_interval: Optional[int] = None,
         checkpoint_size_bytes: int = 16 * 1024 * 1024,
-        determinant_latency_s: float = 1.0e-6,
-        piggyback_bytes: int = 8,
     ) -> None:
         super().__init__(
             checkpoint_interval=checkpoint_interval,
             checkpoint_size_bytes=checkpoint_size_bytes,
         )
-        self.determinant_latency_s = determinant_latency_s
-        self.piggyback_bytes = piggyback_bytes
         self.rank_state: Dict[int, _RankLogState] = {}
 
     # ------------------------------------------------------------- lifecycle
@@ -127,12 +129,12 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         seq = state.send_seq.get(message.dest, 0) + 1
         state.send_seq[message.dest] = seq
         message.piggyback["seq"] = seq
-        message.piggyback_bytes = self.piggyback_bytes
+        message.piggyback_bytes = PIGGYBACK_BYTES
         message.inter_cluster = True  # every channel crosses a (singleton) cluster
         state.log.add(message.dest, seq, 0, message)
         self.pstats.logged_messages += 1
         self.pstats.logged_bytes += message.size_bytes
-        self.pstats.piggyback_bytes += self.piggyback_bytes
+        self.pstats.piggyback_bytes += PIGGYBACK_BYTES
         extra_cpu = self.sim.network.memcpy_time(message.size_bytes)
         return SendDecision.send(extra_cpu)
 
@@ -183,10 +185,10 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
             state.recv_seq[message.source] = max(state.recv_seq.get(message.source, 0), seq)
         state.determinants += 1
         self.pstats.determinants_logged += 1
-        self.pstats.determinant_bytes += 24
+        self.pstats.determinant_bytes += DETERMINANT_BYTES
         # Pessimistic protocols block the delivery until the determinant is
         # safely logged; charge that latency to the receiver.
-        return self.determinant_latency_s
+        return DETERMINANT_LATENCY_S
 
     # ------------------------------------------------------------ checkpoints
     def _checkpoint_payload(self, rank: int) -> Dict[str, Any]:
@@ -286,6 +288,6 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
 
     def extra_metrics(self) -> Dict[str, Any]:
         info = super().extra_metrics()
-        add_metric(info, "determinant_latency_s", self.determinant_latency_s)
+        add_metric(info, "determinant_latency_s", DETERMINANT_LATENCY_S)
         add_metric(info, "log_memory_bytes", sum(self.memory_usage_bytes().values()))
         return info

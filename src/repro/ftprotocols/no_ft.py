@@ -2,8 +2,8 @@
 
 This protocol piggybacks nothing, logs nothing and never checkpoints; it is
 the reference against which Figures 5 and 6 normalise HydEE's overhead.  A
-failure is fatal: the simulation reports the affected ranks and, by default,
-raises, because a pure MPI application cannot survive a fail-stop failure.
+failure is fatal: the protocol records the affected ranks and raises, because
+a pure MPI application cannot survive a fail-stop failure.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ class NoFaultToleranceProtocol(ProtocolHooks):
 
     name = "mpich2-native"
 
-    def __init__(self, abort_on_failure: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.abort_on_failure = abort_on_failure
         self.failed_ranks: list[int] = []
 
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:
         self.failed_ranks.extend(sorted(failed_ranks))
-        if self.abort_on_failure:
-            raise ProtocolError(
-                f"rank(s) {sorted(failed_ranks)} failed at t={time:.6f}s and the application "
-                "runs without fault tolerance; the execution cannot continue"
-            )
+        raise ProtocolError(
+            f"rank(s) {sorted(failed_ranks)} failed at t={time:.6f}s and the application "
+            "runs without fault tolerance; the execution cannot continue"
+        )
 
     def extra_metrics(self) -> Dict[str, Any]:
         info = dict(super().extra_metrics())

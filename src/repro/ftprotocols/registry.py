@@ -6,9 +6,9 @@ options such as ``--protocol hydee`` map onto protocol objects uniformly.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List
 
-from repro.core.config import HydEEConfig
 from repro.core.protocol import HydEEProtocol
 from repro.errors import ConfigurationError
 from repro.ftprotocols.coordinated import CoordinatedCheckpointProtocol
@@ -17,29 +17,15 @@ from repro.ftprotocols.message_logging import FullMessageLoggingProtocol
 from repro.ftprotocols.no_ft import NoFaultToleranceProtocol
 from repro.simulator.protocol_api import ProtocolHooks
 
-
-def _make_hydee(**kwargs: Any) -> HydEEProtocol:
-    config = kwargs.pop("config", None)
-    if config is not None and not isinstance(config, HydEEConfig):
-        raise ConfigurationError("config must be a HydEEConfig")
-    return HydEEProtocol(config=config, **kwargs) if config is None else HydEEProtocol(config)
-
-
-def _make_hydee_log_all(**kwargs: Any) -> HydEEProtocol:
-    """The "Message Logging" series of Figure 6: HydEE mechanisms, all
-    message payloads logged (clusters are irrelevant to the logged volume)."""
-    kwargs.setdefault("log_all_messages", True)
-    return HydEEProtocol(config=HydEEConfig(**kwargs))
-
-
 _FACTORIES: Dict[str, Callable[..., ProtocolHooks]] = {
-    "native": lambda **kw: NoFaultToleranceProtocol(**kw),
-    "mpich2-native": lambda **kw: NoFaultToleranceProtocol(**kw),
-    "hydee": _make_hydee,
-    "hydee-log-all": _make_hydee_log_all,
-    "coordinated": lambda **kw: CoordinatedCheckpointProtocol(**kw),
-    "message-logging": lambda **kw: FullMessageLoggingProtocol(**kw),
-    "hybrid-event-logging": lambda **kw: HybridEventLoggingProtocol(**kw),
+    "native": NoFaultToleranceProtocol,
+    "hydee": HydEEProtocol,
+    # The "Message Logging" series of Figure 6: HydEE mechanisms, every
+    # message payload logged (clusters are irrelevant to the logged volume).
+    "hydee-log-all": partial(HydEEProtocol, log_all_messages=True),
+    "coordinated": CoordinatedCheckpointProtocol,
+    "message-logging": FullMessageLoggingProtocol,
+    "hybrid-event-logging": HybridEventLoggingProtocol,
 }
 
 

@@ -138,10 +138,8 @@ def resolve_clusters(
                 f"clustering method {clustering.method!r} needs a non-flat "
                 "network.topology in the scenario spec"
             )
-        if clustering.method in ("topology", "topology-cluster"):
-            return aligned_clusters(topo, granularity="cluster")
-        if clustering.method == "topology-node":
-            return aligned_clusters(topo, granularity="node")
+        if clustering.method == "topology":
+            return aligned_clusters(topo)
         return misaligned_clusters(topo, clustering.num_clusters)
     # Graph-partitioning methods need the workload's analytic matrix.
     app = build_application(workload)

@@ -74,10 +74,9 @@ class ClusteringSpec:
     scenario's physical :class:`TopologySpec` (they require a non-flat
     ``network.topology``):
 
-    * ``"topology"`` / ``"topology-cluster"`` -- one protocol cluster per
-      physical cluster (aligned placement: inter-cluster logging traffic is
-      exactly the traffic crossing the oversubscribed fabric),
-    * ``"topology-node"``       -- one protocol cluster per physical node,
+    * ``"topology"``            -- one protocol cluster per physical cluster
+      (aligned placement: inter-cluster logging traffic is exactly the
+      traffic crossing the oversubscribed fabric),
     * ``"topology-misaligned"`` -- deal ranks round-robin across
       ``num_clusters`` (default: the physical cluster count) so every
       protocol cluster straddles every physical cluster (the adversarial
@@ -92,7 +91,7 @@ class ClusteringSpec:
 
     _METHODS = (
         "none", "explicit", "block", "partition", "preset",
-        "topology", "topology-cluster", "topology-node", "topology-misaligned",
+        "topology", "topology-misaligned",
     )
 
     def __post_init__(self) -> None:

@@ -15,7 +15,7 @@ specs, one per grid point::
 
 Paths address nested spec dataclasses (``workload.nprocs``) and entries of
 their mapping fields (``workload.params.message_scale``,
-``config.restart_delay_s``, ``tags.label``).  Each produced spec gets a unique
+``config.record_trace_events``, ``tags.label``).  Each produced spec gets a unique
 name derived from the base name and its grid coordinates.
 """
 

@@ -20,7 +20,7 @@ ranks deterministically (see :mod:`repro.workloads.base`).
 """
 
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.messages import Message, MessageKind, ANY_SOURCE, ANY_TAG
+from repro.simulator.messages import Message, ANY_SOURCE, ANY_TAG
 from repro.simulator.network import (
     NetworkModel,
     MyrinetMXModel,
@@ -39,7 +39,6 @@ from repro.simulator.simulation import Simulation, SimulationConfig, SimulationR
 __all__ = [
     "SimulationEngine",
     "Message",
-    "MessageKind",
     "ANY_SOURCE",
     "ANY_TAG",
     "NetworkModel",

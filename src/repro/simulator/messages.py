@@ -1,9 +1,10 @@
 """Message objects and matching semantics for the MPI simulation substrate.
 
-The simulator distinguishes *application* messages (generated by workloads and
-collectives and visible to fault-tolerance protocols) from *control* messages
-(rollback notifications, recovery-process traffic) which the paper's protocol
-exchanges outside the application channels.
+A :class:`Message` is an *application* message (generated by workloads and
+collectives and visible to fault-tolerance protocols); the *control* messages
+the paper's protocol exchanges outside the application channels (rollback
+notifications, recovery-process traffic) are
+:class:`repro.simulator.protocol_api.ControlMessage` instead.
 
 A message carries both a payload (arbitrary Python object) and a byte size
 used by the network model: the paper's overheads are functions of the wire
@@ -16,7 +17,6 @@ resulting extra wire bytes are accounted by
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import Any, Dict, Optional
 
 #: Wildcard source rank, mirroring ``MPI_ANY_SOURCE``.
@@ -26,16 +26,6 @@ ANY_SOURCE: int = -1
 ANY_TAG: int = -1
 
 _MESSAGE_COUNTER = itertools.count(1)
-
-
-class MessageKind(Enum):
-    """Classification of simulated messages."""
-
-    #: Point-to-point message issued by application code, directly or as
-    #: one of the messages a collective decomposes into.
-    APP = "app"
-    #: Protocol control message (rollback notification, recovery traffic...).
-    CONTROL = "control"
 
 
 class Message:
@@ -56,8 +46,6 @@ class Message:
         The Python object transported.  For synthetic workloads this is often
         a small token rather than a real buffer; correctness checks compare
         payloads between reference and recovered executions.
-    kind:
-        One of :class:`MessageKind`.
 
     Further attributes (filled in as the message moves through the system):
     ``msg_id`` (unique, monotonically increasing identifier), ``piggyback``
@@ -77,7 +65,6 @@ class Message:
         "tag",
         "size_bytes",
         "payload",
-        "kind",
         "msg_id",
         "piggyback",
         "piggyback_bytes",
@@ -93,7 +80,6 @@ class Message:
         tag: int,
         size_bytes: int,
         payload: Any = None,
-        kind: MessageKind = MessageKind.APP,
         msg_id: Optional[int] = None,
         piggyback: Optional[Dict[str, Any]] = None,
         piggyback_bytes: int = 0,
@@ -103,7 +89,6 @@ class Message:
         self.tag = tag
         self.size_bytes = size_bytes
         self.payload = payload
-        self.kind = kind
         self.msg_id = next(_MESSAGE_COUNTER) if msg_id is None else msg_id
         self.piggyback = {} if piggyback is None else piggyback
         self.piggyback_bytes = piggyback_bytes
@@ -136,7 +121,6 @@ class Message:
             tag=self.tag,
             size_bytes=self.size_bytes,
             payload=self.payload,
-            kind=self.kind,
         )
         clone.piggyback = dict(self.piggyback)
         clone.piggyback_bytes = self.piggyback_bytes
@@ -153,5 +137,5 @@ class Message:
         extra = f" [{','.join(flags)}]" if flags else ""
         return (
             f"Message(#{self.msg_id} {self.source}->{self.dest} tag={self.tag} "
-            f"size={self.size_bytes}B kind={self.kind.value}{extra})"
+            f"size={self.size_bytes}B{extra})"
         )

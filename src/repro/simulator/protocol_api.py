@@ -294,17 +294,21 @@ class ControlMessage:
 RECOVERY_PROCESS = -2
 
 
+#: Latency of protocol control messages.
+CONTROL_LATENCY_S = 2.0e-6
+
+
 class ControlPlane:
-    """Delivers protocol control messages with a configurable latency.
+    """Delivers protocol control messages with a fixed latency.
 
     Control messages do not traverse the application FIFO channels; they are
     delivered to a single protocol callback.  The plane keeps counters so
     experiments can report the volume of recovery traffic.
     """
 
-    def __init__(self, engine, latency_s: float = 2.0e-6) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self.latency_s = latency_s
+        self.latency_s = CONTROL_LATENCY_S
         self.messages_sent = 0
         self.bytes_sent = 0
         self._handler = None
@@ -321,7 +325,6 @@ class ControlPlane:
         kind: str,
         data: Any = None,
         size_bytes: int = 32,
-        extra_delay: float = 0.0,
     ) -> None:
         msg = ControlMessage(sender=sender, dest=dest, kind=kind, data=data, size_bytes=size_bytes)
         self.messages_sent += 1
@@ -329,11 +332,9 @@ class ControlPlane:
         if self._handler is None:
             raise RuntimeError("control plane has no handler; protocol not attached")
         if self._buffer is not None:
-            self._buffer.append(
-                (self._engine.now + self.latency_s + extra_delay, msg)
-            )
+            self._buffer.append((self._engine.now + self.latency_s, msg))
             return
-        self._engine.post(self.latency_s + extra_delay, self._handler, msg)
+        self._engine.post(self.latency_s, self._handler, msg)
 
     # ------------------------------------------------- buffered fast path
     def begin_buffering(self) -> None:

@@ -50,6 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _PENDING = RequestState.PENDING
 _COMPLETE = RequestState.COMPLETE
 
+#: Delay charged when a rank restarts from a checkpoint.
+RESTART_DELAY_S = 1.0e-3
+#: Stable-storage write bandwidth for checkpoints.
+CHECKPOINT_WRITE_BANDWIDTH = 1.0e9
+
 
 @dataclass
 class SimulationConfig:
@@ -59,12 +64,6 @@ class SimulationConfig:
     network: Optional[NetworkModel] = None
     #: Record individual communication events (disable for large sweeps).
     record_trace_events: bool = True
-    #: Delay charged when a rank restarts from a checkpoint.
-    restart_delay_s: float = 1.0e-3
-    #: Latency of protocol control messages.
-    control_latency_s: float = 2.0e-6
-    #: Stable-storage write bandwidth for checkpoints (None = free writes).
-    checkpoint_write_bandwidth: Optional[float] = 1.0e9
     #: Raise :class:`~repro.errors.DeadlockError` when the queue empties
     #: before every rank has finished.
     raise_on_incomplete: bool = True
@@ -131,10 +130,10 @@ class Simulation:
         self.trace = TraceRecorder(record_events=self.config.record_trace_events)
         self.stats = SimulationStatistics()
         self.storage = StableStorage(
-            write_bandwidth_bytes_per_s=self.config.checkpoint_write_bandwidth,
+            write_bandwidth_bytes_per_s=CHECKPOINT_WRITE_BANDWIDTH,
             snapshot_strategy=snapshot_strategy_for(application),
         )
-        self.control = ControlPlane(self.engine, latency_s=self.config.control_latency_s)
+        self.control = ControlPlane(self.engine)
         self.protocol: ProtocolHooks = protocol or ProtocolHooks()
         # Arrival binding: only a protocol that overrides the arrival hook
         # (message logging) is asked about every arrival; otherwise the
@@ -347,11 +346,10 @@ class Simulation:
     def drop_in_flight(self, involving: Set[int]) -> List[Message]:
         return self.transport.drop_messages(involving=involving)
 
-    def purge_undelivered_from(self, sources: Set[int], at_ranks: Optional[Iterable[int]] = None) -> int:
+    def purge_undelivered_from(self, sources: Set[int]) -> int:
         """Purge unexpected-queue messages sent by ``sources`` at alive ranks."""
-        targets = self.ranks.values() if at_ranks is None else [self.ranks[r] for r in at_ranks]
         purged = 0
-        for proc in targets:
+        for proc in self.ranks.values():
             if proc.state is not RankState.FAILED:
                 purged += proc.purge_messages_from(sources)
         return purged
@@ -367,7 +365,7 @@ class Simulation:
         count rewinds to the checkpoint's, the length of its logical sequence."""
         proc = self.ranks[rank]
         was_done = proc.done
-        proc.restart_from_checkpoint(iteration, app_state, self.config.restart_delay_s)
+        proc.restart_from_checkpoint(iteration, app_state, RESTART_DELAY_S)
         if was_done:
             # The rank had finished but is dragged back by a rollback; it will
             # finish again at the end of recovery.

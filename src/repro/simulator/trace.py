@@ -33,7 +33,6 @@ class CommunicationRecord:
     tag: int
     size_bytes: int
     msg_id: int
-    kind: str
     replayed: bool = False
     inter_cluster: Optional[bool] = None
     phase: Optional[int] = None
@@ -116,7 +115,6 @@ class TraceRecorder:
                     tag=message.tag,
                     size_bytes=message.size_bytes,
                     msg_id=message.msg_id,
-                    kind=message.kind.value,
                     replayed=message.replayed,
                     inter_cluster=message.inter_cluster,
                     phase=message.piggyback.get("phase"),
@@ -135,7 +133,6 @@ class TraceRecorder:
                     tag=message.tag,
                     size_bytes=message.size_bytes,
                     msg_id=message.msg_id,
-                    kind=message.kind.value,
                     replayed=message.replayed,
                     inter_cluster=message.inter_cluster,
                     phase=message.piggyback.get("phase"),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import HydEEConfig
 from repro.core.protocol import HydEEProtocol
 from repro.simulator.engine import Condition
 from repro.simulator.failures import FailureEvent, FailureInjector
@@ -53,13 +52,12 @@ def hydee16(four_clusters_16):
     """HydEE protocol factory for the 16-rank stencil."""
 
     def make(checkpoint_interval: int = 2, **kwargs):
-        config = HydEEConfig(
+        return HydEEProtocol(
             clusters=four_clusters_16,
             checkpoint_interval=checkpoint_interval,
             checkpoint_size_bytes=64 * 1024,
             **kwargs,
         )
-        return HydEEProtocol(config)
 
     return make
 

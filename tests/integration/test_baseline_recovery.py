@@ -12,10 +12,10 @@ from repro import (
     CoordinatedCheckpointProtocol,
     FullMessageLoggingProtocol,
     HybridEventLoggingProtocol,
-    HydEEConfig,
     HydEEProtocol,
     Simulation,
 )
+from repro.ftprotocols.base import DETERMINANT_LATENCY_S
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.simulator.protocol_api import ProtocolHooks
 from repro.workloads import PipelineApplication, RingApplication, Stencil2DApplication
@@ -79,7 +79,7 @@ class TestFullMessageLogging:
         result = run(STENCIL, protocol)
         assert result.stats.logged_messages == result.stats.app_messages
         assert protocol.pstats.determinants_logged == result.stats.app_messages
-        assert protocol.determinant_latency_s > 0
+        assert result.metric("protocol.determinant_latency_s") == DETERMINANT_LATENCY_S > 0
 
     def test_duplicate_suppression_counts(self):
         protocol = FullMessageLoggingProtocol(checkpoint_interval=2,
@@ -112,7 +112,7 @@ class TestFullMessageLogging:
     def test_memory_footprint_larger_than_hydee(self):
         full = FullMessageLoggingProtocol(checkpoint_interval=None)
         run(STENCIL, full)
-        hydee = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
+        hydee = HydEEProtocol(clusters=CLUSTERS16)
         run(STENCIL, hydee)
         assert (
             sum(full.memory_usage_bytes().values())
@@ -125,8 +125,7 @@ class TestHybridEventLogging:
     def test_recovery_matches_reference_and_logs_determinants(self):
         reference = run(STENCIL)
         protocol = HybridEventLoggingProtocol(
-            HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                        checkpoint_size_bytes=16 * 1024)
+            clusters=CLUSTERS16, checkpoint_interval=2, checkpoint_size_bytes=16 * 1024
         )
         result = run(STENCIL, protocol,
                      FailureInjector([FailureEvent(ranks=[5], at_iteration=5)]))
@@ -136,8 +135,8 @@ class TestHybridEventLogging:
         assert protocol.pstats.determinants_logged > 0
 
     def test_costs_at_least_as_much_as_hydee(self):
-        hydee = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
-        hybrid = HybridEventLoggingProtocol(HydEEConfig(clusters=CLUSTERS16))
+        hydee = HydEEProtocol(clusters=CLUSTERS16)
+        hybrid = HybridEventLoggingProtocol(clusters=CLUSTERS16)
         hydee_result = run(STENCIL, hydee)
         hybrid_result = run(STENCIL, hybrid)
         assert hybrid_result.makespan > hydee_result.makespan
@@ -148,9 +147,9 @@ class TestContainmentComparison:
     def test_rollback_extent_ordering(self):
         """message logging (1 rank) < HydEE (one cluster) < coordinated (all)."""
         failure = lambda: FailureInjector([FailureEvent(ranks=[5], at_iteration=5)])
-        hydee = run(STENCIL, HydEEProtocol(HydEEConfig(clusters=CLUSTERS16,
-                                                       checkpoint_interval=2,
-                                                       checkpoint_size_bytes=16 * 1024)),
+        hydee = run(STENCIL, HydEEProtocol(clusters=CLUSTERS16,
+                                           checkpoint_interval=2,
+                                           checkpoint_size_bytes=16 * 1024),
                     failure())
         logging_ = run(STENCIL, FullMessageLoggingProtocol(checkpoint_interval=2,
                                                            checkpoint_size_bytes=16 * 1024),
@@ -164,7 +163,7 @@ class TestContainmentComparison:
 
     def test_logged_volume_ordering(self):
         """coordinated (0) < HydEE (inter-cluster only) < full message logging."""
-        hydee = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
+        hydee = HydEEProtocol(clusters=CLUSTERS16)
         full = FullMessageLoggingProtocol()
         coordinated = CoordinatedCheckpointProtocol()
         r_hydee = run(STENCIL, hydee)
@@ -178,7 +177,7 @@ class TestArrivalBinding:
     """A protocol is asked about each arrival only if it overrides the hook."""
 
     @pytest.mark.parametrize("protocol", [lambda: None,
-                                          lambda: HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))],
+                                          lambda: HydEEProtocol(clusters=CLUSTERS16)],
                              ids=["none", "hydee"])
     def test_default_hook_is_never_called_per_arrival(self, monkeypatch, protocol):
         arrivals = []

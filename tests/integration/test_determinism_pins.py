@@ -21,7 +21,6 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.core.config import HydEEConfig
 from repro.core.protocol import HydEEProtocol
 from repro.ftprotocols.coordinated import CoordinatedCheckpointProtocol
 from repro.ftprotocols.message_logging import FullMessageLoggingProtocol
@@ -43,11 +42,9 @@ CLUSTERS8 = [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 def _hydee(clusters, interval):
     return HydEEProtocol(
-        HydEEConfig(
-            clusters=clusters,
-            checkpoint_interval=interval,
-            checkpoint_size_bytes=16 * 1024,
-        )
+        clusters=clusters,
+        checkpoint_interval=interval,
+        checkpoint_size_bytes=16 * 1024,
     )
 
 

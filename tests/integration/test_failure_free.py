@@ -11,7 +11,6 @@ from repro import (
     CoordinatedCheckpointProtocol,
     FullMessageLoggingProtocol,
     HybridEventLoggingProtocol,
-    HydEEConfig,
     HydEEProtocol,
     Simulation,
 )
@@ -49,8 +48,8 @@ WORKLOADS = {
 def test_hydee_is_transparent_failure_free(workload):
     factory = WORKLOADS[workload]
     reference = run(factory)
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                                         checkpoint_size_bytes=4096))
+    protocol = HydEEProtocol(clusters=CLUSTERS16, checkpoint_interval=2,
+                             checkpoint_size_bytes=4096)
     result = run(factory, protocol)
     assert result.completed
     assert result.rank_results == reference.rank_results
@@ -63,9 +62,9 @@ def test_hydee_is_transparent_failure_free(workload):
                                               checkpoint_size_bytes=4096),
         lambda: FullMessageLoggingProtocol(checkpoint_interval=2,
                                            checkpoint_size_bytes=4096),
-        lambda: HybridEventLoggingProtocol(HydEEConfig(clusters=CLUSTERS16,
-                                                       checkpoint_interval=2,
-                                                       checkpoint_size_bytes=4096)),
+        lambda: HybridEventLoggingProtocol(clusters=CLUSTERS16,
+                                           checkpoint_interval=2,
+                                           checkpoint_size_bytes=4096),
     ],
     ids=["coordinated", "message-logging", "hybrid-event-logging"],
 )
@@ -79,7 +78,7 @@ def test_baselines_are_transparent_failure_free(protocol_factory):
 
 def test_hydee_logs_only_inter_cluster_messages():
     factory = WORKLOADS["stencil2d"]
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
+    protocol = HydEEProtocol(clusters=CLUSTERS16)
     result = run(factory, protocol)
     check_logged_messages_inter_cluster(protocol)
     assert 0 < result.stats.logged_messages < result.stats.app_messages
@@ -88,21 +87,21 @@ def test_hydee_logs_only_inter_cluster_messages():
 
 def test_hydee_log_all_logs_everything():
     factory = WORKLOADS["stencil2d"]
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16, log_all_messages=True))
+    protocol = HydEEProtocol(clusters=CLUSTERS16, log_all_messages=True)
     result = run(factory, protocol)
     assert result.stats.logged_messages == result.stats.app_messages
 
 
 def test_single_cluster_logs_nothing():
     factory = WORKLOADS["ring"]
-    protocol = HydEEProtocol(HydEEConfig(clusters=None))
+    protocol = HydEEProtocol(clusters=None)
     result = run(factory, protocol)
     assert result.stats.logged_messages == 0
 
 
 def test_phase_lemmas_hold_on_failure_free_trace():
     factory = WORKLOADS["pipeline"]
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
+    protocol = HydEEProtocol(clusters=CLUSTERS16)
     app = factory()
     sim = Simulation(app, nprocs=app.nprocs, protocol=protocol)
     result = sim.run()
@@ -115,7 +114,7 @@ def test_phase_lemmas_hold_on_failure_free_trace():
 def test_phases_grow_along_pipeline():
     """The pipeline's long happened-before chains must raise phases cluster by
     cluster (each inter-cluster hop adds at least one, Lemma 3)."""
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))
+    protocol = HydEEProtocol(clusters=CLUSTERS16)
     app = PipelineApplication(nprocs=16, iterations=1)
     Simulation(app, nprocs=16, protocol=protocol).run()
     assert protocol.phase_of(15) >= protocol.phase_of(0) + 3
@@ -123,8 +122,8 @@ def test_phases_grow_along_pipeline():
 
 def test_coordinated_checkpoints_are_saved_per_cluster():
     factory = WORKLOADS["stencil2d"]
-    protocol = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                                         checkpoint_size_bytes=4096))
+    protocol = HydEEProtocol(clusters=CLUSTERS16, checkpoint_interval=2,
+                             checkpoint_size_bytes=4096)
     app = factory()
     sim = Simulation(app, nprocs=app.nprocs, protocol=protocol)
     sim.run()
@@ -137,18 +136,12 @@ def test_coordinated_checkpoints_are_saved_per_cluster():
 
 def test_garbage_collection_reclaims_log_memory():
     factory = lambda: Stencil2DApplication(nprocs=16, iterations=8)
-    with_gc = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                                        checkpoint_size_bytes=4096,
-                                        garbage_collect_logs=True))
-    without_gc = HydEEProtocol(HydEEConfig(clusters=CLUSTERS16, checkpoint_interval=2,
-                                           checkpoint_size_bytes=4096,
-                                           garbage_collect_logs=False))
-    run(factory, with_gc)
-    run(factory, without_gc)
-    assert with_gc.pstats.gc_reclaimed_bytes > 0
-    assert sum(with_gc.memory_usage_bytes().values()) < sum(
-        without_gc.memory_usage_bytes().values()
-    )
+    protocol = HydEEProtocol(clusters=CLUSTERS16, checkpoint_interval=2,
+                             checkpoint_size_bytes=4096)
+    run(factory, protocol)
+    assert protocol.pstats.gc_reclaimed_bytes > 0
+    # Without garbage collection the live log would hold every logged byte.
+    assert sum(protocol.memory_usage_bytes().values()) < protocol.pstats.logged_bytes
 
 
 def test_protocol_overhead_is_small_but_nonzero():
@@ -156,7 +149,7 @@ def test_protocol_overhead_is_small_but_nonzero():
     few percent, and no more than logging every message."""
     factory = lambda: make_nas_application("lu", nprocs=16, iterations=2)
     native = run(factory).makespan
-    hydee = run(factory, HydEEProtocol(HydEEConfig(clusters=CLUSTERS16))).makespan
-    log_all = run(factory, HydEEProtocol(HydEEConfig(log_all_messages=True))).makespan
+    hydee = run(factory, HydEEProtocol(clusters=CLUSTERS16)).makespan
+    log_all = run(factory, HydEEProtocol(log_all_messages=True)).makespan
     assert native < hydee <= log_all * 1.0001
     assert hydee / native < 1.05

@@ -711,7 +711,6 @@ class TestGuardWindowTrace:
                     rec.dest,
                     rec.tag,
                     rec.size_bytes,
-                    rec.kind,
                     rec.replayed,
                     rec.inter_cluster,
                     rec.phase,
@@ -780,13 +779,9 @@ class TestFallbacks:
                 workload=WorkloadSpec(
                     kind="master-worker", nprocs=8, iterations=ITERATIONS
                 ),
+                # HydEE rejects a non-send-deterministic application.
                 protocol=ProtocolSpec(
-                    name="hydee",
-                    clustering=ClusteringSpec(method="block", num_clusters=2),
-                    options={
-                        "checkpoint_interval": INTERVAL,
-                        "enforce_send_determinism": False,
-                    },
+                    name="coordinated", options={"checkpoint_interval": INTERVAL}
                 ),
             ),
             execution="hybrid",

@@ -8,7 +8,7 @@ trace) the phase lemmas.
 
 import pytest
 
-from repro import HydEEConfig, HydEEProtocol, Simulation
+from repro import HydEEProtocol, Simulation
 from repro.core.invariants import check_all_recovery_invariants
 from repro.errors import DeadlockError, InvariantViolation, ProtocolError
 from repro.simulator.failures import FailureEvent, FailureInjector
@@ -31,10 +31,8 @@ def reference_run(app_factory):
 def recovery_run(app_factory, failure_events, checkpoint_interval=2, clusters=CLUSTERS16,
                  **config_kwargs):
     app = app_factory()
-    protocol = HydEEProtocol(
-        HydEEConfig(clusters=clusters, checkpoint_interval=checkpoint_interval,
-                    checkpoint_size_bytes=16 * 1024, **config_kwargs)
-    )
+    protocol = HydEEProtocol(clusters=clusters, checkpoint_interval=checkpoint_interval,
+                             checkpoint_size_bytes=16 * 1024, **config_kwargs)
     injector = FailureInjector(failure_events)
     result = Simulation(app, nprocs=app.nprocs, protocol=protocol, failures=injector).run()
     return result, protocol

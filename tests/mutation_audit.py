@@ -7,7 +7,9 @@ one edit there, and runs every checker against the copy:
 
 ``tier-1``
     ``python -m pytest -x -q`` (the whole suite, strike-anywhere grid
-    included);
+    included) without the two tests that run repro-lint over the tree
+    (``SHIPPED_TREE_LINT``): they are the next column, and with them every
+    lint finding would read as a tier-1 catch too;
 ``repro-lint``
     ``python -m repro.lint src/repro``.
 
@@ -15,7 +17,7 @@ A checker *catches* an edit when it exits non-zero (or runs past its
 timeout).  The first row is the unmutated checkout, which every checker must
 pass.  Run from the repository root::
 
-    python -m tests.mutation_audit    # every entry, about 15 min
+    python -m tests.mutation_audit    # every entry, about 30 min
 
 Exit status: 0 when the baseline row passes every checker and every entry is
 caught by at least one; 1 otherwise; 2 when an entry's ``old`` text is not
@@ -142,6 +144,46 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "",
     ),
     Mutant(
+        "ckpt-option-checks-reverted",
+        "coordinated and message logging accept a checkpoint interval below 1",
+        "src/repro/ftprotocols/base.py",
+        """        if checkpoint_interval is not None and checkpoint_interval < 1:
+            raise ConfigurationError("checkpoint_interval must be >= 1 or None")
+        if checkpoint_size_bytes < 0:
+            raise ConfigurationError("checkpoint_size_bytes must be >= 0")
+""",
+        "",
+    ),
+    Mutant(
+        "rl03-rollback-set-order",
+        "HydEE sends its rollback notifications in set order (iteration order)",
+        "src/repro/core/protocol.py",
+        """        for rank in sorted(rolled):
+""",
+        """        for rank in rolled:
+""",
+    ),
+    Mutant(
+        "rl04-bare-store-write",
+        "the results store is written with a bare open(), not an atomic replace",
+        "src/repro/campaign/store.py",
+        """            atomic_write_text(path, _HEADER + body + _trailer(body.encode("utf-8")))
+""",
+        """            with open(path, "w") as handle:
+                handle.write(_HEADER + body + _trailer(body.encode("utf-8")))
+""",
+    ),
+    Mutant(
+        "rl02-unkeyed-fault-rng",
+        "fault traces draw from an unkeyed random.Random()",
+        "src/repro/faults/trace.py",
+        """        rng = derive_rng("repro.faults.trace", spec_key, nprocs, label)
+""",
+        """        from random import Random
+        rng = Random()
+""",
+    ),
+    Mutant(
         "probe-verifies-nothing",
         "the batching probe returns its last delta without comparing it to the first",
         "src/repro/simulator/hybrid.py",
@@ -153,9 +195,17 @@ CATALOGUE: Tuple[Mutant, ...] = (
 )
 
 
+SHIPPED_TREE_LINT = (
+    "tests/unit/test_lint.py::TestShippedTree::test_shipped_tree_is_clean",
+    "tests/unit/test_lint.py::TestShippedTree::test_cli_exits_zero_on_shipped_tree",
+)
+
 #: checker name -> command, run in the mutated copy.
 CHECKERS: Dict[str, List[str]] = {
-    "tier-1": [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+    "tier-1": [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        *(arg for test in SHIPPED_TREE_LINT for arg in ("--deselect", test)),
+    ],
     "repro-lint": [sys.executable, "-m", "repro.lint", "src/repro"],
 }
 

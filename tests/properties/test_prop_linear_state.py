@@ -16,7 +16,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CoordinatedCheckpointProtocol, HydEEConfig, HydEEProtocol, Simulation
+from repro import CoordinatedCheckpointProtocol, HydEEProtocol, Simulation
 from repro.simulator.hybrid import HybridDirector
 from repro.simulator.protocol_api import delta_mismatch, linear_delta
 from repro.workloads import RingApplication
@@ -103,7 +103,7 @@ def test_the_float_tolerance_is_one_part_in_a_billion():
 
 # ------------------------------------------------------------------- apply
 PROTOCOLS = {
-    "hydee": lambda: HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])),
+    "hydee": lambda: HydEEProtocol(clusters=[[0, 1], [2, 3]]),
     "coordinated": lambda: CoordinatedCheckpointProtocol(checkpoint_interval=4),
 }
 CHANNELS = [(a, b) for a in KEYS for b in KEYS if a != b]

@@ -12,7 +12,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import HydEEConfig, HydEEProtocol, Simulation
+from repro import HydEEProtocol, Simulation
 from repro.core.invariants import (
     check_containment,
     check_recovery_equivalence,
@@ -56,11 +56,9 @@ def test_single_random_failure_recovers_correctly(
     clusters = CLUSTERINGS[clustering_index]
     reference = _reference(kind)
     protocol = HydEEProtocol(
-        HydEEConfig(
-            clusters=clusters,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_size_bytes=8 * 1024,
-        )
+        clusters=clusters,
+        checkpoint_interval=checkpoint_interval,
+        checkpoint_size_bytes=8 * 1024,
     )
     injector = FailureInjector(
         [FailureEvent(ranks=[failed_rank], at_iteration=fail_iteration)]
@@ -88,7 +86,7 @@ def test_concurrent_random_failures_recover_correctly(
     clusters = CLUSTERINGS[clustering_index]
     reference = _reference("stencil")
     protocol = HydEEProtocol(
-        HydEEConfig(clusters=clusters, checkpoint_interval=2, checkpoint_size_bytes=8 * 1024)
+        clusters=clusters, checkpoint_interval=2, checkpoint_size_bytes=8 * 1024
     )
     injector = FailureInjector(
         [FailureEvent(ranks=sorted(victims), at_iteration=fail_iteration)]
@@ -112,11 +110,9 @@ def test_failure_free_runs_are_reference_equivalent_for_any_configuration(
 ):
     reference = _reference("stencil")
     protocol = HydEEProtocol(
-        HydEEConfig(
-            clusters=CLUSTERINGS[clustering_index],
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_size_bytes=8 * 1024,
-        )
+        clusters=CLUSTERINGS[clustering_index],
+        checkpoint_interval=checkpoint_interval,
+        checkpoint_size_bytes=8 * 1024,
     )
     result = Simulation(_make_app("stencil"), nprocs=NPROCS, protocol=protocol).run()
     assert result.rank_results == reference.rank_results

@@ -1,11 +1,11 @@
 """Unit tests for HydEE's building blocks: phase clock, RPP table, sender log,
-per-rank state, configuration and the recovery orchestrator (Algorithm 4)."""
+per-rank state, option validation and the recovery orchestrator (Algorithm 4)."""
 
 import pytest
 
-from repro.core.config import HydEEConfig
 from repro.core.message_log import SenderLog
 from repro.core.phase import INITIAL_PHASE, PhaseClock
+from repro.core.protocol import HydEEProtocol
 from repro.core.recovery_process import NOTIFY_SEND_LOG, NOTIFY_SEND_MSG, RecoveryOrchestrator
 from repro.core.rpp import RPPTable
 from repro.core.state import HydEERankState
@@ -189,14 +189,12 @@ class TestHydEERankState:
         assert recovery.gate_open()
 
 
-class TestHydEEConfig:
-    def test_validation(self):
+class TestHydEEOptions:
+    def test_rejects_negative_piggyback_bytes(self):
+        # The checkpoint options are checked for every clustered protocol in
+        # test_protocols_and_analysis.py.
         with pytest.raises(ConfigurationError):
-            HydEEConfig(piggyback_bytes=-1)
-        with pytest.raises(ConfigurationError):
-            HydEEConfig(checkpoint_interval=0)
-        with pytest.raises(ConfigurationError):
-            HydEEConfig(checkpoint_size_bytes=-5)
+            HydEEProtocol(piggyback_bytes=-1)
 
 
 class TestRecoveryOrchestrator:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidOperationError
-from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message, MessageKind
+from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message
 from repro.simulator.requests import RecvRequest, RequestState, SendRequest
 
 
@@ -31,8 +31,7 @@ class TestMessage:
         assert message.total_bytes == 112
 
     def test_clone_for_replay_copies_metadata(self):
-        message = Message(source=0, dest=1, tag=3, size_bytes=64, payload="x",
-                          kind=MessageKind.APP)
+        message = Message(source=0, dest=1, tag=3, size_bytes=64, payload="x")
         message.piggyback = {"date": 4, "phase": 2}
         message.piggyback_bytes = 12
         message.inter_cluster = True

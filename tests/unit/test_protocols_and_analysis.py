@@ -6,7 +6,6 @@ from repro import (
     CoordinatedCheckpointProtocol,
     FullMessageLoggingProtocol,
     HybridEventLoggingProtocol,
-    HydEEConfig,
     HydEEProtocol,
     NoFaultToleranceProtocol,
     Simulation,
@@ -57,11 +56,28 @@ class TestRegistry:
         hydee = make_protocol("hydee", clusters=[[0, 1], [2, 3]])
         assert isinstance(hydee, HydEEProtocol)
         log_all = make_protocol("hydee-log-all")
-        assert log_all.config.log_all_messages is True
+        assert log_all.log_all_messages is True
 
     def test_unknown_protocol(self):
         with pytest.raises(ConfigurationError):
             make_protocol("unknown-protocol")
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"checkpoint_interval": 0}, {"checkpoint_interval": -2},
+         {"checkpoint_size_bytes": -5}],
+        ids=["interval-0", "interval-negative", "size-negative"],
+    )
+    @pytest.mark.parametrize(
+        "name",
+        [name for name in available_protocols()
+         if isinstance(make_protocol(name), ClusteredProtocolBase)],
+    )
+    def test_clustered_protocols_reject_bad_checkpoint_options(self, name, option):
+        # Interval 0 would never checkpoint and -2 would checkpoint at every
+        # even iteration (it % -2 == 0): both are input errors.
+        with pytest.raises(ConfigurationError):
+            make_protocol(name, **option)
 
 
 class TestNoFaultTolerance:
@@ -74,34 +90,23 @@ class TestNoFaultTolerance:
 
     def test_failure_can_be_tolerated_for_reporting(self):
         app = RingApplication(nprocs=4, iterations=2)
-        protocol = NoFaultToleranceProtocol(abort_on_failure=False)
+        protocol = NoFaultToleranceProtocol()
         injector = FailureInjector([FailureEvent(ranks=[2], time=1.0)])
-        # The failure fires after completion here, so the run still succeeds.
+        # A native run survives no failure; this strike lands after
+        # completion, so it never fires and the run still succeeds.
         result = Simulation(app, nprocs=4, protocol=protocol, failures=injector).run()
         assert result.completed
 
 
 class TestHydEEConstruction:
-    def test_config_or_kwargs_but_not_both(self):
-        with pytest.raises(ConfigurationError):
-            HydEEProtocol(HydEEConfig(), checkpoint_interval=2)
-
     def test_rejects_non_send_deterministic_application(self):
         app = MasterWorkerApplication(nprocs=4)
-        protocol = HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]]))
+        protocol = HydEEProtocol(clusters=[[0, 1], [2, 3]])
         with pytest.raises(ConfigurationError):
             Simulation(app, nprocs=4, protocol=protocol)
 
-    def test_enforcement_can_be_disabled(self):
-        app = MasterWorkerApplication(nprocs=4, tasks_per_worker=1)
-        protocol = HydEEProtocol(
-            HydEEConfig(clusters=[[0, 1], [2, 3]], enforce_send_determinism=False)
-        )
-        result = Simulation(app, nprocs=4, protocol=protocol).run()
-        assert result.completed
-
     def test_cluster_helpers(self):
-        protocol = HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]]))
+        protocol = HydEEProtocol(clusters=[[0, 1], [2, 3]])
         Simulation(RingApplication(nprocs=4, iterations=1), nprocs=4, protocol=protocol)
         assert protocol.cluster_of(0) == protocol.cluster_of(1)
         assert protocol.is_inter_cluster(1, 2)
@@ -150,7 +155,7 @@ class TestEpochStateContract:
     def test_between_recovery_lines_commits_are_linear_and_levels_steady(self):
         from repro.simulator.hybrid import HybridDirector
 
-        hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
+        hydee = self.attached(HydEEProtocol(clusters=[[0, 1], [2, 3]]))
         sim, director = hydee.sim, HybridDirector(hydee.sim)
 
         def line(bump=lambda: None):
@@ -195,7 +200,7 @@ class TestEpochStateContract:
         # Message logging keeps a real, un-collected sender log: per message.
         assert self.attached(FullMessageLoggingProtocol()).ff_epoch_snapshot() is None
         # HydEE extrapolates its own linear epoch state (clock, RPP, log volume).
-        hydee = self.attached(HydEEProtocol(HydEEConfig(clusters=[[0, 1], [2, 3]])))
+        hydee = self.attached(HydEEProtocol(clusters=[[0, 1], [2, 3]]))
         state = hydee.ff_epoch_snapshot()
         assert sorted(state) == [
             "hydee.date", "hydee.log_bytes", "hydee.log_entries", "hydee.phase",

@@ -131,8 +131,8 @@ class TestSweep:
 
     def test_with_path_sets_nested_mapping_entries(self):
         base = full_spec()
-        updated = with_path(base, "config.restart_delay_s", 2e-3)
-        assert updated.config["restart_delay_s"] == 2e-3
+        updated = with_path(base, "config.raise_on_incomplete", False)
+        assert updated.config["raise_on_incomplete"] is False
         assert updated.config["record_trace_events"] is True
         assert base.config == {"record_trace_events": True}  # base untouched
 
@@ -533,7 +533,7 @@ SPEC_FIELD_TABLE = {
                 fault_model=FaultModelSpec(params={"mtbf_s": 1.0}, horizon_s=10.0)
             ),
             "execution": dict(execution="hybrid"),
-            "config": dict(config={"restart_delay_s": 2e-3}),
+            "config": dict(config={"raise_on_incomplete": False}),
             "tags": dict(tags={"experiment": "unit-test"}),
         },
     ),

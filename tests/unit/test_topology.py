@@ -285,9 +285,6 @@ class TestPlacement:
     def test_aligned_clusters_follow_physical_clusters(self):
         topo = _two_cluster_topology()
         assert aligned_clusters(topo) == [list(range(8)), list(range(8, 16))]
-        by_node = aligned_clusters(topo, granularity="node")
-        assert len(by_node) == 4
-        assert by_node[0] == [0, 1, 2, 3]
 
     def test_misaligned_clusters_straddle_physical_clusters(self):
         topo = _two_cluster_topology()
@@ -306,7 +303,5 @@ class TestPlacement:
 
     def test_invalid_placement_arguments(self):
         topo = _two_cluster_topology()
-        with pytest.raises(ClusteringError):
-            aligned_clusters(topo, granularity="rack")
         with pytest.raises(ClusteringError):
             misaligned_clusters(topo, num_clusters=0)

@@ -474,7 +474,6 @@ class TestRepeatedAndOverlappingFailures:
 
     def test_strike_during_recovery_joins_the_session(self, stencil16):
         from tests.conftest import run_simulation
-        from repro.core.config import HydEEConfig
         from repro.core.protocol import HydEEProtocol
 
         # The second failure lands 5us after the first, inside HydEE's
@@ -483,11 +482,11 @@ class TestRepeatedAndOverlappingFailures:
             FailureEvent(ranks=[5], time=100e-6),
             FailureEvent(ranks=[9], time=105e-6),
         ])
-        protocol = HydEEProtocol(HydEEConfig(
+        protocol = HydEEProtocol(
             clusters=[[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]],
             checkpoint_interval=2,
             checkpoint_size_bytes=16 * 1024,
-        ))
+        )
         result, _ = run_simulation(stencil16(8), 16, protocol=protocol,
                                    failures=injector)
         assert injector.failure_times == [100e-6, 105e-6]
