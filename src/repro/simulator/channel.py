@@ -16,14 +16,20 @@ The transport also tracks in-flight messages so that
 * coordinated checkpointing can drain intra-cluster channels,
 * the failure injector can drop messages involving failed ranks (they are
   regenerated by re-execution or replayed from sender-based logs).
+
+An arrival is one engine event.  Given the simulation's ``ranks``, it hands
+the message straight to ``ranks[dest].deliver_message``; given a ``deliver``
+callable instead (a protocol with an arrival hook, or a bare transport), it
+calls that.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.simulator.engine import EventHandle, SimulationEngine
+from repro.errors import SimulationError
+from repro.simulator.engine import SimulationEngine
 from repro.simulator.messages import Message
 from repro.simulator.network import NetworkModel, RoutedNetworkModel
 
@@ -35,11 +41,17 @@ class Transport:
         self,
         engine: SimulationEngine,
         network: NetworkModel,
-        deliver: Callable[[Message], None],
+        deliver: Optional[Callable[[Message], None]] = None,
+        ranks: Optional[Mapping[int, Any]] = None,
     ) -> None:
+        if (deliver is None) == (ranks is None):
+            raise SimulationError("a transport delivers either to `ranks` or through `deliver`")
         self._engine = engine
         self._network = network
         self._deliver = deliver
+        self._ranks = ranks
+        #: the arrival callback, bound here once rather than per message.
+        self._arrival = self._arrive if deliver is None else self._arrive_through
         #: topology-aware facade, when the network routes over one.
         self._routed: Optional[RoutedNetworkModel] = (
             network if isinstance(network, RoutedNetworkModel) else None
@@ -54,8 +66,10 @@ class Transport:
         #: last scheduled arrival time per FIFO ``(source, dest)`` channel
         #: (for non-overtaking).
         self._channel_last_arrival: Dict[Tuple[int, int], float] = {}
-        #: in-flight ``(message, arrival event)`` pairs keyed by message id.
-        self._in_flight: Dict[int, Tuple[Message, EventHandle]] = {}
+        #: in-flight messages, in the order they were sent, each mapped to
+        #: its arrival's queue entry (the token ``engine.cancel`` takes).  A
+        #: message is its own key: the checkpoint drain counts the keys.
+        self._in_flight: Dict[Message, List[Any]] = {}
         #: flat model only: ``transfer_time`` per wire size.  It is a pure
         #: function of the size and a run sees a handful of sizes.
         self._transfer_time: Dict[int, float] = {}
@@ -86,36 +100,37 @@ class Transport:
             # never absorbed by float precision at large simulation times.
             arrival = math.nextafter(previous, math.inf)
         self._channel_last_arrival[key] = arrival
-        handle = self._engine.schedule_at(arrival, self._arrive, message)
-        self._in_flight[message.msg_id] = (message, handle)
+        self._in_flight[message] = self._engine.post_at(arrival, self._arrival, message)
         return arrival
 
     def _arrive(self, message: Message) -> None:
-        self._in_flight.pop(message.msg_id, None)
+        del self._in_flight[message]
+        self._ranks[message.dest].deliver_message(message)
+
+    def _arrive_through(self, message: Message) -> None:
+        del self._in_flight[message]
         self._deliver(message)
 
     # ------------------------------------------------------------- inspection
     def in_flight_within(self, ranks: Set[int]) -> int:
         """In-flight messages whose source *and* destination are both in ``ranks``."""
-        return sum(
-            1
-            for msg, _handle in self._in_flight.values()
-            if msg.source in ranks and msg.dest in ranks
-        )
+        return sum(1 for msg in self._in_flight if msg.source in ranks and msg.dest in ranks)
 
     # ------------------------------------------------------------------ drop
     def drop_messages(self, involving: Set[int]) -> List[Message]:
-        """Cancel in-flight messages to or from ``involving`` and return them.
+        """Cancel in-flight messages to or from ``involving`` and return them,
+        in the order they were sent.
 
         Used when ranks fail: in-flight messages to/from the failed ranks
         are lost and later regenerated or replayed from logs.
         """
-        dropped: List[Message] = []
-        for msg_id, (msg, handle) in list(self._in_flight.items()):
-            if msg.source in involving or msg.dest in involving:
-                handle.cancel()
-                del self._in_flight[msg_id]
-                dropped.append(msg)
+        in_flight = self._in_flight
+        dropped = [
+            msg for msg in in_flight if msg.source in involving or msg.dest in involving
+        ]
+        cancel = self._engine.cancel
+        for msg in dropped:
+            cancel(in_flight.pop(msg))
         return dropped
 
     # ------------------------------------------------------------------ misc

@@ -32,9 +32,15 @@ implementation deliberately avoids Python-level overhead:
   that inject many events at once (rank start-up, grouped replays,
   benchmark floods);
 * :meth:`SimulationEngine.post` is :meth:`~SimulationEngine.schedule`
-  without the :class:`EventHandle`: only the transport ever cancels, so rank
-  resumes, send completions and control messages allocate nothing that
-  nobody reads.
+  without the :class:`EventHandle`: rank resumes, send completions and
+  control messages allocate nothing that nobody reads.  The transport, the
+  one caller that cancels, queues each arrival with
+  :meth:`~SimulationEngine.post_at`, which hands back the bare queue entry
+  for :meth:`~SimulationEngine.cancel`;
+* completion is a flag, not a call: :attr:`SimulationEngine.halt` is read
+  before every event, and its owner (the simulation) rewrites it whenever
+  completion may have changed, so an exact run pays one attribute load per
+  event instead of a predicate call.
 
 Scheduled times must be finite: ``NaN`` compares false against everything,
 so a single ``NaN`` time would silently corrupt the queue ordering (and with
@@ -78,10 +84,7 @@ class EventHandle:
         self._engine = engine
 
     def cancel(self) -> None:
-        event = self._event
-        if event[_STATE] == _PENDING:
-            event[_STATE] = _CANCELLED
-            self._engine._note_cancelled()
+        self._engine.cancel(self._event)
 
     @property
     def cancelled(self) -> bool:
@@ -108,34 +111,46 @@ class SimulationEngine:
         #: the engine writes it.
         self.now: float = 0.0
         self._events_processed: int = 0
-        #: scheduled events that are neither cancelled nor executed yet.
-        self._live: int = 0
+        #: scheduled events that are neither cancelled nor executed yet.  A
+        #: plain attribute, like ``now``: the hybrid director reads it before
+        #: every event of a DES segment.  Only the engine writes it.
+        self.pending_events: int = 0
         #: cancelled events still sitting in the queue tiers.
         self._cancelled: int = 0
+        #: completion flag, read by :meth:`run` before every event: while it
+        #: is set, ``run`` stops before the next event.  The engine never
+        #: writes it; the simulation sets it when every rank is done and no
+        #: armed strike is pending.
+        self.halt: bool = False
 
     # ------------------------------------------------------------------ time
     @property
     def events_processed(self) -> int:
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        return self._live
-
     def _entry_count(self) -> int:
         """Entries physically present in the queue tiers (live + cancelled)."""
         return (len(self._drain) - self._drain_idx) + len(self._heap)
 
     def _note_cancelled(self) -> None:
-        self._live -= 1
+        self.pending_events -= 1
         self._cancelled += 1
-        if self._cancelled >= self.COMPACT_MIN_CANCELLED and self._cancelled > self._live:
+        cancelled = self._cancelled
+        if cancelled >= self.COMPACT_MIN_CANCELLED and cancelled > self.pending_events:
             self._compact()
+
+    def cancel(self, entry: List[Any]) -> None:
+        """Cancel a queue entry returned by :meth:`post_at` (or held by an
+        :class:`EventHandle`); an entry that already ran or was cancelled
+        is left alone."""
+        if entry[_STATE] == _PENDING:
+            entry[_STATE] = _CANCELLED
+            self._note_cancelled()
 
     def _compact(self) -> None:
         """Drop cancelled entries from both tiers (amortised O(n)).
 
-        Only reached from :meth:`EventHandle.cancel`, i.e. either outside
+        Only reached from :meth:`cancel`, i.e. either outside
         :meth:`run` or inside an executing callback -- both points where
         ``_drain_idx`` is synchronised, so slicing the consumed prefix off
         the drain is safe (the run loops re-read the tier attributes after
@@ -162,7 +177,7 @@ class SimulationEngine:
         self._seq += 1
         event = [self.now + delay, self._seq, callback, args, _PENDING]
         heappush(self._heap, event)
-        self._live += 1
+        self.pending_events += 1
         return EventHandle(event, self)
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -178,12 +193,21 @@ class SimulationEngine:
             )
         self._seq += 1
         heappush(self._heap, [self.now + delay, self._seq, callback, args, _PENDING])
-        self._live += 1
+        self.pending_events += 1
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
         ``time`` must be finite (no ``NaN``/``inf``) and not in the past.
+        """
+        return EventHandle(self.post_at(time, callback, *args), self)
+
+    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> List[Any]:
+        """:meth:`schedule_at` without the :class:`EventHandle`.
+
+        Same validation, same ``[time, seq, callback, args, state]`` entry,
+        same position in the ``(time, seq)`` order.  Returns the entry
+        itself, an opaque token whose only use is :meth:`cancel`.
         """
         # A single comparison chain rejects past times, NaN and +/-inf: NaN
         # compares false against everything, inf fails the right-hand bound.
@@ -198,8 +222,8 @@ class SimulationEngine:
         self._seq += 1
         event = [time, self._seq, callback, args, _PENDING]
         heappush(self._heap, event)
-        self._live += 1
-        return EventHandle(event, self)
+        self.pending_events += 1
+        return event
 
     def schedule_many(
         self, events: Iterable[Tuple[float, Callable[..., None], Tuple[Any, ...]]]
@@ -229,7 +253,7 @@ class SimulationEngine:
                 scheduled += 1
         finally:
             self._seq = seq
-            self._live += scheduled
+            self.pending_events += scheduled
 
     def advance_to(self, time: float) -> None:
         """Jump the clock forward to ``time`` without executing anything.
@@ -280,11 +304,14 @@ class SimulationEngine:
 
     # --------------------------------------------------------------- running
     def run(self, stop_predicate: Optional[Callable[[], bool]] = None) -> str:
-        """Run events until the queue is empty or ``stop_predicate`` holds.
+        """Run events until the queue is empty, :attr:`halt` is set or
+        ``stop_predicate`` holds.
 
-        Returns ``"empty"`` or ``"stopped"``.  ``stop_predicate`` is
-        consulted before *every* event (never batched away): the exact event
-        count at which a run stops is part of the determinism contract.
+        Returns ``"empty"`` or ``"stopped"``.  Before *every* event (never
+        batched away) the loop reads :attr:`halt` and then, while the flag is
+        clear, calls ``stop_predicate``: the exact event count at which a run
+        stops is part of the determinism contract.  A predicate is therefore
+        not called once the flag has stopped the run.
         """
         # The queue tiers live in locals; ``_drain_idx`` is committed before
         # each callback and every local re-read after it, because callbacks
@@ -293,7 +320,7 @@ class SimulationEngine:
         idx = self._drain_idx
         heap = self._heap
         while True:
-            if stop_predicate is not None and stop_predicate():
+            if self.halt or (stop_predicate is not None and stop_predicate()):
                 self._drain_idx = idx
                 return "stopped"
             # Pop the earliest live entry across both tiers,
@@ -323,7 +350,7 @@ class SimulationEngine:
                 break
             self._drain_idx = idx
             entry[4] = _EXECUTED
-            self._live -= 1
+            self.pending_events -= 1
             self.now = entry[0]
             self._events_processed += 1
             entry[2](*entry[3])

@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.simulator.process import RankState
 
+_FAILED = RankState.FAILED
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.simulation import Simulation
 
@@ -117,7 +119,8 @@ class FailureInjector:
         }
         #: iteration-triggered failures armed (scheduled) but not yet fired.
         #: The simulation refuses to declare completion while this is non-zero
-        #: so a failure triggered by a rank's *last* iteration still strikes.
+        #: so a failure triggered by a rank's *last* iteration still strikes;
+        #: every change is followed by ``Simulation.update_halt``.
         self.armed_fires: int = 0
         #: iteration-triggered events re-targeted to a surviving rank after
         #: their trigger rank died for good (see _retarget_dead_triggers).
@@ -184,6 +187,7 @@ class FailureInjector:
         for index in indices:
             self.status[index] = "armed"
         self.armed_fires += len(indices)
+        self._sim.update_halt()
         self._sim.engine.schedule(0.0, self._fire_armed_batch, indices)
 
     def _fire_armed_batch(self, indices: List[int]) -> None:
@@ -191,6 +195,7 @@ class FailureInjector:
         for index in indices:
             self.armed_fires -= 1
             self._fire(index)
+        self._sim.update_halt()
 
     def _fire(self, index: int) -> None:
         event = self.events[index]
@@ -205,7 +210,7 @@ class FailureInjector:
         alive = []
         for rank in event.ranks:
             proc = self._sim.ranks.get(rank)
-            if proc is not None and proc.state is not RankState.FAILED:
+            if proc is not None and proc.state is not _FAILED:
                 alive.append(rank)
         if not alive:
             return
@@ -237,13 +242,13 @@ class FailureInjector:
             if self.status[index] != "pending":
                 continue
             proc = sim.ranks.get(trigger)
-            if proc is None or proc.state is not RankState.FAILED:
+            if proc is None or proc.state is not _FAILED:
                 continue
             event = self.events[index]
             survivor = None
             for rank in event.ranks:
                 proc = sim.ranks.get(rank)
-                if proc is not None and proc.state is not RankState.FAILED:
+                if proc is not None and proc.state is not _FAILED:
                     survivor = proc
                     break
             if survivor is None:

@@ -110,6 +110,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.simulation import Simulation, SimulationResult
 
 _COMPLETE = RequestState.COMPLETE
+# Enum members read before every DES event and by every fast-forwarded send:
+# module globals, not ``EnumType.__getattr__`` loads (CPython 3.9-3.11).
+_DONE = RankState.DONE
+_BLOCKED = RankState.BLOCKED
+_SEND = SendAction.SEND
 
 #: Iterations of exact DES kept on each side of a failure injection.
 GUARD_ITERATIONS = 2
@@ -696,11 +701,11 @@ class HybridDirector:
             return False
         parked = gate.parked
         for rank, proc in sim.ranks.items():
-            if proc.state is RankState.DONE:
+            if proc.state is _DONE:
                 continue
             entry = parked.get(rank)
             if (entry is None or entry[0] != proc.incarnation
-                    or proc.state is not RankState.BLOCKED):
+                    or proc.state is not _BLOCKED):
                 return False
         return True
 
@@ -1275,7 +1280,7 @@ class HybridDirector:
         suppressed = False
         if self._send_hook:
             decision = sim.protocol.on_app_send(proc.rank, message)
-            if decision.action is not SendAction.SEND:
+            if decision.action is not _SEND:
                 raise SimulationError(
                     f"protocol {sim.protocol.name!r} tried to "
                     f"{decision.action.value} a send during fast-forward; "

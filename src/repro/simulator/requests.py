@@ -23,6 +23,14 @@ class RequestState(Enum):
     CANCELLED = "cancelled"
 
 
+# Module-level aliases: on CPython 3.9-3.11 every ``RequestState.X`` load
+# inside a function goes through ``EnumType.__getattr__`` (130-210 ns against
+# 25-60 ns for a global), and every message creates and completes requests.
+_PENDING = RequestState.PENDING
+_COMPLETE = RequestState.COMPLETE
+_CANCELLED = RequestState.CANCELLED
+
+
 class Request:
     """Base class for send and receive requests."""
 
@@ -38,7 +46,7 @@ class Request:
     def __init__(self, rank: int) -> None:
         self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
-        self.state = RequestState.PENDING
+        self.state = _PENDING
         self.completion_time: Optional[float] = None
         #: completion value (the :class:`Message` for receive requests).
         self.value: Any = None
@@ -47,11 +55,11 @@ class Request:
     # ------------------------------------------------------------------ api
     @property
     def complete(self) -> bool:
-        return self.state is RequestState.COMPLETE
+        return self.state is _COMPLETE
 
     @property
     def cancelled(self) -> bool:
-        return self.state is RequestState.CANCELLED
+        return self.state is _CANCELLED
 
     def test(self) -> bool:
         """Non-destructive completion test (``MPI_Test`` without deallocation)."""
@@ -63,9 +71,9 @@ class Request:
         Invoked immediately if already complete; a cancelled request never
         completes, so its waiters are never invoked.
         """
-        if self.state is RequestState.COMPLETE:
+        if self.state is _COMPLETE:
             callback(self)
-        elif self.state is RequestState.PENDING:
+        elif self.state is _PENDING:
             self._waiters.append(callback)
 
     # ------------------------------------------------------------- internals
@@ -74,11 +82,11 @@ class Request:
         (:meth:`RankProcess.deliver_message`, the send completion of
         :class:`Simulation`) does this inline for a PENDING request and
         leaves every other state here."""
-        if self.state is RequestState.CANCELLED:
+        if self.state is _CANCELLED:
             return
-        if self.state is RequestState.COMPLETE:
+        if self.state is _COMPLETE:
             raise InvalidOperationError(f"request {self.req_id} completed twice")
-        self.state = RequestState.COMPLETE
+        self.state = _COMPLETE
         self.value = value
         self.completion_time = time
         waiters, self._waiters = self._waiters, []
@@ -86,8 +94,8 @@ class Request:
             callback(self)
 
     def cancel(self) -> None:
-        if self.state is RequestState.PENDING:
-            self.state = RequestState.CANCELLED
+        if self.state is _PENDING:
+            self.state = _CANCELLED
             self._waiters = []
 
 
@@ -101,7 +109,7 @@ class SendRequest(Request):
         # super() chain doubles the cost of creating it.
         self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
-        self.state = RequestState.PENDING
+        self.state = _PENDING
         self.completion_time = None
         self.value = None
         self._waiters = []
@@ -120,7 +128,7 @@ class RecvRequest(Request):
         # Flat, like SendRequest.__init__.
         self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
-        self.state = RequestState.PENDING
+        self.state = _PENDING
         self.completion_time = None
         self.value = None
         self._waiters = []

@@ -13,8 +13,8 @@ that protocols need in order to implement rollback-recovery:
 * the arrival binding -- the transport hands each arriving message to
   :meth:`_on_message_arrival`, which asks ``protocol.on_message_arrival``,
   only when the protocol overrides that hook (message logging); under any
-  other protocol it hands it to :meth:`_on_plain_arrival`, straight to the
-  destination's matching,
+  other protocol the transport hands it straight to the destination rank's
+  matching,
 * :meth:`Simulation.replay_message` -- inject a message replayed from a
   sender-based log (bypasses the application, Section III-B of the paper),
 * :meth:`Simulation.kill_ranks`, :meth:`restart_rank`, :meth:`drop_in_flight`
@@ -47,8 +47,13 @@ from repro.simulator.trace import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.hybrid import Calibration, IterationGate
 
+# Enum members as module globals: on CPython 3.9-3.11 a ``SendAction.X``
+# or ``RankState.X`` load inside a function runs ``EnumType.__getattr__``.
 _PENDING = RequestState.PENDING
 _COMPLETE = RequestState.COMPLETE
+_DEFER = SendAction.DEFER
+_SUPPRESS = SendAction.SUPPRESS
+_FAILED = RankState.FAILED
 
 #: Delay charged when a rank restarts from a checkpoint.
 RESTART_DELAY_S = 1.0e-3
@@ -135,17 +140,16 @@ class Simulation:
         )
         self.control = ControlPlane(self.engine)
         self.protocol: ProtocolHooks = protocol or ProtocolHooks()
+        self.ranks: Dict[int, RankProcess] = {}
         # Arrival binding: only a protocol that overrides the arrival hook
         # (message logging) is asked about every arrival; otherwise the
         # transport hands each message straight to its rank's matching.
         if type(self.protocol).on_message_arrival is ProtocolHooks.on_message_arrival:
-            arrival = self._on_plain_arrival
+            self.transport = Transport(self.engine, self.network, ranks=self.ranks)
         else:
-            arrival = self._on_message_arrival
-        self.transport = Transport(self.engine, self.network, arrival)
+            self.transport = Transport(self.engine, self.network, self._on_message_arrival)
         self.failure_injector = failures
 
-        self.ranks: Dict[int, RankProcess] = {}
         for rank in range(nprocs):
             proc = RankProcess(self, rank, application)
             proc.comm = Communicator(self, proc)
@@ -190,11 +194,11 @@ class Simulation:
 
     def _attempt_send(self, proc: RankProcess, message: Message) -> Tuple[str, Any]:
         decision = self.protocol.on_app_send(proc.rank, message)
-        if decision.action is SendAction.DEFER:
+        if decision.action is _DEFER:
             if decision.condition is None:
                 raise SimulationError("protocol returned DEFER without a condition")
             return "deferred", decision.condition
-        if decision.action is SendAction.SUPPRESS:
+        if decision.action is _SUPPRESS:
             proc.sends_initiated += 1
             self.trace.record_send(message, self.engine.now, suppressed=True)
             return "suppressed", self.network.send_overhead_s
@@ -247,7 +251,7 @@ class Simulation:
         self, proc: RankProcess, message: Message, request: SendRequest, incarnation: int
     ) -> None:
         """Retry a deferred isend, unless its rank failed or rolled back."""
-        if incarnation != proc.incarnation or proc.state is RankState.FAILED:
+        if incarnation != proc.incarnation or proc.state is _FAILED:
             request.cancel()
             return
         outcome, info = self._attempt_send(proc, message)
@@ -282,14 +286,10 @@ class Simulation:
         self.stats.extra["replayed_messages"] = self.stats.extra.get("replayed_messages", 0) + 1
 
     # -------------------------------------------------------------- delivery
-    def _on_plain_arrival(self, message: Message) -> None:
-        """Arrival under a protocol without an arrival hook."""
-        self.ranks[message.dest].deliver_message(message)
-
     def _on_message_arrival(self, message: Message) -> None:
         """Arrival under a protocol that overrides the arrival hook."""
         proc = self.ranks[message.dest]
-        if proc.state is RankState.FAILED:
+        if proc.state is _FAILED:
             return
         verdict = self.protocol.on_message_arrival(proc.rank, message)
         if verdict is True:
@@ -310,7 +310,9 @@ class Simulation:
         overhead = self.protocol.on_app_deliver(proc.rank, message)
         if overhead is not None and overhead > 0:
             proc.pending_overhead += overhead
-        self.trace.record_delivery(message, self.engine.now)
+        trace = self.trace
+        if trace.record_events:
+            trace.record_delivery(message, self.engine.now)
         rstats = proc.rstats
         rstats.receives += 1
         rstats.bytes_received += message.size_bytes
@@ -327,6 +329,7 @@ class Simulation:
 
     def on_rank_done(self) -> None:
         self._done_count += 1
+        self.update_halt()
 
     # --------------------------------------------------------------- failures
     def kill_ranks(self, ranks: Iterable[int]) -> None:
@@ -337,9 +340,10 @@ class Simulation:
             if proc.done:
                 # A rank can fail *after* finishing (e.g. a failure armed by
                 # its last iteration): it no longer counts as done, or the
-                # O(1) completion predicate would fire early.
+                # completion flag would be set early.
                 self._done_count -= 1
             proc.fail()
+        self.update_halt()
         self.transport.drop_messages(involving=failed)
         self.stats.failures_injected += len(failed)
 
@@ -350,7 +354,7 @@ class Simulation:
         """Purge unexpected-queue messages sent by ``sources`` at alive ranks."""
         purged = 0
         for proc in self.ranks.values():
-            if proc.state is not RankState.FAILED:
+            if proc.state is not _FAILED:
                 purged += proc.purge_messages_from(sources)
         return purged
 
@@ -370,6 +374,7 @@ class Simulation:
             # The rank had finished but is dragged back by a rollback; it will
             # finish again at the end of recovery.
             self._done_count -= 1
+            self.update_halt()
         proc.sends_initiated = sends_at_checkpoint
         self.trace.mark_restart(rank, sends_at_checkpoint)
         self.stats.ranks_rolled_back += 1
@@ -378,22 +383,29 @@ class Simulation:
     def all_done(self) -> bool:
         return all(p.done for p in self.ranks.values())
 
-    def _should_stop(self) -> bool:
-        """Completion predicate for the engine loop.
+    def update_halt(self) -> None:
+        """Recompute ``engine.halt``, the run's completion flag.
 
-        An iteration-triggered failure armed by a rank's last iteration is
-        still in the queue when every rank reports done; the run must not be
-        declared complete before it strikes and recovery has played out.
+        The run is complete when every rank is done and no armed strike is
+        pending: an iteration-triggered failure armed by a rank's last
+        iteration is still in the queue when every rank reports done, and
+        the run must not be declared complete before it strikes and recovery
+        has played out.
 
-        This predicate runs before *every* engine event, so it must be O(1):
-        ``_done_count`` tracks :meth:`all_done` incrementally (incremented in
-        :meth:`on_rank_done`, decremented when a done rank is dragged back by
-        a rollback in :meth:`restart_rank`).
+        The engine reads the flag before every event, so it must hold the
+        rule's value between any two events.  It is recomputed wherever an
+        input changes: ``_done_count`` (incremented in :meth:`on_rank_done`,
+        decremented in :meth:`kill_ranks` and :meth:`restart_rank` when a
+        done rank fails or is dragged back by a rollback) and the injector's
+        ``armed_fires`` (:meth:`FailureInjector._arm` and
+        ``_fire_armed_batch``).  A hybrid segment's stop predicate holds
+        whenever the flag does (:meth:`HybridDirector._quiescent`), and its
+        fast-forward drains run while ranks are still mid-run.
         """
-        if self._done_count != self.nprocs:
-            return False
         injector = self.failure_injector
-        return injector is None or injector.armed_fires == 0
+        self.engine.halt = self._done_count == self.nprocs and (
+            injector is None or injector.armed_fires == 0
+        )
 
     def run(self) -> SimulationResult:
         if self.config.execution == "hybrid":
@@ -409,7 +421,7 @@ class Simulation:
         when the ranks already run (a hybrid run falling back mid-way)."""
         if start:
             self._start_ranks()
-        return self._finish(self.engine.run(stop_predicate=self._should_stop))
+        return self._finish(self.engine.run())
 
     def _start_ranks(self) -> None:
         """Inject every rank's t=0 kick-off event in one deterministic batch."""

@@ -49,17 +49,26 @@ def _traced(spec):
 
 @functools.lru_cache(maxsize=None)
 def _failure_free():
-    """The traced failure-free run and every distinct instant it visits."""
+    """The traced failure-free run and every distinct instant it visits.
+
+    The engine's run is handed a stop predicate that never stops it and
+    records the clock before each event: t = 0 and the instant of every
+    event but the last.  The engine's completion flag stops the run before
+    the predicate is asked again, so the last event's instant is the clock
+    the run ends on.
+    """
     sim = build(_traced(baseline_spec(PROTOCOL)))
-    should_stop = sim._should_stop
+    engine = sim.engine
     instants = set()
 
-    def recording_stop():
-        instants.add(sim.engine.now)
-        return should_stop()
+    def record_instant():
+        instants.add(engine.now)
+        return False
 
-    sim._should_stop = recording_stop
-    return sim.run(), tuple(sorted(instants))
+    engine.run = functools.partial(engine.run, stop_predicate=record_instant)
+    result = sim.run()
+    instants.add(engine.now)
+    return result, tuple(sorted(instants))
 
 
 def _strikes(index, instant):

@@ -184,6 +184,30 @@ CATALOGUE: Tuple[Mutant, ...] = (
 """,
     ),
     Mutant(
+        "halt-ignores-armed-fires",
+        "the completion flag is set while a strike armed by the last iteration is queued",
+        "src/repro/simulator/simulation.py",
+        """        self.engine.halt = self._done_count == self.nprocs and (
+            injector is None or injector.armed_fires == 0
+        )
+""",
+        """        self.engine.halt = self._done_count == self.nprocs
+""",
+    ),
+    Mutant(
+        "enum-member-on-hot-path",
+        "matching reads RankState.FAILED through the Enum class on every arrival",
+        "src/repro/simulator/process.py",
+        """        if self.state is _FAILED:
+            return
+        if message.dest == self.rank:
+""",
+        """        if self.state is RankState.FAILED:
+            return
+        if message.dest == self.rank:
+""",
+    ),
+    Mutant(
         "probe-verifies-nothing",
         "the batching probe returns its last delta without comparing it to the first",
         "src/repro/simulator/hybrid.py",

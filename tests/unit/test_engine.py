@@ -76,6 +76,38 @@ class TestScheduling:
         assert reason == "stopped"
         assert len(hits) == 2
 
+    def test_halt_flag_stops_before_the_next_event_and_the_predicate(self):
+        engine = SimulationEngine()
+        hits, asked = [], []
+
+        def hit(i):
+            hits.append(i)
+            engine.halt = i == 2
+
+        for i in range(4):
+            engine.schedule(float(i + 1), hit, i)
+
+        def predicate():
+            asked.append(len(hits))
+            return False
+
+        assert engine.run(stop_predicate=predicate) == "stopped"
+        assert (hits, asked, engine.now) == ([0, 1, 2], [0, 1, 2], 3.0)
+        engine.halt = False
+        assert engine.run() == "empty"
+        assert hits == [0, 1, 2, 3]
+
+    def test_a_posted_entry_is_cancelled_through_the_engine(self):
+        engine = SimulationEngine()
+        order = []
+        entry = engine.post_at(1.0, order.append, "x")
+        engine.post_at(1.0, order.append, "y")
+        engine.cancel(entry)
+        engine.cancel(entry)
+        assert engine.pending_events == 1
+        assert engine.run() == "empty"
+        assert (order, engine.events_processed) == (["y"], 1)
+
     def test_stop_inside_an_equal_time_group_resumes_in_order(self):
         # The group spans both queue tiers: "a" to "c" become the drain when
         # the run starts, "b2" joins the heap at the same time while "a"

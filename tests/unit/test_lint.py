@@ -276,6 +276,15 @@ class TestRL08EqualTimeTies:
         findings = lint_one(src, rule="RL08")
         assert rules_of(findings) == ["RL08"]
 
+    def test_handle_free_post_at_with_invariant_absolute_time_is_flagged(self):
+        src = (
+            "def arm(self, events, when):\n"
+            "    for event in events:\n"
+            "        self.engine.post_at(when, self._fire, event)\n"
+        )
+        findings = lint_one(src, rule="RL08")
+        assert rules_of(findings) == ["RL08"]
+
     def test_handle_free_post_fanout_is_flagged(self):
         src = (
             "def arm(self, events):\n"

@@ -186,6 +186,12 @@ class TestTransport:
         engine.run()
         assert [m.msg_id for m in delivered] == [small.msg_id, big.msg_id]
 
+    def test_delivers_to_exactly_one_target(self):
+        with pytest.raises(SimulationError):
+            Transport(SimulationEngine(), MyrinetMXModel())
+        with pytest.raises(SimulationError):
+            Transport(SimulationEngine(), MyrinetMXModel(), lambda _m: None, ranks={})
+
     def test_in_flight_tracking_and_drop(self):
         engine, transport, delivered = self._make()
         transport.transmit(_msg(0, 1, 100))
