@@ -236,9 +236,9 @@ def _print_plain_rows(rows: List[Dict[str, Any]], fmt: str = "text",
     """Rows of a selection, pivot or summary: their keys are the columns."""
     if fmt == "json":
         # Each row keeps only the keys it has (a pivot cell a row lacks is
-        # absent, not null), unlike a schema's rows.
-        json.dump(rows, sys.stdout, indent=1, sort_keys=False)
-        print()
+        # absent, not null), unlike a schema's rows.  One write: ``dump``
+        # would make one per encoded chunk.
+        sys.stdout.write(json.dumps(rows, indent=1, sort_keys=False) + "\n")
     elif fmt == "csv":
         sys.stdout.write(TableSchema.of_rows(rows).render_csv(rows))
     else:

@@ -23,7 +23,7 @@ from repro.campaign.store import ResultsStore
 from repro.errors import ConfigurationError
 from repro.results.query import ResultSet
 from repro.results.tables import TableSchema
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, spec_hash_of
 
 
 def run_spec(spec: ScenarioSpec, keep_artifact: bool = False) -> Tuple[Dict[str, Any], Any]:
@@ -34,10 +34,11 @@ def run_spec(spec: ScenarioSpec, keep_artifact: bool = False) -> Tuple[Dict[str,
     """
     job = resolve_analysis(analysis_of(spec))
     payload, artifact = job(spec)
+    spec_data = spec.to_dict()
     record = {
         "name": spec.name,
-        "spec": spec.to_dict(),
-        "spec_hash": spec.spec_hash(),
+        "spec": spec_data,
+        "spec_hash": spec_hash_of(spec_data),
         "analysis": analysis_of(spec),
         "result": payload,
     }
@@ -156,11 +157,12 @@ def run_campaign(
             artifacts[index] = artifact
     for index, leader in followers:
         spec, led = specs[index], records[leader]
+        spec_data = spec.to_dict()
         records[index] = {
             **led,
             "name": spec.name,
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash(),
+            "spec": spec_data,
+            "spec_hash": spec_hash_of(spec_data),
             "result": copy.deepcopy(led["result"]),
         }
     if misses and store is not None:

@@ -29,6 +29,13 @@ validated in full as one JSON document, and the next save rewrites it in
 this layout.  Being plain JSON, the file is read unchanged by builds that
 predate the line layout.
 
+A trusted line is keyed by slicing: its key is the text between the opening
+quote and the first ``":``.  Where that slice holds no backslash and no
+quote it holds no escape, so it is the key as written; otherwise (a key with
+a quote, a backslash, a ``":`` of its own, or any non-ASCII character, which
+the encoder writes as an escape), and for a line without ``":``, the
+JSON decoder takes the key back from the line.
+
 The on-disk format is versioned.  Version 2 (the only one read) stores every
 record with a ``{"status", "metrics", "data"}`` result section (see
 :mod:`repro.results`).  Any other version -- including the version-1 files
@@ -43,7 +50,11 @@ added in between.  :meth:`ResultsStore.save` therefore serialises writers
 with an exclusive ``flock`` on a ``<path>.lock`` sidecar and, while holding
 it, merges the records currently on disk into the write (records this store
 computed win on hash collisions -- by construction they describe the same
-spec anyway).
+spec anyway).  The file is always read and its digest checked under the
+lock; only when its verified trailer is the one this store last read or
+wrote -- the file then holds exactly the lines this store already has --
+are the split and the merge skipped.  No mtime or inode shortcut: a file is
+known by its digest only.
 """
 
 from __future__ import annotations
@@ -87,6 +98,48 @@ def _trailer(body: bytes) -> str:
 _TRAILER_LENGTH = len(_trailer(b""))
 
 
+def _verified_body(data: bytes) -> Optional[bytes]:
+    """The bytes between header and trailer of ``data``, or ``None`` unless
+    header, trailer and digest prove that this writer produced every byte."""
+    header = _HEADER.encode("ascii")
+    body_end = len(data) - _TRAILER_LENGTH
+    if body_end < len(header) or not data.startswith(header):
+        return None
+    body = data[len(header):body_end]
+    if data[body_end:] != _trailer(body).encode("ascii"):
+        return None
+    return body
+
+
+def _split_lines(body: bytes) -> Optional[Dict[str, str]]:
+    """Key -> entry line of a verified body, or ``None`` if a line is not
+    an entry after all."""
+    lines: Dict[str, str] = {}
+    if not body:
+        return lines
+    if not body.endswith(b"\n"):
+        return None
+    try:
+        # Never ``splitlines``: "\n" is the only line boundary written.
+        for line in body.decode("utf-8")[:-1].split(",\n"):
+            if line[:1] != '"':
+                return None
+            # The key is what lies between the opening quote and the first
+            # '":'.  A slice without a backslash holds no escape, so it is
+            # the key itself; a slice with a backslash or a quote (an escaped
+            # character, or a '":' inside the key), or no '":' at all, goes
+            # back to the decoder, which takes back whatever the encoder
+            # wrote.
+            end = line.find('":')
+            key = line[1:end]
+            if end < 0 or "\\" in key or '"' in key:
+                key, _ = _raw_decode(line)
+            lines[key] = line
+    except ValueError:  # undecodable bytes or key: not this writer's
+        return None
+    return lines
+
+
 class ResultsStore:
     """JSON-file-backed (or purely in-memory, ``path=None``) record cache.
 
@@ -106,52 +159,39 @@ class ResultsStore:
         #: set by clear(): the next save() replaces the file outright instead
         #: of merging the on-disk records back in (deliberate deletion).
         self._replace_on_save = False
+        #: trailer (digest included) of the file as this store last read or
+        #: wrote it, while that file is in the line layout.
+        self._seen: Optional[bytes] = None
         if path is not None and os.path.exists(path):
-            self._lines, self._decoded = self._read(path)
+            read = self._read(path)
+            assert read is not None  # nothing is known yet
+            self._lines, self._decoded = read
 
     # ------------------------------------------------------------------- i/o
-    def _read(self, path: str) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        """``(lines, values already decoded)`` of the file as it is now."""
+    def _read(
+        self, path: str, known: Optional[bytes] = None
+    ) -> Optional[Tuple[Dict[str, str], Dict[str, Any]]]:
+        """``(lines, values already decoded)`` of the file as it is now, or
+        ``None`` when its verified trailer is ``known``: the file then holds
+        exactly the lines this store last read or wrote."""
         with open(path, "rb") as fh:
             data = fh.read()
-        lines = self._split(data)
-        if lines is not None:
-            return lines, {}
+        body = _verified_body(data)
+        if body is not None:
+            trailer = data[len(data) - _TRAILER_LENGTH:]
+            if trailer == known:
+                return None
+            lines = _split_lines(body)
+            if lines is not None:
+                self._seen = trailer
+                return lines, {}
+        self._seen = None
         values = self._parse(path, data)
         return {key: _entry_line(key, value) for key, value in values.items()}, values
 
     @staticmethod
-    def _split(data: bytes) -> Optional[Dict[str, str]]:
-        """The entry lines of ``data``, or ``None`` unless header, trailer
-        and digest prove that this writer produced every byte of it."""
-        header = _HEADER.encode("ascii")
-        body_end = len(data) - _TRAILER_LENGTH
-        if body_end < len(header) or not data.startswith(header):
-            return None
-        body = data[len(header):body_end]
-        if data[body_end:] != _trailer(body).encode("ascii"):
-            return None
-        lines: Dict[str, str] = {}
-        if not body:
-            return lines
-        if not body.endswith(b"\n"):
-            return None
-        try:
-            # Never ``splitlines``: "\n" is the only line boundary written.
-            for line in body.decode("utf-8")[:-1].split(",\n"):
-                if line[:1] != '"':
-                    return None
-                # The encoder wrote the key, so the decoder takes it back:
-                # no assumption about what a key string may contain.
-                key, _ = _raw_decode(line)
-                lines[key] = line
-        except ValueError:  # undecodable bytes or key: not this writer's
-            return None
-        return lines
-
-    @staticmethod
     def _parse(path: str, data: bytes) -> Dict[str, Any]:
-        """Full parse and validation of a file :meth:`_split` did not accept."""
+        """Full parse and validation of a file :func:`_split_lines` did not accept."""
         try:
             document = json.loads(data.decode("utf-8"))
         except ValueError as exc:
@@ -201,13 +241,19 @@ class ResultsStore:
             for key in [key for key, line in lines.items() if line == _UNSAVED]:
                 lines[key] = _entry_line(key, self._decoded[key])
             if not self._replace_on_save and os.path.exists(path):
-                merged, _ = self._read(path)
-                merged.update(lines)
-                self._lines = lines = merged
+                # A file whose verified trailer is the one this store last
+                # read or wrote holds no line this store lacks: no merge.
+                read = self._read(path, known=self._seen)
+                if read is not None:
+                    merged, _ = read
+                    merged.update(lines)
+                    self._lines = lines = merged
             body = ",\n".join([lines[key] for key in sorted(lines)])
             if body:
                 body += "\n"
-            atomic_write_text(path, _HEADER + body + _trailer(body.encode("utf-8")))
+            trailer = _trailer(body.encode("utf-8"))
+            atomic_write_text(path, _HEADER + body + trailer)
+            self._seen = trailer.encode("ascii")
             self._replace_on_save = False
 
     # --------------------------------------------------------------- entries

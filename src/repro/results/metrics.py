@@ -20,6 +20,14 @@ metric names are a bug in the producer, not something to resolve silently.
 Mapping values are flattened into sub-paths, so ``to_tree()`` /
 ``from_tree()`` round-trip exactly (the tree form is what campaign records
 store as JSON).
+
+A set read back from a record (:meth:`MetricSet.of_tree`, what
+:meth:`RunResult.from_record <repro.results.run.RunResult.from_record>`
+uses) keeps the decoded tree instead: the tree is checked when the set is
+made, so a malformed one raises there exactly as :meth:`from_tree` would; a
+leaf :meth:`~MetricSet.get` walks it; and the flat path map is built from
+it only when something needs one (``items``, ``set``, ``==``, a namespace
+``get``, ...).  The kept tree is never written through.
 """
 
 from __future__ import annotations
@@ -83,15 +91,24 @@ def _validate_path(path: Any) -> str:
 
 
 class MetricSet:
-    """A tree of metrics keyed by dotted path, with duplicate detection."""
+    """A tree of metrics keyed by dotted path, with duplicate detection.
 
-    __slots__ = ("_values", "_namespaces")
+    A set is either flat (``_values`` / ``_namespaces`` hold everything) or
+    holds a checked tree in ``_tree`` (see :meth:`of_tree`) and empty flat
+    maps, until :meth:`_flatten_tree` moves the tree into them.
+    Every method that reads the flat maps calls it first when ``_tree`` is
+    set; the tree itself is only ever read.
+    """
+
+    __slots__ = ("_values", "_namespaces", "_tree")
 
     def __init__(self, values: Optional[Mapping[str, Any]] = None) -> None:
         #: leaf path -> value
         self._values: Dict[str, Any] = {}
         #: every strict ancestor path of a stored leaf
         self._namespaces: Dict[str, int] = {}
+        #: a checked tree not flattened yet (only :meth:`of_tree` sets it).
+        self._tree: Optional[Dict[str, Any]] = None
         if values:
             for path, value in values.items():
                 self.set(path, value)
@@ -103,6 +120,8 @@ class MetricSet:
         Raises :class:`ConfigurationError` on a duplicate metric name or
         when a path would be both a leaf and a namespace.
         """
+        if self._tree is not None:
+            self._flatten_tree()
         _validate_path(path)
         # collections.abc.Mapping, not the typing alias: its isinstance goes
         # through the C-level ABC cache instead of five Python frames.
@@ -139,6 +158,19 @@ class MetricSet:
     # -------------------------------------------------------------- access
     def get(self, path: str, default: Any = None) -> Any:
         """Leaf value, or the nested dict of a namespace, or ``default``."""
+        tree = self._tree
+        if tree is not None:
+            if type(path) is str:
+                # Checked tree: namespaces are exactly the dicts, keys are
+                # non-empty and dot-free, so the segments name one node.
+                node: Any = tree
+                for segment in path.split("."):
+                    if type(node) is not dict or segment not in node:
+                        return default
+                    node = node[segment]
+                if type(node) is not dict:
+                    return node
+            self._flatten_tree()
         if path in self._values:
             return self._values[path]
         if path in self._namespaces:
@@ -146,16 +178,24 @@ class MetricSet:
         return default
 
     def __contains__(self, path: str) -> bool:
+        if self._tree is not None:
+            self._flatten_tree()
         return path in self._values or path in self._namespaces
 
     def __len__(self) -> int:
+        if self._tree is not None:
+            self._flatten_tree()
         return len(self._values)
 
     def __iter__(self) -> Iterator[str]:
+        if self._tree is not None:
+            self._flatten_tree()
         return iter(sorted(self._values))
 
     def items(self) -> List[Tuple[str, Any]]:
         """``(path, value)`` leaves in sorted path order (deterministic)."""
+        if self._tree is not None:
+            self._flatten_tree()
         return sorted(self._values.items())
 
     def metrics(self) -> List[Metric]:
@@ -174,10 +214,14 @@ class MetricSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricSet):
             return NotImplemented
+        if self._tree is not None:
+            self._flatten_tree()
+        if other._tree is not None:
+            other._flatten_tree()
         return self._values == other._values
 
     def __repr__(self) -> str:
-        return f"MetricSet({len(self._values)} metrics)"
+        return f"MetricSet({len(self)} metrics)"
 
     # ---------------------------------------------------------------- json
     def tree(self, root: Optional[str] = None) -> Dict[str, Any]:
@@ -201,20 +245,35 @@ class MetricSet:
 
     @classmethod
     def from_tree(cls, tree: Mapping[str, Any]) -> "MetricSet":
-        """Inverse of :meth:`to_tree` (strict round-trip).
+        """Inverse of :meth:`to_tree` (strict round-trip): :meth:`of_tree`,
+        flattened at once."""
+        out = cls.of_tree(tree)
+        if out._tree is not None:
+            out._flatten_tree()
+        return out
+
+    @classmethod
+    def of_tree(cls, tree: Mapping[str, Any]) -> "MetricSet":
+        """The set of ``tree``, which is kept as it is and only read.
 
         A tree of plain dicts whose keys are non-empty, dot-free strings
         cannot hold a duplicate path or a leaf/namespace conflict, so it is
-        flattened in one unchecked pass; any other tree goes through the
-        checked :meth:`set_tree`, which raises exactly as it always did.
+        checked in one pass and kept, to be flattened on demand; any other
+        tree goes through the checked :meth:`set_tree` here and now, which
+        raises exactly as it always did.
         """
         out = cls()
-        if tree and (
-            type(tree) is not dict or _flatten(tree, "", out._values, out._namespaces) < 0
-        ):
-            out = cls()
-            out.set_tree(tree)
+        if tree:
+            if type(tree) is dict and _well_formed(tree):
+                out._tree = tree
+            else:
+                out.set_tree(tree)
         return out
+
+    def _flatten_tree(self) -> None:
+        """Move the kept tree into the flat maps (it is checked: no errors)."""
+        tree, self._tree = self._tree, None
+        _flatten(tree, "", self._values, self._namespaces)
 
     def set_tree(self, tree: Mapping[str, Any]) -> None:
         for key, value in tree.items():
@@ -226,32 +285,39 @@ _JSON_LEAF_TYPES = frozenset({bool, int, float, str, list, type(None)})
 
 
 def _flatten(
-    tree: Mapping[str, Any], prefix: str, values: Dict[str, Any], namespaces: Dict[str, int]
+    tree: Dict[str, Any], prefix: str, values: Dict[str, Any], namespaces: Dict[str, int]
 ) -> int:
-    """Fill ``values`` / ``namespaces`` from ``tree``; returns the number of
-    leaves, or -1 (outputs half-filled) when ``tree`` is not provably
-    well-formed and must take the checked path instead."""
+    """Fill ``values`` / ``namespaces`` from a :func:`_well_formed` tree;
+    returns the number of leaves."""
     leaves = 0
     for key, value in tree.items():
-        if type(key) is not str or not key or "." in key:
-            return -1
         path = prefix + key
-        kind = type(value)
-        if kind is dict:
-            if not value:
-                return -1
+        if type(value) is dict:
             namespaces[path] = 0  # takes its slot before its sub-namespaces do
             count = _flatten(value, path + ".", values, namespaces)
-            if count < 0:
-                return -1
             namespaces[path] = count
             leaves += count
-        elif kind in _JSON_LEAF_TYPES or not isinstance(value, Mapping):
+        else:
             values[path] = value
             leaves += 1
-        else:
-            return -1
     return leaves
+
+
+def _well_formed(tree: Dict[str, Any]) -> bool:
+    """Can ``tree`` (a non-empty dict) be flattened without a check?  Every
+    namespace a non-empty dict, every leaf no mapping, every key a non-empty
+    string without a dot."""
+    for key in tree:
+        if type(key) is not str or not key or "." in key:
+            return False
+        value = tree[key]
+        kind = type(value)
+        if kind is dict:
+            if not value or not _well_formed(value):
+                return False
+        elif kind not in _JSON_LEAF_TYPES and isinstance(value, Mapping):
+            return False
+    return True
 
 
 def _ancestors(path: str) -> List[str]:

@@ -86,6 +86,13 @@ class RunResult:
         ``strict`` requires the v2 ``result`` layout; with ``strict=False``
         unknown layouts degrade to an empty metric set (used by progress
         displays that must tolerate hand-planted records).
+
+        The metric tree is kept as decoded (:meth:`MetricSet.of_tree`): it
+        is checked here, so a malformed tree raises
+        :class:`ConfigurationError` from this call as it always did, but it
+        is flattened only when something needs the flat form, and never
+        written through.  A leaf lookup (``metric("sim.makespan")``, a
+        pivot cell) walks the tree.
         """
         result = record.get("result")
         if not is_v2_payload(result):
@@ -107,7 +114,7 @@ class RunResult:
             spec_hash=str(record.get("spec_hash", "")),
             spec=dict(record.get("spec", {}) or {}),
             status=str(result["status"]),
-            metrics=MetricSet.from_tree(result["metrics"]),
+            metrics=MetricSet.of_tree(result["metrics"]),
             data=dict(result["data"]),
         )
 

@@ -17,6 +17,7 @@ sweeps lives in :mod:`repro.scenarios.sweep`.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -31,6 +32,60 @@ from repro.simulator.failures import FailureEvent
 def _freeze_mapping(value: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """Normalise a params mapping to a plain dict (shallow copy)."""
     return dict(value) if value else {}
+
+
+#: values :func:`_plain` returns as they are (``deepcopy`` would too).
+_JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
+#: dataclass type -> its field names, in declaration order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _plain(value: Any) -> Any:
+    """``dataclasses.asdict`` of one value, without deep-copying JSON atoms.
+
+    Dataclasses become dicts of their fields, lists / tuples / dicts are
+    rebuilt (so the result never aliases the spec), atoms are returned as
+    they are, and anything else is deep-copied -- what ``asdict`` does,
+    namedtuples and container subclasses included.
+    """
+    kind = type(value)
+    if kind in _JSON_ATOMS:
+        return value
+    if kind is dict:
+        return {
+            (key if type(key) is str else _plain(key)):
+            (item if type(item) in _JSON_ATOMS else _plain(item))
+            for key, item in value.items()
+        }
+    if kind is list or kind is tuple:
+        return kind([item if type(item) in _JSON_ATOMS else _plain(item) for item in value])
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        if not hasattr(kind, "__dataclass_fields__"):
+            if isinstance(value, tuple) and hasattr(value, "_fields"):
+                return kind(*[_plain(item) for item in value])
+            if isinstance(value, (list, tuple)):
+                return kind(_plain(item) for item in value)
+            if isinstance(value, dict):
+                return kind((_plain(key), _plain(item)) for key, item in value.items())
+            return copy.deepcopy(value)
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(value))
+    data = {}
+    for name in names:
+        item = getattr(value, name)
+        data[name] = item if type(item) in _JSON_ATOMS else _plain(item)
+    return data
+
+
+#: the encoder of :func:`spec_hash_of` (``json.dumps`` with these options).
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def spec_hash_of(data: Mapping[str, Any]) -> str:
+    """Content hash of a :meth:`ScenarioSpec.to_dict` form: what
+    :meth:`ScenarioSpec.spec_hash` returns, for a caller that already holds
+    the dict."""
+    return hashlib.sha256(_canonical(data).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -244,8 +299,13 @@ class ScenarioSpec:
 
     # -------------------------------------------------------------- json i/o
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data representation (suitable for ``json.dump``)."""
-        data = dataclasses.asdict(self)
+        """Plain-data representation (suitable for ``json.dump``).
+
+        Equal to ``dataclasses.asdict(self)`` less the three omissions
+        below, and like it never aliases the spec: mutating the result
+        changes neither the spec nor its :meth:`spec_hash`.
+        """
+        data: Dict[str, Any] = _plain(self)
         # Specs without a topology serialise exactly as before the topology
         # layer existed, keeping their spec hashes (= cache keys) stable.
         if data["network"].get("topology") is None:
@@ -301,11 +361,11 @@ class ScenarioSpec:
     # --------------------------------------------------------------- hashing
     def canonical_json(self) -> str:
         """Deterministic serialisation used as the cache identity."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical(self.to_dict())
 
     def spec_hash(self) -> str:
         """Content hash of the spec (cache key of campaign result stores)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
+        return spec_hash_of(self.to_dict())
 
     def calibration_key(self) -> str:
         """Content hash of the spec's *failure-free timing* identity.
@@ -322,8 +382,7 @@ class ScenarioSpec:
         data = self.to_dict()
         for irrelevant in ("name", "failures", "fault_model", "execution", "tags"):
             data.pop(irrelevant, None)
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return spec_hash_of(data)
 
     # ------------------------------------------------------------------ misc
     def with_name(self, name: str) -> "ScenarioSpec":

@@ -315,8 +315,11 @@ class SimulationEngine:
         """
         # The queue tiers live in locals; ``_drain_idx`` is committed before
         # each callback and every local re-read after it, because callbacks
-        # may schedule, cancel and compact.
+        # may schedule, cancel and compact.  A drain list is never appended
+        # to, only replaced (here and by ``_compact``), so its length is
+        # read once per list.
         drain = self._drain
+        end = len(drain)
         idx = self._drain_idx
         heap = self._heap
         while True:
@@ -326,7 +329,7 @@ class SimulationEngine:
             # Pop the earliest live entry across both tiers,
             # dropping cancelled entries on the way (fused peek/pop).
             while True:
-                if idx < len(drain):
+                if idx < end:
                     entry = drain[idx]
                     if heap and heap[0] < entry:
                         entry = heappop(heap)
@@ -337,6 +340,7 @@ class SimulationEngine:
                         heap.sort()
                         self._drain = drain = heap
                         self._heap = heap = []
+                        end = len(drain)
                         entry = drain[0]
                         idx = 1
                     else:
@@ -354,7 +358,9 @@ class SimulationEngine:
             self.now = entry[0]
             self._events_processed += 1
             entry[2](*entry[3])
-            drain = self._drain
+            if self._drain is not drain:
+                drain = self._drain
+                end = len(drain)
             idx = self._drain_idx
             heap = self._heap
 

@@ -7,14 +7,11 @@ request (``wait``), on all of a list (``waitall``) or on any (``waitany``).
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any, Callable, List, Optional
 
 from repro.errors import InvalidOperationError
 from repro.simulator.messages import Message
-
-_REQUEST_COUNTER = itertools.count(1)
 
 
 class RequestState(Enum):
@@ -35,7 +32,6 @@ class Request:
     """Base class for send and receive requests."""
 
     __slots__ = (
-        "req_id",
         "rank",
         "state",
         "completion_time",
@@ -44,7 +40,6 @@ class Request:
     )
 
     def __init__(self, rank: int) -> None:
-        self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
         self.state = _PENDING
         self.completion_time: Optional[float] = None
@@ -85,7 +80,7 @@ class Request:
         if self.state is _CANCELLED:
             return
         if self.state is _COMPLETE:
-            raise InvalidOperationError(f"request {self.req_id} completed twice")
+            raise InvalidOperationError(f"{self!r} completed twice")
         self.state = _COMPLETE
         self.value = value
         self.completion_time = time
@@ -107,7 +102,6 @@ class SendRequest(Request):
     def __init__(self, rank: int, message: Message) -> None:
         # Flat copy of Request.__init__: one request per message, and a
         # super() chain doubles the cost of creating it.
-        self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
         self.state = _PENDING
         self.completion_time = None
@@ -115,8 +109,11 @@ class SendRequest(Request):
         self._waiters = []
         self.message = message
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SendRequest(#{self.req_id} rank={self.rank} {self.state.value})"
+    def __repr__(self) -> str:
+        return (
+            f"SendRequest(rank={self.rank} msg={self.message.msg_id} "
+            f"{self.state.value})"
+        )
 
 
 class RecvRequest(Request):
@@ -126,7 +123,6 @@ class RecvRequest(Request):
 
     def __init__(self, rank: int, source: int, tag: int) -> None:
         # Flat, like SendRequest.__init__.
-        self.req_id = next(_REQUEST_COUNTER)
         self.rank = rank
         self.state = _PENDING
         self.completion_time = None
@@ -140,8 +136,8 @@ class RecvRequest(Request):
         inline when a message arrives or a receive is posted."""
         return message.matches(self.source, self.tag) and message.dest == self.rank
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return (
-            f"RecvRequest(#{self.req_id} rank={self.rank} src={self.source} "
+            f"RecvRequest(rank={self.rank} src={self.source} "
             f"tag={self.tag} {self.state.value})"
         )

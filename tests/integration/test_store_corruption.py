@@ -20,6 +20,7 @@ import pytest
 
 from repro.campaign import ResultsStore
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.store import _split_lines, _verified_body
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 PARENT_STORE = os.path.join(DATA_DIR, "v2_indent_store.json")
@@ -257,3 +258,60 @@ class TestStoreWrittenByTheParentBuild:
         other.save()
         assert ResultsStore(path).records() == {**reference, "fresh": RECORDS["hash-1"]}
         assert capsys.readouterr().err == ""
+
+
+#: keys whose line is not a plain slice: a quote, a backslash, a '":' inside
+#: the key, non-ASCII (written as \u escapes), and plain ones next to them.
+AWKWARD_KEYS = ['a"b', "a\\b", 'a":b', "ends\\", '"', '":', "é", "日本",
+                " ", "\U0001f600", "plain", "0123456789abcdef"]
+
+
+def test_awkward_keys_round_trip_through_the_line_layout(tmp_path, capsys):
+    path = str(tmp_path / "keys.json")
+    store = ResultsStore(path)
+    records = {key: {"name": key, "n": index} for index, key in enumerate(AWKWARD_KEYS)}
+    for key, record in records.items():
+        store.put(key, record)
+    store.save()
+    with open(path, "rb") as fh:
+        lines = _split_lines(_verified_body(fh.read()))
+    assert lines is not None and sorted(lines) == sorted(records)
+    reopened = ResultsStore(path)
+    assert sorted(reopened) == sorted(records)
+    assert reopened.records() == records
+    assert all(ResultsStore(path).get(key) == record for key, record in records.items())
+    # Read as this writer's bytes: no full parse, no warning.
+    assert capsys.readouterr().err == ""
+
+
+def test_a_save_merges_what_another_writer_saved_since_the_load(tmp_path):
+    path = str(tmp_path / "store.json")
+    seed = ResultsStore(path)
+    seed.put("hash-0", RECORDS["hash-0"])
+    seed.save()
+    mine, theirs = ResultsStore(path), ResultsStore(path)  # both read one file
+    theirs.put("hash-1", RECORDS["hash-1"])
+    theirs.save()
+    mine.put("hash-2", RECORDS["hash-2"])
+    mine.save()  # the trailer on disk is no longer the one it read: merge
+    assert ResultsStore(path).records() == {k: RECORDS[k] for k in ("hash-0", "hash-1", "hash-2")}
+    mine.put("hash-3", RECORDS["hash-3"])
+    mine.save()  # the trailer is its own: nothing to merge, nothing lost
+    assert ResultsStore(path).records() == RECORDS
+
+
+def test_a_body_edited_under_a_kept_trailer_is_merged_by_a_full_parse(tmp_path, capsys):
+    path = str(tmp_path / "store.json")
+    store = ResultsStore(path)
+    store.put("hash-0", RECORDS["hash-0"])
+    store.save()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:  # same trailer, different record text
+        fh.write(data.replace(b'"rec-0"', b'"rec-X"', 1))
+    store.put("hash-1", RECORDS["hash-1"])
+    store.save()
+    assert capsys.readouterr().err.startswith("warning: ")
+    saved = ResultsStore(path).records()
+    assert saved["hash-0"] == RECORDS["hash-0"]  # this store's record wins
+    assert saved["hash-1"] == RECORDS["hash-1"]

@@ -167,10 +167,10 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "rl04-bare-store-write",
         "the results store is written with a bare open(), not an atomic replace",
         "src/repro/campaign/store.py",
-        """            atomic_write_text(path, _HEADER + body + _trailer(body.encode("utf-8")))
+        """            atomic_write_text(path, _HEADER + body + trailer)
 """,
         """            with open(path, "w") as handle:
-                handle.write(_HEADER + body + _trailer(body.encode("utf-8")))
+                handle.write(_HEADER + body + trailer)
 """,
     ),
     Mutant(
@@ -214,6 +214,24 @@ CATALOGUE: Tuple[Mutant, ...] = (
         """        delta, self.probe_mismatch = self._verified_delta(states, anchors)
 """,
         """        delta, self.probe_mismatch = self._verified_delta(states[1:], anchors)
+""",
+    ),
+    Mutant(
+        "store-key-fallback-dropped",
+        "a store line's sliced key is trusted even with a backslash (an escape) in it",
+        "src/repro/campaign/store.py",
+        r"""            if end < 0 or "\\" in key or '"' in key:
+""",
+        """            if end < 0 or '"' in key:
+""",
+    ),
+    Mutant(
+        "metric-tree-unvalidated",
+        "a record's metric tree is kept without the check that from_tree makes",
+        "src/repro/results/metrics.py",
+        """            if type(tree) is dict and _well_formed(tree):
+""",
+        """            if type(tree) is dict:
 """,
     ),
 )

@@ -70,3 +70,45 @@ def checked(tree):
 ))
 def test_from_tree_equals_checked_set_tree(tree):
     assert outcome(MetricSet.from_tree, tree) == outcome(checked, tree)
+
+
+#: paths probed on both sets: dotted paths over the generated keys, and
+#: malformed ones.
+probe_paths = st.lists(
+    st.one_of(
+        st.lists(good_keys, min_size=1, max_size=4).map(".".join),
+        st.sampled_from(["", ".", "a.", ".a", "a..b", "a.b.", "1.a"]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.dictionaries(good_keys, clean_trees, max_size=4),
+        st.dictionaries(any_keys, mixed_trees, max_size=4),
+    ),
+    probe_paths,
+)
+def test_kept_tree_answers_as_the_flattened_set(tree, paths):
+    """``of_tree`` keeps the tree; every answer is ``from_tree``'s, whether
+    a leaf walk gives it or the flat maps built on demand."""
+    try:
+        flat = MetricSet.from_tree(tree)
+    except ConfigurationError as exc:
+        try:
+            MetricSet.of_tree(tree)
+        except ConfigurationError as kept_exc:
+            assert str(kept_exc) == str(exc)
+            return
+        raise AssertionError("of_tree accepted a tree from_tree rejects")
+    kept = MetricSet.of_tree(tree)
+    missing = object()
+    for path in paths:
+        assert kept.get(path, missing) == flat.get(path, missing)
+    assert kept == flat
+    # Flattened on demand, the maps are the one-pass maps, in the same order.
+    assert kept.to_tree() == flat.to_tree()
+    assert list(kept._values.items()) == list(flat._values.items())
+    assert list(kept._namespaces.items()) == list(flat._namespaces.items())

@@ -56,10 +56,20 @@ class TestRequests:
         assert request.completion_time == 1.0
 
     def test_double_completion_raises(self):
-        request = SendRequest(0, Message(source=0, dest=1, tag=0, size_bytes=1))
+        message = Message(source=0, dest=1, tag=0, size_bytes=1)
+        request = SendRequest(0, message)
         request._complete(None, 1.0)
-        with pytest.raises(InvalidOperationError):
+        with pytest.raises(InvalidOperationError) as raised:
             request._complete(None, 2.0)
+        # Named by its rank and message: requests carry no id of their own.
+        assert str(raised.value) == (
+            f"SendRequest(rank=0 msg={message.msg_id} complete) completed twice"
+        )
+        receive = RecvRequest(1, source=0, tag=5)
+        receive._complete(message, 1.0)
+        with pytest.raises(InvalidOperationError, match=r"^RecvRequest\(rank=1 src=0 tag=5 "):
+            receive._complete(message, 2.0)
+        assert not hasattr(request, "req_id")
 
     def test_cancel_prevents_completion_and_waiters(self):
         request = RecvRequest(1, source=0, tag=5)

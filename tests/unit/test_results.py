@@ -128,6 +128,45 @@ class TestRunResult:
         assert run.field("status") == "completed"
         assert run.field("nope.nope", "dflt") == "dflt"
 
+    @pytest.mark.parametrize("metrics, error", [
+        ({"sim": {"makespan": 0.5}, "links": {}}, "empty mappings"),
+        ({"sim": {"makespan": 0.5}, "sim.makespan": 1.0}, "duplicate metric name"),
+        ({"sim.": 1.0}, "empty segment"),
+    ])
+    def test_malformed_stored_tree_raises_at_from_store(self, tmp_path, metrics, error):
+        from repro.campaign.store import ResultsStore
+        from repro.results import ResultSet
+
+        path = str(tmp_path / "store.json")
+        store = ResultsStore(path)
+        good, bad = self.record(), self.record()
+        bad["spec_hash"] = "bad"
+        bad["result"]["metrics"] = metrics
+        store.put(good["spec_hash"], good)
+        store.put("bad", bad)
+        store.save()
+        with pytest.raises(ConfigurationError, match=error):
+            ResultSet.from_store(path)
+
+    def test_a_dotted_key_that_collides_with_nothing_loads_as_before(self):
+        record = self.record()
+        record["result"]["metrics"] = {"sim": {"makespan": 0.5}, "links.bytes": 7}
+        run = RunResult.from_record(record)
+        assert run.metrics == MetricSet.from_tree(record["result"]["metrics"])
+        assert run.metric("links.bytes") == 7 and run.metric("links") == {"bytes": 7}
+
+    def test_kept_tree_is_read_not_written(self):
+        record = self.record()
+        tree = record["result"]["metrics"]
+        snapshot = json.dumps(tree, sort_keys=True)
+        run = RunResult.from_record(record)
+        assert run.metric("sim.makespan") == 0.5
+        assert run.metric("sim") == {"makespan": 0.5}
+        assert run.metric("sim.makespan.x", "d") == "d" and run.metric("sim.", "d") == "d"
+        run.metrics.set("sim.extra", 1)
+        assert run.metric("sim.extra") == 1
+        assert json.dumps(tree, sort_keys=True) == snapshot
+
     def test_v1_record_rejected_when_strict(self):
         bad = self.record()
         bad["result"] = {"status": "completed", "stats": {}}

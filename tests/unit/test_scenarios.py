@@ -1,5 +1,6 @@
 """Unit tests for the declarative scenario layer (spec / build / sweep)."""
 
+import collections
 import dataclasses
 import inspect
 import json
@@ -48,6 +49,90 @@ def full_spec() -> ScenarioSpec:
         config={"record_trace_events": True},
         tags={"experiment": "unit-test"},
     )
+
+
+def asdict_reference(spec: ScenarioSpec) -> dict:
+    """``to_dict`` as ``dataclasses.asdict`` plus the three omissions."""
+    data = dataclasses.asdict(spec)
+    if data["network"].get("topology") is None:
+        del data["network"]["topology"]
+    if data.get("fault_model") is None:
+        data.pop("fault_model", None)
+    if data.get("execution") == "exact":
+        del data["execution"]
+    return data
+
+
+Point = collections.namedtuple("Point", "x y")
+
+TO_DICT_GRID = {
+    "bare": ScenarioSpec(name="bare", workload=WorkloadSpec(kind="ring", nprocs=4)),
+    "full": full_spec(),
+    "topology": ScenarioSpec(
+        name="topo",
+        workload=WorkloadSpec(kind="ring", nprocs=8),
+        network=NetworkSpec(topology=TopologySpec(
+            preset="hierarchical", params={"ranks_per_node": 2, "oversubscription": 4.0},
+        )),
+    ),
+    "fault-model": ScenarioSpec(
+        name="faults",
+        workload=WorkloadSpec(kind="stencil1d", nprocs=4, iterations=8),
+        fault_model=FaultModelSpec(params={"mtbf_s": 1e-3}, horizon_s=0.5, seed=3),
+        execution="hybrid",
+    ),
+    "explicit-clusters": ScenarioSpec(
+        name="clusters",
+        workload=WorkloadSpec(kind="ring", nprocs=4, params={"sizes": [1, [2, 3]]}),
+        protocol=ProtocolSpec(
+            name="hydee",
+            options={"checkpoint_interval": 2, "nested": {"a": [1.5, None, True]}},
+            clustering=ClusteringSpec(method="explicit", clusters=((0, 1), (2, 3))),
+        ),
+        failures=(FailureEvent(ranks=(1, 2), time=1e-4),
+                  FailureEvent(ranks=(3,), at_iteration=2)),
+        config={"record_trace_events": True},
+        tags={"point": Point(1, [2]), "ordered": collections.OrderedDict(b=1, a=(2,)),
+              "list": [{"k": "v"}]},
+    ),
+}
+
+
+class TestToDictIsAsdict:
+    @pytest.mark.parametrize("case", sorted(TO_DICT_GRID))
+    def test_equals_the_asdict_reference_type_for_type(self, case):
+        spec = TO_DICT_GRID[case]
+        # repr: equal values of equal types (a tuple is not a list, an
+        # OrderedDict not a dict) in equal key order.
+        assert repr(spec.to_dict()) == repr(asdict_reference(spec))
+
+    @pytest.mark.parametrize("case", sorted(TO_DICT_GRID))
+    def test_mutating_the_result_leaves_the_spec_alone(self, case):
+        spec = TO_DICT_GRID[case]
+        before, spec_hash = repr(spec), spec.spec_hash()
+
+        def scribble(node):
+            if isinstance(node, dict):
+                for value in list(node.values()):
+                    scribble(value)
+                node["scribbled"] = True
+            elif isinstance(node, list):
+                for value in node:
+                    scribble(value)
+                node.append("scribbled")
+
+        data = spec.to_dict()
+        scribble(data)
+        assert repr(spec) == before
+        assert spec.spec_hash() == spec_hash
+
+    def test_records_hash_the_spec_they_embed(self):
+        from repro.campaign import run_spec
+
+        spec = TO_DICT_GRID["bare"]
+        record, _ = run_spec(spec)
+        assert record["spec"] == spec.to_dict()
+        assert record["spec_hash"] == spec.spec_hash()
 
 
 class TestSpecRoundTrip:
