@@ -30,11 +30,11 @@ this layout.  Being plain JSON, the file is read unchanged by builds that
 predate the line layout.
 
 A trusted line is keyed by slicing: its key is the text between the opening
-quote and the first ``":``.  Where that slice holds no backslash and no
-quote it holds no escape, so it is the key as written; otherwise (a key with
-a quote, a backslash, a ``":`` of its own, or any non-ASCII character, which
-the encoder writes as an escape), and for a line without ``":``, the
-JSON decoder takes the key back from the line.
+quote and the first ``":`` after it.  Where that slice holds no backslash
+and no quote it holds no escape, so it is the key as written; otherwise (a
+key with a quote, a backslash, a ``":`` of its own, or any non-ASCII
+character, which the encoder writes as an escape), and for a line without
+``":``, the JSON decoder takes the key back from the line.
 
 The on-disk format is versioned.  Version 2 (the only one read) stores every
 record with a ``{"status", "metrics", "data"}`` result section (see
@@ -125,12 +125,12 @@ def _split_lines(body: bytes) -> Optional[Dict[str, str]]:
             if line[:1] != '"':
                 return None
             # The key is what lies between the opening quote and the first
-            # '":'.  A slice without a backslash holds no escape, so it is
-            # the key itself; a slice with a backslash or a quote (an escaped
-            # character, or a '":' inside the key), or no '":' at all, goes
-            # back to the decoder, which takes back whatever the encoder
-            # wrote.
-            end = line.find('":')
+            # '":' after it (a key may start with ':').  A slice without a
+            # backslash holds no escape, so it is the key itself; a slice
+            # with a backslash or a quote (an escaped character, or a '":'
+            # inside the key), or no '":' at all, goes back to the decoder,
+            # which takes back whatever the encoder wrote.
+            end = line.find('":', 1)
             key = line[1:end]
             if end < 0 or "\\" in key or '"' in key:
                 key, _ = _raw_decode(line)

@@ -82,7 +82,6 @@ class HydEEProtocol(ClusteredProtocolBase):
     """The paper's hybrid rollback-recovery protocol."""
 
     name = "hydee"
-    ff_send_hook = True
 
     #: How the (date, phase) pair travels: the paper's prototype inlines it
     #: in messages below 1 KiB and ships it as a separate message above that

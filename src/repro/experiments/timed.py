@@ -124,7 +124,7 @@ def hybrid_speedup(
 
 
 #: The protocol axis of :func:`ff_coverage`: one protocol that extrapolates
-#: its own epoch state and one that batches by declaring it has none.
+#: its own epoch state and one that has none (no message hook of its own).
 _COVERAGE_PROTOCOLS = ("hydee", "coordinated")
 
 

@@ -334,14 +334,14 @@ class ClusteredProtocolBase(ProtocolHooks):
     # ------------------------------------------------- batched fast-forward
     # The epoch-state contract (see ProtocolHooks): every clustered protocol
     # contributes, and applies, the ``pstats`` column.  One whose message
-    # hooks carry no state says so already -- ``ff_send_hook`` is False and
-    # ``on_app_deliver`` the no-op default -- and owns nothing else, so it
-    # batches by that declaration.  Protocols with message state add their
-    # columns (HydEE) or stay per message (message logging: a real log).
+    # hooks carry no state -- it overrides none of them, so ``ff_send_hook``
+    # is False and ``on_app_deliver`` the no-op default -- owns nothing
+    # else, so it batches on ``pstats`` alone.  Protocols with message state
+    # add their columns (HydEE) or stay per message (message logging: a
+    # real log).
 
     def ff_epoch_snapshot(self) -> Optional[EpochState]:
-        cls = type(self)
-        if cls.ff_send_hook or cls.on_app_deliver is not ProtocolHooks.on_app_deliver:
+        if self.ff_send_hook or type(self).on_app_deliver is not ProtocolHooks.on_app_deliver:
             return None
         return {"pstats": self.pstats.as_dict()}
 

@@ -100,7 +100,6 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
     """Pessimistic sender-based message logging with determinant logging."""
 
     name = "message-logging"
-    ff_send_hook = True
 
     def __init__(
         self,

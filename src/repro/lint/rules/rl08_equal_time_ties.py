@@ -27,11 +27,11 @@ from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule
 
-_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post", "post_at"})
+_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
 
 
 def _is_engine_schedule(node: ast.Call) -> bool:
-    """``<...>.engine.schedule(...)`` / ``schedule_at`` / ``post`` / ``post_at`` calls.
+    """``<...>.engine.schedule(...)`` / ``schedule_at(...)`` calls.
 
     The method name alone is too common (campaign scheduling, cron-like
     helpers), so the attribute chain must mention ``engine``.
@@ -80,8 +80,8 @@ class EqualTimeTieRule(Rule):
     id = "RL08"
     name = "equal-time-tie-break"
     invariant = (
-        "no per-element engine.schedule()/schedule_at()/post()/post_at() fan-out "
-        "at a loop-invariant time: same-timestamp events dispatch in insertion "
+        "no per-element engine.schedule()/schedule_at() fan-out at a "
+        "loop-invariant time: same-timestamp events dispatch in insertion "
         "order only, which the model leaves unconstrained"
     )
     rationale = (

@@ -17,10 +17,13 @@ The transport also tracks in-flight messages so that
 * the failure injector can drop messages involving failed ranks (they are
   regenerated by re-execution or replayed from sender-based logs).
 
-An arrival is one engine event.  Given the simulation's ``ranks``, it hands
-the message straight to ``ranks[dest].deliver_message``; given a ``deliver``
-callable instead (a protocol with an arrival hook, or a bare transport), it
-calls that.
+An arrival is one engine event, queued with
+:meth:`~repro.simulator.engine.SimulationEngine.schedule_at`; the transport
+keeps the queue entry it returns while the message is in flight, and drops
+a message by handing that entry to ``engine.cancel``.  Given the
+simulation's ``ranks``, an arrival hands the message straight to
+``ranks[dest].deliver_message``; given a ``deliver`` callable instead (a
+protocol with an arrival hook, or a bare transport), it calls that.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class Transport:
             # never absorbed by float precision at large simulation times.
             arrival = math.nextafter(previous, math.inf)
         self._channel_last_arrival[key] = arrival
-        self._in_flight[message] = self._engine.post_at(arrival, self._arrival, message)
+        self._in_flight[message] = self._engine.schedule_at(arrival, self._arrival, message)
         return arrival
 
     def _arrive(self, message: Message) -> None:

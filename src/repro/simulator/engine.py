@@ -31,12 +31,12 @@ implementation deliberately avoids Python-level overhead:
 * :meth:`SimulationEngine.schedule_many` batches the bookkeeping for callers
   that inject many events at once (rank start-up, grouped replays,
   benchmark floods);
-* :meth:`SimulationEngine.post` is :meth:`~SimulationEngine.schedule`
-  without the :class:`EventHandle`: rank resumes, send completions and
-  control messages allocate nothing that nobody reads.  The transport, the
-  one caller that cancels, queues each arrival with
-  :meth:`~SimulationEngine.post_at`, which hands back the bare queue entry
-  for :meth:`~SimulationEngine.cancel`;
+* :meth:`SimulationEngine.schedule` and :meth:`~SimulationEngine.schedule_at`
+  are the only entry points per time base, and each hands back the bare
+  queue entry: no handle object is built per event.  Rank resumes, send
+  completions and control messages drop it; the transport, the one caller
+  that cancels, keeps each arrival's entry for
+  :meth:`~SimulationEngine.cancel`;
 * completion is a flag, not a call: :attr:`SimulationEngine.halt` is read
   before every event, and its owner (the simulation) rewrites it whenever
   completion may have changed, so an exact run pays one attribute load per
@@ -72,24 +72,6 @@ _STATE: Final = 4
 _PENDING: Final = 0
 _EXECUTED: Final = 1
 _CANCELLED: Final = 2
-
-
-class EventHandle:
-    """Handle returned by :meth:`SimulationEngine.schedule`; allows cancellation."""
-
-    __slots__ = ("_event", "_engine")
-
-    def __init__(self, event: List[Any], engine: "SimulationEngine") -> None:
-        self._event = event
-        self._engine = engine
-
-    def cancel(self) -> None:
-        self._engine.cancel(self._event)
-
-    @property
-    def cancelled(self) -> bool:
-        state: int = self._event[_STATE]
-        return state == _CANCELLED
 
 
 class SimulationEngine:
@@ -140,9 +122,9 @@ class SimulationEngine:
             self._compact()
 
     def cancel(self, entry: List[Any]) -> None:
-        """Cancel a queue entry returned by :meth:`post_at` (or held by an
-        :class:`EventHandle`); an entry that already ran or was cancelled
-        is left alone."""
+        """Cancel a queue entry returned by :meth:`schedule` or
+        :meth:`schedule_at`; an entry that already ran or was cancelled is
+        left alone."""
         if entry[_STATE] == _PENDING:
             entry[_STATE] = _CANCELLED
             self._note_cancelled()
@@ -164,11 +146,13 @@ class SimulationEngine:
         self._cancelled -= before - self._entry_count()
 
     # ------------------------------------------------------------ scheduling
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> List[Any]:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be finite and non-negative; ``NaN``/``inf`` would
-        corrupt the queue order (or never run) and are rejected.
+        corrupt the queue order (or never run) and are rejected.  Returns
+        the queue entry itself, an opaque token whose only use is
+        :meth:`cancel`.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(
@@ -178,36 +162,13 @@ class SimulationEngine:
         event = [self.now + delay, self._seq, callback, args, _PENDING]
         heappush(self._heap, event)
         self.pending_events += 1
-        return EventHandle(event, self)
+        return event
 
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` without the :class:`EventHandle`.
-
-        Same validation, same ``[time, seq, callback, args, state]`` entry,
-        same position in the ``(time, seq)`` order; the event cannot be
-        cancelled.
-        """
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(
-                f"cannot schedule an event with a negative or non-finite delay (delay={delay})"
-            )
-        self._seq += 1
-        heappush(self._heap, [self.now + delay, self._seq, callback, args, _PENDING])
-        self.pending_events += 1
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> List[Any]:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
         ``time`` must be finite (no ``NaN``/``inf``) and not in the past.
-        """
-        return EventHandle(self.post_at(time, callback, *args), self)
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> List[Any]:
-        """:meth:`schedule_at` without the :class:`EventHandle`.
-
-        Same validation, same ``[time, seq, callback, args, state]`` entry,
-        same position in the ``(time, seq)`` order.  Returns the entry
-        itself, an opaque token whose only use is :meth:`cancel`.
+        Returns the queue entry, as :meth:`schedule` does.
         """
         # A single comparison chain rejects past times, NaN and +/-inf: NaN
         # compares false against everything, inf fails the right-hand bound.
@@ -232,9 +193,8 @@ class SimulationEngine:
 
         Equivalent to calling :meth:`schedule` per entry (same validation,
         same deterministic insertion order) but with the per-event
-        bookkeeping hoisted out of the loop and no :class:`EventHandle`
-        allocations -- batch-scheduled events cannot be cancelled
-        individually.
+        bookkeeping hoisted out of the loop; no entry is handed back, so
+        batch-scheduled events cannot be cancelled individually.
         """
         now = self.now
         heap = self._heap

@@ -140,15 +140,13 @@ class IterationGate:
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.condition = Condition("iteration-gate")
-        #: rank -> (incarnation, park_time, iteration, app_state); the
-        #: incarnation lets the director ignore entries of coroutines that
-        #: were rolled back after parking.
-        self.parked: Dict[int, Tuple[int, float, int, Any]] = {}
+        #: rank -> (incarnation, park_time, iteration); the incarnation lets
+        #: the director ignore entries of coroutines that were rolled back
+        #: after parking.
+        self.parked: Dict[int, Tuple[int, float, int]] = {}
 
-    def park(self, proc: "RankProcess", iteration: int, state: Any) -> None:
-        self.parked[proc.rank] = (
-            proc.incarnation, proc.sim.engine.now, iteration, state
-        )
+    def park(self, proc: "RankProcess", iteration: int) -> None:
+        self.parked[proc.rank] = (proc.incarnation, proc.sim.engine.now, iteration)
 
     def unpark(self, rank: int) -> None:
         self.parked.pop(rank, None)
@@ -273,7 +271,7 @@ class HybridDirector:
             (protocol.checkpoint_interval or 0) if self._clustered else 0
         )
         #: protocol message hooks must run per message even in fast-forward.
-        self._send_hook = bool(protocol.ff_send_hook)
+        self._send_hook = protocol.ff_send_hook
         #: per-rank projected clocks, valid during a fast-forward epoch
         #: (published as ``sim.ff_clock`` for its duration).
         self._ff_clock: Dict[int, float] = {}
@@ -485,20 +483,11 @@ class HybridDirector:
             return (
                 f"too few iterations ({total}) for a {warmup}-iteration warm-up"
             )
-        cls = type(protocol)
-        if (cls.on_iteration_boundary is not ProtocolHooks.on_iteration_boundary
+        if (type(protocol).on_iteration_boundary is not ProtocolHooks.on_iteration_boundary
                 and not self._clustered):
             return (
                 f"protocol {protocol.name!r} has an iteration-boundary hook "
                 "the fast path cannot reproduce"
-            )
-        if not self._send_hook and (
-            cls.on_app_send is not ProtocolHooks.on_app_send
-            or cls.on_message_arrival is not ProtocolHooks.on_message_arrival
-        ):
-            return (
-                f"protocol {protocol.name!r} overrides message hooks without "
-                "declaring ff_send_hook"
             )
         injector = sim.failure_injector
         if injector is not None:
@@ -579,7 +568,7 @@ class HybridDirector:
         model, warmup, park_times = cached
         for rank, entry in list(gate.parked.items()):
             anchor = park_times[rank] - model.project(rank, 0.0, 0, warmup)
-            gate.parked[rank] = (entry[0], anchor, entry[2], entry[3])
+            gate.parked[rank] = (entry[0], anchor, entry[2])
         self.stats["warmup_iterations"] = 0
         self.stats["calibration_cached"] = 1
         return model

@@ -38,7 +38,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Set
 
 from repro.errors import InvalidOperationError, SimulationError
-from repro.simulator.engine import Condition
 from repro.simulator.messages import ANY_SOURCE, ANY_TAG, Message
 from repro.simulator.ops import (
     ComputeOp,
@@ -151,7 +150,7 @@ class RankProcess:
             gate = self.sim.iteration_gate
             if gate is not None and iteration >= gate.limit:
                 while True:
-                    gate.park(self, iteration, state)
+                    gate.park(self, iteration)
                     yield WaitConditionOp(condition=gate.condition)
                     gate.unpark(self.rank)
                     gate = self.sim.iteration_gate
@@ -180,7 +179,7 @@ class RankProcess:
         """Resume this incarnation after ``delay`` plus its pending overhead."""
         delay += self.pending_overhead
         self.pending_overhead = 0.0
-        self.sim.engine.post(delay, self._advance, self.incarnation, value, exception)
+        self.sim.engine.schedule(delay, self._advance, self.incarnation, value, exception)
 
     def _schedule_resume_for(
         self,
@@ -199,7 +198,7 @@ class RankProcess:
         if incarnation == self.incarnation:
             self._schedule_resume(delay, value, exception)
         else:
-            self.sim.engine.post(delay, self._advance, incarnation, value, exception)
+            self.sim.engine.schedule(delay, self._advance, incarnation, value, exception)
 
     def _advance(
         self, incarnation: int, value: Any, exception: Optional[BaseException]
@@ -255,28 +254,16 @@ class RankProcess:
 
     # ------------------------------------------------------------------ send
     def _handle_blocking_send(self, op: SendOp) -> None:
-        outcome, info = self.sim.initiate_send(
-            self, op.dest, op.payload, op.tag, op.size_bytes
-        )
-        if outcome == "deferred":
-            condition: Condition = info
+        """Send, then resume after the sender-side CPU time; a deferred send
+        blocks the rank until the simulation's retry of the same message
+        goes through and resumes it."""
+        cpu = self.sim.initiate_send(self, op.dest, op.payload, op.tag, op.size_bytes)
+        if cpu is None:
             self.state = _BLOCKED
             self.blocked_on = op
             self.blocked_since = self.sim.engine.now
-            inc = self.incarnation
-            condition.add_waiter(lambda _value, op=op, inc=inc: self._retry_send(op, inc))
             return
-        # "sent" or "suppressed": info is the sender-side CPU time.
-        self._schedule_resume(info)
-
-    def _retry_send(self, op: SendOp, incarnation: int) -> None:
-        if incarnation != self.incarnation:
-            return
-        if self.state is _FAILED or self._gen is None:
-            return
-        # Re-enter the send path; the protocol may now allow, suppress or
-        # defer again on a new condition.
-        self._handle_blocking_send(op)
+        self._schedule_resume(cpu)
 
     # ------------------------------------------------------------------ recv
     def deliver_to_app(self, values: Sequence[Any]) -> None:

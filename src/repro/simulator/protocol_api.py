@@ -169,15 +169,23 @@ class ProtocolHooks:
     """
 
     name: str = "none"
-    #: whether :meth:`on_app_send` / :meth:`on_message_arrival` carry state
-    #: (sequence stamping, payload logging, duplicate suppression) and must
-    #: therefore be invoked per message even during analytic fast-forward
-    #: (:mod:`repro.simulator.hybrid`).  Protocols whose message hooks are
-    #: the no-op defaults leave this False so the fast path can skip them.
-    ff_send_hook: bool = False
 
     def __init__(self) -> None:
         self.sim: Optional["Simulation"] = None
+
+    @property
+    def ff_send_hook(self) -> bool:
+        """Whether :meth:`on_app_send` / :meth:`on_message_arrival` must run
+        per message even during analytic fast-forward
+        (:mod:`repro.simulator.hybrid`): exactly when the protocol overrides
+        either one (sequence stamping, payload logging, duplicate
+        suppression).  With both hooks the no-op defaults, the fast path
+        skips them."""
+        cls = type(self)
+        return (
+            cls.on_app_send is not ProtocolHooks.on_app_send
+            or cls.on_message_arrival is not ProtocolHooks.on_message_arrival
+        )
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: "Simulation") -> None:
@@ -334,7 +342,7 @@ class ControlPlane:
         if self._buffer is not None:
             self._buffer.append((self._engine.now + self.latency_s, msg))
             return
-        self._engine.post(self.latency_s, self._handler, msg)
+        self._engine.schedule(self.latency_s, self._handler, msg)
 
     # ------------------------------------------------- buffered fast path
     def begin_buffering(self) -> None:

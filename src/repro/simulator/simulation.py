@@ -7,9 +7,9 @@ that protocols need in order to implement rollback-recovery:
 
 * :meth:`Simulation.initiate_send` / :meth:`initiate_isend` -- the single code
   path every application message goes through (protocol hooks are applied
-  here; a SEND decision is transmitted and counted in one place,
-  :meth:`_attempt_send`, for blocking sends, non-blocking sends and the
-  retries of deferred ones),
+  here; a decision is acted on in one place, :meth:`_attempt_send`, for
+  blocking sends, non-blocking sends and the retries of deferred ones, which
+  :meth:`_defer_send` offers as the same message),
 * the arrival binding -- the transport hands each arriving message to
   :meth:`_on_message_arrival`, which asks ``protocol.on_message_arrival``,
   only when the protocol overrides that hook (message logging); under any
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set
 )
 
 from repro.errors import DeadlockError, SimulationError
@@ -183,34 +183,15 @@ class Simulation:
         payload: Any,
         tag: int,
         size_bytes: int,
-    ) -> Tuple[str, Any]:
+    ) -> Optional[float]:
         """Blocking-send entry point.
 
-        Returns ``("sent", cpu_time)``, ``("suppressed", cpu_time)`` or
-        ``("deferred", condition)``.
+        Returns the sender-side CPU time of a sent or suppressed message, or
+        ``None`` when the protocol defers it: the rank then stays blocked
+        until :meth:`_defer_send` has offered the same message again and the
+        protocol let it through.
         """
-        message = Message(proc.rank, dest, tag, size_bytes, payload)
-        return self._attempt_send(proc, message)
-
-    def _attempt_send(self, proc: RankProcess, message: Message) -> Tuple[str, Any]:
-        decision = self.protocol.on_app_send(proc.rank, message)
-        if decision.action is _DEFER:
-            if decision.condition is None:
-                raise SimulationError("protocol returned DEFER without a condition")
-            return "deferred", decision.condition
-        if decision.action is _SUPPRESS:
-            proc.sends_initiated += 1
-            self.trace.record_send(message, self.engine.now, suppressed=True)
-            return "suppressed", self.network.send_overhead_s
-        # SEND
-        proc.sends_initiated += 1
-        extra_cpu = decision.extra_cpu_time
-        self.transport.transmit(message, extra_cpu)
-        self.trace.record_send(message, self.engine.now)
-        rstats = proc.rstats
-        rstats.sends += 1
-        rstats.bytes_sent += message.size_bytes
-        return "sent", self.network.send_overhead_s + extra_cpu
+        return self._attempt_send(proc, Message(proc.rank, dest, tag, size_bytes, payload), None)
 
     def initiate_isend(
         self,
@@ -224,42 +205,75 @@ class Simulation:
 
         The first attempt runs here, from the sender's own coroutine step
         (so its incarnation is the live one); a deferred send is retried by
-        :meth:`_isend_attempt` once the protocol's condition fires.
+        :meth:`_defer_send` once the protocol's condition fires.
         """
         message = Message(proc.rank, dest, tag, size_bytes, payload)
         request = SendRequest(proc.rank, message)
-        outcome, info = self._attempt_send(proc, message)
-        if outcome == "deferred":
-            self._defer_isend(proc, message, request, info, proc.incarnation)
-        else:
-            # Charge the sender-side CPU cost (piggyback handling, log
-            # memcpy) to the rank by delaying its next resume: an MPI_Isend
-            # call does not return before the library has done that work.
-            proc.pending_overhead += info
-            self.engine.post(info, self._complete_send_request, request)
+        self._attempt_send(proc, message, request)
         return request
 
-    def _defer_isend(
-        self, proc: RankProcess, message: Message, request: SendRequest,
-        condition: Condition, incarnation: int,
-    ) -> None:
-        condition.add_waiter(
-            lambda _value: self._isend_attempt(proc, message, request, incarnation)
-        )
+    def _attempt_send(
+        self, proc: RankProcess, message: Message, request: Optional[SendRequest]
+    ) -> Optional[float]:
+        """Offer ``message`` to the protocol and act on its decision.
 
-    def _isend_attempt(
-        self, proc: RankProcess, message: Message, request: SendRequest, incarnation: int
+        Returns the sender-side CPU time, or ``None`` when the send is
+        deferred.  A non-blocking send (``request`` given) is charged that
+        time by delaying the rank's next resume -- an MPI_Isend call does
+        not return before the library has done that work -- and its request
+        completes once it has elapsed.
+        """
+        decision = self.protocol.on_app_send(proc.rank, message)
+        action = decision.action
+        if action is _DEFER:
+            if decision.condition is None:
+                raise SimulationError("protocol returned DEFER without a condition")
+            self._defer_send(proc, message, request, decision.condition)
+            return None
+        proc.sends_initiated += 1
+        if action is _SUPPRESS:
+            self.trace.record_send(message, self.engine.now, suppressed=True)
+            cpu: float = self.network.send_overhead_s
+        else:
+            extra_cpu = decision.extra_cpu_time
+            self.transport.transmit(message, extra_cpu)
+            self.trace.record_send(message, self.engine.now)
+            rstats = proc.rstats
+            rstats.sends += 1
+            rstats.bytes_sent += message.size_bytes
+            cpu = self.network.send_overhead_s + extra_cpu
+        if request is not None:
+            proc.pending_overhead += cpu
+            self.engine.schedule(cpu, self._complete_send_request, request)
+        return cpu
+
+    def _defer_send(
+        self,
+        proc: RankProcess,
+        message: Message,
+        request: Optional[SendRequest],
+        condition: Condition,
     ) -> None:
-        """Retry a deferred isend, unless its rank failed or rolled back."""
-        if incarnation != proc.incarnation or proc.state is _FAILED:
-            request.cancel()
-            return
-        outcome, info = self._attempt_send(proc, message)
-        if outcome == "deferred":
-            self._defer_isend(proc, message, request, info, incarnation)
-            return
-        proc.pending_overhead += info
-        self.engine.post(info, self._complete_send_request, request)
+        """Offer the same ``message`` again once ``condition`` fires.
+
+        The protocol stamped it at the first attempt (HydEE's date and
+        phase), so the retry keeps that stamp.  The retry is dropped -- and
+        a non-blocking send's request cancelled -- when the incarnation
+        that sent it has failed or rolled back; a blocking send that goes
+        through resumes its rank.
+        """
+        incarnation = proc.incarnation
+
+        def retry(_value: Any) -> None:
+            if incarnation != proc.incarnation or proc.state is _FAILED:
+                if request is not None:
+                    request.cancel()
+                return
+            cpu = self._attempt_send(proc, message, request)
+            if cpu is not None and request is None:
+                proc._schedule_resume(cpu)
+
+        condition.add_waiter(retry)
 
     def _complete_send_request(self, request: SendRequest) -> None:
         # Request._complete, inline for the one state it acts on here (a

@@ -428,7 +428,7 @@ class TestProtocolIntervalGrid:
     @pytest.mark.parametrize("kind", GRID_WORKLOADS)
     @pytest.mark.parametrize("interval", [3, 4, 8])
     def test_stateless_protocol_batches_what_per_message_drives(self, interval, kind):
-        # Coordinated checkpointing batches by declaration (no message state):
+        # Coordinated checkpointing has no message hook, so no message state:
         # the batched epochs must leave what the per-message driver leaves,
         # which asking for per-event trace records forces (see
         # test_per_message_and_batched_epochs_commit_equal_checkpoints).
@@ -952,7 +952,7 @@ class TestCalibrateOnly:
         assert (entry.model.phases is not None) == phase_model
         # Only the warm-up ran: every rank is parked at the gate, none done.
         assert 0 < sim.engine.events_processed < full.engine.events_processed
-        assert {it for _, _, it, _ in sim.iteration_gate.parked.values()} == {
+        assert {it for _, _, it in sim.iteration_gate.parked.values()} == {
             entry.warmup
         }
 

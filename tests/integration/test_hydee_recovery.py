@@ -6,11 +6,16 @@ final results, send-determinism of the re-execution, and (on the reference
 trace) the phase lemmas.
 """
 
+import dataclasses
+import functools
+
 import pytest
 
 from repro import HydEEProtocol, Simulation
+from repro.analysis.efficiency import baseline_spec
 from repro.core.invariants import check_all_recovery_invariants
 from repro.errors import DeadlockError, InvariantViolation, ProtocolError
+from repro.scenarios.build import build
 from repro.simulator.failures import FailureEvent, FailureInjector
 from repro.simulator.stable_storage import StableStorage
 from repro.workloads import (
@@ -305,3 +310,80 @@ class TestCheckpointWaves:
         check_all_recovery_invariants(reference_run(STENCIL), result, protocol, [5])
         assert protocol.sim.storage.latest_common_iteration([4, 5, 6, 7]) == 8
         assert self.open_waves(protocol) == []
+
+
+class TestSendDatesAcrossADeferral:
+    """A send HydEE defers -- a process holds its sends after a failure until
+    its phase is notified (Algorithm 2 line 8, Algorithm 3 line 18) -- keeps
+    the (date, phase) it was stamped with at its send event (Algorithm 1):
+    the retry offers the same message again.  A retry that built a new
+    message dated it a second time, so a rank that never rolled back sent
+    dates 2..7 where its failure-free run sends 1..6, while the send
+    signatures, which leave the date out, still matched.
+
+    The pipeline under HydEE (16 ranks, 6 iterations, 4 block clusters, a
+    checkpoint every iteration) is struck once at instants of its
+    failure-free run; every rank's logical send dates must be the
+    failure-free run's.
+    """
+
+    #: (index of a failure-free instant, struck rank); instant 1 is 5 us.
+    STRIKES = [(1, 5), (16, 1), (68, 10), (212, 5), (300, 10)]
+
+    @staticmethod
+    def spec():
+        spec = baseline_spec("hydee", workload_kind="pipeline")
+        return dataclasses.replace(
+            spec, execution="exact", config={**spec.config, "record_trace_events": True}
+        )
+
+    @staticmethod
+    def logical_send_dates(trace):
+        """rank -> the ``date`` of each logical send: the rank's non-replayed
+        send records, cut at its restart marks the way
+        :meth:`TraceRecorder.effective_send_sequence` cuts signatures."""
+        raw = {}
+        for record in trace.records:
+            if record.event != "deliver" and not record.replayed:
+                raw.setdefault(record.source, []).append(record.date)
+        logical = {}
+        for rank, dates in raw.items():
+            kept, start = [], 0
+            for raw_index, keep in trace.restart_marks.get(rank, []):
+                kept.extend(dates[start:raw_index])
+                del kept[keep:]
+                start = raw_index
+            logical[rank] = kept + dates[start:]
+        return logical
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def failure_free(cls):
+        """The failure-free dates and every distinct instant the run visits."""
+        sim = build(cls.spec())
+        engine = sim.engine
+        instants = set()
+
+        def record_instant():
+            instants.add(engine.now)
+            return False
+
+        engine.run = functools.partial(engine.run, stop_predicate=record_instant)
+        result = sim.run()
+        instants.add(engine.now)
+        return cls.logical_send_dates(result.trace), sorted(instants)
+
+    def test_the_failure_free_pipeline_head_dates_its_sends_one_to_six(self):
+        dates, instants = self.failure_free()
+        assert instants[1] == pytest.approx(5e-6)
+        assert sorted(dates) == list(range(15))  # the tail of the pipeline only receives
+        assert dates[0] == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("index, rank", STRIKES, ids=lambda value: str(value))
+    def test_a_struck_run_sends_the_failure_free_dates(self, index, rank):
+        dates, instants = self.failure_free()
+        failures = (FailureEvent(ranks=(rank,), time=instants[index]),)
+        result = build(dataclasses.replace(self.spec(), failures=failures)).run()
+        assert result.completed
+        assert result.stats.ranks_rolled_back == 4
+        assert self.logical_send_dates(result.trace) == dates

@@ -128,6 +128,18 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "",
     ),
     Mutant(
+        "blocking-send-rebuilt-per-retry",
+        "a deferred blocking send is offered again as a new message, dated a second time",
+        "src/repro/simulator/simulation.py",
+        """            cpu = self._attempt_send(proc, message, request)
+""",
+        """            offered = message if request is not None else Message(
+                proc.rank, message.dest, message.tag, message.size_bytes, message.payload
+            )
+            cpu = self._attempt_send(proc, offered, request)
+""",
+    ),
+    Mutant(
         "sends-rewind-reverted",
         "a restarted rank keeps its raw send count, not its checkpoint's",
         "src/repro/simulator/simulation.py",

@@ -96,7 +96,7 @@ def _run_engine(program, engine=None, cut=None):
     """
     n_specs, roots, delays, actions = program
     engine = engine if engine is not None else SimulationEngine()
-    handles = {}
+    entries = {}
     log = []
 
     def execute(spec):
@@ -104,14 +104,14 @@ def _run_engine(program, engine=None, cut=None):
         for action in actions[spec]:
             if action[0] == "sched":
                 _, j, delay = action
-                if j not in handles:
-                    handles[j] = engine.schedule(delay, execute, j)
+                if j not in entries:
+                    entries[j] = engine.schedule(delay, execute, j)
             else:
-                handle = handles.get(action[1])
-                if handle is not None:
-                    handle.cancel()
+                entry = entries.get(action[1])
+                if entry is not None:
+                    engine.cancel(entry)
     for spec in roots:
-        handles[spec] = engine.schedule(delays[spec], execute, spec)
+        entries[spec] = engine.schedule(delays[spec], execute, spec)
 
     def peek_and_go_on():
         engine._peek_time()
@@ -195,7 +195,7 @@ def test_equal_time_groups_preserve_schedule_order(program):
     # heap or is joined mid-drain by zero-delay events.
     n_specs, roots, delays, actions = program
     engine = SimulationEngine()
-    handles = {}
+    entries = {}
     log = []
     schedule_order = {}
 
@@ -204,16 +204,16 @@ def test_equal_time_groups_preserve_schedule_order(program):
         for action in actions[spec]:
             if action[0] == "sched":
                 _, j, delay = action
-                if j not in handles:
+                if j not in entries:
                     schedule_order[j] = len(schedule_order)
-                    handles[j] = engine.schedule(delay, execute, j)
+                    entries[j] = engine.schedule(delay, execute, j)
             else:
-                handle = handles.get(action[1])
-                if handle is not None:
-                    handle.cancel()
+                entry = entries.get(action[1])
+                if entry is not None:
+                    engine.cancel(entry)
     for spec in roots:
         schedule_order[spec] = len(schedule_order)
-        handles[spec] = engine.schedule(delays[spec], execute, spec)
+        entries[spec] = engine.schedule(delays[spec], execute, spec)
     engine.run()
     for earlier, later in zip(log, log[1:]):
         assert earlier[0] <= later[0]

@@ -64,6 +64,7 @@ def read_bytes(path):
 @given(stores)
 @example({})
 @example({'k"1\n': {"name": 'a",\n"b":{'}, "k\u20282": {"\\": ["\ud800", 1.5e300]}})
+@example({":": {}, ":x": {"y": 1}})
 def test_store_round_trips_hostile_keys_and_values(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "store.json")

@@ -47,12 +47,12 @@ class TestScheduling:
     def test_cancelled_event_does_not_run(self):
         engine = SimulationEngine()
         order = []
-        handle = engine.schedule(1.0, order.append, "x")
+        entry = engine.schedule(1.0, order.append, "x")
         engine.schedule(2.0, order.append, "y")
-        handle.cancel()
+        engine.cancel(entry)
         engine.run()
+        assert "x" not in order
         assert order == ["y"]
-        assert handle.cancelled
 
     def test_events_scheduled_during_run_execute(self):
         engine = SimulationEngine()
@@ -97,11 +97,11 @@ class TestScheduling:
         assert engine.run() == "empty"
         assert hits == [0, 1, 2, 3]
 
-    def test_a_posted_entry_is_cancelled_through_the_engine(self):
+    def test_an_entry_cancelled_twice_is_discounted_once(self):
         engine = SimulationEngine()
         order = []
-        entry = engine.post_at(1.0, order.append, "x")
-        engine.post_at(1.0, order.append, "y")
+        entry = engine.schedule_at(1.0, order.append, "x")
+        engine.schedule_at(1.0, order.append, "y")
         engine.cancel(entry)
         engine.cancel(entry)
         assert engine.pending_events == 1
@@ -145,10 +145,10 @@ class TestHeapCompaction:
     def test_cancel_heavy_schedule_triggers_compaction(self):
         engine = SimulationEngine()
         total = 4 * SimulationEngine.COMPACT_MIN_CANCELLED
-        handles = [engine.schedule(float(i + 1), lambda: None) for i in range(total)]
+        entries = [engine.schedule(float(i + 1), lambda: None) for i in range(total)]
         survivors = total // 4
-        for handle in handles[survivors:]:
-            handle.cancel()
+        for entry in entries[survivors:]:
+            engine.cancel(entry)
         # Far more cancellations than live events: the heap must have been
         # rebuilt at least once, dropping the cancelled entries.
         assert engine.pending_events == survivors
@@ -159,13 +159,13 @@ class TestHeapCompaction:
         engine = SimulationEngine()
         total = 3 * SimulationEngine.COMPACT_MIN_CANCELLED
         order = []
-        handles = [
+        entries = [
             engine.schedule(float(i + 1), order.append, i) for i in range(total)
         ]
         # Cancel everything except every third event, in scattered order.
-        for i, handle in enumerate(handles):
+        for i, entry in enumerate(entries):
             if i % 3 != 0:
-                handle.cancel()
+                engine.cancel(entry)
         assert engine.run() == "empty"
         assert order == list(range(0, total, 3))
         assert engine.pending_events == 0
@@ -175,8 +175,8 @@ class TestHeapCompaction:
         order = []
         early = [engine.schedule(float(i + 1), order.append, i) for i in range(3)]
         engine.schedule(10.0, order.append, "late")
-        for handle in early:
-            handle.cancel()
+        for entry in early:
+            engine.cancel(entry)
         # The cancelled events head the heap; the clock jump must skip them
         # without executing anything and stop short of the live event.
         engine.advance_to(5.0)
@@ -188,9 +188,9 @@ class TestHeapCompaction:
 
     def test_pending_events_consistent_after_peek_pops(self):
         engine = SimulationEngine()
-        handles = [engine.schedule(float(i + 1), lambda: None) for i in range(5)]
-        handles[0].cancel()
-        handles[1].cancel()
+        entries = [engine.schedule(float(i + 1), lambda: None) for i in range(5)]
+        engine.cancel(entries[0])
+        engine.cancel(entries[1])
         # A stop predicate that peeks before the first event: _peek_time
         # pops the two cancelled heads but executes nothing.
         assert engine.run(stop_predicate=lambda: engine._peek_time() > 0.5) == "stopped"
@@ -211,8 +211,8 @@ class TestHeapCompaction:
         engine.schedule(20.0, lambda: None)
 
         def cancel_all():
-            for handle in doomed:
-                handle.cancel()
+            for entry in doomed:
+                engine.cancel(entry)
 
         engine.schedule(1.0, cancel_all)
         assert engine.run(stop_predicate=lambda: (engine._peek_time(), False)[1]) == "empty"
@@ -232,9 +232,9 @@ class TestHeapCompaction:
         tie = []
 
         def cancel_all():
-            tie[0].cancel()
-            for handle in doomed:
-                handle.cancel()
+            engine.cancel(tie[0])
+            for entry in doomed:
+                engine.cancel(entry)
 
         engine.schedule(1.0, cancel_all)
         tie.append(engine.schedule(1.0, lambda: None))
@@ -244,11 +244,13 @@ class TestHeapCompaction:
 
     def test_cancelling_an_executed_event_is_a_noop(self):
         engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
+        ran = []
+        entry = engine.schedule(1.0, ran.append, "x")
         engine.run()
         live_before = engine.pending_events
-        handle.cancel()
-        assert not handle.cancelled
+        engine.cancel(entry)
+        assert engine.run() == "empty"
+        assert ran == ["x"]
         assert engine.pending_events == live_before
 
 
@@ -382,8 +384,8 @@ class TestCanonicalEventOrder:
 
         engine.schedule(2.0, nested, "c")
         engine.schedule(1.0, nested, "b")
-        handle = engine.schedule(1.5, nested, "dropped")
+        entry = engine.schedule(1.5, nested, "dropped")
         engine.schedule(1.0, nested, "b-tie")
-        handle.cancel()
+        engine.cancel(entry)
         assert engine.run() == "empty"
         assert order == ["b", "b-tie", "b-nested", "c"]

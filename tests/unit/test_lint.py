@@ -276,33 +276,15 @@ class TestRL08EqualTimeTies:
         findings = lint_one(src, rule="RL08")
         assert rules_of(findings) == ["RL08"]
 
-    def test_handle_free_post_at_with_invariant_absolute_time_is_flagged(self):
+    def test_the_finding_names_the_scheduling_call(self):
         src = (
             "def arm(self, events, when):\n"
             "    for event in events:\n"
-            "        self.engine.post_at(when, self._fire, event)\n"
+            "        self.sim.engine.schedule_at(when, self._fire, event)\n"
         )
         findings = lint_one(src, rule="RL08")
         assert rules_of(findings) == ["RL08"]
-
-    def test_handle_free_post_fanout_is_flagged(self):
-        src = (
-            "def arm(self, events):\n"
-            "    for event in events:\n"
-            "        self.sim.engine.post(0.0, self._fire, event)\n"
-        )
-        findings = lint_one(src, rule="RL08")
-        assert rules_of(findings) == ["RL08"]
-        assert "engine.post()" in findings[0].message
-
-    def test_handle_free_post_of_one_batched_event_is_clean(self):
-        src = (
-            "def arm(self, events):\n"
-            "    self.sim.engine.post(0.0, self._fire_batch, list(events))\n"
-            "    for index, event in enumerate(events):\n"
-            "        self.sim.engine.post(index * 1e-9, self._fire, event)\n"
-        )
-        assert lint_one(src, rule="RL08") == []
+        assert "engine.schedule_at()" in findings[0].message
 
     def test_per_element_time_is_clean(self):
         src = (

@@ -58,6 +58,15 @@ class TestRegistry:
         log_all = make_protocol("hydee-log-all")
         assert log_all.log_all_messages is True
 
+    def test_message_hooks_run_in_fast_forward_exactly_when_overridden(self):
+        # Derived from the class: HydEE stamps dates and message logging logs
+        # payloads; coordinated checkpointing and native have no message hook.
+        derived = {name: make_protocol(name).ff_send_hook for name in available_protocols()}
+        assert derived == {
+            "coordinated": False, "hybrid-event-logging": True, "hydee": True,
+            "hydee-log-all": True, "message-logging": True, "native": False,
+        }
+
     def test_unknown_protocol(self):
         with pytest.raises(ConfigurationError):
             make_protocol("unknown-protocol")
@@ -192,8 +201,9 @@ class TestEpochStateContract:
             def on_app_deliver(self, rank, message):
                 return None
 
-        assert CountsDeliveries.ff_send_hook is False
-        assert self.attached(CountsDeliveries()).ff_epoch_snapshot() is None
+        counts = self.attached(CountsDeliveries())
+        assert counts.ff_send_hook is False  # no send or arrival hook of its own
+        assert counts.ff_epoch_snapshot() is None
         assert self.attached(CountsDeliveriesUnclustered()).ff_epoch_snapshot() is None
 
     def test_protocols_with_message_state_keep_their_own_answer(self):
