@@ -256,12 +256,18 @@ class HydEEProtocol(ClusteredProtocolBase):
         return 0.0
 
     # ============================================================ checkpoints
-    def _checkpoint_payload(self, rank: int) -> Dict[str, Any]:
-        payload = self.states[rank].checkpoint_payload()
+    def _checkpoint_cut(self, rank: int) -> Tuple[Dict[str, Any], int]:
+        """Clock, RPP table and sender log (Algorithm 1 line 21), plus the
+        phantom log bytes of a fast-forwarded epoch, which the written volume
+        counts like the live log's."""
+        state = self.states[rank]
+        payload = state.checkpoint_payload()
+        extra_bytes = state.log.current_bytes
         phantom = self._ff_phantom_log.get(rank)
         if phantom:
             payload["ff_phantom"] = dict(phantom)
-        return payload
+            extra_bytes += sum(phantom.values())
+        return payload, extra_bytes
 
     def _restore_from_payload(self, rank: int, payload: Optional[Dict[str, Any]]) -> None:
         self.states[rank].restore(payload)
@@ -273,13 +279,6 @@ class HydEEProtocol(ClusteredProtocolBase):
         self._ff_phantom_log.pop(rank, None)
         if payload and payload.get("ff_phantom"):
             self._ff_phantom_log[rank] = dict(payload["ff_phantom"])
-
-    def _extra_checkpoint_bytes(self, rank: int) -> int:
-        extra = self.states[rank].log.current_bytes
-        phantom = self._ff_phantom_log.get(rank)
-        if phantom:
-            extra += sum(phantom.values())
-        return extra
 
     def _after_checkpoint(self, rank: int, record: CheckpointRecord) -> None:
         """Record the acknowledgement data for log garbage collection.
@@ -297,7 +296,7 @@ class HydEEProtocol(ClusteredProtocolBase):
             if channel.max_date > 0
         }
         if acks:
-            self._pending_gc_acks[(self.cluster_of(rank), record.iteration, rank)] = acks
+            self._pending_gc_acks[(self._cluster_of[rank], record.iteration, rank)] = acks
 
     def _on_cluster_checkpoint_complete(self, cluster_id: int, iteration: int) -> None:
         """Log garbage collection (Section III-E).

@@ -20,9 +20,12 @@ checkpointing (the full message-logging baseline) is one cluster per rank.
 One coordinated checkpoint of one cluster is one :class:`_Wave`, opened by
 the first member to reach the boundary and deleted when the last member's
 record is durable -- or when the cluster rolls back, which kills the
-members standing in it.  No other structure tracks a checkpoint in progress,
-and a finished one leaves nothing behind but its records: the recovery line
-is whatever :class:`~repro.simulator.stable_storage.StableStorage` holds
+members standing in it.  A wave counts its members' arrivals and saves; each
+member resumes twice in it, when the wave fires and when its write ends
+(:meth:`ClusteredProtocolBase._coordinated_checkpoint` lists the steps).
+No other structure tracks a checkpoint in progress, and a finished one
+leaves nothing behind but its records: the recovery line is whatever
+:class:`~repro.simulator.stable_storage.StableStorage` holds
 (``latest``, ``latest_common_iteration``).  Every record is made durable by
 :meth:`ClusteredProtocolBase._commit_checkpoint`; it has two callers, the
 exact-mode generator :meth:`~ClusteredProtocolBase._coordinated_checkpoint`
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 )
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -127,15 +130,21 @@ def normalize_clusters(clusters: Optional[Sequence[Sequence[int]]], nprocs: int)
 
 class _Wave:
     """One coordinated checkpoint of one cluster, from the first member's
-    arrival at the boundary until the last member's record is durable."""
+    arrival at the boundary until the last member's record is durable.
 
-    __slots__ = ("condition", "arrived", "saved")
+    Each member arrives once and saves once per wave (a rollback deletes the
+    wave together with the generators standing in it), so the members that
+    arrived and saved are counted, not named."""
 
-    def __init__(self, condition: Condition) -> None:
+    __slots__ = ("condition", "members", "arrived", "saved")
+
+    def __init__(self, condition: Condition, members: int) -> None:
         #: fired once every member arrived and the intra-cluster channels drained.
         self.condition = condition
-        self.arrived: Set[int] = set()
-        self.saved: Set[int] = set()
+        #: the cluster's size: the count at which a wave fires, then completes.
+        self.members = members
+        self.arrived = 0
+        self.saved = 0
 
 
 class ClusteredProtocolBase(ProtocolHooks):
@@ -175,8 +184,8 @@ class ClusteredProtocolBase(ProtocolHooks):
             rank: cid for cid, members in enumerate(self.clusters) for rank in members
         }
         # Clusters are static for the life of a simulation; the frozen member
-        # sets serve the completeness checks at checkpoint boundaries without
-        # rebuilding a set per rank per boundary.
+        # sets serve the drain check of a wave without rebuilding a set per
+        # poll.
         self._member_sets = [frozenset(members) for members in self.clusters]
         self._waves = [{} for _ in self.clusters]
         sim.control.set_handler(self._dispatch_control)
@@ -210,18 +219,35 @@ class ClusteredProtocolBase(ProtocolHooks):
         return self._coordinated_checkpoint(rank, iteration, state)
 
     def _coordinated_checkpoint(self, rank: int, iteration: int, state: Any):
-        """Generator run inline by the rank driver at a checkpoint boundary."""
+        """Generator run inline by the rank driver at a checkpoint boundary.
+
+        The rank yields twice -- once to wait for the wave, once for the
+        write -- and everything else is done inline:
+
+        1. **wave**: the rank arrives in its cluster's wave for ``iteration``
+           (opened by the first member); the last member's arrival fires it
+           once the intra-cluster channels have drained;
+        2. **cut**: at the drain point the rank's unexpected queue is checked
+           for an undelivered intra-cluster message and the protocol's cut
+           (:meth:`_checkpoint_cut`) is captured;
+        3. **write**: the rank computes for the storage's write cost
+           (:meth:`~repro.simulator.stable_storage.StableStorage.write_cost`);
+        4. **commit**: at the end of the write the record is made durable
+           (:meth:`_commit_checkpoint`);
+        5. **recovery line**: the last member's commit completes the wave, the
+           cluster's new recovery line (:meth:`_complete_cluster_checkpoint`).
+        """
         cluster_id = self._cluster_of[rank]
-        members = self._member_sets[cluster_id]
         waves = self._waves[cluster_id]
         wave = waves.get(iteration)
         if wave is None:
             generation = self._cluster_generation.get(cluster_id, 0)
             wave = waves[iteration] = _Wave(
-                Condition(name=f"ckpt-c{cluster_id}-g{generation}-it{iteration}")
+                Condition(name=f"ckpt-c{cluster_id}-g{generation}-it{iteration}"),
+                len(self.clusters[cluster_id]),
             )
-        wave.arrived.add(rank)
-        if wave.arrived == members:
+        wave.arrived += 1
+        if wave.arrived == wave.members:
             # Last member reached the boundary: wait for intra-cluster
             # channels to drain, then release everyone.
             self._drain_then_fire(cluster_id, wave.condition)
@@ -230,12 +256,14 @@ class ClusteredProtocolBase(ProtocolHooks):
         # The checkpoint *content* is the consistent cut at the drain point:
         # check and capture it now, before the write window, during which
         # inter-cluster arrivals may still mutate transient protocol state.
-        proc = self.sim.ranks[rank]
-        self._check_intra_cluster_drained(rank)
+        sim = self.sim
+        proc = sim.ranks[rank]
+        if proc.unexpected:
+            self._check_intra_cluster_drained(rank)
         sends_at = proc.sends_initiated
-        payload = self._checkpoint_payload(rank)
-        size_bytes = self.checkpoint_size_bytes + self._extra_checkpoint_bytes(rank)
-        cost = self.sim.storage.write_cost(size_bytes)
+        payload, extra_bytes = self._checkpoint_cut(rank)
+        size_bytes = self.checkpoint_size_bytes + extra_bytes
+        cost = sim.storage.write_cost(size_bytes)
         if cost > 0:
             yield ComputeOp(seconds=cost)
         # Durability coincides with the *end* of the write, not its start: a
@@ -244,10 +272,10 @@ class ClusteredProtocolBase(ProtocolHooks):
         # of racing the save events for the recovery line.  The cut itself was
         # captured above, so the committed state is still the drain-point cut.
         self._commit_checkpoint(
-            rank, iteration, state, self.sim.engine.now, sends_at, payload, size_bytes
+            rank, iteration, state, sim.engine.now, sends_at, payload, size_bytes
         )
-        wave.saved.add(rank)
-        if wave.saved == members:
+        wave.saved += 1
+        if wave.saved == wave.members:
             # The coordinated checkpoint of the whole cluster is now durable:
             # it becomes the cluster's recovery line, which is the moment
             # log garbage collection and similar cleanups become safe.
@@ -313,11 +341,12 @@ class ClusteredProtocolBase(ProtocolHooks):
         sim = self.sim
         for rank in self.clusters[cluster_id]:
             proc = sim.ranks[rank]
-            self._check_intra_cluster_drained(rank)
+            if proc.unexpected:
+                self._check_intra_cluster_drained(rank)
+            payload, extra_bytes = self._checkpoint_cut(rank)
             record = self._commit_checkpoint(
                 rank, iteration, proc.app_state, time_at(rank, iteration),
-                proc.sends_initiated, self._checkpoint_payload(rank),
-                self.checkpoint_size_bytes + self._extra_checkpoint_bytes(rank),
+                proc.sends_initiated, payload, self.checkpoint_size_bytes + extra_bytes,
             )
             cost = sim.storage.write_cost(record.size_bytes)
             if cost > 0:
@@ -415,16 +444,15 @@ class ClusteredProtocolBase(ProtocolHooks):
     def _init_rank_state(self, rank: int) -> None:
         """Create protocol-private per-rank state (called at attach time)."""
 
-    def _checkpoint_payload(self, rank: int) -> Dict[str, Any]:
-        """Protocol state to embed in a checkpoint (Algorithm 1 line 21)."""
-        return {}
+    def _checkpoint_cut(self, rank: int) -> Tuple[Dict[str, Any], int]:
+        """The protocol's part of a rank's checkpoint, captured at the cut:
+        the state to embed in the record (Algorithm 1 line 21; a private
+        snapshot, see :mod:`repro.simulator.stable_storage`) and the bytes it
+        adds to the written volume (e.g. the sender-based log)."""
+        return {}, 0
 
     def _restore_from_payload(self, rank: int, payload: Optional[Dict[str, Any]]) -> None:
         """Restore protocol state from a checkpoint payload (None = initial)."""
-
-    def _extra_checkpoint_bytes(self, rank: int) -> int:
-        """Extra checkpoint volume contributed by the protocol (e.g. logs)."""
-        return 0
 
     def _after_checkpoint(self, rank: int, record: CheckpointRecord) -> None:
         """Hook run after a rank's checkpoint is saved."""

@@ -36,7 +36,7 @@ seq past a queued one breaks that, and ``on_failure`` raises
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core.message_log import SenderLog
 from repro.errors import ProtocolError
@@ -190,14 +190,12 @@ class FullMessageLoggingProtocol(ClusteredProtocolBase):
         return DETERMINANT_LATENCY_S
 
     # ------------------------------------------------------------ checkpoints
-    def _checkpoint_payload(self, rank: int) -> Dict[str, Any]:
-        return self.rank_state[rank].snapshot()
+    def _checkpoint_cut(self, rank: int) -> Tuple[Dict[str, Any], int]:
+        state = self.rank_state[rank]
+        return state.snapshot(), state.log.current_bytes
 
     def _restore_from_payload(self, rank: int, payload: Optional[Dict[str, Any]]) -> None:
         self.rank_state[rank].restore(payload)
-
-    def _extra_checkpoint_bytes(self, rank: int) -> int:
-        return self.rank_state[rank].log.current_bytes
 
     # ---------------------------------------------------------------- failure
     def on_failure(self, failed_ranks: Iterable[int], time: float) -> None:

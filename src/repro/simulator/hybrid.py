@@ -1057,7 +1057,7 @@ class HybridDirector:
 
         This is the queue-free interpreter of the op vocabulary
         (:mod:`repro.simulator.ops`; the event-driven one is
-        :meth:`RankProcess._handle_op`).  Each rank free-runs through its
+        :meth:`RankProcess._advance`).  Each rank free-runs through its
         iterations (a finished iteration immediately starts the next one),
         blocking only when a receive has no matching message yet; a sender's
         delivery wakes the blocked receiver.  Rank order is deterministic

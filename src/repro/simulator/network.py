@@ -23,6 +23,7 @@ cycle-accurate NIC model.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Sequence, Tuple
@@ -43,6 +44,12 @@ class PiggybackPolicy(Enum):
     INLINE = "inline"
     SEPARATE = "separate"
     INLINE_SMALL_SEPARATE_LARGE = "inline-small-separate-large"
+
+
+def _check_time(name: str, value: float) -> None:
+    """Reject a negative or non-finite duration (or count of round trips)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and >= 0 (got {value!r})")
 
 
 @dataclass
@@ -89,10 +96,29 @@ class NetworkModel:
     rendezvous_extra_rtts: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
+        # Every parameter is checked here: a bad value that gets through
+        # surfaces deep inside a run instead (an event scheduled in the past,
+        # a non-finite delay, a division by zero).  ``not (x > 0)`` also
+        # rejects NaN.
+        if not self.bandwidth_bytes_per_s > 0:
             raise ConfigurationError("bandwidth must be positive")
         if not self.latency_plateaus:
             raise ConfigurationError("latency_plateaus must not be empty")
+        for _, latency in self.latency_plateaus:
+            _check_time("latency_plateaus latency", latency)
+        _check_time("send_overhead_s", self.send_overhead_s)
+        _check_time("recv_overhead_s", self.recv_overhead_s)
+        if not self.memcpy_bandwidth_bytes_per_s > 0:
+            raise ConfigurationError(
+                "memcpy_bandwidth_bytes_per_s must be positive "
+                f"(got {self.memcpy_bandwidth_bytes_per_s!r})"
+            )
+        if not 0.0 <= self.memcpy_overlap_fraction <= 1.0:
+            raise ConfigurationError(
+                "memcpy_overlap_fraction must lie in [0, 1] "
+                f"(got {self.memcpy_overlap_fraction!r})"
+            )
+        _check_time("rendezvous_extra_rtts", self.rendezvous_extra_rtts)
         # Normalise: entries sorted by max size, catch-all (0 -> unbounded) last.
         finite = sorted([p for p in self.latency_plateaus if p[0] > 0])
         unbounded = [p for p in self.latency_plateaus if p[0] <= 0]

@@ -12,7 +12,7 @@ The vocabulary is the only interface between a workload and whatever drives
 it, and it has two interpreters:
 
 * the event-driven rank driver
-  (:meth:`repro.simulator.process.RankProcess._handle_op`) performs the
+  (:meth:`repro.simulator.process.RankProcess._advance`) performs the
   operation through the engine's event queue, blocks the rank if necessary
   and resumes the generator with the operation's result -- exact execution
   and every DES segment of a hybrid run;

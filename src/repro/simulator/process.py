@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Set
 
 from repro.errors import InvalidOperationError, SimulationError
@@ -165,8 +166,17 @@ class RankProcess:
             yield from app.iteration(comm, rank, state, iteration)
             iteration += 1
             self.completed_iterations = iteration
-            self.sim.notify_iteration_completed(self.rank, iteration)
-            boundary = self.sim.protocol.on_iteration_boundary(rank, iteration, state)
+            sim = self.sim
+            listener = sim._iteration_listener
+            if listener is not None:
+                # Calibration listener first: it must observe the boundary
+                # time before an iteration-triggered failure can perturb the
+                # rank.
+                listener(rank, iteration)
+            injector = sim.failure_injector
+            if injector is not None:
+                injector.on_iteration_completed(rank, iteration)
+            boundary = sim.protocol.on_iteration_boundary(rank, iteration, state)
             if boundary is not None:
                 yield from boundary
         comm._collective_seq = 0
@@ -203,10 +213,13 @@ class RankProcess:
     def _advance(
         self, incarnation: int, value: Any, exception: Optional[BaseException]
     ) -> None:
-        """Engine-facing resume: step the coroutine to its next operation.
+        """Engine-facing resume: step the coroutine to its next operation and
+        perform it.
 
         Wake-ups of dead incarnations and of failed or finished ranks are
-        ignored.
+        ignored.  Yielding an op is the single most frequent rank action, so
+        it is dispatched here, by exact type: the vocabulary is closed (five
+        final classes).
         """
         if incarnation != self.incarnation:
             return
@@ -227,7 +240,13 @@ class RankProcess:
         except StopIteration:
             self._finish()
             return
-        self._handle_op(op)
+        handler = _OP_DISPATCH.get(op.__class__)
+        if handler is None:
+            raise InvalidOperationError(
+                f"rank {self.rank} yielded {op!r}, which is not an operation. Blocking "
+                "calls must be written as `yield from comm.<call>(...)`."
+            )
+        handler(self, op)
 
     def _finish(self) -> None:
         self.state = _DONE
@@ -236,21 +255,10 @@ class RankProcess:
         self._gen = None
         self.sim.on_rank_done()
 
-    # ---------------------------------------------------------- op dispatch
+    # ---------------------------------------------------------- op handlers
     def _handle_compute(self, op: ComputeOp) -> None:
         self.rstats.compute_time += op.seconds
         self._schedule_resume(op.seconds)
-
-    def _handle_op(self, op: Any) -> None:
-        # Exact-type dispatch: yielding an op is the single most frequent
-        # rank action, and the vocabulary is closed (five final classes).
-        handler = _OP_DISPATCH.get(op.__class__)
-        if handler is None:
-            raise InvalidOperationError(
-                f"rank {self.rank} yielded {op!r}, which is not an operation. Blocking "
-                "calls must be written as `yield from comm.<call>(...)`."
-            )
-        handler(self, op)
 
     # ------------------------------------------------------------------ send
     def _handle_blocking_send(self, op: SendOp) -> None:
@@ -375,10 +383,7 @@ class RankProcess:
         self.state = _BLOCKED
         self.blocked_on = op
         self.blocked_since = self.sim.engine.now
-        inc = self.incarnation
-        op.condition.add_waiter(
-            lambda value, inc=inc: self._schedule_resume_for(inc, 0.0, value)
-        )
+        op.condition.add_waiter(partial(self._schedule_resume_for, self.incarnation, 0.0))
 
     # ------------------------------------------------------------- matching
     # MPI-level completion.  ``(source, tag)`` is tested against the
@@ -541,7 +546,7 @@ class RankProcess:
         )
 
 
-#: exact-type fast dispatch for :meth:`RankProcess._handle_op`.
+#: exact-type fast dispatch for :meth:`RankProcess._advance`.
 _OP_DISPATCH = {
     ComputeOp: RankProcess._handle_compute,
     SendOp: RankProcess._handle_blocking_send,

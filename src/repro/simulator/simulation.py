@@ -332,15 +332,6 @@ class Simulation:
         rstats.bytes_received += message.size_bytes
 
     # ------------------------------------------------------------- lifecycle
-    def notify_iteration_completed(self, rank: int, iteration: int) -> None:
-        listener = self._iteration_listener
-        if listener is not None:
-            # Calibration listener first: it must observe the boundary time
-            # before an iteration-triggered failure can perturb the rank.
-            listener(rank, iteration)
-        if self.failure_injector is not None:
-            self.failure_injector.on_iteration_completed(rank, iteration)
-
     def on_rank_done(self) -> None:
         self._done_count += 1
         self.update_halt()

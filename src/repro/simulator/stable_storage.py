@@ -38,15 +38,14 @@ store itself) uses the generic pair those methods default to,
 :func:`~repro.workloads.base.thaw_state`.
 
 ``protocol_state`` is *not* copied at all: protocol checkpoint payloads
-(``_checkpoint_payload`` of the :class:`~repro.simulator.protocol_api.
-ProtocolHooks` subclasses) are required to already be private snapshots --
-freshly-built structures that the protocol never mutates afterwards and that
-restoring code only reads.
+(what ``_checkpoint_cut`` of a :class:`~repro.ftprotocols.base.
+ClusteredProtocolBase` subclass returns) are required to already be private
+snapshots -- freshly-built structures that the protocol never mutates
+afterwards and that restoring code only reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
@@ -64,7 +63,6 @@ def snapshot_strategy_for(application: Any) -> Any:
     return None
 
 
-@dataclass
 class CheckpointRecord:
     """One process checkpoint.
 
@@ -72,22 +70,43 @@ class CheckpointRecord:
     iteration + application state snapshot), the RPP table, the sender-based
     message logs, the phase and the date.  Baseline protocols reuse the same
     record type and simply leave the HydEE-specific fields empty.
+
+    A plain slotted class: a record is built at every checkpoint of every
+    rank, and CPython 3.9 has no ``dataclass(slots=True)``.
     """
 
-    rank: int
-    checkpoint_id: int
-    iteration: int
-    #: snapshot of the application state, as ``snapshot_state`` returned it.
-    app_state: Any
-    time: float
-    #: number of application sends the rank had initiated when checkpointing
-    #: (used to rebuild logical send sequences after a rollback).
-    sends_at_checkpoint: int
-    #: protocol-specific payload (dates, phases, RPP, message logs, ...).
-    protocol_state: Dict[str, Any]
-    size_bytes: int
-    #: the ``restore_state`` that rebuilds a live state from ``app_state``.
-    restore_fn: Callable[[Any], Any]
+    __slots__ = (
+        "rank", "checkpoint_id", "iteration", "app_state", "time",
+        "sends_at_checkpoint", "protocol_state", "size_bytes", "restore_fn",
+    )
+
+    def __init__(
+        self,
+        rank: int,
+        checkpoint_id: int,
+        iteration: int,
+        app_state: Any,
+        time: float,
+        sends_at_checkpoint: int,
+        protocol_state: Dict[str, Any],
+        size_bytes: int,
+        restore_fn: Callable[[Any], Any],
+    ) -> None:
+        self.rank = rank
+        self.checkpoint_id = checkpoint_id
+        self.iteration = iteration
+        #: snapshot of the application state, as ``snapshot_state`` returned it.
+        self.app_state = app_state
+        self.time = time
+        #: number of application sends the rank had initiated when
+        #: checkpointing (used to rebuild logical send sequences after a
+        #: rollback).
+        self.sends_at_checkpoint = sends_at_checkpoint
+        #: protocol-specific payload (dates, phases, RPP, message logs, ...).
+        self.protocol_state = protocol_state
+        self.size_bytes = size_bytes
+        #: the ``restore_state`` that rebuilds a live state from ``app_state``.
+        self.restore_fn = restore_fn
 
     def restore_app_state(self) -> Any:
         """Return a private copy of the checkpointed application state."""
@@ -156,22 +175,21 @@ class StableStorage:
         ``protocol_state`` must already be a private snapshot (see the module
         docstring); it is stored as-is.
         """
+        checkpoint_id = self.writes + 1
         record = CheckpointRecord(
-            rank=rank,
-            checkpoint_id=self.writes + 1,
-            iteration=iteration,
-            app_state=self._snapshot(app_state),
-            time=time,
-            sends_at_checkpoint=sends_at_checkpoint,
-            protocol_state=protocol_state if protocol_state is not None else {},
-            size_bytes=size_bytes,
-            restore_fn=self._restore,
+            rank, checkpoint_id, iteration, self._snapshot(app_state), time,
+            sends_at_checkpoint, protocol_state if protocol_state is not None else {},
+            size_bytes, self._restore,
         )
-        self._records.setdefault(rank, {})[iteration] = record
+        held = self._records.get(rank)
+        if held is None:
+            self._records[rank] = {iteration: record}
+        else:
+            held[iteration] = record
         self._latest[rank] = record
-        self.bytes_written += size_bytes
-        self.writes += 1
+        self.writes = checkpoint_id
         self.saves += 1
+        self.bytes_written += size_bytes
         return record
 
     def release_below(self, ranks: Iterable[int], iteration: int) -> None:

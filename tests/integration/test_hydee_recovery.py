@@ -265,7 +265,9 @@ class TestCheckpointWaves:
 
     @staticmethod
     def open_waves(protocol):
-        return [wave for waves in protocol._waves for wave in waves.values()]
+        """``(cluster id, wave)`` of every wave still open."""
+        return [(cluster_id, wave) for cluster_id, waves in enumerate(protocol._waves)
+                for wave in waves.values()]
 
     def test_completed_run_leaves_no_wave_behind(self):
         result, protocol = recovery_run(
@@ -304,9 +306,10 @@ class TestCheckpointWaves:
         monkeypatch.setattr(HydEEProtocol, "on_failure", spy)
         result, protocol = recovery_run(STENCIL, [FailureEvent(ranks=[5], time=strike)])
 
-        struck = [wave for wave in open_at_strike if 5 in wave.arrived]
+        struck = [wave for cluster_id, wave in open_at_strike
+                  if protocol.members(cluster_id) == [4, 5, 6, 7]]
         assert len(struck) == 1
-        assert struck[0].arrived == {4, 5, 6, 7} and not struck[0].saved
+        assert struck[0].arrived == struck[0].members == 4 and not struck[0].saved
         check_all_recovery_invariants(reference_run(STENCIL), result, protocol, [5])
         assert protocol.sim.storage.latest_common_iteration([4, 5, 6, 7]) == 8
         assert self.open_waves(protocol) == []

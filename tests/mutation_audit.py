@@ -246,6 +246,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
         """            if type(tree) is dict:
 """,
     ),
+    Mutant(
+        "wave-fires-one-early",
+        "a coordinated checkpoint's wave is released before its last member arrives",
+        "src/repro/ftprotocols/base.py",
+        """        if wave.arrived == wave.members:
+""",
+        """        if wave.arrived == wave.members - 1:
+""",
+    ),
+    Mutant(
+        "drain-check-skipped",
+        "the exact wave cuts a rank without looking for an undelivered intra-cluster message",
+        "src/repro/ftprotocols/base.py",
+        """        if proc.unexpected:
+            self._check_intra_cluster_drained(rank)
+        sends_at = proc.sends_initiated
+""",
+        """        sends_at = proc.sends_initiated
+""",
+    ),
 )
 
 

@@ -11,6 +11,14 @@ from repro.simulator.network import (
     netpipe_sizes,
     pingpong_half_round_trip,
 )
+from repro.scenarios.build import build
+from repro.scenarios.spec import (
+    ClusteringSpec,
+    NetworkSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 
 
 class TestLatencyPlateaus:
@@ -53,6 +61,65 @@ class TestLatencyPlateaus:
             NetworkModel(bandwidth_bytes_per_s=0)
         with pytest.raises(ConfigurationError):
             NetworkModel(latency_plateaus=[(32, 1e-6)])  # no catch-all entry
+
+
+#: ``network.overrides`` values that used to pass construction and fail deep
+#: inside a run (an event scheduled before the current time, a non-finite or
+#: negative delay, a division by zero) or not at all (an infinite overhead).
+BAD_NETWORK_OVERRIDES = [
+    {"latency_plateaus": [(0, -1e-3)]},
+    {"latency_plateaus": [(1024, float("nan")), (0, 8e-6)]},
+    {"latency_plateaus": [(0, float("inf"))]},
+    {"send_overhead_s": -1e-3},
+    {"send_overhead_s": float("nan")},
+    {"recv_overhead_s": float("inf")},
+    {"recv_overhead_s": -1e-9},
+    {"memcpy_bandwidth_bytes_per_s": 0},
+    {"memcpy_bandwidth_bytes_per_s": -1.0},
+    {"memcpy_bandwidth_bytes_per_s": float("nan")},
+    {"memcpy_overlap_fraction": 1.5},
+    {"memcpy_overlap_fraction": -0.1},
+    {"memcpy_overlap_fraction": float("nan")},
+    {"rendezvous_extra_rtts": -1.0},
+    {"rendezvous_extra_rtts": float("inf")},
+    {"bandwidth_bytes_per_s": float("nan")},
+]
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("overrides", BAD_NETWORK_OVERRIDES, ids=repr)
+    @pytest.mark.parametrize("model_cls", [NetworkModel, MyrinetMXModel, EthernetTCPModel])
+    def test_bad_parameter_rejected_at_construction(self, model_cls, overrides):
+        with pytest.raises(ConfigurationError):
+            model_cls(**overrides)
+
+    @pytest.mark.parametrize("overrides", BAD_NETWORK_OVERRIDES, ids=repr)
+    def test_bad_override_fails_the_build_not_the_run(self, overrides):
+        spec = ScenarioSpec(
+            name="bad-network",
+            workload=WorkloadSpec(kind="stencil2d", nprocs=16, iterations=4),
+            protocol=ProtocolSpec(
+                name="hydee",
+                clustering=ClusteringSpec(method="block", num_clusters=4),
+                options={"checkpoint_interval": 2},
+            ),
+            network=NetworkSpec(overrides=overrides),
+        )
+        with pytest.raises(ConfigurationError):
+            build(spec)
+
+    @pytest.mark.parametrize("overrides", [
+        {"latency_plateaus": [(0, 0.0)]},
+        {"send_overhead_s": 0.0, "recv_overhead_s": 0.0},
+        {"memcpy_overlap_fraction": 0.0},
+        {"memcpy_overlap_fraction": 1.0},
+        {"memcpy_bandwidth_bytes_per_s": float("inf")},
+        {"rendezvous_extra_rtts": 0.0},
+    ], ids=repr)
+    def test_boundary_values_accepted(self, overrides):
+        model = NetworkModel(**overrides)
+        assert model.transfer_time(1 << 20) >= 0.0
+        assert model.memcpy_time(1 << 20) >= 0.0
 
 
 class TestPiggybackCost:
